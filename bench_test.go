@@ -418,30 +418,44 @@ func BenchmarkAblation_Domain(b *testing.B) {
 
 // --- microbenchmarks --------------------------------------------------------
 
-// BenchmarkSimulatorThroughput measures raw simulation speed in simulated
-// nanoseconds per wall second (reported as sim_ns/op for one 10 µs epoch).
+// BenchmarkSimulatorThroughput measures raw simulation speed: host time per
+// simulated 10 µs epoch (ns/epoch) and its ratio to the simulated time
+// (slowdown_x). The three kernels bracket what the event-skipping scheduler
+// sees: a compute-bound kernel issues nearly every cycle (nothing to skip),
+// a memory-bound one idles most cycles, a phase-mixed one alternates.
 func BenchmarkSimulatorThroughput(b *testing.B) {
 	opts := benchOpts()
-	spec := kernels.Training()[0]
-	k := spec.Build(1.0)
-	sim, err := gpusim.New(opts.Sim, k)
-	if err != nil {
-		b.Fatal(err)
-	}
-	target := int64(0)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		target += 10_000_000 // one epoch
-		sim.RunUntil(target)
-		if sim.Done() {
-			b.StopTimer()
-			sim, err = gpusim.New(opts.Sim, k)
+	for _, name := range []string{"polybench.gemm", "polybench.atax", "rodinia.backprop"} {
+		spec, err := kernels.ByName(name)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(string(spec.Behaviour)+"/"+name, func(b *testing.B) {
+			k := spec.Build(1.0)
+			epochPs := opts.Sim.EpochPs
+			sim, err := gpusim.New(opts.Sim, k)
 			if err != nil {
 				b.Fatal(err)
 			}
-			target = 0
-			b.StartTimer()
-		}
+			target := int64(0)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				target += epochPs
+				sim.RunUntil(target)
+				if sim.Done() {
+					b.StopTimer()
+					sim, err = gpusim.New(opts.Sim, k)
+					if err != nil {
+						b.Fatal(err)
+					}
+					target = 0
+					b.StartTimer()
+				}
+			}
+			nsPerEpoch := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
+			b.ReportMetric(nsPerEpoch, "ns/epoch")
+			b.ReportMetric(nsPerEpoch/(float64(epochPs)/1e3), "slowdown_x")
+		})
 	}
 }
 

@@ -40,6 +40,9 @@ type Domain struct {
 	ivr   IVRModel
 
 	level int
+	// periodPs is the clock period at level, kept here because the
+	// simulator reads it every cycle.
+	periodPs int64
 	// stallUntilPs is the absolute simulation time before which the domain
 	// is stalled completing a V/f transition.
 	stallUntilPs int64
@@ -50,7 +53,8 @@ type Domain struct {
 
 // NewDomain creates a clock domain running at the table's default level.
 func NewDomain(table *Table, ivr IVRModel) *Domain {
-	return &Domain{table: table, ivr: ivr, level: table.Default()}
+	level := table.Default()
+	return &Domain{table: table, ivr: ivr, level: level, periodPs: table.Point(level).PeriodPs()}
 }
 
 // Level returns the current operating-point level.
@@ -60,7 +64,7 @@ func (d *Domain) Level() int { return d.level }
 func (d *Domain) Point() OperatingPoint { return d.table.Point(d.level) }
 
 // PeriodPs returns the current clock period in picoseconds.
-func (d *Domain) PeriodPs() int64 { return d.Point().PeriodPs() }
+func (d *Domain) PeriodPs() int64 { return d.periodPs }
 
 // Table returns the domain's operating-point table.
 func (d *Domain) Table() *Table { return d.table }
@@ -84,6 +88,7 @@ func (d *Domain) SetLevel(level int, nowPs int64) bool {
 	to := d.table.Point(level)
 	stall := d.ivr.TransitionPs(from, to)
 	d.level = level
+	d.periodPs = to.PeriodPs()
 	d.transitions++
 	d.stalledPs += stall
 	if until := nowPs + stall; until > d.stallUntilPs {

@@ -1,6 +1,8 @@
 package gpusim
 
 import (
+	"math"
+
 	"ssmdvfs/internal/clockdomain"
 	"ssmdvfs/internal/isa"
 )
@@ -13,11 +15,14 @@ type epochAccum struct {
 	cycles       int64
 	activeCycles int64
 
-	stallMemLoad   int64 // waiting for global-load data (MH)
-	stallMemOther  int64 // LSU busy / MSHR full / store-queue full (MH\L)
-	stallCompute   int64 // waiting on ALU/SFU/shared results
-	stallControl   int64 // branch pipeline refill
-	readyNotIssued int64 // eligible but lost issue-width arbitration
+	stallMemLoad  int64 // waiting for global-load data (MH)
+	stallMemOther int64 // LSU busy / MSHR full / store-queue full (MH\L)
+	stallCompute  int64 // waiting on ALU/SFU/shared results
+	stallControl  int64 // branch pipeline refill
+	// readyNotIssued counts every unretired warp visited after the cycle's
+	// issue width is spent — whether or not it could have issued — so it
+	// measures occupancy behind the arbiter, not eligibility.
+	readyNotIssued int64
 	dvfsStall      int64 // cycles lost to IVR transitions
 
 	l1ReadHits      int64
@@ -39,7 +44,9 @@ type cluster struct {
 
 	domain *clockdomain.Domain
 	warps  []warp
-	l1     *cache
+	// sched is the scheduler's compact view of warps, indexed like warps.
+	sched []warpSched
+	l1    *cache
 
 	nowPs int64
 	rrPtr int
@@ -73,6 +80,7 @@ func newCluster(id int, cfg *Config, kernel *isa.Kernel) *cluster {
 	}
 	c.epochLevel = c.domain.Level()
 	c.warps = make([]warp, kernel.WarpsPerCluster)
+	c.sched = make([]warpSched, kernel.WarpsPerCluster)
 	for i := range c.warps {
 		c.warps[i] = warp{
 			prog: &kernel.Programs[i%len(kernel.Programs)],
@@ -82,21 +90,23 @@ func newCluster(id int, cfg *Config, kernel *isa.Kernel) *cluster {
 	return c
 }
 
-// drainQueues removes completed entries from the outstanding-load and
-// outstanding-store queues.
-func (c *cluster) drainQueues(nowPs int64) {
-	c.outstandingLoads = drainDone(c.outstandingLoads, nowPs)
-	c.outstandingStores = drainDone(c.outstandingStores, nowPs)
-}
-
-func drainDone(q []int64, nowPs int64) []int64 {
-	out := q[:0]
-	for _, t := range q {
+// queueFull reports whether the outstanding-load or outstanding-store queue
+// q still holds limit entries at nowPs, dropping completed entries first.
+// This is the only place the queues are drained: every entry is appended
+// with a completion time later than the cycle appending it, so the live
+// count seen here is the same as if each cycle had dropped its completions.
+func queueFull(q *[]int64, limit int, nowPs int64) bool {
+	if len(*q) < limit {
+		return false
+	}
+	live := (*q)[:0]
+	for _, t := range *q {
 		if t > nowPs {
-			out = append(out, t)
+			live = append(live, t)
 		}
 	}
-	return out
+	*q = live
+	return len(live) >= limit
 }
 
 // stallReason classifies why a warp could not issue this cycle.
@@ -108,16 +118,30 @@ const (
 	stallMemOtherR
 	stallComputeR
 	stallControlR
-	stallArbR
+	numStallReasons
 )
+
+// warpSched is what the issue loop needs to know about a warp without
+// touching the warp itself: whether it has retired and, when its last issue
+// attempt was blocked by its own pacing or scoreboard, until when and why.
+// A warp's ready times are written only by its own issue, so until wakePs
+// the warp would give the same stall reason every cycle and is not probed.
+type warpSched struct {
+	wakePs   int64 // the warp cannot issue before this time; probe once reached
+	reason   stallReason
+	finished bool
+}
 
 // tryIssue checks whether warp w can issue at nowPs given the remaining
 // per-cycle unit budgets, and if so performs the issue (updating the
-// scoreboard, caches, and memory system). It returns the stall reason on
-// failure and stallNone on success.
-func (c *cluster) tryIssue(w *warp, mem *memSystem, nowPs int64, aluLeft, sfuLeft, lsuLeft *int) stallReason {
+// scoreboard, caches, and memory system). It returns stallNone on success
+// and the stall reason on failure. When the warp is blocked by its own
+// pacing or scoreboard it also returns the time that block lifts; a
+// structural stall (unit, MSHR or store-queue limit) depends on other warps
+// and on queue drain, and returns wake time 0.
+func (c *cluster) tryIssue(w *warp, mem *memSystem, nowPs, period int64, aluLeft, sfuLeft, lsuLeft *int) (stallReason, int64) {
 	if nowPs < w.nextEligiblePs {
-		return stallControlR
+		return stallControlR, w.nextEligiblePs
 	}
 	ins := w.current()
 
@@ -126,21 +150,20 @@ func (c *cluster) tryIssue(w *warp, mem *memSystem, nowPs int64, aluLeft, sfuLef
 		if r == 0 {
 			continue
 		}
-		if w.regReadyPs[r] > nowPs {
+		if ready := w.regReadyPs[r]; ready > nowPs {
 			if w.regFromLoad[r] {
-				return stallMemLoadR
+				return stallMemLoadR, ready
 			}
-			return stallComputeR
+			return stallComputeR, ready
 		}
 	}
 
-	period := c.domain.PeriodPs()
 	cfg := c.cfg
 
 	switch ins.Op {
 	case isa.OpIAlu, isa.OpFAlu:
 		if *aluLeft == 0 {
-			return stallComputeR
+			return stallComputeR, 0
 		}
 		*aluLeft--
 		lat := cfg.IAluLatency
@@ -151,14 +174,14 @@ func (c *cluster) tryIssue(w *warp, mem *memSystem, nowPs int64, aluLeft, sfuLef
 
 	case isa.OpSFU:
 		if *sfuLeft == 0 {
-			return stallComputeR
+			return stallComputeR, 0
 		}
 		*sfuLeft--
 		c.writeReg(w, ins.Dst, nowPs+int64(cfg.SFULatency)*period, false)
 
 	case isa.OpLoadShared:
 		if *lsuLeft == 0 {
-			return stallMemOtherR
+			return stallMemOtherR, 0
 		}
 		*lsuLeft--
 		c.writeReg(w, ins.Dst, nowPs+int64(cfg.SharedLatency)*period, false)
@@ -170,10 +193,10 @@ func (c *cluster) tryIssue(w *warp, mem *memSystem, nowPs int64, aluLeft, sfuLef
 
 	case isa.OpLoadGlobal:
 		if *lsuLeft == 0 {
-			return stallMemOtherR
+			return stallMemOtherR, 0
 		}
-		if len(c.outstandingLoads) >= cfg.MSHRs {
-			return stallMemOtherR
+		if queueFull(&c.outstandingLoads, cfg.MSHRs, nowPs) {
+			return stallMemOtherR, 0
 		}
 		*lsuLeft--
 		done := c.accessLoad(w, ins, mem, nowPs, period)
@@ -182,10 +205,10 @@ func (c *cluster) tryIssue(w *warp, mem *memSystem, nowPs int64, aluLeft, sfuLef
 
 	case isa.OpStoreGlobal:
 		if *lsuLeft == 0 {
-			return stallMemOtherR
+			return stallMemOtherR, 0
 		}
-		if len(c.outstandingStores) >= cfg.StoreQueue {
-			return stallMemOtherR
+		if queueFull(&c.outstandingStores, cfg.StoreQueue, nowPs) {
+			return stallMemOtherR, 0
 		}
 		*lsuLeft--
 		done := c.accessStore(w, ins, mem, nowPs)
@@ -202,7 +225,7 @@ func (c *cluster) tryIssue(w *warp, mem *memSystem, nowPs int64, aluLeft, sfuLef
 			c.lastFinishPs = nowPs
 		}
 	}
-	return stallNone
+	return stallNone, 0
 }
 
 // writeReg records a pending register write in the scoreboard.
@@ -268,33 +291,45 @@ func (c *cluster) accessStore(w *warp, ins *isa.Instruction, mem *memSystem, now
 	return done
 }
 
-// step executes one clock cycle of the cluster at its current time and
-// advances the cluster clock by one period.
-func (c *cluster) step(mem *memSystem) {
+// step executes the cluster's clock cycle at its current time and advances
+// the cluster clock. limitPs (> nowPs) is the earliest time at which the
+// caller has to look at the simulation again: the epoch end or the RunUntil
+// target. When the cycle provably repeats — the domain is mid-transition, or
+// nothing issued and every live warp is blocked on its own scoreboard or
+// pacing — step accounts for all the identical cycles up to the first one at
+// or after the earliest wake time or limitPs in one go. Skipped cycles touch
+// neither L1 nor mem, so the result is what cycle-by-cycle stepping gives.
+func (c *cluster) step(mem *memSystem, limitPs int64) {
 	nowPs := c.nowPs
-	c.acc.cycles++
+	period := c.domain.PeriodPs()
 
 	if c.domain.Stalled(nowPs) {
-		c.acc.dvfsStall++
-		c.nowPs += c.domain.PeriodPs()
+		k := cyclesUntil(nowPs, min(c.domain.StallUntilPs(), limitPs), period)
+		c.acc.cycles += k
+		c.acc.dvfsStall += k
+		c.nowPs += k * period
 		return
 	}
-
-	c.drainQueues(nowPs)
 
 	aluLeft := c.cfg.ALUUnits
 	sfuLeft := c.cfg.SFUUnits
 	lsuLeft := c.cfg.LSUUnits
 	issueLeft := c.cfg.IssueWidth
+	gto := c.cfg.Scheduler == SchedGTO
 
 	n := len(c.warps)
 	issuedAny := false
+	// stalls tallies this cycle's stall reasons; wakePs is the earliest
+	// time any blocked warp can issue, or 0 once a warp hit a structural
+	// stall and the next cycle may differ from this one.
+	var stalls [numStallReasons]int64
+	wakePs := int64(math.MaxInt64)
 	for i := 0; i < n; i++ {
 		// Candidate order is the scheduling policy: LRR rotates the start
 		// position; GTO tries the greedy warp first and then the oldest
 		// (lowest-index) warps.
 		var idx int
-		if c.cfg.Scheduler == SchedGTO {
+		if gto {
 			switch {
 			case i == 0:
 				idx = c.greedyWarp
@@ -304,42 +339,70 @@ func (c *cluster) step(mem *memSystem) {
 				idx = i
 			}
 		} else {
-			idx = (c.rrPtr + i) % n
+			idx = c.rrPtr + i
+			if idx >= n {
+				idx -= n
+			}
 		}
-		w := &c.warps[idx]
-		if w.finished {
+		ws := &c.sched[idx]
+		if ws.finished {
 			continue
 		}
 		if issueLeft == 0 {
-			// Remaining warps lost arbitration this cycle; count the
-			// eligible ones so occupancy pressure is visible.
+			// Remaining warps lost arbitration this cycle; count them so
+			// occupancy pressure is visible.
+			if c.finishedWarps == 0 {
+				c.acc.readyNotIssued += int64(n - i)
+				break
+			}
 			c.acc.readyNotIssued++
 			continue
 		}
-		reason := c.tryIssue(w, mem, nowPs, &aluLeft, &sfuLeft, &lsuLeft)
-		switch reason {
-		case stallNone:
+		if nowPs < ws.wakePs {
+			stalls[ws.reason]++
+			wakePs = min(wakePs, ws.wakePs)
+			continue
+		}
+		w := &c.warps[idx]
+		reason, wake := c.tryIssue(w, mem, nowPs, period, &aluLeft, &sfuLeft, &lsuLeft)
+		if reason == stallNone {
 			issueLeft--
 			issuedAny = true
 			c.greedyWarp = idx
-		case stallMemLoadR:
-			c.acc.stallMemLoad++
-		case stallMemOtherR:
-			c.acc.stallMemOther++
-		case stallComputeR:
-			c.acc.stallCompute++
-		case stallControlR:
-			c.acc.stallControl++
+			ws.finished = w.finished
+			continue
 		}
+		stalls[reason]++
+		ws.wakePs, ws.reason = wake, reason
+		wakePs = min(wakePs, wake)
 	}
+
+	k := int64(1)
 	if issuedAny {
 		c.acc.activeCycles++
-		c.rrPtr = (c.rrPtr + 1) % n
+		c.rrPtr++
+		if c.rrPtr == n {
+			c.rrPtr = 0
+		}
+	} else if wakePs > nowPs {
+		k = cyclesUntil(nowPs, min(wakePs, limitPs), period)
 	}
+	c.acc.cycles += k
+	c.acc.stallMemLoad += k * stalls[stallMemLoadR]
+	c.acc.stallMemOther += k * stalls[stallMemOtherR]
+	c.acc.stallCompute += k * stalls[stallComputeR]
+	c.acc.stallControl += k * stalls[stallControlR]
 	if c.finishedWarps == n {
 		c.done = true
 	}
-	c.nowPs += c.domain.PeriodPs()
+	c.nowPs += k * period
+}
+
+// cyclesUntil returns how many cycles of the given period, the first at
+// fromPs, start before untilPs (> fromPs): the cycle count that brings the
+// clock to its first tick at or after untilPs.
+func cyclesUntil(fromPs, untilPs, period int64) int64 {
+	return (untilPs - fromPs + period - 1) / period
 }
 
 // clone deep-copies the cluster for simulator snapshots.
@@ -347,6 +410,7 @@ func (c *cluster) clone(cfg *Config) *cluster {
 	cp := *c
 	cp.cfg = cfg
 	cp.warps = append([]warp(nil), c.warps...)
+	cp.sched = append([]warpSched(nil), c.sched...)
 	cp.l1 = c.l1.clone()
 	cp.outstandingLoads = append([]int64(nil), c.outstandingLoads...)
 	cp.outstandingStores = append([]int64(nil), c.outstandingStores...)

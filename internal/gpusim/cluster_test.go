@@ -6,20 +6,26 @@ import (
 	"ssmdvfs/internal/isa"
 )
 
-// newTestCluster builds a 1-warp cluster around the given body with its
-// own memory system, for direct pipeline-level testing.
+// newTestCluster builds a cluster whose warps all run the given body, with
+// its own memory system, for direct pipeline-level testing.
 func newTestCluster(t *testing.T, cfg Config, body []isa.Instruction, iters, warps int) (*cluster, *memSystem) {
 	t.Helper()
-	k := isa.Kernel{
-		Name:            "unit",
-		WarpsPerCluster: warps,
-		Programs:        []isa.Program{{Body: body, Iterations: iters}},
-	}
+	return newTestClusterProgs(t, cfg, []isa.Program{{Body: body, Iterations: iters}}, warps)
+}
+
+// newTestClusterProgs is newTestCluster with warp i running progs[i%len].
+func newTestClusterProgs(t *testing.T, cfg Config, progs []isa.Program, warps int) (*cluster, *memSystem) {
+	t.Helper()
+	k := isa.Kernel{Name: "unit", WarpsPerCluster: warps, Programs: progs}
 	if err := k.Validate(); err != nil {
 		t.Fatal(err)
 	}
 	return newCluster(0, &cfg, &k), newMemSystem(cfg)
 }
+
+// cycle executes exactly one clock cycle: a limit one picosecond ahead
+// leaves step no room to fast-forward.
+func cycle(c *cluster, mem *memSystem) { c.step(mem, c.nowPs+1) }
 
 // stepUntilIssued steps the cluster until n instructions have issued or
 // the cycle budget runs out, returning cycles spent.
@@ -29,7 +35,7 @@ func stepUntilIssued(t *testing.T, c *cluster, mem *memSystem, n int64, budget i
 		if c.acc.instructions >= n {
 			return cycles
 		}
-		c.step(mem)
+		cycle(c, mem)
 	}
 	t.Fatalf("only %d of %d instructions issued within %d cycles", c.acc.instructions, n, budget)
 	return 0
@@ -59,7 +65,7 @@ func TestDualIssueAcrossWarps(t *testing.T) {
 	// and IssueWidth=2, both issue in the same cycle.
 	body := []isa.Instruction{{Op: isa.OpFAlu, Dst: 1}}
 	c, mem := newTestCluster(t, cfg, body, 1, 2)
-	c.step(mem)
+	cycle(c, mem)
 	if c.acc.instructions != 2 {
 		t.Fatalf("issued %d instructions in the first cycle, want 2", c.acc.instructions)
 	}
@@ -77,11 +83,11 @@ func TestSingleWarpIssuesOnePerCycle(t *testing.T) {
 		{Op: isa.OpIAlu, Dst: 2},
 	}
 	c, mem := newTestCluster(t, cfg, body, 1, 1)
-	c.step(mem)
+	cycle(c, mem)
 	if c.acc.instructions != 1 {
 		t.Fatalf("single warp issued %d in one cycle, want 1", c.acc.instructions)
 	}
-	c.step(mem)
+	cycle(c, mem)
 	if c.acc.instructions != 2 {
 		t.Fatalf("second op not issued on cycle 2: %d", c.acc.instructions)
 	}
@@ -92,14 +98,14 @@ func TestSFUStructuralLimit(t *testing.T) {
 	// Two warps, both wanting SFU in the same cycle: only one issues.
 	body := []isa.Instruction{{Op: isa.OpSFU, Dst: 1}}
 	c, mem := newTestCluster(t, cfg, body, 1, 2)
-	c.step(mem)
+	cycle(c, mem)
 	if c.acc.instructions != 1 {
 		t.Fatalf("SFU issued %d in one cycle, want 1 (structural limit)", c.acc.instructions)
 	}
 	if c.acc.stallCompute == 0 {
 		t.Fatal("losing warp not counted as compute-stalled")
 	}
-	c.step(mem)
+	cycle(c, mem)
 	if c.acc.instructions != 2 {
 		t.Fatalf("second SFU not issued on the next cycle: %d", c.acc.instructions)
 	}
@@ -110,7 +116,7 @@ func TestLSUStructuralLimitIsMemOther(t *testing.T) {
 	mem1 := isa.MemSpec{Base: 0, FootprintBytes: 1 << 20, StrideBytes: 64, CoalescedLines: 1, Pattern: isa.PatternSequential}
 	body := []isa.Instruction{{Op: isa.OpLoadGlobal, Dst: 1, Mem: mem1}}
 	c, memsys := newTestCluster(t, cfg, body, 1, 2)
-	c.step(memsys)
+	cycle(c, memsys)
 	if c.acc.instructions != 1 {
 		t.Fatalf("LSU issued %d in one cycle, want 1", c.acc.instructions)
 	}
@@ -128,9 +134,9 @@ func TestMSHRLimitBlocksLoads(t *testing.T) {
 		WarpStrideBytes: 1 << 16, CoalescedLines: 1, Pattern: isa.PatternSequential}
 	body := []isa.Instruction{{Op: isa.OpLoadGlobal, Dst: 1, Mem: mem1}}
 	c, memsys := newTestCluster(t, cfg, body, 1, 4)
-	c.step(memsys)
-	c.step(memsys)
-	c.step(memsys)
+	cycle(c, memsys)
+	cycle(c, memsys)
+	cycle(c, memsys)
 	if len(c.outstandingLoads) > 2 {
 		t.Fatalf("%d outstanding loads exceed %d MSHRs", len(c.outstandingLoads), cfg.MSHRs)
 	}
@@ -146,8 +152,8 @@ func TestStoreQueueLimit(t *testing.T) {
 		WarpStrideBytes: 1 << 16, CoalescedLines: 1, Pattern: isa.PatternSequential}
 	body := []isa.Instruction{{Op: isa.OpStoreGlobal, SrcA: 1, Mem: mem1}}
 	c, memsys := newTestCluster(t, cfg, body, 1, 3)
-	c.step(memsys)
-	c.step(memsys)
+	cycle(c, memsys)
+	cycle(c, memsys)
 	if len(c.outstandingStores) > 1 {
 		t.Fatalf("%d outstanding stores exceed the queue of 1", len(c.outstandingStores))
 	}
@@ -179,7 +185,7 @@ func TestWAWHazardBlocks(t *testing.T) {
 		{Op: isa.OpIAlu, Dst: 1},
 	}
 	c, mem := newTestCluster(t, cfg, body, 1, 1)
-	c.step(mem)
+	cycle(c, mem)
 	if c.acc.instructions != 1 {
 		t.Fatalf("both WAW writes issued in one cycle")
 	}
@@ -198,8 +204,8 @@ func TestZeroRegisterNeverBlocks(t *testing.T) {
 		{Op: isa.OpIAlu, Dst: 0},
 	}
 	c, mem := newTestCluster(t, cfg, body, 1, 1)
-	c.step(mem)
-	c.step(mem)
+	cycle(c, mem)
+	cycle(c, mem)
 	if c.acc.instructions != 2 {
 		t.Fatalf("r0 writers issued %d after two cycles, want 2 (no WAW)", c.acc.instructions)
 	}
@@ -223,5 +229,278 @@ func TestL1HitFasterThanMiss(t *testing.T) {
 	}
 	if c.acc.l1ReadHits == 0 || c.acc.l1ReadMisses == 0 {
 		t.Fatalf("expected both hits (%d) and misses (%d)", c.acc.l1ReadHits, c.acc.l1ReadMisses)
+	}
+}
+
+// The tests below pin the event-skipping scheduler's boundaries with exact
+// counter values. noLimit lets step skip as far as the warps allow; times
+// follow from SmallConfig: an 858 ps period at the default level, and a
+// cold global load issued at t done at t + 28 cycles + 180 ns L2 + 1.6 ns
+// DRAM service + 320 ns DRAM latency.
+const (
+	noLimit        = int64(1) << 60
+	defaultPeriod  = 858
+	coldLoadDonePs = 28*defaultPeriod + 180_000 + 1_600 + 320_000
+)
+
+// coldLine is a one-line access that misses L1 and L2; warps are spread far
+// apart so no two share a line or a DRAM channel queue.
+var coldLine = isa.MemSpec{Base: 0, FootprintBytes: 1 << 26, StrideBytes: 4096,
+	WarpStrideBytes: 1 << 16, CoalescedLines: 1, Pattern: isa.PatternSequential}
+
+// ticksBefore returns how many default-period cycles start before ps: the
+// index of the first tick at or after ps.
+func ticksBefore(ps int64) int64 { return (ps + defaultPeriod - 1) / defaultPeriod }
+
+type wantAcc struct {
+	nowPs, cycles, instructions                             int64
+	stallMemLoad, stallMemOther, stallCompute, stallControl int64
+}
+
+func checkAcc(t *testing.T, when string, c *cluster, want wantAcc) {
+	t.Helper()
+	got := wantAcc{c.nowPs, c.acc.cycles, c.acc.instructions,
+		c.acc.stallMemLoad, c.acc.stallMemOther, c.acc.stallCompute, c.acc.stallControl}
+	if got != want {
+		t.Fatalf("%s:\n got %+v\nwant %+v", when, got, want)
+	}
+}
+
+func TestSkipStopsAtLimit(t *testing.T) {
+	cfg := SmallConfig()
+	// SFU result (16 cycles) feeds the next op: 15 idle cycles after issue.
+	body := []isa.Instruction{
+		{Op: isa.OpSFU, Dst: 1},
+		{Op: isa.OpIAlu, Dst: 2, SrcA: 1},
+	}
+	c, mem := newTestCluster(t, cfg, body, 1, 1)
+	c.step(mem, noLimit)
+	checkAcc(t, "SFU issued", c, wantAcc{nowPs: 858, cycles: 1, instructions: 1})
+
+	// A limit between ticks: the cycles at 858..4290 start before 5000, the
+	// clock stops on the first tick at or after it.
+	c.step(mem, 5000)
+	checkAcc(t, "skip to limit", c, wantAcc{nowPs: 6 * 858, cycles: 6, instructions: 1, stallCompute: 5})
+
+	// A limit exactly on a tick is not overshot.
+	c.step(mem, 8*858)
+	checkAcc(t, "skip to aligned limit", c, wantAcc{nowPs: 8 * 858, cycles: 8, instructions: 1, stallCompute: 7})
+
+	// No limit in the way: stop where the result is ready, then issue.
+	c.step(mem, noLimit)
+	checkAcc(t, "skip to wake", c, wantAcc{nowPs: 16 * 858, cycles: 16, instructions: 1, stallCompute: 15})
+	c.step(mem, noLimit)
+	checkAcc(t, "dependent issued", c, wantAcc{nowPs: 17 * 858, cycles: 17, instructions: 2, stallCompute: 15})
+	if !c.done {
+		t.Fatal("cluster not done after its only warp retired")
+	}
+}
+
+func TestSkipStopsAtEpochEndAndRunUntilTarget(t *testing.T) {
+	cfg := tinyConfig()
+	sim, err := New(cfg, memoryTestKernel(5000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var epoch0 []EpochStats
+	sim.SetObserver(func(s EpochStats) { epoch0 = append(epoch0, s) })
+
+	// Neither the epoch length nor the target is a multiple of the period.
+	const target = 12_345_678
+	sim.RunUntil(target)
+
+	if len(epoch0) != cfg.Clusters {
+		t.Fatalf("observed %d epoch snapshots, want %d", len(epoch0), cfg.Clusters)
+	}
+	for _, s := range epoch0 {
+		if want := ticksBefore(cfg.EpochPs); s.Cycles != want {
+			t.Fatalf("cluster %d epoch 0: %d cycles, want %d", s.Cluster, s.Cycles, want)
+		}
+		if s.StallMemLoad == 0 {
+			t.Fatalf("cluster %d never waited on memory: the kernel does not exercise the skip", s.Cluster)
+		}
+	}
+	for i, c := range sim.clusters {
+		if want := ticksBefore(target) * defaultPeriod; c.nowPs != want {
+			t.Fatalf("cluster %d stopped at %d ps, want first tick at or after target %d", i, c.nowPs, want)
+		}
+		if want := ticksBefore(target) - ticksBefore(cfg.EpochPs); c.acc.cycles != want {
+			t.Fatalf("cluster %d epoch 1: %d cycles so far, want %d", i, c.acc.cycles, want)
+		}
+	}
+}
+
+func TestSkipStopsAtEarliestWakeAndChargesOwnReasons(t *testing.T) {
+	cfg := SmallConfig()
+	progs := []isa.Program{
+		{Iterations: 1, Body: []isa.Instruction{ // control: refill until 8 cycles after the branch
+			{Op: isa.OpBranch},
+			{Op: isa.OpIAlu, Dst: 1},
+		}},
+		{Iterations: 1, Body: []isa.Instruction{ // memory: cold load feeds the next op
+			{Op: isa.OpLoadGlobal, Dst: 1, Mem: coldLine},
+			{Op: isa.OpFAlu, Dst: 2, SrcA: 1},
+		}},
+		{Iterations: 1, Body: []isa.Instruction{ // compute: SFU result feeds the next op
+			{Op: isa.OpSFU, Dst: 1},
+			{Op: isa.OpIAlu, Dst: 2, SrcA: 1},
+		}},
+	}
+	c, mem := newTestClusterProgs(t, cfg, progs, 3)
+
+	// t=0: warps 0 and 1 take the two issue slots (branch, load).
+	c.step(mem, noLimit)
+	// t=858: warp 2 issues its SFU (ready at 858+16 cycles); 1 waits on the
+	// load, 0 on the refill.
+	c.step(mem, noLimit)
+	checkAcc(t, "all three blocked from here", c, wantAcc{nowPs: 2 * 858, cycles: 2, instructions: 3,
+		stallMemLoad: 1, stallControl: 1})
+	if c.acc.readyNotIssued != 1 {
+		t.Fatalf("readyNotIssued = %d, want 1 (warp 2 at t=0)", c.acc.readyNotIssued)
+	}
+
+	// Wakes: control 8*858, compute 17*858, memory coldLoadDonePs. The skip
+	// ends at the earliest and charges 6 cycles to each warp's own reason.
+	c.step(mem, noLimit)
+	checkAcc(t, "skip to control wake", c, wantAcc{nowPs: 8 * 858, cycles: 8, instructions: 3,
+		stallMemLoad: 7, stallCompute: 6, stallControl: 7})
+
+	// t=8*858: warp 0 issues and retires; the other two are charged once.
+	c.step(mem, noLimit)
+	checkAcc(t, "post-branch op issued", c, wantAcc{nowPs: 9 * 858, cycles: 9, instructions: 4,
+		stallMemLoad: 8, stallCompute: 7, stallControl: 7})
+
+	// Next earliest wake is the SFU result at 17*858: 8 more idle cycles
+	// charged to memory and compute, none to the retired warp.
+	c.step(mem, noLimit)
+	checkAcc(t, "skip to compute wake", c, wantAcc{nowPs: 17 * 858, cycles: 17, instructions: 4,
+		stallMemLoad: 16, stallCompute: 15, stallControl: 7})
+	c.step(mem, noLimit)
+	checkAcc(t, "SFU consumer issued", c, wantAcc{nowPs: 18 * 858, cycles: 18, instructions: 5,
+		stallMemLoad: 17, stallCompute: 15, stallControl: 7})
+
+	// Only the load is left: skip to the first tick at or after its data.
+	c.step(mem, noLimit)
+	loadTick := ticksBefore(coldLoadDonePs)
+	checkAcc(t, "skip to load data", c, wantAcc{nowPs: loadTick * 858, cycles: loadTick, instructions: 5,
+		stallMemLoad: loadTick - 1, stallCompute: 15, stallControl: 7})
+	c.step(mem, noLimit)
+	if c.acc.instructions != 6 || !c.done {
+		t.Fatalf("load consumer not issued at the wake tick: %d instructions, done=%v", c.acc.instructions, c.done)
+	}
+}
+
+func TestReasonChangesFromSrcAToSrcB(t *testing.T) {
+	cfg := SmallConfig()
+	// The last op waits first on SrcA (SFU result: compute) and, once that
+	// is ready, on SrcB (load data: memory).
+	body := []isa.Instruction{
+		{Op: isa.OpLoadGlobal, Dst: 1, Mem: coldLine},
+		{Op: isa.OpSFU, Dst: 2},
+		{Op: isa.OpFAlu, Dst: 3, SrcA: 2, SrcB: 1},
+	}
+	c, mem := newTestCluster(t, cfg, body, 1, 1)
+	c.step(mem, noLimit) // load at t=0
+	c.step(mem, noLimit) // SFU at t=858, ready at 17*858
+	c.step(mem, noLimit)
+	checkAcc(t, "waited on SrcA", c, wantAcc{nowPs: 17 * 858, cycles: 17, instructions: 2, stallCompute: 15})
+
+	c.step(mem, noLimit)
+	loadTick := ticksBefore(coldLoadDonePs)
+	checkAcc(t, "then on SrcB", c, wantAcc{nowPs: loadTick * 858, cycles: loadTick, instructions: 2,
+		stallMemLoad: loadTick - 17, stallCompute: 15})
+	c.step(mem, noLimit)
+	if c.acc.instructions != 3 {
+		t.Fatalf("consumer did not issue once both sources were ready: %d instructions", c.acc.instructions)
+	}
+}
+
+func TestNoSkipOnStructuralStall(t *testing.T) {
+	// In each case warp 1 is refused for a reason that other warps or queue
+	// drain can lift at any cycle, so every step must be a single cycle.
+	cases := []struct {
+		name  string
+		tweak func(*Config)
+		op    isa.Instruction
+	}{
+		{"MSHR full", func(c *Config) { c.MSHRs = 1 },
+			isa.Instruction{Op: isa.OpLoadGlobal, Dst: 1, Mem: coldLine}},
+		{"store queue full", func(c *Config) { c.StoreQueue = 1 },
+			isa.Instruction{Op: isa.OpStoreGlobal, SrcA: 1, Mem: coldLine}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := SmallConfig()
+			tc.tweak(&cfg)
+			c, mem := newTestCluster(t, cfg, []isa.Instruction{tc.op}, 1, 2)
+			c.step(mem, noLimit) // warp 0 issues; warp 1 finds the one LSU taken
+			checkAcc(t, "first cycle", c, wantAcc{nowPs: 858, cycles: 1, instructions: 1, stallMemOther: 1})
+			for i := int64(1); i <= 50; i++ { // both queues stay full far longer
+				c.step(mem, noLimit)
+				checkAcc(t, "queue still full", c, wantAcc{nowPs: (i + 1) * 858, cycles: i + 1,
+					instructions: 1, stallMemOther: i + 1})
+			}
+		})
+	}
+
+	t.Run("unit limit", func(t *testing.T) {
+		// Losing the SFU to another warp must not be remembered: the loser
+		// issues the very next cycle.
+		c, mem := newTestCluster(t, SmallConfig(), []isa.Instruction{{Op: isa.OpSFU, Dst: 1}}, 1, 2)
+		c.step(mem, noLimit)
+		checkAcc(t, "first cycle", c, wantAcc{nowPs: 858, cycles: 1, instructions: 1, stallCompute: 1})
+		c.step(mem, noLimit)
+		checkAcc(t, "second cycle", c, wantAcc{nowPs: 2 * 858, cycles: 2, instructions: 2, stallCompute: 1})
+	})
+}
+
+func TestStoreQueueDrainsWithoutSkip(t *testing.T) {
+	cfg := SmallConfig()
+	cfg.StoreQueue = 1
+	c, mem := newTestCluster(t, cfg, []isa.Instruction{{Op: isa.OpStoreGlobal, SrcA: 1, Mem: coldLine}}, 1, 2)
+	// Warp 0's store leaves the queue at 180 ns L2 + 1.6 ns DRAM service;
+	// warp 1 issues on the first tick at or after that, every cycle until
+	// then stepped singly and charged to MH\L.
+	issueTick := ticksBefore(180_000 + 1_600)
+	steps := int64(0)
+	for c.acc.instructions < 2 {
+		c.step(mem, noLimit)
+		steps++
+	}
+	checkAcc(t, "second store issued", c, wantAcc{nowPs: (issueTick + 1) * 858, cycles: issueTick + 1,
+		instructions: 2, stallMemOther: issueTick})
+	if steps != issueTick+1 {
+		t.Fatalf("%d steps for %d cycles: a structural stall was skipped over", steps, issueTick+1)
+	}
+}
+
+func TestIVRTransitionSkip(t *testing.T) {
+	cfg := SmallConfig()
+	body := []isa.Instruction{{Op: isa.OpFAlu, Dst: 1}}
+	c, mem := newTestCluster(t, cfg, body, 1, 1)
+	// Default level to level 0 changes the voltage: a 500 ns stall, counted
+	// in level 0's 1464 ps cycles.
+	c.domain.SetLevel(0, 0)
+	const period0 = 1464
+
+	// A limit inside the transition: 69 cycles start before 100 ns.
+	c.step(mem, 100_000)
+	if c.nowPs != 69*period0 || c.acc.cycles != 69 || c.acc.dvfsStall != 69 {
+		t.Fatalf("limited stall skip: now=%d cycles=%d dvfsStall=%d, want %d/69/69",
+			c.nowPs, c.acc.cycles, c.acc.dvfsStall, 69*period0)
+	}
+	// The rest of the transition: 342 cycles start before 500 ns in all.
+	c.step(mem, noLimit)
+	if c.nowPs != 342*period0 || c.acc.cycles != 342 || c.acc.dvfsStall != 342 {
+		t.Fatalf("stall skip: now=%d cycles=%d dvfsStall=%d, want %d/342/342",
+			c.nowPs, c.acc.cycles, c.acc.dvfsStall, 342*period0)
+	}
+	if c.acc.instructions != 0 {
+		t.Fatalf("%d instructions issued during the transition", c.acc.instructions)
+	}
+	c.step(mem, noLimit)
+	if c.acc.instructions != 1 || c.acc.dvfsStall != 342 || c.acc.cycles != 343 {
+		t.Fatalf("first cycle after the transition: instructions=%d dvfsStall=%d cycles=%d, want 1/342/343",
+			c.acc.instructions, c.acc.dvfsStall, c.acc.cycles)
 	}
 }

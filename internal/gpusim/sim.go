@@ -39,10 +39,15 @@ type Simulator struct {
 	totalEnergyPJ float64
 	totalInstr    int64
 	lastFinishPs  int64
+
+	// snaps is finalizeEpoch's per-cluster scratch, reused every epoch and
+	// never shared with a Clone. Controllers and observers receive copies.
+	snaps []EpochStats
 }
 
-// isaKernelRef keeps the kernel by value; programs inside are referenced
-// by pointer from warps, so the kernel must not be mutated after New.
+// isaKernelRef is what the simulator remembers of its kernel: the name.
+// Warps point into New's private copy of the programs, which nothing
+// mutates afterwards.
 type isaKernelRef struct {
 	name string
 }
@@ -149,7 +154,10 @@ func (s *Simulator) finalizeEpoch() {
 	start := int64(s.epochIdx) * s.cfg.EpochPs
 	end := s.epochEndPs()
 
-	snaps := make([]EpochStats, len(s.clusters))
+	if s.snaps == nil {
+		s.snaps = make([]EpochStats, len(s.clusters))
+	}
+	snaps := s.snaps
 	for i, c := range s.clusters {
 		op := s.cfg.OPs.Point(c.epochLevel)
 		act := c.acc.activity()
@@ -225,7 +233,8 @@ func (s *Simulator) RunUntil(targetPs int64) {
 		if next == nil {
 			return // all finished
 		}
-		if end := s.epochEndPs(); next.nowPs >= end {
+		end := s.epochEndPs()
+		if next.nowPs >= end {
 			if end > targetPs {
 				return
 			}
@@ -235,7 +244,7 @@ func (s *Simulator) RunUntil(targetPs int64) {
 		if next.nowPs >= targetPs {
 			return
 		}
-		next.step(s.mem)
+		next.step(s.mem, min(end, targetPs))
 		if next.done && next.lastFinishPs > s.lastFinishPs {
 			s.lastFinishPs = next.lastFinishPs
 		}

@@ -139,9 +139,14 @@ func TestChaosServingUnderFaults(t *testing.T) {
 		t.Fatal("corrupt reload replaced the served model")
 	}
 
-	// Every row of every batch was answered despite the chaos.
-	snap := srv.Metrics().Snapshot(srv.Model().Levels)
+	// Every row of every batch was answered despite the chaos. The server
+	// counts a batch after flushing its response, so the last client can
+	// be back here before the last batch is counted: wait for the counter.
 	wantDecisions := int64(clients * batches * rowsPer)
+	for deadline := time.Now().Add(2 * time.Second); srv.Metrics().Decisions.Load() < wantDecisions && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
+	snap := srv.Metrics().Snapshot(srv.Model().Levels)
 	if snap.Decisions != wantDecisions {
 		t.Fatalf("decisions = %d, want %d", snap.Decisions, wantDecisions)
 	}
