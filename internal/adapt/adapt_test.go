@@ -157,9 +157,9 @@ func TestStreamBuilderPairsEpochs(t *testing.T) {
 	}
 	mk(0, provenance.ReasonModel, 100)
 	mk(1, provenance.ReasonModel, 200)
-	mk(0, provenance.ReasonModel, 150) // pairs with cluster 0's first epoch
+	mk(0, provenance.ReasonModel, 150)    // pairs with cluster 0's first epoch
 	mk(1, provenance.ReasonFallback, 250) // pairs, then breaks cluster 1's chain
-	mk(1, provenance.ReasonModel, 300) // fresh start: no pending to pair with
+	mk(1, provenance.ReasonModel, 300)    // fresh start: no pending to pair with
 	if n := b.Scan(rec, nil); n != 5 {
 		t.Fatalf("scanned %d records, want 5", n)
 	}

@@ -16,7 +16,7 @@ import (
 func TestRowFallbackMatchesPCSTALLFirstEpoch(t *testing.T) {
 	table := clockdomain.TitanX()
 	cases := []gpusim.EpochStats{
-		{Instructions: 50000, StallCompute: 4000, StallControl: 1000}, // compute-bound
+		{Instructions: 50000, StallCompute: 4000, StallControl: 1000},                     // compute-bound
 		{Instructions: 5000, StallMemLoad: 60000, StallMemOther: 5000, StallCompute: 100}, // memory-bound
 		{Instructions: 20000, StallMemLoad: 15000, StallMemOther: 2000, StallCompute: 8000, StallControl: 500},
 		{}, // empty epoch

@@ -70,12 +70,15 @@ func mustIdx(name string) int {
 const DefaultEpochPs = int64(10_000_000)
 
 // Meter converts one (counter row, decided level) pair into an energy and
-// performance attribution. It is a pure value — no state, safe to copy
-// and share — so the online ledger and the offline replay cannot diverge:
+// performance attribution. It is immutable once built — safe to copy and
+// share — so the online ledger and the offline replay cannot diverge:
 // they are the same arithmetic.
 type Meter struct {
 	table *clockdomain.Table
 	pow   power.Model
+	// staticW is pow.StaticPowerW per level: leakage depends only on the
+	// operating point, and computing it is two math.Pow calls a row.
+	staticW []float64
 }
 
 // NewMeter builds a meter over an operating-point table (nil = TitanX)
@@ -88,7 +91,11 @@ func NewMeter(table *clockdomain.Table, pm *power.Model) Meter {
 	if pm != nil {
 		p = *pm
 	}
-	return Meter{table: table, pow: p}
+	staticW := make([]float64, table.Len())
+	for level := range staticW {
+		staticW[level] = p.StaticPowerW(table.Point(level))
+	}
+	return Meter{table: table, pow: p, staticW: staticW}
 }
 
 // Table returns the operating-point table the meter accounts against.
@@ -152,14 +159,15 @@ func (m Meter) Account(features []float64, level int) Attribution {
 		durMax = DefaultEpochPs
 		act.Cycles = durMax / opMax.PeriodPs()
 	}
-	energyMax := m.pow.EpochEnergyPJ(act, opMax, durMax)
+	// power.Model.EpochEnergyPJ with the leakage term from the level table.
+	energyMax := m.pow.DynamicEnergyPJ(act, opMax) + m.staticW[m.table.Default()]*float64(durMax)
 
 	s := baselines.RowSensitivity(features)
 	slowdown := (1-s)*(opMax.FrequencyHz/opL.FrequencyHz) + s
 	durL := int64(float64(durMax) * slowdown)
 	actL := act
 	actL.Cycles = durL / opL.PeriodPs()
-	energyL := m.pow.EpochEnergyPJ(actL, opL, durL)
+	energyL := m.pow.DynamicEnergyPJ(actL, opL) + m.staticW[level]*float64(durL)
 
 	return Attribution{EnergyMaxPJ: energyMax, EnergyPJ: energyL, PerfLoss: slowdown - 1, OK: true}
 }
@@ -178,11 +186,11 @@ type Group struct {
 	PerfLossPpmSum int64 `json:"perf_loss_ppm_sum"`
 }
 
-func (g *Group) add(savedFrom Attribution, lossPpm int64) {
+func (g *Group) add(r *batchRow) {
 	g.Decisions++
-	g.EnergyMaxPJ += int64(savedFrom.EnergyMaxPJ)
-	g.EnergyPJ += int64(savedFrom.EnergyPJ)
-	g.PerfLossPpmSum += lossPpm
+	g.EnergyMaxPJ += r.energyMaxPJ
+	g.EnergyPJ += r.energyPJ
+	g.PerfLossPpmSum += r.lossPpm
 }
 
 func (g Group) merge(o Group) Group {
@@ -346,11 +354,12 @@ type Options struct {
 	Now func() time.Time
 }
 
-// Ledger is the online accountant: Observe is called once per served
-// decision. Counter and histogram updates are atomic; the breakdown
-// groups and ppm sums take one short mutex. A nil *Ledger is a valid
-// no-op, which is how the serving engine keeps the disabled path
-// zero-cost.
+// Ledger is the online accountant. Rows are priced into a caller-owned
+// Batch with no shared state touched, and Commit folds the batch in:
+// one clock read, one lock per ring, one ledger lock and one gauge
+// refresh however many rows it holds. Observe is the one-row batch. A
+// nil *Ledger is a valid no-op, which is how the serving engine keeps the
+// disabled path zero-cost.
 type Ledger struct {
 	meter    Meter
 	windowNs int64
@@ -443,61 +452,133 @@ func ppm(v float64) int64 {
 // simply not tracked), keeping the hot path allocation-bounded.
 const maxTrackedKeys = 1 << 10
 
-// Observe accounts one served decision: the finished epoch's counter row,
-// the level decided for the next epoch, the requesting cluster (-1 for
-// unkeyed rows), the serving model generation, and the row's preset.
-// Nil-safe; unaccountable rows count as skipped.
-func (l *Ledger) Observe(cluster int32, gen uint32, level int, features []float64, preset float64) {
+// batchRows is how many priced rows a Batch holds before Add commits it:
+// one inference chunk of the serving engine.
+const batchRows = 64
+
+// Batch is a run of priced rows waiting for one Commit. The zero value is
+// an empty batch; a Batch belongs to one goroutine at a time and is empty
+// again after Commit, so a caller can keep one as scratch.
+type Batch struct {
+	batchSums
+	rows [batchRows]batchRow // rows[:n] are live
+
+	// tag, when set, also accounts every row to that free-form group.
+	tag string
+}
+
+// batchSums is the part of a Batch that Commit zeroes.
+type batchSums struct {
+	n       int
+	skipped int64
+
+	energyMaxPJ, energyPJ       int64
+	lossPpm, presetPpm, savedPJ int64
+	savedHistSum                int64
+	savedBins, lossBins         [telemetry.DefaultHistBuckets]int64
+}
+
+// batchRow is one priced row's contribution to the breakdown groups.
+type batchRow struct {
+	cluster               int32
+	gen                   uint32
+	level                 int
+	energyMaxPJ, energyPJ int64
+	lossPpm               int64
+}
+
+// Add prices one served decision into b: the finished epoch's counter
+// row, the level decided for the next epoch, the requesting cluster (-1
+// for unkeyed rows), the serving model generation, and the row's preset.
+// Unaccountable rows count as skipped. Nothing is visible in the ledger
+// until Commit; a full batch commits itself. Nil-safe.
+func (l *Ledger) Add(b *Batch, cluster int32, gen uint32, level int, features []float64, preset float64) {
 	if l == nil {
 		return
 	}
 	a := l.meter.Account(features, level)
 	if !a.OK {
-		l.skipped.Add(1)
+		b.skipped++
 		return
 	}
-	lossPpm := ppm(a.PerfLoss)
-	presetPpm := ppm(preset)
-	savedPJ := int64(a.SavedPJ())
-
-	l.decisions.Add(1)
-	l.energyMax.Add(int64(a.EnergyMaxPJ))
-	l.energy.Add(int64(a.EnergyPJ))
-	if savedPJ > 0 {
-		l.savedHist.Observe(savedPJ)
-	} else {
-		l.savedHist.Observe(0)
+	r := &b.rows[b.n]
+	b.n++
+	*r = batchRow{
+		cluster: cluster, gen: gen, level: level,
+		energyMaxPJ: int64(a.EnergyMaxPJ), energyPJ: int64(a.EnergyPJ), lossPpm: ppm(a.PerfLoss),
 	}
-	l.lossHist.Observe(lossPpm)
+	savedPJ := int64(a.SavedPJ())
+	b.energyMaxPJ += r.energyMaxPJ
+	b.energyPJ += r.energyPJ
+	b.lossPpm += r.lossPpm
+	b.presetPpm += ppm(preset)
+	b.savedPJ += savedPJ
+	if savedPJ < 0 {
+		savedPJ = 0 // the histogram bins savings; a net loss reads as none
+	}
+	b.savedHistSum += savedPJ
+	b.savedBins[telemetry.BucketIndex(savedPJ, len(b.savedBins))]++
+	b.lossBins[telemetry.BucketIndex(r.lossPpm, len(b.lossBins))]++
+	if b.n == len(b.rows) {
+		l.Commit(b)
+	}
+}
+
+// Commit folds b into the ledger and empties it. All of b's rows land in
+// the ring window the clock reads now. Nil-safe.
+func (l *Ledger) Commit(b *Batch) {
+	if l == nil {
+		return
+	}
+	if b.skipped > 0 {
+		l.skipped.Add(b.skipped)
+	}
+	if b.n > 0 {
+		l.commitRows(b)
+	}
+	b.batchSums = batchSums{}
+}
+
+// commitRows folds b's priced rows (at least one) into the ledger.
+func (l *Ledger) commitRows(b *Batch) {
+	n := int64(b.n)
+	l.decisions.Add(n)
+	l.energyMax.Add(b.energyMaxPJ)
+	l.energy.Add(b.energyPJ)
+	l.savedHist.ObserveBinned(b.savedBins[:], b.savedHistSum)
+	l.lossHist.ObserveBinned(b.lossBins[:], b.lossPpm)
 
 	w := l.now().UnixNano() / l.windowNs
-	l.savedRing.Observe(w, savedPJ)
-	l.lossRing.Observe(w, lossPpm)
-	l.presetRing.Observe(w, presetPpm)
+	l.savedRing.ObserveN(w, n, b.savedPJ)
+	l.lossRing.ObserveN(w, n, b.lossPpm)
+	l.presetRing.ObserveN(w, n, b.presetPpm)
 
 	l.mu.Lock()
-	l.lossPpm += lossPpm
-	l.presetPpm += presetPpm
-	if level >= 0 && level < maxLevels {
-		l.levels[level].add(a, lossPpm)
-	}
-	if cluster >= 0 {
-		g := l.clusters[cluster]
-		if g == nil && len(l.clusters) < maxTrackedKeys {
-			g = &Group{}
-			l.clusters[cluster] = g
+	l.lossPpm += b.lossPpm
+	l.presetPpm += b.presetPpm
+	var tagged *Group
+	if b.tag != "" {
+		if l.extraGroup == nil {
+			l.extraGroup = make(map[string]*Group)
 		}
-		if g != nil {
-			g.add(a, lossPpm)
+		tagged = tracked(l.extraGroup, b.tag)
+	}
+	for i := range b.rows[:b.n] {
+		r := &b.rows[i]
+		if r.level >= 0 && r.level < maxLevels {
+			l.levels[r.level].add(r)
 		}
-	}
-	g := l.gens[gen]
-	if g == nil && len(l.gens) < maxTrackedKeys {
-		g = &Group{}
-		l.gens[gen] = g
-	}
-	if g != nil {
-		g.add(a, lossPpm)
+		if r.cluster >= 0 {
+			if g := tracked(l.clusters, r.cluster); g != nil {
+				g.add(r)
+			}
+		}
+		if g := tracked(l.gens, r.gen); g != nil {
+			g.add(r)
+		}
+		if tagged != nil {
+			tagged.add(r)
+		}
 	}
 	lossSum, presetSum := l.lossPpm, l.presetPpm
 	l.mu.Unlock()
@@ -516,6 +597,23 @@ func (l *Ledger) Observe(cluster int32, gen uint32, level int, features []float6
 	}
 }
 
+// tracked returns key's breakdown group, creating it while the map is
+// under maxTrackedKeys; nil means the key is not tracked.
+func tracked[K comparable](m map[K]*Group, key K) *Group {
+	g := m[key]
+	if g == nil && len(m) < maxTrackedKeys {
+		g = &Group{}
+		m[key] = g
+	}
+	return g
+}
+
+// Observe accounts one served decision — Add and Commit of a one-row
+// batch. Nil-safe.
+func (l *Ledger) Observe(cluster int32, gen uint32, level int, features []float64, preset float64) {
+	l.ObserveTagged("", cluster, gen, level, features, preset)
+}
+
 // ObserveTagged is Observe for offline replays that also know a free-form
 // group identity (e.g. "kernel=backprop"), breaking the totals down by it
 // alongside the standard level/cluster/generation groups.
@@ -523,25 +621,10 @@ func (l *Ledger) ObserveTagged(tag string, cluster int32, gen uint32, level int,
 	if l == nil {
 		return
 	}
-	l.Observe(cluster, gen, level, features, preset)
-	a := l.meter.Account(features, level)
-	if !a.OK || tag == "" {
-		return
-	}
-	lossPpm := ppm(a.PerfLoss)
-	l.mu.Lock()
-	if l.extraGroup == nil {
-		l.extraGroup = make(map[string]*Group)
-	}
-	g := l.extraGroup[tag]
-	if g == nil && len(l.extraGroup) < maxTrackedKeys {
-		g = &Group{}
-		l.extraGroup[tag] = g
-	}
-	if g != nil {
-		g.add(a, lossPpm)
-	}
-	l.mu.Unlock()
+	var b Batch
+	b.tag = tag
+	l.Add(&b, cluster, gen, level, features, preset)
+	l.Commit(&b)
 }
 
 // Snapshot captures the ledger. Totals and groups are read under the
@@ -600,10 +683,12 @@ func (l *Ledger) Snapshot() Snapshot {
 func (m Meter) ReplayRecords(recs []provenance.Record) Snapshot {
 	l := New(Options{Table: m.table, Power: &m.pow,
 		Now: func() time.Time { return time.Unix(0, 0) }})
+	var b Batch
 	for i := range recs {
 		r := &recs[i]
-		l.Observe(r.Cluster, r.ModelGen, int(r.Level), r.RawFeatures(), r.Preset)
+		l.Add(&b, r.Cluster, r.ModelGen, int(r.Level), r.RawFeatures(), r.Preset)
 	}
+	l.Commit(&b)
 	return l.Snapshot()
 }
 

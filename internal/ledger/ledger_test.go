@@ -7,8 +7,11 @@ import (
 	"testing"
 	"time"
 
+	"ssmdvfs/internal/baselines"
 	"ssmdvfs/internal/clockdomain"
 	"ssmdvfs/internal/counters"
+	"ssmdvfs/internal/datagen"
+	"ssmdvfs/internal/power"
 	"ssmdvfs/internal/provenance"
 	"ssmdvfs/internal/telemetry"
 )
@@ -368,6 +371,146 @@ func TestFormatEnergyPJ(t *testing.T) {
 	for in, want := range cases {
 		if got := FormatEnergyPJ(in); got != want {
 			t.Fatalf("FormatEnergyPJ(%v) = %q, want %q", in, got, want)
+		}
+	}
+}
+
+// accountDirect is Meter.Account with leakage computed by the power model
+// on every call (power.Model.EpochEnergyPJ, two math.Pow a row) — the
+// formula the meter's per-level table must reproduce bit for bit.
+func accountDirect(table *clockdomain.Table, pm power.Model, features []float64, level int) Attribution {
+	level = table.Clamp(level)
+	opMax := table.Point(table.Default())
+	opL := table.Point(level)
+	var act power.Activity
+	for op, fi := range opFeature {
+		act.OpCounts[op] = count(features[fi])
+	}
+	act.L1Accesses = count(features[counters.IdxL1CRM]) + count(features[idxL1Hits]) + count(features[idxL1Writes])
+	act.L2Accesses = count(features[idxL2])
+	act.DRAMLines = count(features[idxDRAM])
+	act.Cycles = count(features[idxCycles])
+	durMax := act.Cycles * opMax.PeriodPs()
+	if durMax <= 0 {
+		durMax = DefaultEpochPs
+		act.Cycles = durMax / opMax.PeriodPs()
+	}
+	energyMax := pm.EpochEnergyPJ(act, opMax, durMax)
+	s := baselines.RowSensitivity(features)
+	slowdown := (1-s)*(opMax.FrequencyHz/opL.FrequencyHz) + s
+	durL := int64(float64(durMax) * slowdown)
+	actL := act
+	actL.Cycles = durL / opL.PeriodPs()
+	return Attribution{EnergyMaxPJ: energyMax, EnergyPJ: pm.EpochEnergyPJ(actL, opL, durL), PerfLoss: slowdown - 1, OK: true}
+}
+
+// TestMeterLevelTableBitIdentical: pricing with the per-level leakage
+// table equals the direct formula to the last bit, at every level of the
+// TitanX table, on every row of the committed dataset.
+func TestMeterLevelTableBitIdentical(t *testing.T) {
+	ds, err := datagen.LoadFile("../../testdata/bench-cache/dataset.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ds.Samples) == 0 {
+		t.Fatal("committed dataset is empty")
+	}
+	m := NewMeter(nil, nil)
+	table, pm := clockdomain.TitanX(), power.Default()
+	for i, s := range ds.Samples {
+		for level := 0; level < table.Len(); level++ {
+			got, want := m.Account(s.Features, level), accountDirect(table, pm, s.Features, level)
+			if math.Float64bits(got.EnergyMaxPJ) != math.Float64bits(want.EnergyMaxPJ) ||
+				math.Float64bits(got.EnergyPJ) != math.Float64bits(want.EnergyPJ) ||
+				math.Float64bits(got.PerfLoss) != math.Float64bits(want.PerfLoss) || !got.OK {
+				t.Fatalf("sample %d level %d: table %+v, direct %+v", i, level, got, want)
+			}
+		}
+	}
+}
+
+// TestBatchCommitEqualsObserve: rows priced into batches and committed a
+// run at a time leave the ledger — snapshot bytes and registry series —
+// exactly as Observe row by row does, whatever the run length (200 makes
+// Add commit full batches on its own).
+func TestBatchCommitEqualsObserve(t *testing.T) {
+	type row struct {
+		cluster  int32
+		gen      uint32
+		level    int
+		features []float64
+		preset   float64
+	}
+	rows := make([]row, 1000)
+	for i := range rows {
+		r := row{cluster: int32(i%9) - 1, gen: uint32(i / 400), level: i%8 - 1, preset: 0.05 * float64(i%4)}
+		switch i % 7 {
+		case 0:
+			r.features = []float64{1, 2, 3} // short → skipped
+		case 1, 2, 3:
+			r.features = memRow(1e5 * float64(1+i%13))
+		default:
+			r.features = computeRow(1e5 * float64(1+i%11)) // slower levels lose energy here
+		}
+		rows[i] = r
+	}
+	render := func(chunk int) (snapshot, series []byte) {
+		reg := telemetry.NewRegistry()
+		l := New(Options{Registry: reg, Now: func() time.Time { return time.Unix(5000, 0) }})
+		var b Batch
+		for i, r := range rows {
+			if chunk == 0 {
+				l.Observe(r.cluster, r.gen, r.level, r.features, r.preset)
+				continue
+			}
+			l.Add(&b, r.cluster, r.gen, r.level, r.features, r.preset)
+			if (i+1)%chunk == 0 {
+				l.Commit(&b)
+			}
+		}
+		l.Commit(&b)
+		var sb, rb bytes.Buffer
+		if err := l.Snapshot().WriteJSON(&sb); err != nil {
+			t.Fatal(err)
+		}
+		if err := reg.WriteJSON(&rb); err != nil {
+			t.Fatal(err)
+		}
+		return sb.Bytes(), rb.Bytes()
+	}
+	wantSnap, wantSeries := render(0)
+	var s Snapshot
+	if err := json.Unmarshal(wantSnap, &s); err != nil {
+		t.Fatal(err)
+	}
+	if s.Skipped == 0 || s.SavedHist.Buckets[0] == 0 || s.Groups["gen=2"].Decisions == 0 {
+		t.Fatalf("rows do not cover skipped rows, net-loss rows and three generations: %+v", s)
+	}
+	for _, chunk := range []int{1, 7, 64, 200} {
+		gotSnap, gotSeries := render(chunk)
+		if !bytes.Equal(gotSnap, wantSnap) {
+			t.Errorf("chunk %d: snapshot differs from row-at-a-time:\n got %s\nwant %s", chunk, gotSnap, wantSnap)
+		}
+		if !bytes.Equal(gotSeries, wantSeries) {
+			t.Errorf("chunk %d: registry series differ from row-at-a-time", chunk)
+		}
+	}
+}
+
+// TestObserveTaggedPricesOnce: the tagged row is one decision everywhere
+// — totals, standard groups, histograms and the tag's own group agree.
+func TestObserveTaggedPricesOnce(t *testing.T) {
+	l := testLedger(0)
+	l.ObserveTagged("kernel=backprop", 3, 1, 1, memRow(1e6), 0.1)
+	l.ObserveTagged("kernel=backprop", 3, 1, 1, []float64{1}, 0.1) // skipped: no group
+	s := l.Snapshot()
+	want := s.Groups["level=1"]
+	if s.Decisions != 1 || s.Skipped != 1 || s.SavedHist.Count != 1 || want.Decisions != 1 {
+		t.Fatalf("tagged row was not accounted exactly once: %+v", s)
+	}
+	for _, k := range []string{"kernel=backprop", "cluster=3", "gen=1"} {
+		if s.Groups[k] != want {
+			t.Fatalf("group %s = %+v, want %+v", k, s.Groups[k], want)
 		}
 	}
 }

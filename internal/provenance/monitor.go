@@ -191,10 +191,35 @@ func (m *Monitor) ObserveRecord(rec *Record) {
 	if m == nil {
 		return
 	}
-	if int(rec.Reason) < NumReasons {
-		m.reasons[rec.Reason].Add(1)
-	}
+	var reasons [NumReasons]int64
 	m.mu.Lock()
+	m.foldLocked(rec, &reasons)
+	m.publishUnlock(&reasons)
+}
+
+// ObserveRecords is ObserveRecord for a run of decisions under one lock
+// acquisition. Threshold crossings are still evaluated after every
+// record, so the event stream is the one record-at-a-time observation
+// produces; the gauges (last-value) and the per-reason counters are
+// published once, and OnThreshold runs after the whole run is folded.
+func (m *Monitor) ObserveRecords(recs []Record) {
+	if m == nil || len(recs) == 0 {
+		return
+	}
+	var reasons [NumReasons]int64
+	m.mu.Lock()
+	for i := range recs {
+		m.foldLocked(&recs[i], &reasons)
+	}
+	m.publishUnlock(&reasons)
+}
+
+// foldLocked folds one record into the windows and evaluates the
+// thresholds its fold can have moved; the caller holds m.mu.
+func (m *Monitor) foldLocked(rec *Record, reasons *[NumReasons]int64) {
+	if int(rec.Reason) < NumReasons {
+		reasons[rec.Reason]++
+	}
 
 	// Flip rate: did this decision change the cluster's level?
 	last, seen := m.lastLevel[rec.Cluster]
@@ -211,13 +236,10 @@ func (m *Monitor) ObserveRecord(rec *Record) {
 			m.flipN++
 		}
 	}
-	flipRate := 0.0
-	if m.flipN > 0 {
-		flipRate = float64(m.flipSum) / float64(m.flipN)
-	}
 
 	// Feature drift: fold the derived (selected, unscaled) features.
-	if m.nFeat > 0 && int(rec.NumDerived) >= m.nFeat && rec.Reason == ReasonModel {
+	featMoved := m.nFeat > 0 && int(rec.NumDerived) >= m.nFeat && rec.Reason == ReasonModel
+	if featMoved {
 		base := m.fPos * m.nFeat
 		for j := 0; j < m.nFeat; j++ {
 			v := rec.Derived[j]
@@ -246,8 +268,108 @@ func (m *Monitor) ObserveRecord(rec *Record) {
 		}
 		m.sumAbs += math.Abs(e)
 		m.sumErr += e
+		m.checkMAPELocked()
 	}
-	m.publishLocked(flipRate)
+	if featMoved {
+		m.checkDriftLocked()
+	}
+}
+
+// checkMAPELocked and checkDriftLocked fire the crossing events. Each
+// reads one window only, so it runs when that window moved. Events fire
+// only on full windows, so a couple of noisy first samples cannot trip
+// them, and only on the crossing itself.
+func (m *Monitor) checkMAPELocked() {
+	th := m.opts.MAPEThreshold
+	if th <= 0 || m.errN != len(m.errs) {
+		return
+	}
+	mape := m.sumAbs / float64(m.errN)
+	high := mape > th
+	if high == m.mapeHigh {
+		return
+	}
+	m.mapeHigh = high
+	if high {
+		m.evMAPE.Add(1)
+		m.logger.Logf("provenance: rolling MAPE %.3f crossed threshold %.3f (window %d)", mape, th, m.errN)
+	} else {
+		m.logger.Logf("provenance: rolling MAPE %.3f back under threshold %.3f", mape, th)
+	}
+	if m.opts.OnThreshold != nil {
+		m.pending = append(m.pending, ThresholdEvent{Kind: "mape", Value: mape, Threshold: th, High: high})
+	}
+}
+
+func (m *Monitor) checkDriftLocked() {
+	th := m.opts.DriftZThreshold
+	if th <= 0 || m.fN != m.opts.Window {
+		return
+	}
+	for j := 0; j < m.nFeat; j++ {
+		z := m.meanZLocked(j)
+		high := math.Abs(z) > th
+		if high == m.driftHigh[j] {
+			continue
+		}
+		m.driftHigh[j] = high
+		if high {
+			m.evDrift.Add(1)
+			m.logger.Logf("provenance: feature %s drifted: window mean z=%.2f (threshold %.2f)", m.names[j], z, th)
+		} else {
+			m.logger.Logf("provenance: feature %s back in range (z=%.2f)", m.names[j], z)
+		}
+		if m.opts.OnThreshold != nil {
+			m.pending = append(m.pending, ThresholdEvent{Kind: "drift", Feature: m.names[j], Value: z, Threshold: th, High: high})
+		}
+	}
+}
+
+// meanZLocked is feature j's window-mean shift in training-σ units (0
+// for a feature with no training spread). Needs fN > 0.
+func (m *Monitor) meanZLocked(j int) float64 {
+	sd := m.trainStd[j]
+	if !(sd > 0) {
+		return 0
+	}
+	return (m.fSum[j]/float64(m.fN) - m.trainMean[j]) / sd
+}
+
+// publishUnlock refreshes the gauges from the windows as they now stand,
+// adds the folded per-reason counts, releases m.mu (which the caller
+// holds) and then delivers the crossings the folds queued, so a callback
+// may re-enter the monitor.
+func (m *Monitor) publishUnlock(reasons *[NumReasons]int64) {
+	flipRate := 0.0
+	if m.flipN > 0 {
+		flipRate = float64(m.flipSum) / float64(m.flipN)
+	}
+	m.gFlip.Set(flipRate)
+	if m.errN > 0 {
+		m.gMAPE.Set(m.sumAbs / float64(m.errN))
+		m.gBias.Set(m.sumErr / float64(m.errN))
+	}
+	if m.fN > 0 {
+		n := float64(m.fN)
+		for j := 0; j < m.nFeat; j++ {
+			vr := 0.0
+			if sd := m.trainStd[j]; sd > 0 {
+				mean := m.fSum[j] / n
+				variance := m.fSumSq[j]/n - mean*mean
+				if variance < 0 {
+					variance = 0
+				}
+				vr = variance / (sd * sd)
+			}
+			m.gZ[j].Set(m.meanZLocked(j))
+			m.gVar[j].Set(vr)
+		}
+	}
+	for r, n := range reasons {
+		if n != 0 {
+			m.reasons[r].Add(n)
+		}
+	}
 	var fire []ThresholdEvent
 	if len(m.pending) > 0 {
 		fire = append(fire, m.pending...)
@@ -257,72 +379,6 @@ func (m *Monitor) ObserveRecord(rec *Record) {
 	if cb := m.opts.OnThreshold; cb != nil {
 		for _, ev := range fire {
 			cb(ev)
-		}
-	}
-}
-
-// publishLocked refreshes the gauges and fires threshold events; the
-// caller holds m.mu.
-func (m *Monitor) publishLocked(flipRate float64) {
-	m.gFlip.Set(flipRate)
-	var mape float64
-	if m.errN > 0 {
-		mape = m.sumAbs / float64(m.errN)
-		m.gMAPE.Set(mape)
-		m.gBias.Set(m.sumErr / float64(m.errN))
-	}
-	// Events only fire on full windows so a couple of noisy first
-	// samples cannot trip them, and only on the crossing itself.
-	if th := m.opts.MAPEThreshold; th > 0 && m.errN == len(m.errs) {
-		if high := mape > th; high != m.mapeHigh {
-			m.mapeHigh = high
-			if high {
-				m.evMAPE.Add(1)
-				m.logger.Logf("provenance: rolling MAPE %.3f crossed threshold %.3f (window %d)", mape, th, m.errN)
-			} else {
-				m.logger.Logf("provenance: rolling MAPE %.3f back under threshold %.3f", mape, th)
-			}
-			if m.opts.OnThreshold != nil {
-				m.pending = append(m.pending, ThresholdEvent{Kind: "mape", Value: mape, Threshold: th, High: high})
-			}
-		}
-	}
-	if m.nFeat > 0 && m.fN > 0 {
-		// Gauges publish unconditionally; only the crossing events are
-		// gated by the (possibly disabled) threshold.
-		th := m.opts.DriftZThreshold
-		full := m.fN == m.opts.Window
-		n := float64(m.fN)
-		for j := 0; j < m.nFeat; j++ {
-			mean := m.fSum[j] / n
-			vr := 0.0
-			if sd := m.trainStd[j]; sd > 0 {
-				variance := m.fSumSq[j]/n - mean*mean
-				if variance < 0 {
-					variance = 0
-				}
-				vr = variance / (sd * sd)
-			}
-			z := 0.0
-			if sd := m.trainStd[j]; sd > 0 {
-				z = (mean - m.trainMean[j]) / sd
-			}
-			m.gZ[j].Set(z)
-			m.gVar[j].Set(vr)
-			if full && th > 0 {
-				if high := math.Abs(z) > th; high != m.driftHigh[j] {
-					m.driftHigh[j] = high
-					if high {
-						m.evDrift.Add(1)
-						m.logger.Logf("provenance: feature %s drifted: window mean z=%.2f (threshold %.2f)", m.names[j], z, th)
-					} else {
-						m.logger.Logf("provenance: feature %s back in range (z=%.2f)", m.names[j], z)
-					}
-					if m.opts.OnThreshold != nil {
-						m.pending = append(m.pending, ThresholdEvent{Kind: "drift", Feature: m.names[j], Value: z, Threshold: th, High: high})
-					}
-				}
-			}
 		}
 	}
 }
@@ -384,10 +440,9 @@ func (m *Monitor) DriftState() DriftState {
 	}
 	if m.nFeat > 0 && m.fN == m.opts.Window {
 		th := m.opts.DriftZThreshold
-		n := float64(m.fN)
 		for j := 0; j < m.nFeat; j++ {
-			if sd := m.trainStd[j]; sd > 0 {
-				z := (m.fSum[j]/n - m.trainMean[j]) / sd
+			if m.trainStd[j] > 0 {
+				z := m.meanZLocked(j)
 				if math.Abs(z) > math.Abs(st.WorstZ) {
 					st.WorstZ = z
 					st.WorstFeature = m.names[j]

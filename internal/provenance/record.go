@@ -1,4 +1,4 @@
-// Package provenance is the decision-provenance layer: a lock-free
+// Package provenance is the decision-provenance layer: a fixed-size
 // flight recorder that keeps the last N DVFS decisions — raw counters,
 // derived features, classifier logits, chosen level, Calibrator output,
 // calibration state, and the degradation reason — and an online
@@ -177,22 +177,6 @@ func (r *Record) SetLogits(row []float64) {
 	n := copy(r.Logits[:], row)
 	r.NumLogits = int32(n)
 }
-
-// recWords is the fixed ring-slot size in 8-byte words: the scalar block
-// plus the three arrays. Layout (word offsets):
-//
-//	0      Seq
-//	1      Cluster (high 32) | Epoch (low 32)
-//	2      Level (high 32) | Reason | HasPredErr | NumRaw | NumDerived | NumLogits (packed bytes)
-//	3..6   Preset, EffPreset, PredInstr, PredErr
-//	7      LatencyNs
-//	8      TraceID
-//	9      ModelGen
-//	10..   Raw, Derived, Logits
-const (
-	recScalarWords = 10
-	recWords       = recScalarWords + counters.Num + 2*MaxAux
-)
 
 // jsonRecord mirrors Record for the JSONL dump, with trimmed arrays and
 // the reason rendered as its stable string.

@@ -1,29 +1,31 @@
 package provenance
 
 import (
-	"math"
+	"slices"
+	"sync"
 	"sync/atomic"
 )
 
 // Recorder is the flight recorder: a fixed-capacity ring buffer of the
-// last N decision Records. Record is lock-free and allocation-free —
-// writers claim a slot with one atomic increment and publish the record
-// as a sequence of plain atomic word stores bracketed by a per-slot
-// generation stamp (a seqlock), so any number of decision threads can
-// record concurrently while snapshot readers iterate, with no mutex
-// anywhere and nothing for the race detector to flag.
+// last N decision Records. Writers claim sequence numbers with one atomic
+// add (one per batch) and copy each record into its slot as a plain
+// struct under that slot's own lock, so recording is allocation-free and
+// costs two atomic operations per record. A slot only ever moves forward:
+// it keeps the record with the larger Seq, so a writer that was delayed
+// for a whole lap of the ring cannot replace the newer record that lapped
+// it, and a reader never sees a torn one.
 //
-// A reader that observes a slot mid-write (odd stamp, or a stamp that
-// changed across the read) skips it; a writer never waits for anything.
-// If the ring wraps completely within the duration of one in-flight
-// Record call — which requires the capacity to be tiny relative to the
-// writer count — an overwritten slot could in principle publish torn
-// data; with the default capacity this window is unreachable, and the
-// per-record Seq embedded in the payload lets readers cross-check.
+// The only thing a writer can wait for is one record copy, and only when
+// a Snapshot reader (or a writer a full lap away) holds the very same
+// slot at that moment; writers to different slots never meet.
 type Recorder struct {
-	head  atomic.Uint64   // total records ever written
-	seqs  []atomic.Uint64 // per-slot generation stamp: 2g+1 writing, 2g+2 complete
-	words []atomic.Uint64 // cap × recWords flat payload
+	head  atomic.Uint64 // total records ever written
+	slots []slot
+}
+
+type slot struct {
+	mu  sync.Mutex
+	rec Record
 }
 
 // DefaultCapacity is the ring size used when a caller passes n <= 0.
@@ -35,10 +37,7 @@ func NewRecorder(n int) *Recorder {
 	if n <= 0 {
 		n = DefaultCapacity
 	}
-	return &Recorder{
-		seqs:  make([]atomic.Uint64, n),
-		words: make([]atomic.Uint64, n*recWords),
-	}
+	return &Recorder{slots: make([]slot, n)}
 }
 
 // Cap returns the ring capacity.
@@ -46,7 +45,7 @@ func (r *Recorder) Cap() int {
 	if r == nil {
 		return 0
 	}
-	return len(r.seqs)
+	return len(r.slots)
 }
 
 // Head returns the total number of records ever written; the ring holds
@@ -76,113 +75,59 @@ func (r *Recorder) Record(rec *Record) {
 	if r == nil {
 		return
 	}
-	g := r.head.Add(1) - 1
-	rec.Seq = g + 1
-	slot := int(g % uint64(len(r.seqs)))
-	s := &r.seqs[slot]
-	s.Store(2*g + 1)
-	encodeRecord(r.words[slot*recWords:(slot+1)*recWords], rec)
-	s.Store(2*g + 2)
+	rec.Seq = r.head.Add(1)
+	r.publish(rec)
+}
+
+// RecordBatch is Record for a run of decisions: one atomic add claims
+// len(recs) consecutive sequence numbers, assigned in slice order.
+func (r *Recorder) RecordBatch(recs []Record) {
+	if r == nil || len(recs) == 0 {
+		return
+	}
+	seq := r.head.Add(uint64(len(recs))) - uint64(len(recs))
+	for i := range recs {
+		seq++
+		recs[i].Seq = seq
+		r.publish(&recs[i])
+	}
+}
+
+// publish copies rec (Seq already assigned) into its slot unless the slot
+// already holds a newer record.
+func (r *Recorder) publish(rec *Record) {
+	s := &r.slots[(rec.Seq-1)%uint64(len(r.slots))]
+	s.mu.Lock()
+	if rec.Seq > s.rec.Seq {
+		s.rec = *rec
+	}
+	s.mu.Unlock()
 }
 
 // Snapshot appends a consistent copy of the ring's current contents to
-// dst, oldest first, and returns it. Slots being rewritten concurrently
-// (or already holding a newer generation than the iteration expected)
-// are skipped, so the result may hold fewer than Cap records even on a
-// full ring under write load.
+// dst, oldest first, and returns it. A slot whose claimed write has not
+// landed yet, or that already holds a newer lap than the iteration
+// expected, is skipped, so the result may hold fewer than Cap records
+// even on a full ring under write load.
 func (r *Recorder) Snapshot(dst []Record) []Record {
 	if r == nil {
 		return dst
 	}
 	head := r.head.Load()
-	n := uint64(len(r.seqs))
+	n := uint64(len(r.slots))
 	start := uint64(0)
 	if head > n {
 		start = head - n
 	}
-	var rec Record
+	// Grown up front so no slot lock is held across an allocation.
+	dst = slices.Grow(dst, int(head-start))
 	for g := start; g < head; g++ {
-		slot := int(g % n)
-		s := &r.seqs[slot]
-		want := 2*g + 2
-		if s.Load() != want {
-			continue // mid-write or already overwritten
+		s := &r.slots[g%n]
+		s.mu.Lock()
+		if s.rec.Seq == g+1 {
+			dst = append(dst, s.rec)
 		}
-		decodeRecord(r.words[slot*recWords:(slot+1)*recWords], &rec)
-		if s.Load() != want || rec.Seq != g+1 {
-			continue // torn read: the slot moved on underneath us
-		}
-		dst = append(dst, rec)
+		s.mu.Unlock()
 	}
 	return dst
-}
-
-// encodeRecord publishes rec into a slot's word region with atomic
-// stores only. The layout is documented at recWords.
-func encodeRecord(w []atomic.Uint64, rec *Record) {
-	w[0].Store(rec.Seq)
-	w[1].Store(uint64(uint32(rec.Cluster))<<32 | uint64(uint32(rec.Epoch)))
-	flags := uint64(uint32(rec.Level)) << 32
-	flags |= uint64(rec.Reason)
-	if rec.HasPredErr {
-		flags |= 1 << 8
-	}
-	flags |= uint64(uint8(rec.NumRaw)) << 16
-	flags |= uint64(uint8(rec.NumDerived)) << 24
-	// NumLogits rides in bits 9..15 (MaxAux fits in 7 bits with room).
-	flags |= uint64(uint8(rec.NumLogits)&0x7f) << 9
-	w[2].Store(flags)
-	w[3].Store(math.Float64bits(rec.Preset))
-	w[4].Store(math.Float64bits(rec.EffPreset))
-	w[5].Store(math.Float64bits(rec.PredInstr))
-	w[6].Store(math.Float64bits(rec.PredErr))
-	w[7].Store(uint64(rec.LatencyNs))
-	w[8].Store(rec.TraceID)
-	w[9].Store(uint64(rec.ModelGen))
-	p := recScalarWords
-	for i := range rec.Raw {
-		w[p+i].Store(math.Float64bits(rec.Raw[i]))
-	}
-	p += len(rec.Raw)
-	for i := range rec.Derived {
-		w[p+i].Store(math.Float64bits(rec.Derived[i]))
-	}
-	p += len(rec.Derived)
-	for i := range rec.Logits {
-		w[p+i].Store(math.Float64bits(rec.Logits[i]))
-	}
-}
-
-// decodeRecord is the inverse of encodeRecord, reading with atomic loads.
-func decodeRecord(w []atomic.Uint64, rec *Record) {
-	rec.Seq = w[0].Load()
-	ce := w[1].Load()
-	rec.Cluster = int32(uint32(ce >> 32))
-	rec.Epoch = int32(uint32(ce))
-	flags := w[2].Load()
-	rec.Level = int32(uint32(flags >> 32))
-	rec.Reason = Reason(flags & 0xff)
-	rec.HasPredErr = flags&(1<<8) != 0
-	rec.NumRaw = int32(uint8(flags >> 16))
-	rec.NumDerived = int32(uint8(flags >> 24))
-	rec.NumLogits = int32((flags >> 9) & 0x7f)
-	rec.Preset = math.Float64frombits(w[3].Load())
-	rec.EffPreset = math.Float64frombits(w[4].Load())
-	rec.PredInstr = math.Float64frombits(w[5].Load())
-	rec.PredErr = math.Float64frombits(w[6].Load())
-	rec.LatencyNs = int64(w[7].Load())
-	rec.TraceID = w[8].Load()
-	rec.ModelGen = uint32(w[9].Load())
-	p := recScalarWords
-	for i := range rec.Raw {
-		rec.Raw[i] = math.Float64frombits(w[p+i].Load())
-	}
-	p += len(rec.Raw)
-	for i := range rec.Derived {
-		rec.Derived[i] = math.Float64frombits(w[p+i].Load())
-	}
-	p += len(rec.Derived)
-	for i := range rec.Logits {
-		rec.Logits[i] = math.Float64frombits(w[p+i].Load())
-	}
 }

@@ -2,10 +2,12 @@ package provenance
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"reflect"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"ssmdvfs/internal/counters"
 )
@@ -174,6 +176,162 @@ func TestFlightRecorderConcurrent(t *testing.T) {
 	}
 	if got := len(r.Snapshot(nil)); got != r.Cap() {
 		t.Fatalf("quiescent snapshot has %d records, want full ring of %d", got, r.Cap())
+	}
+}
+
+// stampRecord makes every payload field of rec a function of v, so a
+// record assembled from two writes cannot pass checkStamp.
+func stampRecord(rec *Record, writer int, v float64) {
+	rec.Cluster = int32(writer)
+	rec.PredInstr = v
+	for i := range rec.Raw {
+		rec.Raw[i] = v
+	}
+	for i := range rec.Derived {
+		rec.Derived[i] = v
+		rec.Logits[i] = v
+	}
+}
+
+func checkStamp(rec *Record) error {
+	v := rec.PredInstr
+	for i := range rec.Raw {
+		if rec.Raw[i] != v {
+			return fmt.Errorf("seq %d: raw[%d] = %v, stamp %v", rec.Seq, i, rec.Raw[i], v)
+		}
+	}
+	for i := range rec.Derived {
+		if rec.Derived[i] != v || rec.Logits[i] != v {
+			return fmt.Errorf("seq %d: aux[%d] = %v/%v, stamp %v", rec.Seq, i, rec.Derived[i], rec.Logits[i], v)
+		}
+	}
+	return nil
+}
+
+// TestFlightRecorderTinyRingUnderRace is the hazard the seqlock ring used
+// to document away: a ring so small that writers lap each other inside
+// one Record call. Eight writers — half through Record, half through
+// RecordBatch — wrap a 4-slot ring thousands of times while a reader
+// snapshots in a loop. Every record a snapshot returns must be whole,
+// sequence numbers must strictly increase, and a writer's own records
+// must appear in the order it wrote them. Meant for -race.
+func TestFlightRecorderTinyRingUnderRace(t *testing.T) {
+	const (
+		writers   = 8
+		perWriter = 3000
+		batch     = 5
+	)
+	r := NewRecorder(4)
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			recs := make([]Record, batch)
+			for c := 0; c < perWriter; {
+				n := 1
+				if w%2 == 1 {
+					n = batch
+				}
+				for k := 0; k < n; k++ {
+					stampRecord(&recs[k], w, float64(c))
+					c++
+				}
+				if n == 1 {
+					r.Record(&recs[0])
+				} else {
+					r.RecordBatch(recs)
+				}
+			}
+		}(w)
+	}
+	stop := make(chan struct{})
+	readerErr := make(chan error, 1)
+	go func() {
+		defer close(readerErr)
+		var buf []Record
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			buf = r.Snapshot(buf[:0])
+			if len(buf) > r.Cap() {
+				readerErr <- fmt.Errorf("snapshot of %d records from a ring of %d", len(buf), r.Cap())
+				return
+			}
+			var lastSeq uint64
+			lastStamp := [writers]float64{}
+			for i := range lastStamp {
+				lastStamp[i] = -1
+			}
+			for i := range buf {
+				rec := &buf[i]
+				if err := checkStamp(rec); err != nil {
+					readerErr <- err
+					return
+				}
+				if rec.Seq <= lastSeq {
+					readerErr <- fmt.Errorf("seq %d follows %d", rec.Seq, lastSeq)
+					return
+				}
+				lastSeq = rec.Seq
+				if rec.PredInstr <= lastStamp[rec.Cluster] {
+					readerErr <- fmt.Errorf("writer %d: stamp %v at seq %d after stamp %v", rec.Cluster, rec.PredInstr, rec.Seq, lastStamp[rec.Cluster])
+					return
+				}
+				lastStamp[rec.Cluster] = rec.PredInstr
+			}
+		}
+	}()
+	wg.Wait()
+	close(stop)
+	if err := <-readerErr; err != nil {
+		t.Fatal(err)
+	}
+	if got := r.Head(); got != writers*perWriter {
+		t.Fatalf("head = %d, want %d", got, writers*perWriter)
+	}
+	if got := len(r.Snapshot(nil)); got != r.Cap() {
+		t.Fatalf("quiescent snapshot has %d records, want the full ring of %d", got, r.Cap())
+	}
+}
+
+// TestFlightRecorderStaleWriterLoses: a writer that claimed its sequence
+// number and was then delayed for a whole lap must not replace the newer
+// record that has taken its slot since.
+func TestFlightRecorderStaleWriterLoses(t *testing.T) {
+	r := NewRecorder(4)
+	stale := testRecord(0)
+	stale.Seq = r.head.Add(1) // claimed; the copy into the slot is "delayed"
+	for i := 1; i <= r.Cap(); i++ {
+		rec := testRecord(i)
+		r.Record(&rec)
+	}
+	r.publish(&stale)
+	got := r.Snapshot(nil)
+	if len(got) != r.Cap() {
+		t.Fatalf("snapshot has %d records, want %d", len(got), r.Cap())
+	}
+	for i, rec := range got {
+		if want := uint64(2 + i); rec.Seq != want || rec.Epoch != int32(want-1) {
+			t.Fatalf("record %d: seq %d epoch %d, want seq %d epoch %d", i, rec.Seq, rec.Epoch, want, want-1)
+		}
+	}
+}
+
+// TestFlightRecorderFootprint: holding plain Records behind a lock must
+// not cost noticeably more memory than the packed atomic words it
+// replaced (a stamp plus 10 scalar words plus the three arrays per slot).
+func TestFlightRecorderFootprint(t *testing.T) {
+	const (
+		packedSlotBytes = 8 * (1 + 10 + counters.Num + 2*MaxAux)
+		flightrec       = 16384 // `ssmdvfsd -flightrec 16384`
+	)
+	grow := flightrec * (int(unsafe.Sizeof(slot{})) - packedSlotBytes)
+	if grow > 1<<20 {
+		t.Fatalf("a %d-slot ring grew by %d bytes (slot is %d B), want at most 1 MB", flightrec, grow, unsafe.Sizeof(slot{}))
 	}
 }
 

@@ -92,11 +92,11 @@ type Engine struct {
 
 	// prov/mon, when EnableProvenance installed them, receive one record
 	// per decision; both are nil-safe and nil by default, keeping the hot
-	// path free of provenance work. recPool holds *provenance.Record
-	// scratch so recording does not allocate per batch.
+	// path free of provenance work. recPool holds the per-batch
+	// observation scratch so observing does not allocate.
 	prov    *provenance.Recorder
 	mon     *provenance.Monitor
-	recPool sync.Pool // *provenance.Record
+	recPool sync.Pool // *obsScratch
 
 	infPool sync.Pool // *core.Inference
 
@@ -142,7 +142,7 @@ func NewEngine(m *core.Model, opts Options) (*Engine, error) {
 	}
 	e.model.Store(m)
 	e.infPool.New = func() any { return core.NewInference(m) }
-	e.recPool.New = func() any { return new(provenance.Record) }
+	e.recPool.New = func() any { return new(obsScratch) }
 	return e, nil
 }
 
@@ -223,12 +223,11 @@ func (e *Engine) EnablePredFeedback() {
 // resets the map rather than growing without bound.
 const maxFeedbackKeys = 1 << 16
 
-// predFeedback resolves the previous prediction for a keyed row and
+// predFeedbackLocked resolves the previous prediction for a keyed row and
 // retires/installs the key's entry. It returns the previous model-path
-// prediction for this key and whether one existed.
-func (e *Engine) predFeedback(row Request, d Decision) (prev float64, ok bool) {
+// prediction for this key and whether one existed. The caller holds fbMu.
+func (e *Engine) predFeedbackLocked(row Request, d Decision) (prev float64, ok bool) {
 	key := int64(uint32(row.GPU))<<32 | int64(uint32(row.Cluster))
-	e.fbMu.Lock()
 	prev, ok = e.fb[key]
 	if d.Reason == provenance.ReasonModel {
 		if !ok && len(e.fb) >= maxFeedbackKeys {
@@ -240,7 +239,6 @@ func (e *Engine) predFeedback(row Request, d Decision) (prev float64, ok bool) {
 		// counters follow a fallback decision, not a model prediction.
 		delete(e.fb, key)
 	}
-	e.fbMu.Unlock()
 	return prev, ok
 }
 
@@ -503,55 +501,112 @@ func (e *Engine) fallbackRow(row Request, reason provenance.Reason) Decision {
 	return Decision{Level: level, Reason: reason, PredInstr: pred, Shard: -1}
 }
 
-// observe fills the scratch provenance record for one answered row and
-// hands it to the recorder and monitor. rec is nil when provenance is
-// disabled; derived and logits are non-nil only on the model path (they
-// alias inference scratch and are copied into the record here).
-func (e *Engine) observe(rec *provenance.Record, row Request, d Decision, derived, logits []float64, start time.Time) {
-	if l := e.led; l != nil {
-		// The ledger reads the generation the provenance record was stamped
-		// with (the model this batch actually bound); without provenance it
-		// attributes to whatever is serving now.
-		var gen uint32
-		if rec != nil {
-			gen = rec.ModelGen
-		} else {
-			gen = uint32(e.Generation())
-		}
-		l.Observe(row.Cluster, gen, d.Level, row.Features, row.Preset)
+// obsScratch is what one batch needs to observe its decisions a run at a
+// time: a record per row of an inference chunk (nil when provenance is
+// off), a ledger batch, and the attribution every record of the batch
+// shares. It lives in recPool between batches.
+type obsScratch struct {
+	recs []provenance.Record
+	led  ledger.Batch
+	// gen is the lineage generation of the model the batch bound (the
+	// serving one until it binds), stamped into records and ledger groups.
+	gen     uint32
+	traceID uint64
+}
+
+// acquireScratch takes a batch's observation scratch from recPool, or
+// returns nil when no plane that observes decisions is armed.
+func (e *Engine) acquireScratch(traceID uint64) *obsScratch {
+	if e.prov == nil && e.led == nil {
+		return nil
 	}
-	if rec == nil {
+	sc := e.recPool.Get().(*obsScratch)
+	if e.prov != nil && sc.recs == nil {
+		sc.recs = make([]provenance.Record, inferChunk)
+	}
+	sc.traceID = traceID
+	// Stamped again after the model binds (modelRows), so fallback-only
+	// batches still attribute to whatever is serving now.
+	sc.gen = uint32(e.Generation())
+	return sc
+}
+
+// stageAux copies what only the model path has for row k of the current
+// run — the derived features and logits, which alias inference scratch —
+// into the row's record; degraded rows stage nil. A nil scratch (nothing
+// armed) or one without records is a no-op.
+func (sc *obsScratch) stageAux(k int, derived, logits []float64) {
+	if sc == nil || sc.recs == nil {
 		return
 	}
-	// v3 keyed rows carry the requesting cluster; v2 rows decode with -1
-	// (not applicable). The serving transports carry no epoch identity.
-	rec.Cluster = row.Cluster
-	rec.Epoch = -1
-	rec.Level = int32(d.Level)
-	rec.Reason = d.Reason
-	rec.Preset = row.Preset
-	rec.EffPreset = row.Preset
-	rec.PredInstr = d.PredInstr
-	rec.PredErr, rec.HasPredErr = 0, false
-	if e.fbOn && row.Cluster >= 0 && len(row.Features) > counters.IdxInstr {
-		// The instruction counter of the just-finished epoch is the
-		// realized value the previous epoch's prediction was about.
-		if prev, ok := e.predFeedback(row, d); ok && prev > 0 {
-			rec.PredErr = (prev - row.Features[counters.IdxInstr]) / prev
-			rec.HasPredErr = true
-		}
+	sc.recs[k].SetDerived(derived)
+	sc.recs[k].SetLogits(logits)
+}
+
+// observeRows hands one run of answered rows (at most inferChunk, their
+// aux already staged) to the armed planes, each entered once for the
+// whole run: the ledger commits one batch, the feedback map is locked
+// once, the latency clock is read once, the recorder claims the run's
+// sequence numbers with one add and the monitor folds it under one lock.
+// sc is nil when nothing is armed.
+func (e *Engine) observeRows(sc *obsScratch, rows []Request, decs []Decision, start time.Time) {
+	if sc == nil || len(rows) == 0 {
+		return
 	}
-	rec.LatencyNs = int64(time.Since(start))
-	rec.SetRaw(row.Features)
-	rec.SetDerived(derived)
-	rec.SetLogits(logits)
-	e.prov.Record(rec)
-	e.mon.ObserveRecord(rec)
-	if h := e.shadow.Load(); h != nil && d.Reason == provenance.ReasonModel {
-		// Shadow scoring sees model-path traffic only: degraded rows carry
-		// no model prediction to compare a candidate against. row.Features
-		// aliases transport scratch — observers must copy what they keep.
-		h.obs.ObserveServed(row, d)
+	if l := e.led; l != nil {
+		for k, row := range rows {
+			l.Add(&sc.led, row.Cluster, sc.gen, decs[k].Level, row.Features, row.Preset)
+		}
+		l.Commit(&sc.led)
+	}
+	if sc.recs == nil {
+		return
+	}
+	recs := sc.recs[:len(rows)]
+	latency := int64(time.Since(start))
+	for k, row := range rows {
+		rec, d := &recs[k], decs[k]
+		// v3 keyed rows carry the requesting cluster; v2 rows decode with -1
+		// (not applicable). The serving transports carry no epoch identity.
+		rec.Cluster = row.Cluster
+		rec.Epoch = -1
+		rec.Level = int32(d.Level)
+		rec.Reason = d.Reason
+		rec.Preset = row.Preset
+		rec.EffPreset = row.Preset
+		rec.PredInstr = d.PredInstr
+		rec.PredErr, rec.HasPredErr = 0, false
+		rec.LatencyNs = latency
+		rec.TraceID = sc.traceID
+		rec.ModelGen = sc.gen
+		rec.SetRaw(row.Features)
+	}
+	if e.fbOn {
+		e.fbMu.Lock()
+		for k, row := range rows {
+			if row.Cluster < 0 || len(row.Features) <= counters.IdxInstr {
+				continue
+			}
+			// The instruction counter of the just-finished epoch is the
+			// realized value the previous epoch's prediction was about.
+			if prev, ok := e.predFeedbackLocked(row, decs[k]); ok && prev > 0 {
+				recs[k].PredErr = (prev - row.Features[counters.IdxInstr]) / prev
+				recs[k].HasPredErr = true
+			}
+		}
+		e.fbMu.Unlock()
+	}
+	e.prov.RecordBatch(recs)
+	e.mon.ObserveRecords(recs)
+	if h := e.shadow.Load(); h != nil {
+		for k, d := range decs {
+			// Shadow scoring sees model-path traffic only: degraded rows carry
+			// no model prediction to compare a candidate against. Features
+			// alias transport scratch — observers must copy what they keep.
+			if d.Reason == provenance.ReasonModel {
+				h.obs.ObserveServed(rows[k], d)
+			}
+		}
 	}
 }
 
@@ -593,14 +648,9 @@ func (e *Engine) decideBatchTC(rows []Request, decs []Decision, tc telemetry.Tra
 	e.sem <- struct{}{}
 	defer func() { <-e.sem }()
 
-	var rec *provenance.Record
-	if e.prov != nil || e.mon != nil {
-		rec = e.recPool.Get().(*provenance.Record)
-		defer e.recPool.Put(rec)
-		rec.TraceID = tc.TraceID
-		// Stamped again after the model binds (modelRows), so fallback-only
-		// batches still attribute to whatever is serving now.
-		rec.ModelGen = uint32(e.Generation())
+	sc := e.acquireScratch(tc.TraceID)
+	if sc != nil {
+		defer e.recPool.Put(sc)
 	}
 
 	start := time.Now()
@@ -611,7 +661,7 @@ func (e *Engine) decideBatchTC(rows []Request, decs []Decision, tc telemetry.Tra
 	if e.health.useModel() {
 		isp := e.tracer.StartSpan(sp.Context(), "engine.inference")
 		var failed bool
-		decs, done, tailReason, failed = e.modelRows(rows, decs, start, rec)
+		decs, done, tailReason, failed = e.modelRows(rows, decs, start, sc)
 		isp.End()
 		if failed {
 			e.health.recordFailure()
@@ -621,10 +671,10 @@ func (e *Engine) decideBatchTC(rows []Request, decs []Decision, tc telemetry.Tra
 	}
 	if done < len(rows) {
 		fsp := e.tracer.StartSpan(sp.Context(), "engine.fallback")
-		for _, row := range rows[done:] {
-			d := e.fallbackRow(row, tailReason)
-			decs = append(decs, d)
-			e.observe(rec, row, d, nil, nil, start)
+		for i := done; i < len(rows); i++ {
+			decs = append(decs, e.fallbackRow(rows[i], tailReason))
+			sc.stageAux(0, nil, nil)
+			e.observeRows(sc, rows[i:i+1], decs[len(decs)-1:], start)
 		}
 		fsp.End()
 	}
@@ -652,7 +702,7 @@ const inferChunk = 64
 // j still answers the gathered rows before j through the model), invalid
 // rows degrade individually, and a lone valid row takes the single-row
 // kernel.
-func (e *Engine) modelRows(rows []Request, decs []Decision, start time.Time, rec *provenance.Record) (out []Decision, done int, failReason provenance.Reason, failed bool) {
+func (e *Engine) modelRows(rows []Request, decs []Decision, start time.Time, sc *obsScratch) (out []Decision, done int, failReason provenance.Reason, failed bool) {
 	out = decs
 	failReason = provenance.ReasonFallback
 	// On panic the named returns already hold the last consistent state:
@@ -671,10 +721,10 @@ func (e *Engine) modelRows(rows []Request, decs []Decision, start time.Time, rec
 	inf := e.infPool.Get().(*core.Inference)
 	defer e.infPool.Put(inf)
 	inf.Bind(e.model.Load())
-	if rec != nil {
+	if sc != nil {
 		// Attribution follows the model this batch actually bound, which a
 		// concurrent swap could have already replaced as the serving one.
-		rec.ModelGen = uint32(inf.Model().Lineage.Generation)
+		sc.gen = uint32(inf.Model().Lineage.Generation)
 	}
 	kind := inf.Backend()
 	nFeat := inf.Model().NumFeatures()
@@ -687,10 +737,10 @@ func (e *Engine) modelRows(rows []Request, decs []Decision, start time.Time, rec
 		}
 		if !validRow(rows[i]) {
 			e.metrics.RejectedRows.Add(1)
-			d := e.fallbackRow(rows[i], provenance.ReasonRejected)
-			out = append(out, d)
+			out = append(out, e.fallbackRow(rows[i], provenance.ReasonRejected))
 			done = i + 1
-			e.observe(rec, rows[i], d, nil, nil, start)
+			sc.stageAux(0, nil, nil)
+			e.observeRows(sc, rows[i:done], out[len(out)-1:], start)
 			i++
 			continue
 		}
@@ -715,14 +765,14 @@ func (e *Engine) modelRows(rows []Request, decs []Decision, start time.Time, rec
 			}
 			j++
 		}
-		if n := j - i; n == 1 {
+		n := j - i
+		if n == 1 {
 			level, pred := inf.Decide(rows[i].Features, rows[i].Preset)
 			e.metrics.ObserveInfer(kind, 1)
 			e.metrics.ObserveLevel(level)
-			d := Decision{Level: level, Reason: provenance.ReasonModel, PredInstr: pred, Shard: -1}
-			out = append(out, d)
+			out = append(out, Decision{Level: level, Reason: provenance.ReasonModel, PredInstr: pred, Shard: -1})
 			done = i + 1
-			e.observe(rec, rows[i], d, inf.DecisionRow()[:nFeat], inf.Logits(), start)
+			sc.stageAux(0, inf.DecisionRow()[:nFeat], inf.Logits())
 		} else if n > 1 {
 			inf.BeginBatch(n)
 			for k := 0; k < n; k++ {
@@ -733,12 +783,13 @@ func (e *Engine) modelRows(rows []Request, decs []Decision, start time.Time, rec
 			for k := 0; k < n; k++ {
 				level := inf.BatchLevel(k)
 				e.metrics.ObserveLevel(level)
-				d := Decision{Level: level, Reason: provenance.ReasonModel, PredInstr: inf.BatchPredInstr(k), Shard: -1}
-				out = append(out, d)
+				out = append(out, Decision{Level: level, Reason: provenance.ReasonModel, PredInstr: inf.BatchPredInstr(k), Shard: -1})
 				done = i + k + 1
-				e.observe(rec, rows[i+k], d, inf.BatchDerived(k)[:nFeat], inf.BatchLogits(k), start)
+				sc.stageAux(k, inf.BatchDerived(k)[:nFeat], inf.BatchLogits(k))
 			}
 		}
+		// The run's decisions are the tail of out; observe them in one step.
+		e.observeRows(sc, rows[i:j], out[len(out)-n:], start)
 		i = j
 		if stop != provenance.ReasonModel { // zero value: gather ran dry, no stop
 			if stop == provenance.ReasonDeadline {

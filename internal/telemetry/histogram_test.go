@@ -3,6 +3,7 @@ package telemetry
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 )
@@ -83,5 +84,22 @@ func TestBucketIndexMatchesBounds(t *testing.T) {
 		if float64(v) < lo || float64(v) >= hi {
 			t.Fatalf("v=%d → bucket %d [%g,%g) does not contain it", v, i, lo, hi)
 		}
+	}
+}
+
+// TestObserveBinnedEqualsObserveLoop: values binned by the caller land
+// exactly where Observe would have put them.
+func TestObserveBinnedEqualsObserveLoop(t *testing.T) {
+	a, b := NewHistogram(DefaultHistBuckets), NewHistogram(DefaultHistBuckets)
+	var bins [DefaultHistBuckets]int64
+	var sum int64
+	for _, v := range []int64{0, 0, 1, 5, 5, 1 << 20, 1 << 40, 999} {
+		a.Observe(v)
+		bins[BucketIndex(v, len(bins))]++
+		sum += v
+	}
+	b.ObserveBinned(bins[:], sum)
+	if got, want := b.Snapshot(), a.Snapshot(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("binned %+v, observed %+v", got, want)
 	}
 }

@@ -69,7 +69,11 @@ func (r *Ring) Cap() int { return len(r.slots) }
 // Observe adds v to window index w (w must be >= 0; negative windows are
 // dropped). A w newer than its slot's occupant resets the slot; a w older
 // is dropped.
-func (r *Ring) Observe(w, v int64) {
+func (r *Ring) Observe(w, v int64) { r.ObserveN(w, 1, v) }
+
+// ObserveN adds n observations summing to sum to window index w under one
+// lock acquisition, with Observe's window rules.
+func (r *Ring) ObserveN(w, n, sum int64) {
 	if w < 0 {
 		return
 	}
@@ -84,8 +88,8 @@ func (r *Ring) Observe(w, v int64) {
 		r.mu.Unlock()
 		return
 	}
-	p.Count++
-	p.Sum += v
+	p.Count += n
+	p.Sum += sum
 	r.mu.Unlock()
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 )
@@ -202,5 +203,22 @@ func TestMergeHistogramSnapshotsPermutationIdentical(t *testing.T) {
 	}
 	if acc.P50 <= 0 || acc.P99 < acc.P50 {
 		t.Fatalf("merged quantiles not recomputed: p50=%v p99=%v", acc.P50, acc.P99)
+	}
+}
+
+// TestRingObserveNEqualsObserveLoop: one ObserveN is n Observes, under
+// the same window rules (reset on a newer window, drop an older one).
+func TestRingObserveNEqualsObserveLoop(t *testing.T) {
+	a, b := NewRing(4), NewRing(4)
+	for _, step := range []struct{ w, n, each int64 }{
+		{3, 5, 10}, {3, 2, -4}, {7, 3, 1}, {3, 9, 100}, {-1, 2, 5}, {8, 1, 6},
+	} {
+		for i := int64(0); i < step.n; i++ {
+			a.Observe(step.w, step.each)
+		}
+		b.ObserveN(step.w, step.n, step.n*step.each)
+	}
+	if got, want := b.Snapshot(nil), a.Snapshot(nil); !reflect.DeepEqual(got, want) {
+		t.Fatalf("ObserveN ring %+v, Observe ring %+v", got, want)
 	}
 }
