@@ -1,7 +1,9 @@
 // Command dvfsfleet is the fleet router in front of a set of ssmdvfsd
 // replicas: it shards (gpu, cluster) decision keys across the replicas
-// on a deterministic consistent-hash ring, coalesces concurrent rows
-// bound for the same replica into multi-row v3 frames, sheds overload
+// on a deterministic consistent-hash ring, splits every frame once into
+// one part per owning replica and sends each part whole as a multi-row
+// v3 frame (a free dispatch slot takes everything queued for its
+// replica, up to -coalesce-rows; nothing lingers), sheds overload
 // into the analytical PCSTALL fallback under admission control, and
 // reroutes around replicas that die (re-admitting them when a health
 // probe succeeds).
@@ -10,7 +12,7 @@
 //
 //	dvfsfleet -replicas host1:8091,host2:8091,host3:8091
 //	          [-tcp :8092] [-http :8093] [-vnodes 128] [-seed 1]
-//	          [-backend int8] [-coalesce-wait 200us] [-coalesce-rows 64]
+//	          [-backend int8] [-coalesce-rows 64]
 //	          [-inflight 2] [-queue 1024] [-queue-deadline 2ms]
 //	          [-max-hops 1] [-probe 250ms] [-spans fleet-spans.jsonl]
 //	          [-replica-http http://host1:8090,http://host2:8090,...]
@@ -68,10 +70,9 @@ func main() {
 		vnodes       = flag.Int("vnodes", 0, "virtual nodes per replica on the ring (0 = default)")
 		seed         = flag.Uint64("seed", 1, "ring hash seed (same seed + replica set = same sharding)")
 		backend      = flag.String("backend", "", "inference backend replicas must advertise: float64 or int8 (empty = any)")
-		wait         = flag.Duration("coalesce-wait", 0, "max linger before a non-full batch ships (0 = default 200us)")
-		rows         = flag.Int("coalesce-rows", 0, "max rows per coalesced frame (0 = default 64)")
-		inflight     = flag.Int("inflight", 0, "coalesced batches in flight per replica (0 = default 2)")
-		queueLen     = flag.Int("queue", 0, "per-replica admission queue length (0 = default 1024)")
+		rows         = flag.Int("coalesce-rows", 0, "max rows a dispatch slot merges into one frame from what is already queued; it never waits for more (0 = default 64)")
+		inflight     = flag.Int("inflight", 0, "frames in flight per replica (0 = default 2)")
+		queueLen     = flag.Int("queue", 0, "per-replica admission queue length in rows (0 = default 1024)")
 		deadline     = flag.Duration("queue-deadline", 2*time.Millisecond, "shed rows queued longer than this (0 = off)")
 		maxHops      = flag.Int("max-hops", 0, "reroute attempts per row after replica failure (0 = default 1)")
 		probe        = flag.Duration("probe", 0, "unhealthy replica re-dial interval (0 = default 250ms)")
@@ -118,7 +119,6 @@ func main() {
 		VNodes:        *vnodes,
 		Seed:          *seed,
 		ExpectBackend: *backend,
-		CoalesceWait:  *wait,
 		CoalesceRows:  *rows,
 		MaxInFlight:   *inflight,
 		QueueLen:      *queueLen,

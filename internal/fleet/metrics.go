@@ -99,17 +99,17 @@ func newMetrics(reg *telemetry.Registry, nShards int) *Metrics {
 // Registry exposes the registry hosting the fleet metrics.
 func (m *Metrics) Registry() *telemetry.Registry { return m.reg }
 
-// Shed counts one refused row against its cause and the shed-rate SLO.
-func (m *Metrics) Shed(cause string) {
+// Shed counts n refused rows against their cause and the shed-rate SLO.
+func (m *Metrics) Shed(cause string, n int64) {
 	if c, ok := m.shed[cause]; ok {
-		c.Add(1)
+		c.Add(n)
 	}
-	m.shedSLO.Observe(true)
+	m.shedSLO.ObserveN(0, n)
 }
 
-// Admitted counts one row accepted into a shard queue toward the
+// Admitted counts n rows accepted into a shard queue toward the
 // shed-rate SLO denominator.
-func (m *Metrics) Admitted() { m.shedSLO.Observe(false) }
+func (m *Metrics) Admitted(n int64) { m.shedSLO.ObserveN(n, 0) }
 
 // ShedTotal sums the shed counters across causes.
 func (m *Metrics) ShedTotal() int64 {
@@ -120,14 +120,9 @@ func (m *Metrics) ShedTotal() int64 {
 	return n
 }
 
-// ObserveDispatch records one batch sent to a shard: n rows, round-trip d.
-func (m *Metrics) ObserveDispatch(shard, n int, d time.Duration) {
-	m.ObserveDispatchTraced(shard, n, d, 0)
-}
-
-// ObserveDispatchTraced is ObserveDispatch carrying a sampled batch's
-// trace ID: the shard-latency bucket the round trip lands in keeps the
-// ID as its exemplar (traceID 0 is exactly ObserveDispatch).
+// ObserveDispatchTraced records one frame sent to a shard — n rows,
+// round trip d — and, for a sampled frame, keeps its trace ID as the
+// exemplar of the shard-latency bucket the round trip lands in.
 func (m *Metrics) ObserveDispatchTraced(shard, n int, d time.Duration, traceID uint64) {
 	m.batchRows.Observe(int64(n))
 	m.shards[shard].Rows.Add(int64(n))

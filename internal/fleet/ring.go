@@ -1,12 +1,12 @@
 // Package fleet is the multi-replica serving tier: a consistent-hash
 // ring shards (gpu, cluster) decision keys across N ssmdvfsd replicas, a
-// router coalesces rows bound for the same shard into one v3 keyed frame
-// per syscall, and admission control sheds overload into the analytical
-// PCSTALL fallback instead of queuing past the decision deadline. One
-// daemon serves one GPU's 24 clusters; this package is how thousands of
-// GPUs get microsecond-scale decisions from a bounded set of replicas —
-// and the architecture the later scaling work (batched inference, online
-// learning rollout) inherits.
+// router splits each frame into one part per owning replica and sends
+// every part whole as a v3 keyed frame, and admission control sheds
+// overload into the analytical PCSTALL fallback instead of queuing past
+// the decision deadline. One daemon serves one GPU's 24 clusters; this
+// package is how thousands of GPUs get microsecond-scale decisions from a
+// bounded set of replicas — and the architecture the later scaling work
+// (batched inference, online learning rollout) inherits.
 package fleet
 
 import (

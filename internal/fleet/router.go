@@ -30,25 +30,23 @@ type Options struct {
 	VNodes int
 	Seed   uint64
 
-	// CoalesceWait bounds how long a non-full batch may linger absorbing
-	// more rows before it ships regardless (default 200 µs). Batching is
-	// adaptive below that bound: a batch dispatches the moment a slot is
-	// free and only grows while every slot is busy, so coalescing costs
-	// no latency under light load. CoalesceRows bounds the batch size
-	// (default 64, capped at serve.MaxBatch).
-	CoalesceWait time.Duration
+	// CoalesceRows caps how many rows one dispatch merges into a frame
+	// (default 64, capped at serve.MaxBatch). Batching is adaptive and
+	// never waits: a free slot takes the first queued part plus whatever
+	// else is already queued and still fits, so frames grow exactly while
+	// every slot is busy. A part is never split; a larger one goes alone.
 	CoalesceRows int
 
-	// MaxInFlight is how many coalesced batches one shard may have on the
-	// wire at once; each slot owns its own connection (default 2).
+	// MaxInFlight is how many frames one shard may have on the wire at
+	// once; each slot owns its own connection (default 2).
 	MaxInFlight int
-	// QueueLen is the per-shard admission queue capacity (default 1024).
-	// A full queue sheds at submit time.
+	// QueueLen is the per-shard admission queue capacity in rows (default
+	// 1024). A part that does not fit sheds whole at submit time — except
+	// into an empty queue, so an oversize part is served, not starved.
 	QueueLen int
-	// QueueDeadline sheds rows that waited longer than this between
-	// submit and dispatch (default 2 ms); a row that stale is answered by
-	// the analytical fallback rather than a late model decision. Zero
-	// disables the deadline.
+	// QueueDeadline sheds parts that waited longer than this between
+	// submit and dispatch (default 2 ms): rows that stale get the
+	// analytical fallback, not a late model decision. Zero disables it.
 	QueueDeadline time.Duration
 	// MaxHops bounds how many times one row may be rerouted to another
 	// replica after dispatch failures before it sheds (default 1).
@@ -97,9 +95,6 @@ type Options struct {
 }
 
 func (o Options) withDefaults() Options {
-	if o.CoalesceWait <= 0 {
-		o.CoalesceWait = 200 * time.Microsecond
-	}
 	if o.CoalesceRows <= 0 {
 		o.CoalesceRows = 64
 	}
@@ -111,9 +106,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.QueueLen <= 0 {
 		o.QueueLen = 1024
-	}
-	if o.QueueDeadline < 0 {
-		o.QueueDeadline = 0
 	}
 	if o.MaxHops <= 0 {
 		o.MaxHops = 1
@@ -139,33 +131,50 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// call is one row in flight through the router: submitted to a shard
-// queue, coalesced into a batch, dispatched, and answered (by a replica,
-// a reroute, or the shed fallback). done closes exactly once, after dec
-// is final.
-type call struct {
-	req  serve.Request
-	enq  time.Time
-	hops int
-	dec  serve.Decision
-	done chan struct{}
+// frame is one Decide call in flight, pooled: the caller's rows, the
+// window of its decs the answers land in, and the parts still out.
+type frame struct {
+	rows  []serve.Request
+	out   []serve.Decision
+	tc    telemetry.TraceContext
+	enq   time.Time
+	synth int32 // GPU id its unkeyed rows share (cluster = row index); < 0 until drawn
+	// pending counts parts not yet answered, plus one the splitter holds
+	// while it enqueues. A part that takes it to zero sends on done (cap
+	// 1, never blocks); nothing touches the frame after its decrement.
+	pending atomic.Int32
+	done    chan struct{}
+	all     []int32 // 0, 1, 2, ...: the first split's row indexes
+	buckets []*part // split scratch: one per shard, last for unowned rows
 
-	// tc is the front-end trace context the row arrived under (zero for
-	// untraced rows); deq is when the coalescer pulled the row off the
-	// queue (stamped only for sampled rows); hop accumulates the row's
-	// per-hop latency attribution for the traced response.
-	tc  telemetry.TraceContext
-	deq time.Time
-	hop serve.HopTimings
+	hopMu sync.Mutex // guards hop; taken for sampled frames only
+	hop   serve.HopTimings
 }
 
-// shard is one replica's routing state: the admission queue, the
-// coalescer feeding batches, and the dispatchers draining them.
+func (f *frame) mergeHop(h serve.HopTimings) {
+	f.hopMu.Lock()
+	f.hop.Merge(h)
+	f.hopMu.Unlock()
+}
+
+// part is the unit of routing: the rows of one frame that one replica
+// owns. It is admitted, shed, dispatched, rerouted and answered whole,
+// and its decisions go straight into f.out[idx[i]].
+type part struct {
+	f    *frame
+	idx  []int32 // ascending row indexes into f.rows and f.out
+	hops int
+}
+
+// shard is one replica's routing state: the admission queue and the
+// dispatch slots draining it.
 type shard struct {
-	idx     int
-	addr    string
-	queue   chan *call
-	batches chan []*call
+	idx   int
+	addr  string
+	queue chan *part
+	// queued is the rows (not parts) in queue, what QueueLen bounds. Raised
+	// before the send and lowered after the receive, it never undercounts.
+	queued atomic.Int64
 	// gen is the model lineage generation the replica last advertised in
 	// hello negotiation; -1 until a hello has been seen. Refreshed on
 	// every dispatch-slot connect and on every prober tick (healthy
@@ -175,11 +184,12 @@ type shard struct {
 }
 
 // Router is the fleet serving tier: it owns the consistent-hash ring,
-// one coalescer+dispatcher pipeline per replica, admission control, and
-// the v2/v3 front-end transport. Rows enter via Decide (in-process) or
-// ServeConn (wire), are routed by their (gpu, cluster) key, coalesced
-// into multi-row v3 frames per replica, and always come back with a
-// decision — model, rerouted, or shed-to-fallback — never an error.
+// one queue and MaxInFlight dispatch slots per replica, admission control,
+// and the v2/v3 front-end transport. Frames enter via Decide (in-process)
+// or ServeConn (wire), are split once by their rows' (gpu, cluster) keys
+// into one part per owning replica, travel as multi-row v3 frames, and
+// always come back with a decision per row — model, rerouted, or
+// shed-to-fallback — never an error.
 type Router struct {
 	opts    Options
 	expect  infer.Kind // parsed Options.ExpectBackend; "" accepts any
@@ -193,6 +203,8 @@ type Router struct {
 	wg      sync.WaitGroup
 
 	synthSeq atomic.Int64 // synthetic identity for unkeyed rows
+	frames   sync.Pool    // of *frame
+	parts    sync.Pool    // of *part
 	connSeq  atomic.Int64
 
 	conns sync.Map // net.Conn → struct{}, for Close
@@ -204,8 +216,8 @@ type Router struct {
 }
 
 // NewRouter builds and starts a router over the replica set: the ring,
-// one coalescer and MaxInFlight dispatchers per shard, and the health
-// prober all start immediately.
+// MaxInFlight dispatch slots per shard, and the health prober all start
+// immediately.
 func NewRouter(opts Options) (*Router, error) {
 	opts = opts.withDefaults()
 	var expect infer.Kind
@@ -229,18 +241,17 @@ func NewRouter(opts Options) (*Router, error) {
 		shards:  make([]*shard, len(names)),
 		stop:    make(chan struct{}),
 	}
+	rt.frames.New = func() any {
+		return &frame{done: make(chan struct{}, 1), buckets: make([]*part, len(names)+1)}
+	}
+	rt.parts.New = func() any { return new(part) }
 	rt.metrics.Healthy.Set(float64(ring.Healthy()))
 	for i, addr := range names {
-		s := &shard{
-			idx:     i,
-			addr:    addr,
-			queue:   make(chan *call, opts.QueueLen),
-			batches: make(chan []*call, opts.MaxInFlight),
-		}
+		// A part holds at least one row, so QueueLen parts always fit.
+		s := &shard{idx: i, addr: addr, queue: make(chan *part, opts.QueueLen)}
 		s.gen.Store(-1)
 		rt.shards[i] = s
-		rt.wg.Add(1 + opts.MaxInFlight)
-		go rt.coalesce(s)
+		rt.wg.Add(opts.MaxInFlight)
 		for d := 0; d < opts.MaxInFlight; d++ {
 			go rt.dispatch(s)
 		}
@@ -277,259 +288,249 @@ func (rt *Router) Decide(rows []serve.Request, decs []serve.Decision) []serve.De
 	return decs
 }
 
-// DecideTraced is Decide carrying distributed-trace context: sampled
-// rows emit router.queue/coalesce/dispatch spans, propagate the context
-// to replicas that advertised tracing, and return the batch's per-hop
-// latency attribution (merged across rows as a per-field max). A zero
-// context is exactly Decide.
+// DecideTraced is Decide carrying distributed-trace context: the parts
+// of a sampled frame emit router.queue/coalesce/dispatch spans, propagate
+// the context to replicas that advertised tracing, and return the
+// frame's per-hop latency attribution (merged across parts as a
+// per-field max). A zero context is exactly Decide.
 func (rt *Router) DecideTraced(rows []serve.Request, decs []serve.Decision, tc telemetry.TraceContext) ([]serve.Decision, serve.HopTimings) {
 	rt.metrics.Requests.Add(1)
-	calls := make([]*call, len(rows))
-	for i := range rows {
-		c := &call{req: rows[i], enq: time.Now(), tc: tc, done: make(chan struct{})}
-		if c.req.GPU < 0 || c.req.Cluster < 0 {
-			seq := rt.synthSeq.Add(1)
-			c.req.GPU = int32(seq % (1 << 30))
-			c.req.Cluster = int32(i)
-		}
-		calls[i] = c
-		rt.submit(c)
+	base := len(decs)
+	decs = append(decs, make([]serve.Decision, len(rows))...)
+	f := rt.frames.Get().(*frame)
+	f.rows, f.out, f.tc, f.enq, f.synth = rows, decs[base:], tc, time.Now(), -1
+	f.pending.Store(1)
+	for len(f.all) < len(rows) {
+		f.all = append(f.all, int32(len(f.all)))
 	}
-	var hops serve.HopTimings
-	for _, c := range calls {
-		<-c.done
-		decs = append(decs, c.dec)
-		hops.Merge(c.hop)
+	rt.stopMu.RLock()
+	rt.split(f, f.all[:len(rows)], 0, f.buckets)
+	rt.stopMu.RUnlock()
+	if f.pending.Add(-1) != 0 {
+		<-f.done
 	}
+	hops := f.hop
+	f.rows, f.out, f.hop = nil, nil, serve.HopTimings{}
+	rt.frames.Put(f)
 	return decs, hops
 }
 
-// submit routes one call to its shard's admission queue, shedding on a
-// full queue, an empty ring, or a closing router. After submit the call
-// is guaranteed to complete.
-func (rt *Router) submit(c *call) {
-	rt.stopMu.RLock()
-	defer rt.stopMu.RUnlock()
-	if rt.stopped {
-		rt.shedCall(c, ShedShutdown)
-		return
+// split buckets rows idx of f by the replica that owns each key (the last
+// bucket when none does) and submits one part per bucket — and one more
+// whenever a bucket reaches serve.MaxBatch rows, all a wire frame carries.
+// Callers hold stopMu.RLock and own buckets, which split leaves empty.
+func (rt *Router) split(f *frame, idx []int32, hops int, buckets []*part) {
+	for _, i := range idx {
+		gpu, cluster := f.rows[i].GPU, f.rows[i].Cluster
+		if gpu < 0 || cluster < 0 {
+			if f.synth < 0 {
+				f.synth = int32(rt.synthSeq.Add(1) % (1 << 30))
+			}
+			gpu, cluster = f.synth, i
+		}
+		owner, ok := rt.ring.Lookup(Key(rt.ring.Seed(), gpu, cluster))
+		if !ok {
+			owner = len(rt.shards)
+		}
+		p := buckets[owner]
+		if p == nil {
+			p = rt.parts.Get().(*part)
+			p.f, p.hops = f, hops
+			buckets[owner] = p
+		}
+		if p.idx = append(p.idx, i); len(p.idx) == serve.MaxBatch {
+			buckets[owner] = nil
+			rt.submit(owner, p)
+		}
 	}
-	shardIdx, ok := rt.ring.Lookup(Key(rt.ring.Seed(), c.req.GPU, c.req.Cluster))
-	if !ok {
-		rt.shedCall(c, ShedNoReplica)
-		return
-	}
-	select {
-	case rt.shards[shardIdx].queue <- c:
-		rt.metrics.Rows.Add(1)
-		rt.metrics.Admitted()
-	default:
-		rt.shedCall(c, ShedQueueFull)
+	for owner, p := range buckets {
+		if p != nil {
+			buckets[owner] = nil
+			rt.submit(owner, p)
+		}
 	}
 }
 
-// shedCall answers one call from the analytical fallback and counts why.
+// submit hands one part to its owner's admission queue, shedding it on a
+// queue without room, an empty ring, or a closing router. After submit
+// the part is guaranteed to complete. Callers hold stopMu.RLock.
+func (rt *Router) submit(owner int, p *part) {
+	p.f.pending.Add(1)
+	cause := ShedQueueFull
+	switch n := int64(len(p.idx)); {
+	case rt.stopped:
+		cause = ShedShutdown
+	case owner == len(rt.shards):
+		cause = ShedNoReplica
+	default:
+		s := rt.shards[owner]
+		if q := s.queued.Add(n); q <= int64(rt.opts.QueueLen) || q == n {
+			s.queue <- p // never blocks: reserved rows bound queued parts; q == n found none
+			rt.metrics.Rows.Add(n)
+			rt.metrics.Admitted(n)
+			return
+		}
+		s.queued.Add(-n)
+	}
+	rt.shed(p, cause)
+}
+
+// shed answers one part from the analytical fallback and counts why.
 // Shed rows carry ReasonShed and no shard, so clients and the flight
 // recorder can tell an admission-control answer from a model answer.
-func (rt *Router) shedCall(c *call, cause string) {
-	level, pred := baselines.FallbackDecision(rt.opts.Table, c.req.Features, c.req.Preset)
-	c.dec = serve.Decision{
-		Level: level, Reason: provenance.ReasonShed, PredInstr: pred,
-		Shard: -1, Rerouted: c.hops > 0,
+func (rt *Router) shed(p *part, cause string) {
+	f := p.f
+	for _, i := range p.idx {
+		level, pred := baselines.FallbackDecision(rt.opts.Table, f.rows[i].Features, f.rows[i].Preset)
+		f.out[i] = serve.Decision{
+			Level: level, Reason: provenance.ReasonShed, PredInstr: pred,
+			Shard: -1, Rerouted: p.hops > 0,
+		}
 	}
-	rt.metrics.Shed(cause)
-	if c.tc.Sampled() {
+	rt.metrics.Shed(cause, int64(len(p.idx)))
+	if f.tc.Sampled() {
 		now := time.Now()
-		c.hop.QueueUs = serve.DurUs32(now.Sub(c.enq))
-		sp := rt.opts.Tracer.StartSpanAt(c.tc, "router.shed", c.enq, "cause", cause)
-		sp.EndAt(now)
+		f.mergeHop(serve.HopTimings{QueueUs: serve.DurUs32(now.Sub(f.enq))})
+		rt.opts.Tracer.StartSpanAt(f.tc, "router.shed", f.enq, "cause", cause).EndAt(now)
 	}
-	close(c.done)
+	rt.finish(p)
 }
 
-// coalesce is one shard's batching loop. Batching is adaptive: a batch
-// is handed off the moment a dispatch slot is free (no added latency
-// under light load), keeps absorbing queued rows while all slots are
-// busy (frames grow exactly when the wire is the bottleneck), and ships
-// regardless once it is CoalesceRows full or has lingered CoalesceWait.
-// On shutdown it sheds whatever is still queued.
-func (rt *Router) coalesce(s *shard) {
-	defer rt.wg.Done()
-	defer close(s.batches)
-	timer := time.NewTimer(time.Hour)
-	timer.Stop()
-	defer timer.Stop()
-	for {
-		var first *call
-		select {
-		case first = <-s.queue:
-		case <-rt.stop:
-			rt.drainQueue(s)
-			return
-		}
-		stampDeq(first)
-		batch := make([]*call, 1, rt.opts.CoalesceRows)
-		batch[0] = first
-		timer.Reset(rt.opts.CoalesceWait)
-		sent, expired := false, false
-		for !sent && !expired && len(batch) < rt.opts.CoalesceRows {
-			select {
-			case s.batches <- batch:
-				sent = true
-			case c := <-s.queue:
-				stampDeq(c)
-				batch = append(batch, c)
-			case <-timer.C:
-				expired = true
-			case <-rt.stop:
-				for _, c := range batch {
-					rt.shedCall(c, ShedShutdown)
-				}
-				rt.drainQueue(s)
-				return
-			}
-		}
-		if !timer.Stop() && !expired {
-			<-timer.C
-		}
-		if !sent {
-			// Full or past the linger bound: block until a slot frees.
-			select {
-			case s.batches <- batch:
-			case <-rt.stop:
-				for _, c := range batch {
-					rt.shedCall(c, ShedShutdown)
-				}
-				rt.drainQueue(s)
-				return
-			}
-		}
+// finish retires an answered part; its frame's last one wakes the caller.
+func (rt *Router) finish(p *part) {
+	f := p.f
+	p.f, p.idx = nil, p.idx[:0]
+	rt.parts.Put(p)
+	if f.pending.Add(-1) == 0 {
+		f.done <- struct{}{}
 	}
 }
 
-// drainQueue sheds everything still queued on a closing shard. Safe to
-// run to empty: Close flips stopped before closing the stop channel, so
-// no new calls can enter the queue afterwards.
-func (rt *Router) drainQueue(s *shard) {
-	for {
-		select {
-		case c := <-s.queue:
-			rt.shedCall(c, ShedShutdown)
-		default:
-			return
-		}
-	}
-}
-
-// stampDeq records when the coalescer pulled a sampled call off its
-// shard queue — the boundary between queue wait and coalesce linger.
-// Unsampled calls skip the clock read.
-func stampDeq(c *call) {
-	if c.tc.Sampled() {
-		c.deq = time.Now()
-	}
-}
-
-// dispatch is one in-flight slot for a shard: it owns one connection and
-// drains coalesced batches onto it. A failed round-trip marks the
-// replica unhealthy and reroutes the batch through the ring; rows past
-// their queue deadline shed before any bytes move.
+// dispatch is one in-flight slot for a shard: it owns one connection,
+// blocks on the shard queue for a first part, merges whatever else is
+// already queued and still fits in CoalesceRows — so frames grow only
+// while every slot is busy — and sends the lot as one frame. A failed
+// round trip marks the replica unhealthy and reroutes the parts through
+// the ring; parts past their queue deadline shed before any bytes move.
 func (rt *Router) dispatch(s *shard) {
 	defer rt.wg.Done()
-	var cl *serve.Client
-	tracing := false // did this slot's replica advertise tracing?
+	var (
+		cl      *serve.Client
+		tracing bool // did this slot's replica advertise tracing?
+		rows    []serve.Request
+		live    []*part
+		carry   *part                             // taken off the queue, but did not fit the last frame
+		buckets = make([]*part, len(rt.shards)+1) // reroute scratch
+	)
 	defer func() {
 		if cl != nil {
 			cl.Close()
 		}
 	}()
-	var rows []serve.Request
-	for batch := range s.batches {
-		// Admission deadline: a row that waited past QueueDeadline is
-		// answered by the fallback now — a late DVFS decision is worse
-		// than a safe analytical one.
-		live := batch[:0]
-		if dl := rt.opts.QueueDeadline; dl > 0 {
-			now := time.Now()
-			for _, c := range batch {
-				if now.Sub(c.enq) > dl {
-					rt.shedCall(c, ShedDeadline)
-				} else {
-					live = append(live, c)
+	for {
+		p := carry
+		carry = nil
+		if p == nil {
+			select {
+			case p = <-s.queue:
+				s.queued.Add(-int64(len(p.idx)))
+			case <-rt.stop:
+				return // Close sheds what is still queued
+			}
+		}
+		// One clock reading ends every part's queue wait (for a part carried
+		// over, the round trip it sat out included) and checks its deadline:
+		// a late DVFS decision is worse than a safe analytical one.
+		deq := time.Now()
+		live = live[:0]
+		for n := 0; p != nil; {
+			switch dl := rt.opts.QueueDeadline; {
+			case dl > 0 && deq.Sub(p.f.enq) > dl:
+				rt.shed(p, ShedDeadline)
+			case n > 0 && n+len(p.idx) > rt.opts.CoalesceRows:
+				carry = p
+			default:
+				live = append(live, p)
+				n += len(p.idx)
+			}
+			p = nil
+			if carry == nil && n < rt.opts.CoalesceRows {
+				select {
+				case p = <-s.queue:
+					s.queued.Add(-int64(len(p.idx)))
+				default:
 				}
 			}
-		} else {
-			live = batch
 		}
 		if len(live) == 0 {
 			continue
 		}
 
 		if cl == nil {
-			c, tr, err := rt.dialReplica(s)
-			if err != nil {
-				rt.replicaFailed(s, live, err)
+			var err error
+			if cl, tracing, err = rt.dialReplica(s); err != nil {
+				rt.replicaFailed(s, live, err, buckets)
 				continue
 			}
-			cl, tracing = c, tr
 		}
-		rows = rows[:0]
-		for _, c := range live {
-			rows = append(rows, c.req)
-		}
-		// The first sampled call's context parents this batch's dispatch
-		// span and rides to the replica (coalesced batches share one
-		// downstream trace; every sampled row still gets its own queue
-		// and coalesce spans below).
+		// The first sampled part's context parents this frame's dispatch
+		// span and rides to the replica (merged parts share one downstream
+		// trace; each still gets its own queue and coalesce spans below).
 		var parentTC telemetry.TraceContext
-		for _, c := range live {
-			if c.tc.Sampled() {
-				parentTC = c.tc
-				break
+		rows = rows[:0]
+		for _, p := range live {
+			f := p.f
+			if !parentTC.Sampled() && f.tc.Sampled() {
+				parentTC = f.tc
+			}
+			for _, i := range p.idx {
+				r := f.rows[i]
+				if r.GPU < 0 || r.Cluster < 0 {
+					r.GPU, r.Cluster = f.synth, i
+				}
+				rows = append(rows, r)
 			}
 		}
 		dspSp := rt.opts.Tracer.StartSpan(parentTC, "router.dispatch", "shard", s.addr)
-		var (
-			decs    []serve.Decision
-			repHops serve.HopTimings
-			err     error
-		)
-		start := time.Now()
+		var childTC telemetry.TraceContext // zero: a plain keyed frame
 		if tracing && parentTC.Sampled() {
-			childTC := parentTC
+			childTC = parentTC
 			if dspSp != nil {
 				childTC = dspSp.Context()
 			}
-			decs, repHops, err = cl.DecideKeyedTraced(rows, childTC)
-		} else {
-			decs, err = cl.DecideKeyed(rows)
 		}
+		start := time.Now()
+		decs, repHops, err := cl.DecideKeyedTraced(rows, childTC)
 		rtt := time.Since(start)
 		dspSp.End()
+		if err == nil && len(decs) != len(rows) {
+			err = fmt.Errorf("fleet: replica answered %d rows with %d decisions", len(rows), len(decs))
+		}
 		if err != nil {
 			cl.Close()
 			cl = nil
-			rt.replicaFailed(s, live, err)
+			rt.replicaFailed(s, live, err, buckets)
 			continue
 		}
-		rt.metrics.ObserveDispatchTraced(s.idx, len(live), rtt, parentTC.TraceID)
-		for i, c := range live {
-			c.dec = decs[i]
-			c.dec.Shard = s.idx
-			c.dec.Rerouted = c.hops > 0
-			if c.tc.Sampled() {
-				c.hop.QueueUs = serve.DurUs32(c.deq.Sub(c.enq))
-				c.hop.CoalesceUs = serve.DurUs32(start.Sub(c.deq))
-				c.hop.DispatchUs = serve.DurUs32(rtt)
-				c.hop.InferUs = repHops.InferUs
-				if tr := rt.opts.Tracer; tr != nil {
-					qs := tr.StartSpanAt(c.tc, "router.queue", c.enq)
-					qs.EndAt(c.deq)
-					cs := tr.StartSpanAt(c.tc, "router.coalesce", c.deq)
-					cs.EndAt(start)
-				}
+		rt.metrics.ObserveDispatchTraced(s.idx, len(rows), rtt, parentTC.TraceID)
+		for _, p := range live {
+			f := p.f
+			for _, i := range p.idx {
+				d := &f.out[i]
+				*d, decs = decs[0], decs[1:]
+				d.Shard, d.Rerouted = s.idx, p.hops > 0
 			}
-			close(c.done)
+			if f.tc.Sampled() {
+				f.mergeHop(serve.HopTimings{
+					QueueUs:    serve.DurUs32(deq.Sub(f.enq)),
+					CoalesceUs: serve.DurUs32(start.Sub(deq)),
+					DispatchUs: serve.DurUs32(rtt),
+					InferUs:    repHops.InferUs,
+				})
+				rt.opts.Tracer.StartSpanAt(f.tc, "router.queue", f.enq).EndAt(deq)
+				rt.opts.Tracer.StartSpanAt(f.tc, "router.coalesce", deq).EndAt(start)
+			}
+			rt.finish(p)
 		}
 	}
 }
@@ -579,27 +580,27 @@ func (rt *Router) checkBackend(hello serve.Hello) error {
 	return fmt.Errorf("fleet: replica advertises backend %s, router requires %q", got, rt.expect)
 }
 
-// replicaFailed marks a shard unhealthy and reroutes its in-flight calls
-// through the ring (which now skips it). Calls out of hops shed instead.
-func (rt *Router) replicaFailed(s *shard, calls []*call, err error) {
+// replicaFailed marks a shard unhealthy and re-splits its in-flight parts
+// through the ring (which now skips it, so their rows fan out to the new
+// owners) into the calling slot's buckets. Parts out of hops shed instead.
+func (rt *Router) replicaFailed(s *shard, parts []*part, err error, buckets []*part) {
 	rt.metrics.shards[s.idx].Errors.Add(1)
 	if rt.ring.SetHealthy(s.idx, false) {
 		rt.metrics.Down.Add(1)
 		rt.metrics.Healthy.Set(float64(rt.ring.Healthy()))
 		rt.opts.Logf("fleet: replica %s (shard %d) down: %v", s.addr, s.idx, err)
 	}
-	for _, c := range calls {
-		if c.hops >= rt.opts.MaxHops {
-			rt.shedCall(c, ShedNoReplica)
+	rt.stopMu.RLock()
+	defer rt.stopMu.RUnlock()
+	for _, p := range parts {
+		if p.hops >= rt.opts.MaxHops {
+			rt.shed(p, ShedNoReplica)
 			continue
 		}
-		c.hops++
-		rt.metrics.Rerouted.Add(1)
-		if c.tc.Sampled() {
-			sp := rt.opts.Tracer.StartSpan(c.tc, "router.reroute", "from", s.addr)
-			sp.End()
-		}
-		rt.submit(c)
+		rt.metrics.Rerouted.Add(int64(len(p.idx)))
+		rt.opts.Tracer.StartSpan(p.f.tc, "router.reroute", "from", s.addr).End()
+		rt.split(p.f, p.idx, p.hops+1, buckets)
+		rt.finish(p) // its successors hold the frame open
 	}
 }
 
@@ -647,9 +648,9 @@ func (rt *Router) probe() {
 	}
 }
 
-// Close shuts the router down: no new admissions, queued rows shed to
+// Close shuts the router down: no new admissions, queued parts shed to
 // the fallback, listeners and front-end connections closed, and all
-// pipeline goroutines joined.
+// dispatch goroutines joined once the frames on the wire are answered.
 func (rt *Router) Close() {
 	rt.stopMu.Lock()
 	if rt.stopped {
@@ -659,6 +660,17 @@ func (rt *Router) Close() {
 	rt.stopped = true
 	rt.stopMu.Unlock()
 	close(rt.stop)
+	// stopped flipped first, so nothing enters a queue any more and one
+	// pass empties it for good; a slot that wins a part answers it itself.
+	for _, s := range rt.shards {
+		for len(s.queue) > 0 {
+			select {
+			case p := <-s.queue:
+				rt.shed(p, ShedShutdown)
+			default:
+			}
+		}
+	}
 	rt.ls.Range(func(k, _ any) bool {
 		k.(net.Listener).Close()
 		return true
@@ -696,7 +708,7 @@ type connBuffers struct {
 }
 
 // ServeConn speaks the binary protocol to one client: v3 keyed frames
-// route per row through the ring; v2 unkeyed frames get a synthetic
+// split by row key through the ring; v2 unkeyed frames get a synthetic
 // per-connection identity so they still shard; MsgHello answers with the
 // router flag and the shard count. Mismatched peers get a structured
 // MsgError, exactly like a single daemon.

@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 	"sync"
 	"testing"
+	"time"
 
 	"ssmdvfs/internal/core"
 	"ssmdvfs/internal/counters"
@@ -128,8 +129,14 @@ func TestServeTCPEndToEnd(t *testing.T) {
 	}
 	wg.Wait()
 
-	snap := srv.Metrics().Snapshot(m.Levels)
+	// The server counts a batch after flushing its response (the latency
+	// it records includes the write), so a client can hold its last reply
+	// a moment before the count moves.
 	wantDecisions := int64(clients * batches * rowsPer)
+	for deadline := time.Now().Add(5 * time.Second); srv.Metrics().Decisions.Load() < wantDecisions && time.Now().Before(deadline); {
+		time.Sleep(100 * time.Microsecond)
+	}
+	snap := srv.Metrics().Snapshot(m.Levels)
 	if snap.Decisions != wantDecisions {
 		t.Fatalf("decisions = %d, want %d", snap.Decisions, wantDecisions)
 	}
@@ -170,7 +177,7 @@ func TestServeConnMalformedFrame(t *testing.T) {
 	// A frame with valid length but garbage payload.
 	payload := []byte("this is not a request")
 	var buf bytes.Buffer
-	if err := writeFrame(&buf, payload); err != nil {
+	if err := WriteFrame(&buf, payload); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := client.Write(buf.Bytes()); err != nil {

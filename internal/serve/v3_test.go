@@ -186,7 +186,7 @@ func TestBadMagicGetsStructuredError(t *testing.T) {
 	conn.Write(pre[:])
 	conn.Write(payload)
 
-	frame, err := readFrame(conn, nil)
+	frame, err := ReadFrame(conn, nil)
 	if err != nil {
 		t.Fatalf("no structured error frame: %v", err)
 	}
@@ -223,7 +223,7 @@ func TestVersionMismatchGetsStructuredError(t *testing.T) {
 	conn.Write(pre[:])
 	conn.Write(hello)
 
-	frame, err := readFrame(conn, nil)
+	frame, err := ReadFrame(conn, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -301,33 +301,41 @@ func checkHeader(payload []byte, wantVersion, wantType byte) error {
 	return nil
 }
 
-// writeFrame writes the length prefix and payload.
-func writeFrame(w io.Writer, payload []byte) error {
-	var n [4]byte
-	binary.BigEndian.PutUint32(n[:], uint32(len(payload)))
-	if _, err := w.Write(n[:]); err != nil {
+// writeFrame writes the length prefix and payload. The prefix is built in
+// the writer's own spare capacity: a local [4]byte handed to an io.Writer
+// escapes to the heap, one allocation per frame.
+func writeFrame(bw *bufio.Writer, payload []byte) error {
+	prefix := binary.BigEndian.AppendUint32(bw.AvailableBuffer(), uint32(len(payload)))
+	if _, err := bw.Write(prefix); err != nil {
 		return err
 	}
-	_, err := w.Write(payload)
+	_, err := bw.Write(payload)
 	return err
 }
 
 // readFrame reads one frame payload into buf (grown if needed) and
-// returns it. Oversized frames are rejected without allocation.
-func readFrame(r io.Reader, buf []byte) ([]byte, error) {
-	var n [4]byte
-	if _, err := io.ReadFull(r, n[:]); err != nil {
+// returns it. Oversized frames are rejected without allocation. The
+// prefix is peeked in place for the same reason writeFrame borrows the
+// writer's buffer; a stream that ends inside it reports what io.ReadFull
+// would: io.EOF before the first byte, io.ErrUnexpectedEOF after.
+func readFrame(br *bufio.Reader, buf []byte) ([]byte, error) {
+	prefix, err := br.Peek(4)
+	if err != nil {
+		if err == io.EOF && len(prefix) > 0 {
+			err = io.ErrUnexpectedEOF
+		}
 		return nil, err
 	}
-	size := binary.BigEndian.Uint32(n[:])
+	size := binary.BigEndian.Uint32(prefix)
 	if size > MaxFrame {
 		return nil, fmt.Errorf("serve: frame of %d bytes exceeds limit %d", size, MaxFrame)
 	}
+	br.Discard(4) // cannot fail: Peek just buffered these bytes
 	if uint32(cap(buf)) < size {
 		buf = make([]byte, size)
 	}
 	buf = buf[:size]
-	if _, err := io.ReadFull(r, buf); err != nil {
+	if _, err := io.ReadFull(br, buf); err != nil {
 		return nil, fmt.Errorf("serve: truncated frame: %w", err)
 	}
 	return buf, nil
@@ -963,11 +971,30 @@ func DecodeErrorFrame(payload []byte) error {
 }
 
 // ReadFrame and WriteFrame expose the raw frame transport for other
-// packages that speak this protocol (the fleet router's front-end).
-func ReadFrame(r io.Reader, buf []byte) ([]byte, error) { return readFrame(r, buf) }
+// packages that speak this protocol (the fleet router's front-end). Pass
+// a *bufio.Reader to read more than one frame from a stream: any other
+// reader is wrapped in one, which may read past the frame it returns.
+func ReadFrame(r io.Reader, buf []byte) ([]byte, error) {
+	br, ok := r.(*bufio.Reader)
+	if !ok {
+		br = bufio.NewReader(r)
+	}
+	return readFrame(br, buf)
+}
 
-// WriteFrame writes one length-prefixed frame payload.
-func WriteFrame(w io.Writer, payload []byte) error { return writeFrame(w, payload) }
+// WriteFrame writes one length-prefixed frame payload. A *bufio.Writer is
+// left unflushed, so frames can be batched; any other writer gets the
+// whole frame before WriteFrame returns.
+func WriteFrame(w io.Writer, payload []byte) error {
+	if bw, ok := w.(*bufio.Writer); ok {
+		return writeFrame(bw, payload)
+	}
+	bw := bufio.NewWriter(w)
+	if err := writeFrame(bw, payload); err != nil {
+		return err
+	}
+	return bw.Flush()
+}
 
 // ParseHeader validates a payload's magic and version range and returns
 // its version and message type — the dispatch step any transport speaking
@@ -991,7 +1018,7 @@ func WriteRequest(w *bufio.Writer, rows []Request) error {
 
 // ReadResponse reads one response frame from r.
 func ReadResponse(r io.Reader) ([]Decision, error) {
-	payload, err := readFrame(r, nil)
+	payload, err := ReadFrame(r, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -3,7 +3,9 @@ package serve
 import (
 	"bytes"
 	"encoding/binary"
+	"io"
 	"math/rand"
+	"net"
 	"strings"
 	"testing"
 
@@ -152,15 +154,68 @@ func decodeResp(p []byte) error {
 func TestReadFrameRejectsOversizedAndTruncated(t *testing.T) {
 	var huge bytes.Buffer
 	binary.Write(&huge, binary.BigEndian, uint32(MaxFrame+1))
-	if _, err := readFrame(&huge, nil); err == nil || !strings.Contains(err.Error(), "exceeds") {
+	if _, err := ReadFrame(&huge, nil); err == nil || !strings.Contains(err.Error(), "exceeds") {
 		t.Fatalf("oversized frame: err = %v", err)
 	}
 
 	var trunc bytes.Buffer
 	binary.Write(&trunc, binary.BigEndian, uint32(100))
 	trunc.WriteString("only a few bytes")
-	if _, err := readFrame(&trunc, nil); err == nil || !strings.Contains(err.Error(), "truncated") {
+	if _, err := ReadFrame(&trunc, nil); err == nil || !strings.Contains(err.Error(), "truncated") {
 		t.Fatalf("truncated frame: err = %v", err)
+	}
+
+	// A stream that ends at a frame boundary is a clean close; one that
+	// ends inside the length prefix is not. ServeConn tells the two apart.
+	if _, err := ReadFrame(bytes.NewReader(nil), nil); err != io.EOF {
+		t.Fatalf("empty stream: err = %v, want io.EOF", err)
+	}
+	if _, err := ReadFrame(bytes.NewReader([]byte{0, 0}), nil); err != io.ErrUnexpectedEOF {
+		t.Fatalf("stream cut inside the prefix: err = %v, want io.ErrUnexpectedEOF", err)
+	}
+}
+
+// TestRoundTripZeroAlloc pins the transport's allocation count: a warm
+// loopback DecideKeyed — client encode, write and read, server read,
+// decide and write; AllocsPerRun counts every goroutine — allocates
+// nothing, for a one-row frame and for a 64-row one.
+func TestRoundTripZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool bypasses its caches under the race detector")
+	}
+	srv, err := NewServer(testModel(t, 41), Options{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.ServeTCP(l)
+	defer srv.Close()
+	cl, err := Dial(l.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+
+	rng := rand.New(rand.NewSource(41))
+	for _, n := range []int{1, 64} {
+		rows := make([]Request, n)
+		for i := range rows {
+			rows[i] = Request{Preset: 0.1, Features: featureRow(rng), GPU: 3, Cluster: int32(i % 24)}
+		}
+		roundTrip := func() {
+			if _, err := cl.DecideKeyed(rows); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < 8; i++ {
+			roundTrip() // grow both sides' frame buffers
+		}
+		if allocs := testing.AllocsPerRun(200, roundTrip); allocs != 0 {
+			t.Errorf("%d-row DecideKeyed round trip allocates %.2f objects/op, want 0", n, allocs)
+		}
 	}
 }
 
