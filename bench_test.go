@@ -655,13 +655,13 @@ func BenchmarkServe_DecisionThroughput(b *testing.B) {
 				defer cl.Close()
 				rows := make([]serve.Request, batch)
 				for i := range rows {
-					rows[i] = serve.Request{Preset: 0.10, Features: feats}
+					rows[i] = serve.Request{Preset: 0.10, Features: feats, GPU: -1, Cluster: -1}
 				}
 				b.ResetTimer()
 				start := time.Now()
 				var decisions int64
 				for i := 0; i < b.N; i++ {
-					decs, err := cl.Decide(rows)
+					decs, err := cl.DecideKeyed(rows)
 					if err != nil {
 						b.Fatal(err)
 					}

@@ -2,7 +2,7 @@
 // replicas: it shards (gpu, cluster) decision keys across the replicas
 // on a deterministic consistent-hash ring, splits every frame once into
 // one part per owning replica and sends each part whole as a multi-row
-// v3 frame (a free dispatch slot takes everything queued for its
+// frame (a free dispatch slot takes everything queued for its
 // replica, up to -coalesce-rows; nothing lingers), sheds overload
 // into the analytical PCSTALL fallback under admission control, and
 // reroutes around replicas that die (re-admitting them when a health
@@ -31,9 +31,10 @@
 // replica answering with different numerics is taken out of the ring
 // rather than mixed into the fleet. Empty accepts any replica.
 //
-// Clients speak the same binary protocol as to a single daemon — v2
-// clients work unchanged (the router synthesizes a per-connection
-// identity), v3 clients shard per row and learn which shard answered.
+// Clients speak the same binary protocol as to a single daemon: one
+// frame, in which a row's (gpu, cluster) identity is optional. Rows that
+// carry one shard per row and learn which shard answered; rows that carry
+// none (-1/-1) shard under a synthetic key drawn once per frame.
 //
 // Endpoints:
 //

@@ -29,10 +29,13 @@
 // tests. -qps caps total decisions/second (0 = unlimited: measure peak
 // throughput).
 //
-// With -fleet the target is a dvfsfleet router (or any v3 server): every
-// frame carries a (gpu, cluster) identity so the router shards it, and
-// the exit summary adds a per-shard latency table (p50/p99/p999) plus
-// shed and reroute counts from the keyed responses.
+// There is one frame, and a row's (gpu, cluster) identity in it is
+// optional. Without -fleet rows carry none (-1/-1): a daemon answers them
+// as they stand, a router shards each frame under a synthetic key. With
+// -fleet every frame carries one (gpu, cluster) key, so the whole frame
+// routes to one shard and its latency attributes to it, and the exit
+// summary adds a per-shard latency table (p50/p99/p999) plus shed and
+// reroute counts. -fleet chooses the keys and that report, nothing else.
 package main
 
 import (
@@ -70,7 +73,7 @@ func main() {
 		qps       = flag.Float64("qps", 0, "target total decisions/second (0 = unlimited)")
 		preset    = flag.Float64("preset", 0.10, "performance-loss preset sent with every row")
 		trace     = flag.String("trace", "", "replay this dvfstrace file (CSV or JSON) instead of synthetic epochs")
-		fleetMode = flag.Bool("fleet", false, "drive a dvfsfleet router with keyed v3 frames and report per-shard latency")
+		fleetMode = flag.Bool("fleet", false, "give every frame one (gpu, cluster) key and report per-shard latency (for a dvfsfleet router)")
 		rows      = flag.Int("rows", 4096, "synthetic feature rows to generate (without -trace)")
 		seed      = flag.Int64("seed", 1, "synthetic feature seed")
 		timeout   = flag.Duration("timeout", 5*time.Second, "per-attempt connection timeout")
@@ -104,7 +107,7 @@ func main() {
 	}
 
 	// Tracing: a shared head-based sampler picks 1-in-N batches; sampled
-	// ones go out as traced v3 frames with client.send/recv spans under a
+	// ones go out as traced frames with client.send/recv spans under a
 	// load.decide root, and their per-hop attribution feeds the exit
 	// report's hop table.
 	var tracer *telemetry.Tracer
@@ -351,17 +354,7 @@ func run(addr string, conns, batch int, duration time.Duration, qps, preset floa
 					}
 				}
 				t0 := time.Now()
-				var decs []serve.Decision
-				var hops serve.HopTimings
-				var err error
-				switch {
-				case tc.Sampled():
-					decs, hops, err = cl.DecideKeyedTraced(reqs, tc)
-				case fleetMode:
-					decs, err = cl.DecideKeyed(reqs)
-				default:
-					decs, err = cl.Decide(reqs)
-				}
+				decs, hops, err := cl.DecideKeyedTraced(reqs, tc) // a zero tc is DecideKeyed
 				lat := time.Since(t0)
 				rootSp.End()
 				if err != nil {

@@ -49,7 +49,7 @@ func main() {
 	defer srv.Close()
 	fmt.Printf("daemon: binary protocol on %s\n", l.Addr())
 
-	// 3. Load: one client, batches of 24 synthetic epochs.
+	// 3. Load: one client, one GPU's 24 clusters per frame.
 	cl, err := serve.Dial(l.Addr().String())
 	if err != nil {
 		log.Fatal(err)
@@ -69,9 +69,9 @@ func main() {
 			feats[counters.IdxMH] = 60000 * m
 			feats[counters.IdxMHNL] = 5000 * m
 			feats[counters.IdxL1CRM] = 2000 * m
-			rows[i] = serve.Request{Preset: 0.10, Features: feats}
+			rows[i] = serve.Request{Preset: 0.10, Features: feats, GPU: 0, Cluster: int32(i)}
 		}
-		if _, err := cl.Decide(rows); err != nil {
+		if _, err := cl.DecideKeyed(rows); err != nil {
 			log.Fatal(err)
 		}
 		if b == batches/2 {

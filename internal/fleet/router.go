@@ -54,10 +54,10 @@ type Options struct {
 
 	// ExpectBackend, when non-empty, is the inference backend every
 	// replica must advertise in hello negotiation ("float64" or "int8").
-	// A replica answering with a different backend — including a legacy
-	// peer that advertises none — is treated as failed and taken out of
-	// the ring, so a fleet pinned to int8 never silently mixes numerics
-	// across shards. Empty accepts any replica.
+	// A replica answering with a different backend — or advertising none
+	// — is treated as failed and taken out of the ring, so a fleet pinned
+	// to int8 never silently mixes numerics across shards. Empty accepts
+	// any replica.
 	ExpectBackend string
 
 	// Table is the operating-point table shed rows fall back to; nil
@@ -185,9 +185,9 @@ type shard struct {
 
 // Router is the fleet serving tier: it owns the consistent-hash ring,
 // one queue and MaxInFlight dispatch slots per replica, admission control,
-// and the v2/v3 front-end transport. Frames enter via Decide (in-process)
-// or ServeConn (wire), are split once by their rows' (gpu, cluster) keys
-// into one part per owning replica, travel as multi-row v3 frames, and
+// and the front-end transport. Frames enter via Decide (in-process) or
+// ServeConn (wire), are split once by their rows' (gpu, cluster) keys
+// into one part per owning replica, travel as multi-row frames, and
 // always come back with a decision per row — model, rerouted, or
 // shed-to-fallback — never an error.
 type Router struct {
@@ -205,7 +205,6 @@ type Router struct {
 	synthSeq atomic.Int64 // synthetic identity for unkeyed rows
 	frames   sync.Pool    // of *frame
 	parts    sync.Pool    // of *part
-	connSeq  atomic.Int64
 
 	conns sync.Map // net.Conn → struct{}, for Close
 	ls    sync.Map // net.Listener → struct{}, for Close
@@ -290,9 +289,9 @@ func (rt *Router) Decide(rows []serve.Request, decs []serve.Decision) []serve.De
 
 // DecideTraced is Decide carrying distributed-trace context: the parts
 // of a sampled frame emit router.queue/coalesce/dispatch spans, propagate
-// the context to replicas that advertised tracing, and return the
-// frame's per-hop latency attribution (merged across parts as a
-// per-field max). A zero context is exactly Decide.
+// the context to the replicas, and return the frame's per-hop latency
+// attribution (merged across parts as a per-field max). A zero context
+// is exactly Decide.
 func (rt *Router) DecideTraced(rows []serve.Request, decs []serve.Decision, tc telemetry.TraceContext) ([]serve.Decision, serve.HopTimings) {
 	rt.metrics.Requests.Add(1)
 	base := len(decs)
@@ -416,7 +415,6 @@ func (rt *Router) dispatch(s *shard) {
 	defer rt.wg.Done()
 	var (
 		cl      *serve.Client
-		tracing bool // did this slot's replica advertise tracing?
 		rows    []serve.Request
 		live    []*part
 		carry   *part                             // taken off the queue, but did not fit the last frame
@@ -468,7 +466,7 @@ func (rt *Router) dispatch(s *shard) {
 
 		if cl == nil {
 			var err error
-			if cl, tracing, err = rt.dialReplica(s); err != nil {
+			if cl, err = rt.dialReplica(s); err != nil {
 				rt.replicaFailed(s, live, err, buckets)
 				continue
 			}
@@ -492,20 +490,14 @@ func (rt *Router) dispatch(s *shard) {
 			}
 		}
 		dspSp := rt.opts.Tracer.StartSpan(parentTC, "router.dispatch", "shard", s.addr)
-		var childTC telemetry.TraceContext // zero: a plain keyed frame
-		if tracing && parentTC.Sampled() {
-			childTC = parentTC
-			if dspSp != nil {
-				childTC = dspSp.Context()
-			}
+		childTC := parentTC // zero unless sampled: an untraced frame
+		if dspSp != nil {
+			childTC = dspSp.Context()
 		}
 		start := time.Now()
 		decs, repHops, err := cl.DecideKeyedTraced(rows, childTC)
 		rtt := time.Since(start)
 		dspSp.End()
-		if err == nil && len(decs) != len(rows) {
-			err = fmt.Errorf("fleet: replica answered %d rows with %d decisions", len(rows), len(decs))
-		}
 		if err != nil {
 			cl.Close()
 			cl = nil
@@ -536,27 +528,24 @@ func (rt *Router) dispatch(s *shard) {
 }
 
 // dialReplica connects one dispatch slot to its replica and negotiates
-// the protocol, reporting whether the peer advertised the tracing
-// capability. Traced frames are only sent to peers that did — v2/v3
-// replicas without tracing keep getting plain keyed frames. When the
-// router pins a backend, a replica advertising any other is a dial
-// failure: it leaves the ring rather than answer with the wrong numerics.
-func (rt *Router) dialReplica(s *shard) (*serve.Client, bool, error) {
+// the protocol. When the router pins a backend, a replica advertising any
+// other is a dial failure: it leaves the ring rather than answer with the
+// wrong numerics.
+func (rt *Router) dialReplica(s *shard) (*serve.Client, error) {
 	cl, err := serve.DialContext(context.Background(), s.addr, rt.opts.Dial)
 	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
 	hello, err := cl.Negotiate()
+	if err == nil {
+		err = rt.checkBackend(hello)
+	}
 	if err != nil {
 		cl.Close()
-		return nil, false, err
-	}
-	if err := rt.checkBackend(hello); err != nil {
-		cl.Close()
-		return nil, false, err
+		return nil, err
 	}
 	rt.noteGeneration(s, hello)
-	return cl, hello.Tracing, nil
+	return cl, nil
 }
 
 // noteGeneration records the model lineage generation a replica
@@ -567,17 +556,13 @@ func (rt *Router) noteGeneration(s *shard, hello serve.Hello) {
 }
 
 // checkBackend verifies a replica's advertised backend against the
-// router's pin. A legacy peer advertises nothing and fails a pinned
-// check — it might be serving anything.
+// router's pin. A peer that advertises nothing fails a pinned check — it
+// might be serving anything.
 func (rt *Router) checkBackend(hello serve.Hello) error {
 	if rt.opts.ExpectBackend == "" || hello.Backend == rt.expect {
 		return nil
 	}
-	got := string(hello.Backend)
-	if got == "" {
-		got = "none (legacy peer)"
-	}
-	return fmt.Errorf("fleet: replica advertises backend %s, router requires %q", got, rt.expect)
+	return fmt.Errorf("fleet: replica advertises backend %q, router requires %q", hello.Backend, rt.expect)
 }
 
 // replicaFailed marks a shard unhealthy and re-splits its in-flight parts
@@ -699,129 +684,45 @@ func (rt *Router) ServeTCP(l net.Listener) error {
 	}
 }
 
-// connBuffers is per-connection front-end scratch.
-type connBuffers struct {
-	frame []byte
-	rows  []serve.Request
-	out   []byte
-	decs  []serve.Decision
-}
-
-// ServeConn speaks the binary protocol to one client: v3 keyed frames
-// split by row key through the ring; v2 unkeyed frames get a synthetic
-// per-connection identity so they still shard; MsgHello answers with the
-// router flag and the shard count. Mismatched peers get a structured
-// MsgError, exactly like a single daemon.
+// ServeConn speaks the binary protocol to one client, with the router as
+// the serve.Endpoint behind it: request frames are split by row key
+// through the ring, a hello is answered with the router flag and the
+// shard count, and a peer that breaks the protocol gets a structured
+// error frame before the connection drops, exactly like a single daemon.
 func (rt *Router) ServeConn(conn net.Conn) {
 	rt.conns.Store(conn, struct{}{})
 	defer func() {
 		rt.conns.Delete(conn)
 		conn.Close()
 	}()
-	connID := int32(rt.connSeq.Add(1) % (1 << 30))
 	br := bufio.NewReaderSize(conn, 64<<10)
 	bw := bufio.NewWriterSize(conn, 64<<10)
-	bufs := &connBuffers{}
+	var fs serve.FrameScratch
+	var frame []byte
 	for {
-		frame, err := serve.ReadFrame(br, bufs.frame)
-		if err != nil {
-			return
-		}
-		bufs.frame = frame[:cap(frame)]
-		if !rt.serveFrame(bw, bufs, connID, frame) {
-			return
-		}
-	}
-}
-
-// serveFrame answers one front-end frame, reporting whether the
-// connection is still usable.
-func (rt *Router) serveFrame(bw *bufio.Writer, bufs *connBuffers, connID int32, frame []byte) bool {
-	_, msgType, err := serve.ParseHeader(frame)
-	if err != nil {
-		rt.writeError(bw, err)
-		return false
-	}
-	switch msgType {
-	case serve.MsgHello:
-		minVer, maxVer, err := serve.DecodeHelloFrame(frame)
-		if err != nil {
-			rt.writeError(bw, err)
-			return false
-		}
-		if int(minVer) > serve.VersionMax || int(maxVer) < serve.VersionMin {
-			rt.writeError(bw, &serve.ProtoError{Code: serve.ErrCodeVersion,
-				Msg: fmt.Sprintf("no common version: client %d..%d, router %d..%d",
-					minVer, maxVer, serve.VersionMin, serve.VersionMax)})
-			return false
-		}
-		ver := serve.VersionMax
-		if int(maxVer) < ver {
-			ver = int(maxVer)
-		}
-		bufs.out = serve.AppendHelloAckFrame(bufs.out[:0],
-			serve.Hello{Version: ver, Router: true, Shards: len(rt.shards),
-				Tracing: ver >= serve.Version3})
-		return serve.WriteFrame(bw, bufs.out) == nil && bw.Flush() == nil
-
-	case serve.MsgDecide, serve.MsgDecideKeyed, serve.MsgDecideTraced:
-		keyed := msgType != serve.MsgDecide
-		var rows []serve.Request
-		var tc telemetry.TraceContext
-		switch msgType {
-		case serve.MsgDecideTraced:
-			rows, tc, err = serve.DecodeTracedRequestFrame(frame, bufs.rows)
-		case serve.MsgDecideKeyed:
-			rows, err = serve.DecodeKeyedRequestFrame(frame, bufs.rows)
-		default:
-			rows, err = serve.DecodeRequestFrame(frame, bufs.rows)
-		}
-		if err != nil {
-			rt.writeError(bw, &serve.ProtoError{Code: serve.ErrCodeBadFrame, Msg: err.Error()})
-			return false
-		}
-		bufs.rows = rows
-		if !keyed {
-			// v2 rows carry no identity: synthesize a stable one from the
-			// connection and row index so they shard consistently.
-			for i := range rows {
-				rows[i].GPU = connID
-				rows[i].Cluster = int32(i)
+		var err error
+		if frame, err = serve.ReadFrame(br, frame); err != nil {
+			if refusal := fs.Refuse(err); refusal != nil { // an oversized length prefix
+				serve.WriteFrame(bw, refusal) // best effort: the connection drops either way
 			}
+			return // anything else: the client hung up
 		}
-		var hops serve.HopTimings
-		bufs.decs, hops = rt.DecideTraced(rows, bufs.decs[:0], tc)
-		var out []byte
-		switch msgType {
-		case serve.MsgDecideTraced:
-			out, err = serve.AppendTracedResponseFrame(bufs.out[:0], serve.StatusOK, bufs.decs, tc.TraceID, hops)
-		case serve.MsgDecideKeyed:
-			out, err = serve.AppendKeyedResponseFrame(bufs.out[:0], serve.StatusOK, bufs.decs)
-		default:
-			out, err = serve.AppendResponseFrame(bufs.out[:0], serve.StatusOK, bufs.decs)
+		reply, _, _, err := fs.Answer(frame, rt, time.Now())
+		if serve.WriteFrame(bw, reply) != nil || err != nil {
+			return
 		}
-		if err != nil {
-			return false
-		}
-		bufs.out = out
-		return serve.WriteFrame(bw, out) == nil && bw.Flush() == nil
-
-	default:
-		rt.writeError(bw, &serve.ProtoError{Code: serve.ErrCodeBadFrame,
-			Msg: fmt.Sprintf("unexpected message type %d", msgType)})
-		return false
 	}
 }
 
-// writeError best-effort sends a structured protocol error frame.
-func (rt *Router) writeError(bw *bufio.Writer, err error) {
-	var pe *serve.ProtoError
-	if !errors.As(err, &pe) {
-		pe = &serve.ProtoError{Code: serve.ErrCodeBadFrame, Msg: err.Error()}
-	}
-	if werr := serve.WriteFrame(bw, serve.AppendErrorFrame(nil, pe.Code, pe.Msg)); werr == nil {
-		bw.Flush()
-	}
+// HelloAck describes the router in negotiation.
+func (rt *Router) HelloAck() serve.Hello {
+	return serve.Hello{Router: true, Shards: len(rt.shards)}
+}
+
+// DecideFrame answers one front-end request frame: DecideTraced, which
+// takes its own clock reading on entry.
+func (rt *Router) DecideFrame(rows []serve.Request, decs []serve.Decision, tc telemetry.TraceContext, _ time.Time) ([]serve.Decision, serve.HopTimings) {
+	return rt.DecideTraced(rows, decs, tc)
 }
 
 // Handler returns the router's HTTP surface:

@@ -115,7 +115,8 @@ func startFleet(tb testing.TB, n int, opts Options) (*Router, []*serve.Server) {
 
 // TestRouterRoutesByKey checks the whole tier end to end over the wire:
 // negotiation reports a router, every keyed row is answered by the model
-// on the shard the ring owns its key to, and v2 clients work unchanged.
+// on the shard the ring owns its key to, and rows without identity shard
+// under a synthetic key.
 func TestRouterRoutesByKey(t *testing.T) {
 	rt, _ := startFleet(t, 3, Options{Seed: 42})
 	l, err := net.Listen("tcp", "127.0.0.1:0")
@@ -134,8 +135,8 @@ func TestRouterRoutesByKey(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !hello.Router || hello.Shards != 3 || hello.Version != serve.VersionMax {
-		t.Fatalf("negotiation = %+v, want router with 3 shards at v%d", hello, serve.VersionMax)
+	if !hello.Router || hello.Shards != 3 || !hello.Tracing {
+		t.Fatalf("negotiation = %+v, want a tracing router with 3 shards", hello)
 	}
 
 	rng := rand.New(rand.NewSource(1))
@@ -166,15 +167,20 @@ func TestRouterRoutesByKey(t *testing.T) {
 		}
 	}
 
-	// The same connection still speaks v2; identity is synthesized
-	// router-side so the rows shard and the response drops shard info.
-	v2, err := cl.Decide(rows[:4])
+	// Rows without identity ride the same frame: the router draws one
+	// synthetic key per frame, so they shard (cluster = row index) and come
+	// back from the model with the real shard that answered.
+	unkeyed := make([]serve.Request, 4)
+	for i := range unkeyed {
+		unkeyed[i] = serve.Request{Preset: 0.1, Features: rows[i].Features, GPU: -1, Cluster: -1}
+	}
+	decs, err = cl.DecideKeyed(unkeyed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, d := range v2 {
-		if d.Reason != provenance.ReasonModel || d.Shard != -1 {
-			t.Fatalf("v2 row %d = %+v", i, d)
+	for i, d := range decs {
+		if d.Reason != provenance.ReasonModel || d.Shard < 0 || d.Shard >= 3 || d.Rerouted {
+			t.Fatalf("unkeyed row %d = %+v, want a model answer from a real shard", i, d)
 		}
 	}
 	if got := rt.Metrics().Rows.Load(); got != int64(len(rows)+4) {

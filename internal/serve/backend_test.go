@@ -128,9 +128,9 @@ func TestSwapRejectsCorruptBackend(t *testing.T) {
 	}
 }
 
-// TestHelloAckAdvertisesBackend covers the negotiation advertisement in
-// both encodings: a live exchange against an int8 server, the wire-level
-// round trip, and a legacy 4-byte ack body decoding with no backend.
+// TestHelloAckAdvertisesBackend covers the negotiation advertisement: a
+// live exchange against an int8 server, the wire-level round trip, and
+// the one ack length — a shorter (once "legacy") body is refused.
 func TestHelloAckAdvertisesBackend(t *testing.T) {
 	srv, err := NewServer(testModel(t, 26), Options{Backend: "int8"})
 	if err != nil {
@@ -148,7 +148,7 @@ func TestHelloAckAdvertisesBackend(t *testing.T) {
 		t.Fatalf("negotiated backend = %q, want %q", hello.Backend, infer.KindInt8)
 	}
 
-	frame := AppendHelloAckFrame(nil, Hello{Version: Version3, Backend: infer.KindFloat64})
+	frame := AppendHelloAckFrame(nil, Hello{Version: Version, Backend: infer.KindFloat64})
 	got, err := DecodeHelloAckFrame(frame)
 	if err != nil {
 		t.Fatal(err)
@@ -157,13 +157,14 @@ func TestHelloAckAdvertisesBackend(t *testing.T) {
 		t.Fatalf("round-tripped backend = %q, want %q", got.Backend, infer.KindFloat64)
 	}
 
-	// A peer that predates the backend byte sends a 4-byte body; the
-	// decode must accept it and report no advertisement.
-	legacy, err := DecodeHelloAckFrame(frame[:headerLen+4])
-	if err != nil {
-		t.Fatalf("legacy hello-ack rejected: %v", err)
+	// The ack has one length. The 4- and 5-byte bodies (10- and 11-byte frames)
+	// older peers sent are truncated frames like any other.
+	for _, n := range []int{headerLen + 4, headerLen + 5, len(frame) - 1} {
+		if _, err := DecodeHelloAckFrame(frame[:n]); err == nil {
+			t.Fatalf("%d-byte hello-ack accepted", n)
+		}
 	}
-	if legacy.Backend != "" {
-		t.Fatalf("legacy hello-ack backend = %q, want empty", legacy.Backend)
+	if _, err := DecodeHelloAckFrame(append(frame, 0)); err == nil {
+		t.Fatal("padded hello-ack accepted")
 	}
 }

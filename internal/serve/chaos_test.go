@@ -110,7 +110,7 @@ func TestChaosServingUnderFaults(t *testing.T) {
 				if b%10 == 5 {
 					rows[b%rowsPer].Features[3] = math.NaN() // hostile input rides along
 				}
-				decs, err := cl.Decide(rows)
+				decs, err := cl.DecideKeyed(rows)
 				if err != nil {
 					t.Errorf("client %d batch %d: %v", c, b, err)
 					return
@@ -209,7 +209,7 @@ func TestChaosServingUnderFaults(t *testing.T) {
 	}
 	defer cl.Close()
 	rng := rand.New(rand.NewSource(99))
-	if _, err := cl.Decide([]Request{{Preset: 0.1, Features: featureRow(rng)}}); err != nil {
+	if _, err := cl.DecideKeyed([]Request{{Preset: 0.1, Features: featureRow(rng)}}); err != nil {
 		t.Fatalf("post-chaos request: %v", err)
 	}
 
@@ -250,7 +250,7 @@ func TestClientReconnectOnDrop(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	rows := []Request{{Preset: 0.1, Features: featureRow(rng)}}
 	for b := 0; b < 12; b++ {
-		if _, err := cl.Decide(rows); err != nil {
+		if _, err := cl.DecideKeyed(rows); err != nil {
 			t.Fatalf("batch %d: %v", b, err)
 		}
 	}
@@ -297,7 +297,7 @@ func TestClientDialRetry(t *testing.T) {
 	}
 	defer cl.Close()
 	rng := rand.New(rand.NewSource(42))
-	if _, err := cl.Decide([]Request{{Preset: 0.1, Features: featureRow(rng)}}); err != nil {
+	if _, err := cl.DecideKeyed([]Request{{Preset: 0.1, Features: featureRow(rng)}}); err != nil {
 		t.Fatal(err)
 	}
 }

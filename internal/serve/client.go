@@ -73,22 +73,13 @@ type Client struct {
 	reconnects int64
 
 	// tracer, when set, emits client.send/client.recv spans for sampled
-	// traced requests. lastHops holds the per-hop attribution of the most
-	// recent traced response.
-	tracer   *telemetry.Tracer
-	lastHops HopTimings
+	// traced requests.
+	tracer *telemetry.Tracer
 
 	frame []byte
 	req   []byte
 	decs  []Decision
 }
-
-// request kinds for the exchange/roundTrip retry loop.
-const (
-	kindPlain = iota
-	kindKeyed
-	kindTraced
-)
 
 // Dial connects to a daemon's binary-protocol address with the default
 // options (one 5 s attempt, no retries).
@@ -200,67 +191,51 @@ func backoffDelay(base time.Duration, attempt int, addr string) time.Duration {
 	return time.Duration(float64(d) * frac)
 }
 
-// Decide sends one batch and waits for its decisions, reconnecting and
-// re-sending on connection failures when retries are configured. The
-// returned slice is reused by the next Decide call.
-func (c *Client) Decide(rows []Request) ([]Decision, error) {
-	req, err := AppendRequestFrame(c.req[:0], rows)
+// DecideKeyed sends one batch and waits for its decisions, reconnecting
+// and re-sending on connection failures when retries are configured. Rows
+// carry their (gpu, cluster) identity, or -1/-1 for none, and every
+// returned decision says which fleet shard answered it and whether it was
+// rerouted; against a plain daemon the decisions come back with
+// Shard == -1. The returned slice is reused by the next call.
+func (c *Client) DecideKeyed(rows []Request) ([]Decision, error) {
+	req, err := appendRequest(c.req[:0], rows, nil)
 	if err != nil {
 		// Encoding failures are caller bugs (bad batch shape), not
 		// transport faults — never retried.
 		return nil, err
 	}
 	c.req = req
-	return c.exchange(req, kindPlain, telemetry.TraceContext{})
+	decs, _, err := c.exchange(req, len(rows), MsgDecisionsKeyed, telemetry.TraceContext{})
+	return decs, err
 }
 
-// DecideKeyed sends one keyed batch over the v3 protocol — every row
-// carries its (gpu, cluster) identity, and every returned decision says
-// which fleet shard answered it and whether it was rerouted. Against a
-// plain daemon the decisions come back with Shard == -1.
-func (c *Client) DecideKeyed(rows []Request) ([]Decision, error) {
-	req, err := AppendKeyedRequestFrame(c.req[:0], rows)
-	if err != nil {
-		return nil, err
-	}
-	c.req = req
-	return c.exchange(req, kindKeyed, telemetry.TraceContext{})
-}
-
-// DecideKeyedTraced sends one keyed batch carrying distributed-trace
-// context and returns the server's per-hop latency attribution alongside
-// the decisions. An invalid (zero) context degrades to exactly
-// DecideKeyed — the unsampled hot path pays nothing. The peer must have
-// advertised tracing in its hello-ack (Negotiate), otherwise the traced
-// frame is refused.
+// DecideKeyedTraced sends one batch carrying distributed-trace context
+// and returns the server's per-hop latency attribution alongside the
+// decisions. An invalid (zero) context degrades to exactly DecideKeyed —
+// the unsampled hot path pays nothing.
 func (c *Client) DecideKeyedTraced(rows []Request, tc telemetry.TraceContext) ([]Decision, HopTimings, error) {
 	if !tc.Valid() {
 		decs, err := c.DecideKeyed(rows)
 		return decs, HopTimings{}, err
 	}
-	req, err := AppendTracedRequestFrame(c.req[:0], rows, tc)
+	req, err := appendRequest(c.req[:0], rows, &tc)
 	if err != nil {
 		return nil, HopTimings{}, err
 	}
 	c.req = req
-	c.lastHops = HopTimings{}
-	decs, err := c.exchange(req, kindTraced, tc)
-	return decs, c.lastHops, err
+	return c.exchange(req, len(rows), MsgDecisionsTraced, tc)
 }
 
-// Negotiate performs the v3 hello/ack exchange and returns the server's
-// answer: the agreed protocol version, whether the peer is a fleet
-// router, and its shard count. A server outside the client's version
-// range answers with a structured *ProtoError instead of dropping the
+// Negotiate performs the hello/ack exchange and returns the server's
+// answer: the protocol version, whether the peer is a fleet router, its
+// shard count, backend and model generation. A server that does not speak
+// Version answers with a structured *ProtoError instead of dropping the
 // connection.
 func (c *Client) Negotiate() (Hello, error) {
-	if err := writeFrame(c.bw, AppendHelloFrame(nil, VersionMin, VersionMax)); err != nil {
+	if err := WriteFrame(c.bw, AppendHelloFrame(nil, Version, Version)); err != nil {
 		return Hello{}, err
 	}
-	if err := c.bw.Flush(); err != nil {
-		return Hello{}, err
-	}
-	frame, err := readFrame(c.br, c.frame)
+	frame, err := ReadFrame(c.br, c.frame)
 	if err != nil {
 		return Hello{}, err
 	}
@@ -268,78 +243,74 @@ func (c *Client) Negotiate() (Hello, error) {
 	return DecodeHelloAckFrame(frame)
 }
 
-// exchange runs the request/response retry loop shared by Decide,
-// DecideKeyed and DecideKeyedTraced.
-func (c *Client) exchange(req []byte, kind int, tc telemetry.TraceContext) ([]Decision, error) {
+// exchange runs the request/response retry loop for one encoded request
+// of n rows whose response must be of type wantType.
+func (c *Client) exchange(req []byte, n int, wantType byte, tc telemetry.TraceContext) ([]Decision, HopTimings, error) {
 	var lastErr error
 	for attempt := 0; attempt <= c.opts.Retries; attempt++ {
 		if attempt > 0 {
 			if err := c.backoffSleep(attempt - 1); err != nil {
-				return nil, err
+				return nil, HopTimings{}, err
 			}
 			if c.addr == "" {
-				return nil, lastErr // NewClient-wrapped conns cannot reconnect
+				return nil, HopTimings{}, lastErr // NewClient-wrapped conns cannot reconnect
 			}
 			if err := c.dialOnce(); err != nil {
 				lastErr = err
 				continue
 			}
 		}
-		decs, err := c.roundTrip(req, kind, tc)
+		decs, hops, err := c.roundTrip(req, n, wantType, tc)
 		if err == nil {
-			return decs, nil
+			return decs, hops, nil
 		}
 		var pe *ProtoError
 		if errors.As(err, &pe) {
 			// A structured refusal is authoritative — the server will say
 			// the same thing again; do not burn retries on it.
-			return nil, err
+			return nil, HopTimings{}, err
 		}
 		lastErr = err
 		// The stream can no longer be trusted (half-written frame,
-		// truncated response): drop the connection before retrying.
+		// truncated or miscounted response): drop the connection before
+		// retrying.
 		c.conn.Close()
 	}
-	return nil, lastErr
+	return nil, HopTimings{}, lastErr
 }
 
-func (c *Client) roundTrip(req []byte, kind int, tc telemetry.TraceContext) ([]Decision, error) {
+func (c *Client) roundTrip(req []byte, n int, wantType byte, tc telemetry.TraceContext) ([]Decision, HopTimings, error) {
 	if err := c.opts.Faults.Inject(FaultClientIO); err != nil {
-		return nil, err
+		return nil, HopTimings{}, err
 	}
 	sendSp := c.tracer.StartSpan(tc, "client.send")
-	if err := writeFrame(c.bw, req); err != nil {
-		sendSp.End()
-		return nil, err
-	}
-	err := c.bw.Flush()
+	err := WriteFrame(c.bw, req)
 	sendSp.End()
 	if err != nil {
-		return nil, err
+		return nil, HopTimings{}, err
 	}
 	recvSp := c.tracer.StartSpan(tc, "client.recv")
-	frame, err := readFrame(c.br, c.frame)
+	frame, err := ReadFrame(c.br, c.frame)
 	recvSp.End()
 	if err != nil {
-		return nil, err
+		var pe *ProtoError
+		if errors.As(err, &pe) {
+			// An oversized prefix is this stream gone bad, not the peer's
+			// refusal: retryable like any other read error.
+			err = fmt.Errorf("serve: reading response: %s", pe.Msg)
+		}
+		return nil, HopTimings{}, err
 	}
 	c.frame = frame[:cap(frame)]
-	var decs []Decision
-	switch kind {
-	case kindTraced:
-		var hops HopTimings
-		decs, hops, err = DecodeTracedResponseFrame(frame, c.decs)
-		c.lastHops = hops
-	case kindKeyed:
-		decs, err = DecodeKeyedResponseFrame(frame, c.decs)
-	default:
-		decs, err = DecodeResponseFrame(frame, c.decs)
-	}
+	decs, hops, err := decodeResponse(frame, c.decs, wantType)
 	if err != nil {
-		return nil, err
+		return nil, HopTimings{}, err
 	}
 	c.decs = decs
-	return decs, nil
+	if len(decs) != n {
+		return nil, HopTimings{}, fmt.Errorf("serve: peer answered %d rows with %d decisions", n, len(decs))
+	}
+	return decs, hops, nil
 }
 
 // Close closes the underlying connection.

@@ -40,7 +40,7 @@ func TestDegradeInvalidRowsBinary(t *testing.T) {
 	rows[5].Features[10] = -2e15 // beyond ±maxFeature
 	rows[6].Preset = math.NaN()
 
-	decs, err := NewClient(client).Decide(rows)
+	decs, err := NewClient(client).DecideKeyed(rows)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -59,7 +59,7 @@ type Options struct {
 // Engine is the transport-agnostic decision core: a hot-swappable model,
 // the bounded worker pool, the degradation state machine, the analytical
 // fallback, metrics, and optional decision provenance. Every transport —
-// the v2 single-client frames, the v3 keyed batch frames a fleet router
+// a client's binary frames, the multi-row frames a fleet router
 // coalesces, and HTTP — feeds the same Engine, so single-row and batched
 // traffic share one set of guarantees: DecideBatch never returns fewer
 // decisions than rows and never panics.
@@ -210,9 +210,9 @@ func (e *Engine) SetShadow(obs ShadowObserver) {
 // realized relative error (pred-actual)/pred into that record
 // (HasPredErr). This is what feeds the quality monitor's rolling MAPE
 // from live traffic alone — no offline labels — assuming each keyed
-// client streams consecutive epochs, which the v3 fleet transport does.
-// Unkeyed (v2/HTTP) rows carry no identity and are skipped. Must be
-// called before the engine starts answering decisions.
+// client streams consecutive epochs, which the fleet transport does.
+// Rows without identity (-1/-1 on the wire, all of HTTP) are skipped.
+// Must be called before the engine starts answering decisions.
 func (e *Engine) EnablePredFeedback() {
 	e.fbOn = true
 	e.fb = make(map[int64]float64, 256)
@@ -566,8 +566,8 @@ func (e *Engine) observeRows(sc *obsScratch, rows []Request, decs []Decision, st
 	latency := int64(time.Since(start))
 	for k, row := range rows {
 		rec, d := &recs[k], decs[k]
-		// v3 keyed rows carry the requesting cluster; v2 rows decode with -1
-		// (not applicable). The serving transports carry no epoch identity.
+		// Rows carry the requesting cluster, or -1 for none. The serving
+		// transports carry no epoch identity.
 		rec.Cluster = row.Cluster
 		rec.Epoch = -1
 		rec.Level = int32(d.Level)

@@ -1,0 +1,395 @@
+package serve
+
+import (
+	"bufio"
+	"bytes"
+	"encoding/binary"
+	"encoding/json"
+	"errors"
+	"io"
+	"math/rand"
+	"net"
+	"net/http"
+	"net/http/httptest"
+	"strings"
+	"testing"
+
+	"ssmdvfs/internal/faults"
+	"ssmdvfs/internal/provenance"
+	"ssmdvfs/internal/telemetry"
+)
+
+func TestKeyedFrameRoundTrip(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	rows := []Request{
+		{Preset: 0.1, Features: featureRow(rng), GPU: 0, Cluster: 0},
+		{Preset: 0.2, Features: featureRow(rng), GPU: 17, Cluster: 23},
+		{Preset: 0.3, Features: featureRow(rng), GPU: 1 << 20, Cluster: 5},
+	}
+	payload, err := AppendKeyedRequestFrame(nil, rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := DecodeKeyedRequestFrame(payload, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(rows) {
+		t.Fatalf("decoded %d rows, want %d", len(got), len(rows))
+	}
+	for i := range got {
+		if got[i].GPU != rows[i].GPU || got[i].Cluster != rows[i].Cluster || got[i].Preset != rows[i].Preset {
+			t.Fatalf("row %d = (%d,%d,%g), want (%d,%d,%g)",
+				i, got[i].GPU, got[i].Cluster, got[i].Preset, rows[i].GPU, rows[i].Cluster, rows[i].Preset)
+		}
+		for j := range got[i].Features {
+			if got[i].Features[j] != rows[i].Features[j] {
+				t.Fatalf("row %d feature %d differs", i, j)
+			}
+		}
+	}
+
+	decs := []Decision{
+		{Level: 3, Reason: provenance.ReasonModel, PredInstr: 42.5, Shard: 0},
+		{Level: 5, Reason: provenance.ReasonShed, PredInstr: 17, Shard: -1},
+		{Level: 1, Reason: provenance.ReasonModel, PredInstr: 9, Shard: 2, Rerouted: true},
+	}
+	rp, err := AppendKeyedResponseFrame(nil, StatusOK, decs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	back, err := DecodeKeyedResponseFrame(rp, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range back {
+		if back[i] != decs[i] {
+			t.Fatalf("decision %d = %+v, want %+v", i, back[i], decs[i])
+		}
+	}
+}
+
+// listenServer starts srv on a loopback listener and returns its address.
+func listenServer(t *testing.T, srv *Server) string {
+	t.Helper()
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.ServeTCP(l)
+	t.Cleanup(srv.Close)
+	return l.Addr().String()
+}
+
+// expectRefusal writes raw bytes to the binary port at addr and expects a
+// MsgError frame with the given code back, then EOF: the structured
+// refusal, not a hung read and not a silent close.
+func expectRefusal(t *testing.T, addr string, raw []byte, code int) {
+	t.Helper()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := conn.Write(raw); err != nil {
+		t.Fatal(err)
+	}
+	br := bufio.NewReader(conn)
+	frame, err := ReadFrame(br, nil)
+	if err != nil {
+		t.Fatalf("no structured error frame: %v", err)
+	}
+	if msgType, err := parseHeader(frame); err != nil || msgType != MsgError {
+		t.Fatalf("reply is type %d (%v), want MsgError", msgType, err)
+	}
+	var pe *ProtoError
+	if perr := DecodeErrorFrame(frame); !errors.As(perr, &pe) || pe.Code != code {
+		t.Fatalf("got %v, want ProtoError code %d", perr, code)
+	}
+	if _, err := ReadFrame(br, nil); err != io.EOF {
+		t.Fatalf("after the refusal: %v, want EOF", err)
+	}
+}
+
+// framed prefixes payload with its length.
+func framed(payload []byte) []byte {
+	return append(binary.BigEndian.AppendUint32(nil, uint32(len(payload))), payload...)
+}
+
+// TestRowsWithoutIdentityRoundTrip: gpu = cluster = -1 is how the one
+// frame spells "no identity". It survives the codec, and a daemon answers
+// it from the model with no shard (what a router does with it is
+// fleet.TestRouterRoutesByKey's tail).
+func TestRowsWithoutIdentityRoundTrip(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	rows := []Request{
+		{Preset: 0.1, Features: featureRow(rng), GPU: -1, Cluster: -1},
+		{Preset: 0.2, Features: featureRow(rng), GPU: 4, Cluster: 3},
+	}
+	payload, err := AppendKeyedRequestFrame(nil, rows)
+	if err != nil {
+		t.Fatalf("row without identity refused by the encoder: %v", err)
+	}
+	got, err := DecodeKeyedRequestFrame(payload, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got[0].GPU != -1 || got[0].Cluster != -1 || got[1].GPU != 4 || got[1].Cluster != 3 {
+		t.Fatalf("identities after the round trip: (%d,%d) (%d,%d)", got[0].GPU, got[0].Cluster, got[1].GPU, got[1].Cluster)
+	}
+
+	srv, err := NewServer(testModel(t, 30), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.EnableProvenance(16, provenance.MonitorOptions{})
+	cl, err := Dial(listenServer(t, srv))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	decs, err := cl.DecideKeyed(rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, d := range decs {
+		if d.Shard != -1 || d.Rerouted || d.Reason != provenance.ReasonModel {
+			t.Fatalf("decision %d = %+v, want a model answer with no shard", i, d)
+		}
+	}
+	if recs := srv.FlightRecorder().Snapshot(nil); len(recs) != 2 || recs[0].Cluster != -1 || recs[1].Cluster != 3 {
+		t.Fatalf("flight recorder saw %+v, want clusters -1 and 3", recs)
+	}
+}
+
+// TestServeConnNegotiatesThenServes drives one connection through hello
+// negotiation, a keyed request, and a traced request — the same engine
+// must answer all three, each in the request's own kind.
+func TestServeConnNegotiatesThenServes(t *testing.T) {
+	srv, err := NewServer(testModel(t, 31), Options{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl, err := Dial(listenServer(t, srv))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+
+	hello, err := cl.Negotiate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hello.Version != Version || !hello.Tracing {
+		t.Fatalf("negotiated %+v, want version %d with tracing", hello, Version)
+	}
+	if hello.Router {
+		t.Fatal("daemon claims to be a router")
+	}
+
+	rng := rand.New(rand.NewSource(31))
+	rows := []Request{{Preset: 0.1, Features: featureRow(rng), GPU: 2, Cluster: 7}}
+
+	// Keyed: a plain daemon answers with no shard identity but accepts
+	// the keys.
+	decs, err := cl.DecideKeyed(rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(decs) != 1 || decs[0].Shard != -1 || decs[0].Rerouted || decs[0].Reason != provenance.ReasonModel {
+		t.Fatalf("keyed decision = %+v", decs)
+	}
+	keyed := decs[0]
+
+	// Traced on the same connection: the same decision, plus the
+	// inference hop's attribution.
+	decs, _, err = cl.DecideKeyedTraced(rows, telemetry.TraceContext{TraceID: 77, SpanID: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(decs) != 1 || decs[0] != keyed {
+		t.Fatalf("traced decision = %+v, keyed was %+v", decs, keyed)
+	}
+}
+
+// TestV2FrameRefused: protocol v2 is gone. A well-formed v2 request —
+// version byte 2, message type 1 — is refused with a typed version
+// error, and so is a hello that offers nothing but v2.
+func TestV2FrameRefused(t *testing.T) {
+	srv, err := NewServer(testModel(t, 36), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := listenServer(t, srv)
+
+	rng := rand.New(rand.NewSource(36))
+	v3, err := AppendKeyedRequestFrame(nil, []Request{{Preset: 0.1, Features: featureRow(rng)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The v2 request: the same header with version 2 and type 1, then
+	// count, dimension, and one row of preset + features with no identity.
+	v2 := append([]byte(nil), v3[:headerLen+4]...)
+	v2[4], v2[5] = 2, 1
+	v2 = append(v2, v3[headerLen+4+reqRowFixed:]...)
+	expectRefusal(t, addr, framed(v2), ErrCodeVersion)
+	expectRefusal(t, addr, framed(AppendHelloFrame(nil, 2, 2)), ErrCodeVersion)
+	if got := srv.Metrics().Errors.Load(); got != 2 {
+		t.Fatalf("serve errors = %d, want 2", got)
+	}
+}
+
+// TestKeyedRowsCarryClusterIntoProvenance sends keyed frames and checks
+// the flight recorder attributes decisions to the requesting cluster.
+func TestKeyedRowsCarryClusterIntoProvenance(t *testing.T) {
+	srv, err := NewServer(testModel(t, 32), Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.EnableProvenance(16, provenance.MonitorOptions{})
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.ServeTCP(l)
+	defer srv.Close()
+
+	cl, err := Dial(l.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	rng := rand.New(rand.NewSource(32))
+	if _, err := cl.DecideKeyed([]Request{{Preset: 0.1, Features: featureRow(rng), GPU: 1, Cluster: 19}}); err != nil {
+		t.Fatal(err)
+	}
+	recs := srv.FlightRecorder().Snapshot(nil)
+	if len(recs) != 1 || recs[0].Cluster != 19 {
+		t.Fatalf("recorded %d records, cluster %d; want 1 record for cluster 19", len(recs), recs[0].Cluster)
+	}
+}
+
+// TestBadMagicGetsStructuredError sends garbage with a valid length
+// prefix, and a length prefix past MaxFrame, and expects a typed MsgError
+// refusal for each, not a silent close.
+func TestBadMagicGetsStructuredError(t *testing.T) {
+	srv, err := NewServer(testModel(t, 33), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := listenServer(t, srv)
+	expectRefusal(t, addr, framed([]byte("GET / HTTP/1.1\r\n")), ErrCodeBadMagic) // not our protocol
+	oversized := binary.BigEndian.AppendUint32(nil, MaxFrame+1)
+	expectRefusal(t, addr, append(oversized, "a body that is never read"...), ErrCodeBadFrame)
+	if got := srv.Metrics().Errors.Load(); got != 2 {
+		t.Fatalf("serve errors = %d, want 2", got)
+	}
+}
+
+// TestVersionMismatchGetsStructuredError offers a version range the
+// server does not speak.
+func TestVersionMismatchGetsStructuredError(t *testing.T) {
+	srv, err := NewServer(testModel(t, 34), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A hello offering only versions far beyond what we implement.
+	expectRefusal(t, listenServer(t, srv), framed(AppendHelloFrame(nil, Version+1, Version+9)), ErrCodeVersion)
+}
+
+// TestClientRefusesMiscountedResponse: a peer's response must answer the
+// rows that were sent. A short count, a count past MaxBatch, and an
+// oversized length prefix are all the stream gone bad — ordinary
+// retryable transport errors, not the peer's structured refusal.
+func TestClientRefusesMiscountedResponse(t *testing.T) {
+	rng := rand.New(rand.NewSource(37))
+	rows := []Request{
+		{Preset: 0.1, Features: featureRow(rng)},
+		{Preset: 0.1, Features: featureRow(rng)},
+		{Preset: 0.1, Features: featureRow(rng)},
+	}
+	two, err := AppendKeyedResponseFrame(nil, StatusOK, make([]Decision, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// MaxBatch+1 rows: the encoder refuses to build it, so grow a full
+	// frame by one row by hand.
+	tooMany, err := AppendKeyedResponseFrame(nil, StatusOK, make([]Decision, MaxBatch))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tooMany = append(tooMany, make([]byte, respRow)...)
+	binary.BigEndian.PutUint16(tooMany[headerLen+1:], MaxBatch+1)
+
+	for name, reply := range map[string][]byte{
+		"2 decisions for 3 rows": framed(two),
+		"1025-row response":      framed(tooMany),
+		"oversized prefix":       binary.BigEndian.AppendUint32(nil, MaxFrame+1),
+	} {
+		client, server := net.Pipe()
+		go func() { // the fake server: read the request, send the canned reply
+			defer server.Close()
+			if _, err := ReadFrame(server, nil); err == nil {
+				server.Write(reply)
+			}
+		}()
+		decs, err := NewClient(client).DecideKeyed(rows)
+		client.Close()
+		var pe *ProtoError
+		if err == nil || errors.As(err, &pe) {
+			t.Errorf("%s: decs = %d, err = %v; want a non-ProtoError error", name, len(decs), err)
+		}
+	}
+	if _, _, err := decodeResponse(tooMany, nil, MsgDecisionsKeyed); err == nil || !strings.Contains(err.Error(), "exceeds") {
+		t.Errorf("decodeResponse(1025 rows) = %v, want the MaxBatch refusal", err)
+	}
+}
+
+// TestDecide503InFallbackOnly forces the health machine into
+// fallback-only and expects HTTP /decide to refuse with 503 +
+// Retry-After (binary transport keeps serving fallback decisions).
+func TestDecide503InFallbackOnly(t *testing.T) {
+	inj := faults.New(7)
+	if err := inj.Arm(FaultDecide, faults.Spec{Kind: faults.KindError, Every: 1}); err != nil {
+		t.Fatal(err)
+	}
+	srv, err := NewServer(testModel(t, 35), Options{
+		Faults: inj,
+		Health: HealthOptions{FailThreshold: 2, ProbeEvery: 1 << 30},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(35))
+	rows := []Request{{Preset: 0.1, Features: featureRow(rng), GPU: -1, Cluster: -1}}
+	srv.decideBatch(rows, nil)
+	srv.decideBatch(rows, nil)
+	if got := srv.Health(); got != FallbackOnly {
+		t.Fatalf("health = %s, want fallback-only", got)
+	}
+
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	body, _ := json.Marshal(map[string]any{"features": rows[0].Features, "preset": 0.1})
+	resp, err := http.Post(ts.URL+"/decide", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("/decide in fallback-only: status %d, want 503", resp.StatusCode)
+	}
+	if resp.Header.Get("Retry-After") == "" {
+		t.Fatal("503 without Retry-After header")
+	}
+	if got := srv.Metrics().Unavailable.Load(); got != 1 {
+		t.Fatalf("unavailable counter = %d, want 1", got)
+	}
+
+	// The binary path still answers (fallback decisions), so the µs-scale
+	// control loop is never starved.
+	decs := srv.decideBatch(rows, nil)
+	if len(decs) != 1 || decs[0].Reason != provenance.ReasonFallbackOnly {
+		t.Fatalf("binary-path decision in fallback-only = %+v", decs)
+	}
+}

@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"math/rand"
 	"net"
 	"net/http"
@@ -102,7 +103,7 @@ func TestServeTCPEndToEnd(t *testing.T) {
 				for i := range rows {
 					rows[i] = Request{Preset: 0.1, Features: featureRow(rng)}
 				}
-				decs, err := cl.Decide(rows)
+				decs, err := cl.DecideKeyed(rows)
 				if err != nil {
 					t.Errorf("client %d batch %d: %v", c, b, err)
 					return
@@ -183,8 +184,13 @@ func TestServeConnMalformedFrame(t *testing.T) {
 	if _, err := client.Write(buf.Bytes()); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ReadResponse(client); err == nil {
-		t.Fatal("malformed frame got a success response")
+	reply, err := ReadFrame(client, nil)
+	if err != nil {
+		t.Fatalf("no reply to a malformed frame: %v", err)
+	}
+	var pe *ProtoError
+	if _, err := DecodeKeyedResponseFrame(reply, nil); !errors.As(err, &pe) {
+		t.Fatalf("malformed frame answered with %v, want a ProtoError", err)
 	}
 	if got := srv.Metrics().Errors.Load(); got == 0 {
 		t.Fatal("protocol error not counted")
@@ -342,7 +348,7 @@ func TestServedDecisionsMatchDirectModel(t *testing.T) {
 	for i := range rows {
 		rows[i] = Request{Preset: 0.15, Features: featureRow(rng)}
 	}
-	decs, err := cl.Decide(rows)
+	decs, err := cl.DecideKeyed(rows)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -40,10 +40,10 @@ const (
 )
 
 // Server is the transport layer around an Engine: it speaks the binary
-// protocol (v2 unkeyed and v3 keyed frames, with hello/ack version
-// negotiation and structured protocol errors) over TCP and JSON over
-// HTTP. One Server may serve both transports simultaneously; they share
-// the Engine's model pointer, worker pool, and metrics.
+// protocol (hello/ack negotiation, request and response frames, structured
+// protocol errors) over TCP and JSON over HTTP. One Server may serve both
+// transports simultaneously; they share the Engine's model pointer, worker
+// pool, and metrics.
 type Server struct {
 	*Engine
 
@@ -53,13 +53,11 @@ type Server struct {
 	ls    sync.Map // net.Listener → struct{}, for Close
 }
 
-// connBuffers is the per-batch scratch a transport needs: frame bytes,
-// decoded rows, and encoded decisions.
+// connBuffers is the pooled per-connection scratch: the frame bytes read
+// and what answering them needs.
 type connBuffers struct {
+	FrameScratch
 	frame []byte
-	rows  []Request
-	decs  []Decision
-	out   []byte
 }
 
 // NewServer builds a server around an initial model.
@@ -79,13 +77,12 @@ func NewServerEngine(e *Engine) *Server {
 	return s
 }
 
-// ServeConn handles one binary-protocol connection until EOF or error.
-// It speaks both frame generations: v2 unkeyed decide frames (old
-// clients) and v3 keyed batch frames, answering each request in the
-// dialect it arrived in. MsgHello frames negotiate the protocol version;
-// frames with a bad magic or an unsupported version are answered with a
-// structured MsgError frame before the connection drops, so a mismatched
-// peer gets a typed refusal instead of a hung read.
+// ServeConn handles one binary-protocol connection until EOF or error:
+// it reads frames, lets FrameScratch.Answer turn each into its reply with
+// this server as the Endpoint, and writes the reply back. A frame that
+// breaks the protocol — an oversized length prefix included — is answered
+// with a structured MsgError frame before the connection drops, so a
+// mismatched peer gets a typed refusal instead of a hung read.
 func (s *Server) ServeConn(conn net.Conn) {
 	s.metrics.Conns.Add(1)
 	s.conns.Store(conn, struct{}{})
@@ -107,140 +104,55 @@ func (s *Server) ServeConn(conn net.Conn) {
 		if err := s.faults.Inject(FaultConn); err != nil {
 			return
 		}
-		frame, err := readFrame(br, bufs.frame)
+		frame, err := ReadFrame(br, bufs.frame)
 		if err != nil {
 			// EOF and closed/truncated connections are normal client
-			// departures; anything else (oversized frame) is a protocol
-			// error worth counting.
+			// departures; anything else is a protocol error worth counting,
+			// and an oversized prefix one worth answering.
 			if !errors.Is(err, io.EOF) && !errors.Is(err, io.ErrUnexpectedEOF) && !errors.Is(err, net.ErrClosed) {
 				s.metrics.Errors.Add(1)
+			}
+			if refusal := bufs.Refuse(err); refusal != nil {
+				WriteFrame(bw, refusal) // best effort: the connection drops either way
 			}
 			return
 		}
 		bufs.frame = frame[:cap(frame)]
 
-		if !s.serveFrame(bw, bufs, frame) {
+		start := time.Now()
+		reply, rows, tc, err := bufs.Answer(frame, s, start)
+		if err != nil {
+			s.metrics.Errors.Add(1)
+		}
+		if werr := WriteFrame(bw, reply); werr != nil || err != nil {
 			return
 		}
+		if rows > 0 {
+			s.metrics.ObserveBatchTraced(rows, time.Since(start), tc.TraceID)
+		}
 	}
 }
 
-// serveFrame answers one request frame, reporting whether the connection
-// is still usable.
-func (s *Server) serveFrame(bw *bufio.Writer, bufs *connBuffers, frame []byte) bool {
-	_, msgType, err := parseHeader(frame)
-	if err != nil {
-		// Not our protocol (or a version we do not speak): refuse with a
-		// structured error so the peer does not hang on a silent close.
-		s.metrics.Errors.Add(1)
-		s.writeError(bw, err)
-		return false
-	}
-
-	switch msgType {
-	case MsgHello:
-		minVer, maxVer, err := DecodeHelloFrame(frame)
-		if err != nil {
-			s.metrics.Errors.Add(1)
-			s.writeError(bw, err)
-			return false
-		}
-		if int(minVer) > VersionMax || int(maxVer) < VersionMin {
-			s.metrics.Errors.Add(1)
-			s.writeError(bw, &ProtoError{Code: ErrCodeVersion,
-				Msg: fmt.Sprintf("no common version: client %d..%d, server %d..%d", minVer, maxVer, VersionMin, VersionMax)})
-			return false
-		}
-		ver := VersionMax
-		if int(maxVer) < ver {
-			ver = int(maxVer)
-		}
-		bufs.out = AppendHelloAckFrame(bufs.out[:0], s.helloAck(ver))
-		return writeFrame(bw, bufs.out) == nil && bw.Flush() == nil
-
-	case MsgDecide, MsgDecideKeyed, MsgDecideTraced:
-		start := time.Now()
-		var rows []Request
-		var tc telemetry.TraceContext
-		switch msgType {
-		case MsgDecideKeyed:
-			rows, err = DecodeKeyedRequestFrame(frame, bufs.rows)
-		case MsgDecideTraced:
-			rows, tc, err = DecodeTracedRequestFrame(frame, bufs.rows)
-		default:
-			rows, err = DecodeRequestFrame(frame, bufs.rows)
-		}
-		if err != nil {
-			// Protocol violation: report and drop the connection, since
-			// framing can no longer be trusted.
-			s.metrics.Errors.Add(1)
-			s.writeError(bw, &ProtoError{Code: ErrCodeBadFrame, Msg: err.Error()})
-			return false
-		}
-		bufs.rows = rows
-		if tc.Sampled() {
-			// Retrospective decode span: the frame's trace context is only
-			// known after decoding, so stamp the interval after the fact.
-			dsp := s.tracer.StartSpanAt(tc, "engine.decode", start)
-			dsp.EndAt(time.Now())
-		}
-
-		var out []byte
-		var inferUs uint32
-		switch msgType {
-		case MsgDecideTraced:
-			bufs.decs, inferUs = s.DecideBatchTraced(rows, bufs.decs[:0], tc)
-			out, err = AppendTracedResponseFrame(bufs.out[:0], StatusOK, bufs.decs, tc.TraceID, HopTimings{InferUs: inferUs})
-		case MsgDecideKeyed:
-			bufs.decs = s.decideBatch(rows, bufs.decs[:0])
-			out, err = AppendKeyedResponseFrame(bufs.out[:0], StatusOK, bufs.decs)
-		default:
-			bufs.decs = s.decideBatch(rows, bufs.decs[:0])
-			out, err = AppendResponseFrame(bufs.out[:0], StatusOK, bufs.decs)
-		}
-		if err != nil {
-			s.metrics.Errors.Add(1)
-			return false
-		}
-		bufs.out = out
-		if err := writeFrame(bw, out); err != nil {
-			return false
-		}
-		if err := bw.Flush(); err != nil {
-			return false
-		}
-		s.metrics.ObserveBatchTraced(len(rows), time.Since(start), tc.TraceID)
-		return true
-
-	default:
-		s.metrics.Errors.Add(1)
-		s.writeError(bw, &ProtoError{Code: ErrCodeBadFrame,
-			Msg: fmt.Sprintf("unexpected message type %d", msgType)})
-		return false
-	}
-}
-
-// helloAck describes this server in version negotiation: a single-GPU
-// daemon (routers override this in their own transport). Tracing is a
-// protocol capability — advertised whether or not a span tracer is
-// currently attached, since traced frames decode fine either way. The
+// HelloAck describes this server in negotiation: a single-GPU daemon. The
 // backend advertisement lets a fleet router verify every replica serves
 // with the backend the operator expects before admitting it to the ring.
-func (s *Server) helloAck(version int) Hello {
-	return Hello{Version: version, Tracing: version >= Version3,
-		Backend: s.BackendKind(), Generation: s.Generation()}
+func (s *Server) HelloAck() Hello {
+	return Hello{Backend: s.BackendKind(), Generation: s.Generation()}
 }
 
-// writeError best-effort sends a structured protocol error frame. err is
-// wrapped into an ErrCodeBadFrame ProtoError when it is not one already.
-func (s *Server) writeError(bw *bufio.Writer, err error) {
-	var pe *ProtoError
-	if !errors.As(err, &pe) {
-		pe = &ProtoError{Code: ErrCodeBadFrame, Msg: err.Error()}
+// DecideFrame answers one request frame from the engine. A frame with a
+// trace context gets the inference-hop attribution for its response.
+func (s *Server) DecideFrame(rows []Request, decs []Decision, tc telemetry.TraceContext, received time.Time) ([]Decision, HopTimings) {
+	if !tc.Valid() {
+		return s.decideBatch(rows, decs), HopTimings{}
 	}
-	if werr := writeFrame(bw, AppendErrorFrame(nil, pe.Code, pe.Msg)); werr == nil {
-		bw.Flush()
+	if tc.Sampled() {
+		// Retrospective decode span: the frame's trace context is only
+		// known after decoding, so stamp the interval after the fact.
+		s.tracer.StartSpanAt(tc, "engine.decode", received).EndAt(time.Now())
 	}
+	decs, inferUs := s.DecideBatchTraced(rows, decs, tc)
+	return decs, HopTimings{InferUs: inferUs}
 }
 
 // ServeTCP accepts binary-protocol connections on l, one goroutine per

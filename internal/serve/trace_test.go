@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/rand"
 	"net"
 	"testing"
@@ -47,7 +48,7 @@ func TestTracedFrameRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if id := TracedResponseTraceID(rp); id != tc.TraceID {
+	if id := binary.BigEndian.Uint64(rp[headerLen+1:]); id != tc.TraceID {
 		t.Fatalf("echoed trace ID %x, want %x", id, tc.TraceID)
 	}
 	back, backHops, err := DecodeTracedResponseFrame(rp, nil)
@@ -111,7 +112,7 @@ func TestTracedDecideEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !hello.Tracing {
-		t.Fatal("v3 daemon must advertise tracing capability")
+		t.Fatal("daemon must advertise tracing capability")
 	}
 
 	rng := rand.New(rand.NewSource(61))

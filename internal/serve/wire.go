@@ -5,11 +5,63 @@
 // instructions do you expect?" over HTTP/JSON (debuggable) and a compact
 // length-prefixed binary protocol over TCP (the hot path), with
 // zero-downtime model hot-swap and latency/throughput metrics.
+//
+// # Wire protocol
+//
+// Every message is one length-prefixed frame,
+//
+//	uint32  payload length (big endian, <= MaxFrame)
+//	payload
+//
+// and every payload starts with a fixed header,
+//
+//	uint32  magic   "SDVF"
+//	uint8   version (Version; anything else is refused with ErrCodeVersion)
+//	uint8   message type
+//
+// There is one request frame. It carries a batch of rows, each the
+// requesting cluster's (gpu, cluster) identity, a performance-loss preset
+// and the full 47-counter feature vector (feature selection happens inside
+// the model, exactly as in the simulator loop). Identity is optional:
+// gpu = cluster = -1 is a row without one, which a daemon answers as it
+// stands and a router shards under a synthetic per-frame key. Sent as
+// MsgDecideTraced instead of MsgDecideKeyed, the frame carries a
+// distributed-trace section ahead of the rows:
+//
+//	[ uint64 trace ID, uint64 parent span ID, uint8 trace flags ]
+//	uint16  row count (1..MaxBatch)
+//	uint16  feature dimension (must equal counters.Num)
+//	rows    count × (uint32 gpu, uint32 cluster, float64 preset, dim × float64)
+//
+// There is one response frame, MsgDecisionsKeyed or MsgDecisionsTraced
+// after the request's own kind. Per row it carries the chosen level, the
+// provenance reason that produced it, a flags byte (bit 0: rerouted), the
+// fleet shard that answered (0xffff: none — a daemon answering directly,
+// or a local shed) and the predicted next-epoch instruction count; the
+// traced kind echoes the trace ID and adds per-hop latency attribution:
+//
+//	uint8   status (0 = OK; otherwise count is 0)
+//	[ uint64 trace ID, uint32 queue µs, coalesce µs, dispatch µs, infer µs ]
+//	uint16  row count (<= MaxBatch)
+//	rows    count × (uint8 level, uint8 reason, uint8 flags, uint16 shard,
+//	                 float64 predicted instructions)
+//
+// A client may open with MsgHello (uint8 lowest, uint8 highest version it
+// speaks); the peer answers MsgHelloAck (uint8 version, uint8 flags,
+// uint16 shard count, uint8 backend code, uint32 model generation) or
+// refuses. Every refusal — bad magic, wrong version, oversized or
+// malformed frame, unknown type — is a MsgError frame (uint16 code,
+// uint16 length, message) sent before the connection drops, so a
+// mismatched peer gets a typed error instead of a hung read.
+//
+// Message types 1 and 2 were protocol v2's unkeyed request and response
+// and are not reused.
 package serve
 
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -21,66 +73,18 @@ import (
 	"ssmdvfs/internal/telemetry"
 )
 
-// Wire protocol: every message is one length-prefixed frame,
-//
-//	uint32  payload length (big endian, <= MaxFrame)
-//	payload
-//
-// and every payload starts with a fixed header,
-//
-//	uint32  magic   "SDVF"
-//	uint8   version (2)
-//	uint8   message type
-//
-// A decide request carries a batch of rows, each a performance-loss
-// preset followed by the full 47-counter feature vector (feature
-// selection happens inside the model, exactly as in the simulator loop):
-//
-//	uint16  row count (>= 1)
-//	uint16  feature dimension (must equal counters.Num)
-//	rows    count × (1+dim) float64, preset first
-//
-// A decide response carries one status byte, then per row the chosen
-// level, the provenance reason that produced it, and the predicted
-// next-epoch instruction count:
-//
-//	uint8   status (0 = OK; otherwise count is 0)
-//	uint16  row count
-//	rows    count × (uint8 level, uint8 reason, float64 predicted instructions)
-//
-// Version history: v1 response rows had no reason byte; v2 added it so
-// clients can tell a model answer from a degraded one; v3 (current)
-// added keyed multi-row frames for fleet routing — every request row
-// carries its (gpu, cluster) identity so a router can coalesce rows from
-// many clients into one frame per replica and demultiplex the answers —
-// plus an explicit hello/ack version negotiation and a structured error
-// message, so a mismatched peer gets a typed refusal instead of a hung
-// read. A v3 server answers v2 frames with v2 responses, so old clients
-// keep working unchanged.
 const (
 	Magic   = 0x53445646 // "SDVF"
-	Version = 2          // the v2 frame version byte (unkeyed rows)
+	Version = 3          // the one protocol version
 
-	// Version3 is the keyed-frame protocol version. VersionMin/VersionMax
-	// bound what a server accepts and what Hello negotiation can agree on.
-	Version3   = 3
-	VersionMin = 2
-	VersionMax = 3
-
-	// MsgDecide and MsgDecisions are the v2 request/response types.
-	MsgDecide    = 1
-	MsgDecisions = 2
-
-	// MsgDecideKeyed and MsgDecisionsKeyed are the v3 keyed batch
-	// request/response types (rows carry gpu/cluster identity; response
-	// rows carry the shard that answered and a rerouted flag).
+	// MsgDecideKeyed and MsgDecisionsKeyed are the request and response
+	// frames without a trace section.
 	MsgDecideKeyed    = 3
 	MsgDecisionsKeyed = 4
 
-	// MsgHello and MsgHelloAck negotiate the protocol version on connect:
-	// the client offers its [min,max] supported versions, the server
-	// answers with the highest version both sides speak plus its role
-	// (daemon or router) and shard count.
+	// MsgHello and MsgHelloAck negotiate on connect: the client offers the
+	// [min,max] versions it speaks, the server answers with Version plus
+	// its role (daemon or router), shard count, backend and generation.
 	MsgHello    = 5
 	MsgHelloAck = 6
 
@@ -88,13 +92,9 @@ const (
 	// message, sent before the server drops a connection it cannot serve.
 	MsgError = 7
 
-	// MsgDecideTraced and MsgDecisionsTraced are the v3 traced batch
-	// request/response types: a keyed frame plus distributed-trace
-	// context on the request (trace ID, parent span ID, flags) and
-	// per-hop latency attribution on the response (queue, coalesce,
-	// dispatch, inference microseconds). Only sent to peers whose
-	// hello-ack advertises HelloFlagTracing, so v2/v3 peers without
-	// tracing support never see them.
+	// MsgDecideTraced and MsgDecisionsTraced are the request and response
+	// frames with their trace sections: trace context on the way in,
+	// per-hop latency attribution on the way back.
 	MsgDecideTraced    = 8
 	MsgDecisionsTraced = 9
 
@@ -102,7 +102,7 @@ const (
 	// allocation, so a corrupt length prefix cannot balloon memory.
 	MaxFrame = 1 << 20
 
-	// MaxBatch bounds the rows in one request frame.
+	// MaxBatch bounds the rows in one request or response frame.
 	MaxBatch = 1024
 
 	// StatusOK and StatusError are the response status codes.
@@ -115,28 +115,25 @@ const (
 // Structured protocol-error codes carried by MsgError frames.
 const (
 	ErrCodeBadMagic = 1 // peer is not speaking this protocol at all
-	ErrCodeVersion  = 2 // version outside [VersionMin, VersionMax]
-	ErrCodeBadFrame = 3 // recognized header but malformed body
+	ErrCodeVersion  = 2 // peer does not speak Version
+	ErrCodeBadFrame = 3 // recognized header but malformed or oversized frame
 )
 
 // HelloFlagRouter in a HelloAck marks the peer as a fleet router rather
-// than a single-GPU daemon. HelloFlagTracing advertises that the peer
-// understands MsgDecideTraced/MsgDecisionsTraced — a protocol
-// capability, present whether or not the peer currently has a span
-// tracer attached.
+// than a single-GPU daemon. HelloFlagTracing says the peer understands
+// MsgDecideTraced/MsgDecisionsTraced; every peer that speaks Version
+// does, and sets it.
 const (
 	HelloFlagRouter  = 1
 	HelloFlagTracing = 2
 )
 
-// Hello is the result of version negotiation: the agreed protocol
-// version, whether the peer is a router, whether it accepts traced
-// frames, (for routers) its shard count, the inference backend the
-// peer serves with, and the lineage generation of the model it is
-// serving. Backend is empty when the peer predates the backend byte (a
-// legacy 4-byte ack body) or chose not to advertise one; Generation is 0
-// when the peer predates the generation word or serves an unversioned
-// offline artifact.
+// Hello is the result of negotiation: the protocol version, whether the
+// peer is a router, whether it accepts traced frames, (for routers) its
+// shard count, the inference backend the peer serves with, and the
+// lineage generation of the model it is serving. Backend is empty when
+// the peer advertises none; Generation is 0 for an unversioned offline
+// artifact.
 type Hello struct {
 	Version    int
 	Router     bool
@@ -146,8 +143,7 @@ type Hello struct {
 	Generation int
 }
 
-// Backend codes carried in the hello-ack's trailing byte. Zero — also
-// what a legacy peer's absent byte decodes as — means unspecified.
+// Backend codes carried in the hello-ack. Zero means unspecified.
 const (
 	backendCodeNone    = 0
 	backendCodeFloat64 = 1
@@ -221,7 +217,7 @@ func DurUs32(d time.Duration) uint32 {
 }
 
 // ProtoError is the decoded form of a MsgError frame — the structured
-// refusal a v3 server sends instead of silently dropping the connection.
+// refusal a server sends instead of silently dropping the connection.
 type ProtoError struct {
 	Code int
 	Msg  string
@@ -237,8 +233,8 @@ type Request struct {
 	Preset float64
 	// Features is the full 47-counter vector of the finished epoch.
 	Features []float64
-	// GPU and Cluster identify the requesting cluster for fleet routing
-	// (v3 keyed frames). -1 means no identity (v2 rows, direct clients).
+	// GPU and Cluster identify the requesting cluster for fleet routing,
+	// prediction feedback and the ledger. -1/-1 means no identity.
 	GPU     int32
 	Cluster int32
 }
@@ -252,253 +248,70 @@ type Decision struct {
 	Reason provenance.Reason
 	// PredInstr is the Calibrator's next-epoch instruction estimate.
 	PredInstr float64
-	// Shard is the fleet shard index that answered (v3 keyed responses);
-	// -1 when no router was involved or the row was shed locally.
+	// Shard is the fleet shard index that answered; -1 when no router was
+	// involved or the row was shed locally.
 	Shard int
 	// Rerouted marks a row that was re-submitted to a different replica
-	// after its home shard failed (v3 keyed responses only).
+	// after its home shard failed.
 	Rerouted bool
 }
 
-func putHeader(buf []byte, version, msgType byte) {
+func putHeader(buf []byte, msgType byte) {
 	binary.BigEndian.PutUint32(buf, Magic)
-	buf[4] = version
+	buf[4] = Version
 	buf[5] = msgType
 }
 
-// parseHeader validates the magic and version range and returns the
-// frame's version and message type. Errors are *ProtoError so transports
-// can answer them with a structured MsgError frame.
-func parseHeader(payload []byte) (version, msgType byte, err error) {
+// parseHeader validates the magic and version and returns the frame's
+// message type. Errors are *ProtoError so transports can answer them
+// with a structured MsgError frame.
+func parseHeader(payload []byte) (msgType byte, err error) {
 	if len(payload) < headerLen {
-		return 0, 0, &ProtoError{Code: ErrCodeBadFrame, Msg: fmt.Sprintf("frame too short for header (%d bytes)", len(payload))}
+		return 0, &ProtoError{Code: ErrCodeBadFrame, Msg: fmt.Sprintf("frame too short for header (%d bytes)", len(payload))}
 	}
 	if m := binary.BigEndian.Uint32(payload); m != Magic {
-		return 0, 0, &ProtoError{Code: ErrCodeBadMagic, Msg: fmt.Sprintf("bad magic %#x", m)}
+		return 0, &ProtoError{Code: ErrCodeBadMagic, Msg: fmt.Sprintf("bad magic %#x", m)}
 	}
-	if payload[4] < VersionMin || payload[4] > VersionMax {
-		return 0, 0, &ProtoError{Code: ErrCodeVersion, Msg: fmt.Sprintf("unsupported protocol version %d (speak %d..%d)", payload[4], VersionMin, VersionMax)}
+	if payload[4] != Version {
+		return 0, &ProtoError{Code: ErrCodeVersion, Msg: fmt.Sprintf("unsupported protocol version %d (speak %d)", payload[4], Version)}
 	}
-	return payload[4], payload[5], nil
+	return payload[5], nil
 }
 
-func checkHeader(payload []byte, wantVersion, wantType byte) error {
-	v, t, err := parseHeader(payload)
-	if err != nil {
+// checkType is parseHeader for a decoder that wants one message type. A
+// MsgError frame in its place surfaces as the *ProtoError it carries.
+func checkType(payload []byte, want byte) error {
+	t, err := parseHeader(payload)
+	switch {
+	case err != nil:
 		return err
-	}
-	if t == MsgError {
-		// Structured refusals surface as *ProtoError whatever version the
-		// caller expected.
+	case t == MsgError:
 		return DecodeErrorFrame(payload)
-	}
-	if v != wantVersion {
-		return fmt.Errorf("serve: unexpected protocol version %d, want %d", v, wantVersion)
-	}
-	if t != wantType {
-		return fmt.Errorf("serve: unexpected message type %d, want %d", t, wantType)
+	case t != want:
+		return errWrongType(t, want)
 	}
 	return nil
 }
 
-// writeFrame writes the length prefix and payload. The prefix is built in
-// the writer's own spare capacity: a local [4]byte handed to an io.Writer
-// escapes to the heap, one allocation per frame.
-func writeFrame(bw *bufio.Writer, payload []byte) error {
-	prefix := binary.BigEndian.AppendUint32(bw.AvailableBuffer(), uint32(len(payload)))
-	if _, err := bw.Write(prefix); err != nil {
-		return err
-	}
-	_, err := bw.Write(payload)
-	return err
+func errWrongType(got, want byte) error {
+	return fmt.Errorf("serve: unexpected message type %d, want %d", got, want)
 }
 
-// readFrame reads one frame payload into buf (grown if needed) and
-// returns it. Oversized frames are rejected without allocation. The
-// prefix is peeked in place for the same reason writeFrame borrows the
-// writer's buffer; a stream that ends inside it reports what io.ReadFull
-// would: io.EOF before the first byte, io.ErrUnexpectedEOF after.
-func readFrame(br *bufio.Reader, buf []byte) ([]byte, error) {
-	prefix, err := br.Peek(4)
-	if err != nil {
-		if err == io.EOF && len(prefix) > 0 {
-			err = io.ErrUnexpectedEOF
-		}
-		return nil, err
-	}
-	size := binary.BigEndian.Uint32(prefix)
-	if size > MaxFrame {
-		return nil, fmt.Errorf("serve: frame of %d bytes exceeds limit %d", size, MaxFrame)
-	}
-	br.Discard(4) // cannot fail: Peek just buffered these bytes
-	if uint32(cap(buf)) < size {
-		buf = make([]byte, size)
-	}
-	buf = buf[:size]
-	if _, err := io.ReadFull(br, buf); err != nil {
-		return nil, fmt.Errorf("serve: truncated frame: %w", err)
-	}
-	return buf, nil
-}
-
-// AppendRequestFrame appends an encoded request payload (without the
-// length prefix) for the given rows to dst and returns it.
-func AppendRequestFrame(dst []byte, rows []Request) ([]byte, error) {
-	if len(rows) == 0 || len(rows) > MaxBatch {
-		return nil, fmt.Errorf("serve: batch of %d rows outside [1,%d]", len(rows), MaxBatch)
-	}
-	dim := len(rows[0].Features)
-	if dim != counters.Num {
-		return nil, fmt.Errorf("serve: feature dimension %d, want %d", dim, counters.Num)
-	}
-	need := headerLen + 4 + len(rows)*(1+dim)*8
-	off := len(dst)
-	dst = append(dst, make([]byte, need)...)
-	b := dst[off:]
-	putHeader(b, Version, MsgDecide)
-	binary.BigEndian.PutUint16(b[6:], uint16(len(rows)))
-	binary.BigEndian.PutUint16(b[8:], uint16(dim))
-	p := 10
-	for _, row := range rows {
-		if len(row.Features) != dim {
-			return nil, fmt.Errorf("serve: ragged batch: row has %d features, want %d", len(row.Features), dim)
-		}
-		binary.BigEndian.PutUint64(b[p:], math.Float64bits(row.Preset))
-		p += 8
-		for _, f := range row.Features {
-			binary.BigEndian.PutUint64(b[p:], math.Float64bits(f))
-			p += 8
-		}
-	}
-	return dst, nil
-}
-
-// DecodeRequestFrame parses a request payload. The returned rows reuse
-// scratch (resized as needed) so a serving loop can decode without
-// allocating; feature slices alias scratch's backing arrays.
-func DecodeRequestFrame(payload []byte, scratch []Request) ([]Request, error) {
-	if err := checkHeader(payload, Version, MsgDecide); err != nil {
-		return nil, err
-	}
-	if len(payload) < headerLen+4 {
-		return nil, fmt.Errorf("serve: request frame too short (%d bytes)", len(payload))
-	}
-	count := int(binary.BigEndian.Uint16(payload[6:]))
-	dim := int(binary.BigEndian.Uint16(payload[8:]))
-	if count == 0 || count > MaxBatch {
-		return nil, fmt.Errorf("serve: batch of %d rows outside [1,%d]", count, MaxBatch)
-	}
-	if dim != counters.Num {
-		return nil, fmt.Errorf("serve: feature dimension %d, want %d", dim, counters.Num)
-	}
-	want := headerLen + 4 + count*(1+dim)*8
-	if len(payload) != want {
-		return nil, fmt.Errorf("serve: request frame is %d bytes, want %d for %d rows", len(payload), want, count)
-	}
-	if cap(scratch) < count {
-		scratch = append(scratch[:cap(scratch)], make([]Request, count-cap(scratch))...)
-	}
-	scratch = scratch[:count]
-	p := headerLen + 4
-	for i := range scratch {
-		scratch[i].GPU, scratch[i].Cluster = -1, -1 // v2 rows carry no identity
-		scratch[i].Preset = math.Float64frombits(binary.BigEndian.Uint64(payload[p:]))
-		p += 8
-		if cap(scratch[i].Features) < dim {
-			scratch[i].Features = make([]float64, dim)
-		}
-		feats := scratch[i].Features[:dim]
-		for j := range feats {
-			feats[j] = math.Float64frombits(binary.BigEndian.Uint64(payload[p:]))
-			p += 8
-		}
-		scratch[i].Features = feats
-	}
-	return scratch, nil
-}
-
-// AppendResponseFrame appends an encoded response payload to dst.
-func AppendResponseFrame(dst []byte, status byte, decs []Decision) ([]byte, error) {
-	if len(decs) > MaxBatch {
-		return nil, fmt.Errorf("serve: batch of %d rows exceeds %d", len(decs), MaxBatch)
-	}
-	need := headerLen + 3 + len(decs)*10
-	off := len(dst)
-	dst = append(dst, make([]byte, need)...)
-	b := dst[off:]
-	putHeader(b, Version, MsgDecisions)
-	b[6] = status
-	binary.BigEndian.PutUint16(b[7:], uint16(len(decs)))
-	p := 9
-	for _, d := range decs {
-		if d.Level < 0 || d.Level > 255 {
-			return nil, fmt.Errorf("serve: level %d does not fit the wire format", d.Level)
-		}
-		b[p] = byte(d.Level)
-		b[p+1] = byte(d.Reason)
-		binary.BigEndian.PutUint64(b[p+2:], math.Float64bits(d.PredInstr))
-		p += 10
-	}
-	return dst, nil
-}
-
-// DecodeResponseFrame parses a response payload, reusing scratch.
-func DecodeResponseFrame(payload []byte, scratch []Decision) ([]Decision, error) {
-	if err := checkHeader(payload, Version, MsgDecisions); err != nil {
-		return nil, err
-	}
-	if len(payload) < headerLen+3 {
-		return nil, fmt.Errorf("serve: response frame too short (%d bytes)", len(payload))
-	}
-	if payload[6] != StatusOK {
-		return nil, fmt.Errorf("serve: server reported error status %d", payload[6])
-	}
-	count := int(binary.BigEndian.Uint16(payload[7:]))
-	want := headerLen + 3 + count*10
-	if len(payload) != want {
-		return nil, fmt.Errorf("serve: response frame is %d bytes, want %d for %d rows", len(payload), want, count)
-	}
-	if cap(scratch) < count {
-		scratch = make([]Decision, count)
-	}
-	scratch = scratch[:count]
-	p := headerLen + 3
-	for i := range scratch {
-		scratch[i].Level = int(payload[p])
-		scratch[i].Reason = provenance.Reason(payload[p+1])
-		scratch[i].PredInstr = math.Float64frombits(binary.BigEndian.Uint64(payload[p+2:]))
-		scratch[i].Shard, scratch[i].Rerouted = -1, false // v2 rows carry no shard
-		p += 10
-	}
-	return scratch, nil
-}
-
-// A v3 keyed request frame (MsgDecideKeyed, version 3) carries, after
-// the header,
-//
-//	uint16  row count (>= 1)
-//	uint16  feature dimension (must equal counters.Num)
-//	rows    count × (uint32 gpu, uint32 cluster, (1+dim) float64)
-//
-// and the matching keyed response (MsgDecisionsKeyed),
-//
-//	uint8   status
-//	uint16  row count
-//	rows    count × (uint8 level, uint8 reason, uint8 flags,
-//	                 uint16 shard, float64 predicted instructions)
-//
-// where flags bit 0 marks a rerouted row and shard 0xffff means "no
-// shard" (a daemon answering keyed frames directly, or a local shed).
+// Section and row sizes of the request and response frames.
 const (
-	keyedReqRowFixed = 4 + 4 // gpu + cluster, before the float64s
-	keyedRespRow     = 1 + 1 + 1 + 2 + 8
-	decFlagRerouted  = 1
-	shardNone        = 0xffff
+	traceReqLen  = 8 + 8 + 1 // trace ID, parent span ID, flags
+	traceRespLen = 8 + 4*4   // echoed trace ID, four hop timings
+	reqRowFixed  = 4 + 4     // gpu + cluster, before the float64s
+	respRow      = 1 + 1 + 1 + 2 + 8
+
+	decFlagRerouted = 1
+	shardNone       = 0xffff
 )
 
-// AppendKeyedRequestFrame appends an encoded v3 keyed request payload to
-// dst. Every row must carry a non-negative GPU and Cluster.
-func AppendKeyedRequestFrame(dst []byte, rows []Request) ([]byte, error) {
+// appendRequest appends an encoded request payload (without the length
+// prefix) for rows to dst: a MsgDecideTraced frame carrying *tc, or a
+// MsgDecideKeyed frame when tc is nil.
+func appendRequest(dst []byte, rows []Request, tc *telemetry.TraceContext) ([]byte, error) {
 	if len(rows) == 0 || len(rows) > MaxBatch {
 		return nil, fmt.Errorf("serve: batch of %d rows outside [1,%d]", len(rows), MaxBatch)
 	}
@@ -506,356 +319,260 @@ func AppendKeyedRequestFrame(dst []byte, rows []Request) ([]byte, error) {
 	if dim != counters.Num {
 		return nil, fmt.Errorf("serve: feature dimension %d, want %d", dim, counters.Num)
 	}
-	need := headerLen + 4 + len(rows)*(keyedReqRowFixed+(1+dim)*8)
+	msgType, p := byte(MsgDecideKeyed), headerLen
+	if tc != nil {
+		msgType, p = MsgDecideTraced, headerLen+traceReqLen
+	}
 	off := len(dst)
-	dst = append(dst, make([]byte, need)...)
+	dst = append(dst, make([]byte, p+4+len(rows)*(reqRowFixed+(1+dim)*8))...)
 	b := dst[off:]
-	putHeader(b, Version3, MsgDecideKeyed)
-	binary.BigEndian.PutUint16(b[6:], uint16(len(rows)))
-	binary.BigEndian.PutUint16(b[8:], uint16(dim))
-	p := 10
-	for _, row := range rows {
-		if len(row.Features) != dim {
-			return nil, fmt.Errorf("serve: ragged batch: row has %d features, want %d", len(row.Features), dim)
-		}
-		if row.GPU < 0 || row.Cluster < 0 {
-			return nil, fmt.Errorf("serve: keyed row needs gpu/cluster >= 0, got (%d,%d)", row.GPU, row.Cluster)
-		}
-		binary.BigEndian.PutUint32(b[p:], uint32(row.GPU))
-		binary.BigEndian.PutUint32(b[p+4:], uint32(row.Cluster))
-		p += keyedReqRowFixed
-		binary.BigEndian.PutUint64(b[p:], math.Float64bits(row.Preset))
-		p += 8
-		for _, f := range row.Features {
-			binary.BigEndian.PutUint64(b[p:], math.Float64bits(f))
-			p += 8
-		}
+	putHeader(b, msgType)
+	if tc != nil {
+		binary.BigEndian.PutUint64(b[6:], tc.TraceID)
+		binary.BigEndian.PutUint64(b[14:], tc.SpanID)
+		b[22] = tc.Flags
 	}
-	return dst, nil
-}
-
-// DecodeKeyedRequestFrame parses a v3 keyed request payload, reusing
-// scratch like DecodeRequestFrame.
-func DecodeKeyedRequestFrame(payload []byte, scratch []Request) ([]Request, error) {
-	if err := checkHeader(payload, Version3, MsgDecideKeyed); err != nil {
-		return nil, err
-	}
-	if len(payload) < headerLen+4 {
-		return nil, fmt.Errorf("serve: keyed request frame too short (%d bytes)", len(payload))
-	}
-	count := int(binary.BigEndian.Uint16(payload[6:]))
-	dim := int(binary.BigEndian.Uint16(payload[8:]))
-	if count == 0 || count > MaxBatch {
-		return nil, fmt.Errorf("serve: batch of %d rows outside [1,%d]", count, MaxBatch)
-	}
-	if dim != counters.Num {
-		return nil, fmt.Errorf("serve: feature dimension %d, want %d", dim, counters.Num)
-	}
-	want := headerLen + 4 + count*(keyedReqRowFixed+(1+dim)*8)
-	if len(payload) != want {
-		return nil, fmt.Errorf("serve: keyed request frame is %d bytes, want %d for %d rows", len(payload), want, count)
-	}
-	if cap(scratch) < count {
-		scratch = append(scratch[:cap(scratch)], make([]Request, count-cap(scratch))...)
-	}
-	scratch = scratch[:count]
-	p := headerLen + 4
-	for i := range scratch {
-		scratch[i].GPU = int32(binary.BigEndian.Uint32(payload[p:]))
-		scratch[i].Cluster = int32(binary.BigEndian.Uint32(payload[p+4:]))
-		p += keyedReqRowFixed
-		scratch[i].Preset = math.Float64frombits(binary.BigEndian.Uint64(payload[p:]))
-		p += 8
-		if cap(scratch[i].Features) < dim {
-			scratch[i].Features = make([]float64, dim)
-		}
-		feats := scratch[i].Features[:dim]
-		for j := range feats {
-			feats[j] = math.Float64frombits(binary.BigEndian.Uint64(payload[p:]))
-			p += 8
-		}
-		scratch[i].Features = feats
-	}
-	return scratch, nil
-}
-
-// AppendKeyedResponseFrame appends an encoded v3 keyed response payload
-// to dst, carrying each decision's shard and rerouted flag.
-func AppendKeyedResponseFrame(dst []byte, status byte, decs []Decision) ([]byte, error) {
-	if len(decs) > MaxBatch {
-		return nil, fmt.Errorf("serve: batch of %d rows exceeds %d", len(decs), MaxBatch)
-	}
-	need := headerLen + 3 + len(decs)*keyedRespRow
-	off := len(dst)
-	dst = append(dst, make([]byte, need)...)
-	b := dst[off:]
-	putHeader(b, Version3, MsgDecisionsKeyed)
-	b[6] = status
-	binary.BigEndian.PutUint16(b[7:], uint16(len(decs)))
-	p := 9
-	for _, d := range decs {
-		if d.Level < 0 || d.Level > 255 {
-			return nil, fmt.Errorf("serve: level %d does not fit the wire format", d.Level)
-		}
-		b[p] = byte(d.Level)
-		b[p+1] = byte(d.Reason)
-		var flags byte
-		if d.Rerouted {
-			flags |= decFlagRerouted
-		}
-		b[p+2] = flags
-		shard := uint16(shardNone)
-		if d.Shard >= 0 && d.Shard < shardNone {
-			shard = uint16(d.Shard)
-		}
-		binary.BigEndian.PutUint16(b[p+3:], shard)
-		binary.BigEndian.PutUint64(b[p+5:], math.Float64bits(d.PredInstr))
-		p += keyedRespRow
-	}
-	return dst, nil
-}
-
-// DecodeKeyedResponseFrame parses a v3 keyed response payload, reusing
-// scratch. A MsgError frame decodes into a *ProtoError.
-func DecodeKeyedResponseFrame(payload []byte, scratch []Decision) ([]Decision, error) {
-	if err := checkHeader(payload, Version3, MsgDecisionsKeyed); err != nil {
-		return nil, err
-	}
-	if len(payload) < headerLen+3 {
-		return nil, fmt.Errorf("serve: keyed response frame too short (%d bytes)", len(payload))
-	}
-	if payload[6] != StatusOK {
-		return nil, fmt.Errorf("serve: server reported error status %d", payload[6])
-	}
-	count := int(binary.BigEndian.Uint16(payload[7:]))
-	want := headerLen + 3 + count*keyedRespRow
-	if len(payload) != want {
-		return nil, fmt.Errorf("serve: keyed response frame is %d bytes, want %d for %d rows", len(payload), want, count)
-	}
-	if cap(scratch) < count {
-		scratch = make([]Decision, count)
-	}
-	scratch = scratch[:count]
-	p := headerLen + 3
-	for i := range scratch {
-		scratch[i].Level = int(payload[p])
-		scratch[i].Reason = provenance.Reason(payload[p+1])
-		scratch[i].Rerouted = payload[p+2]&decFlagRerouted != 0
-		if s := binary.BigEndian.Uint16(payload[p+3:]); s == shardNone {
-			scratch[i].Shard = -1
-		} else {
-			scratch[i].Shard = int(s)
-		}
-		scratch[i].PredInstr = math.Float64frombits(binary.BigEndian.Uint64(payload[p+5:]))
-		p += keyedRespRow
-	}
-	return scratch, nil
-}
-
-// A v3 traced request frame (MsgDecideTraced, version 3) is a keyed
-// request with distributed-trace context between header and body,
-//
-//	uint64  trace ID
-//	uint64  parent span ID
-//	uint8   trace flags (telemetry.FlagSampled)
-//	uint16  row count, uint16 dim, keyed rows (as MsgDecideKeyed)
-//
-// and the matching traced response (MsgDecisionsTraced) prepends the
-// echoed trace ID and per-hop attribution to the keyed response body:
-//
-//	uint8   status
-//	uint64  trace ID (echo)
-//	uint32  queue µs, uint32 coalesce µs, uint32 dispatch µs, uint32 infer µs
-//	uint16  row count, keyed rows (as MsgDecisionsKeyed)
-const (
-	tracedReqPrefix  = 8 + 8 + 1
-	tracedRespPrefix = 8 + 4*4
-)
-
-// AppendTracedRequestFrame appends a v3 traced keyed request carrying tc
-// across the process boundary.
-func AppendTracedRequestFrame(dst []byte, rows []Request, tc telemetry.TraceContext) ([]byte, error) {
-	if len(rows) == 0 || len(rows) > MaxBatch {
-		return nil, fmt.Errorf("serve: batch of %d rows outside [1,%d]", len(rows), MaxBatch)
-	}
-	dim := len(rows[0].Features)
-	if dim != counters.Num {
-		return nil, fmt.Errorf("serve: feature dimension %d, want %d", dim, counters.Num)
-	}
-	need := headerLen + tracedReqPrefix + 4 + len(rows)*(keyedReqRowFixed+(1+dim)*8)
-	off := len(dst)
-	dst = append(dst, make([]byte, need)...)
-	b := dst[off:]
-	putHeader(b, Version3, MsgDecideTraced)
-	binary.BigEndian.PutUint64(b[6:], tc.TraceID)
-	binary.BigEndian.PutUint64(b[14:], tc.SpanID)
-	b[22] = tc.Flags
-	p := headerLen + tracedReqPrefix
 	binary.BigEndian.PutUint16(b[p:], uint16(len(rows)))
 	binary.BigEndian.PutUint16(b[p+2:], uint16(dim))
-	p += 4
+	b = b[p+4:]
 	for _, row := range rows {
 		if len(row.Features) != dim {
 			return nil, fmt.Errorf("serve: ragged batch: row has %d features, want %d", len(row.Features), dim)
 		}
-		if row.GPU < 0 || row.Cluster < 0 {
-			return nil, fmt.Errorf("serve: keyed row needs gpu/cluster >= 0, got (%d,%d)", row.GPU, row.Cluster)
-		}
-		binary.BigEndian.PutUint32(b[p:], uint32(row.GPU))
-		binary.BigEndian.PutUint32(b[p+4:], uint32(row.Cluster))
-		p += keyedReqRowFixed
-		binary.BigEndian.PutUint64(b[p:], math.Float64bits(row.Preset))
-		p += 8
+		binary.BigEndian.PutUint32(b, uint32(row.GPU))
+		binary.BigEndian.PutUint32(b[4:], uint32(row.Cluster))
+		binary.BigEndian.PutUint64(b[8:], math.Float64bits(row.Preset))
+		b = b[reqRowFixed+8:]
 		for _, f := range row.Features {
-			binary.BigEndian.PutUint64(b[p:], math.Float64bits(f))
-			p += 8
+			binary.BigEndian.PutUint64(b, math.Float64bits(f))
+			b = b[8:]
 		}
 	}
 	return dst, nil
 }
 
-// DecodeTracedRequestFrame parses a v3 traced keyed request, reusing
-// scratch, and returns the carried trace context.
-func DecodeTracedRequestFrame(payload []byte, scratch []Request) ([]Request, telemetry.TraceContext, error) {
-	var tc telemetry.TraceContext
-	if err := checkHeader(payload, Version3, MsgDecideTraced); err != nil {
-		return nil, tc, err
+// DecodeRequest parses a request payload of either kind and reports
+// which it was; tc is zero for a MsgDecideKeyed frame. The returned rows
+// reuse scratch (resized as needed) so a serving loop can decode without
+// allocating; feature slices alias scratch's backing arrays.
+func DecodeRequest(payload []byte, scratch []Request) (rows []Request, tc telemetry.TraceContext, traced bool, err error) {
+	t, err := parseHeader(payload)
+	if err != nil {
+		return nil, tc, false, err
 	}
-	if len(payload) < headerLen+tracedReqPrefix+4 {
-		return nil, tc, fmt.Errorf("serve: traced request frame too short (%d bytes)", len(payload))
+	body := payload[headerLen:]
+	switch t {
+	case MsgDecideKeyed:
+	case MsgDecideTraced:
+		if len(body) < traceReqLen {
+			return nil, tc, true, fmt.Errorf("serve: traced request frame too short (%d bytes)", len(payload))
+		}
+		tc.TraceID = binary.BigEndian.Uint64(body)
+		tc.SpanID = binary.BigEndian.Uint64(body[8:])
+		tc.Flags = body[16]
+		traced, body = true, body[traceReqLen:]
+	default:
+		return nil, tc, false, errWrongType(t, MsgDecideKeyed)
 	}
-	tc.TraceID = binary.BigEndian.Uint64(payload[6:])
-	tc.SpanID = binary.BigEndian.Uint64(payload[14:])
-	tc.Flags = payload[22]
-	p := headerLen + tracedReqPrefix
-	count := int(binary.BigEndian.Uint16(payload[p:]))
-	dim := int(binary.BigEndian.Uint16(payload[p+2:]))
+	rows, err = decodeRows(body, scratch)
+	return rows, tc, traced, err
+}
+
+// decodeRows parses a request frame's count, dimension and rows. It is a
+// function of its own so the row loop keeps only what it needs live.
+func decodeRows(body []byte, scratch []Request) ([]Request, error) {
+	if len(body) < 4 {
+		return nil, fmt.Errorf("serve: request frame too short for a row count (%d bytes)", len(body))
+	}
+	count := int(binary.BigEndian.Uint16(body))
+	dim := int(binary.BigEndian.Uint16(body[2:]))
 	if count == 0 || count > MaxBatch {
-		return nil, tc, fmt.Errorf("serve: batch of %d rows outside [1,%d]", count, MaxBatch)
+		return nil, fmt.Errorf("serve: batch of %d rows outside [1,%d]", count, MaxBatch)
 	}
 	if dim != counters.Num {
-		return nil, tc, fmt.Errorf("serve: feature dimension %d, want %d", dim, counters.Num)
+		return nil, fmt.Errorf("serve: feature dimension %d, want %d", dim, counters.Num)
 	}
-	want := headerLen + tracedReqPrefix + 4 + count*(keyedReqRowFixed+(1+dim)*8)
-	if len(payload) != want {
-		return nil, tc, fmt.Errorf("serve: traced request frame is %d bytes, want %d for %d rows", len(payload), want, count)
+	if want := 4 + count*(reqRowFixed+(1+dim)*8); len(body) != want {
+		return nil, fmt.Errorf("serve: request body is %d bytes, want %d for %d rows", len(body), want, count)
 	}
 	if cap(scratch) < count {
 		scratch = append(scratch[:cap(scratch)], make([]Request, count-cap(scratch))...)
 	}
 	scratch = scratch[:count]
-	p += 4
+	body = body[4:]
 	for i := range scratch {
-		scratch[i].GPU = int32(binary.BigEndian.Uint32(payload[p:]))
-		scratch[i].Cluster = int32(binary.BigEndian.Uint32(payload[p+4:]))
-		p += keyedReqRowFixed
-		scratch[i].Preset = math.Float64frombits(binary.BigEndian.Uint64(payload[p:]))
-		p += 8
-		if cap(scratch[i].Features) < dim {
-			scratch[i].Features = make([]float64, dim)
+		r := &scratch[i]
+		r.GPU = int32(binary.BigEndian.Uint32(body))
+		r.Cluster = int32(binary.BigEndian.Uint32(body[4:]))
+		r.Preset = math.Float64frombits(binary.BigEndian.Uint64(body[8:]))
+		body = body[reqRowFixed+8:]
+		if cap(r.Features) < dim {
+			r.Features = make([]float64, dim)
 		}
-		feats := scratch[i].Features[:dim]
+		feats := r.Features[:dim]
 		for j := range feats {
-			feats[j] = math.Float64frombits(binary.BigEndian.Uint64(payload[p:]))
-			p += 8
+			feats[j] = math.Float64frombits(binary.BigEndian.Uint64(body))
+			body = body[8:]
 		}
-		scratch[i].Features = feats
+		r.Features = feats
 	}
-	return scratch, tc, nil
+	return scratch, nil
 }
 
-// AppendTracedResponseFrame appends a v3 traced keyed response echoing
-// the trace ID and carrying this hop's latency attribution.
-func AppendTracedResponseFrame(dst []byte, status byte, decs []Decision, traceID uint64, hops HopTimings) ([]byte, error) {
+// AppendResponse appends an encoded response payload to dst, carrying
+// each decision's shard and rerouted flag: a MsgDecisionsTraced frame
+// echoing traceID with this hop's latency attribution when traced, a
+// MsgDecisionsKeyed frame (traceID and hops ignored) otherwise.
+func AppendResponse(dst []byte, status byte, decs []Decision, traced bool, traceID uint64, hops HopTimings) ([]byte, error) {
 	if len(decs) > MaxBatch {
 		return nil, fmt.Errorf("serve: batch of %d rows exceeds %d", len(decs), MaxBatch)
 	}
-	need := headerLen + 1 + tracedRespPrefix + 2 + len(decs)*keyedRespRow
+	msgType, p := byte(MsgDecisionsKeyed), headerLen+1
+	if traced {
+		msgType, p = MsgDecisionsTraced, headerLen+1+traceRespLen
+	}
 	off := len(dst)
-	dst = append(dst, make([]byte, need)...)
+	dst = append(dst, make([]byte, p+2+len(decs)*respRow)...)
 	b := dst[off:]
-	putHeader(b, Version3, MsgDecisionsTraced)
+	putHeader(b, msgType)
 	b[6] = status
-	binary.BigEndian.PutUint64(b[7:], traceID)
-	binary.BigEndian.PutUint32(b[15:], hops.QueueUs)
-	binary.BigEndian.PutUint32(b[19:], hops.CoalesceUs)
-	binary.BigEndian.PutUint32(b[23:], hops.DispatchUs)
-	binary.BigEndian.PutUint32(b[27:], hops.InferUs)
-	p := headerLen + 1 + tracedRespPrefix
+	if traced {
+		binary.BigEndian.PutUint64(b[7:], traceID)
+		binary.BigEndian.PutUint32(b[15:], hops.QueueUs)
+		binary.BigEndian.PutUint32(b[19:], hops.CoalesceUs)
+		binary.BigEndian.PutUint32(b[23:], hops.DispatchUs)
+		binary.BigEndian.PutUint32(b[27:], hops.InferUs)
+	}
 	binary.BigEndian.PutUint16(b[p:], uint16(len(decs)))
-	p += 2
+	b = b[p+2:]
 	for _, d := range decs {
 		if d.Level < 0 || d.Level > 255 {
 			return nil, fmt.Errorf("serve: level %d does not fit the wire format", d.Level)
 		}
-		b[p] = byte(d.Level)
-		b[p+1] = byte(d.Reason)
-		var flags byte
+		row := b[:respRow]
+		b = b[respRow:]
+		row[0] = byte(d.Level)
+		row[1] = byte(d.Reason)
+		row[2] = 0
 		if d.Rerouted {
-			flags |= decFlagRerouted
+			row[2] = decFlagRerouted
 		}
-		b[p+2] = flags
 		shard := uint16(shardNone)
 		if d.Shard >= 0 && d.Shard < shardNone {
 			shard = uint16(d.Shard)
 		}
-		binary.BigEndian.PutUint16(b[p+3:], shard)
-		binary.BigEndian.PutUint64(b[p+5:], math.Float64bits(d.PredInstr))
-		p += keyedRespRow
+		binary.BigEndian.PutUint16(row[3:], shard)
+		binary.BigEndian.PutUint64(row[5:], math.Float64bits(d.PredInstr))
 	}
 	return dst, nil
 }
 
-// DecodeTracedResponseFrame parses a v3 traced keyed response, reusing
-// scratch, and returns the hop attribution alongside the decisions.
-func DecodeTracedResponseFrame(payload []byte, scratch []Decision) ([]Decision, HopTimings, error) {
-	var hops HopTimings
-	if err := checkHeader(payload, Version3, MsgDecisionsTraced); err != nil {
+// decodeResponse parses a response payload of the wanted kind
+// (MsgDecisionsKeyed or MsgDecisionsTraced), reusing scratch. hops is
+// zero for the keyed kind. A MsgError frame decodes into a *ProtoError.
+func decodeResponse(payload []byte, scratch []Decision, wantType byte) (decs []Decision, hops HopTimings, err error) {
+	if err := checkType(payload, wantType); err != nil {
 		return nil, hops, err
 	}
-	if len(payload) < headerLen+1+tracedRespPrefix+2 {
-		return nil, hops, fmt.Errorf("serve: traced response frame too short (%d bytes)", len(payload))
+	p := headerLen + 1
+	if wantType == MsgDecisionsTraced {
+		p += traceRespLen
+	}
+	if len(payload) < p+2 {
+		return nil, hops, fmt.Errorf("serve: response frame too short (%d bytes)", len(payload))
 	}
 	if payload[6] != StatusOK {
 		return nil, hops, fmt.Errorf("serve: server reported error status %d", payload[6])
 	}
-	hops.QueueUs = binary.BigEndian.Uint32(payload[15:])
-	hops.CoalesceUs = binary.BigEndian.Uint32(payload[19:])
-	hops.DispatchUs = binary.BigEndian.Uint32(payload[23:])
-	hops.InferUs = binary.BigEndian.Uint32(payload[27:])
-	p := headerLen + 1 + tracedRespPrefix
+	if wantType == MsgDecisionsTraced {
+		hops.QueueUs = binary.BigEndian.Uint32(payload[15:])
+		hops.CoalesceUs = binary.BigEndian.Uint32(payload[19:])
+		hops.DispatchUs = binary.BigEndian.Uint32(payload[23:])
+		hops.InferUs = binary.BigEndian.Uint32(payload[27:])
+	}
 	count := int(binary.BigEndian.Uint16(payload[p:]))
-	want := headerLen + 1 + tracedRespPrefix + 2 + count*keyedRespRow
-	if len(payload) != want {
-		return nil, hops, fmt.Errorf("serve: traced response frame is %d bytes, want %d for %d rows", len(payload), want, count)
+	if count > MaxBatch {
+		return nil, hops, fmt.Errorf("serve: response of %d rows exceeds %d", count, MaxBatch)
+	}
+	p += 2
+	if want := p + count*respRow; len(payload) != want {
+		return nil, hops, fmt.Errorf("serve: response frame is %d bytes, want %d for %d rows", len(payload), want, count)
 	}
 	if cap(scratch) < count {
 		scratch = make([]Decision, count)
 	}
 	scratch = scratch[:count]
-	p += 2
+	body := payload[p:]
 	for i := range scratch {
-		scratch[i].Level = int(payload[p])
-		scratch[i].Reason = provenance.Reason(payload[p+1])
-		scratch[i].Rerouted = payload[p+2]&decFlagRerouted != 0
-		if s := binary.BigEndian.Uint16(payload[p+3:]); s == shardNone {
-			scratch[i].Shard = -1
-		} else {
-			scratch[i].Shard = int(s)
+		row, d := body[:respRow], &scratch[i]
+		body = body[respRow:]
+		d.Level = int(row[0])
+		d.Reason = provenance.Reason(row[1])
+		d.Rerouted = row[2]&decFlagRerouted != 0
+		if d.Shard = int(binary.BigEndian.Uint16(row[3:])); d.Shard == shardNone {
+			d.Shard = -1
 		}
-		scratch[i].PredInstr = math.Float64frombits(binary.BigEndian.Uint64(payload[p+5:]))
-		p += keyedRespRow
+		d.PredInstr = math.Float64frombits(binary.BigEndian.Uint64(row[5:]))
 	}
 	return scratch, hops, nil
 }
 
-// TracedResponseTraceID peeks the echoed trace ID of a traced response
-// payload without decoding the rows.
-func TracedResponseTraceID(payload []byte) uint64 {
-	if len(payload) < headerLen+1+tracedRespPrefix {
-		return 0
+// AppendKeyedRequestFrame appends an untraced request payload to dst. It
+// and the seven typed entry points after it are the one codec with the
+// kind fixed (each decoder refuses a frame of the other kind), under the
+// names the benchmark's codec rungs call.
+func AppendKeyedRequestFrame(dst []byte, rows []Request) ([]byte, error) {
+	return appendRequest(dst, rows, nil)
+}
+
+// AppendTracedRequestFrame appends a request payload carrying tc across
+// the process boundary.
+func AppendTracedRequestFrame(dst []byte, rows []Request, tc telemetry.TraceContext) ([]byte, error) {
+	return appendRequest(dst, rows, &tc)
+}
+
+// DecodeKeyedRequestFrame parses an untraced request payload, reusing
+// scratch like DecodeRequest.
+func DecodeKeyedRequestFrame(payload []byte, scratch []Request) ([]Request, error) {
+	rows, _, traced, err := DecodeRequest(payload, scratch)
+	if err == nil && traced {
+		return nil, errWrongType(MsgDecideTraced, MsgDecideKeyed)
 	}
-	return binary.BigEndian.Uint64(payload[7:])
+	return rows, err
+}
+
+// DecodeTracedRequestFrame parses a traced request payload, reusing
+// scratch, and returns the carried trace context.
+func DecodeTracedRequestFrame(payload []byte, scratch []Request) ([]Request, telemetry.TraceContext, error) {
+	rows, tc, traced, err := DecodeRequest(payload, scratch)
+	if err == nil && !traced {
+		return nil, tc, errWrongType(MsgDecideKeyed, MsgDecideTraced)
+	}
+	return rows, tc, err
+}
+
+// AppendKeyedResponseFrame appends an untraced response payload to dst.
+func AppendKeyedResponseFrame(dst []byte, status byte, decs []Decision) ([]byte, error) {
+	return AppendResponse(dst, status, decs, false, 0, HopTimings{})
+}
+
+// AppendTracedResponseFrame appends a response payload echoing the trace
+// ID and carrying this hop's latency attribution.
+func AppendTracedResponseFrame(dst []byte, status byte, decs []Decision, traceID uint64, hops HopTimings) ([]byte, error) {
+	return AppendResponse(dst, status, decs, true, traceID, hops)
+}
+
+// DecodeKeyedResponseFrame parses an untraced response payload, reusing
+// scratch. A MsgError frame decodes into a *ProtoError.
+func DecodeKeyedResponseFrame(payload []byte, scratch []Decision) ([]Decision, error) {
+	decs, _, err := decodeResponse(payload, scratch, MsgDecisionsKeyed)
+	return decs, err
+}
+
+// DecodeTracedResponseFrame parses a traced response payload, reusing
+// scratch, and returns the hop attribution alongside the decisions.
+func DecodeTracedResponseFrame(payload []byte, scratch []Decision) ([]Decision, HopTimings, error) {
+	return decodeResponse(payload, scratch, MsgDecisionsTraced)
 }
 
 // AppendHelloFrame appends a client hello offering the [min,max] version
@@ -864,17 +581,15 @@ func AppendHelloFrame(dst []byte, minVer, maxVer byte) []byte {
 	off := len(dst)
 	dst = append(dst, make([]byte, headerLen+2)...)
 	b := dst[off:]
-	putHeader(b, VersionMax, MsgHello)
+	putHeader(b, MsgHello)
 	b[6], b[7] = minVer, maxVer
 	return dst
 }
 
 // DecodeHelloFrame parses a client hello into its offered version range.
 func DecodeHelloFrame(payload []byte) (minVer, maxVer byte, err error) {
-	if _, t, err := parseHeader(payload); err != nil {
+	if err := checkType(payload, MsgHello); err != nil {
 		return 0, 0, err
-	} else if t != MsgHello {
-		return 0, 0, fmt.Errorf("serve: unexpected message type %d, want %d", t, MsgHello)
 	}
 	if len(payload) != headerLen+2 {
 		return 0, 0, fmt.Errorf("serve: hello frame is %d bytes, want %d", len(payload), headerLen+2)
@@ -882,16 +597,12 @@ func DecodeHelloFrame(payload []byte) (minVer, maxVer byte, err error) {
 	return payload[6], payload[7], nil
 }
 
-// AppendHelloAckFrame appends the server's negotiation answer. The body
-// has grown twice, always by appending: byte 10 advertises the serving
-// backend, bytes 11-14 the serving model's lineage generation. Peers
-// that predate an extension parse only the prefix they know, so every
-// body length remains compatible in both directions.
+// AppendHelloAckFrame appends the server's negotiation answer.
 func AppendHelloAckFrame(dst []byte, h Hello) []byte {
 	off := len(dst)
 	dst = append(dst, make([]byte, headerLen+9)...)
 	b := dst[off:]
-	putHeader(b, VersionMax, MsgHelloAck)
+	putHeader(b, MsgHelloAck)
 	b[6] = byte(h.Version)
 	if h.Router {
 		b[7] |= HelloFlagRouter
@@ -908,38 +619,20 @@ func AppendHelloAckFrame(dst []byte, h Hello) []byte {
 // DecodeHelloAckFrame parses a server hello-ack. A MsgError frame decodes
 // into a *ProtoError, so a refused negotiation surfaces as a typed error.
 func DecodeHelloAckFrame(payload []byte) (Hello, error) {
-	_, t, err := parseHeader(payload)
-	if err != nil {
+	if err := checkType(payload, MsgHelloAck); err != nil {
 		return Hello{}, err
 	}
-	if t == MsgError {
-		return Hello{}, DecodeErrorFrame(payload)
+	if len(payload) != headerLen+9 {
+		return Hello{}, fmt.Errorf("serve: hello-ack frame is %d bytes, want %d", len(payload), headerLen+9)
 	}
-	if t != MsgHelloAck {
-		return Hello{}, fmt.Errorf("serve: unexpected message type %d, want %d", t, MsgHelloAck)
-	}
-	// headerLen+4 is the legacy body (no backend byte), headerLen+5 adds
-	// the backend advertisement, headerLen+9 the model generation. All
-	// stay accepted so old and new peers interoperate in either direction.
-	switch len(payload) {
-	case headerLen + 4, headerLen + 5, headerLen + 9:
-	default:
-		return Hello{}, fmt.Errorf("serve: hello-ack frame is %d bytes, want %d, %d or %d",
-			len(payload), headerLen+4, headerLen+5, headerLen+9)
-	}
-	h := Hello{
-		Version: int(payload[6]),
-		Router:  payload[7]&HelloFlagRouter != 0,
-		Tracing: payload[7]&HelloFlagTracing != 0,
-		Shards:  int(binary.BigEndian.Uint16(payload[8:])),
-	}
-	if len(payload) >= headerLen+5 {
-		h.Backend = backendFromCode(payload[10])
-	}
-	if len(payload) == headerLen+9 {
-		h.Generation = int(binary.BigEndian.Uint32(payload[11:]))
-	}
-	return h, nil
+	return Hello{
+		Version:    int(payload[6]),
+		Router:     payload[7]&HelloFlagRouter != 0,
+		Tracing:    payload[7]&HelloFlagTracing != 0,
+		Shards:     int(binary.BigEndian.Uint16(payload[8:])),
+		Backend:    backendFromCode(payload[10]),
+		Generation: int(binary.BigEndian.Uint32(payload[11:])),
+	}, nil
 }
 
 // AppendErrorFrame appends a structured protocol-error frame.
@@ -950,7 +643,7 @@ func AppendErrorFrame(dst []byte, code int, msg string) []byte {
 	off := len(dst)
 	dst = append(dst, make([]byte, headerLen+4+len(msg))...)
 	b := dst[off:]
-	putHeader(b, VersionMax, MsgError)
+	putHeader(b, MsgError)
 	binary.BigEndian.PutUint16(b[6:], uint16(code))
 	binary.BigEndian.PutUint16(b[8:], uint16(len(msg)))
 	copy(b[10:], msg)
@@ -970,57 +663,152 @@ func DecodeErrorFrame(payload []byte) error {
 	return &ProtoError{Code: code, Msg: string(payload[10 : 10+n])}
 }
 
-// ReadFrame and WriteFrame expose the raw frame transport for other
-// packages that speak this protocol (the fleet router's front-end). Pass
-// a *bufio.Reader to read more than one frame from a stream: any other
-// reader is wrapped in one, which may read past the frame it returns.
+// ReadFrame reads one frame payload into buf (grown if needed) and
+// returns it. Pass a *bufio.Reader to read more than one frame from a
+// stream: any other reader is wrapped in one, which may read past the
+// frame it returns. An oversized length prefix is refused without
+// allocation, as a *ProtoError the transport answers before it drops the
+// stream. The prefix is peeked in place for the same reason WriteFrame
+// borrows the writer's buffer; a stream that ends inside it reports what
+// io.ReadFull would: io.EOF before the first byte, io.ErrUnexpectedEOF
+// after.
 func ReadFrame(r io.Reader, buf []byte) ([]byte, error) {
 	br, ok := r.(*bufio.Reader)
 	if !ok {
 		br = bufio.NewReader(r)
 	}
-	return readFrame(br, buf)
+	prefix, err := br.Peek(4)
+	if err != nil {
+		if err == io.EOF && len(prefix) > 0 {
+			err = io.ErrUnexpectedEOF
+		}
+		return nil, err
+	}
+	size := binary.BigEndian.Uint32(prefix)
+	if size > MaxFrame {
+		return nil, &ProtoError{Code: ErrCodeBadFrame, Msg: fmt.Sprintf("frame of %d bytes exceeds limit %d", size, MaxFrame)}
+	}
+	br.Discard(4) // cannot fail: Peek just buffered these bytes
+	if uint32(cap(buf)) < size {
+		buf = make([]byte, size)
+	}
+	buf = buf[:size]
+	if _, err := io.ReadFull(br, buf); err != nil {
+		return nil, fmt.Errorf("serve: truncated frame: %w", err)
+	}
+	return buf, nil
 }
 
-// WriteFrame writes one length-prefixed frame payload. A *bufio.Writer is
-// left unflushed, so frames can be batched; any other writer gets the
-// whole frame before WriteFrame returns.
+// WriteFrame writes one length-prefixed frame payload and flushes it to
+// the peer. A *bufio.Writer is used as it is; any other writer is wrapped
+// in a fresh one. The prefix is built in the writer's own spare capacity:
+// a local [4]byte handed to an io.Writer escapes to the heap, one
+// allocation per frame.
 func WriteFrame(w io.Writer, payload []byte) error {
-	if bw, ok := w.(*bufio.Writer); ok {
-		return writeFrame(bw, payload)
+	bw, ok := w.(*bufio.Writer)
+	if !ok {
+		bw = bufio.NewWriter(w)
 	}
-	bw := bufio.NewWriter(w)
-	if err := writeFrame(bw, payload); err != nil {
+	prefix := binary.BigEndian.AppendUint32(bw.AvailableBuffer(), uint32(len(payload)))
+	if _, err := bw.Write(prefix); err != nil {
+		return err
+	}
+	if _, err := bw.Write(payload); err != nil {
 		return err
 	}
 	return bw.Flush()
 }
 
-// ParseHeader validates a payload's magic and version range and returns
-// its version and message type — the dispatch step any transport speaking
-// this protocol performs first. Errors are *ProtoError, ready to answer
-// with AppendErrorFrame.
-func ParseHeader(payload []byte) (version, msgType byte, err error) {
-	return parseHeader(payload)
+// Endpoint is what answers behind a binary-protocol front-end: the
+// daemon's engine or the fleet router. A front-end owns the connection
+// and its read/write loop; what a frame means is FrameScratch.Answer's
+// business, and what the decision is, the Endpoint's.
+type Endpoint interface {
+	// HelloAck describes the endpoint for negotiation: role, shard count,
+	// backend, generation. Answer fills in Version and Tracing.
+	HelloAck() Hello
+	// DecideFrame answers one decoded request frame, appending one
+	// Decision per row to decs. tc is the frame's trace context (zero for
+	// an untraced frame) and received is when the frame came off the
+	// wire; the returned attribution rides back on a traced response.
+	DecideFrame(rows []Request, decs []Decision, tc telemetry.TraceContext, received time.Time) ([]Decision, HopTimings)
 }
 
-// WriteRequest encodes rows as one frame on w.
-func WriteRequest(w *bufio.Writer, rows []Request) error {
-	payload, err := AppendRequestFrame(nil, rows)
-	if err != nil {
-		return err
-	}
-	if err := writeFrame(w, payload); err != nil {
-		return err
-	}
-	return w.Flush()
+// FrameScratch is the reusable state one connection needs to answer
+// frames: decoded rows, decisions and the encoded reply. The zero value
+// is ready; it is not safe for concurrent use.
+type FrameScratch struct {
+	rows []Request
+	decs []Decision
+	out  []byte
 }
 
-// ReadResponse reads one response frame from r.
-func ReadResponse(r io.Reader) ([]Decision, error) {
-	payload, err := ReadFrame(r, nil)
-	if err != nil {
-		return nil, err
+// Answer turns one received payload into the payload to send back: a
+// hello into its ack, a request into ep's decisions in a response of the
+// request's own kind. Anything else, and any frame that does not parse,
+// gets the MsgError frame as reply and the *ProtoError it carries as err:
+// the caller sends reply and drops the connection, since the stream can
+// no longer be trusted. For a served request rows and tc are its row
+// count and trace context. reply aliases fs until the next call.
+func (fs *FrameScratch) Answer(frame []byte, ep Endpoint, received time.Time) (reply []byte, rows int, tc telemetry.TraceContext, err error) {
+	if reply, rows, tc, err = fs.answer(frame, ep, received); err != nil {
+		var pe *ProtoError
+		if !errors.As(err, &pe) {
+			pe = &ProtoError{Code: ErrCodeBadFrame, Msg: err.Error()}
+		}
+		reply, err = fs.Refuse(pe), pe
 	}
-	return DecodeResponseFrame(payload, nil)
+	return reply, rows, tc, err
+}
+
+func (fs *FrameScratch) answer(frame []byte, ep Endpoint, received time.Time) (reply []byte, rows int, tc telemetry.TraceContext, err error) {
+	msgType, err := parseHeader(frame)
+	if err != nil {
+		return nil, 0, tc, err
+	}
+	switch msgType {
+	case MsgHello:
+		minVer, maxVer, err := DecodeHelloFrame(frame)
+		if err != nil {
+			return nil, 0, tc, err
+		}
+		if minVer > Version || maxVer < Version {
+			return nil, 0, tc, &ProtoError{Code: ErrCodeVersion,
+				Msg: fmt.Sprintf("no common version: peer offers %d..%d, this side speaks %d", minVer, maxVer, Version)}
+		}
+		h := ep.HelloAck()
+		h.Version, h.Tracing = Version, true
+		fs.out = AppendHelloAckFrame(fs.out[:0], h)
+		return fs.out, 0, tc, nil
+
+	case MsgDecideKeyed, MsgDecideTraced:
+		reqs, tc, traced, err := DecodeRequest(frame, fs.rows)
+		if err != nil {
+			return nil, 0, tc, err
+		}
+		fs.rows = reqs
+		var hops HopTimings
+		fs.decs, hops = ep.DecideFrame(reqs, fs.decs[:0], tc, received)
+		out, err := AppendResponse(fs.out[:0], StatusOK, fs.decs, traced, tc.TraceID, hops)
+		if err != nil {
+			return nil, 0, tc, err
+		}
+		fs.out = out
+		return out, len(reqs), tc, nil
+	}
+	return nil, 0, tc, &ProtoError{Code: ErrCodeBadFrame, Msg: fmt.Sprintf("unexpected message type %d", msgType)}
+}
+
+// Refuse returns the MsgError frame a front-end owes its peer before it
+// drops the connection over a ReadFrame error: the refusal err carries
+// (an oversized length prefix), or nil when err is no protocol violation
+// — the peer hung up — and nothing is owed. The frame aliases fs until
+// the next call.
+func (fs *FrameScratch) Refuse(err error) []byte {
+	var pe *ProtoError
+	if !errors.As(err, &pe) {
+		return nil
+	}
+	fs.out = AppendErrorFrame(fs.out[:0], pe.Code, pe.Msg)
+	return fs.out
 }

@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"io"
 	"math/rand"
 	"net"
@@ -10,6 +11,8 @@ import (
 	"testing"
 
 	"ssmdvfs/internal/counters"
+	"ssmdvfs/internal/provenance"
+	"ssmdvfs/internal/telemetry"
 )
 
 func randRows(n int, seed int64) []Request {
@@ -17,6 +20,7 @@ func randRows(n int, seed int64) []Request {
 	rows := make([]Request, n)
 	for i := range rows {
 		rows[i].Preset = rng.Float64() * 0.3
+		rows[i].GPU, rows[i].Cluster = int32(rng.Intn(1<<20))-1, int32(rng.Intn(25))-1
 		rows[i].Features = make([]float64, counters.Num)
 		for j := range rows[i].Features {
 			rows[i].Features[j] = rng.NormFloat64() * 1000
@@ -25,27 +29,48 @@ func randRows(n int, seed int64) []Request {
 	return rows
 }
 
+// frameKinds are the two kinds of the one frame — without and with the
+// trace section. Every codec table below runs over both.
+var frameKinds = []struct {
+	name      string
+	tc        *telemetry.TraceContext // nil: untraced
+	reqType   byte
+	respType  byte
+	reqCount  int // offset of the request's row count
+	respCount int // offset of the response's row count
+}{
+	{"keyed", nil, MsgDecideKeyed, MsgDecisionsKeyed, headerLen, headerLen + 1},
+	{"traced", &telemetry.TraceContext{TraceID: 0xabcdef, SpanID: 0x1234, Flags: telemetry.FlagSampled},
+		MsgDecideTraced, MsgDecisionsTraced, headerLen + traceReqLen, headerLen + 1 + traceRespLen},
+}
+
 func TestRequestFrameRoundTrip(t *testing.T) {
-	for _, n := range []int{1, 2, 64, MaxBatch} {
-		rows := randRows(n, int64(n))
-		payload, err := AppendRequestFrame(nil, rows)
-		if err != nil {
-			t.Fatalf("n=%d: %v", n, err)
-		}
-		got, err := DecodeRequestFrame(payload, nil)
-		if err != nil {
-			t.Fatalf("n=%d: %v", n, err)
-		}
-		if len(got) != n {
-			t.Fatalf("n=%d: decoded %d rows", n, len(got))
-		}
-		for i := range got {
-			if got[i].Preset != rows[i].Preset {
-				t.Fatalf("row %d preset %g != %g", i, got[i].Preset, rows[i].Preset)
+	for _, k := range frameKinds {
+		for _, n := range []int{1, 2, 64, MaxBatch} {
+			rows := randRows(n, int64(n))
+			payload, err := appendRequest(nil, rows, k.tc)
+			if err != nil {
+				t.Fatalf("%s n=%d: %v", k.name, n, err)
 			}
-			for j := range got[i].Features {
-				if got[i].Features[j] != rows[i].Features[j] {
-					t.Fatalf("row %d feature %d differs", i, j)
+			got, tc, traced, err := DecodeRequest(payload, nil)
+			if err != nil {
+				t.Fatalf("%s n=%d: %v", k.name, n, err)
+			}
+			if traced != (k.tc != nil) || (traced && tc != *k.tc) || (!traced && tc != telemetry.TraceContext{}) {
+				t.Fatalf("%s n=%d: decoded traced=%v tc=%+v", k.name, n, traced, tc)
+			}
+			if len(got) != n {
+				t.Fatalf("%s n=%d: decoded %d rows", k.name, n, len(got))
+			}
+			for i := range got {
+				if got[i].Preset != rows[i].Preset || got[i].GPU != rows[i].GPU || got[i].Cluster != rows[i].Cluster {
+					t.Fatalf("%s row %d = (%d,%d,%g), want (%d,%d,%g)", k.name, i,
+						got[i].GPU, got[i].Cluster, got[i].Preset, rows[i].GPU, rows[i].Cluster, rows[i].Preset)
+				}
+				for j := range got[i].Features {
+					if got[i].Features[j] != rows[i].Features[j] {
+						t.Fatalf("%s row %d feature %d differs", k.name, i, j)
+					}
 				}
 			}
 		}
@@ -53,109 +78,169 @@ func TestRequestFrameRoundTrip(t *testing.T) {
 }
 
 func TestResponseFrameRoundTrip(t *testing.T) {
-	// v2 frames carry no shard identity: decode always yields Shard -1.
-	decs := []Decision{{Level: 0, PredInstr: 0, Shard: -1}, {Level: 5, PredInstr: 12345.5, Shard: -1}, {Level: 255, PredInstr: 1e18, Shard: -1}}
-	payload, err := AppendResponseFrame(nil, StatusOK, decs)
-	if err != nil {
-		t.Fatal(err)
+	decs := []Decision{
+		{Level: 0, PredInstr: 0, Shard: -1},
+		{Level: 5, Reason: provenance.ReasonShed, PredInstr: 12345.5, Shard: 2, Rerouted: true},
+		{Level: 255, PredInstr: 1e18, Shard: 0},
 	}
-	got, err := DecodeResponseFrame(payload, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(decs) {
-		t.Fatalf("decoded %d decisions, want %d", len(got), len(decs))
-	}
-	for i := range got {
-		if got[i] != decs[i] {
-			t.Fatalf("decision %d = %+v, want %+v", i, got[i], decs[i])
+	hops := HopTimings{QueueUs: 5, CoalesceUs: 9, DispatchUs: 140, InferUs: 80}
+	for _, k := range frameKinds {
+		payload, err := AppendResponse(nil, StatusOK, decs, k.tc != nil, 0xabcdef, hops)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, gotHops, err := decodeResponse(payload, nil, k.respType)
+		if err != nil {
+			t.Fatalf("%s: %v", k.name, err)
+		}
+		want := HopTimings{}
+		if k.tc != nil {
+			want = hops
+		}
+		if gotHops != want {
+			t.Fatalf("%s: hops = %+v, want %+v", k.name, gotHops, want)
+		}
+		if len(got) != len(decs) {
+			t.Fatalf("%s: decoded %d decisions, want %d", k.name, len(got), len(decs))
+		}
+		for i := range got {
+			if got[i] != decs[i] {
+				t.Fatalf("%s: decision %d = %+v, want %+v", k.name, i, got[i], decs[i])
+			}
 		}
 	}
 }
 
 func TestEncodeRejectsBadBatches(t *testing.T) {
-	if _, err := AppendRequestFrame(nil, nil); err == nil {
-		t.Fatal("empty batch accepted")
-	}
-	if _, err := AppendRequestFrame(nil, randRows(MaxBatch+1, 1)); err == nil {
-		t.Fatal("oversized batch accepted")
-	}
 	short := randRows(1, 2)
 	short[0].Features = short[0].Features[:10]
-	if _, err := AppendRequestFrame(nil, short); err == nil {
-		t.Fatal("wrong feature dimension accepted")
-	}
 	ragged := randRows(2, 3)
 	ragged[1].Features = ragged[1].Features[:10]
-	if _, err := AppendRequestFrame(nil, ragged); err == nil {
-		t.Fatal("ragged batch accepted")
-	}
-	if _, err := AppendResponseFrame(nil, StatusOK, []Decision{{Level: 300}}); err == nil {
-		t.Fatal("level 300 accepted")
+	for _, k := range frameKinds {
+		for name, rows := range map[string][]Request{
+			"empty batch":             nil,
+			"oversized batch":         randRows(MaxBatch+1, 1),
+			"wrong feature dimension": short,
+			"ragged batch":            ragged,
+		} {
+			if _, err := appendRequest(nil, rows, k.tc); err == nil {
+				t.Errorf("%s: %s accepted", k.name, name)
+			}
+		}
+		if _, err := AppendResponse(nil, StatusOK, []Decision{{Level: 300}}, k.tc != nil, 1, HopTimings{}); err == nil {
+			t.Errorf("%s: level 300 accepted", k.name)
+		}
+		if _, err := AppendResponse(nil, StatusOK, make([]Decision, MaxBatch+1), k.tc != nil, 1, HopTimings{}); err == nil {
+			t.Errorf("%s: %d-row response accepted", k.name, MaxBatch+1)
+		}
 	}
 }
 
 // TestDecodeRejectsCorruptFrames walks a table of truncated, oversized,
-// and corrupted payloads through both decoders.
+// and corrupted payloads through both decoders, for both frame kinds.
 func TestDecodeRejectsCorruptFrames(t *testing.T) {
-	goodReq, err := AppendRequestFrame(nil, randRows(3, 4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	goodResp, err := AppendResponseFrame(nil, StatusOK, []Decision{{Level: 2, PredInstr: 7}})
-	if err != nil {
-		t.Fatal(err)
-	}
 	mutate := func(src []byte, f func([]byte)) []byte {
 		b := append([]byte(nil), src...)
 		f(b)
 		return b
 	}
-	cases := []struct {
-		name    string
-		payload []byte
-		decode  func([]byte) error
-	}{
-		{"req empty", nil, decodeReq},
-		{"req header only", goodReq[:headerLen], decodeReq},
-		{"req truncated row", goodReq[:len(goodReq)-8], decodeReq},
-		{"req one extra byte", append(append([]byte(nil), goodReq...), 0), decodeReq},
-		{"req bad magic", mutate(goodReq, func(b []byte) { b[0] = 'X' }), decodeReq},
-		{"req bad version", mutate(goodReq, func(b []byte) { b[4] = 9 }), decodeReq},
-		{"req wrong type", mutate(goodReq, func(b []byte) { b[5] = MsgDecisions }), decodeReq},
-		{"req zero rows", mutate(goodReq, func(b []byte) { binary.BigEndian.PutUint16(b[6:], 0) }), decodeReq},
-		{"req oversized count", mutate(goodReq, func(b []byte) { binary.BigEndian.PutUint16(b[6:], MaxBatch+1) }), decodeReq},
-		{"req count/size mismatch", mutate(goodReq, func(b []byte) { binary.BigEndian.PutUint16(b[6:], 2) }), decodeReq},
-		{"req wrong dim", mutate(goodReq, func(b []byte) { binary.BigEndian.PutUint16(b[8:], 5) }), decodeReq},
-		{"resp empty", nil, decodeResp},
-		{"resp truncated", goodResp[:len(goodResp)-1], decodeResp},
-		{"resp extra byte", append(append([]byte(nil), goodResp...), 0), decodeResp},
-		{"resp wrong type", mutate(goodResp, func(b []byte) { b[5] = MsgDecide }), decodeResp},
-		{"resp error status", mutate(goodResp, func(b []byte) { b[6] = StatusError }), decodeResp},
-		{"resp count mismatch", mutate(goodResp, func(b []byte) { binary.BigEndian.PutUint16(b[7:], 40) }), decodeResp},
-	}
-	for _, c := range cases {
-		if err := c.decode(c.payload); err == nil {
-			t.Errorf("%s: corrupt frame accepted", c.name)
+	for ki, k := range frameKinds {
+		other := frameKinds[1-ki]
+		goodReq, err := appendRequest(nil, randRows(3, 4), k.tc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		goodResp, err := AppendResponse(nil, StatusOK, []Decision{{Level: 2, PredInstr: 7}}, k.tc != nil, 1, HopTimings{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		decodeReq := func(p []byte) error {
+			_, _, traced, err := DecodeRequest(p, nil)
+			if err == nil && traced != (k.tc != nil) {
+				err = errWrongType(p[5], k.reqType) // what the typed entry points say
+			}
+			return err
+		}
+		decodeResp := func(p []byte) error {
+			_, _, err := decodeResponse(p, nil, k.respType)
+			return err
+		}
+		cases := []struct {
+			name    string
+			payload []byte
+			decode  func([]byte) error
+		}{
+			{"req empty", nil, decodeReq},
+			{"req short header", goodReq[:headerLen-1], decodeReq},
+			{"req header only", goodReq[:headerLen], decodeReq},
+			{"req cut before the row count", goodReq[:k.reqCount+1], decodeReq},
+			{"req truncated row", goodReq[:len(goodReq)-8], decodeReq},
+			{"req one extra byte", append(append([]byte(nil), goodReq...), 0), decodeReq},
+			{"req bad magic", mutate(goodReq, func(b []byte) { b[0] = 'X' }), decodeReq},
+			{"req bad version", mutate(goodReq, func(b []byte) { b[4] = 9 }), decodeReq},
+			{"req version 2", mutate(goodReq, func(b []byte) { b[4] = 2 }), decodeReq},
+			{"req retired v2 type", mutate(goodReq, func(b []byte) { b[5] = 1 }), decodeReq},
+			{"req response type", mutate(goodReq, func(b []byte) { b[5] = k.respType }), decodeReq},
+			{"req other kind's type", mutate(goodReq, func(b []byte) { b[5] = other.reqType }), decodeReq},
+			{"req zero rows", mutate(goodReq, func(b []byte) { binary.BigEndian.PutUint16(b[k.reqCount:], 0) }), decodeReq},
+			{"req oversized count", mutate(goodReq, func(b []byte) { binary.BigEndian.PutUint16(b[k.reqCount:], MaxBatch+1) }), decodeReq},
+			{"req count/size mismatch", mutate(goodReq, func(b []byte) { binary.BigEndian.PutUint16(b[k.reqCount:], 2) }), decodeReq},
+			{"req wrong dim", mutate(goodReq, func(b []byte) { binary.BigEndian.PutUint16(b[k.reqCount+2:], 5) }), decodeReq},
+			{"resp empty", nil, decodeResp},
+			{"resp cut before the row count", goodResp[:k.respCount+1], decodeResp},
+			{"resp truncated", goodResp[:len(goodResp)-1], decodeResp},
+			{"resp extra byte", append(append([]byte(nil), goodResp...), 0), decodeResp},
+			{"resp bad version", mutate(goodResp, func(b []byte) { b[4] = 2 }), decodeResp},
+			{"resp retired v2 type", mutate(goodResp, func(b []byte) { b[5] = 2 }), decodeResp},
+			{"resp request type", mutate(goodResp, func(b []byte) { b[5] = k.reqType }), decodeResp},
+			{"resp other kind's type", mutate(goodResp, func(b []byte) { b[5] = other.respType }), decodeResp},
+			{"resp error status", mutate(goodResp, func(b []byte) { b[6] = StatusError }), decodeResp},
+			{"resp count mismatch", mutate(goodResp, func(b []byte) { binary.BigEndian.PutUint16(b[k.respCount:], 40) }), decodeResp},
+		}
+		for _, c := range cases {
+			if err := c.decode(c.payload); err == nil {
+				t.Errorf("%s: %s: corrupt frame accepted", k.name, c.name)
+			}
+		}
+		if err := decodeReq(goodReq); err != nil {
+			t.Errorf("%s: good request refused: %v", k.name, err)
+		}
+		if err := decodeResp(goodResp); err != nil {
+			t.Errorf("%s: good response refused: %v", k.name, err)
 		}
 	}
-}
 
-func decodeReq(p []byte) error {
-	_, err := DecodeRequestFrame(p, nil)
-	return err
-}
-
-func decodeResp(p []byte) error {
-	_, err := DecodeResponseFrame(p, nil)
-	return err
+	// The typed entry points refuse a good frame of the other kind.
+	keyedReq, _ := AppendKeyedRequestFrame(nil, randRows(1, 5))
+	tracedReq, _ := AppendTracedRequestFrame(nil, randRows(1, 5), *frameKinds[1].tc)
+	if _, err := DecodeKeyedRequestFrame(tracedReq, nil); err == nil {
+		t.Error("DecodeKeyedRequestFrame accepted a traced frame")
+	}
+	if _, _, err := DecodeTracedRequestFrame(keyedReq, nil); err == nil {
+		t.Error("DecodeTracedRequestFrame accepted a keyed frame")
+	}
 }
 
 func TestReadFrameRejectsOversizedAndTruncated(t *testing.T) {
-	var huge bytes.Buffer
-	binary.Write(&huge, binary.BigEndian, uint32(MaxFrame+1))
-	if _, err := ReadFrame(&huge, nil); err == nil || !strings.Contains(err.Error(), "exceeds") {
-		t.Fatalf("oversized frame: err = %v", err)
+	// An oversized prefix is refused as the *ProtoError a server sends
+	// back, whatever follows it and without allocating what it claims.
+	for _, size := range []uint32{MaxFrame + 1, 1 << 31, 1<<32 - 1} {
+		huge := binary.BigEndian.AppendUint32(nil, size)
+		huge = append(huge, "whatever follows"...)
+		buf := make([]byte, 16)
+		got, err := ReadFrame(bytes.NewReader(huge), buf)
+		var pe *ProtoError
+		if !errors.As(err, &pe) || pe.Code != ErrCodeBadFrame || !strings.Contains(pe.Msg, "exceeds") {
+			t.Fatalf("prefix %d: err = %v, want ProtoError code %d", size, err, ErrCodeBadFrame)
+		}
+		if got != nil {
+			t.Fatalf("prefix %d: returned %d bytes alongside the refusal", size, len(got))
+		}
+	}
+	// MaxFrame itself is in bounds: the refusal is the stream running dry.
+	atLimit := binary.BigEndian.AppendUint32(nil, MaxFrame)
+	if _, err := ReadFrame(bytes.NewReader(atLimit), nil); !errors.Is(err, io.EOF) || !strings.Contains(err.Error(), "truncated") {
+		t.Fatalf("frame of exactly MaxFrame: err = %v", err)
 	}
 
 	var trunc bytes.Buffer
@@ -222,21 +307,22 @@ func TestRoundTripZeroAlloc(t *testing.T) {
 // TestFrameScratchReuse verifies decoders reuse caller scratch without
 // corrupting earlier results only after the caller hands it back.
 func TestFrameScratchReuse(t *testing.T) {
-	rows := randRows(8, 7)
-	payload, err := AppendRequestFrame(nil, rows)
-	if err != nil {
-		t.Fatal(err)
-	}
-	scratch, err := DecodeRequestFrame(payload, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Re-decode into the same scratch: no new feature allocations needed.
-	again, err := DecodeRequestFrame(payload, scratch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if &again[0] != &scratch[0] {
-		t.Fatal("scratch not reused")
+	for _, k := range frameKinds {
+		payload, err := appendRequest(nil, randRows(8, 7), k.tc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		scratch, _, _, err := DecodeRequest(payload, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Re-decode into the same scratch: no new feature allocations needed.
+		again, _, _, err := DecodeRequest(payload, scratch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if &again[0] != &scratch[0] || &again[7].Features[0] != &scratch[7].Features[0] {
+			t.Fatalf("%s: scratch not reused", k.name)
+		}
 	}
 }
