@@ -201,6 +201,7 @@ func TestFleetLedgerExposition(t *testing.T) {
 	for _, want := range []string{
 		"ledger_fleet_decisions", "ledger_fleet_energy_saved_pj",
 		`alert_firing{rule="burn"}`, `alert_firing{rule="stale"}`,
+		"serve_request_columns 47", "serve_column_resends_total 0", "fleet_shard_request_columns",
 	} {
 		if !strings.Contains(string(body), want) {
 			t.Fatalf("/metrics.prom missing %q:\n%s", want, body)

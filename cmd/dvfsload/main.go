@@ -36,6 +36,13 @@
 // routes to one shard and its latency attributes to it, and the exit
 // summary adds a per-shard latency table (p50/p99/p999) plus shed and
 // reroute counts. -fleet chooses the keys and that report, nothing else.
+//
+// Rows are built 47 counters wide; what goes on the wire is the columns
+// the peer's last response said it reads, which the exit report prints as
+// "columns sent: 8 of 47 (80 B/row)" for a daemon serving the compressed
+// model with no plane armed. A router asks for all 47 (its own replica
+// connections project: fleet_shard_request_columns on its /metrics.prom),
+// as does a daemon run with -flightrec or -ledger. No flag turns it off.
 package main
 
 import (
@@ -45,6 +52,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math/bits"
 	"math/rand"
 	"net/http"
 	"os"
@@ -237,6 +245,7 @@ type workerStats struct {
 	latencies  []time.Duration // one per batch
 	decisions  int64
 	reconnects int64
+	columns    uint64 // mask the connection was sending under at exit
 	rerouted   int64
 	traced     int64  // batches sent as traced frames
 	exemplar   uint64 // first sampled trace ID, for the exit report
@@ -320,7 +329,7 @@ func run(addr string, conns, batch int, duration time.Duration, qps, preset floa
 				return
 			}
 			defer cl.Close()
-			defer func() { st.reconnects = cl.Reconnects() }()
+			defer func() { st.reconnects, st.columns = cl.Reconnects(), cl.Columns() }()
 			cl.SetTracer(tracer)
 			reqs := make([]serve.Request, batch)
 			next := c // offset workers into the feed so replays interleave
@@ -400,10 +409,12 @@ func run(addr string, conns, batch int, duration time.Duration, qps, preset floa
 	var exemplar uint64
 	var levels [64]int64
 	var reasons [provenance.NumReasons]int64
+	masks := map[uint64]int{} // column mask → connections sending under it
 	for c := range stats {
 		if stats[c].err != nil {
 			return fmt.Errorf("conn %d: %w", c, stats[c].err)
 		}
+		masks[stats[c].columns]++
 		all = append(all, stats[c].latencies...)
 		decisions += stats[c].decisions
 		batches += int64(len(stats[c].latencies))
@@ -436,6 +447,7 @@ func run(addr string, conns, batch int, duration time.Duration, qps, preset floa
 	fmt.Printf("              %12s  p95\n", pct(0.95).Round(time.Microsecond))
 	fmt.Printf("              %12s  p99\n", pct(0.99).Round(time.Microsecond))
 	fmt.Printf("              %12s  max\n", all[len(all)-1].Round(time.Microsecond))
+	printColumns(masks)
 
 	fmt.Printf("\ndecision distribution:\n")
 	maxLevel := 0
@@ -468,6 +480,28 @@ func run(addr string, conns, batch int, duration time.Duration, qps, preset floa
 		printHopSummary(reg, traced, exemplar)
 	}
 	return nil
+}
+
+// printColumns reports how wide the rows on the wire were: the mask each
+// connection had learned from its peer's responses by the end of the run
+// (a daemon names the columns its model and fallback read; one with a
+// plane armed, and any router, names all of them). One line when every
+// connection agrees, one per mask otherwise — a swap mid-run, or -fleet
+// connections that reconnected to something else.
+func printColumns(masks map[uint64]int) {
+	keys := make([]uint64, 0, len(masks))
+	for m := range masks {
+		keys = append(keys, m)
+	}
+	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+	for _, m := range keys {
+		n := bits.OnesCount64(m)
+		fmt.Printf("columns sent: %d of %d (%d B/row)", n, counters.Num, 16+8*n)
+		if len(masks) > 1 {
+			fmt.Printf("  on %d conns, mask %#x", masks[m], m)
+		}
+		fmt.Println()
+	}
 }
 
 // hopNames orders the per-hop latency table: where a traced decision's

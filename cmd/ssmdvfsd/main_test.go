@@ -193,6 +193,10 @@ func TestBuildMuxLedgerAndContentTypes(t *testing.T) {
 	if !bytes.Contains(prom, []byte("ledger_decisions_total")) {
 		t.Fatalf("/metrics.prom missing ledger series:\n%s", prom)
 	}
+	// The ledger prices whole rows, so this daemon asks for every column.
+	if !bytes.Contains(prom, []byte("serve_request_columns 47\n")) || !bytes.Contains(prom, []byte("serve_column_resends_total 0\n")) {
+		t.Fatalf("/metrics.prom missing the column series of a ledgered daemon:\n%s", prom)
+	}
 	if errs := telemetry.LintProm(bytes.NewReader(prom)); len(errs) != 0 {
 		t.Fatalf("/metrics.prom fails promlint: %v", errs)
 	}

@@ -83,9 +83,7 @@ func (p *PCSTALL) Decide(stats gpusim.EpochStats) int {
 
 	fDefault := p.Table.Point(p.Table.Default()).FrequencyHz
 	for level := 0; level < p.Table.Len(); level++ {
-		f := p.Table.Point(level).FrequencyHz
-		predictedLoss := (1-s)*(fDefault/f) + s - 1
-		if predictedLoss <= p.Preset {
+		if Slowdown(s, fDefault, p.Table.Point(level).FrequencyHz)-1 <= p.Preset {
 			return level
 		}
 	}

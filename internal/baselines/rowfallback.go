@@ -16,6 +16,19 @@ import (
 // and for garbage rows the answer degrades to the table's default
 // (fastest, zero-performance-loss) point.
 
+// FallbackColumns is the mask (bit i: counters.Def(i)) of the columns of a
+// feature row the analytical fallback reads: RowSensitivity's four stall
+// counters and the instruction count fallbackPredict scales. A serving row
+// that carries these can always be answered.
+const FallbackColumns uint64 = 1<<counters.IdxMH | 1<<counters.IdxMHNL | 1<<counters.IdxInstr |
+	1<<counters.IdxStallCompute | 1<<counters.IdxStallControl
+
+// Slowdown is PCSTALL's linear performance model: the factor by which an
+// epoch of memory-boundedness s stretches when the clock goes from f0 to
+// f — the frequency-scalable share grows by f0/f, the memory share does
+// not move. Predicted loss is Slowdown − 1.
+func Slowdown(s, f0, f float64) float64 { return (1-s)*(f0/f) + s }
+
 // RowSensitivity estimates the epoch's memory-boundedness from a feature
 // row, mirroring PCSTALL's counter-based sensitivity: memory-stall issue
 // opportunities over all issue opportunities. Non-finite or negative
@@ -52,8 +65,7 @@ func FallbackDecision(t *clockdomain.Table, features []float64, preset float64) 
 		s := RowSensitivity(features)
 		fDefault := t.Point(t.Default()).FrequencyHz
 		for l := 0; l < t.Len(); l++ {
-			f := t.Point(l).FrequencyHz
-			if (1-s)*(fDefault/f)+s-1 <= preset {
+			if Slowdown(s, fDefault, t.Point(l).FrequencyHz)-1 <= preset {
 				level = l
 				break
 			}
@@ -72,8 +84,7 @@ func fallbackPredict(t *clockdomain.Table, features []float64, s float64, level 
 	}
 	instr := features[counters.IdxInstr]
 	fDefault := t.Point(t.Default()).FrequencyHz
-	slowdown := (1-s)*(fDefault/t.Point(level).FrequencyHz) + s
-	pred := instr / slowdown
+	pred := instr / Slowdown(s, fDefault, t.Point(level).FrequencyHz)
 	if !(pred > 0) || math.IsInf(pred, 0) {
 		return 0
 	}

@@ -68,6 +68,16 @@ type Model struct {
 // NumFeatures returns the number of counter features the model consumes.
 func (m *Model) NumFeatures() int { return len(m.FeatureIdx) }
 
+// Columns returns the mask (bit i: counters.Def(i)) of the counters the
+// model reads out of a full feature row — FeatureIdx as a set.
+func (m *Model) Columns() uint64 {
+	var mask uint64
+	for _, i := range m.FeatureIdx {
+		mask |= 1 << uint(i)
+	}
+	return mask
+}
+
 // TrainingStats returns the names and training-set mean/σ of the model's
 // selected features, read from the Decision scaler stored in the
 // artifact — the reference distribution online drift monitoring compares

@@ -340,28 +340,6 @@ func Merge(parts []*Dataset) *Dataset {
 	return out
 }
 
-// Generate runs the methodology over one kernel and appends samples to
-// the dataset.
-//
-// Deprecated: use RunSuite with a single-kernel SuiteOptions; this
-// wrapper remains for pre-SuiteOptions callers.
-func Generate(cfg Config, kernel isa.Kernel, ds *Dataset, logf func(format string, args ...any)) error {
-	return generate(cfg, kernel, ds, telemetry.NewLoggerFunc(logf, nil))
-}
-
-// GenerateSuite runs the methodology over every kernel and returns the
-// combined dataset.
-//
-// Deprecated: use RunSuite, which adds parallelism and telemetry.
-func GenerateSuite(cfg Config, kernelList []isa.Kernel, logf func(string, ...any)) (*Dataset, error) {
-	return RunSuite(SuiteOptions{
-		Config:  cfg,
-		Kernels: kernelList,
-		Logger:  telemetry.NewLoggerFunc(logf, nil),
-		Workers: 1,
-	})
-}
-
 // FeatureMatrix returns all sample features as rows (shared backing with
 // the dataset; callers must not mutate).
 func (d *Dataset) FeatureMatrix() [][]float64 {

@@ -39,13 +39,17 @@ var (
 func sharedDataset(t *testing.T) *Dataset {
 	t.Helper()
 	sharedOnce.Do(func() {
-		sharedDS = &Dataset{}
-		sharedErr = Generate(testConfig(), testKernel(), sharedDS, nil)
+		sharedDS, sharedErr = runOne(testConfig())
 	})
 	if sharedErr != nil {
 		t.Fatal(sharedErr)
 	}
 	return sharedDS
+}
+
+// runOne runs the methodology over the one test kernel.
+func runOne(cfg Config) (*Dataset, error) {
+	return RunSuite(SuiteOptions{Config: cfg, Kernels: []isa.Kernel{testKernel()}})
 }
 
 func testConfig() Config {
@@ -136,12 +140,12 @@ func TestGenerateScalingInstrPositive(t *testing.T) {
 func TestGenerateValidation(t *testing.T) {
 	cfg := testConfig()
 	cfg.BreakpointPs = 15_000_000 // not a multiple of 10 µs epochs
-	if err := Generate(cfg, testKernel(), &Dataset{}, nil); err == nil {
+	if _, err := runOne(cfg); err == nil {
 		t.Fatal("non-epoch-aligned breakpoint accepted")
 	}
 	cfg = testConfig()
 	cfg.ClusterStride = 0
-	if err := Generate(cfg, testKernel(), &Dataset{}, nil); err == nil {
+	if _, err := runOne(cfg); err == nil {
 		t.Fatal("zero stride accepted")
 	}
 }

@@ -64,41 +64,6 @@ func TestRunSuiteDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestRunSuiteMatchesDeprecatedGenerateSuite pins the compatibility
-// wrapper: the old API must yield exactly the dataset the new one does.
-func TestRunSuiteMatchesDeprecatedGenerateSuite(t *testing.T) {
-	cfg := testConfig()
-	ks := suiteKernels()
-	oldDS, err := GenerateSuite(cfg, ks, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	newDS, err := RunSuite(SuiteOptions{Config: cfg, Kernels: ks, Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	oldRaw, err := oldDS.marshal()
-	if err != nil {
-		t.Fatal(err)
-	}
-	newRaw, err := newDS.marshal()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(oldRaw, newRaw) {
-		t.Fatalf("deprecated wrapper and RunSuite disagree (%d vs %d bytes)", len(oldRaw), len(newRaw))
-	}
-}
-
-// marshal serializes a dataset through Save for byte comparisons.
-func (d *Dataset) marshal() ([]byte, error) {
-	var buf bytes.Buffer
-	if err := d.Save(&buf); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
 // TestRunSuiteLoggerAndErrors exercises the options surface: a nil
 // logger is quiet but valid, a func logger receives per-kernel lines
 // (the Logger serializes concurrent shards), and invalid inputs fail up

@@ -5,11 +5,13 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
+	"math/bits"
 	"math/rand"
 	"net"
 	"testing"
 	"time"
 
+	"ssmdvfs/internal/counters"
 	"ssmdvfs/internal/serve"
 	"ssmdvfs/internal/telemetry"
 )
@@ -63,13 +65,39 @@ func listenRouter(t *testing.T, rt *Router) string {
 	return l.Addr().String()
 }
 
-// TestV2FrameRefused: the router refuses protocol v2 exactly like the
-// daemon (serve.TestV2FrameRefused) — a typed version error, then EOF.
+// v3Header is a keyed request's header under the deleted protocol v3.
+func v3Header() []byte {
+	hdr := v2Header()
+	hdr[4], hdr[5] = 3, 3
+	return hdr
+}
+
+// TestV2FrameRefused: the router refuses protocols v2 and v3 exactly like
+// the daemon (serve.TestV2FrameRefused) — a typed version error, then EOF.
 func TestV2FrameRefused(t *testing.T) {
 	rt, _ := startFleet(t, 1, Options{})
 	addr := listenRouter(t, rt)
 	expectRefusal(t, addr, framed(append(v2Header(), make([]byte, 4+48*8)...)), serve.ErrCodeVersion)
+	expectRefusal(t, addr, framed(append(v3Header(), make([]byte, 4+50*8)...)), serve.ErrCodeVersion)
 	expectRefusal(t, addr, framed(serve.AppendHelloFrame(nil, 2, 2)), serve.ErrCodeVersion)
+	expectRefusal(t, addr, framed(serve.AppendHelloFrame(nil, 2, 3)), serve.ErrCodeVersion)
+}
+
+// project re-packs a full-width keyed request frame under a narrower
+// column mask, the way a client that has learned it would have sent it.
+func project(full []byte, mask uint64) []byte {
+	const head, rowsHead, fixed = 6, 12, 16 // header; count, dim, mask; gpu, cluster, preset
+	out := append([]byte(nil), full[:head+rowsHead]...)
+	binary.BigEndian.PutUint16(out[head+2:], uint16(bits.OnesCount64(mask)))
+	binary.BigEndian.PutUint64(out[head+4:], mask)
+	for row := full[head+rowsHead:]; len(row) > 0; row = row[fixed+8*counters.Num:] {
+		out = append(out, row[:fixed]...)
+		for m := mask; m != 0; m &= m - 1 {
+			j := bits.TrailingZeros64(m)
+			out = append(out, row[fixed+8*j:fixed+8*j+8]...)
+		}
+	}
+	return out
 }
 
 // TestRouterBadStreamGetsStructuredError: bad magic and a length prefix
@@ -124,7 +152,7 @@ func TestEndpointsAnswerAlike(t *testing.T) {
 	}
 
 	// Hello: one ack shape, differing only in who answers.
-	a, b, errA, errB := answer(serve.AppendHelloFrame(nil, 3, 3))
+	a, b, errA, errB := answer(serve.AppendHelloFrame(nil, serve.Version, serve.Version))
 	if errA != nil || errB != nil {
 		t.Fatalf("hello refused: %v / %v", errA, errB)
 	}
@@ -133,10 +161,10 @@ func TestEndpointsAnswerAlike(t *testing.T) {
 	if errA != nil || errB != nil {
 		t.Fatalf("acks do not decode: %v / %v", errA, errB)
 	}
-	if helloSrv.Version != 3 || !helloSrv.Tracing || helloSrv.Router || helloSrv.Backend == "" {
+	if helloSrv.Version != serve.Version || !helloSrv.Tracing || helloSrv.Router || helloSrv.Backend == "" {
 		t.Fatalf("daemon ack = %+v", helloSrv)
 	}
-	if helloRt.Version != 3 || !helloRt.Tracing || !helloRt.Router || helloRt.Shards != 1 {
+	if helloRt.Version != serve.Version || !helloRt.Tracing || !helloRt.Router || helloRt.Shards != 1 {
 		t.Fatalf("router ack = %+v", helloRt)
 	}
 
@@ -181,6 +209,48 @@ func TestEndpointsAnswerAlike(t *testing.T) {
 		t.Fatalf("router echoed trace ID %x, want %x", id, tc.TraceID)
 	}
 
+	// Columns: each response names what its endpoint reads — the daemon the
+	// model's five and the fallback's, the router everything — and a frame
+	// that carries exactly the daemon's eight is answered by the daemon as
+	// the full frame was and sent back by the router, which would have to
+	// shed from columns it never got: StatusColumns naming every column, in
+	// the request's kind, no rows, and not an error.
+	const head = 7 // header + status: where a keyed response's mask sits, 24 further in a traced one
+	eight := srv.Columns()
+	if got := binary.BigEndian.Uint64(a[head+24:]); bits.OnesCount64(eight) != 8 || got != eight {
+		t.Fatalf("daemon reads %#x (%d columns), its traced response names %#x", eight, bits.OnesCount64(eight), got)
+	}
+	if got := binary.BigEndian.Uint64(b[head+24:]); got != serve.AllColumns {
+		t.Fatalf("router's traced response names %#x, want every column", got)
+	}
+	a, b, errA, errB = answer(project(keyed, eight))
+	if errA != nil || errB != nil {
+		t.Fatalf("projected frame refused as malformed: %v / %v", errA, errB)
+	}
+	if decsProj, err := serve.DecodeKeyedResponseFrame(a, nil); err != nil {
+		t.Fatalf("daemon did not answer the columns it asked for: %v", err)
+	} else {
+		same("projected vs full", decsProj, decsRt)
+	}
+	if b[6] != serve.StatusColumns || binary.BigEndian.Uint64(b[head:]) != serve.AllColumns || len(b) != head+8+2 || b[head+8]|b[head+9] != 0 {
+		t.Fatalf("router answered a projected frame with % x, want a bare StatusColumns naming every column", b)
+	}
+	if n := rt.Metrics().ColumnResends.Load(); n != 1 {
+		t.Fatalf("router counted %d column resends, want 1", n)
+	}
+	// One column short of what the daemon reads: the same refusal from it,
+	// naming its eight, with nothing decided, observed or counted.
+	before := srv.Metrics().Snapshot(0)
+	a, _, errA, _ = answer(project(keyed, eight&^(1<<counters.IdxInstr)))
+	if errA != nil || a[6] != serve.StatusColumns || binary.BigEndian.Uint64(a[head:]) != eight || len(a) != head+8+2 {
+		t.Fatalf("daemon answered a frame lacking a fallback column with % x (%v)", a, errA)
+	}
+	after := srv.Metrics().Snapshot(0)
+	if after.Decisions != before.Decisions || after.Errors != before.Errors || after.Fallbacks != before.Fallbacks ||
+		after.InferRowsFloat64 != before.InferRowsFloat64 || srv.Metrics().ColumnResends.Load() != 1 {
+		t.Fatalf("the refused frame moved the daemon's counters: %+v → %+v", before, after)
+	}
+
 	// Frames that break the protocol: the same typed refusal from both.
 	mutate := func(src []byte, f func([]byte)) []byte {
 		c := append([]byte(nil), src...)
@@ -194,8 +264,11 @@ func TestEndpointsAnswerAlike(t *testing.T) {
 		"empty":            {nil, serve.ErrCodeBadFrame},
 		"bad magic":        {[]byte("GET / HTTP/1.1\r\n"), serve.ErrCodeBadMagic},
 		"v2 header":        {append(v2Header(), keyed[6:]...), serve.ErrCodeVersion},
-		"hello for v4..v9": {serve.AppendHelloFrame(nil, 4, 9), serve.ErrCodeVersion},
-		"padded hello":     {append(serve.AppendHelloFrame(nil, 3, 3), 0), serve.ErrCodeBadFrame},
+		"v3 header":        {append(v3Header(), keyed[6:]...), serve.ErrCodeVersion},
+		"hello for v5..v9": {serve.AppendHelloFrame(nil, serve.Version+1, 9), serve.ErrCodeVersion},
+		"padded hello":     {append(serve.AppendHelloFrame(nil, serve.Version, serve.Version), 0), serve.ErrCodeBadFrame},
+		"mask past dim":    {mutate(project(keyed, eight), func(c []byte) { c[10] |= 0x80 }), serve.ErrCodeBadFrame},
+		"mask bit 47":      {mutate(keyed, func(c []byte) { c[12] |= 0x80 }), serve.ErrCodeBadFrame},
 		"a response":       {a, serve.ErrCodeBadFrame},
 		"retired type 1":   {mutate(keyed, func(c []byte) { c[5] = 1 }), serve.ErrCodeBadFrame},
 		"truncated keyed":  {keyed[:len(keyed)-1], serve.ErrCodeBadFrame},

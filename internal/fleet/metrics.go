@@ -3,6 +3,7 @@ package fleet
 import (
 	"time"
 
+	"ssmdvfs/internal/counters"
 	"ssmdvfs/internal/telemetry"
 )
 
@@ -44,6 +45,12 @@ type Metrics struct {
 	Up       *telemetry.Counter // unhealthy→healthy replica transitions
 	Healthy  *telemetry.Gauge   // healthy replicas right now
 
+	// ColumnResends counts front-end frames sent back unanswered
+	// (serve.StatusColumns) for carrying fewer than all columns, under the
+	// name the daemon counts its own; serve_request_columns beside it
+	// reads counters.Num for a router, always.
+	ColumnResends *telemetry.Counter
+
 	shed      map[string]*telemetry.Counter // by cause
 	shedSLO   *telemetry.SLO                // shed-rate error budget
 	batchRows *telemetry.Histogram          // rows per dispatched batch
@@ -63,6 +70,10 @@ type shardMetrics struct {
 	// dashboard can spot a replica serving a stale model after an online
 	// promotion rolled through the rest of the fleet.
 	Generation *telemetry.Gauge
+	// Columns is how many of the counters.Num columns the last frame's
+	// answer said the replica reads — the width of the next frame a
+	// dispatch slot sends it (0 until one has been answered).
+	Columns *telemetry.Gauge
 }
 
 func newMetrics(reg *telemetry.Registry, nShards int) *Metrics {
@@ -79,7 +90,10 @@ func newMetrics(reg *telemetry.Registry, nShards int) *Metrics {
 			batchHistBuckets),
 		shards: make([]shardMetrics, nShards),
 		reg:    reg,
+
+		ColumnResends: reg.Counter("serve_column_resends_total"),
 	}
+	reg.Gauge("serve_request_columns").Set(counters.Num)
 	for _, cause := range shedCauses {
 		m.shed[cause] = reg.Counter("fleet_shed_rows_total", "cause", cause)
 	}
@@ -90,6 +104,7 @@ func newMetrics(reg *telemetry.Registry, nShards int) *Metrics {
 			Errors:     reg.Counter("fleet_shard_errors_total", "shard", label),
 			Latency:    reg.Histogram("fleet_shard_latency_us", "shard", label),
 			Generation: reg.Gauge("fleet_replica_generation", "shard", label),
+			Columns:    reg.Gauge("fleet_shard_request_columns", "shard", label),
 		}
 		m.shards[i].Generation.Set(-1)
 	}

@@ -6,8 +6,10 @@ import (
 	"testing"
 	"time"
 
+	"ssmdvfs/internal/counters"
 	"ssmdvfs/internal/provenance"
 	"ssmdvfs/internal/serve"
+	"ssmdvfs/internal/telemetry"
 )
 
 // The router routes by part — the rows of one frame that one replica
@@ -163,6 +165,55 @@ func TestRouterDecideMatchesDirect(t *testing.T) {
 		if shed := rt.Metrics().ShedTotal(); shed != 0 {
 			t.Fatalf("%d rows shed on a healthy, roomy fleet", shed)
 		}
+	}
+}
+
+// TestRouterClientsProject: the router's callers hand it full rows and its
+// front-end asks for them, but each dispatch slot's client learns on its
+// own connection what its replica reads. Once every slot has had a frame
+// answered, frames to a replica on the compressed feature set carry its
+// eight columns; frames to the replica beside it, which has a flight
+// recorder armed, stay full width; neither replica ever sends one back;
+// and the caller sees what a direct engine decides throughout, the
+// full-width first frames included.
+func TestRouterClientsProject(t *testing.T) {
+	plainAddr, plain := startReplica(t, fleetModelSeed, serve.Options{})
+	armedAddr, armed := startReplica(t, fleetModelSeed, serve.Options{})
+	armed.EnableProvenance(64, provenance.MonitorOptions{})
+	rt, err := NewRouter(Options{Replicas: []string{plainAddr, armedAddr}, QueueDeadline: time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+
+	ref := reference(t)
+	rng := rand.New(rand.NewSource(11))
+	var got, want []serve.Decision
+	for round := 0; round < 64; round++ {
+		rows := gpuFrame(rng, int32(round), 24)
+		got = rt.Decide(rows, got[:0])
+		want = ref.DecideBatch(rows, want[:0])
+		checkAgainst(t, rt, rows, got, want)
+	}
+
+	gauges := rt.Telemetry().Snapshot().Gauges
+	for shard, addr := range rt.Ring().Replicas() {
+		srv, wantCols := plain, 8.0
+		if addr == armedAddr {
+			srv, wantCols = armed, counters.Num
+		}
+		if srv.Metrics().Decisions.Load() == 0 {
+			t.Fatalf("shard %d (%s) saw no traffic", shard, addr)
+		}
+		if got := gauges[telemetry.MetricID("fleet_shard_request_columns", "shard", itoa(shard))]; got != wantCols {
+			t.Errorf("shard %d (%s): frames carry %v columns, want %v", shard, addr, got, wantCols)
+		}
+		if n := srv.Metrics().ColumnResends.Load(); n != 0 {
+			t.Errorf("shard %d (%s) sent %d frames back for columns", shard, addr, n)
+		}
+	}
+	if got := gauges["serve_request_columns"]; got != counters.Num {
+		t.Errorf("router front-end asks for %v columns, want all %d", got, counters.Num)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math/bits"
 	"net"
 	"net/http"
 	"sync"
@@ -505,6 +506,12 @@ func (rt *Router) dispatch(s *shard) {
 			continue
 		}
 		rt.metrics.ObserveDispatchTraced(s.idx, len(rows), rtt, parentTC.TraceID)
+		// What the replica's answer said it reads is what the next frame to
+		// it carries. It moves on a connection's first answer, a model swap
+		// or a plane armed, so the gauge both slots share is mostly only read.
+		if g, n := rt.metrics.shards[s.idx].Columns, float64(bits.OnesCount64(cl.Columns())); g.Value() != n {
+			g.Set(n)
+		}
 		for _, p := range live {
 			f := p.f
 			for _, i := range p.idx {
@@ -720,9 +727,17 @@ func (rt *Router) HelloAck() serve.Hello {
 }
 
 // DecideFrame answers one front-end request frame: DecideTraced, which
-// takes its own clock reading on entry.
-func (rt *Router) DecideFrame(rows []serve.Request, decs []serve.Decision, tc telemetry.TraceContext, _ time.Time) ([]serve.Decision, serve.HopTimings) {
-	return rt.DecideTraced(rows, decs, tc)
+// takes its own clock reading on entry. The router asks its callers for
+// every column — it sheds from the analytical fallback itself and cannot
+// know what each replica behind it reads — and its dispatch slots'
+// clients project per replica connection on their own.
+func (rt *Router) DecideFrame(rows []serve.Request, columns uint64, decs []serve.Decision, tc telemetry.TraceContext, _ time.Time) ([]serve.Decision, serve.HopTimings, uint64) {
+	if columns != serve.AllColumns {
+		rt.metrics.ColumnResends.Add(1)
+		return decs, serve.HopTimings{}, serve.AllColumns
+	}
+	decs, hops := rt.DecideTraced(rows, decs, tc)
+	return decs, hops, serve.AllColumns
 }
 
 // Handler returns the router's HTTP surface:

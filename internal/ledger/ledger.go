@@ -163,7 +163,7 @@ func (m Meter) Account(features []float64, level int) Attribution {
 	energyMax := m.pow.DynamicEnergyPJ(act, opMax) + m.staticW[m.table.Default()]*float64(durMax)
 
 	s := baselines.RowSensitivity(features)
-	slowdown := (1-s)*(opMax.FrequencyHz/opL.FrequencyHz) + s
+	slowdown := baselines.Slowdown(s, opMax.FrequencyHz, opL.FrequencyHz)
 	durL := int64(float64(durMax) * slowdown)
 	actL := act
 	actL.Cycles = durL / opL.PeriodPs()

@@ -60,7 +60,8 @@ func (o DialOptions) withDefaults() DialOptions {
 // (requests on one connection are strictly request/response). When built
 // with DialOptions.Retries > 0 it transparently reconnects with
 // exponential backoff after dropped connections and re-sends the
-// in-flight request (decision requests are idempotent).
+// in-flight request (decision requests are idempotent). Without retries
+// a failed round trip still fails its call, and the next call dials anew.
 type Client struct {
 	conn net.Conn
 	br   *bufio.Reader
@@ -71,6 +72,13 @@ type Client struct {
 	ctx  context.Context
 
 	reconnects int64
+	// dropped says the connection was closed after a failed round trip and
+	// the next exchange must dial before it writes.
+	dropped bool
+	// columns is the mask of the columns the next request carries: all of
+	// them on a new connection, then whatever the last response said the
+	// peer reads.
+	columns uint64
 
 	// tracer, when set, emits client.send/client.recv spans for sampled
 	// traced requests.
@@ -114,11 +122,16 @@ func NewClient(conn net.Conn) *Client {
 // connection.
 func (c *Client) Reconnects() int64 { return c.reconnects }
 
+// Columns returns the mask of the columns the next request will carry
+// (bit i: counters.Def(i)) — AllColumns until the peer has answered once
+// on this connection.
+func (c *Client) Columns() uint64 { return c.columns }
+
 // SetTracer installs a span tracer for this client's traced requests.
 func (c *Client) SetTracer(tr *telemetry.Tracer) { c.tracer = tr }
 
 func (c *Client) bind(conn net.Conn) {
-	c.conn = conn
+	c.conn, c.dropped, c.columns = conn, false, AllColumns
 	if c.br == nil {
 		c.br = bufio.NewReaderSize(conn, 64<<10)
 		c.bw = bufio.NewWriterSize(conn, 64<<10)
@@ -193,19 +206,14 @@ func backoffDelay(base time.Duration, attempt int, addr string) time.Duration {
 
 // DecideKeyed sends one batch and waits for its decisions, reconnecting
 // and re-sending on connection failures when retries are configured. Rows
-// carry their (gpu, cluster) identity, or -1/-1 for none, and every
-// returned decision says which fleet shard answered it and whether it was
-// rerouted; against a plain daemon the decisions come back with
-// Shard == -1. The returned slice is reused by the next call.
+// are full counters.Num-wide vectors, of which the frame carries the
+// columns the peer last said it reads; they carry their (gpu, cluster)
+// identity, or -1/-1 for none, and every returned decision says which
+// fleet shard answered it and whether it was rerouted; against a plain
+// daemon the decisions come back with Shard == -1. The returned slice is
+// reused by the next call.
 func (c *Client) DecideKeyed(rows []Request) ([]Decision, error) {
-	req, err := appendRequest(c.req[:0], rows, nil)
-	if err != nil {
-		// Encoding failures are caller bugs (bad batch shape), not
-		// transport faults — never retried.
-		return nil, err
-	}
-	c.req = req
-	decs, _, err := c.exchange(req, len(rows), MsgDecisionsKeyed, telemetry.TraceContext{})
+	decs, _, err := c.exchange(rows, nil)
 	return decs, err
 }
 
@@ -215,15 +223,9 @@ func (c *Client) DecideKeyed(rows []Request) ([]Decision, error) {
 // the unsampled hot path pays nothing.
 func (c *Client) DecideKeyedTraced(rows []Request, tc telemetry.TraceContext) ([]Decision, HopTimings, error) {
 	if !tc.Valid() {
-		decs, err := c.DecideKeyed(rows)
-		return decs, HopTimings{}, err
+		return c.exchange(rows, nil)
 	}
-	req, err := appendRequest(c.req[:0], rows, &tc)
-	if err != nil {
-		return nil, HopTimings{}, err
-	}
-	c.req = req
-	return c.exchange(req, len(rows), MsgDecisionsTraced, tc)
+	return c.exchange(rows, &tc)
 }
 
 // Negotiate performs the hello/ack exchange and returns the server's
@@ -243,9 +245,13 @@ func (c *Client) Negotiate() (Hello, error) {
 	return DecodeHelloAckFrame(frame)
 }
 
-// exchange runs the request/response retry loop for one encoded request
-// of n rows whose response must be of type wantType.
-func (c *Client) exchange(req []byte, n int, wantType byte, tc telemetry.TraceContext) ([]Decision, HopTimings, error) {
+// exchange runs the request/response retry loop for rows, sent traced
+// when tc is non-nil. The request is encoded inside the loop because the
+// column mask it goes under can change between attempts: a reconnect
+// resets it to full, and a StatusColumns refusal — the peer reads a column
+// the frame lacked, and decided nothing — swaps in the peer's mask and
+// goes round again at once, neither sleeping nor spending a retry.
+func (c *Client) exchange(rows []Request, tc *telemetry.TraceContext) ([]Decision, HopTimings, error) {
 	var lastErr error
 	for attempt := 0; attempt <= c.opts.Retries; attempt++ {
 		if attempt > 0 {
@@ -255,12 +261,39 @@ func (c *Client) exchange(req []byte, n int, wantType byte, tc telemetry.TraceCo
 			if c.addr == "" {
 				return nil, HopTimings{}, lastErr // NewClient-wrapped conns cannot reconnect
 			}
+		}
+		// Also how a client without retries recovers: the failed call
+		// returned its error, this one starts on a new connection.
+		if c.dropped && c.addr != "" {
 			if err := c.dialOnce(); err != nil {
 				lastErr = err
 				continue
 			}
 		}
-		decs, hops, err := c.roundTrip(req, n, wantType, tc)
+		var (
+			decs []Decision
+			hops HopTimings
+			err  error
+		)
+		for refusals := 0; ; refusals++ {
+			req, encErr := appendRequest(c.req[:0], rows, c.columns, tc)
+			if encErr != nil {
+				// Encoding failures are caller bugs (bad batch shape), not
+				// transport faults — never retried.
+				return nil, HopTimings{}, encErr
+			}
+			c.req = req
+			if decs, hops, err = c.roundTrip(req, len(rows), tc); err != errColumns || refusals == 2 {
+				break
+			}
+			// roundTrip adopted the peer's mask; send again under it. A
+			// second refusal in a row means the set moved again under the
+			// call: stop chasing and send full rows, which cover any set. A
+			// full frame refused is a peer gone wrong, handled below.
+			if refusals == 1 {
+				c.columns = AllColumns
+			}
+		}
 		if err == nil {
 			return decs, hops, nil
 		}
@@ -275,21 +308,26 @@ func (c *Client) exchange(req []byte, n int, wantType byte, tc telemetry.TraceCo
 		// truncated or miscounted response): drop the connection before
 		// retrying.
 		c.conn.Close()
+		c.dropped = true
 	}
 	return nil, HopTimings{}, lastErr
 }
 
-func (c *Client) roundTrip(req []byte, n int, wantType byte, tc telemetry.TraceContext) ([]Decision, HopTimings, error) {
+func (c *Client) roundTrip(req []byte, n int, tc *telemetry.TraceContext) ([]Decision, HopTimings, error) {
 	if err := c.opts.Faults.Inject(FaultClientIO); err != nil {
 		return nil, HopTimings{}, err
 	}
-	sendSp := c.tracer.StartSpan(tc, "client.send")
+	wantType, span := byte(MsgDecisionsKeyed), telemetry.TraceContext{}
+	if tc != nil {
+		wantType, span = MsgDecisionsTraced, *tc
+	}
+	sendSp := c.tracer.StartSpan(span, "client.send")
 	err := WriteFrame(c.bw, req)
 	sendSp.End()
 	if err != nil {
 		return nil, HopTimings{}, err
 	}
-	recvSp := c.tracer.StartSpan(tc, "client.recv")
+	recvSp := c.tracer.StartSpan(span, "client.recv")
 	frame, err := ReadFrame(c.br, c.frame)
 	recvSp.End()
 	if err != nil {
@@ -302,11 +340,14 @@ func (c *Client) roundTrip(req []byte, n int, wantType byte, tc telemetry.TraceC
 		return nil, HopTimings{}, err
 	}
 	c.frame = frame[:cap(frame)]
-	decs, hops, err := decodeResponse(frame, c.decs, wantType)
+	decs, hops, columns, err := decodeResponse(frame, c.decs, wantType)
 	if err != nil {
+		if err == errColumns {
+			c.columns = columns
+		}
 		return nil, HopTimings{}, err
 	}
-	c.decs = decs
+	c.decs, c.columns = decs, columns
 	if len(decs) != n {
 		return nil, HopTimings{}, fmt.Errorf("serve: peer answered %d rows with %d decisions", n, len(decs))
 	}

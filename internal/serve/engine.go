@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/bits"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -143,6 +144,7 @@ func NewEngine(m *core.Model, opts Options) (*Engine, error) {
 	e.model.Store(m)
 	e.infPool.New = func() any { return core.NewInference(m) }
 	e.recPool.New = func() any { return new(obsScratch) }
+	e.metrics.observeColumns(e.Columns())
 	return e, nil
 }
 
@@ -178,6 +180,7 @@ func (e *Engine) EnableProvenance(capacity int, opts provenance.MonitorOptions) 
 	e.mon = provenance.NewMonitor(e.Telemetry(), opts)
 	names, mean, std := e.Model().TrainingStats()
 	e.mon.SetTrainingStats(names, mean, std)
+	e.metrics.observeColumns(e.Columns())
 }
 
 // ShadowObserver receives a copy of every model-path decision the engine
@@ -252,7 +255,10 @@ func (e *Engine) SetTracer(tr *telemetry.Tracer) { e.tracer = tr }
 // accounted for estimated energy delta and perf-loss versus the MaxFreq
 // counterfactual. Must be called before the engine starts answering
 // decisions; nil (the default) keeps the hot path ledger-free.
-func (e *Engine) SetLedger(l *ledger.Ledger) { e.led = l }
+func (e *Engine) SetLedger(l *ledger.Ledger) {
+	e.led = l
+	e.metrics.observeColumns(e.Columns())
+}
 
 // Ledger returns the efficiency ledger, or nil when none is installed.
 func (e *Engine) Ledger() *ledger.Ledger { return e.led }
@@ -476,20 +482,48 @@ func finiteInRange(v, limit float64) bool {
 	return v >= -limit && v <= limit
 }
 
-// validRow reports whether every feature and the preset are finite and
-// within range. Invalid rows are rejected at the transport boundary and
-// answered by the analytical fallback instead of the model.
-func validRow(row Request) bool {
+// validRow reports whether the preset and every feature that arrived —
+// the columns of the frame's mask; the rest are the decoder's +0 — are
+// finite and within range. Invalid rows are rejected at the transport
+// boundary and answered by the analytical fallback instead of the model.
+func validRow(row Request, columns uint64) bool {
 	if !finiteInRange(row.Preset, maxPreset) {
 		return false
 	}
-	for _, f := range row.Features {
-		if !finiteInRange(f, maxFeature) {
+	if columns == AllColumns {
+		for _, f := range row.Features {
+			if !finiteInRange(f, maxFeature) {
+				return false
+			}
+		}
+		return true
+	}
+	for m := columns; m != 0; m &= m - 1 {
+		if !finiteInRange(row.Features[bits.TrailingZeros64(m)], maxFeature) {
 			return false
 		}
 	}
 	return true
 }
+
+// observing reports whether a plane that stores or prices whole rows —
+// flight recorder and drift monitor, with the feedback map and shadow
+// observer that ride on them, or the ledger — is armed.
+func (e *Engine) observing() bool { return e.prov != nil || e.led != nil }
+
+// columnsFor returns the mask of the columns a batch bound to m reads out
+// of its rows: the model's features and the analytical fallback's, or
+// every column while a plane is observing.
+func (e *Engine) columnsFor(m *core.Model) uint64 {
+	if e.observing() {
+		return AllColumns
+	}
+	return m.Columns() | baselines.FallbackColumns
+}
+
+// Columns returns the mask of the columns the engine reads right now —
+// what its responses carry and a projecting client sends.
+func (e *Engine) Columns() uint64 { return e.columnsFor(e.Model()) }
 
 // fallbackRow answers one row from the PCSTALL analytical baseline — the
 // guaranteed decision when the model cannot or must not be trusted.
@@ -508,16 +542,16 @@ func (e *Engine) fallbackRow(row Request, reason provenance.Reason) Decision {
 type obsScratch struct {
 	recs []provenance.Record
 	led  ledger.Batch
-	// gen is the lineage generation of the model the batch bound (the
-	// serving one until it binds), stamped into records and ledger groups.
+	// gen is the lineage generation of the model the batch loaded, stamped
+	// into records and ledger groups.
 	gen     uint32
 	traceID uint64
 }
 
-// acquireScratch takes a batch's observation scratch from recPool, or
-// returns nil when no plane that observes decisions is armed.
-func (e *Engine) acquireScratch(traceID uint64) *obsScratch {
-	if e.prov == nil && e.led == nil {
+// acquireScratch takes the observation scratch of a batch bound to m from
+// recPool, or returns nil when no plane that observes decisions is armed.
+func (e *Engine) acquireScratch(m *core.Model, traceID uint64) *obsScratch {
+	if !e.observing() {
 		return nil
 	}
 	sc := e.recPool.Get().(*obsScratch)
@@ -525,9 +559,7 @@ func (e *Engine) acquireScratch(traceID uint64) *obsScratch {
 		sc.recs = make([]provenance.Record, inferChunk)
 	}
 	sc.traceID = traceID
-	// Stamped again after the model binds (modelRows), so fallback-only
-	// batches still attribute to whatever is serving now.
-	sc.gen = uint32(e.Generation())
+	sc.gen = uint32(m.Lineage.Generation)
 	return sc
 }
 
@@ -616,9 +648,11 @@ func (e *Engine) DecideBatch(rows []Request, decs []Decision) []Decision {
 	return e.decideBatch(rows, decs)
 }
 
-// decideBatch is the untraced entry point (zero trace context).
+// decideBatch is the untraced entry point (zero trace context) for full
+// rows, which cover whatever the engine reads.
 func (e *Engine) decideBatch(rows []Request, decs []Decision) []Decision {
-	return e.decideBatchTC(rows, decs, telemetry.TraceContext{})
+	decs, _ = e.decideBatchTC(rows, AllColumns, decs, telemetry.TraceContext{})
+	return decs
 }
 
 // DecideBatchTraced is DecideBatch for a request carrying distributed-
@@ -628,7 +662,7 @@ func (e *Engine) decideBatch(rows []Request, decs []Decision) []Decision {
 // unsampled (zero) context follows exactly the DecideBatch path.
 func (e *Engine) DecideBatchTraced(rows []Request, decs []Decision, tc telemetry.TraceContext) ([]Decision, uint32) {
 	start := time.Now()
-	decs = e.decideBatchTC(rows, decs, tc)
+	decs, _ = e.decideBatchTC(rows, AllColumns, decs, tc)
 	return decs, DurUs32(time.Since(start))
 }
 
@@ -639,7 +673,22 @@ func (e *Engine) DecideBatchTraced(rows []Request, decs []Decision, tc telemetry
 // never panics — rows the model cannot answer (invalid features,
 // recovered panic, blown deadline budget, fallback-only health state)
 // degrade to the analytical fallback instead.
-func (e *Engine) decideBatchTC(rows []Request, decs []Decision, tc telemetry.TraceContext) []Decision {
+//
+// columns is the mask the rows arrived under and need the mask this batch
+// reads. The model is loaded once, here: need is computed from it, a
+// batch whose columns do not cover need is refused before anything is
+// decided, observed or counted, and modelRows binds that same model — so
+// a hot swap between the check and the inference cannot make a batch
+// compute from a column it was not sent.
+func (e *Engine) decideBatchTC(rows []Request, columns uint64, decs []Decision, tc telemetry.TraceContext) (out []Decision, need uint64) {
+	m := e.model.Load()
+	need = e.columnsFor(m)
+	e.metrics.observeColumns(need)
+	if need&^columns != 0 {
+		e.metrics.ColumnResends.Add(1)
+		return decs, need
+	}
+
 	// Span (and provenance trace-ID stamping) only for sampled traces:
 	// sp is nil otherwise and every sp call below is a no-op.
 	sp := e.tracer.StartSpan(tc, "engine.batch")
@@ -648,7 +697,7 @@ func (e *Engine) decideBatchTC(rows []Request, decs []Decision, tc telemetry.Tra
 	e.sem <- struct{}{}
 	defer func() { <-e.sem }()
 
-	sc := e.acquireScratch(tc.TraceID)
+	sc := e.acquireScratch(m, tc.TraceID)
 	if sc != nil {
 		defer e.recPool.Put(sc)
 	}
@@ -661,7 +710,7 @@ func (e *Engine) decideBatchTC(rows []Request, decs []Decision, tc telemetry.Tra
 	if e.health.useModel() {
 		isp := e.tracer.StartSpan(sp.Context(), "engine.inference")
 		var failed bool
-		decs, done, tailReason, failed = e.modelRows(rows, decs, start, sc)
+		decs, done, tailReason, failed = e.modelRows(m, rows, columns, decs, start, sc)
 		isp.End()
 		if failed {
 			e.health.recordFailure()
@@ -678,7 +727,7 @@ func (e *Engine) decideBatchTC(rows []Request, decs []Decision, tc telemetry.Tra
 		}
 		fsp.End()
 	}
-	return decs
+	return decs, need
 }
 
 // inferChunk caps how many rows one backend ForwardBatch call takes:
@@ -687,7 +736,7 @@ func (e *Engine) decideBatchTC(rows []Request, decs []Decision, tc telemetry.Tra
 // granularity on MaxBatch-sized frames.
 const inferChunk = 64
 
-// modelRows runs the model over rows until it finishes, fails, or blows
+// modelRows runs m over rows until it finishes, fails, or blows
 // the budget, returning how many rows were answered (model or per-row
 // fallback), the reason the unreached rows should carry, and whether the
 // model path failed. A panic anywhere in the model is recovered and
@@ -702,7 +751,7 @@ const inferChunk = 64
 // j still answers the gathered rows before j through the model), invalid
 // rows degrade individually, and a lone valid row takes the single-row
 // kernel.
-func (e *Engine) modelRows(rows []Request, decs []Decision, start time.Time, sc *obsScratch) (out []Decision, done int, failReason provenance.Reason, failed bool) {
+func (e *Engine) modelRows(m *core.Model, rows []Request, columns uint64, decs []Decision, start time.Time, sc *obsScratch) (out []Decision, done int, failReason provenance.Reason, failed bool) {
 	out = decs
 	failReason = provenance.ReasonFallback
 	// On panic the named returns already hold the last consistent state:
@@ -720,14 +769,9 @@ func (e *Engine) modelRows(rows []Request, decs []Decision, start time.Time, sc 
 	}
 	inf := e.infPool.Get().(*core.Inference)
 	defer e.infPool.Put(inf)
-	inf.Bind(e.model.Load())
-	if sc != nil {
-		// Attribution follows the model this batch actually bound, which a
-		// concurrent swap could have already replaced as the serving one.
-		sc.gen = uint32(inf.Model().Lineage.Generation)
-	}
+	inf.Bind(m)
 	kind := inf.Backend()
-	nFeat := inf.Model().NumFeatures()
+	nFeat := m.NumFeatures()
 	budget := e.opts.Budget
 	i := 0
 	for i < len(rows) {
@@ -735,7 +779,7 @@ func (e *Engine) modelRows(rows []Request, decs []Decision, start time.Time, sc 
 			e.metrics.DeadlineMisses.Add(1)
 			return out, i, provenance.ReasonDeadline, true
 		}
-		if !validRow(rows[i]) {
+		if !validRow(rows[i], columns) {
 			e.metrics.RejectedRows.Add(1)
 			out = append(out, e.fallbackRow(rows[i], provenance.ReasonRejected))
 			done = i + 1
@@ -755,7 +799,7 @@ func (e *Engine) modelRows(rows []Request, decs []Decision, start time.Time, sc 
 					stop = provenance.ReasonDeadline
 					break
 				}
-				if !validRow(rows[j]) {
+				if !validRow(rows[j], columns) {
 					break
 				}
 			}

@@ -5,19 +5,29 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"math"
+	"math/bits"
 	"math/rand"
 	"testing"
 	"time"
 
+	"ssmdvfs/internal/baselines"
+	"ssmdvfs/internal/counters"
+	"ssmdvfs/internal/faults"
 	"ssmdvfs/internal/infer"
 	"ssmdvfs/internal/provenance"
 	"ssmdvfs/internal/telemetry"
 )
 
+// projected is the mask a daemon serving the five selected counters with
+// no plane armed reads: those five and the analytical fallback's.
+const projected = 1<<counters.IdxIPC | 1<<counters.IdxPPC | 1<<counters.IdxL1CRM | baselines.FallbackColumns
+
 // addWireSeeds seeds a fuzz target with one of every frame the encoders
-// build — request and response of both kinds, hello, ack, error — and
-// each again cut short by one byte. stream wraps each in its length
-// prefix, for targets that read from a connection.
+// build — request (full and projected rows) and response (answered and
+// refused for columns) of both kinds, hello, ack, error — and each again
+// cut short by one byte. stream wraps each in its length prefix, for
+// targets that read from a connection.
 func addWireSeeds(f *testing.F, stream bool) {
 	f.Helper()
 	rng := rand.New(rand.NewSource(1))
@@ -39,8 +49,13 @@ func addWireSeeds(f *testing.F, stream bool) {
 	for _, frame := range [][]byte{
 		must(AppendKeyedRequestFrame(nil, rows)),
 		must(AppendTracedRequestFrame(nil, rows, tc)),
+		must(appendRequest(nil, rows, projected, nil)),
+		must(appendRequest(nil, rows, 1<<(counters.Num-1), &tc)),
 		must(AppendKeyedResponseFrame(nil, StatusOK, decs)),
 		must(AppendTracedResponseFrame(nil, StatusOK, decs, tc.TraceID, HopTimings{QueueUs: 5, InferUs: 80})),
+		must(AppendResponse(nil, StatusOK, projected, decs, false, 0, HopTimings{})),
+		must(AppendResponse(nil, StatusColumns, projected, nil, false, 0, HopTimings{})),
+		must(AppendResponse(nil, StatusColumns, AllColumns, nil, true, tc.TraceID, HopTimings{})),
 		AppendHelloFrame(nil, Version, Version),
 		AppendHelloAckFrame(nil, Hello{Version: Version, Tracing: true, Backend: infer.KindInt8, Generation: 4}),
 		AppendErrorFrame(nil, ErrCodeVersion, "no common version"),
@@ -54,13 +69,15 @@ func addWireSeeds(f *testing.F, stream bool) {
 }
 
 // FuzzDecodeRequest: the request decoder never panics, and whatever it
-// accepts re-encodes — traced or keyed, as decoded — to the input byte
-// for byte.
+// accepts re-encodes — traced or keyed, under the decoded mask — to the
+// input byte for byte. The mask names existing counters and as many as
+// the frame's dimension, and every row comes out full width with exactly
+// +0 in each column the mask lacks, whatever the scratch row held before.
 func FuzzDecodeRequest(f *testing.F) {
 	addWireSeeds(f, false)
 	var scratch []Request
 	f.Fuzz(func(t *testing.T, data []byte) {
-		rows, tc, traced, err := DecodeRequest(data, scratch)
+		rows, columns, tc, traced, err := DecodeRequest(data, scratch)
 		if err != nil {
 			return
 		}
@@ -68,35 +85,69 @@ func FuzzDecodeRequest(f *testing.F) {
 		if len(rows) == 0 || len(rows) > MaxBatch {
 			t.Fatalf("accepted a %d-row request", len(rows))
 		}
+		dimAt := headerLen + 2
+		if traced {
+			dimAt += traceReqLen
+		}
+		if dim := int(binary.BigEndian.Uint16(data[dimAt:])); columns == 0 || columns >= 1<<counters.Num || dim != bits.OnesCount64(columns) {
+			t.Fatalf("accepted mask %#x with dimension %d", columns, dim)
+		}
+		for i, row := range rows {
+			if len(row.Features) != counters.Num {
+				t.Fatalf("row %d decoded %d wide", i, len(row.Features))
+			}
+			for j, v := range row.Features {
+				if columns>>j&1 == 0 && math.Float64bits(v) != 0 {
+					t.Fatalf("row %d: absent column %d reads %v (bits %#x)", i, j, v, math.Float64bits(v))
+				}
+			}
+		}
 		ptc := &tc
 		if !traced {
 			if ptc = nil; tc != (telemetry.TraceContext{}) {
 				t.Fatalf("keyed request decoded with trace context %+v", tc)
 			}
 		}
-		if again, err := appendRequest(nil, rows, ptc); err != nil || !bytes.Equal(again, data) {
+		if again, err := appendRequest(nil, rows, columns, ptc); err != nil || !bytes.Equal(again, data) {
 			t.Fatalf("decode∘encode is not the identity (err %v):\n in %x\nout %x", err, data, again)
+		}
+		// Leave garbage behind: the next accepted frame must not see it.
+		for _, row := range rows {
+			for j := range row.Features {
+				row.Features[j] = math.NaN()
+			}
 		}
 	})
 }
 
 // FuzzDecodeResponse: the response decoder, asked for either kind, never
-// panics and never accepts more than MaxBatch rows, and whatever it
-// accepts re-encodes to the input (up to the flag bits it does not know).
+// panics and never accepts more than MaxBatch rows or a mask naming no
+// counter or one that does not exist, and whatever it accepts — answered,
+// or refused for columns, which carries no rows — re-encodes to the input
+// (up to the flag bits it does not know).
 func FuzzDecodeResponse(f *testing.F) {
 	addWireSeeds(f, false)
 	var scratch []Decision
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, want := range []byte{MsgDecisionsKeyed, MsgDecisionsTraced} {
-			decs, hops, err := decodeResponse(data, scratch, want)
-			if err != nil {
+			decs, hops, columns, err := decodeResponse(data, scratch, want)
+			status := byte(StatusOK)
+			if err == errColumns {
+				if status = StatusColumns; decs != nil {
+					t.Fatalf("column refusal decoded %d rows", len(decs))
+				}
+			} else if err != nil {
 				continue
+			} else {
+				scratch = decs
 			}
-			scratch = decs
 			if len(decs) > MaxBatch {
 				t.Fatalf("accepted a %d-row response", len(decs))
 			}
-			traced, first := want == MsgDecisionsTraced, headerLen+1+2
+			if columns == 0 || columns >= 1<<counters.Num {
+				t.Fatalf("accepted mask %#x", columns)
+			}
+			traced, first := want == MsgDecisionsTraced, headerLen+1+respHeadLen
 			var traceID uint64
 			if traced {
 				traceID, first = binary.BigEndian.Uint64(data[headerLen+1:]), first+traceRespLen
@@ -105,31 +156,38 @@ func FuzzDecodeResponse(f *testing.F) {
 			for p := first; p < len(canon); p += respRow {
 				canon[p+2] &= decFlagRerouted
 			}
-			if again, err := AppendResponse(nil, StatusOK, decs, traced, traceID, hops); err != nil || !bytes.Equal(again, canon) {
+			if again, err := AppendResponse(nil, status, columns, decs, traced, traceID, hops); err != nil || !bytes.Equal(again, canon) {
 				t.Fatalf("decode∘encode is not the identity (err %v):\n in %x\nout %x", err, canon, again)
 			}
 		}
 	})
 }
 
-// stubEndpoint answers every row with a decision made from its index.
-type stubEndpoint struct{}
+// stubEndpoint reads the columns of need and answers every row of a frame
+// that carries them with a decision made from its index.
+type stubEndpoint struct{ need uint64 }
 
 func (stubEndpoint) HelloAck() Hello {
 	return Hello{Router: true, Shards: 2, Backend: infer.KindFloat64, Generation: 7}
 }
 
-func (stubEndpoint) DecideFrame(rows []Request, decs []Decision, tc telemetry.TraceContext, _ time.Time) ([]Decision, HopTimings) {
+func (ep stubEndpoint) DecideFrame(rows []Request, columns uint64, decs []Decision, tc telemetry.TraceContext, _ time.Time) ([]Decision, HopTimings, uint64) {
+	if ep.need&^columns != 0 {
+		return decs, HopTimings{}, ep.need
+	}
 	for i := range rows {
 		decs = append(decs, Decision{Level: i % 6, Reason: provenance.ReasonModel, PredInstr: float64(i), Shard: i % 2})
 	}
-	return decs, HopTimings{InferUs: uint32(len(rows))}
+	return decs, HopTimings{InferUs: uint32(len(rows))}, ep.need
 }
 
 // FuzzAnswer: any bytes through FrameScratch.Answer never panic, and the
 // reply is always a well-formed ack, response or error frame — the error
-// frame exactly when err is non-nil, carrying err's code. The raw input
-// also goes through the two decoders Answer itself never calls.
+// frame exactly when err is non-nil, carrying err's code. The endpoint
+// reads a column set drawn from the input, and a request is answered
+// exactly when its mask covers that set and sent back StatusColumns,
+// naming the set and serving no rows, exactly when it does not. The raw
+// input also goes through the two decoders Answer itself never calls.
 func FuzzAnswer(f *testing.F) {
 	addWireSeeds(f, false)
 	var fs FrameScratch
@@ -137,7 +195,11 @@ func FuzzAnswer(f *testing.F) {
 		DecodeHelloAckFrame(data)
 		DecodeErrorFrame(data)
 
-		reply, rows, tc, err := fs.Answer(data, stubEndpoint{}, time.Time{})
+		ep := stubEndpoint{need: projected}
+		if h := faults.Mix64(faults.HashString(string(data))); h&3 != 0 { // 1 in 4 keeps the seeds' own mask
+			ep.need = h>>2&(h>>17)&AllColumns | 1<<(h%counters.Num) // about a quarter of the columns
+		}
+		reply, rows, tc, err := fs.Answer(data, ep, time.Time{})
 		msgType, herr := parseHeader(reply)
 		if herr != nil {
 			t.Fatalf("reply has no valid header: %v", herr)
@@ -155,15 +217,27 @@ func FuzzAnswer(f *testing.F) {
 				t.Fatalf("refusal reports %d served rows", rows)
 			}
 		case MsgHelloAck:
-			want := stubEndpoint{}.HelloAck()
+			want := ep.HelloAck()
 			want.Version, want.Tracing = Version, true
 			if h, err := DecodeHelloAckFrame(reply); err != nil || h != want {
 				t.Fatalf("ack = %+v, %v; want %+v", h, err, want)
 			}
 		case MsgDecisionsKeyed, MsgDecisionsTraced:
-			decs, hops, err := decodeResponse(reply, nil, msgType)
-			if err != nil || len(decs) != rows || rows == 0 {
-				t.Fatalf("response of %d decisions for %d rows: %v", len(decs), rows, err)
+			sent, sentMask, _, _, derr := DecodeRequest(data, nil)
+			if derr != nil {
+				t.Fatalf("a request that does not decode was answered: %v", derr)
+			}
+			covered := ep.need&^sentMask == 0
+			decs, hops, need, err := decodeResponse(reply, nil, msgType)
+			if need != ep.need || (err == nil) != covered || (!covered && err != errColumns) {
+				t.Fatalf("mask %#x against need %#x: reply names %#x, err %v", sentMask, ep.need, need, err)
+			}
+			want := 0
+			if covered {
+				want = len(sent)
+			}
+			if len(decs) != want || rows != want {
+				t.Fatalf("%d decisions, %d rows served for %d rows sent (covered %v)", len(decs), rows, len(sent), covered)
 			}
 			if traced := msgType == MsgDecisionsTraced; traced != (data[5] == MsgDecideTraced) ||
 				(traced && (hops.InferUs != uint32(rows) || binary.BigEndian.Uint64(reply[headerLen+1:]) != tc.TraceID)) {

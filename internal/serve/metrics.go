@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"math/bits"
 	"time"
 
 	"ssmdvfs/internal/infer"
@@ -43,6 +44,13 @@ type Metrics struct {
 	DeadlineMisses  *telemetry.Counter // batches that blew the per-decision budget
 	Unavailable     *telemetry.Counter // HTTP /decide requests refused with 503 in fallback-only
 
+	// Projected rows: how many of the 47 columns the engine reads right
+	// now, and how many frames it sent back unanswered (StatusColumns) for
+	// lacking one — a resend each, one per connection after a swap or an
+	// armed plane widens the set.
+	RequestColumns *telemetry.Gauge
+	ColumnResends  *telemetry.Counter
+
 	// Inference backend counters: rows and ForwardBatch calls per backend
 	// kind, plus a histogram of how many rows each backend call carried —
 	// the direct read on whether fleet coalescing actually reaches the
@@ -84,6 +92,8 @@ func newMetrics(reg *telemetry.Registry) *Metrics {
 		RejectedRows:    reg.Counter("serve_rejected_rows_total"),
 		DeadlineMisses:  reg.Counter("serve_deadline_misses_total"),
 		Unavailable:     reg.Counter("serve_unavailable_total"),
+		RequestColumns:  reg.Gauge("serve_request_columns"),
+		ColumnResends:   reg.Counter("serve_column_resends_total"),
 		InferRowsF64:    reg.Counter("serve_infer_rows_total", "backend", string(infer.KindFloat64)),
 		InferRowsI8:     reg.Counter("serve_infer_rows_total", "backend", string(infer.KindInt8)),
 		InferBatchesF64: reg.Counter("serve_infer_batches_total", "backend", string(infer.KindFloat64)),
@@ -131,6 +141,15 @@ func (m *Metrics) ObserveBatchTraced(n int, d time.Duration, traceID uint64) {
 	m.Decisions.Add(int64(n))
 	m.lat.ObserveExemplar(d.Microseconds(), traceID)
 	m.latSLO.Observe(d > sloLatencyTarget)
+}
+
+// observeColumns publishes the column set a batch reads. It runs per
+// batch and the set changes per swap, so the gauge is only read unless it
+// moved: the hot path never writes a line every worker shares.
+func (m *Metrics) observeColumns(need uint64) {
+	if n := float64(bits.OnesCount64(need)); m.RequestColumns.Value() != n {
+		m.RequestColumns.Set(n)
+	}
 }
 
 // ObserveLevel records one decision outcome.

@@ -218,7 +218,7 @@ func runObsSequence(t *testing.T, seq []obsRow, chunk int) obsOutcome {
 		}
 		for i := lo; i < hi; i += chunk {
 			n := min(chunk, hi-i)
-			sc := e.acquireScratch(traceID)
+			sc := e.acquireScratch(e.Model(), traceID)
 			for k := 0; k < n; k++ {
 				sc.stageAux(k, seq[i+k].derived, seq[i+k].logits)
 			}

@@ -212,9 +212,10 @@ func TestServeConnNegotiatesThenServes(t *testing.T) {
 	}
 }
 
-// TestV2FrameRefused: protocol v2 is gone. A well-formed v2 request —
-// version byte 2, message type 1 — is refused with a typed version
-// error, and so is a hello that offers nothing but v2.
+// TestV2FrameRefused: protocols v2 and v3 are gone. A well-formed v2
+// request — version byte 2, message type 1 — and a well-formed v3 one —
+// today's frame less its column mask — are each refused with a typed
+// version error, and so is a hello that offers nothing newer.
 func TestV2FrameRefused(t *testing.T) {
 	srv, err := NewServer(testModel(t, 36), Options{})
 	if err != nil {
@@ -223,19 +224,26 @@ func TestV2FrameRefused(t *testing.T) {
 	addr := listenServer(t, srv)
 
 	rng := rand.New(rand.NewSource(36))
-	v3, err := AppendKeyedRequestFrame(nil, []Request{{Preset: 0.1, Features: featureRow(rng)}})
+	v4, err := AppendKeyedRequestFrame(nil, []Request{{Preset: 0.1, Features: featureRow(rng)}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The v2 request: the same header with version 2 and type 1, then
-	// count, dimension, and one row of preset + features with no identity.
+	// The v3 request: version 3, and count and dimension run straight into
+	// the rows.
+	v3 := append([]byte(nil), v4[:headerLen+4]...)
+	v3[4] = 3
+	v3 = append(v3, v4[headerLen+rowsHeadLen:]...)
+	// The v2 request: version 2 and type 1, then count, dimension, and one
+	// row of preset + features with no identity.
 	v2 := append([]byte(nil), v3[:headerLen+4]...)
 	v2[4], v2[5] = 2, 1
 	v2 = append(v2, v3[headerLen+4+reqRowFixed:]...)
 	expectRefusal(t, addr, framed(v2), ErrCodeVersion)
+	expectRefusal(t, addr, framed(v3), ErrCodeVersion)
 	expectRefusal(t, addr, framed(AppendHelloFrame(nil, 2, 2)), ErrCodeVersion)
-	if got := srv.Metrics().Errors.Load(); got != 2 {
-		t.Fatalf("serve errors = %d, want 2", got)
+	expectRefusal(t, addr, framed(AppendHelloFrame(nil, 2, 3)), ErrCodeVersion)
+	if got := srv.Metrics().Errors.Load(); got != 4 {
+		t.Fatalf("serve errors = %d, want 4", got)
 	}
 }
 
@@ -319,7 +327,7 @@ func TestClientRefusesMiscountedResponse(t *testing.T) {
 		t.Fatal(err)
 	}
 	tooMany = append(tooMany, make([]byte, respRow)...)
-	binary.BigEndian.PutUint16(tooMany[headerLen+1:], MaxBatch+1)
+	binary.BigEndian.PutUint16(tooMany[headerLen+1+8:], MaxBatch+1)
 
 	for name, reply := range map[string][]byte{
 		"2 decisions for 3 rows": framed(two),
@@ -340,7 +348,7 @@ func TestClientRefusesMiscountedResponse(t *testing.T) {
 			t.Errorf("%s: decs = %d, err = %v; want a non-ProtoError error", name, len(decs), err)
 		}
 	}
-	if _, _, err := decodeResponse(tooMany, nil, MsgDecisionsKeyed); err == nil || !strings.Contains(err.Error(), "exceeds") {
+	if _, _, _, err := decodeResponse(tooMany, nil, MsgDecisionsKeyed); err == nil || !strings.Contains(err.Error(), "exceeds") {
 		t.Errorf("decodeResponse(1025 rows) = %v, want the MaxBatch refusal", err)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/bits"
 	"net"
 	"net/http"
 	"strconv"
@@ -140,19 +141,23 @@ func (s *Server) HelloAck() Hello {
 	return Hello{Backend: s.BackendKind(), Generation: s.Generation()}
 }
 
-// DecideFrame answers one request frame from the engine. A frame with a
-// trace context gets the inference-hop attribution for its response.
-func (s *Server) DecideFrame(rows []Request, decs []Decision, tc telemetry.TraceContext, received time.Time) ([]Decision, HopTimings) {
+// DecideFrame answers one request frame from the engine, or refuses it
+// unanswered when its columns do not cover what the engine reads. A frame
+// with a trace context gets the inference-hop attribution for its
+// response.
+func (s *Server) DecideFrame(rows []Request, columns uint64, decs []Decision, tc telemetry.TraceContext, received time.Time) ([]Decision, HopTimings, uint64) {
 	if !tc.Valid() {
-		return s.decideBatch(rows, decs), HopTimings{}
+		decs, need := s.decideBatchTC(rows, columns, decs, telemetry.TraceContext{})
+		return decs, HopTimings{}, need
 	}
 	if tc.Sampled() {
 		// Retrospective decode span: the frame's trace context is only
 		// known after decoding, so stamp the interval after the fact.
 		s.tracer.StartSpanAt(tc, "engine.decode", received).EndAt(time.Now())
 	}
-	decs, inferUs := s.DecideBatchTraced(rows, decs, tc)
-	return decs, HopTimings{InferUs: inferUs}
+	start := time.Now()
+	decs, need := s.decideBatchTC(rows, columns, decs, tc)
+	return decs, HopTimings{InferUs: DurUs32(time.Since(start))}, need
 }
 
 // ServeTCP accepts binary-protocol connections on l, one goroutine per
@@ -257,6 +262,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		FallbackDecisions   int64             `json:"fallback_decisions,omitempty"`
 		RecoveredPanics     int64             `json:"recovered_panics,omitempty"`
 		DeadlineMisses      int64             `json:"deadline_misses,omitempty"`
+		Columns             []string          `json:"columns"`
 		Build               map[string]string `json:"build,omitempty"`
 	}{
 		State:               st.String(),
@@ -267,8 +273,19 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		FallbackDecisions:   s.metrics.Fallbacks.Load(),
 		RecoveredPanics:     s.metrics.RecoveredPanics.Load(),
 		DeadlineMisses:      s.metrics.DeadlineMisses.Load(),
+		Columns:             columnNames(s.Columns()),
 		Build:               buildinfo.Info(),
 	})
+}
+
+// columnNames spells a column mask out as counter names, ascending.
+func columnNames(columns uint64) []string {
+	all := counters.Names()
+	names := make([]string, 0, bits.OnesCount64(columns))
+	for m := columns; m != 0; m &= m - 1 {
+		names = append(names, all[bits.TrailingZeros64(m)])
+	}
+	return names
 }
 
 func (s *Server) httpError(w http.ResponseWriter, code int, format string, args ...any) {

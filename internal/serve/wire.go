@@ -21,30 +21,48 @@
 //
 // There is one request frame. It carries a batch of rows, each the
 // requesting cluster's (gpu, cluster) identity, a performance-loss preset
-// and the full 47-counter feature vector (feature selection happens inside
-// the model, exactly as in the simulator loop). Identity is optional:
-// gpu = cluster = -1 is a row without one, which a daemon answers as it
-// stands and a router shards under a synthetic per-frame key. Sent as
-// MsgDecideTraced instead of MsgDecideKeyed, the frame carries a
-// distributed-trace section ahead of the rows:
+// and the counters the frame's column mask names, in ascending counter
+// order: bit i of the mask set means counters.Def(i) is present. A full
+// 47-counter row is simply the all-ones mask (AllColumns); there is no
+// second layout. A mask of zero, a bit at or above counters.Num, or a
+// dimension other than the mask's population count is a malformed frame.
+// Identity is optional: gpu = cluster = -1 is a row without one, which a
+// daemon answers as it stands and a router shards under a synthetic
+// per-frame key. Sent as MsgDecideTraced instead of MsgDecideKeyed, the
+// frame carries a distributed-trace section ahead of the rows:
 //
 //	[ uint64 trace ID, uint64 parent span ID, uint8 trace flags ]
 //	uint16  row count (1..MaxBatch)
-//	uint16  feature dimension (must equal counters.Num)
+//	uint16  feature dimension (must equal popcount(columns))
+//	uint64  columns (mask of the counters each row carries)
 //	rows    count × (uint32 gpu, uint32 cluster, float64 preset, dim × float64)
 //
-// There is one response frame, MsgDecisionsKeyed or MsgDecisionsTraced
-// after the request's own kind. Per row it carries the chosen level, the
-// provenance reason that produced it, a flags byte (bit 0: rerouted), the
-// fleet shard that answered (0xffff: none — a daemon answering directly,
-// or a local shed) and the predicted next-epoch instruction count; the
-// traced kind echoes the trace ID and adds per-hop latency attribution:
+// The server scatters what arrived into zero-filled counters.Num-wide
+// rows, so a column that was not sent reads +0 and is never range-checked.
 //
-//	uint8   status (0 = OK; otherwise count is 0)
+// There is one response frame, MsgDecisionsKeyed or MsgDecisionsTraced
+// after the request's own kind. It carries the mask of the columns the
+// answering endpoint reads — the model's features, the analytical
+// fallback's, and every column whenever a plane that stores or prices
+// whole rows is armed — which a client adopts for its next request; a
+// new connection starts from AllColumns, and nothing is negotiated. Per
+// row it carries the chosen level, the provenance reason that produced
+// it, a flags byte (bit 0: rerouted), the fleet shard that answered
+// (0xffff: none — a daemon answering directly, or a local shed) and the
+// predicted next-epoch instruction count; the traced kind echoes the
+// trace ID and adds per-hop latency attribution:
+//
+//	uint8   status (StatusOK; otherwise count is 0)
 //	[ uint64 trace ID, uint32 queue µs, coalesce µs, dispatch µs, infer µs ]
+//	uint64  columns (mask of the counters the endpoint reads)
 //	uint16  row count (<= MaxBatch)
 //	rows    count × (uint8 level, uint8 reason, uint8 flags, uint16 shard,
 //	                 float64 predicted instructions)
+//
+// Status StatusColumns says "your frame lacked a column I read": nothing
+// was decided, observed or counted, and the same rows sent again under the
+// response's mask will be answered. It happens once after a model swap or
+// an armed plane widens the set, never when the set narrows.
 //
 // A client may open with MsgHello (uint8 lowest, uint8 highest version it
 // speaks); the peer answers MsgHelloAck (uint8 version, uint8 flags,
@@ -54,8 +72,9 @@
 // uint16 length, message) sent before the connection drops, so a
 // mismatched peer gets a typed error instead of a hung read.
 //
-// Message types 1 and 2 were protocol v2's unkeyed request and response
-// and are not reused.
+// Message types 1 and 2 (protocol v2's unkeyed request and response) and
+// version 3 (the same frames without the column masks) are retired and
+// not reused.
 package serve
 
 import (
@@ -65,6 +84,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/bits"
 	"time"
 
 	"ssmdvfs/internal/counters"
@@ -75,7 +95,7 @@ import (
 
 const (
 	Magic   = 0x53445646 // "SDVF"
-	Version = 3          // the one protocol version
+	Version = 4          // the one protocol version
 
 	// MsgDecideKeyed and MsgDecisionsKeyed are the request and response
 	// frames without a trace section.
@@ -105,9 +125,14 @@ const (
 	// MaxBatch bounds the rows in one request or response frame.
 	MaxBatch = 1024
 
-	// StatusOK and StatusError are the response status codes.
-	StatusOK    = 0
-	StatusError = 1
+	// StatusOK and StatusError are the response status codes; StatusColumns
+	// refuses a request frame that lacked a column the endpoint reads.
+	StatusOK      = 0
+	StatusError   = 1
+	StatusColumns = 2
+
+	// AllColumns is the column mask of a full counters.Num-wide row.
+	AllColumns uint64 = 1<<counters.Num - 1
 
 	headerLen = 6
 )
@@ -231,7 +256,9 @@ func (e *ProtoError) Error() string {
 type Request struct {
 	// Preset is the performance-loss preset for this decision.
 	Preset float64
-	// Features is the full 47-counter vector of the finished epoch.
+	// Features is the full 47-counter vector of the finished epoch. The
+	// codec moves only the columns of the frame's mask; a decoded row is
+	// still counters.Num wide, with +0 in the columns that were not sent.
 	Features []float64
 	// GPU and Cluster identify the requesting cluster for fleet routing,
 	// prediction feedback and the ledger. -1/-1 means no identity.
@@ -301,30 +328,60 @@ func errWrongType(got, want byte) error {
 const (
 	traceReqLen  = 8 + 8 + 1 // trace ID, parent span ID, flags
 	traceRespLen = 8 + 4*4   // echoed trace ID, four hop timings
+	rowsHeadLen  = 2 + 2 + 8 // row count, dimension, column mask
 	reqRowFixed  = 4 + 4     // gpu + cluster, before the float64s
+	respHeadLen  = 8 + 2     // column mask, row count
 	respRow      = 1 + 1 + 1 + 2 + 8
 
 	decFlagRerouted = 1
 	shardNone       = 0xffff
 )
 
+// errColumns is what decodeResponse reports for a StatusColumns frame,
+// alongside the mask the frame carries.
+var errColumns = errors.New("serve: the peer reads a column the request did not carry")
+
+// checkColumns refuses a mask that names no counter, or one that does not
+// exist.
+func checkColumns(columns uint64) error {
+	if columns == 0 || columns > AllColumns {
+		return fmt.Errorf("serve: column mask %#x names no counter or one past %d", columns, counters.Num-1)
+	}
+	return nil
+}
+
+// columnIndexes lists the counters a valid mask names, ascending, in buf.
+func columnIndexes(columns uint64, buf *[counters.Num]uint8) []uint8 {
+	n := 0
+	for m := columns; m != 0; m &= m - 1 {
+		buf[n] = uint8(bits.TrailingZeros64(m))
+		n++
+	}
+	return buf[:n]
+}
+
 // appendRequest appends an encoded request payload (without the length
-// prefix) for rows to dst: a MsgDecideTraced frame carrying *tc, or a
+// prefix) for rows to dst, carrying the columns of the mask out of each
+// full-width row: a MsgDecideTraced frame carrying *tc, or a
 // MsgDecideKeyed frame when tc is nil.
-func appendRequest(dst []byte, rows []Request, tc *telemetry.TraceContext) ([]byte, error) {
+func appendRequest(dst []byte, rows []Request, columns uint64, tc *telemetry.TraceContext) ([]byte, error) {
 	if len(rows) == 0 || len(rows) > MaxBatch {
 		return nil, fmt.Errorf("serve: batch of %d rows outside [1,%d]", len(rows), MaxBatch)
 	}
-	dim := len(rows[0].Features)
-	if dim != counters.Num {
-		return nil, fmt.Errorf("serve: feature dimension %d, want %d", dim, counters.Num)
+	if n := len(rows[0].Features); n != counters.Num {
+		return nil, fmt.Errorf("serve: feature dimension %d, want %d", n, counters.Num)
 	}
+	if err := checkColumns(columns); err != nil {
+		return nil, err
+	}
+	var idxBuf [counters.Num]uint8
+	idx := columnIndexes(columns, &idxBuf)
 	msgType, p := byte(MsgDecideKeyed), headerLen
 	if tc != nil {
 		msgType, p = MsgDecideTraced, headerLen+traceReqLen
 	}
 	off := len(dst)
-	dst = append(dst, make([]byte, p+4+len(rows)*(reqRowFixed+(1+dim)*8))...)
+	dst = append(dst, make([]byte, p+rowsHeadLen+len(rows)*(reqRowFixed+(1+len(idx))*8))...)
 	b := dst[off:]
 	putHeader(b, msgType)
 	if tc != nil {
@@ -333,18 +390,26 @@ func appendRequest(dst []byte, rows []Request, tc *telemetry.TraceContext) ([]by
 		b[22] = tc.Flags
 	}
 	binary.BigEndian.PutUint16(b[p:], uint16(len(rows)))
-	binary.BigEndian.PutUint16(b[p+2:], uint16(dim))
-	b = b[p+4:]
+	binary.BigEndian.PutUint16(b[p+2:], uint16(len(idx)))
+	binary.BigEndian.PutUint64(b[p+4:], columns)
+	b = b[p+rowsHeadLen:]
 	for _, row := range rows {
-		if len(row.Features) != dim {
-			return nil, fmt.Errorf("serve: ragged batch: row has %d features, want %d", len(row.Features), dim)
+		if len(row.Features) != counters.Num {
+			return nil, fmt.Errorf("serve: ragged batch: row has %d features, want %d", len(row.Features), counters.Num)
 		}
 		binary.BigEndian.PutUint32(b, uint32(row.GPU))
 		binary.BigEndian.PutUint32(b[4:], uint32(row.Cluster))
 		binary.BigEndian.PutUint64(b[8:], math.Float64bits(row.Preset))
 		b = b[reqRowFixed+8:]
-		for _, f := range row.Features {
-			binary.BigEndian.PutUint64(b, math.Float64bits(f))
+		if columns == AllColumns {
+			for _, f := range row.Features {
+				binary.BigEndian.PutUint64(b, math.Float64bits(f))
+				b = b[8:]
+			}
+			continue
+		}
+		for _, j := range idx {
+			binary.BigEndian.PutUint64(b, math.Float64bits(row.Features[j]))
 			b = b[8:]
 		}
 	}
@@ -352,87 +417,110 @@ func appendRequest(dst []byte, rows []Request, tc *telemetry.TraceContext) ([]by
 }
 
 // DecodeRequest parses a request payload of either kind and reports
-// which it was; tc is zero for a MsgDecideKeyed frame. The returned rows
-// reuse scratch (resized as needed) so a serving loop can decode without
-// allocating; feature slices alias scratch's backing arrays.
-func DecodeRequest(payload []byte, scratch []Request) (rows []Request, tc telemetry.TraceContext, traced bool, err error) {
+// which it was and the column mask its rows came under; tc is zero for a
+// MsgDecideKeyed frame. Every decoded row is counters.Num wide, +0 in
+// the columns the frame did not carry. The returned rows reuse scratch
+// (resized as needed) so a serving loop can decode without allocating;
+// feature slices alias scratch's backing arrays.
+func DecodeRequest(payload []byte, scratch []Request) (rows []Request, columns uint64, tc telemetry.TraceContext, traced bool, err error) {
 	t, err := parseHeader(payload)
 	if err != nil {
-		return nil, tc, false, err
+		return nil, 0, tc, false, err
 	}
 	body := payload[headerLen:]
 	switch t {
 	case MsgDecideKeyed:
 	case MsgDecideTraced:
 		if len(body) < traceReqLen {
-			return nil, tc, true, fmt.Errorf("serve: traced request frame too short (%d bytes)", len(payload))
+			return nil, 0, tc, true, fmt.Errorf("serve: traced request frame too short (%d bytes)", len(payload))
 		}
 		tc.TraceID = binary.BigEndian.Uint64(body)
 		tc.SpanID = binary.BigEndian.Uint64(body[8:])
 		tc.Flags = body[16]
 		traced, body = true, body[traceReqLen:]
 	default:
-		return nil, tc, false, errWrongType(t, MsgDecideKeyed)
+		return nil, 0, tc, false, errWrongType(t, MsgDecideKeyed)
 	}
-	rows, err = decodeRows(body, scratch)
-	return rows, tc, traced, err
+	rows, columns, err = decodeRows(body, scratch)
+	return rows, columns, tc, traced, err
 }
 
-// decodeRows parses a request frame's count, dimension and rows. It is a
-// function of its own so the row loop keeps only what it needs live.
-func decodeRows(body []byte, scratch []Request) ([]Request, error) {
-	if len(body) < 4 {
-		return nil, fmt.Errorf("serve: request frame too short for a row count (%d bytes)", len(body))
+// decodeRows parses a request frame's count, dimension, column mask and
+// rows, refusing a frame whose three disagree with each other or with its
+// length before anything is sized from them. It is a function of its own
+// so the row loop keeps only what it needs live.
+func decodeRows(body []byte, scratch []Request) ([]Request, uint64, error) {
+	if len(body) < rowsHeadLen {
+		return nil, 0, fmt.Errorf("serve: request frame too short for a row count (%d bytes)", len(body))
 	}
 	count := int(binary.BigEndian.Uint16(body))
 	dim := int(binary.BigEndian.Uint16(body[2:]))
+	columns := binary.BigEndian.Uint64(body[4:])
 	if count == 0 || count > MaxBatch {
-		return nil, fmt.Errorf("serve: batch of %d rows outside [1,%d]", count, MaxBatch)
+		return nil, 0, fmt.Errorf("serve: batch of %d rows outside [1,%d]", count, MaxBatch)
 	}
-	if dim != counters.Num {
-		return nil, fmt.Errorf("serve: feature dimension %d, want %d", dim, counters.Num)
+	if err := checkColumns(columns); err != nil {
+		return nil, 0, err
 	}
-	if want := 4 + count*(reqRowFixed+(1+dim)*8); len(body) != want {
-		return nil, fmt.Errorf("serve: request body is %d bytes, want %d for %d rows", len(body), want, count)
+	if dim != bits.OnesCount64(columns) {
+		return nil, 0, fmt.Errorf("serve: feature dimension %d under a mask of %d columns", dim, bits.OnesCount64(columns))
 	}
+	if want := rowsHeadLen + count*(reqRowFixed+(1+dim)*8); len(body) != want {
+		return nil, 0, fmt.Errorf("serve: request body is %d bytes, want %d for %d rows", len(body), want, count)
+	}
+	var idxBuf [counters.Num]uint8
+	idx := columnIndexes(columns, &idxBuf)
 	if cap(scratch) < count {
 		scratch = append(scratch[:cap(scratch)], make([]Request, count-cap(scratch))...)
 	}
 	scratch = scratch[:count]
-	body = body[4:]
+	body = body[rowsHeadLen:]
 	for i := range scratch {
 		r := &scratch[i]
 		r.GPU = int32(binary.BigEndian.Uint32(body))
 		r.Cluster = int32(binary.BigEndian.Uint32(body[4:]))
 		r.Preset = math.Float64frombits(binary.BigEndian.Uint64(body[8:]))
 		body = body[reqRowFixed+8:]
-		if cap(r.Features) < dim {
-			r.Features = make([]float64, dim)
+		if cap(r.Features) < counters.Num {
+			r.Features = make([]float64, counters.Num)
 		}
-		feats := r.Features[:dim]
-		for j := range feats {
+		feats := r.Features[:counters.Num]
+		r.Features = feats
+		if columns == AllColumns {
+			for j := range feats {
+				feats[j] = math.Float64frombits(binary.BigEndian.Uint64(body))
+				body = body[8:]
+			}
+			continue
+		}
+		// Whatever the scratch row held under an earlier frame's mask goes.
+		clear(feats)
+		for _, j := range idx {
 			feats[j] = math.Float64frombits(binary.BigEndian.Uint64(body))
 			body = body[8:]
 		}
-		r.Features = feats
 	}
-	return scratch, nil
+	return scratch, columns, nil
 }
 
-// AppendResponse appends an encoded response payload to dst, carrying
-// each decision's shard and rerouted flag: a MsgDecisionsTraced frame
-// echoing traceID with this hop's latency attribution when traced, a
-// MsgDecisionsKeyed frame (traceID and hops ignored) otherwise.
-func AppendResponse(dst []byte, status byte, decs []Decision, traced bool, traceID uint64, hops HopTimings) ([]byte, error) {
+// AppendResponse appends an encoded response payload to dst, carrying the
+// mask of the columns the answering endpoint reads and each decision's
+// shard and rerouted flag: a MsgDecisionsTraced frame echoing traceID
+// with this hop's latency attribution when traced, a MsgDecisionsKeyed
+// frame (traceID and hops ignored) otherwise.
+func AppendResponse(dst []byte, status byte, columns uint64, decs []Decision, traced bool, traceID uint64, hops HopTimings) ([]byte, error) {
 	if len(decs) > MaxBatch {
 		return nil, fmt.Errorf("serve: batch of %d rows exceeds %d", len(decs), MaxBatch)
+	}
+	if err := checkColumns(columns); err != nil {
+		return nil, err
 	}
 	msgType, p := byte(MsgDecisionsKeyed), headerLen+1
 	if traced {
 		msgType, p = MsgDecisionsTraced, headerLen+1+traceRespLen
 	}
 	off := len(dst)
-	dst = append(dst, make([]byte, p+2+len(decs)*respRow)...)
+	dst = append(dst, make([]byte, p+respHeadLen+len(decs)*respRow)...)
 	b := dst[off:]
 	putHeader(b, msgType)
 	b[6] = status
@@ -443,8 +531,9 @@ func AppendResponse(dst []byte, status byte, decs []Decision, traced bool, trace
 		binary.BigEndian.PutUint32(b[23:], hops.DispatchUs)
 		binary.BigEndian.PutUint32(b[27:], hops.InferUs)
 	}
-	binary.BigEndian.PutUint16(b[p:], uint16(len(decs)))
-	b = b[p+2:]
+	binary.BigEndian.PutUint64(b[p:], columns)
+	binary.BigEndian.PutUint16(b[p+8:], uint16(len(decs)))
+	b = b[p+respHeadLen:]
 	for _, d := range decs {
 		if d.Level < 0 || d.Level > 255 {
 			return nil, fmt.Errorf("serve: level %d does not fit the wire format", d.Level)
@@ -468,21 +557,24 @@ func AppendResponse(dst []byte, status byte, decs []Decision, traced bool, trace
 }
 
 // decodeResponse parses a response payload of the wanted kind
-// (MsgDecisionsKeyed or MsgDecisionsTraced), reusing scratch. hops is
-// zero for the keyed kind. A MsgError frame decodes into a *ProtoError.
-func decodeResponse(payload []byte, scratch []Decision, wantType byte) (decs []Decision, hops HopTimings, err error) {
+// (MsgDecisionsKeyed or MsgDecisionsTraced), reusing scratch, and returns
+// the mask of columns the peer reads. hops is zero for the keyed kind. A
+// StatusColumns frame returns its mask with errColumns; a MsgError frame
+// decodes into a *ProtoError.
+func decodeResponse(payload []byte, scratch []Decision, wantType byte) (decs []Decision, hops HopTimings, columns uint64, err error) {
 	if err := checkType(payload, wantType); err != nil {
-		return nil, hops, err
+		return nil, hops, 0, err
 	}
 	p := headerLen + 1
 	if wantType == MsgDecisionsTraced {
 		p += traceRespLen
 	}
-	if len(payload) < p+2 {
-		return nil, hops, fmt.Errorf("serve: response frame too short (%d bytes)", len(payload))
+	if len(payload) < p+respHeadLen {
+		return nil, hops, 0, fmt.Errorf("serve: response frame too short (%d bytes)", len(payload))
 	}
-	if payload[6] != StatusOK {
-		return nil, hops, fmt.Errorf("serve: server reported error status %d", payload[6])
+	status := payload[6]
+	if status != StatusOK && status != StatusColumns {
+		return nil, hops, 0, fmt.Errorf("serve: server reported error status %d", status)
 	}
 	if wantType == MsgDecisionsTraced {
 		hops.QueueUs = binary.BigEndian.Uint32(payload[15:])
@@ -490,13 +582,23 @@ func decodeResponse(payload []byte, scratch []Decision, wantType byte) (decs []D
 		hops.DispatchUs = binary.BigEndian.Uint32(payload[23:])
 		hops.InferUs = binary.BigEndian.Uint32(payload[27:])
 	}
-	count := int(binary.BigEndian.Uint16(payload[p:]))
-	if count > MaxBatch {
-		return nil, hops, fmt.Errorf("serve: response of %d rows exceeds %d", count, MaxBatch)
+	columns = binary.BigEndian.Uint64(payload[p:])
+	if err := checkColumns(columns); err != nil {
+		return nil, hops, 0, err
 	}
-	p += 2
+	count := int(binary.BigEndian.Uint16(payload[p+8:]))
+	if count > MaxBatch {
+		return nil, hops, 0, fmt.Errorf("serve: response of %d rows exceeds %d", count, MaxBatch)
+	}
+	p += respHeadLen
 	if want := p + count*respRow; len(payload) != want {
-		return nil, hops, fmt.Errorf("serve: response frame is %d bytes, want %d for %d rows", len(payload), want, count)
+		return nil, hops, 0, fmt.Errorf("serve: response frame is %d bytes, want %d for %d rows", len(payload), want, count)
+	}
+	if status == StatusColumns {
+		if count != 0 {
+			return nil, hops, 0, fmt.Errorf("serve: column refusal carries %d rows", count)
+		}
+		return nil, hops, columns, errColumns
 	}
 	if cap(scratch) < count {
 		scratch = make([]Decision, count)
@@ -514,27 +616,28 @@ func decodeResponse(payload []byte, scratch []Decision, wantType byte) (decs []D
 		}
 		d.PredInstr = math.Float64frombits(binary.BigEndian.Uint64(row[5:]))
 	}
-	return scratch, hops, nil
+	return scratch, hops, columns, nil
 }
 
 // AppendKeyedRequestFrame appends an untraced request payload to dst. It
 // and the seven typed entry points after it are the one codec with the
-// kind fixed (each decoder refuses a frame of the other kind), under the
-// names the benchmark's codec rungs call.
+// kind fixed (each decoder refuses a frame of the other kind) and the
+// mask out of sight — encoders write AllColumns, decoders take any mask
+// and drop it — under the names the benchmark's codec rungs call.
 func AppendKeyedRequestFrame(dst []byte, rows []Request) ([]byte, error) {
-	return appendRequest(dst, rows, nil)
+	return appendRequest(dst, rows, AllColumns, nil)
 }
 
 // AppendTracedRequestFrame appends a request payload carrying tc across
 // the process boundary.
 func AppendTracedRequestFrame(dst []byte, rows []Request, tc telemetry.TraceContext) ([]byte, error) {
-	return appendRequest(dst, rows, &tc)
+	return appendRequest(dst, rows, AllColumns, &tc)
 }
 
 // DecodeKeyedRequestFrame parses an untraced request payload, reusing
 // scratch like DecodeRequest.
 func DecodeKeyedRequestFrame(payload []byte, scratch []Request) ([]Request, error) {
-	rows, _, traced, err := DecodeRequest(payload, scratch)
+	rows, _, _, traced, err := DecodeRequest(payload, scratch)
 	if err == nil && traced {
 		return nil, errWrongType(MsgDecideTraced, MsgDecideKeyed)
 	}
@@ -544,7 +647,7 @@ func DecodeKeyedRequestFrame(payload []byte, scratch []Request) ([]Request, erro
 // DecodeTracedRequestFrame parses a traced request payload, reusing
 // scratch, and returns the carried trace context.
 func DecodeTracedRequestFrame(payload []byte, scratch []Request) ([]Request, telemetry.TraceContext, error) {
-	rows, tc, traced, err := DecodeRequest(payload, scratch)
+	rows, _, tc, traced, err := DecodeRequest(payload, scratch)
 	if err == nil && !traced {
 		return nil, tc, errWrongType(MsgDecideKeyed, MsgDecideTraced)
 	}
@@ -553,26 +656,27 @@ func DecodeTracedRequestFrame(payload []byte, scratch []Request) ([]Request, tel
 
 // AppendKeyedResponseFrame appends an untraced response payload to dst.
 func AppendKeyedResponseFrame(dst []byte, status byte, decs []Decision) ([]byte, error) {
-	return AppendResponse(dst, status, decs, false, 0, HopTimings{})
+	return AppendResponse(dst, status, AllColumns, decs, false, 0, HopTimings{})
 }
 
 // AppendTracedResponseFrame appends a response payload echoing the trace
 // ID and carrying this hop's latency attribution.
 func AppendTracedResponseFrame(dst []byte, status byte, decs []Decision, traceID uint64, hops HopTimings) ([]byte, error) {
-	return AppendResponse(dst, status, decs, true, traceID, hops)
+	return AppendResponse(dst, status, AllColumns, decs, true, traceID, hops)
 }
 
 // DecodeKeyedResponseFrame parses an untraced response payload, reusing
 // scratch. A MsgError frame decodes into a *ProtoError.
 func DecodeKeyedResponseFrame(payload []byte, scratch []Decision) ([]Decision, error) {
-	decs, _, err := decodeResponse(payload, scratch, MsgDecisionsKeyed)
+	decs, _, _, err := decodeResponse(payload, scratch, MsgDecisionsKeyed)
 	return decs, err
 }
 
 // DecodeTracedResponseFrame parses a traced response payload, reusing
 // scratch, and returns the hop attribution alongside the decisions.
 func DecodeTracedResponseFrame(payload []byte, scratch []Decision) ([]Decision, HopTimings, error) {
-	return decodeResponse(payload, scratch, MsgDecisionsTraced)
+	decs, hops, _, err := decodeResponse(payload, scratch, MsgDecisionsTraced)
+	return decs, hops, err
 }
 
 // AppendHelloFrame appends a client hello offering the [min,max] version
@@ -728,10 +832,15 @@ type Endpoint interface {
 	// backend, generation. Answer fills in Version and Tracing.
 	HelloAck() Hello
 	// DecideFrame answers one decoded request frame, appending one
-	// Decision per row to decs. tc is the frame's trace context (zero for
-	// an untraced frame) and received is when the frame came off the
-	// wire; the returned attribution rides back on a traced response.
-	DecideFrame(rows []Request, decs []Decision, tc telemetry.TraceContext, received time.Time) ([]Decision, HopTimings)
+	// Decision per row to decs. columns is the mask the rows came under
+	// (what it lacks reads +0), tc the frame's trace context (zero for an
+	// untraced frame) and received when the frame came off the wire; the
+	// returned attribution rides back on a traced response. need is the
+	// mask of columns the endpoint reads right now, and goes back on every
+	// response. When columns does not cover it the endpoint decides
+	// nothing — no row answered, observed or counted — and Answer replies
+	// StatusColumns.
+	DecideFrame(rows []Request, columns uint64, decs []Decision, tc telemetry.TraceContext, received time.Time) (out []Decision, hops HopTimings, need uint64)
 }
 
 // FrameScratch is the reusable state one connection needs to answer
@@ -745,11 +854,13 @@ type FrameScratch struct {
 
 // Answer turns one received payload into the payload to send back: a
 // hello into its ack, a request into ep's decisions in a response of the
-// request's own kind. Anything else, and any frame that does not parse,
-// gets the MsgError frame as reply and the *ProtoError it carries as err:
-// the caller sends reply and drops the connection, since the stream can
-// no longer be trusted. For a served request rows and tc are its row
-// count and trace context. reply aliases fs until the next call.
+// request's own kind — or, when the frame lacked a column ep reads, a
+// StatusColumns response of that kind with no rows. Anything else, and
+// any frame that does not parse, gets the MsgError frame as reply and the
+// *ProtoError it carries as err: the caller sends reply and drops the
+// connection, since the stream can no longer be trusted. For a served
+// request rows and tc are its row count and trace context; a refused one
+// served no rows. reply aliases fs until the next call.
 func (fs *FrameScratch) Answer(frame []byte, ep Endpoint, received time.Time) (reply []byte, rows int, tc telemetry.TraceContext, err error) {
 	if reply, rows, tc, err = fs.answer(frame, ep, received); err != nil {
 		var pe *ProtoError
@@ -782,19 +893,23 @@ func (fs *FrameScratch) answer(frame []byte, ep Endpoint, received time.Time) (r
 		return fs.out, 0, tc, nil
 
 	case MsgDecideKeyed, MsgDecideTraced:
-		reqs, tc, traced, err := DecodeRequest(frame, fs.rows)
+		reqs, columns, tc, traced, err := DecodeRequest(frame, fs.rows)
 		if err != nil {
 			return nil, 0, tc, err
 		}
 		fs.rows = reqs
-		var hops HopTimings
-		fs.decs, hops = ep.DecideFrame(reqs, fs.decs[:0], tc, received)
-		out, err := AppendResponse(fs.out[:0], StatusOK, fs.decs, traced, tc.TraceID, hops)
+		decs, hops, need := ep.DecideFrame(reqs, columns, fs.decs[:0], tc, received)
+		fs.decs = decs
+		status := byte(StatusOK)
+		if need&^columns != 0 {
+			status, decs = StatusColumns, nil
+		}
+		out, err := AppendResponse(fs.out[:0], status, need, decs, traced, tc.TraceID, hops)
 		if err != nil {
 			return nil, 0, tc, err
 		}
 		fs.out = out
-		return out, len(reqs), tc, nil
+		return out, len(decs), tc, nil
 	}
 	return nil, 0, tc, &ProtoError{Code: ErrCodeBadFrame, Msg: fmt.Sprintf("unexpected message type %d", msgType)}
 }

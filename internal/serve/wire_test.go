@@ -5,8 +5,9 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
+	"math"
+	"math/bits"
 	"math/rand"
-	"net"
 	"strings"
 	"testing"
 
@@ -39,37 +40,55 @@ var frameKinds = []struct {
 	reqCount  int // offset of the request's row count
 	respCount int // offset of the response's row count
 }{
-	{"keyed", nil, MsgDecideKeyed, MsgDecisionsKeyed, headerLen, headerLen + 1},
+	{"keyed", nil, MsgDecideKeyed, MsgDecisionsKeyed, headerLen, headerLen + 1 + 8},
 	{"traced", &telemetry.TraceContext{TraceID: 0xabcdef, SpanID: 0x1234, Flags: telemetry.FlagSampled},
-		MsgDecideTraced, MsgDecisionsTraced, headerLen + traceReqLen, headerLen + 1 + traceRespLen},
+		MsgDecideTraced, MsgDecisionsTraced, headerLen + traceReqLen, headerLen + 1 + traceRespLen + 8},
 }
+
+// testMasks are the column sets the codec tables run under: every
+// column, the eight a daemon on the selected five asks for, and the
+// single last one.
+var testMasks = []uint64{AllColumns, projected, 1 << (counters.Num - 1)}
 
 func TestRequestFrameRoundTrip(t *testing.T) {
 	for _, k := range frameKinds {
 		for _, n := range []int{1, 2, 64, MaxBatch} {
-			rows := randRows(n, int64(n))
-			payload, err := appendRequest(nil, rows, k.tc)
-			if err != nil {
-				t.Fatalf("%s n=%d: %v", k.name, n, err)
-			}
-			got, tc, traced, err := DecodeRequest(payload, nil)
-			if err != nil {
-				t.Fatalf("%s n=%d: %v", k.name, n, err)
-			}
-			if traced != (k.tc != nil) || (traced && tc != *k.tc) || (!traced && tc != telemetry.TraceContext{}) {
-				t.Fatalf("%s n=%d: decoded traced=%v tc=%+v", k.name, n, traced, tc)
-			}
-			if len(got) != n {
-				t.Fatalf("%s n=%d: decoded %d rows", k.name, n, len(got))
-			}
-			for i := range got {
-				if got[i].Preset != rows[i].Preset || got[i].GPU != rows[i].GPU || got[i].Cluster != rows[i].Cluster {
-					t.Fatalf("%s row %d = (%d,%d,%g), want (%d,%d,%g)", k.name, i,
-						got[i].GPU, got[i].Cluster, got[i].Preset, rows[i].GPU, rows[i].Cluster, rows[i].Preset)
+			for _, mask := range testMasks {
+				rows := randRows(n, int64(n))
+				payload, err := appendRequest(nil, rows, mask, k.tc)
+				if err != nil {
+					t.Fatalf("%s n=%d: %v", k.name, n, err)
 				}
-				for j := range got[i].Features {
-					if got[i].Features[j] != rows[i].Features[j] {
-						t.Fatalf("%s row %d feature %d differs", k.name, i, j)
+				dim := bits.OnesCount64(mask)
+				if want := k.reqCount + rowsHeadLen + n*(reqRowFixed+8+8*dim); len(payload) != want {
+					t.Fatalf("%s n=%d mask %#x: frame is %d bytes, want %d", k.name, n, mask, len(payload), want)
+				}
+				got, columns, tc, traced, err := DecodeRequest(payload, nil)
+				if err != nil {
+					t.Fatalf("%s n=%d: %v", k.name, n, err)
+				}
+				if traced != (k.tc != nil) || (traced && tc != *k.tc) || (!traced && tc != telemetry.TraceContext{}) {
+					t.Fatalf("%s n=%d: decoded traced=%v tc=%+v", k.name, n, traced, tc)
+				}
+				if len(got) != n || columns != mask {
+					t.Fatalf("%s n=%d: decoded %d rows under mask %#x, want %#x", k.name, n, len(got), columns, mask)
+				}
+				for i := range got {
+					if got[i].Preset != rows[i].Preset || got[i].GPU != rows[i].GPU || got[i].Cluster != rows[i].Cluster {
+						t.Fatalf("%s row %d = (%d,%d,%g), want (%d,%d,%g)", k.name, i,
+							got[i].GPU, got[i].Cluster, got[i].Preset, rows[i].GPU, rows[i].Cluster, rows[i].Preset)
+					}
+					if len(got[i].Features) != counters.Num {
+						t.Fatalf("%s row %d decoded %d wide", k.name, i, len(got[i].Features))
+					}
+					for j, v := range got[i].Features {
+						want := rows[i].Features[j]
+						if mask>>j&1 == 0 {
+							want = 0
+						}
+						if math.Float64bits(v) != math.Float64bits(want) {
+							t.Fatalf("%s mask %#x row %d feature %d = %v, want %v", k.name, mask, i, j, v, want)
+						}
 					}
 				}
 			}
@@ -85,13 +104,13 @@ func TestResponseFrameRoundTrip(t *testing.T) {
 	}
 	hops := HopTimings{QueueUs: 5, CoalesceUs: 9, DispatchUs: 140, InferUs: 80}
 	for _, k := range frameKinds {
-		payload, err := AppendResponse(nil, StatusOK, decs, k.tc != nil, 0xabcdef, hops)
+		payload, err := AppendResponse(nil, StatusOK, projected, decs, k.tc != nil, 0xabcdef, hops)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, gotHops, err := decodeResponse(payload, nil, k.respType)
-		if err != nil {
-			t.Fatalf("%s: %v", k.name, err)
+		got, gotHops, columns, err := decodeResponse(payload, nil, k.respType)
+		if err != nil || columns != projected {
+			t.Fatalf("%s: mask %#x, err %v", k.name, columns, err)
 		}
 		want := HopTimings{}
 		if k.tc != nil {
@@ -108,6 +127,15 @@ func TestResponseFrameRoundTrip(t *testing.T) {
 				t.Fatalf("%s: decision %d = %+v, want %+v", k.name, i, got[i], decs[i])
 			}
 		}
+
+		// The refusal: the endpoint's mask, no rows, its own error.
+		refusal, err := AppendResponse(nil, StatusColumns, projected, nil, k.tc != nil, 0xabcdef, HopTimings{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, _, columns, err := decodeResponse(refusal, nil, k.respType); err != errColumns || columns != projected || got != nil {
+			t.Fatalf("%s: refusal decoded to %d rows, mask %#x, err %v", k.name, len(got), columns, err)
+		}
 	}
 }
 
@@ -123,14 +151,24 @@ func TestEncodeRejectsBadBatches(t *testing.T) {
 			"wrong feature dimension": short,
 			"ragged batch":            ragged,
 		} {
-			if _, err := appendRequest(nil, rows, k.tc); err == nil {
-				t.Errorf("%s: %s accepted", k.name, name)
+			for _, mask := range testMasks {
+				if _, err := appendRequest(nil, rows, mask, k.tc); err == nil {
+					t.Errorf("%s: %s accepted under mask %#x", k.name, name, mask)
+				}
 			}
 		}
-		if _, err := AppendResponse(nil, StatusOK, []Decision{{Level: 300}}, k.tc != nil, 1, HopTimings{}); err == nil {
+		for _, mask := range []uint64{0, 1 << counters.Num, 1<<63 | 1} {
+			if _, err := appendRequest(nil, randRows(1, 1), mask, k.tc); err == nil {
+				t.Errorf("%s: request under mask %#x accepted", k.name, mask)
+			}
+			if _, err := AppendResponse(nil, StatusOK, mask, nil, k.tc != nil, 1, HopTimings{}); err == nil {
+				t.Errorf("%s: response naming mask %#x accepted", k.name, mask)
+			}
+		}
+		if _, err := AppendResponse(nil, StatusOK, AllColumns, []Decision{{Level: 300}}, k.tc != nil, 1, HopTimings{}); err == nil {
 			t.Errorf("%s: level 300 accepted", k.name)
 		}
-		if _, err := AppendResponse(nil, StatusOK, make([]Decision, MaxBatch+1), k.tc != nil, 1, HopTimings{}); err == nil {
+		if _, err := AppendResponse(nil, StatusOK, AllColumns, make([]Decision, MaxBatch+1), k.tc != nil, 1, HopTimings{}); err == nil {
 			t.Errorf("%s: %d-row response accepted", k.name, MaxBatch+1)
 		}
 	}
@@ -146,23 +184,32 @@ func TestDecodeRejectsCorruptFrames(t *testing.T) {
 	}
 	for ki, k := range frameKinds {
 		other := frameKinds[1-ki]
-		goodReq, err := appendRequest(nil, randRows(3, 4), k.tc)
+		goodReq, err := appendRequest(nil, randRows(3, 4), AllColumns, k.tc)
 		if err != nil {
 			t.Fatal(err)
 		}
-		goodResp, err := AppendResponse(nil, StatusOK, []Decision{{Level: 2, PredInstr: 7}}, k.tc != nil, 1, HopTimings{})
+		// The same rows under the eight-column mask, for the cases where
+		// mask, dimension and length must agree.
+		projReq, err := appendRequest(nil, randRows(3, 4), projected, k.tc)
 		if err != nil {
 			t.Fatal(err)
+		}
+		goodResp, err := AppendResponse(nil, StatusOK, AllColumns, []Decision{{Level: 2, PredInstr: 7}}, k.tc != nil, 1, HopTimings{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		putMask := func(at int, mask uint64) func([]byte) {
+			return func(b []byte) { binary.BigEndian.PutUint64(b[at:], mask) }
 		}
 		decodeReq := func(p []byte) error {
-			_, _, traced, err := DecodeRequest(p, nil)
+			_, _, _, traced, err := DecodeRequest(p, nil)
 			if err == nil && traced != (k.tc != nil) {
 				err = errWrongType(p[5], k.reqType) // what the typed entry points say
 			}
 			return err
 		}
 		decodeResp := func(p []byte) error {
-			_, _, err := decodeResponse(p, nil, k.respType)
+			_, _, _, err := decodeResponse(p, nil, k.respType)
 			return err
 		}
 		cases := []struct {
@@ -179,6 +226,15 @@ func TestDecodeRejectsCorruptFrames(t *testing.T) {
 			{"req bad magic", mutate(goodReq, func(b []byte) { b[0] = 'X' }), decodeReq},
 			{"req bad version", mutate(goodReq, func(b []byte) { b[4] = 9 }), decodeReq},
 			{"req version 2", mutate(goodReq, func(b []byte) { b[4] = 2 }), decodeReq},
+			{"req version 3", mutate(goodReq, func(b []byte) { b[4] = 3 }), decodeReq},
+			{"req cut inside the mask", goodReq[:k.reqCount+8], decodeReq},
+			{"req zero mask", mutate(goodReq, putMask(k.reqCount+4, 0)), decodeReq},
+			{"req mask bit 47", mutate(goodReq, putMask(k.reqCount+4, AllColumns|1<<counters.Num)), decodeReq},
+			{"req mask bit 63", mutate(projReq, putMask(k.reqCount+4, projected|1<<63)), decodeReq},
+			{"req mask wider than dim", mutate(projReq, putMask(k.reqCount+4, projected|1<<40)), decodeReq},
+			{"req mask narrower than dim", mutate(projReq, putMask(k.reqCount+4, projected&^1)), decodeReq},
+			{"req full dim under a projected mask", mutate(goodReq, putMask(k.reqCount+4, projected)), decodeReq},
+			{"req projected truncated row", projReq[:len(projReq)-8], decodeReq},
 			{"req retired v2 type", mutate(goodReq, func(b []byte) { b[5] = 1 }), decodeReq},
 			{"req response type", mutate(goodReq, func(b []byte) { b[5] = k.respType }), decodeReq},
 			{"req other kind's type", mutate(goodReq, func(b []byte) { b[5] = other.reqType }), decodeReq},
@@ -195,6 +251,11 @@ func TestDecodeRejectsCorruptFrames(t *testing.T) {
 			{"resp request type", mutate(goodResp, func(b []byte) { b[5] = k.reqType }), decodeResp},
 			{"resp other kind's type", mutate(goodResp, func(b []byte) { b[5] = other.respType }), decodeResp},
 			{"resp error status", mutate(goodResp, func(b []byte) { b[6] = StatusError }), decodeResp},
+			{"resp unknown status", mutate(goodResp, func(b []byte) { b[6] = StatusColumns + 1 }), decodeResp},
+			{"resp column refusal with a row", mutate(goodResp, func(b []byte) { b[6] = StatusColumns }), decodeResp},
+			{"resp cut inside the mask", goodResp[:k.respCount-1], decodeResp},
+			{"resp zero mask", mutate(goodResp, putMask(k.respCount-8, 0)), decodeResp},
+			{"resp mask bit 47", mutate(goodResp, putMask(k.respCount-8, 1<<counters.Num)), decodeResp},
 			{"resp count mismatch", mutate(goodResp, func(b []byte) { binary.BigEndian.PutUint16(b[k.respCount:], 40) }), decodeResp},
 		}
 		for _, c := range cases {
@@ -204,6 +265,9 @@ func TestDecodeRejectsCorruptFrames(t *testing.T) {
 		}
 		if err := decodeReq(goodReq); err != nil {
 			t.Errorf("%s: good request refused: %v", k.name, err)
+		}
+		if err := decodeReq(projReq); err != nil {
+			t.Errorf("%s: good projected request refused: %v", k.name, err)
 		}
 		if err := decodeResp(goodResp); err != nil {
 			t.Errorf("%s: good response refused: %v", k.name, err)
@@ -263,43 +327,57 @@ func TestReadFrameRejectsOversizedAndTruncated(t *testing.T) {
 // TestRoundTripZeroAlloc pins the transport's allocation count: a warm
 // loopback DecideKeyed — client encode, write and read, server read,
 // decide and write; AllocsPerRun counts every goroutine — allocates
-// nothing, for a one-row frame and for a 64-row one.
+// nothing, for a one-row frame and for a 64-row one, at full width (a
+// flight recorder armed), projected to the eight columns a bare daemon
+// reads, and across the change from one to the other: each measured run
+// starts the client over from the full mask, so it sends one full frame,
+// learns the eight, and sends a projected one that the server scatters
+// into the scratch rows the full frame just filled.
 func TestRoundTripZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool bypasses its caches under the race detector")
 	}
-	srv, err := NewServer(testModel(t, 41), Options{Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go srv.ServeTCP(l)
-	defer srv.Close()
-	cl, err := Dial(l.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
+	for _, width := range []struct {
+		name  string
+		armed bool
+		mask  uint64
+	}{{"projected", false, projected}, {"full", true, AllColumns}} {
+		srv, err := NewServer(testModel(t, 41), Options{Workers: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if width.armed {
+			srv.EnableProvenance(256, provenance.MonitorOptions{})
+		}
+		cl, err := Dial(listenServer(t, srv))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer cl.Close()
 
-	rng := rand.New(rand.NewSource(41))
-	for _, n := range []int{1, 64} {
-		rows := make([]Request, n)
-		for i := range rows {
-			rows[i] = Request{Preset: 0.1, Features: featureRow(rng), GPU: 3, Cluster: int32(i % 24)}
-		}
-		roundTrip := func() {
-			if _, err := cl.DecideKeyed(rows); err != nil {
-				t.Fatal(err)
+		rng := rand.New(rand.NewSource(41))
+		for _, n := range []int{1, 64} {
+			rows := make([]Request, n)
+			for i := range rows {
+				rows[i] = Request{Preset: 0.1, Features: featureRow(rng), GPU: 3, Cluster: int32(i % 24)}
 			}
-		}
-		for i := 0; i < 8; i++ {
-			roundTrip() // grow both sides' frame buffers
-		}
-		if allocs := testing.AllocsPerRun(200, roundTrip); allocs != 0 {
-			t.Errorf("%d-row DecideKeyed round trip allocates %.2f objects/op, want 0", n, allocs)
+			roundTrips := func() {
+				cl.columns = AllColumns // as a new connection starts
+				for i := 0; i < 2; i++ {
+					if _, err := cl.DecideKeyed(rows); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if cl.Columns() != width.mask {
+					t.Fatalf("%s: client ended on mask %#x, want %#x", width.name, cl.Columns(), width.mask)
+				}
+			}
+			for i := 0; i < 8; i++ {
+				roundTrips() // grow both sides' frame buffers
+			}
+			if allocs := testing.AllocsPerRun(200, roundTrips); allocs != 0 {
+				t.Errorf("%s: two %d-row DecideKeyed round trips allocate %.2f objects, want 0", width.name, n, allocs)
+			}
 		}
 	}
 }
@@ -308,21 +386,41 @@ func TestRoundTripZeroAlloc(t *testing.T) {
 // corrupting earlier results only after the caller hands it back.
 func TestFrameScratchReuse(t *testing.T) {
 	for _, k := range frameKinds {
-		payload, err := appendRequest(nil, randRows(8, 7), k.tc)
+		payload, err := appendRequest(nil, randRows(8, 7), AllColumns, k.tc)
 		if err != nil {
 			t.Fatal(err)
 		}
-		scratch, _, _, err := DecodeRequest(payload, nil)
+		scratch, _, _, _, err := DecodeRequest(payload, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		// Re-decode into the same scratch: no new feature allocations needed.
-		again, _, _, err := DecodeRequest(payload, scratch)
+		again, _, _, _, err := DecodeRequest(payload, scratch)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if &again[0] != &scratch[0] || &again[7].Features[0] != &scratch[7].Features[0] {
 			t.Fatalf("%s: scratch not reused", k.name)
+		}
+		// A narrower frame into the same scratch: still no allocation, and
+		// nothing of the full rows shows through the columns it lacks.
+		narrow, err := appendRequest(nil, randRows(8, 8), 1<<(counters.Num-1), k.tc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		again, _, _, _, err = DecodeRequest(narrow, scratch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if &again[7].Features[0] != &scratch[7].Features[0] {
+			t.Fatalf("%s: scratch not reused under a narrower mask", k.name)
+		}
+		for i, row := range again {
+			for j, v := range row.Features[:counters.Num-1] {
+				if math.Float64bits(v) != 0 {
+					t.Fatalf("%s: row %d column %d = %v shows through a frame that lacks it", k.name, i, j, v)
+				}
+			}
 		}
 	}
 }
