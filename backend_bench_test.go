@@ -14,10 +14,11 @@ import (
 // transport — across backend × batch-size, on the compressed serving
 // model with real oracle feature rows. The decisions/s metric is per
 // core (one goroutine drives the engine), so it composes with worker
-// counts; scripts/bench_guard.sh guards the serving-layer counterpart
-// (BenchmarkServe_DecisionThroughput). For scale, the asic_cycles
-// metric is the Section V-D hardware estimate for the same model: the
-// software path serves fleets, the ASIC serves one cluster at 10 µs.
+// counts; the served counterpart, like for like over loopback TCP, is the
+// bench module's serve_epoch/serve_batch/serve_batch_int8 workloads. For
+// scale, the asic_cycles metric is the Section V-D hardware estimate for
+// the same model: the software path serves fleets, the ASIC serves one
+// cluster at 10 µs.
 func BenchmarkBackendThroughput(b *testing.B) {
 	p := pipeline(b)
 	if len(p.Dataset.Samples) == 0 {

@@ -20,11 +20,9 @@ package ssmdvfs_bench
 
 import (
 	"fmt"
-	"net"
 	"os"
 	"sync"
 	"testing"
-	"time"
 
 	"ssmdvfs/internal/asic"
 	"ssmdvfs/internal/baselines"
@@ -36,7 +34,6 @@ import (
 	"ssmdvfs/internal/gpusim"
 	"ssmdvfs/internal/kernels"
 	"ssmdvfs/internal/quant"
-	"ssmdvfs/internal/serve"
 )
 
 var (
@@ -613,62 +610,5 @@ func BenchmarkAblation_Scheduler(b *testing.B) {
 			}
 			b.ReportMetric(edp, "norm_edp")
 		})
-	}
-}
-
-// BenchmarkServe_DecisionThroughput measures the serving subsystem on
-// loopback TCP: an in-process ssmdvfsd-equivalent server answering
-// batched binary-protocol requests from one connection per worker. The
-// decisions/s metric is the serving-layer counterpart of the paper's
-// ASIC inference rate (one decision per cluster per 10 µs epoch → 100k
-// decisions/s per cluster in hardware). backend=float64/batch1 is the
-// seed row-at-a-time configuration — the denominator of the int8
-// coalesced-batch speedup in EXPERIMENTS.md; scripts/bench_guard.sh
-// holds both backends' batched throughput against the committed
-// baseline.
-func BenchmarkServe_DecisionThroughput(b *testing.B) {
-	p := pipeline(b)
-
-	feats := make([]float64, counters.Num)
-	feats[counters.IdxIPC] = 1.0
-	feats[counters.IdxPPC] = 5
-	feats[counters.IdxMH] = 20000
-
-	for _, backend := range []string{"float64", "int8"} {
-		srv, err := serve.NewServer(p.Compressed.Clone(), serve.Options{Backend: backend})
-		if err != nil {
-			b.Fatal(err)
-		}
-		l, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			b.Fatal(err)
-		}
-		go srv.ServeTCP(l)
-		defer srv.Close()
-
-		for _, batch := range []int{1, 8, 64} {
-			b.Run(fmt.Sprintf("backend=%s/batch%d", backend, batch), func(b *testing.B) {
-				cl, err := serve.Dial(l.Addr().String())
-				if err != nil {
-					b.Fatal(err)
-				}
-				defer cl.Close()
-				rows := make([]serve.Request, batch)
-				for i := range rows {
-					rows[i] = serve.Request{Preset: 0.10, Features: feats, GPU: -1, Cluster: -1}
-				}
-				b.ResetTimer()
-				start := time.Now()
-				var decisions int64
-				for i := 0; i < b.N; i++ {
-					decs, err := cl.DecideKeyed(rows)
-					if err != nil {
-						b.Fatal(err)
-					}
-					decisions += int64(len(decs))
-				}
-				b.ReportMetric(float64(decisions)/time.Since(start).Seconds(), "decisions/s")
-			})
-		}
 	}
 }

@@ -36,10 +36,12 @@
 // carry one shard per row and learn which shard answered; rows that carry
 // none (-1/-1) shard under a synthetic key drawn once per frame.
 //
-// Endpoints:
+// Endpoints (all of them; the same two metric formats a daemon serves,
+// from the same handler):
 //
-//	GET /metrics       fleet counters (JSON telemetry snapshot)
-//	GET /metrics.prom  the same in Prometheus text exposition 0.0.4
+//	GET /metrics.prom  fleet counters in Prometheus text exposition 0.0.4
+//	GET /telemetry     the same registry as a JSON snapshot (cmd/dvfsstat
+//	                   -metrics input)
 //	GET /healthz       per-replica health; 503 when no replica is healthy
 //	GET /debug/ledger  merged fleet efficiency ledger + alert states (with
 //	                   -replica-http; 404 when disabled)

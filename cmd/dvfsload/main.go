@@ -46,15 +46,12 @@
 package main
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"math/bits"
 	"math/rand"
-	"net/http"
 	"os"
 	"sort"
 	"strings"
@@ -170,45 +167,19 @@ func main() {
 // fleet-wide energy-saved and perf-loss lines to the exit report.
 func ledgerSummary(w io.Writer, url string) error {
 	url = strings.TrimRight(url, "/")
-	resp, err := http.Get(url + "/debug/ledger")
+	agg, isFleet, err := fleet.FetchLedger(url)
 	if err != nil {
 		return err
 	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(io.LimitReader(resp.Body, 16<<20))
-	if err != nil {
-		return err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("GET %s/debug/ledger: %s: %s", url, resp.Status, strings.TrimSpace(string(body)))
-	}
-	var probe struct {
-		Merged *json.RawMessage `json:"merged"`
-	}
-	if err := json.Unmarshal(body, &probe); err != nil {
-		return fmt.Errorf("parse %s/debug/ledger: %w", url, err)
-	}
-	scope := "replica"
-	var snap ledger.Snapshot
-	var firing []string
-	if probe.Merged != nil {
-		agg, err := fleet.ReadLedgerAggregate(bytes.NewReader(body))
-		if err != nil {
-			return err
-		}
+	scope, snap := "replica", agg.Merged
+	if isFleet {
 		scope = "fleet"
-		snap = agg.Merged
-		for _, a := range agg.Alerts {
-			if a.Firing {
-				firing = append(firing, a.Rule.Name)
-			}
+	}
+	var firing []string
+	for _, a := range agg.Alerts {
+		if a.Firing {
+			firing = append(firing, a.Rule.Name)
 		}
-	} else {
-		s, err := ledger.ReadSnapshot(bytes.NewReader(body))
-		if err != nil {
-			return err
-		}
-		snap = s
 	}
 	fmt.Fprintf(w, "\n%s efficiency ledger (%s):\n", scope, url)
 	fmt.Fprintf(w, "  energy saved  %12s  (%.1f%% of the MaxFreq bill over %d decisions)\n",

@@ -7,7 +7,8 @@
 // Usage:
 //
 //	dvfsstat -metrics telemetry.json          # registry dump (ssmdvfs -telemetry,
-//	                                          # dvfstrace -telemetry, ssmdvfsd /telemetry)
+//	                                          # dvfstrace -telemetry, or /telemetry
+//	                                          # scraped from ssmdvfsd or dvfsfleet)
 //	dvfsstat -spans spans.jsonl [-chrome out.json]
 //	dvfsstat -spans client.jsonl,fleet.jsonl,replica.jsonl -chrome out.json
 //	dvfsstat -trace run.csv -against oracle.csv
@@ -56,7 +57,7 @@ import (
 
 func main() {
 	var (
-		metrics   = flag.String("metrics", "", "telemetry registry snapshot (JSON)")
+		metrics   = flag.String("metrics", "", "telemetry registry snapshot (JSON; a -telemetry dump, or /telemetry from a daemon or router)")
 		spans     = flag.String("spans", "", "span captures (JSONL; comma-separated files merge, one Chrome process each)")
 		chrome    = flag.String("chrome", "", "with -spans: write Chrome trace-event JSON here")
 		trace     = flag.String("trace", "", "per-epoch trace (CSV or JSON from dvfstrace)")

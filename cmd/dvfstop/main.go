@@ -17,11 +17,9 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
-	"net/http"
 	"os"
 	"sort"
 	"strings"
@@ -53,87 +51,38 @@ func main() {
 func run(w io.Writer, url string, interval time.Duration, once bool) error {
 	url = strings.TrimRight(url, "/")
 	if once {
-		v, err := fetch(url)
+		agg, isFleet, err := fleet.FetchLedger(url)
 		if err != nil {
 			return err
 		}
-		render(w, v)
+		render(w, url, agg, isFleet)
 		return nil
 	}
 	for {
-		v, err := fetch(url)
+		agg, isFleet, err := fleet.FetchLedger(url)
 		fmt.Fprint(w, "\x1b[H\x1b[2J") // home + clear
 		if err != nil {
 			fmt.Fprintf(w, "dvfstop: %v (retrying every %s)\n", err, interval)
 		} else {
-			render(w, v)
+			render(w, url, agg, isFleet)
 		}
 		time.Sleep(interval)
 	}
 }
 
-// view is what one frame renders: the merged snapshot plus, when the
-// source is a router, the per-replica rows and alert states.
-type view struct {
-	src      string
-	atUnix   int64
-	merged   ledger.Snapshot
-	replicas []ledger.ReplicaLedger
-	alerts   []ledger.AlertState
-	fleet    bool
-}
-
-// fetch pulls /debug/ledger and accepts either payload shape: a router's
-// LedgerAggregate (has a "merged" key) or a bare replica Snapshot.
-func fetch(url string) (view, error) {
-	resp, err := http.Get(url + "/debug/ledger")
-	if err != nil {
-		return view{}, err
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(io.LimitReader(resp.Body, 16<<20))
-	if err != nil {
-		return view{}, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return view{}, fmt.Errorf("GET %s/debug/ledger: %s: %s", url, resp.Status, strings.TrimSpace(string(body)))
-	}
-	return parse(url, body)
-}
-
-func parse(src string, body []byte) (view, error) {
-	var probe struct {
-		Merged *json.RawMessage `json:"merged"`
-	}
-	if err := json.Unmarshal(body, &probe); err != nil {
-		return view{}, fmt.Errorf("parse %s/debug/ledger: %w", src, err)
-	}
-	if probe.Merged != nil {
-		agg, err := fleet.ReadLedgerAggregate(strings.NewReader(string(body)))
-		if err != nil {
-			return view{}, err
-		}
-		return view{src: src, atUnix: agg.AtUnix, merged: agg.Merged,
-			replicas: agg.Replicas, alerts: agg.Alerts, fleet: true}, nil
-	}
-	snap, err := ledger.ReadSnapshot(strings.NewReader(string(body)))
-	if err != nil {
-		return view{}, err
-	}
-	return view{src: src, merged: snap}, nil
-}
-
-// render writes one deterministic dashboard frame.
-func render(w io.Writer, v view) {
+// render writes one deterministic dashboard frame: the merged snapshot
+// plus, when the source is a router (isFleet), the per-replica rows and
+// alert states.
+func render(w io.Writer, src string, v *fleet.LedgerAggregate, isFleet bool) {
 	scope := "replica"
-	if v.fleet {
+	if isFleet {
 		scope = "fleet"
 	}
-	fmt.Fprintf(w, "dvfstop — %s efficiency ledger — %s\n", scope, v.src)
-	if v.atUnix > 0 {
-		fmt.Fprintf(w, "scraped %s\n", time.Unix(v.atUnix, 0).UTC().Format(time.RFC3339))
+	fmt.Fprintf(w, "dvfstop — %s efficiency ledger — %s\n", scope, src)
+	if v.AtUnix > 0 {
+		fmt.Fprintf(w, "scraped %s\n", time.Unix(v.AtUnix, 0).UTC().Format(time.RFC3339))
 	}
-	s := v.merged
+	s := v.Merged
 	fmt.Fprintf(w, "\n  energy saved   %10s   (%.1f%% of the MaxFreq bill)\n",
 		ledger.FormatEnergyPJ(float64(s.SavedPJ())), s.SavedRatio()*100)
 	fmt.Fprintf(w, "  perf loss      %9.3f%%   mean (budget %.3f%%, burn %.2fx)\n",
@@ -141,17 +90,17 @@ func render(w io.Writer, v view) {
 	fmt.Fprintf(w, "  decisions      %10d   (%d skipped)\n", s.Decisions, s.Skipped)
 
 	firing := 0
-	for _, a := range v.alerts {
+	for _, a := range v.Alerts {
 		if a.Firing {
 			firing++
 		}
 	}
 	switch {
-	case len(v.alerts) == 0 && v.fleet:
+	case len(v.Alerts) == 0 && isFleet:
 		fmt.Fprintf(w, "\n  alerts: none configured\n")
-	case v.fleet:
-		fmt.Fprintf(w, "\n  alerts: %d/%d firing\n", firing, len(v.alerts))
-		for _, a := range v.alerts {
+	case isFleet:
+		fmt.Fprintf(w, "\n  alerts: %d/%d firing\n", firing, len(v.Alerts))
+		for _, a := range v.Alerts {
 			state := "   ok  "
 			if a.Firing {
 				state = " FIRING"
@@ -179,9 +128,9 @@ func render(w io.Writer, v view) {
 		}
 	}
 
-	if len(v.replicas) > 0 {
+	if len(v.Replicas) > 0 {
 		fmt.Fprintf(w, "\n  %-28s %10s %12s  %s\n", "replica", "decisions", "saved", "status")
-		for _, r := range v.replicas {
+		for _, r := range v.Replicas {
 			status := "ok"
 			if r.Err != "" {
 				status = "ERR " + r.Err

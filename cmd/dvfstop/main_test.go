@@ -29,70 +29,23 @@ func testSnapshot(t *testing.T, n int) ledger.Snapshot {
 	return led.Snapshot()
 }
 
-func TestParseDetectsReplicaAndFleetShapes(t *testing.T) {
-	snap := testSnapshot(t, 12)
-
-	var raw bytes.Buffer
-	if err := snap.WriteJSON(&raw); err != nil {
-		t.Fatal(err)
-	}
-	v, err := parse("http://replica", raw.Bytes())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v.fleet {
-		t.Fatal("bare snapshot parsed as fleet aggregate")
-	}
-	if v.merged.Decisions != snap.Decisions {
-		t.Fatalf("decisions = %d, want %d", v.merged.Decisions, snap.Decisions)
-	}
-
-	agg := fleet.LedgerAggregate{
+func TestRenderFleetFrame(t *testing.T) {
+	snap := testSnapshot(t, 30)
+	const src = "http://router:8093"
+	v := &fleet.LedgerAggregate{
 		AtUnix: 1700000000,
 		Merged: snap,
 		Replicas: []ledger.ReplicaLedger{
-			{Addr: "http://r1", Snapshot: snap},
-			{Addr: "http://r2", Err: "connection refused"},
-		},
-		Alerts: []ledger.AlertState{
-			{Rule: ledger.Rule{Name: "burn", Kind: ledger.KindBurn, Threshold: 1.5}, Value: 2.2, Firing: true, Detail: "over budget"},
-			{Rule: ledger.Rule{Name: "stale", Kind: ledger.KindStale, Threshold: 15}, Value: 3},
-		},
-	}
-	var aggBuf bytes.Buffer
-	if err := agg.WriteJSON(&aggBuf); err != nil {
-		t.Fatal(err)
-	}
-	fv, err := parse("http://router", aggBuf.Bytes())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !fv.fleet {
-		t.Fatal("aggregate not detected as fleet shape")
-	}
-	if len(fv.replicas) != 2 || len(fv.alerts) != 2 || fv.atUnix != agg.AtUnix {
-		t.Fatalf("fleet view = %+v", fv)
-	}
-}
-
-func TestRenderFleetFrame(t *testing.T) {
-	snap := testSnapshot(t, 30)
-	v := view{
-		src:    "http://router:8093",
-		atUnix: 1700000000,
-		merged: snap,
-		fleet:  true,
-		replicas: []ledger.ReplicaLedger{
 			{Addr: "http://r1:8090", Snapshot: snap},
 			{Addr: "http://r2:8090", Err: "404 Not Found"},
 		},
-		alerts: []ledger.AlertState{
+		Alerts: []ledger.AlertState{
 			{Rule: ledger.Rule{Name: "burn", Threshold: 1.5}, Value: 2.25, Firing: true, Detail: "window burn"},
 			{Rule: ledger.Rule{Name: "stale", Threshold: 15}, Value: 0},
 		},
 	}
 	var buf bytes.Buffer
-	render(&buf, v)
+	render(&buf, src, v, true)
 	out := buf.String()
 	for _, want := range []string{
 		"fleet efficiency ledger",
@@ -115,7 +68,7 @@ func TestRenderFleetFrame(t *testing.T) {
 
 	// Frames are deterministic: the same view renders byte-identically.
 	var again bytes.Buffer
-	render(&again, v)
+	render(&again, src, v, true)
 	if !bytes.Equal(buf.Bytes(), again.Bytes()) {
 		t.Fatal("render is not deterministic for the same view")
 	}
@@ -123,7 +76,7 @@ func TestRenderFleetFrame(t *testing.T) {
 
 func TestRenderReplicaFrameOmitsFleetSections(t *testing.T) {
 	var buf bytes.Buffer
-	render(&buf, view{src: "http://r1", merged: testSnapshot(t, 5)})
+	render(&buf, "http://r1", &fleet.LedgerAggregate{Merged: testSnapshot(t, 5)}, false)
 	out := buf.String()
 	if !strings.Contains(out, "replica efficiency ledger") {
 		t.Fatalf("missing replica scope line:\n%s", out)

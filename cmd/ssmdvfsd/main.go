@@ -1,14 +1,13 @@
 // Command ssmdvfsd is the SSMDVFS decision daemon: it loads a trained
-// Decision-maker + Calibrator model (the plain or compressed artifact,
-// optionally fake-quantized) and serves per-epoch DVFS decisions over
-// two transports — JSON on HTTP for debuggability and a length-prefixed
-// binary protocol on TCP for throughput. The model hot-swaps with zero
-// downtime on SIGHUP or POST /reload.
+// Decision-maker + Calibrator model (the plain or compressed artifact)
+// and serves per-epoch DVFS decisions over a length-prefixed binary
+// protocol on TCP; HTTP is the control and read-out plane beside it. The
+// model hot-swaps with zero downtime on SIGHUP or POST /reload.
 //
 // Usage:
 //
 //	ssmdvfsd -model ssmdvfs-cache/compressed.json [-http :8090] [-tcp :8091]
-//	         [-backend int8] [-quant 8] [-workers N] [-budget 200us]
+//	         [-backend int8] [-workers N] [-budget 200us]
 //	         [-flightrec 4096] [-ledger] [-ledger-window 1s]
 //	         [-spans ssmdvfsd-spans.jsonl]
 //	         [-faults 'serve.infer:panic:every=100'] [-faults-seed 1]
@@ -40,26 +39,25 @@
 // fallback-only state machine. -faults arms deterministic fault
 // injection for chaos testing (see internal/faults).
 //
-// Endpoints:
+// Endpoints (all of them; decisions are not served over HTTP):
 //
-//	POST /decide        one decision ({"features":[...47],"preset":0.1}) or a
-//	                    batch ({"rows":[...]})
-//	GET  /metrics       request/decision counts, latency percentiles, per-level
-//	                    decision distribution, reload and error counters (JSON)
-//	GET  /metrics.prom  the same counters in Prometheus text exposition format
-//	                    (with -flightrec, also the prov_* model-quality series)
-//	GET  /telemetry     raw telemetry-registry snapshot (cmd/dvfsstat input)
-//	GET  /debug/pprof/  live CPU/heap/goroutine profiling
+//	GET  /metrics.prom  every counter, gauge and histogram in Prometheus text
+//	                    exposition format (with -flightrec, also the prov_*
+//	                    model-quality series; with -ledger, ledger_*)
+//	GET  /telemetry     the same registry as a JSON snapshot (cmd/dvfsstat
+//	                    -metrics input)
+//	GET  /healthz       degradation state + build attribution (503 in
+//	                    fallback-only; decisions are still served)
+//	GET  /model         served model info
+//	POST /reload        swap in a new model ({"path":"..."}; path optional)
 //	GET  /debug/decisions  flight-recorder dump of the last -flightrec
 //	                    decisions as JSONL (cmd/dvfsstat -decisions input;
-//	                    ?n=, ?cluster=, ?reason= filter)
+//	                    ?n=, ?cluster=, ?reason=, ?trace= filter)
 //	GET  /debug/ledger  efficiency-ledger snapshot: estimated energy saved and
 //	                    perf-loss vs the MaxFreq counterfactual (with -ledger;
 //	                    what the fleet router scrapes and dvfstop renders)
-//	POST /reload        swap in a new model ({"path":"..."}; path optional)
-//	GET  /model         served model info
-//	GET  /healthz       liveness + build attribution
 //	GET  /debug/adapt   adaptation state + transition log (with -adapt)
+//	GET  /debug/pprof/  live CPU/heap/goroutine profiling
 //
 // Pair it with cmd/dvfsload to measure serving throughput and latency,
 // and cmd/dvfsstat to summarize a scraped /telemetry dump.
@@ -93,7 +91,6 @@ func main() {
 		httpAddr  = flag.String("http", ":8090", "HTTP listen address (empty disables)")
 		tcpAddr   = flag.String("tcp", ":8091", "binary-protocol listen address (empty disables)")
 		backend   = flag.String("backend", "", "inference backend: float64 or int8 (empty = model header, default float64)")
-		quantBits = flag.Int("quant", 0, "fake-quantize the model to this bit width (0 = off)")
 		workers   = flag.Int("workers", 0, "max concurrent inference batches (0 = GOMAXPROCS)")
 		budget    = flag.Duration("budget", 0, "per-decision deadline; rows past it get the analytical fallback (0 = off)")
 		flightrec = flag.Int("flightrec", 0, "keep the last N decisions in a provenance flight recorder with online drift monitoring (0 = off)")
@@ -135,7 +132,7 @@ func main() {
 	if *ledgerOn {
 		ledgerWindow = *ledgerIvl
 	}
-	if err := run(*modelPath, *httpAddr, *tcpAddr, *spansPath, *backend, *quantBits, *workers, *budget, *flightrec, ledgerWindow, *faultSpec, *faultSeed, acfg, logf); err != nil {
+	if err := run(*modelPath, *httpAddr, *tcpAddr, *spansPath, *backend, *workers, *budget, *flightrec, ledgerWindow, *faultSpec, *faultSeed, acfg, logf); err != nil {
 		fmt.Fprintln(os.Stderr, "ssmdvfsd:", err)
 		os.Exit(1)
 	}
@@ -152,23 +149,15 @@ type adaptConfig struct {
 	Regress    float64
 }
 
-// buildMux layers the daemon-only observability endpoints — Prometheus
-// exposition, the raw telemetry dump, pprof, and (with -adapt) the
-// adaptation controller's transition log — over the serving API.
+// buildMux layers what only the daemon binary has — pprof and, with
+// -adapt, the adaptation controller's transition log — over the serving
+// package's HTTP surface.
 func buildMux(srv *serve.Server, ctrl *adapt.Controller) http.Handler {
 	mux := http.NewServeMux()
 	mux.Handle("/", srv.Handler())
 	if ctrl != nil {
 		mux.Handle("/debug/adapt", ctrl.Handler())
 	}
-	mux.HandleFunc("/metrics.prom", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", telemetry.ContentTypeProm)
-		srv.Telemetry().WriteProm(w)
-	})
-	mux.HandleFunc("/telemetry", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", telemetry.ContentTypeJSON)
-		srv.Telemetry().WriteJSON(w)
-	})
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
@@ -177,14 +166,14 @@ func buildMux(srv *serve.Server, ctrl *adapt.Controller) http.Handler {
 	return mux
 }
 
-func run(modelPath, httpAddr, tcpAddr, spansPath, backend string, quantBits, workers int, budget time.Duration, flightrec int, ledgerWindow time.Duration, faultSpec string, faultSeed int64, acfg adaptConfig, logf func(string, ...any)) error {
+func run(modelPath, httpAddr, tcpAddr, spansPath, backend string, workers int, budget time.Duration, flightrec int, ledgerWindow time.Duration, faultSpec string, faultSeed int64, acfg adaptConfig, logf func(string, ...any)) error {
 	if modelPath == "" {
 		return fmt.Errorf("-model is required")
 	}
 	if httpAddr == "" && tcpAddr == "" {
 		return fmt.Errorf("at least one of -http and -tcp is required")
 	}
-	m, err := serve.LoadModel(modelPath, quantBits)
+	m, err := serve.LoadModel(modelPath)
 	if err != nil {
 		return err
 	}
@@ -202,7 +191,6 @@ func run(modelPath, httpAddr, tcpAddr, spansPath, backend string, quantBits, wor
 	srv, err := serve.NewServer(m, serve.Options{
 		ModelPath: modelPath,
 		Backend:   backend,
-		QuantBits: quantBits,
 		Workers:   workers,
 		Budget:    budget,
 		Faults:    inj,
@@ -328,9 +316,9 @@ func run(modelPath, httpAddr, tcpAddr, spansPath, backend string, quantBits, wor
 						logf("ssmdvfsd: span flush: %v", err)
 					}
 				}
-				snap := srv.Metrics().Snapshot(srv.Model().Levels)
+				met := srv.Metrics()
 				logf("ssmdvfsd: served %d decisions in %d batches, %d reloads, %d errors",
-					snap.Decisions, snap.Batches, snap.Reloads, snap.Errors)
+					met.Decisions.Load(), met.Batches.Load(), met.Reloads.Load(), met.Errors.Load())
 				if led != nil {
 					ls := led.Snapshot()
 					logf("ssmdvfsd: ledger: %s saved vs MaxFreq (%.1f%% of bill) at %.3f%% mean perf loss over %d decisions",

@@ -2,9 +2,9 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
 	"io"
 	"math/rand"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -50,9 +50,9 @@ func testModel(t *testing.T) *core.Model {
 	}
 }
 
-// TestBuildMuxObservabilityEndpoints checks the daemon-only endpoints the
-// serving package does not provide: Prometheus exposition, the raw
-// telemetry dump, and pprof — layered over the serving API.
+// TestBuildMuxObservabilityEndpoints checks what each read-out endpoint
+// says: the two registry expositions the serving package mounts, and the
+// pprof and /debug/adapt routes only the daemon binary adds over them.
 func TestBuildMuxObservabilityEndpoints(t *testing.T) {
 	srv, err := serve.NewServer(testModel(t), serve.Options{})
 	if err != nil {
@@ -80,8 +80,11 @@ func TestBuildMuxObservabilityEndpoints(t *testing.T) {
 		return resp.StatusCode, string(body)
 	}
 
+	// Open connections rise and fall, so the exposition must not call them
+	// a counter.
 	if code, body := get("/metrics.prom"); code != http.StatusOK ||
-		!strings.Contains(body, "# TYPE serve_decisions_total counter") {
+		!strings.Contains(body, "# TYPE serve_decisions_total counter") ||
+		!strings.Contains(body, "# TYPE serve_open_conns gauge") {
 		t.Fatalf("/metrics.prom → %d:\n%s", code, body)
 	}
 	if code, body := get("/telemetry"); code != http.StatusOK ||
@@ -91,15 +94,10 @@ func TestBuildMuxObservabilityEndpoints(t *testing.T) {
 	if code, body := get("/debug/pprof/cmdline"); code != http.StatusOK || body == "" {
 		t.Fatalf("/debug/pprof/cmdline → %d", code)
 	}
-	// The serving API still answers underneath; /healthz now reports the
-	// degradation state machine.
+	// /healthz reports the degradation state machine.
 	if code, body := get("/healthz"); code != http.StatusOK ||
 		!strings.Contains(body, `"state":"healthy"`) {
 		t.Fatalf("/healthz → %d %q", code, body)
-	}
-	if code, body := get("/metrics"); code != http.StatusOK ||
-		!strings.Contains(body, "latency_buckets_us") {
-		t.Fatalf("/metrics → %d:\n%s", code, body)
 	}
 	// With -adapt, the controller's state and transition log are mounted.
 	if code, body := get("/debug/adapt"); code != http.StatusOK ||
@@ -108,10 +106,12 @@ func TestBuildMuxObservabilityEndpoints(t *testing.T) {
 	}
 }
 
-// TestBuildMuxLedgerAndContentTypes drives the -ledger wiring: decisions
-// flow through the daemon mux, the ledger snapshot is scrapable, every
-// exposition declares its exact Content-Type, and the Prometheus text
-// (now carrying ledger_* series) is promlint-clean.
+// TestBuildMuxLedgerAndContentTypes is the daemon tier's route table, on
+// a daemon with every plane armed: each route answers with its documented
+// Content-Type, the routes deleted with the JSON decision transport and
+// the legacy snapshot are 404, /telemetry parses as a registry snapshot,
+// the ledger snapshot is scrapable, and the Prometheus text (carrying
+// ledger_* series) is promlint-clean.
 func TestBuildMuxLedgerAndContentTypes(t *testing.T) {
 	srv, err := serve.NewServer(testModel(t), serve.Options{})
 	if err != nil {
@@ -120,60 +120,76 @@ func TestBuildMuxLedgerAndContentTypes(t *testing.T) {
 	srv.EnableProvenance(256, provenance.MonitorOptions{})
 	led := ledger.New(ledger.Options{Registry: srv.Telemetry()})
 	srv.SetLedger(led)
-	ts := httptest.NewServer(buildMux(srv, nil))
+	ctrl, err := adapt.NewController(srv.Engine, adapt.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(buildMux(srv, ctrl))
 	defer ts.Close()
 
-	// Serve a few decisions through the HTTP API so the ledger has mass.
+	// Serve a few decisions over the binary protocol so the ledger has mass.
+	client, server := net.Pipe()
+	go srv.ServeConn(server)
+	defer client.Close()
 	rng := rand.New(rand.NewSource(9))
-	row := make([]float64, counters.Num)
-	for i := 0; i < 20; i++ {
+	rows := make([]serve.Request, 20)
+	for i := range rows {
+		row := make([]float64, counters.Num)
 		for j := range row {
 			row[j] = rng.Float64() * 2
 		}
-		body, _ := json.Marshal(map[string]any{"features": row, "preset": 0.1})
-		resp, err := http.Post(ts.URL+"/decide", "application/json", bytes.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("/decide → %d", resp.StatusCode)
-		}
+		rows[i] = serve.Request{Preset: 0.1, Features: row, GPU: -1, Cluster: -1}
+	}
+	if _, err := serve.NewClient(client).DecideKeyed(rows); err != nil {
+		t.Fatal(err)
 	}
 
+	bodies := map[string][]byte{}
 	cases := []struct {
 		path string
-		want string
+		code int
+		want string // Content-Type of a 200
 	}{
-		{"/metrics.prom", telemetry.ContentTypeProm},
-		{"/telemetry", telemetry.ContentTypeJSON},
-		{"/healthz", telemetry.ContentTypeJSON},
-		{"/metrics", telemetry.ContentTypeJSON},
-		{"/debug/ledger", telemetry.ContentTypeJSON},
-		{"/debug/decisions", telemetry.ContentTypeNDJSON},
+		{"/metrics.prom", http.StatusOK, telemetry.ContentTypeProm},
+		{"/telemetry", http.StatusOK, telemetry.ContentTypeJSON},
+		{"/healthz", http.StatusOK, telemetry.ContentTypeJSON},
+		{"/model", http.StatusOK, telemetry.ContentTypeJSON},
+		{"/reload", http.StatusMethodNotAllowed, ""}, // POST only
+		{"/debug/decisions", http.StatusOK, telemetry.ContentTypeNDJSON},
+		{"/debug/ledger", http.StatusOK, telemetry.ContentTypeJSON},
+		{"/debug/adapt", http.StatusOK, telemetry.ContentTypeJSON},
+		{"/debug/pprof/cmdline", http.StatusOK, "text/plain; charset=utf-8"},
+		{"/metrics", http.StatusNotFound, ""}, // the legacy JSON snapshot
+		{"/decide", http.StatusNotFound, ""},  // decisions travel as binary frames
 	}
 	for _, tc := range cases {
 		resp, err := http.Get(ts.URL + tc.path)
 		if err != nil {
 			t.Fatalf("GET %s: %v", tc.path, err)
 		}
-		io.Copy(io.Discard, resp.Body)
+		bodies[tc.path], err = io.ReadAll(resp.Body)
 		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("GET %s → %d", tc.path, resp.StatusCode)
+		if err != nil {
+			t.Fatalf("GET %s: %v", tc.path, err)
 		}
-		if got := resp.Header.Get("Content-Type"); got != tc.want {
+		if resp.StatusCode != tc.code {
+			t.Fatalf("GET %s → %d, want %d", tc.path, resp.StatusCode, tc.code)
+		}
+		if got := resp.Header.Get("Content-Type"); tc.code == http.StatusOK && got != tc.want {
 			t.Fatalf("GET %s: Content-Type %q, want %q", tc.path, got, tc.want)
 		}
 	}
 
-	resp, err := http.Get(ts.URL + "/debug/ledger")
+	tsnap, err := telemetry.ReadSnapshot(bytes.NewReader(bodies["/telemetry"]))
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap, err := ledger.ReadSnapshot(resp.Body)
-	resp.Body.Close()
+	// Counted before the reply leaves, unlike serve_decisions_total.
+	if got := tsnap.Counters[telemetry.MetricID("serve_infer_rows_total", "backend", "float64")]; got != 20 {
+		t.Fatalf("/telemetry inference rows = %d, want 20", got)
+	}
+
+	snap, err := ledger.ReadSnapshot(bytes.NewReader(bodies["/debug/ledger"]))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,15 +197,7 @@ func TestBuildMuxLedgerAndContentTypes(t *testing.T) {
 		t.Fatalf("ledger snapshot decisions = %d, want 20", snap.Decisions)
 	}
 
-	resp, err = http.Get(ts.URL + "/metrics.prom")
-	if err != nil {
-		t.Fatal(err)
-	}
-	prom, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
+	prom := bodies["/metrics.prom"]
 	if !bytes.Contains(prom, []byte("ledger_decisions_total")) {
 		t.Fatalf("/metrics.prom missing ledger series:\n%s", prom)
 	}

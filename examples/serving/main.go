@@ -14,6 +14,7 @@ import (
 	"math/rand"
 	"net"
 	"path/filepath"
+	"strconv"
 	"time"
 
 	"ssmdvfs/internal/counters"
@@ -83,16 +84,17 @@ func main() {
 	}
 	elapsed := time.Since(start)
 
-	// 4. Metrics.
-	snap := srv.Metrics().Snapshot(srv.Model().Levels)
+	// 4. Metrics: the registry snapshot a scraper reads at /telemetry.
+	snap := srv.Telemetry().Snapshot()
+	decisions := snap.Counters["serve_decisions_total"]
 	fmt.Printf("\nserved %d decisions in %s (%.0f decisions/s)\n",
-		snap.Decisions, elapsed.Round(time.Millisecond),
-		float64(snap.Decisions)/elapsed.Seconds())
-	fmt.Printf("batch latency p50/p95/p99: %.0f / %.0f / %.0f µs\n",
-		snap.LatencyP50Us, snap.LatencyP95Us, snap.LatencyP99Us)
-	fmt.Printf("reloads %d, errors %d\n", snap.Reloads, snap.Errors)
+		decisions, elapsed.Round(time.Millisecond), float64(decisions)/elapsed.Seconds())
+	lat := snap.Histograms["serve_batch_latency_us"]
+	fmt.Printf("batch latency p50/p95/p99: %.0f / %.0f / %.0f µs\n", lat.P50, lat.P95, lat.P99)
+	fmt.Printf("reloads %d, errors %d\n", snap.Counters["serve_reloads_total"], snap.Counters["serve_errors_total"])
 	fmt.Println("decision distribution:")
-	for lvl, n := range snap.LevelCounts {
-		fmt.Printf("  level %d: %5.1f%%\n", lvl, 100*float64(n)/float64(snap.Decisions))
+	for lvl := 0; lvl < srv.Model().Levels; lvl++ {
+		n := snap.Counters[telemetry.MetricID("serve_level_decisions_total", "level", strconv.Itoa(lvl))]
+		fmt.Printf("  level %d: %5.1f%%\n", lvl, 100*float64(n)/float64(decisions))
 	}
 }

@@ -532,7 +532,7 @@ func (c *Controller) Status() Status {
 // Handler serves the controller state as JSON — mounted at /debug/adapt.
 func (c *Controller) Handler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
+		w.Header().Set("Content-Type", telemetry.ContentTypeJSON)
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
 		enc.Encode(c.Status())

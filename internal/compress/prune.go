@@ -164,38 +164,3 @@ func Prune(m *nn.MLP, x1, x2 float64) (*nn.MLP, error) {
 	}
 	return NeuronPrune(cp, x2)
 }
-
-// MagnitudePruneLayerwise zeroes the fraction frac of smallest-magnitude
-// weights independently within each layer (per-layer thresholds), which
-// protects small but critical layers — e.g. a regression head's output
-// layer — from a global threshold dominated by large hidden layers.
-func MagnitudePruneLayerwise(m *nn.MLP, frac float64) error {
-	if frac < 0 || frac > 1 {
-		return fmt.Errorf("compress: prune fraction %g out of [0,1]", frac)
-	}
-	if frac == 0 {
-		return nil
-	}
-	for _, l := range m.Layers {
-		mags := make([]float64, len(l.W))
-		for i, w := range l.W {
-			mags[i] = math.Abs(w)
-		}
-		sort.Float64s(mags)
-		k := int(frac * float64(len(mags)))
-		if k >= len(mags) {
-			k = len(mags) - 1
-		}
-		threshold := mags[k]
-		mask := make([]float64, len(l.W))
-		for i, w := range l.W {
-			if math.Abs(w) > threshold {
-				mask[i] = 1
-			}
-		}
-		if err := l.SetMask(mask); err != nil {
-			return err
-		}
-	}
-	return nil
-}

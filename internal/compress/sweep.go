@@ -37,24 +37,6 @@ func LayerwisePoint(ds *datagen.Dataset, arch core.Architecture, opts core.Train
 	}, nil
 }
 
-// LayerwiseSweep trains the combined model across an architecture grid
-// and returns the FLOPs-vs-quality curve of Fig. 3's layer-wise series.
-// Each architecture is trained with the same options (apart from Arch).
-func LayerwiseSweep(ds *datagen.Dataset, archs []core.Architecture, opts core.TrainOptions) ([]Point, error) {
-	if len(archs) == 0 {
-		return nil, fmt.Errorf("compress: empty architecture grid")
-	}
-	points := make([]Point, 0, len(archs))
-	for _, a := range archs {
-		p, err := LayerwisePoint(ds, a, opts)
-		if err != nil {
-			return nil, err
-		}
-		points = append(points, p)
-	}
-	return points, nil
-}
-
 func archLabel(a core.Architecture) string {
 	width := 0
 	if len(a.DecisionHidden) > 0 {

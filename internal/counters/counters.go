@@ -329,12 +329,3 @@ func SelectInto(row []float64, idx []int, dst []float64) {
 		dst[i] = row[j]
 	}
 }
-
-// SelectAll extracts the given columns from every row.
-func SelectAll(rows [][]float64, idx []int) [][]float64 {
-	out := make([][]float64, len(rows))
-	for i, r := range rows {
-		out[i] = Select(r, idx)
-	}
-	return out
-}

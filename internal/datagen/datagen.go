@@ -340,16 +340,6 @@ func Merge(parts []*Dataset) *Dataset {
 	return out
 }
 
-// FeatureMatrix returns all sample features as rows (shared backing with
-// the dataset; callers must not mutate).
-func (d *Dataset) FeatureMatrix() [][]float64 {
-	rows := make([][]float64, len(d.Samples))
-	for i := range d.Samples {
-		rows[i] = d.Samples[i].Features
-	}
-	return rows
-}
-
 // Save writes the dataset as JSON.
 func (d *Dataset) Save(w io.Writer) error {
 	return json.NewEncoder(w).Encode(d)

@@ -13,7 +13,6 @@ import (
 	"ssmdvfs/internal/gpusim"
 	"ssmdvfs/internal/kernels"
 	"ssmdvfs/internal/runner"
-	"ssmdvfs/internal/stats"
 	"ssmdvfs/internal/telemetry"
 )
 
@@ -292,7 +291,7 @@ func summarize(rows []Fig4Row, mechs []Mechanism, presets []float64) ([]Fig4Summ
 			if len(edps) == 0 {
 				continue
 			}
-			g, err := stats.GeoMean(edps)
+			g, err := geoMean(edps)
 			if err != nil {
 				return nil, err
 			}
@@ -300,7 +299,7 @@ func summarize(rows []Fig4Row, mechs []Mechanism, presets []float64) ([]Fig4Summ
 				Mechanism:   mech,
 				Preset:      preset,
 				GMeanEDP:    g,
-				MeanLatency: stats.Mean(lats),
+				MeanLatency: mean(lats),
 				MaxLoss:     maxLoss,
 				ViolationN:  violations,
 				Kernels:     len(edps),
@@ -325,7 +324,7 @@ type Headline struct {
 // result's summaries.
 func (r *Fig4Result) ComputeHeadline(variant Mechanism) (Headline, error) {
 	h := Headline{Variant: variant}
-	mean := func(m Mechanism) (float64, error) {
+	meanEDP := func(m Mechanism) (float64, error) {
 		var vals []float64
 		for _, s := range r.Summaries {
 			if s.Mechanism == m {
@@ -335,21 +334,21 @@ func (r *Fig4Result) ComputeHeadline(variant Mechanism) (Headline, error) {
 		if len(vals) == 0 {
 			return 0, fmt.Errorf("experiments: no summaries for mechanism %q", m)
 		}
-		return stats.Mean(vals), nil
+		return mean(vals), nil
 	}
-	v, err := mean(variant)
+	v, err := meanEDP(variant)
 	if err != nil {
 		return h, err
 	}
-	base, err := mean(MechBaseline)
+	base, err := meanEDP(MechBaseline)
 	if err != nil {
 		return h, err
 	}
 	h.VsBaselinePct = (1 - v/base) * 100
-	if pc, err := mean(MechPCSTALL); err == nil {
+	if pc, err := meanEDP(MechPCSTALL); err == nil {
 		h.VsPCSTALLPct = (1 - v/pc) * 100
 	}
-	if fl, err := mean(MechFLEMMA); err == nil {
+	if fl, err := meanEDP(MechFLEMMA); err == nil {
 		h.VsFLEMMAPct = (1 - v/fl) * 100
 	}
 	return h, nil

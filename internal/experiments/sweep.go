@@ -11,7 +11,6 @@ import (
 	"ssmdvfs/internal/kernels"
 	"ssmdvfs/internal/oracle"
 	"ssmdvfs/internal/runner"
-	"ssmdvfs/internal/stats"
 	"ssmdvfs/internal/telemetry"
 )
 
@@ -132,14 +131,14 @@ func RunPresetSweep(opts PresetSweepOptions) ([]PresetSweepPoint, error) {
 				violations++
 			}
 		}
-		g, err := stats.GeoMean(edps)
+		g, err := geoMean(edps)
 		if err != nil {
 			return nil, err
 		}
 		points = append(points, PresetSweepPoint{
 			Preset:      preset,
 			GMeanEDP:    g,
-			MeanLatency: stats.Mean(lats),
+			MeanLatency: mean(lats),
 			MaxLoss:     maxLoss,
 			Violations:  violations,
 		})

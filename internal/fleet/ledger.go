@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -39,6 +40,41 @@ func ReadLedgerAggregate(r io.Reader) (*LedgerAggregate, error) {
 		return nil, fmt.Errorf("fleet: ledger aggregate: %w", err)
 	}
 	return &a, nil
+}
+
+// FetchLedger GETs /debug/ledger under the base URL (no trailing slash)
+// and accepts either payload the two tiers serve there: a router's
+// LedgerAggregate (it has a "merged" key; fleet is true) or a bare replica
+// snapshot, which comes back as an aggregate holding only Merged — what
+// dvfstop renders and dvfsload -ledger summarises.
+func FetchLedger(base string) (agg *LedgerAggregate, fleet bool, err error) {
+	resp, err := http.Get(base + "/debug/ledger")
+	if err != nil {
+		return nil, false, err
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(io.LimitReader(resp.Body, 16<<20))
+	if err != nil {
+		return nil, false, err
+	}
+	if resp.StatusCode != http.StatusOK {
+		return nil, false, fmt.Errorf("GET %s/debug/ledger: %s: %s", base, resp.Status, strings.TrimSpace(string(body)))
+	}
+	var probe struct {
+		Merged *json.RawMessage `json:"merged"`
+	}
+	if err := json.Unmarshal(body, &probe); err != nil {
+		return nil, false, fmt.Errorf("parse %s/debug/ledger: %w", base, err)
+	}
+	if probe.Merged != nil {
+		agg, err = ReadLedgerAggregate(bytes.NewReader(body))
+		return agg, true, err
+	}
+	snap, err := ledger.ReadSnapshot(bytes.NewReader(body))
+	if err != nil {
+		return nil, false, err
+	}
+	return &LedgerAggregate{Merged: snap}, false, nil
 }
 
 // replicaLedgerState is the scrape loop's memory of one replica: its

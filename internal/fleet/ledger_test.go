@@ -231,8 +231,10 @@ func TestRouterLedgerDisabled(t *testing.T) {
 	}
 }
 
-// TestRouterHandlerContentTypes is the table-driven header satellite for
-// the router surface.
+// TestRouterHandlerContentTypes is the router tier's route table: every
+// route answers with its documented Content-Type, /metrics.prom lints
+// clean, /telemetry parses as a registry snapshot, and the routes a router
+// never had or no longer has are 404.
 func TestRouterHandlerContentTypes(t *testing.T) {
 	tcp1, url1, srv1 := ledgeredReplica(t, 104)
 	feedReplica(t, srv1, 10, 3)
@@ -251,23 +253,89 @@ func TestRouterHandlerContentTypes(t *testing.T) {
 	defer ts.Close()
 	cases := []struct {
 		path string
-		want string
+		code int
+		want string // Content-Type of a 200
 	}{
-		{"/metrics", telemetry.ContentTypeJSON},
-		{"/metrics.prom", telemetry.ContentTypeProm},
-		{"/healthz", telemetry.ContentTypeJSON},
-		{"/debug/ledger", telemetry.ContentTypeJSON},
+		{"/metrics.prom", http.StatusOK, telemetry.ContentTypeProm},
+		{"/telemetry", http.StatusOK, telemetry.ContentTypeJSON},
+		{"/healthz", http.StatusOK, telemetry.ContentTypeJSON},
+		{"/debug/ledger", http.StatusOK, telemetry.ContentTypeJSON},
+		{"/metrics", http.StatusNotFound, ""}, // was /telemetry under another name
+		{"/decide", http.StatusNotFound, ""},  // decisions travel as binary frames
 	}
 	for _, tc := range cases {
 		resp, err := http.Get(ts.URL + tc.path)
 		if err != nil {
 			t.Fatalf("GET %s: %v", tc.path, err)
 		}
-		io.Copy(io.Discard, resp.Body)
+		body, err := io.ReadAll(resp.Body)
 		resp.Body.Close()
-		if got := resp.Header.Get("Content-Type"); got != tc.want {
+		if err != nil {
+			t.Fatalf("GET %s: %v", tc.path, err)
+		}
+		if resp.StatusCode != tc.code {
+			t.Fatalf("GET %s → %d, want %d", tc.path, resp.StatusCode, tc.code)
+		}
+		if got := resp.Header.Get("Content-Type"); tc.code == http.StatusOK && got != tc.want {
 			t.Fatalf("GET %s: Content-Type %q, want %q", tc.path, got, tc.want)
 		}
+		switch tc.path {
+		case "/metrics.prom":
+			if errs := telemetry.LintProm(bytes.NewReader(body)); len(errs) != 0 {
+				t.Fatalf("/metrics.prom fails promlint: %v", errs)
+			}
+		case "/telemetry":
+			snap, err := telemetry.ReadSnapshot(bytes.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, ok := snap.Counters["fleet_requests_total"]; !ok {
+				t.Fatalf("/telemetry snapshot carries no fleet counters: %v", snap.Counters)
+			}
+		}
+	}
+}
+
+// TestFetchLedgerAcceptsReplicaAndFleetShapes points FetchLedger at both
+// tiers' /debug/ledger: a replica's bare snapshot and the router's
+// aggregate over it.
+func TestFetchLedgerAcceptsReplicaAndFleetShapes(t *testing.T) {
+	tcp1, url1, srv1 := ledgeredReplica(t, 106)
+	feedReplica(t, srv1, 12, 5)
+	rt, err := NewRouter(Options{
+		Replicas:       []string{tcp1},
+		ReplicaHTTP:    []string{url1},
+		ScrapeInterval: time.Hour,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	at := time.Unix(1_000_000, 0)
+	rt.ScrapeLedgers(at)
+	ts := httptest.NewServer(rt.Handler())
+	defer ts.Close()
+
+	rep, isFleet, err := FetchLedger(url1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if isFleet {
+		t.Fatal("bare snapshot taken for a fleet aggregate")
+	}
+	if rep.Merged.Decisions != 12 || rep.Replicas != nil || rep.Alerts != nil {
+		t.Fatalf("replica view = %+v", rep)
+	}
+
+	agg, isFleet, err := FetchLedger(ts.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !isFleet {
+		t.Fatal("aggregate not detected as fleet shape")
+	}
+	if agg.Merged.Decisions != 12 || len(agg.Replicas) != 1 || len(agg.Alerts) != len(ledger.DefaultRules()) || agg.AtUnix != at.Unix() {
+		t.Fatalf("fleet view = %+v", agg)
 	}
 }
 

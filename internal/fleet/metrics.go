@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"strconv"
 	"time"
 
 	"ssmdvfs/internal/counters"
@@ -34,8 +35,8 @@ const (
 )
 
 // Metrics aggregates the router's counters on a telemetry.Registry, so
-// the fleet tier exposes the same JSON snapshot + Prometheus exposition
-// surface as a single daemon. Handles are resolved up front; every hot
+// the fleet tier exposes the same /metrics.prom + /telemetry surface as a
+// single daemon. Handles are resolved up front; every hot
 // path update is one atomic.
 type Metrics struct {
 	Requests *telemetry.Counter // frames / Decide calls answered
@@ -98,7 +99,7 @@ func newMetrics(reg *telemetry.Registry, nShards int) *Metrics {
 		m.shed[cause] = reg.Counter("fleet_shed_rows_total", "cause", cause)
 	}
 	for i := range m.shards {
-		label := itoa(i)
+		label := strconv.Itoa(i)
 		m.shards[i] = shardMetrics{
 			Rows:       reg.Counter("fleet_shard_rows_total", "shard", label),
 			Errors:     reg.Counter("fleet_shard_errors_total", "shard", label),
@@ -142,19 +143,4 @@ func (m *Metrics) ObserveDispatchTraced(shard, n int, d time.Duration, traceID u
 	m.batchRows.Observe(int64(n))
 	m.shards[shard].Rows.Add(int64(n))
 	m.shards[shard].Latency.ObserveExemplar(d.Microseconds(), traceID)
-}
-
-// itoa formats a small non-negative int without pulling in strconv.
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	var buf [6]byte
-	i := len(buf)
-	for n > 0 {
-		i--
-		buf[i] = byte('0' + n%10)
-		n /= 10
-	}
-	return string(buf[i:])
 }

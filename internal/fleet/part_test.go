@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"math/rand"
+	"strconv"
 	"sync"
 	"testing"
 	"time"
@@ -205,7 +206,7 @@ func TestRouterClientsProject(t *testing.T) {
 		if srv.Metrics().Decisions.Load() == 0 {
 			t.Fatalf("shard %d (%s) saw no traffic", shard, addr)
 		}
-		if got := gauges[telemetry.MetricID("fleet_shard_request_columns", "shard", itoa(shard))]; got != wantCols {
+		if got := gauges[telemetry.MetricID("fleet_shard_request_columns", "shard", strconv.Itoa(shard))]; got != wantCols {
 			t.Errorf("shard %d (%s): frames carry %v columns, want %v", shard, addr, got, wantCols)
 		}
 		if n := srv.Metrics().ColumnResends.Load(); n != 0 {

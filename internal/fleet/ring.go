@@ -122,13 +122,6 @@ func (r *Ring) Replicas() []string {
 	return append([]string(nil), r.names...)
 }
 
-// NumReplicas returns the replica count.
-func (r *Ring) NumReplicas() int {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return len(r.names)
-}
-
 // Healthy returns how many replicas are currently healthy.
 func (r *Ring) Healthy() int {
 	r.mu.RLock()

@@ -740,22 +740,18 @@ func (rt *Router) DecideFrame(rows []serve.Request, columns uint64, decs []serve
 	return decs, hops, serve.AllColumns
 }
 
-// Handler returns the router's HTTP surface:
+// Handler returns the router's HTTP surface — read-out only, and read the
+// way a daemon's is:
 //
-//	GET /metrics       fleet counters as a telemetry JSON snapshot
-//	GET /metrics.prom  the same in Prometheus text exposition 0.0.4
+//	GET /metrics.prom  fleet counters in Prometheus text exposition
+//	                   (telemetry.Registry.Mount)
+//	GET /telemetry     the same registry as a JSON snapshot (cmd/dvfsstat
+//	                   -metrics input)
 //	GET /healthz       per-replica health (503 when no replica is healthy)
 //	GET /debug/ledger  merged fleet efficiency ledger (404 when disabled)
 func (rt *Router) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", telemetry.ContentTypeJSON)
-		rt.Telemetry().WriteJSON(w)
-	})
-	mux.HandleFunc("/metrics.prom", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", telemetry.ContentTypeProm)
-		rt.Telemetry().WriteProm(w)
-	})
+	rt.Telemetry().Mount(mux)
 	mux.HandleFunc("/debug/ledger", rt.handleLedger)
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
 		type replica struct {

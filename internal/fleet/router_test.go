@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"net"
 	"net/http/httptest"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -243,20 +244,20 @@ func TestRouterCoalesces(t *testing.T) {
 	// ForwardBatch calls: every row accounted for, fewer backend calls
 	// than rows, and the batch-size histogram showing calls of >= 2 rows
 	// (buckets [2^(i-1), 2^i); index 1 is single-row, >= 2 is multi-row).
-	esnap := srv.Metrics().Snapshot(0)
-	if esnap.InferRowsFloat64 != int64(rows) {
-		t.Fatalf("backend saw %d rows, want %d", esnap.InferRowsFloat64, rows)
+	met := srv.Metrics()
+	if got := met.InferRowsF64.Load(); got != int64(rows) {
+		t.Fatalf("backend saw %d rows, want %d", got, rows)
 	}
-	if esnap.InferBatchesFloat64 >= int64(rows) {
-		t.Fatalf("%d backend calls for %d rows: frames decayed to row-at-a-time inference",
-			esnap.InferBatchesFloat64, rows)
+	if got := met.InferBatchesF64.Load(); got >= int64(rows) {
+		t.Fatalf("%d backend calls for %d rows: frames decayed to row-at-a-time inference", got, rows)
 	}
+	batchRows := srv.Telemetry().Snapshot().Histograms["serve_infer_batch_rows"].Buckets
 	var multi int64
-	for i := 2; i < len(esnap.InferBatchRows); i++ {
-		multi += esnap.InferBatchRows[i]
+	for i := 2; i < len(batchRows); i++ {
+		multi += batchRows[i]
 	}
 	if multi == 0 {
-		t.Fatalf("no multi-row backend call recorded: batch-rows histogram %v", esnap.InferBatchRows)
+		t.Fatalf("no multi-row backend call recorded: batch-rows histogram %v", batchRows)
 	}
 }
 
@@ -672,7 +673,7 @@ func TestRouterModelLineage(t *testing.T) {
 	// The per-shard gauge mirrors what /healthz reports.
 	snap := rt.Metrics().Registry().Snapshot()
 	for _, s := range rt.shards {
-		id := `fleet_replica_generation{shard="` + itoa(s.idx) + `"}`
+		id := `fleet_replica_generation{shard="` + strconv.Itoa(s.idx) + `"}`
 		want := float64(wantGen[s.addr])
 		if got, ok := snap.Gauges[id]; !ok || got != want {
 			t.Errorf("%s = %v (present=%v), want %v", id, got, ok, want)

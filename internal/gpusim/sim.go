@@ -83,9 +83,6 @@ func (s *Simulator) SetController(c Controller) { s.controller = c }
 // snapshot at each boundary (after the controller has been consulted).
 func (s *Simulator) SetObserver(o EpochObserver) { s.observer = o }
 
-// KernelName returns the name of the kernel being simulated.
-func (s *Simulator) KernelName() string { return s.kernel.name }
-
 // Config returns the simulator's configuration.
 func (s *Simulator) Config() Config { return s.cfg }
 

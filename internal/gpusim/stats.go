@@ -98,6 +98,3 @@ type Result struct {
 
 // EDP returns the run's energy-delay product in joule-seconds.
 func (r Result) EDP() float64 { return power.EDP(r.EnergyPJ, r.ExecTimePs) }
-
-// EnergyJ returns the run's energy in joules.
-func (r Result) EnergyJ() float64 { return r.EnergyPJ * 1e-12 }

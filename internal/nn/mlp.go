@@ -153,13 +153,6 @@ func (m *MLP) ZeroGrad() {
 	}
 }
 
-// ApplyMasks re-applies all pruning masks.
-func (m *MLP) ApplyMasks() {
-	for _, l := range m.Layers {
-		l.ApplyMask()
-	}
-}
-
 // Params returns total parameter count.
 func (m *MLP) Params() int {
 	n := 0

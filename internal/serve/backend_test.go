@@ -44,20 +44,20 @@ func TestEngineBackendOption(t *testing.T) {
 		}
 	}
 
-	snap := srv.Metrics().Snapshot(m.Levels)
-	if snap.InferRowsInt8 != int64(len(rows)) {
-		t.Fatalf("int8 rows = %d, want %d", snap.InferRowsInt8, len(rows))
+	met := srv.Metrics()
+	if got := met.InferRowsI8.Load(); got != int64(len(rows)) {
+		t.Fatalf("int8 rows = %d, want %d", got, len(rows))
 	}
-	if snap.InferRowsFloat64 != 0 {
-		t.Fatalf("float64 rows = %d, want 0 on an int8 engine", snap.InferRowsFloat64)
+	if got := met.InferRowsF64.Load(); got != 0 {
+		t.Fatalf("float64 rows = %d, want 0 on an int8 engine", got)
 	}
-	if snap.InferBatchesInt8 != 1 {
-		t.Fatalf("int8 batches = %d, want 1 (the whole frame in one ForwardBatch)", snap.InferBatchesInt8)
+	if got := met.InferBatchesI8.Load(); got != 1 {
+		t.Fatalf("int8 batches = %d, want 1 (the whole frame in one ForwardBatch)", got)
 	}
 	// 8 rows in one call lands in bucket [8,16) = index 4; everything
 	// below must be empty or the frame decayed to row-at-a-time.
-	if len(snap.InferBatchRows) == 0 || snap.InferBatchRows[4] != 1 {
-		t.Fatalf("batch-rows histogram %v, want one call in bucket 4", snap.InferBatchRows)
+	if b := srv.Telemetry().Snapshot().Histograms["serve_infer_batch_rows"].Buckets; len(b) == 0 || b[4] != 1 {
+		t.Fatalf("batch-rows histogram %v, want one call in bucket 4", b)
 	}
 }
 

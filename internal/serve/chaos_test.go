@@ -146,33 +146,29 @@ func TestChaosServingUnderFaults(t *testing.T) {
 	for deadline := time.Now().Add(2 * time.Second); srv.Metrics().Decisions.Load() < wantDecisions && time.Now().Before(deadline); {
 		time.Sleep(time.Millisecond)
 	}
-	snap := srv.Metrics().Snapshot(srv.Model().Levels)
-	if snap.Decisions != wantDecisions {
-		t.Fatalf("decisions = %d, want %d", snap.Decisions, wantDecisions)
+	met := srv.Metrics()
+	if got := met.Decisions.Load(); got != wantDecisions {
+		t.Fatalf("decisions = %d, want %d", got, wantDecisions)
 	}
-	var levelTotal int64
-	for _, n := range snap.LevelCounts {
-		levelTotal += n
-	}
-	if levelTotal != wantDecisions {
-		t.Fatalf("level counts sum to %d, want %d", levelTotal, wantDecisions)
+	if got := levelTotal(srv.Telemetry().Snapshot(), srv.Model().Levels); got != wantDecisions {
+		t.Fatalf("level counts sum to %d, want %d", got, wantDecisions)
 	}
 	// The only server-side error is the failed reload — dropped
 	// connections and recovered faults are not client-visible failures.
-	if snap.Errors != 1 {
-		t.Fatalf("errors = %d, want exactly 1 (the corrupt reload)", snap.Errors)
+	if got := met.Errors.Load(); got != 1 {
+		t.Fatalf("errors = %d, want exactly 1 (the corrupt reload)", got)
 	}
 	// Each fault class actually fired and was absorbed.
-	if snap.RecoveredPanics == 0 {
+	if met.RecoveredPanics.Load() == 0 {
 		t.Fatal("no panics recovered — panic site never exercised")
 	}
-	if snap.DeadlineMisses == 0 {
+	if met.DeadlineMisses.Load() == 0 {
 		t.Fatal("no deadline misses — latency site never blew the budget")
 	}
-	if snap.RejectedRows == 0 {
+	if met.RejectedRows.Load() == 0 {
 		t.Fatal("no rejected rows — invalid inputs never hit the validator")
 	}
-	if snap.Fallbacks == 0 {
+	if met.Fallbacks.Load() == 0 {
 		t.Fatal("no fallback decisions — degradation path never taken")
 	}
 	if inj.Fired(FaultConn) == 0 {

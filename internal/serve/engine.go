@@ -20,7 +20,6 @@ import (
 	"ssmdvfs/internal/infer"
 	"ssmdvfs/internal/ledger"
 	"ssmdvfs/internal/provenance"
-	"ssmdvfs/internal/quant"
 	"ssmdvfs/internal/telemetry"
 )
 
@@ -29,9 +28,6 @@ type Options struct {
 	// ModelPath, when set, is the file Reload re-reads on SIGHUP or
 	// POST /reload without an explicit path.
 	ModelPath string
-	// QuantBits, when non-zero, fake-quantizes every loaded model to the
-	// given symmetric bit width (the INT-MAC deployment configuration).
-	QuantBits int
 	// Backend, when non-empty, overrides the inference backend for every
 	// model this engine serves ("float64" or "int8"); empty defers to the
 	// model artifact's own backend field (which defaults to float64). The
@@ -59,11 +55,11 @@ type Options struct {
 
 // Engine is the transport-agnostic decision core: a hot-swappable model,
 // the bounded worker pool, the degradation state machine, the analytical
-// fallback, metrics, and optional decision provenance. Every transport —
-// a client's binary frames, the multi-row frames a fleet router
-// coalesces, and HTTP — feeds the same Engine, so single-row and batched
-// traffic share one set of guarantees: DecideBatch never returns fewer
-// decisions than rows and never panics.
+// fallback, metrics, and optional decision provenance. Every caller — a
+// client's binary frames, the multi-row frames a fleet router coalesces,
+// an in-process embedder — feeds the same Engine, so single-row and
+// batched traffic share one set of guarantees: DecideBatch never returns
+// fewer decisions than rows and never panics.
 type Engine struct {
 	opts    Options
 	model   atomic.Pointer[core.Model]
@@ -214,7 +210,7 @@ func (e *Engine) SetShadow(obs ShadowObserver) {
 // (HasPredErr). This is what feeds the quality monitor's rolling MAPE
 // from live traffic alone — no offline labels — assuming each keyed
 // client streams consecutive epochs, which the fleet transport does.
-// Rows without identity (-1/-1 on the wire, all of HTTP) are skipped.
+// Rows without identity (-1/-1 on the wire) are skipped.
 // Must be called before the engine starts answering decisions.
 func (e *Engine) EnablePredFeedback() {
 	e.fbOn = true
@@ -274,21 +270,15 @@ func (e *Engine) FlightRecorder() *provenance.Recorder { return e.prov }
 // provenance is not enabled.
 func (e *Engine) QualityMonitor() *provenance.Monitor { return e.mon }
 
-// LoadModel reads a model file and, if quantBits > 0, fake-quantizes it —
-// the loader behind both daemon startup and hot reload, accepting the
-// plain and compressed artifacts interchangeably (they share one format).
-// It validates the result (shapes and finite weights), so a corrupt or
-// truncated artifact is rejected here instead of poisoning the serving
-// path.
-func LoadModel(path string, quantBits int) (*core.Model, error) {
+// LoadModel reads a model file — the loader behind both daemon startup
+// and hot reload, accepting the plain and compressed artifacts
+// interchangeably (they share one format). It validates the result
+// (shapes and finite weights), so a corrupt or truncated artifact is
+// rejected here instead of poisoning the serving path.
+func LoadModel(path string) (*core.Model, error) {
 	m, err := core.LoadFile(path)
 	if err != nil {
 		return nil, err
-	}
-	if quantBits > 0 {
-		if m, err = quant.QuantizeModel(m, quantBits); err != nil {
-			return nil, err
-		}
 	}
 	if err := m.Validate(); err != nil {
 		return nil, fmt.Errorf("serve: model %s failed validation: %w", path, err)
@@ -443,7 +433,7 @@ func (e *Engine) Reload(path string) error {
 		e.metrics.Errors.Add(1)
 		return &ReloadError{Path: path, Stage: "load", Err: err}
 	}
-	m, err := LoadModel(path, e.opts.QuantBits)
+	m, err := LoadModel(path)
 	if err != nil {
 		e.metrics.Errors.Add(1)
 		return &ReloadError{Path: path, Stage: "load", Err: err}

@@ -137,7 +137,8 @@ func TestHandlerContentTypes(t *testing.T) {
 		want string
 	}{
 		{"/healthz", telemetry.ContentTypeJSON},
-		{"/metrics", telemetry.ContentTypeJSON},
+		{"/metrics.prom", telemetry.ContentTypeProm},
+		{"/telemetry", telemetry.ContentTypeJSON},
 		{"/model", telemetry.ContentTypeJSON},
 		{"/debug/ledger", telemetry.ContentTypeJSON},
 		{"/debug/decisions", telemetry.ContentTypeNDJSON},

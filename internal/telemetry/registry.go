@@ -24,8 +24,9 @@ import (
 	"sync/atomic"
 )
 
-// Counter is a monotonically-increasing (or, for in-flight style metrics,
-// up/down) integer metric. The zero value is usable.
+// Counter is a monotonically-increasing integer metric — the Prometheus
+// exposition types it "counter", so a value that can fall is a Gauge.
+// The zero value is usable.
 type Counter struct {
 	v atomic.Int64
 }

@@ -5,21 +5,6 @@ import (
 	"sync"
 )
 
-// Canonical Content-Type values for the project's HTTP expositions. Every
-// handler sets one of these explicitly — the charset on JSON and the
-// exposition version on Prometheus text are part of the contract scrape
-// pipelines key on, not a nicety — and the handler tests assert them.
-const (
-	// ContentTypeJSON is served by /telemetry, /healthz, /metrics (JSON)
-	// and every /debug/* JSON endpoint.
-	ContentTypeJSON = "application/json; charset=utf-8"
-	// ContentTypeProm is served by /metrics.prom (text exposition 0.0.4).
-	ContentTypeProm = "text/plain; version=0.0.4"
-	// ContentTypeNDJSON is served by streaming JSONL dumps such as
-	// /debug/decisions.
-	ContentTypeNDJSON = "application/x-ndjson"
-)
-
 // RingPoint is one time window of a fixed-size time-series ring: the
 // window's absolute index (time / window width — comparable across
 // replicas that agree on the width), how many observations landed in it,

@@ -72,14 +72,6 @@ func (t *Tracer) SetClock(now func() time.Time) {
 	t.epoch = now()
 }
 
-// SetSpanIDSeed overrides the seed span IDs are derived from (tests
-// that need byte-deterministic span files).
-func (t *Tracer) SetSpanIDSeed(seed uint64) {
-	if t != nil {
-		t.spanSeed = seed
-	}
-}
-
 // Span is an in-flight interval; call End exactly once. A nil *Span
 // (from a nil tracer, or an unsampled trace) ignores all calls.
 type Span struct {
