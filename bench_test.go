@@ -25,7 +25,6 @@ import (
 	"testing"
 
 	"ssmdvfs/internal/asic"
-	"ssmdvfs/internal/baselines"
 	"ssmdvfs/internal/compress"
 	"ssmdvfs/internal/core"
 	"ssmdvfs/internal/counters"
@@ -143,6 +142,42 @@ func BenchmarkFig3_CompressionSweep(b *testing.B) {
 	}
 }
 
+// closedLoop runs the Fig. 4 harness, the one closed-loop path every
+// figure, extension and ablation bench below shares: an arm is a Sim tweak
+// plus kernel, preset and mechanism lists (none = the paper's six), and
+// its numbers are the grid's own — NormEDP and PerfLoss against the same
+// configuration's default-OP run.
+func closedLoop(b *testing.B, cfg gpusim.Config, ks []kernels.Spec, presets []float64, mechs ...experiments.Mechanism) *experiments.Fig4Result {
+	b.Helper()
+	p := pipeline(b)
+	res, err := experiments.RunFig4(experiments.Fig4Options{
+		Sim:        cfg,
+		Kernels:    ks,
+		Scale:      benchOpts().Scale,
+		Presets:    presets,
+		Model:      p.Model,
+		Compressed: p.Compressed,
+		Mechanisms: mechs,
+		Seed:       1,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return res
+}
+
+func kernelsNamed(b *testing.B, names ...string) []kernels.Spec {
+	b.Helper()
+	specs := make([]kernels.Spec, len(names))
+	for i, name := range names {
+		var err error
+		if specs[i], err = kernels.ByName(name); err != nil {
+			b.Fatal(err)
+		}
+	}
+	return specs
+}
+
 // fig4Kernels is the reduced Fig. 4 evaluation mix: >50% unseen.
 func fig4Kernels() []kernels.Spec {
 	mix := kernels.Evaluation()[:4]
@@ -153,8 +188,6 @@ func fig4Kernels() []kernels.Spec {
 // report geo-mean normalized EDP and mean normalized latency at the 10%
 // and 20% presets.
 func BenchmarkFig4_FullSystem(b *testing.B) {
-	p := pipeline(b)
-	opts := benchOpts()
 	for _, mech := range experiments.AllMechanisms() {
 		if mech == experiments.MechBaseline {
 			continue
@@ -162,20 +195,7 @@ func BenchmarkFig4_FullSystem(b *testing.B) {
 		b.Run(string(mech), func(b *testing.B) {
 			var res *experiments.Fig4Result
 			for i := 0; i < b.N; i++ {
-				var err error
-				res, err = experiments.RunFig4(experiments.Fig4Options{
-					Sim:        opts.Sim,
-					Kernels:    fig4Kernels(),
-					Scale:      opts.Scale,
-					Presets:    []float64{0.10, 0.20},
-					Model:      p.Model,
-					Compressed: p.Compressed,
-					Mechanisms: []experiments.Mechanism{experiments.MechBaseline, mech},
-					Seed:       1,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
+				res = closedLoop(b, benchOpts().Sim, fig4Kernels(), []float64{0.10, 0.20}, experiments.MechBaseline, mech)
 			}
 			for _, s := range res.Summaries {
 				if s.Mechanism != mech {
@@ -193,22 +213,11 @@ func BenchmarkFig4_FullSystem(b *testing.B) {
 // SSMDVFS EDP improvement vs baseline, PCSTALL and F-LEMMA (paper:
 // 11.09%, 13.17%, 36.80%).
 func BenchmarkHeadline_EDP(b *testing.B) {
-	p := pipeline(b)
-	opts := benchOpts()
 	var h experiments.Headline
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunFig4(experiments.Fig4Options{
-			Sim:        opts.Sim,
-			Kernels:    fig4Kernels(),
-			Scale:      opts.Scale,
-			Presets:    []float64{0.10, 0.20},
-			Model:      p.Model,
-			Compressed: p.Compressed,
-			Seed:       1,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
+		// No mechanism list: the paper's six.
+		res := closedLoop(b, benchOpts().Sim, fig4Kernels(), []float64{0.10, 0.20})
+		var err error
 		if h, err = res.ComputeHeadline(experiments.MechSSMDVFSComp); err != nil {
 			b.Fatal(err)
 		}
@@ -243,6 +252,9 @@ func BenchmarkASIC_Inference(b *testing.B) {
 
 // --- ablations -------------------------------------------------------------
 
+// runWithController drives one simulation by hand. Only the Domain
+// ablation needs it: its chipWide wrapper is not a mechanism the grid can
+// name. Every other closed-loop bench goes through closedLoop.
 func runWithController(b *testing.B, cfg gpusim.Config, k gpusim.Kernel, ctrl gpusim.Controller) gpusim.Result {
 	b.Helper()
 	sim, err := gpusim.New(cfg, k)
@@ -252,7 +264,7 @@ func runWithController(b *testing.B, cfg gpusim.Config, k gpusim.Kernel, ctrl gp
 	if ctrl != nil {
 		sim.SetController(ctrl)
 	}
-	res := sim.Run(5_000_000_000_000)
+	res := sim.Run(gpusim.DefaultMaxRunPs)
 	if !res.Completed {
 		b.Fatalf("kernel %s did not complete", k.Name)
 	}
@@ -263,34 +275,18 @@ func runWithController(b *testing.B, cfg gpusim.Config, k gpusim.Kernel, ctrl gp
 // phase-alternating kernels, where the Decision-maker is most likely to
 // overshoot the preset.
 func BenchmarkAblation_Calibrator(b *testing.B) {
-	p := pipeline(b)
-	opts := benchOpts()
-	specs := []string{"rodinia.srad", "rodinia.kmeans", "rodinia.backprop"}
+	specs := kernelsNamed(b, "rodinia.srad", "rodinia.kmeans", "rodinia.backprop")
 	var lossCal, lossNoCal, edpCal, edpNoCal float64
 	for i := 0; i < b.N; i++ {
 		lossCal, lossNoCal, edpCal, edpNoCal = 0, 0, 0, 0
-		for _, name := range specs {
-			spec, err := kernels.ByName(name)
-			if err != nil {
-				b.Fatal(err)
-			}
-			k := spec.Build(opts.Scale)
-			base := runWithController(b, opts.Sim, k, nil)
-			for _, calibrate := range []bool{true, false} {
-				ctrl, err := core.NewController(p.Model, 0.10, opts.Sim.Clusters, calibrate)
-				if err != nil {
-					b.Fatal(err)
-				}
-				res := runWithController(b, opts.Sim, k, ctrl)
-				loss := float64(res.ExecTimePs)/float64(base.ExecTimePs) - 1
-				edp := res.EDP() / base.EDP()
-				if calibrate {
-					lossCal += loss
-					edpCal += edp
-				} else {
-					lossNoCal += loss
-					edpNoCal += edp
-				}
+		res := closedLoop(b, benchOpts().Sim, specs, []float64{0.10}, experiments.MechSSMDVFS, experiments.MechSSMDVFSNoCal)
+		for _, r := range res.Rows {
+			if r.Mechanism == experiments.MechSSMDVFS {
+				lossCal += r.PerfLoss
+				edpCal += r.NormEDP
+			} else {
+				lossNoCal += r.PerfLoss
+				edpNoCal += r.NormEDP
 			}
 		}
 	}
@@ -305,29 +301,17 @@ func BenchmarkAblation_Calibrator(b *testing.B) {
 // same analytical mechanism (PCSTALL, which is model-free and thus works
 // at any epoch) at 10/50/100 µs decision periods.
 func BenchmarkAblation_EpochLength(b *testing.B) {
-	opts := benchOpts()
-	spec, err := kernels.ByName("rodinia.srad")
-	if err != nil {
-		b.Fatal(err)
-	}
 	for _, epochUs := range []int64{10, 50, 100} {
 		b.Run(fmt.Sprintf("epoch=%dus", epochUs), func(b *testing.B) {
-			cfg := opts.Sim
+			cfg := benchOpts().Sim
 			cfg.EpochPs = epochUs * 1_000_000
-			k := spec.Build(opts.Scale)
-			var edp, loss float64
+			srad := kernelsNamed(b, "rodinia.srad")
+			var row experiments.Fig4Row
 			for i := 0; i < b.N; i++ {
-				base := runWithController(b, cfg, k, nil)
-				ctrl, err := baselines.NewPCSTALL(cfg.OPs, 0.10, cfg.Clusters)
-				if err != nil {
-					b.Fatal(err)
-				}
-				res := runWithController(b, cfg, k, ctrl)
-				edp = res.EDP() / base.EDP()
-				loss = float64(res.ExecTimePs)/float64(base.ExecTimePs) - 1
+				row = closedLoop(b, cfg, srad, []float64{0.10}, experiments.MechPCSTALL).Rows[0]
 			}
-			b.ReportMetric(edp, "norm_edp")
-			b.ReportMetric(loss*100, "loss_%")
+			b.ReportMetric(row.NormEDP, "norm_edp")
+			b.ReportMetric(row.PerfLoss*100, "loss_%")
 		})
 	}
 }
@@ -497,23 +481,12 @@ func BenchmarkSimulatorClone(b *testing.B) {
 // BenchmarkExtension_PresetSweep runs the preset-sensitivity extension:
 // EDP and latency as the loss budget grows from 2% to 30%.
 func BenchmarkExtension_PresetSweep(b *testing.B) {
-	p := pipeline(b)
-	opts := benchOpts()
-	var points []experiments.PresetSweepPoint
+	var res *experiments.Fig4Result
 	for i := 0; i < b.N; i++ {
-		var err error
-		points, err = experiments.RunPresetSweep(experiments.PresetSweepOptions{
-			Sim:     opts.Sim,
-			Kernels: kernels.Evaluation()[:3],
-			Scale:   opts.Scale,
-			Presets: []float64{0.02, 0.10, 0.30},
-			Model:   p.Compressed,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
+		res = closedLoop(b, benchOpts().Sim, kernels.Evaluation()[:3],
+			[]float64{0.02, 0.10, 0.30}, experiments.MechSSMDVFSComp)
 	}
-	for _, pt := range points {
+	for _, pt := range res.Summaries {
 		b.ReportMetric(pt.GMeanEDP, fmt.Sprintf("edp@%.0f%%", pt.Preset*100))
 	}
 }
@@ -521,31 +494,21 @@ func BenchmarkExtension_PresetSweep(b *testing.B) {
 // BenchmarkExtension_OracleHeadroom compares SSMDVFS against the
 // clairvoyant static-best and greedy oracle policies.
 func BenchmarkExtension_OracleHeadroom(b *testing.B) {
-	p := pipeline(b)
-	opts := benchOpts()
-	var rows []experiments.HeadroomRow
+	const nk = 2
+	var res *experiments.Fig4Result
 	for i := 0; i < b.N; i++ {
-		var err error
-		rows, err = experiments.RunHeadroom(experiments.PresetSweepOptions{
-			Sim:     opts.Sim,
-			Kernels: kernels.Evaluation()[:2],
-			Scale:   opts.Scale,
-			Model:   p.Model,
-		}, 0.10)
-		if err != nil {
-			b.Fatal(err)
-		}
+		res = closedLoop(b, benchOpts().Sim, kernels.Evaluation()[:nk], []float64{0.10},
+			experiments.MechSSMDVFS, experiments.MechStaticBest, experiments.MechOracleGreedy)
 	}
-	var ssm, static, greedy float64
-	for _, r := range rows {
-		ssm += r.SSMDVFSEDP
-		static += r.StaticBestEDP
-		greedy += r.GreedyEDP
+	// Arithmetic mean over kernels, as this bench has always reported
+	// (the grid's own summary is a geometric mean).
+	edp := map[experiments.Mechanism]float64{}
+	for _, r := range res.Rows {
+		edp[r.Mechanism] += r.NormEDP / nk
 	}
-	n := float64(len(rows))
-	b.ReportMetric(ssm/n, "ssmdvfs_edp")
-	b.ReportMetric(static/n, "static_best_edp")
-	b.ReportMetric(greedy/n, "greedy_oracle_edp")
+	b.ReportMetric(edp[experiments.MechSSMDVFS], "ssmdvfs_edp")
+	b.ReportMetric(edp[experiments.MechStaticBest], "static_best_edp")
+	b.ReportMetric(edp[experiments.MechOracleGreedy], "greedy_oracle_edp")
 }
 
 // BenchmarkExtension_Quantization sweeps post-training weight
@@ -587,26 +550,14 @@ func BenchmarkExtension_Quantization(b *testing.B) {
 // warp-scheduling substrate: SSMDVFS EDP under loose round-robin vs
 // greedy-then-oldest scheduling.
 func BenchmarkAblation_Scheduler(b *testing.B) {
-	p := pipeline(b)
-	opts := benchOpts()
-	spec, err := kernels.ByName("rodinia.srad")
-	if err != nil {
-		b.Fatal(err)
-	}
 	for _, policy := range []gpusim.SchedulerPolicy{gpusim.SchedLRR, gpusim.SchedGTO} {
 		b.Run(policy.String(), func(b *testing.B) {
-			cfg := opts.Sim
+			cfg := benchOpts().Sim
 			cfg.Scheduler = policy
-			k := spec.Build(opts.Scale)
+			srad := kernelsNamed(b, "rodinia.srad")
 			var edp float64
 			for i := 0; i < b.N; i++ {
-				base := runWithController(b, cfg, k, nil)
-				ctrl, err := core.NewController(p.Model, 0.10, cfg.Clusters, true)
-				if err != nil {
-					b.Fatal(err)
-				}
-				res := runWithController(b, cfg, k, ctrl)
-				edp = res.EDP() / base.EDP()
+				edp = closedLoop(b, cfg, srad, []float64{0.10}, experiments.MechSSMDVFS).Rows[0].NormEDP
 			}
 			b.ReportMetric(edp, "norm_edp")
 		})

@@ -10,8 +10,10 @@
 //	          -cache ssmdvfs-cache [-quick] [-o trace.csv] [-json]
 //	          [-telemetry telem.json] [-v]
 //
-// Mechanisms: baseline, pcstall, flemma, ssmdvfs, ssmdvfs-nocal,
-// ssmdvfs-compressed, static-N (fixed level N).
+// Mechanisms are the controllers of experiments.NewController: baseline,
+// pcstall, flemma, ssmdvfs, ssmdvfs-nocal, ssmdvfs-compressed, static-N
+// (fixed level N of the operating-point table). Any other name is
+// refused before anything is trained or simulated.
 //
 // With -telemetry a gpusim.TelemetryCollector rides along with the trace
 // observer and the per-level residency, stall breakdown, and IPC
@@ -30,11 +32,8 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strconv"
-	"strings"
 
 	"ssmdvfs/internal/atomicfile"
-	"ssmdvfs/internal/baselines"
 	"ssmdvfs/internal/buildinfo"
 	"ssmdvfs/internal/core"
 	"ssmdvfs/internal/epochtrace"
@@ -99,25 +98,28 @@ func run(kernelName, mech string, preset float64, cache string, quick bool, out 
 	}
 	kernel := spec.Build(opts.Scale)
 
-	ctrl, model, err := buildController(mech, preset, opts, seed)
+	ctrl, err := buildController(mech, preset, opts, seed)
 	if err != nil {
 		return err
 	}
 
 	var rec *provenance.Recorder
+	var hdr provenance.Header
 	if flightrec != "" {
-		if model == nil {
+		// Only the SSMDVFS controller records decision provenance; the
+		// dump header attributes the records to the model behind it.
+		ssm, ok := ctrl.(*core.Controller)
+		if !ok {
 			return fmt.Errorf("-flightrec needs an ssmdvfs mechanism (%q keeps no decision provenance)", mech)
 		}
+		hdr = ssm.Model().ProvenanceHeader()
 		rec = provenance.NewRecorder(flightrecCap)
 		var mon *provenance.Monitor
 		if reg != nil {
 			mon = provenance.NewMonitor(reg, provenance.MonitorOptions{Logger: opts.Logger})
-			mon.SetTrainingStats(model.TrainingStats())
+			mon.SetTrainingStats(ssm.Model().TrainingStats())
 		}
-		if !experiments.AttachProvenance(ctrl, rec, mon) {
-			return fmt.Errorf("controller for %q does not record provenance", mech)
-		}
+		ssm.SetProvenance(rec, mon)
 	}
 
 	sim, err := gpusim.New(opts.Sim, kernel)
@@ -134,7 +136,7 @@ func run(kernelName, mech string, preset float64, cache string, quick bool, out 
 	if ctrl != nil {
 		sim.SetController(ctrl)
 	}
-	res := sim.Run(5_000_000_000_000)
+	res := sim.Run(gpusim.DefaultMaxRunPs)
 	if !res.Completed {
 		return fmt.Errorf("kernel did not complete")
 	}
@@ -156,7 +158,7 @@ func run(kernelName, mech string, preset float64, cache string, quick bool, out 
 		fmt.Fprintf(os.Stderr, "wrote telemetry snapshot to %s\n", telemOut)
 	}
 	if rec != nil {
-		if err := provenance.WriteFile(flightrec, experiments.ProvenanceHeader(model), rec); err != nil {
+		if err := provenance.WriteFile(flightrec, hdr, rec); err != nil {
 			return err
 		}
 		kept := int(rec.Head())
@@ -169,47 +171,23 @@ func run(kernelName, mech string, preset float64, cache string, quick bool, out 
 	return summarize(os.Stdout, kernelName, mech, opts.Sim, trace, res)
 }
 
-// buildController returns the mechanism's controller plus, for ssmdvfs
-// mechanisms, the model behind it (the flight-recorder dump needs the
-// model's training statistics for its attribution header).
-func buildController(mech string, preset float64, opts experiments.PipelineOptions, seed int64) (gpusim.Controller, *core.Model, error) {
-	clusters := opts.Sim.Clusters
-	switch {
-	case mech == "baseline":
-		return nil, nil, nil
-	case mech == "pcstall":
-		ctrl, err := baselines.NewPCSTALL(opts.Sim.OPs, preset, clusters)
-		return ctrl, nil, err
-	case mech == "flemma":
-		ctrl, err := baselines.NewFLEMMA(opts.Sim.OPs, preset, clusters, seed)
-		return ctrl, nil, err
-	case strings.HasPrefix(mech, "static-"):
-		lvl, err := strconv.Atoi(strings.TrimPrefix(mech, "static-"))
-		if err != nil {
-			return nil, nil, fmt.Errorf("bad static level in %q: %w", mech, err)
-		}
-		return &baselines.Static{Level: lvl}, nil, nil
-	case strings.HasPrefix(mech, "ssmdvfs"):
+// buildController resolves the mechanism through experiments.NewController,
+// the one name→controller factory, running the pipeline first only for the
+// three mechanisms that need its models.
+func buildController(mech string, preset float64, opts experiments.PipelineOptions, seed int64) (gpusim.Controller, error) {
+	m := experiments.Mechanism(mech)
+	grid := experiments.Fig4Options{Sim: opts.Sim, Seed: seed}
+	switch m {
+	case experiments.MechStaticBest, experiments.MechOracleGreedy:
+		return nil, fmt.Errorf("%s is a search over whole runs, not a controller to trace (see \"ssmdvfs headroom\")", m)
+	case experiments.MechSSMDVFS, experiments.MechSSMDVFSNoCal, experiments.MechSSMDVFSComp:
 		pipeline, err := experiments.RunPipeline(opts)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		model := pipeline.Model
-		calibrate := true
-		switch mech {
-		case "ssmdvfs":
-		case "ssmdvfs-nocal":
-			calibrate = false
-		case "ssmdvfs-compressed":
-			model = pipeline.Compressed
-		default:
-			return nil, nil, fmt.Errorf("unknown mechanism %q", mech)
-		}
-		ctrl, err := experiments.NewSSMDVFS(model, preset, opts.Sim, calibrate)
-		return ctrl, model, err
-	default:
-		return nil, nil, fmt.Errorf("unknown mechanism %q", mech)
+		grid.Model, grid.Compressed = pipeline.Model, pipeline.Compressed
 	}
+	return experiments.NewController(m, preset, grid)
 }
 
 func summarize(w *os.File, kernel, mech string, cfg gpusim.Config, trace *epochtrace.Trace, res gpusim.Result) error {

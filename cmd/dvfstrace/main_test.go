@@ -1,6 +1,7 @@
 package main
 
 import (
+	"os"
 	"testing"
 
 	"ssmdvfs/internal/experiments"
@@ -15,12 +16,9 @@ func TestBuildControllerStaticAndAnalytical(t *testing.T) {
 		"static-2": "static-2",
 	}
 	for mech, wantName := range cases {
-		ctrl, model, err := buildController(mech, 0.10, opts, 1)
+		ctrl, err := buildController(mech, 0.10, opts, 1)
 		if err != nil {
 			t.Fatalf("%s: %v", mech, err)
-		}
-		if model != nil {
-			t.Fatalf("%s: analytical mechanism returned a model", mech)
 		}
 		if mech == "baseline" {
 			if ctrl != nil {
@@ -34,17 +32,28 @@ func TestBuildControllerStaticAndAnalytical(t *testing.T) {
 	}
 }
 
+// TestBuildControllerRejectsUnknown: a name the factory does not know —
+// the oracle searches included, which it knows but cannot hand a
+// controller for — is refused before the pipeline trains anything into
+// the cache.
 func TestBuildControllerRejectsUnknown(t *testing.T) {
 	opts := experiments.QuickPipelineOptions()
-	if _, _, err := buildController("magic", 0.10, opts, 1); err != nil {
-		return
+	opts.CacheDir = t.TempDir()
+	for _, mech := range []string{"magic", "ssmdvfs-typo", "static-best", "oracle-greedy"} {
+		if _, err := buildController(mech, 0.10, opts, 1); err == nil {
+			t.Fatalf("%s accepted", mech)
+		}
 	}
-	t.Fatal("unknown mechanism accepted")
+	if left, err := os.ReadDir(opts.CacheDir); err != nil || len(left) != 0 {
+		t.Fatalf("rejecting a name ran the pipeline: cache holds %d entries (%v)", len(left), err)
+	}
 }
 
 func TestBuildControllerRejectsBadStaticLevel(t *testing.T) {
 	opts := experiments.QuickPipelineOptions()
-	if _, _, err := buildController("static-x", 0.10, opts, 1); err == nil {
-		t.Fatal("bad static level accepted")
+	for _, mech := range []string{"static-x", "static-9", "static--1"} {
+		if _, err := buildController(mech, 0.10, opts, 1); err == nil {
+			t.Fatalf("%s accepted", mech)
+		}
 	}
 }

@@ -15,14 +15,20 @@
 //	ssmdvfs quant    -cache DIR [-quick]    (extension: quantization)
 //	ssmdvfs all      -cache DIR [-quick]
 //
+// fig4, sweep and headroom are one harness, experiments.RunFig4, over
+// three mechanism lists: the paper's six at -presets; ssmdvfs-compressed
+// at seven presets from 2 % to 50 % (summary table only); and ssmdvfs
+// beside the clairvoyant static-best and oracle-greedy searches at the
+// 10 % preset on six held-out programs.
+//
 // The cache directory holds dataset.json, model.json and compressed.json;
 // every subcommand builds missing artifacts on demand.
 //
 // Parallelism (any subcommand):
 //
 //	-j N              shard independent simulation units (per-kernel
-//	                  datagen, per-(preset,kernel) sweeps, fig3/fig4
-//	                  grid points) across N workers; defaults to
+//	                  datagen, fig3 points, fig4/sweep/headroom grid
+//	                  cells) across N workers; defaults to
 //	                  runtime.NumCPU(). Output is byte-identical at any
 //	                  worker count.
 //
@@ -242,28 +248,35 @@ func parsePresets(csv string) ([]float64, error) {
 	return out, nil
 }
 
-func runFig4(opts experiments.PipelineOptions, presets []float64) error {
+// runGrid builds (or loads) the models and runs the one closed-loop
+// harness; fig4, sweep and headroom differ only in the three lists.
+func runGrid(opts experiments.PipelineOptions, ks []kernels.Spec, presets []float64, mechs []experiments.Mechanism) (*experiments.Fig4Result, error) {
 	p, err := experiments.RunPipeline(opts)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	evalKernels := kernels.Evaluation()
-	// Paper: the evaluation mix keeps >50% unseen; add a few training
-	// kernels so seen programs are represented too.
-	evalKernels = append(evalKernels, kernels.Training()[:4]...)
-	res, err := experiments.RunFig4(experiments.Fig4Options{
+	return experiments.RunFig4(experiments.Fig4Options{
 		Sim:        opts.Sim,
-		Kernels:    evalKernels,
+		Kernels:    ks,
 		Scale:      opts.Scale,
 		Presets:    presets,
 		Model:      p.Model,
 		Compressed: p.Compressed,
+		Mechanisms: mechs,
 		Seed:       1,
 		Logger:     opts.Logger,
 		Workers:    opts.Workers,
 		Telemetry:  opts.Telemetry,
 		Tracer:     opts.Tracer,
 	})
+}
+
+func runFig4(opts experiments.PipelineOptions, presets []float64) error {
+	evalKernels := kernels.Evaluation()
+	// Paper: the evaluation mix keeps >50% unseen; add a few training
+	// kernels so seen programs are represented too.
+	evalKernels = append(evalKernels, kernels.Training()[:4]...)
+	res, err := runGrid(opts, evalKernels, presets, nil)
 	if err != nil {
 		return err
 	}
@@ -348,46 +361,24 @@ func runFig3(opts experiments.PipelineOptions, quick bool) error {
 }
 
 func runSweep(opts experiments.PipelineOptions) error {
-	p, err := experiments.RunPipeline(opts)
-	if err != nil {
-		return err
-	}
-	points, err := experiments.RunPresetSweep(experiments.PresetSweepOptions{
-		Sim:       opts.Sim,
-		Kernels:   kernels.Evaluation(),
-		Scale:     opts.Scale,
-		Presets:   []float64{0.02, 0.05, 0.10, 0.15, 0.20, 0.30, 0.50},
-		Model:     p.Compressed,
-		Workers:   opts.Workers,
-		Telemetry: opts.Telemetry,
-		Tracer:    opts.Tracer,
-	})
+	res, err := runGrid(opts, kernels.Evaluation(),
+		[]float64{0.02, 0.05, 0.10, 0.15, 0.20, 0.30, 0.50},
+		[]experiments.Mechanism{experiments.MechSSMDVFSComp})
 	if err != nil {
 		return err
 	}
 	fmt.Println("== Extension: EDP/latency vs performance-loss preset ==")
-	return experiments.WritePresetSweep(os.Stdout, points)
+	return res.WriteSummaries(os.Stdout)
 }
 
 func runHeadroom(opts experiments.PipelineOptions) error {
-	p, err := experiments.RunPipeline(opts)
-	if err != nil {
-		return err
-	}
-	rows, err := experiments.RunHeadroom(experiments.PresetSweepOptions{
-		Sim:       opts.Sim,
-		Kernels:   kernels.Evaluation()[:6],
-		Scale:     opts.Scale,
-		Model:     p.Model,
-		Workers:   opts.Workers,
-		Telemetry: opts.Telemetry,
-		Tracer:    opts.Tracer,
-	}, 0.10)
+	res, err := runGrid(opts, kernels.Evaluation()[:6], []float64{0.10},
+		[]experiments.Mechanism{experiments.MechSSMDVFS, experiments.MechStaticBest, experiments.MechOracleGreedy})
 	if err != nil {
 		return err
 	}
 	fmt.Println("== Extension: clairvoyant-oracle headroom at the 10% preset ==")
-	return experiments.WriteHeadroom(os.Stdout, rows)
+	return res.WriteTable(os.Stdout)
 }
 
 func runASIC(opts experiments.PipelineOptions) error {

@@ -39,7 +39,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	base := baseSim.Run(5_000_000_000_000)
+	base := baseSim.Run(gpusim.DefaultMaxRunPs)
 
 	const preset = 0.10
 	for _, calibrate := range []bool{false, true} {
@@ -62,7 +62,7 @@ func main() {
 			fmt.Printf("%6d %6d %10.2f %11.2f%% %7.1fW\n",
 				s.Epoch, s.Level, s.IPC(), ctrl.EffectivePreset(0)*100, s.PowerW())
 		})
-		res := sim.Run(5_000_000_000_000)
+		res := sim.Run(gpusim.DefaultMaxRunPs)
 
 		loss := float64(res.ExecTimePs-base.ExecTimePs) / float64(base.ExecTimePs)
 		fmt.Printf("-> exec %.1fµs, loss %+.2f%% (preset %.0f%%), EDP %.3f of baseline\n",

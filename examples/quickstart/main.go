@@ -43,7 +43,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	base := baseSim.Run(5_000_000_000_000)
+	base := baseSim.Run(gpusim.DefaultMaxRunPs)
 
 	// 4. SSMDVFS with a 10% performance-loss preset.
 	ctrl, err := core.NewController(pipeline.Compressed, 0.10, opts.Sim.Clusters, true)
@@ -55,7 +55,7 @@ func main() {
 		log.Fatal(err)
 	}
 	dvfsSim.SetController(ctrl)
-	dvfs := dvfsSim.Run(5_000_000_000_000)
+	dvfs := dvfsSim.Run(gpusim.DefaultMaxRunPs)
 
 	// 5. Compare.
 	fmt.Printf("%-12s %12s %12s %12s\n", "", "time (µs)", "energy (mJ)", "EDP (norm)")

@@ -126,6 +126,9 @@ func (c *Controller) Name() string {
 	return "ssmdvfs-nocal"
 }
 
+// Model returns the model the controller decides with.
+func (c *Controller) Model() *Model { return c.model }
+
 // Preset returns the user-set performance-loss preset.
 func (c *Controller) Preset() float64 { return c.preset }
 

@@ -14,9 +14,11 @@ import (
 	"math"
 
 	"ssmdvfs/internal/atomicfile"
+	"ssmdvfs/internal/buildinfo"
 	"ssmdvfs/internal/counters"
 	"ssmdvfs/internal/infer"
 	"ssmdvfs/internal/nn"
+	"ssmdvfs/internal/provenance"
 )
 
 // Model is the combined Decision-maker + Calibrator network. The paper
@@ -90,6 +92,22 @@ func (m *Model) TrainingStats() (names []string, mean, std []float64) {
 		names[i] = counters.Def(idx).Name
 	}
 	return names, m.DecisionScaler.Mean[:n:n], m.DecisionScaler.Std[:n:n]
+}
+
+// ProvenanceHeader builds the decision-dump header attributing a flight
+// recorder's contents to this binary and model. The simulator's dump
+// (cmd/dvfstrace) and the daemon's /debug/decisions both start from it,
+// so cmd/dvfsstat's -decisions view treats the two captures alike.
+func (m *Model) ProvenanceHeader() provenance.Header {
+	names, mean, std := m.TrainingStats()
+	return provenance.Header{
+		Build:       buildinfo.Info(),
+		Features:    names,
+		TrainMean:   mean,
+		TrainStd:    std,
+		Levels:      m.Levels,
+		ModelParams: m.Params(),
+	}
 }
 
 // DecideLevel returns the operating-point level for the next epoch given

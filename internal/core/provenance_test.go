@@ -125,3 +125,21 @@ func TestControllerProvenanceDisabledMatches(t *testing.T) {
 		t.Fatalf("effective presets diverged: %g vs %g", a, b)
 	}
 }
+
+func TestProvenanceHeader(t *testing.T) {
+	model := trainedModel(t, 62)
+	hdr := model.ProvenanceHeader()
+	names, mean, std := model.TrainingStats()
+	if len(hdr.Features) == 0 || len(hdr.Features) != len(names) {
+		t.Fatalf("header features = %v", hdr.Features)
+	}
+	if len(hdr.TrainMean) != len(mean) || len(hdr.TrainStd) != len(std) {
+		t.Fatal("header training stats misaligned")
+	}
+	if hdr.Levels != model.Levels || hdr.ModelParams != model.Params() {
+		t.Fatalf("header model attribution = %d levels %d params", hdr.Levels, hdr.ModelParams)
+	}
+	if hdr.Build["go"] == "" {
+		t.Fatal("header missing build info")
+	}
+}

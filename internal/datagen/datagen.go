@@ -89,7 +89,7 @@ func DefaultConfig(sim gpusim.Config) Config {
 	return Config{
 		Sim:           sim,
 		BreakpointPs:  100_000_000, // 100 µs
-		MaxRunPs:      5_000_000_000_000,
+		MaxRunPs:      gpusim.DefaultMaxRunPs,
 		ClusterStride: 1,
 	}
 }

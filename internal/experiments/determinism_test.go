@@ -23,27 +23,37 @@ func marshalAt(t *testing.T, fn func() (any, error)) []byte {
 	return raw
 }
 
-// TestPresetSweepDeterministicAcrossWorkers asserts the tentpole
-// contract on the preset sweep: the aggregated points are byte-identical
-// whether the (preset, kernel) grid runs serially or sharded. Runs under
-// -race in CI to also prove shard isolation.
+// TestPresetSweepDeterministicAcrossWorkers asserts the runner's
+// contract on the two extension grids: rows and summaries are
+// byte-identical whether the cells run serially or sharded. Runs under
+// -race in CI to also prove shard isolation — for the oracle grid, of the
+// cells that probe by cloning a simulator.
 func TestPresetSweepDeterministicAcrossWorkers(t *testing.T) {
 	p := sharedPipeline(t)
-	sweep := func(workers int) (any, error) {
-		return RunPresetSweep(PresetSweepOptions{
-			Sim:     testPipelineOpts().Sim,
-			Kernels: kernels.Evaluation()[:3],
-			Scale:   testPipelineOpts().Scale,
-			Presets: []float64{0.10, 0.20},
-			Model:   p.Compressed,
-			Workers: workers,
-		})
-	}
-	serial := marshalAt(t, func() (any, error) { return sweep(1) })
-	for _, workers := range []int{3, 8} {
-		w := workers
-		if par := marshalAt(t, func() (any, error) { return sweep(w) }); !bytes.Equal(serial, par) {
-			t.Fatalf("sweep at workers=%d differs from serial:\n%s\nvs\n%s", w, par, serial)
+	for _, grid := range []struct {
+		kernels int
+		mech    Mechanism
+	}{
+		{3, MechSSMDVFSComp},
+		{1, MechOracleGreedy},
+	} {
+		sweep := func(workers int) (any, error) {
+			return RunFig4(Fig4Options{
+				Sim:        testPipelineOpts().Sim,
+				Kernels:    kernels.Evaluation()[:grid.kernels],
+				Scale:      testPipelineOpts().Scale,
+				Presets:    []float64{0.10, 0.20},
+				Compressed: p.Compressed,
+				Mechanisms: []Mechanism{grid.mech},
+				Workers:    workers,
+			})
+		}
+		serial := marshalAt(t, func() (any, error) { return sweep(1) })
+		for _, workers := range []int{3, 8} {
+			w := workers
+			if par := marshalAt(t, func() (any, error) { return sweep(w) }); !bytes.Equal(serial, par) {
+				t.Fatalf("%s grid at workers=%d differs from serial:\n%s\nvs\n%s", grid.mech, w, par, serial)
+			}
 		}
 	}
 }

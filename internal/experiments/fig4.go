@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"strconv"
+	"strings"
 	"text/tabwriter"
 
 	"ssmdvfs/internal/atomicfile"
@@ -12,11 +14,14 @@ import (
 	"ssmdvfs/internal/core"
 	"ssmdvfs/internal/gpusim"
 	"ssmdvfs/internal/kernels"
+	"ssmdvfs/internal/oracle"
 	"ssmdvfs/internal/runner"
 	"ssmdvfs/internal/telemetry"
 )
 
-// Mechanism names the DVFS policies compared in Fig. 4.
+// Mechanism names a DVFS policy the closed-loop grid can run: the six
+// compared in Fig. 4, "static-N" (every cluster pinned at level N), and
+// the two clairvoyant searches of internal/oracle.
 type Mechanism string
 
 const (
@@ -26,6 +31,12 @@ const (
 	MechSSMDVFS      Mechanism = "ssmdvfs"
 	MechSSMDVFSNoCal Mechanism = "ssmdvfs-nocal"
 	MechSSMDVFSComp  Mechanism = "ssmdvfs-compressed"
+	// MechStaticBest is the best fixed level for the whole program, and
+	// MechOracleGreedy the per-epoch clone-probing policy, each chosen
+	// with perfect knowledge under the cell's preset. They bound what an
+	// online mechanism could reach; neither is a controller.
+	MechStaticBest   Mechanism = "static-best"
+	MechOracleGreedy Mechanism = "oracle-greedy"
 )
 
 // AllMechanisms lists the Fig. 4 comparison set in display order.
@@ -44,10 +55,12 @@ type Fig4Options struct {
 	Scale float64
 	// Presets are the performance-loss budgets (paper: 0.10 and 0.20).
 	Presets []float64
-	// Model / Compressed are the trained SSMDVFS models.
+	// Model / Compressed are the trained SSMDVFS models; only the
+	// SSMDVFS mechanisms need them.
 	Model      *core.Model
 	Compressed *core.Model
-	// Mechanisms restricts the comparison (nil = all).
+	// Mechanisms restricts or extends the comparison (nil =
+	// AllMechanisms); any name NewController accepts may appear.
 	Mechanisms []Mechanism
 	// MaxRunPs bounds each simulation.
 	MaxRunPs int64
@@ -113,15 +126,12 @@ type Fig4Result struct {
 	Summaries []Fig4Summary
 }
 
-// RunFig4 executes the comparison: for each kernel a default-OP baseline
-// run, then each mechanism at each preset. The baselines and the
-// (kernel, preset, mechanism) grid are each sharded across the worker
-// pool; rows are merged in the serial nesting order so the result is
-// identical at any worker count.
+// RunFig4 is the closed-loop harness: for each kernel a default-OP
+// baseline run, then each mechanism at each preset, normalized to that
+// baseline. The baselines and the (kernel, preset, mechanism) grid are
+// each sharded across the worker pool; rows are merged in the serial
+// nesting order so the result is identical at any worker count.
 func RunFig4(opts Fig4Options) (*Fig4Result, error) {
-	if opts.Model == nil {
-		return nil, fmt.Errorf("experiments: Fig4 requires a trained model")
-	}
 	if len(opts.Kernels) == 0 {
 		return nil, fmt.Errorf("experiments: Fig4 requires evaluation kernels")
 	}
@@ -132,11 +142,18 @@ func RunFig4(opts Fig4Options) (*Fig4Result, error) {
 		opts.Scale = 1.0
 	}
 	if opts.MaxRunPs <= 0 {
-		opts.MaxRunPs = 5_000_000_000_000
+		opts.MaxRunPs = gpusim.DefaultMaxRunPs
 	}
 	mechs := opts.Mechanisms
 	if mechs == nil {
 		mechs = AllMechanisms()
+	}
+	// A misspelt mechanism or a missing model fails here, not after the
+	// baselines have been simulated.
+	for _, mech := range mechs {
+		if _, err := NewController(mech, opts.Presets[0], opts); err != nil {
+			return nil, err
+		}
 	}
 	log := opts.Logger
 
@@ -171,22 +188,13 @@ func RunFig4(opts Fig4Options) (*Fig4Result, error) {
 			spec := opts.Kernels[k]
 			base := bases[k]
 
-			var row Fig4Row
-			if mech == MechBaseline {
-				row = makeRow(spec.Name, mech, preset, base, base.ExecTimePs, base.EDP())
-			} else {
-				ctrl, err := buildController(mech, opts, preset)
-				if err != nil {
-					return Fig4Row{}, err
-				}
-				r, err := runOnce(opts.Sim, built[k], ctrl, opts.MaxRunPs)
-				if err != nil {
-					return Fig4Row{}, fmt.Errorf("experiments: %s on %s: %w", mech, spec.Name, err)
-				}
-				row = makeRow(spec.Name, mech, preset, r, base.ExecTimePs, base.EDP())
+			r, note, err := runCell(opts, mech, preset, built[k], base)
+			if err != nil {
+				return Fig4Row{}, fmt.Errorf("experiments: %s on %s: %w", mech, spec.Name, err)
 			}
-			log.Logf("fig4: %-24s %-18s preset=%.0f%% edp=%.3f lat=%.3f",
-				spec.Name, mech, preset*100, row.NormEDP, row.NormLatency)
+			row := makeRow(spec.Name, mech, preset, r, base.ExecTimePs, base.EDP())
+			log.Logf("fig4: %-24s %-18s preset=%.0f%% edp=%.3f lat=%.3f%s",
+				spec.Name, mech, preset*100, row.NormEDP, row.NormLatency, note)
 			return row, nil
 		})
 	if err != nil {
@@ -196,6 +204,35 @@ func RunFig4(opts Fig4Options) (*Fig4Result, error) {
 	res := &Fig4Result{Rows: rows}
 	res.Summaries, err = summarize(res.Rows, mechs, opts.Presets)
 	return res, err
+}
+
+// runCell is the only place a mechanism name becomes a simulation: the
+// baseline's run is reused, the two oracles search with internal/oracle,
+// and every other name is a NewController controller driving one run.
+// note, when non-empty, is appended to the cell's progress line.
+func runCell(opts Fig4Options, mech Mechanism, preset float64, kernel gpusim.Kernel, base gpusim.Result) (r gpusim.Result, note string, err error) {
+	switch mech {
+	case MechBaseline:
+		return base, "", nil
+	case MechStaticBest:
+		perLevel, best, err := oracle.StaticBest(opts.Sim, kernel, preset, oracle.EDPObjective, opts.MaxRunPs)
+		if err != nil {
+			return gpusim.Result{}, "", err
+		}
+		return perLevel[best], fmt.Sprintf(" level=%d", best), nil
+	case MechOracleGreedy:
+		g, err := oracle.Greedy(opts.Sim, kernel, oracle.GreedyOptions{Preset: preset, MaxRunPs: opts.MaxRunPs})
+		if err != nil {
+			return gpusim.Result{}, "", err
+		}
+		return g.Result, "", nil
+	}
+	ctrl, err := NewController(mech, preset, opts)
+	if err != nil {
+		return gpusim.Result{}, "", err
+	}
+	r, err = runOnce(opts.Sim, kernel, ctrl, opts.MaxRunPs)
+	return r, "", err
 }
 
 func runOnce(cfg gpusim.Config, kernel gpusim.Kernel, ctrl gpusim.Controller, maxPs int64) (gpusim.Result, error) {
@@ -213,25 +250,42 @@ func runOnce(cfg gpusim.Config, kernel gpusim.Kernel, ctrl gpusim.Controller, ma
 	return r, nil
 }
 
-func buildController(mech Mechanism, opts Fig4Options, preset float64) (gpusim.Controller, error) {
+// NewController is the one place a mechanism name becomes a controller;
+// of opts it reads Sim, Model, Compressed and Seed. Three names need no
+// controller and yield nil: the baseline runs at the default operating
+// point, and the two oracles are searches over whole runs that RunFig4's
+// cell hands to internal/oracle (a caller that can only drive a
+// controller must refuse those two itself). Anything else — a misspelt
+// name, a static level outside opts.Sim.OPs, an SSMDVFS variant whose
+// model is missing — is an error.
+func NewController(mech Mechanism, preset float64, opts Fig4Options) (gpusim.Controller, error) {
 	clusters := opts.Sim.Clusters
 	switch mech {
+	case MechBaseline, MechStaticBest, MechOracleGreedy:
+		return nil, nil
 	case MechPCSTALL:
 		return baselines.NewPCSTALL(opts.Sim.OPs, preset, clusters)
 	case MechFLEMMA:
 		return baselines.NewFLEMMA(opts.Sim.OPs, preset, clusters, opts.Seed)
-	case MechSSMDVFS:
-		return NewSSMDVFS(opts.Model, preset, opts.Sim, true)
-	case MechSSMDVFSNoCal:
-		return NewSSMDVFS(opts.Model, preset, opts.Sim, false)
+	case MechSSMDVFS, MechSSMDVFSNoCal:
+		if opts.Model == nil {
+			return nil, fmt.Errorf("experiments: %s requires a trained model", mech)
+		}
+		return NewSSMDVFS(opts.Model, preset, opts.Sim, mech == MechSSMDVFS)
 	case MechSSMDVFSComp:
 		if opts.Compressed == nil {
 			return nil, fmt.Errorf("experiments: %s requires a compressed model", mech)
 		}
 		return NewSSMDVFS(opts.Compressed, preset, opts.Sim, true)
-	default:
-		return nil, fmt.Errorf("experiments: unknown mechanism %q", mech)
 	}
+	if n, ok := strings.CutPrefix(string(mech), "static-"); ok {
+		lvl, err := strconv.Atoi(n)
+		if err != nil || lvl < 0 || lvl >= opts.Sim.OPs.Len() {
+			return nil, fmt.Errorf("experiments: mechanism %q: static level must be 0..%d", mech, opts.Sim.OPs.Len()-1)
+		}
+		return &baselines.Static{Level: lvl}, nil
+	}
+	return nil, fmt.Errorf("experiments: unknown mechanism %q", mech)
 }
 
 // NewSSMDVFS builds the SSMDVFS controller with the analytical PCSTALL
@@ -373,7 +427,18 @@ func (r *Fig4Result) WriteTable(w io.Writer) error {
 			row.Kernel, row.Mechanism, row.Preset*100,
 			row.NormEDP, row.NormLatency, row.PerfLoss*100, row.WithinPreset)
 	}
-	fmt.Fprintln(tw, "\nmechanism\tpreset\tgmean_edp\tmean_latency\tmax_loss\tviolations")
+	fmt.Fprintln(tw)
+	if err := tw.Flush(); err != nil {
+		return err
+	}
+	return r.WriteSummaries(w)
+}
+
+// WriteSummaries renders the per-(mechanism, preset) aggregate table
+// alone — all a one-mechanism sweep over many presets needs.
+func (r *Fig4Result) WriteSummaries(w io.Writer) error {
+	tw := tabwriter.NewWriter(w, 0, 4, 2, ' ', 0)
+	fmt.Fprintln(tw, "mechanism\tpreset\tgmean_edp\tmean_latency\tmax_loss\tviolations")
 	for _, s := range r.Summaries {
 		fmt.Fprintf(tw, "%s\t%.0f%%\t%.3f\t%.3f\t%.2f%%\t%d/%d\n",
 			s.Mechanism, s.Preset*100, s.GMeanEDP, s.MeanLatency,

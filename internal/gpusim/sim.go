@@ -248,6 +248,11 @@ func (s *Simulator) RunUntil(targetPs int64) {
 	}
 }
 
+// DefaultMaxRunPs is the bound callers pass to Run when they have none of
+// their own: five simulated seconds, orders of magnitude past the longest
+// kernel in the suite, so reaching it means the run is stuck.
+const DefaultMaxRunPs int64 = 5_000_000_000_000
+
 // Run executes until completion or maxPs, whichever comes first, and
 // returns the run summary. The final partial epoch's energy is charged
 // pro-rata for the time actually simulated.

@@ -41,7 +41,7 @@ func TestBehaviourFrequencySensitivity(t *testing.T) {
 				t.Fatal(err)
 			}
 			sim.ForceLevel(lvl)
-			res := sim.Run(5_000_000_000_000)
+			res := sim.Run(gpusim.DefaultMaxRunPs)
 			if !res.Completed {
 				t.Fatalf("%s did not complete", name)
 			}
@@ -105,7 +105,7 @@ func assertPhaseSwing(t *testing.T, name string) {
 			memFracs = append(memFracs, mem/(mem+comp))
 		}
 	})
-	if res := sim.Run(5_000_000_000_000); !res.Completed {
+	if res := sim.Run(gpusim.DefaultMaxRunPs); !res.Completed {
 		t.Fatal("kernel did not complete")
 	}
 	if len(memFracs) < 4 {

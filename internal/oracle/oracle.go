@@ -4,7 +4,10 @@
 // the remaining execution before committing, and a static-best policy
 // that runs the whole program at every fixed level. Both are evaluation
 // tools — they exploit the simulator's Clone support and are impossible
-// on real hardware — used to report how much headroom SSMDVFS leaves.
+// on real hardware — used to report how much headroom SSMDVFS leaves:
+// experiments.RunFig4 runs them as the mechanisms "static-best" and
+// "oracle-greedy", beside the online mechanisms and under the same
+// baseline, presets and loss test.
 package oracle
 
 import (
@@ -62,10 +65,6 @@ type GreedyOptions struct {
 	// Preset bounds the *window-normalized* loss each epoch's choice may
 	// cost relative to choosing the default level for that epoch.
 	Preset float64
-	// Horizon is how far (in ps) each probe continues past the epoch
-	// being decided before scoring; 0 probes to completion (exact but
-	// slowest).
-	HorizonPs int64
 	// Objective scores probes (default EDP of the probe run).
 	Objective Objective
 	// MaxRunPs bounds every simulation.
@@ -85,10 +84,12 @@ type GreedyResult struct {
 // the simulator once per chip-wide level, run the probe forward, and
 // commit to the level with the best objective among those whose
 // window-normalized loss stays within the preset. Chip-wide (all
-// clusters share the level) keeps the search space linear in levels.
+// clusters share the level) keeps the search space linear in levels;
+// every probe runs the rest of the program, so the cost is quadratic in
+// the run's epoch count.
 func Greedy(cfg gpusim.Config, kernel gpusim.Kernel, opts GreedyOptions) (*GreedyResult, error) {
 	if opts.MaxRunPs <= 0 {
-		opts.MaxRunPs = 5_000_000_000_000
+		opts.MaxRunPs = gpusim.DefaultMaxRunPs
 	}
 	if opts.Objective == nil {
 		opts.Objective = EDPObjective
@@ -123,15 +124,13 @@ func Greedy(cfg gpusim.Config, kernel gpusim.Kernel, opts GreedyOptions) (*Greed
 			probe.ForceLevel(lvl)
 			probe.RunUntil(next + 1)
 			probe.ForceLevel(defaultLevel)
-			var res gpusim.Result
-			if opts.HorizonPs > 0 {
-				res = probe.Run(min64(next+opts.HorizonPs, opts.MaxRunPs))
-				// A horizon probe may legitimately not complete.
-			} else {
-				res = probe.Run(opts.MaxRunPs)
-				if !res.Completed {
-					return nil, fmt.Errorf("oracle: probe did not complete")
-				}
+			// Always to completion: a probe cut short reports the cut-off
+			// as its ExecTimePs, the same for every level, so the loss
+			// test below would pass vacuously and the lowest-energy level
+			// would win every epoch.
+			res := probe.Run(opts.MaxRunPs)
+			if !res.Completed {
+				return nil, fmt.Errorf("oracle: probe did not complete")
 			}
 			out.Probes++
 			if lvl == defaultLevel {
@@ -161,11 +160,4 @@ func Greedy(cfg gpusim.Config, kernel gpusim.Kernel, opts GreedyOptions) (*Greed
 		return nil, fmt.Errorf("oracle: committed run did not complete")
 	}
 	return out, nil
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -119,14 +119,29 @@ func TestGreedyBeatsOrMatchesDefaultEDP(t *testing.T) {
 	}
 }
 
-func TestGreedyHorizonProbe(t *testing.T) {
+// TestGreedyComputeBoundStaysWithinPreset is the regression test for the
+// horizon bug: scoring truncated probes made every level look free, so on
+// a compute-bound kernel longer than the horizon (this one is 10 epochs;
+// a 5-epoch horizon cost it +32.9% latency, EDP 1.256) the "oracle" ran at
+// level 0 and blew its preset.
+func TestGreedyComputeBoundStaysWithinPreset(t *testing.T) {
 	c := cfg()
-	res, err := Greedy(c, memKernel(150), GreedyOptions{Preset: 0.10, HorizonPs: 30_000_000})
+	k := cpuKernel(10000)
+	perLevel, _, err := StaticBest(c, k, 0, EDPObjective, 1_000_000_000_000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Result.Completed {
-		t.Fatal("greedy horizon run incomplete")
+	def := perLevel[c.OPs.Default()]
+	const preset = 0.10
+	res, err := Greedy(c, k, GreedyOptions{Preset: preset})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if loss := float64(res.Result.ExecTimePs)/float64(def.ExecTimePs) - 1; loss > preset+1e-9 {
+		t.Fatalf("greedy loses %.2f%% under a %.0f%% preset (levels %v)", loss*100, preset*100, res.Levels)
+	}
+	if res.Result.EDP() > def.EDP() {
+		t.Fatalf("greedy EDP %.4g worse than the default level's %.4g (levels %v)", res.Result.EDP(), def.EDP(), res.Levels)
 	}
 }
 

@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"ssmdvfs/internal/baselines"
-	"ssmdvfs/internal/buildinfo"
 	"ssmdvfs/internal/clockdomain"
 	"ssmdvfs/internal/core"
 	"ssmdvfs/internal/counters"
@@ -838,18 +837,9 @@ func (e *Engine) modelRows(m *core.Model, rows []Request, columns uint64, decs [
 // provHeader builds the dump header attributing recorder contents to
 // this binary and the currently served model.
 func (e *Engine) provHeader() provenance.Header {
-	m := e.Model()
-	names, mean, std := m.TrainingStats()
-	return provenance.Header{
-		Build:       buildinfo.Info(),
-		Features:    names,
-		TrainMean:   mean,
-		TrainStd:    std,
-		Levels:      m.Levels,
-		ModelParams: m.Params(),
-		Capacity:    e.prov.Cap(),
-		Head:        e.prov.Head(),
-	}
+	h := e.Model().ProvenanceHeader()
+	h.Capacity, h.Head = e.prov.Cap(), e.prov.Head()
+	return h
 }
 
 // DumpDecisions writes the flight recorder's current contents as a JSONL
