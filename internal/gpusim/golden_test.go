@@ -9,12 +9,17 @@ import (
 	"ssmdvfs/internal/kernels"
 )
 
-// goldenStreamDigest is the SHA-256 of the statistics stream produced by
-// goldenStream, recorded with the per-cycle stepper of commit b741b78
-// (before the event-skipping scheduler). The scheduler's contract is that
-// it changes host time only; any edit that moves this digest has changed a
-// simulated number.
-const goldenStreamDigest = "e134fd80b32d0288db55f358e985c67add4b78af71fb3425c528fcf8324dbdd1"
+// goldenStreamDigests are the SHA-256 of the statistics stream goldenStream
+// produces under each scheduling policy, recorded from commit 51aa24e, whose
+// one digest over both policies was still the one recorded with the
+// per-cycle stepper of commit b741b78 (before the event-skipping
+// scheduler). The scheduler's contract is that it changes host time only;
+// any edit that moves a digest has changed a simulated number under that
+// policy.
+var goldenStreamDigests = map[SchedulerPolicy]string{
+	SchedLRR: "56f8b6bc5c510c815880e7efb9a758e09952395ae63d308b9d2f9b702d061b70",
+	SchedGTO: "3ff7d23a3b471f9e007058eb72d363bb267ad18f620ec3431aed6ef0b3151e55",
+}
 
 // toggleController changes level every other epoch, staggered by cluster,
 // so the stream contains voltage and frequency-only IVR transitions.
@@ -25,46 +30,46 @@ func (c toggleController) Decide(s EpochStats) int {
 	return ((s.Epoch/2)*5 + s.Cluster) % c.levels
 }
 
-// goldenStream drives every suite kernel under both scheduling policies
+// goldenStream drives every suite kernel under one scheduling policy
 // through the simulator's whole public stepping surface — controller-driven
 // level changes, an unaligned RunUntil, then Clone + ForceLevel + Run the
 // way datagen.generate replays a scaling window (cut off by Run's time
 // limit three epochs on, to bound the test), then Run to completion — and
 // hashes every field of every EpochStats plus both Results.
-func goldenStream(t *testing.T) string {
+func goldenStream(t *testing.T, sched SchedulerPolicy) string {
 	h := sha256.New()
-	for _, sched := range []SchedulerPolicy{SchedLRR, SchedGTO} {
-		for _, spec := range kernels.Suite() {
-			cfg := SmallConfig()
-			cfg.Scheduler = sched
-			sim, err := New(cfg, spec.Build(0.3))
-			if err != nil {
-				t.Fatal(err)
-			}
-			fmt.Fprintf(h, "%s %v\n", spec.Name, sched)
-			// %+v prints floats in shortest round-trip form, so the text is
-			// exact, and it picks up any field added to EpochStats later.
-			observe := func(s EpochStats) { fmt.Fprintf(h, "%+v\n", s) }
-			sim.SetObserver(observe)
-			sim.SetController(toggleController{levels: cfg.OPs.Len()})
-
-			b := cfg.EpochPs + cfg.EpochPs/2 + 12_345
-			sim.RunUntil(b)
-
-			replay := sim.Clone()
-			replay.ForceLevel(1)
-			replay.RunUntil(b + cfg.EpochPs + 1)
-			replay.ForceLevel(cfg.OPs.Default())
-			fmt.Fprintf(h, "replay %+v\n", replay.Run(b+3*cfg.EpochPs))
-
-			fmt.Fprintf(h, "run %+v\n", sim.Run(testMaxPs))
+	for _, spec := range kernels.Suite() {
+		cfg := SmallConfig()
+		cfg.Scheduler = sched
+		sim, err := New(cfg, spec.Build(0.3))
+		if err != nil {
+			t.Fatal(err)
 		}
+		fmt.Fprintf(h, "%s %v\n", spec.Name, sched)
+		// %+v prints floats in shortest round-trip form, so the text is
+		// exact, and it picks up any field added to EpochStats later.
+		observe := func(s EpochStats) { fmt.Fprintf(h, "%+v\n", s) }
+		sim.SetObserver(observe)
+		sim.SetController(toggleController{levels: cfg.OPs.Len()})
+
+		b := cfg.EpochPs + cfg.EpochPs/2 + 12_345
+		sim.RunUntil(b)
+
+		replay := sim.Clone()
+		replay.ForceLevel(1)
+		replay.RunUntil(b + cfg.EpochPs + 1)
+		replay.ForceLevel(cfg.OPs.Default())
+		fmt.Fprintf(h, "replay %+v\n", replay.Run(b+3*cfg.EpochPs))
+
+		fmt.Fprintf(h, "run %+v\n", sim.Run(testMaxPs))
 	}
 	return hex.EncodeToString(h.Sum(nil))
 }
 
 func TestGoldenStatsStream(t *testing.T) {
-	if got := goldenStream(t); got != goldenStreamDigest {
-		t.Fatalf("statistics stream digest = %s, want %s: a simulated number changed", got, goldenStreamDigest)
+	for _, sched := range []SchedulerPolicy{SchedLRR, SchedGTO} {
+		if got, want := goldenStream(t, sched), goldenStreamDigests[sched]; got != want {
+			t.Errorf("%v statistics stream digest = %s, want %s: a simulated number changed", sched, got, want)
+		}
 	}
 }
