@@ -316,6 +316,10 @@ func (c *cluster) step(mem *memSystem, limitPs int64) {
 	lsuLeft := c.cfg.LSUUnits
 	issueLeft := c.cfg.IssueWidth
 	gto := c.cfg.Scheduler == SchedGTO
+	// The candidate order is fixed at the start of the cycle: an issue below
+	// moves c.greedyWarp, and an order read from it mid-scan would skip one
+	// warp and visit another twice.
+	greedy := c.greedyWarp
 
 	n := len(c.warps)
 	issuedAny := false
@@ -332,8 +336,8 @@ func (c *cluster) step(mem *memSystem, limitPs int64) {
 		if gto {
 			switch {
 			case i == 0:
-				idx = c.greedyWarp
-			case i <= c.greedyWarp:
+				idx = greedy
+			case i <= greedy:
 				idx = i - 1
 			default:
 				idx = i

@@ -504,3 +504,40 @@ func TestIVRTransitionSkip(t *testing.T) {
 			c.acc.instructions, c.acc.dvfsStall, c.acc.cycles)
 	}
 }
+
+// TestGTOVisitsEveryWarpOncePerCycle: with issue slots and ALUs for every
+// warp, a warp that is always ready issues exactly once a cycle and the one
+// that stalls is counted exactly once — whichever warp is greedy, and even
+// though the cycle's issues move the greedy warp. Warps 0, 1 and 3 run
+// independent integer ops; warp 2 a dependent FALU chain, so it is the
+// greedy warp of some cycles and blocked in others.
+func TestGTOVisitsEveryWarpOncePerCycle(t *testing.T) {
+	cfg := SmallConfig()
+	cfg.Scheduler = SchedGTO
+	cfg.IssueWidth, cfg.ALUUnits = 4, 4
+	ready := isa.Program{Body: []isa.Instruction{{Op: isa.OpIAlu}}, Iterations: 64}
+	chain := isa.Program{Body: []isa.Instruction{{Op: isa.OpFAlu, Dst: 1, SrcA: 1}}, Iterations: 64}
+	c, mem := newTestClusterProgs(t, cfg, []isa.Program{ready, ready, chain, ready}, 4)
+
+	for cyc := 1; cyc <= ready.Iterations; cyc++ {
+		var before [4]int64
+		for i := range c.warps {
+			before[i] = c.warps[i].issued
+		}
+		stalls := c.acc.stallCompute
+		cycle(c, mem)
+		for i := range c.warps {
+			got := c.warps[i].issued - before[i]
+			if i == 2 {
+				// Issued or stall-counted, once.
+				got += c.acc.stallCompute - stalls
+			}
+			if got != 1 {
+				t.Fatalf("cycle %d (greedy warp %d after it): warp %d visited %d times, want 1", cyc, c.greedyWarp, i, got)
+			}
+		}
+	}
+	if other := c.acc.stallMemLoad + c.acc.stallMemOther + c.acc.stallControl + c.acc.readyNotIssued; other != 0 {
+		t.Fatalf("%d stalls of a kind no warp here can have", other)
+	}
+}
