@@ -19,7 +19,10 @@
 // three mechanism lists: the paper's six at -presets; ssmdvfs-compressed
 // at seven presets from 2 % to 50 % (summary table only); and ssmdvfs
 // beside the clairvoyant static-best and oracle-greedy searches at the
-// 10 % preset on six held-out programs.
+// 10 % preset on six held-out programs. A kernel's cells share simulators
+// and fork them only where their decisions part; each of the three prints
+// what that saved as "simulated N of M epochs, K clones", and fig4.json
+// carries the counts.
 //
 // The cache directory holds dataset.json, model.json and compressed.json;
 // every subcommand builds missing artifacts on demand.
@@ -27,16 +30,17 @@
 // Parallelism (any subcommand):
 //
 //	-j N              shard independent simulation units (per-kernel
-//	                  datagen, fig3 points, fig4/sweep/headroom grid
-//	                  cells) across N workers; defaults to
-//	                  runtime.NumCPU(). Output is byte-identical at any
-//	                  worker count.
+//	                  datagen, fig3 points, the fig4/sweep/headroom
+//	                  grid's groups of cells still on one simulator)
+//	                  across N workers; defaults to runtime.NumCPU().
+//	                  Output is byte-identical at any worker count.
 //
 // Observability flags (any subcommand):
 //
 //	-telemetry FILE   write the telemetry-registry snapshot (JSON) at exit;
 //	                  summarize with "dvfsstat -metrics FILE"
-//	-spans FILE       write pipeline phase spans (JSONL); view with
+//	-spans FILE       write pipeline phase spans and one span per shard
+//	                  or grid group (JSONL); view with
 //	                  "dvfsstat -spans FILE [-chrome out.json]"
 //	-cpuprofile FILE  CPU profile of the whole run
 //	-memprofile FILE  heap profile at exit
@@ -255,7 +259,7 @@ func runGrid(opts experiments.PipelineOptions, ks []kernels.Spec, presets []floa
 	if err != nil {
 		return nil, err
 	}
-	return experiments.RunFig4(experiments.Fig4Options{
+	res, err := experiments.RunFig4(experiments.Fig4Options{
 		Sim:        opts.Sim,
 		Kernels:    ks,
 		Scale:      opts.Scale,
@@ -269,6 +273,10 @@ func runGrid(opts experiments.PipelineOptions, ks []kernels.Spec, presets []floa
 		Telemetry:  opts.Telemetry,
 		Tracer:     opts.Tracer,
 	})
+	if err != nil {
+		return nil, err
+	}
+	return res, res.WriteSharing(os.Stdout)
 }
 
 func runFig4(opts experiments.PipelineOptions, presets []float64) error {

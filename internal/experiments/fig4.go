@@ -4,9 +4,12 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"text/tabwriter"
 
 	"ssmdvfs/internal/atomicfile"
@@ -68,24 +71,18 @@ type Fig4Options struct {
 	// Logger is the nil-safe progress logger (nil = quiet). Adapt
 	// printf-style callbacks with telemetry.NewLoggerFunc.
 	Logger *telemetry.Logger
-	// Workers bounds the parallel runner sharding the independent
-	// (kernel, preset, mechanism) simulations (<= 0 = GOMAXPROCS);
-	// results are byte-identical at any worker count.
+	// Workers bounds the worker pool (<= 0 = GOMAXPROCS). What it bounds is
+	// simulators running at once — groups of cells still sharing one, and
+	// oracle searches — not cells; results are byte-identical at any
+	// worker count.
 	Workers int
-	// Telemetry / Tracer, when non-nil, receive the runner's shard
-	// metrics and per-worker spans.
+	// Telemetry / Tracer, when non-nil, receive the pool's shard metrics
+	// beside the grid's fig4_epochs_simulated_total,
+	// fig4_epochs_served_total and fig4_clones_total, and one span per
+	// group of cells (kernel, cells, first_epoch, worker) on its worker's
+	// track.
 	Telemetry *telemetry.Registry
 	Tracer    *telemetry.Tracer
-}
-
-// runnerOptions builds the runner config for one fig4 stage.
-func (opts *Fig4Options) runnerOptions(name string) runner.Options {
-	return runner.Options{
-		Name:      name,
-		Workers:   opts.Workers,
-		Telemetry: opts.Telemetry,
-		Tracer:    opts.Tracer,
-	}
 }
 
 // Fig4Row is one (kernel, mechanism, preset) measurement.
@@ -124,14 +121,56 @@ type Fig4Summary struct {
 type Fig4Result struct {
 	Rows      []Fig4Row
 	Summaries []Fig4Summary
+
+	// What sharing simulators saved, as counts that depend on the grid
+	// alone, not on workers or scheduling. EpochsServed is the finalised
+	// epochs of every controller-driven cell and each kernel's baseline,
+	// what one simulator per cell would simulate; EpochsSimulated how many
+	// were, each distinct one once; Clones how many simulators were forked
+	// where cells' decisions parted. The oracle mechanisms' own searches
+	// are in none of them.
+	EpochsSimulated int64
+	EpochsServed    int64
+	Clones          int64
 }
 
 // RunFig4 is the closed-loop harness: for each kernel a default-OP
-// baseline run, then each mechanism at each preset, normalized to that
-// baseline. The baselines and the (kernel, preset, mechanism) grid are
-// each sharded across the worker pool; rows are merged in the serial
-// nesting order so the result is identical at any worker count.
+// baseline run and each mechanism at each preset, normalized to that
+// baseline. A kernel's baseline and controller-driven cells start as one
+// group on one simulator and fork only where their decisions part
+// (runGroup); rows are merged in the serial nesting order, so the result
+// is identical at any worker count.
 func RunFig4(opts Fig4Options) (*Fig4Result, error) {
+	g, err := newGrid(opts)
+	if err != nil {
+		return nil, err
+	}
+	if err := g.run(); err != nil {
+		return nil, err
+	}
+	res := &Fig4Result{
+		EpochsSimulated: g.simulated.Load(),
+		EpochsServed:    g.served.Load(),
+		Clones:          g.clones.Load(),
+	}
+	if reg := opts.Telemetry; reg != nil {
+		reg.Counter("fig4_epochs_simulated_total").Add(res.EpochsSimulated)
+		reg.Counter("fig4_epochs_served_total").Add(res.EpochsServed)
+		reg.Counter("fig4_clones_total").Add(res.Clones)
+	}
+	for _, k := range g.runs {
+		for _, r := range g.rows {
+			res.Rows = append(res.Rows, g.row(k, r))
+		}
+	}
+	res.Summaries, err = summarize(res.Rows, g.opts.Mechanisms, g.opts.Presets)
+	return res, err
+}
+
+// newGrid applies the defaults, refuses what cannot run — a misspelt
+// mechanism or a missing model fails here, before anything is simulated —
+// and lays out the cells.
+func newGrid(opts Fig4Options) (*grid, error) {
 	if len(opts.Kernels) == 0 {
 		return nil, fmt.Errorf("experiments: Fig4 requires evaluation kernels")
 	}
@@ -144,118 +183,289 @@ func RunFig4(opts Fig4Options) (*Fig4Result, error) {
 	if opts.MaxRunPs <= 0 {
 		opts.MaxRunPs = gpusim.DefaultMaxRunPs
 	}
-	mechs := opts.Mechanisms
-	if mechs == nil {
-		mechs = AllMechanisms()
+	if opts.Mechanisms == nil {
+		opts.Mechanisms = AllMechanisms()
 	}
-	// A misspelt mechanism or a missing model fails here, not after the
-	// baselines have been simulated.
-	for _, mech := range mechs {
+	for _, mech := range opts.Mechanisms {
 		if _, err := NewController(mech, opts.Presets[0], opts); err != nil {
 			return nil, err
 		}
 	}
-	log := opts.Logger
 
-	built := make([]gpusim.Kernel, len(opts.Kernels))
+	// Cell 0 is the baseline, whatever the mechanism list; every other
+	// (preset, mechanism) pair is a cell of its own, and a listed baseline's
+	// rows read cell 0.
+	g := &grid{opts: opts, cells: []cell{{mech: MechBaseline}}}
+	for _, preset := range opts.Presets {
+		for _, mech := range opts.Mechanisms {
+			if mech == MechBaseline {
+				g.rows = append(g.rows, rowRef{cell: 0, preset: preset})
+				continue
+			}
+			g.rows = append(g.rows, rowRef{cell: len(g.cells), preset: preset})
+			g.cells = append(g.cells, cell{mech: mech, preset: preset})
+		}
+	}
+	g.runs = make([]*kernelRun, len(opts.Kernels))
 	for i, spec := range opts.Kernels {
-		built[i] = spec.Build(opts.Scale)
+		g.runs[i] = &kernelRun{spec: spec, kernel: spec.Build(opts.Scale), results: make([]gpusim.Result, len(g.cells))}
 	}
-	ctx := context.Background()
-	bases, err := runner.Map(ctx, len(built), opts.runnerOptions("fig4:baseline"),
-		func(_ context.Context, s runner.Shard) (gpusim.Result, error) {
-			spec := opts.Kernels[s.Index]
-			base, err := runOnce(opts.Sim, built[s.Index], nil, opts.MaxRunPs)
-			if err != nil {
-				return gpusim.Result{}, fmt.Errorf("experiments: baseline run of %s: %w", spec.Name, err)
+	return g, nil
+}
+
+// run simulates every cell of every kernel. Roots are taken longest kernel
+// first, by dynamic instruction count, so the pool does not end on one
+// long kernel running alone.
+func (g *grid) run() error {
+	order := slices.Clone(g.runs)
+	sort.SliceStable(order, func(i, j int) bool {
+		return order[i].kernel.TotalInstructions() > order[j].kernel.TotalInstructions()
+	})
+	return runner.Tasks(context.Background(), len(order), runner.Options{
+		Name:      "fig4",
+		Workers:   g.opts.Workers,
+		Telemetry: g.opts.Telemetry,
+		Tracer:    g.opts.Tracer,
+	}, func(_ context.Context, t *runner.Task) error {
+		return g.runKernel(t, order[t.Index])
+	})
+}
+
+// cell is one simulation of every kernel's grid: the baseline, or one
+// mechanism at one preset.
+type cell struct {
+	mech   Mechanism
+	preset float64
+}
+
+// rowRef is the cell a row reports and the preset it is held against: the
+// cell's own, or for a baseline row, which has none, the row's.
+type rowRef struct {
+	cell   int
+	preset float64
+}
+
+// grid is what one RunFig4 call shares between its tasks.
+type grid struct {
+	opts  Fig4Options // defaults applied
+	cells []cell
+	// rows are a kernel's rows, preset-major in mechanism order.
+	rows []rowRef
+	runs []*kernelRun // in opts.Kernels order
+	// wrap, when a test sets it, stands between a cell and its controller.
+	wrap func(k *kernelRun, cell int, ctrl gpusim.Controller) gpusim.Controller
+
+	simulated, served, clones atomic.Int64
+}
+
+// kernelRun is one kernel's cells as their results come in.
+type kernelRun struct {
+	spec   kernels.Spec
+	kernel gpusim.Kernel
+
+	mu sync.Mutex
+	// results is indexed by cell; an entry is written once, under mu.
+	results []gpusim.Result
+	// unlogged are the cells whose result is in and whose progress line is
+	// not out: a line is normalized to the baseline, so it waits for cell 0.
+	unlogged []loggedCell
+}
+
+type loggedCell struct {
+	cell int
+	note string
+}
+
+// member is a cell in a group with the controller deciding for it — none
+// for the baseline, which holds every cluster at its level.
+type member struct {
+	cell int
+	ctrl gpusim.Controller
+}
+
+// runKernel is a kernel's root task: one fresh simulator under the
+// baseline and a newly built controller per controller-driven cell. The
+// oracle cells are searches over whole runs and start when the baseline
+// is in (runOracles).
+func (g *grid) runKernel(t *runner.Task, k *kernelRun) error {
+	sim, err := gpusim.New(g.opts.Sim, k.kernel)
+	if err != nil {
+		return fmt.Errorf("experiments: baseline run of %s: %w", k.spec.Name, err)
+	}
+	members := []member{{cell: 0}}
+	for i, c := range g.cells[1:] {
+		ctrl, err := NewController(c.mech, c.preset, g.opts)
+		if err != nil {
+			return fmt.Errorf("experiments: %s on %s: %w", c.mech, k.spec.Name, err)
+		}
+		if ctrl == nil {
+			continue
+		}
+		if g.wrap != nil {
+			ctrl = g.wrap(k, i+1, ctrl)
+		}
+		members = append(members, member{cell: i + 1, ctrl: ctrl})
+	}
+	return g.runGroup(t, k, sim, members, 0)
+}
+
+// runGroup runs the cells that have decided alike so far on the one
+// simulator they share. At every epoch boundary each cell's controller is
+// shown the closed epoch — the same statistics, in ascending cluster
+// order, finished clusters skipped: the Decide sequence of a run of its
+// own — and the group is split by the clamped level vectors that come
+// back. The first part keeps the simulator; every other continues, as a
+// task any idle worker may take, on a Clone made before the levels are
+// applied. What is left of the group when the kernel completes shares its
+// Result. Nothing is stored but the live simulators, and which cell
+// forks where depends on the decisions alone, never on scheduling.
+func (g *grid) runGroup(t *runner.Task, k *kernelRun, sim *gpusim.Simulator, members []member, firstEpoch int) error {
+	t.SetAttr("kernel", k.spec.Name)
+	t.SetAttr("cells", strconv.Itoa(len(members)))
+	t.SetAttr("first_epoch", strconv.Itoa(firstEpoch))
+	t.SetAttr("worker", strconv.Itoa(t.Worker))
+	type part struct {
+		levels  []int
+		members []member
+	}
+	for {
+		stats, ok := sim.CloseEpoch(g.opts.MaxRunPs)
+		if !ok {
+			break
+		}
+		g.simulated.Add(1)
+		g.served.Add(int64(len(members)))
+
+		var parts []part
+		for _, m := range members {
+			levels := make([]int, len(stats))
+			for i, st := range stats {
+				if m.ctrl == nil || st.WarpsActive == 0 {
+					// The level in force: no change, for the baseline's
+					// clusters and for a finished one, which is not asked.
+					levels[i] = st.Level
+					continue
+				}
+				levels[i] = g.opts.Sim.OPs.Clamp(m.ctrl.Decide(st))
 			}
-			log.Logf("fig4: %-24s baseline T=%.1fus E=%.2fmJ", spec.Name,
+			i := slices.IndexFunc(parts, func(p part) bool { return slices.Equal(p.levels, levels) })
+			if i < 0 {
+				i = len(parts)
+				parts = append(parts, part{levels: levels})
+			}
+			parts[i].members = append(parts[i].members, m)
+		}
+		next := stats[0].Epoch + 1 // read now: stats is the simulator's scratch
+		for _, p := range parts[1:] {
+			fork := sim.Clone()
+			fork.OpenEpoch(p.levels)
+			g.clones.Add(1)
+			t.Go(func(_ context.Context, t *runner.Task) error {
+				return g.runGroup(t, k, fork, p.members, next)
+			})
+		}
+		sim.OpenEpoch(parts[0].levels)
+		members = parts[0].members
+	}
+
+	res := sim.Run(g.opts.MaxRunPs)
+	if !res.Completed {
+		err := fmt.Errorf("run did not complete within %d ps", g.opts.MaxRunPs)
+		if first := members[0].cell; first != 0 {
+			return fmt.Errorf("experiments: %s on %s: %w", g.cells[first].mech, k.spec.Name, err)
+		}
+		return fmt.Errorf("experiments: baseline run of %s: %w", k.spec.Name, err)
+	}
+	for _, m := range members {
+		g.finish(k, m.cell, res, "")
+	}
+	if members[0].cell == 0 {
+		g.runOracles(t, k, res)
+	}
+	return nil
+}
+
+// runOracles submits the kernel's clairvoyant cells, which read the
+// baseline: static-best simulates each level but the default once per
+// kernel — the default level's run is the baseline's — and picks per
+// preset; every oracle-greedy cell is a search of its own.
+func (g *grid) runOracles(t *runner.Task, k *kernelRun, base gpusim.Result) {
+	oracleErr := func(mech Mechanism, err error) error {
+		return fmt.Errorf("experiments: %s on %s: %w", mech, k.spec.Name, err)
+	}
+	cfg := g.opts.Sim
+	var static []int // the static-best cells, one per preset
+	for i, c := range g.cells {
+		switch c.mech {
+		case MechStaticBest:
+			static = append(static, i)
+		case MechOracleGreedy:
+			t.Go(func(context.Context, *runner.Task) error {
+				res, err := oracle.Greedy(cfg, k.kernel, oracle.GreedyOptions{Preset: c.preset, MaxRunPs: g.opts.MaxRunPs})
+				if err != nil {
+					return oracleErr(MechOracleGreedy, err)
+				}
+				g.finish(k, i, res.Result, "")
+				return nil
+			})
+		}
+	}
+	if len(static) == 0 {
+		return
+	}
+	t.Go(func(context.Context, *runner.Task) error {
+		perLevel, err := oracle.StaticRuns(cfg, k.kernel, base, g.opts.MaxRunPs)
+		if err != nil {
+			return oracleErr(MechStaticBest, err)
+		}
+		for _, i := range static {
+			best := oracle.StaticPick(perLevel, cfg.OPs.Default(), g.cells[i].preset, oracle.EDPObjective)
+			g.finish(k, i, perLevel[best], fmt.Sprintf(" level=%d", best))
+		}
+		return nil
+	})
+}
+
+// finish records a cell's result and emits the progress lines that can now
+// be written; note is appended to the cell's.
+func (g *grid) finish(k *kernelRun, c int, res gpusim.Result, note string) {
+	k.mu.Lock()
+	k.results[c] = res
+	k.unlogged = append(k.unlogged, loggedCell{c, note})
+	var ready []loggedCell
+	if k.results[0].Completed {
+		ready, k.unlogged = k.unlogged, nil
+	}
+	k.mu.Unlock()
+
+	// The entries read below were written before the unlock and are not
+	// written again.
+	log := g.opts.Logger
+	for _, l := range ready {
+		if l.cell == 0 {
+			base := k.results[0]
+			log.Logf("fig4: %-24s baseline T=%.1fus E=%.2fmJ", k.spec.Name,
 				float64(base.ExecTimePs)/1e6, base.EnergyPJ/1e9)
-			return base, nil
-		})
-	if err != nil {
-		return nil, err
+			continue
+		}
+		row := g.row(k, rowRef{l.cell, g.cells[l.cell].preset})
+		log.Logf("fig4: %-24s %-18s preset=%.0f%% edp=%.3f lat=%.3f%s",
+			k.spec.Name, row.Mechanism, row.Preset*100, row.NormEDP, row.NormLatency, l.note)
 	}
-
-	// One shard per (kernel, preset, mechanism) cell, flattened
-	// kernel-major so the merged rows reproduce the serial append order.
-	np, nm := len(opts.Presets), len(mechs)
-	rows, err := runner.Map(ctx, len(built)*np*nm, opts.runnerOptions("fig4"),
-		func(_ context.Context, s runner.Shard) (Fig4Row, error) {
-			k := s.Index / (np * nm)
-			preset := opts.Presets[(s.Index%(np*nm))/nm]
-			mech := mechs[s.Index%nm]
-			spec := opts.Kernels[k]
-			base := bases[k]
-
-			r, note, err := runCell(opts, mech, preset, built[k], base)
-			if err != nil {
-				return Fig4Row{}, fmt.Errorf("experiments: %s on %s: %w", mech, spec.Name, err)
-			}
-			row := makeRow(spec.Name, mech, preset, r, base.ExecTimePs, base.EDP())
-			log.Logf("fig4: %-24s %-18s preset=%.0f%% edp=%.3f lat=%.3f%s",
-				spec.Name, mech, preset*100, row.NormEDP, row.NormLatency, note)
-			return row, nil
-		})
-	if err != nil {
-		return nil, err
-	}
-
-	res := &Fig4Result{Rows: rows}
-	res.Summaries, err = summarize(res.Rows, mechs, opts.Presets)
-	return res, err
 }
 
-// runCell is the only place a mechanism name becomes a simulation: the
-// baseline's run is reused, the two oracles search with internal/oracle,
-// and every other name is a NewController controller driving one run.
-// note, when non-empty, is appended to the cell's progress line.
-func runCell(opts Fig4Options, mech Mechanism, preset float64, kernel gpusim.Kernel, base gpusim.Result) (r gpusim.Result, note string, err error) {
-	switch mech {
-	case MechBaseline:
-		return base, "", nil
-	case MechStaticBest:
-		perLevel, best, err := oracle.StaticBest(opts.Sim, kernel, preset, oracle.EDPObjective, opts.MaxRunPs)
-		if err != nil {
-			return gpusim.Result{}, "", err
-		}
-		return perLevel[best], fmt.Sprintf(" level=%d", best), nil
-	case MechOracleGreedy:
-		g, err := oracle.Greedy(opts.Sim, kernel, oracle.GreedyOptions{Preset: preset, MaxRunPs: opts.MaxRunPs})
-		if err != nil {
-			return gpusim.Result{}, "", err
-		}
-		return g.Result, "", nil
-	}
-	ctrl, err := NewController(mech, preset, opts)
-	if err != nil {
-		return gpusim.Result{}, "", err
-	}
-	r, err = runOnce(opts.Sim, kernel, ctrl, opts.MaxRunPs)
-	return r, "", err
-}
-
-func runOnce(cfg gpusim.Config, kernel gpusim.Kernel, ctrl gpusim.Controller, maxPs int64) (gpusim.Result, error) {
-	sim, err := gpusim.New(cfg, kernel)
-	if err != nil {
-		return gpusim.Result{}, err
-	}
-	if ctrl != nil {
-		sim.SetController(ctrl)
-	}
-	r := sim.Run(maxPs)
-	if !r.Completed {
-		return r, fmt.Errorf("run did not complete within %d ps", maxPs)
-	}
-	return r, nil
+// row normalizes a finished cell to its kernel's finished baseline.
+func (g *grid) row(k *kernelRun, r rowRef) Fig4Row {
+	base := k.results[0]
+	return makeRow(k.spec.Name, g.cells[r.cell].mech, r.preset, k.results[r.cell], base.ExecTimePs, base.EDP())
 }
 
 // NewController is the one place a mechanism name becomes a controller;
 // of opts it reads Sim, Model, Compressed and Seed. Three names need no
 // controller and yield nil: the baseline runs at the default operating
-// point, and the two oracles are searches over whole runs that RunFig4's
-// cell hands to internal/oracle (a caller that can only drive a
-// controller must refuse those two itself). Anything else — a misspelt
+// point, and the two oracles are searches over whole runs that RunFig4
+// hands to internal/oracle (a caller that can only drive a controller
+// must refuse those two itself). Anything else — a misspelt
 // name, a static level outside opts.Sim.OPs, an SSMDVFS variant whose
 // model is missing — is an error.
 func NewController(mech Mechanism, preset float64, opts Fig4Options) (gpusim.Controller, error) {
@@ -447,7 +657,14 @@ func (r *Fig4Result) WriteSummaries(w io.Writer) error {
 	return tw.Flush()
 }
 
-// SaveFile writes the full result (rows + summaries) as JSON atomically,
+// WriteSharing prints, on one line, how much of the grid's simulation its
+// cells shared.
+func (r *Fig4Result) WriteSharing(w io.Writer) error {
+	_, err := fmt.Fprintf(w, "simulated %d of %d epochs, %d clones\n", r.EpochsSimulated, r.EpochsServed, r.Clones)
+	return err
+}
+
+// SaveFile writes the full result (rows, summaries and counts) as JSON atomically,
 // so plots and later analysis do not need to re-run the simulations.
 func (r *Fig4Result) SaveFile(path string) error {
 	return atomicfile.WriteJSON(path, r)

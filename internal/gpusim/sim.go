@@ -7,10 +7,20 @@ import (
 
 // Controller decides the operating-point level each cluster runs in the
 // next epoch, given that cluster's just-completed epoch statistics. It is
-// consulted once per cluster per epoch boundary, in ascending cluster
-// order (so stateful controllers see a deterministic call sequence).
+// consulted once per active cluster per epoch boundary, in ascending
+// cluster order (so stateful controllers see a deterministic call
+// sequence).
 //
-// A nil controller leaves every cluster at the table's default level.
+// The EpochStats it is handed, by value, are all an implementation may know
+// of the run, and the level it returns all it may change: it must not hold
+// or read the Simulator. Two runs of one kernel whose controllers have
+// returned the same levels so far are then the same simulation, which is
+// what lets a caller drive several controllers over one simulator through
+// CloseEpoch and OpenEpoch and Clone it only where their answers part
+// (experiments.RunFig4 does).
+//
+// A nil controller leaves every cluster at the level it is at: the table's
+// default, unless ForceLevel moved it.
 type Controller interface {
 	// Name identifies the mechanism in reports.
 	Name() string
@@ -40,9 +50,14 @@ type Simulator struct {
 	totalInstr    int64
 	lastFinishPs  int64
 
-	// snaps is finalizeEpoch's per-cluster scratch, reused every epoch and
-	// never shared with a Clone. Controllers and observers receive copies.
-	snaps []EpochStats
+	// snaps is CloseEpoch's per-cluster scratch, reused every epoch.
+	// Controllers and observers receive copies. closed is set between
+	// CloseEpoch and OpenEpoch, the only time snaps is still owed to the
+	// observer and so the only time a Clone takes a copy of it.
+	snaps  []EpochStats
+	closed bool
+	// levels is RunUntil's scratch for the controller's answers.
+	levels []int
 }
 
 // isaKernelRef is what the simulator remembers of its kernel: the name.
@@ -145,16 +160,57 @@ func (s *Simulator) epochEndPs() int64 {
 	return int64(s.epochIdx+1) * s.cfg.EpochPs
 }
 
-// finalizeEpoch snapshots every cluster's accumulated counters, charges
-// energy, consults the controller, and opens the next epoch.
-func (s *Simulator) finalizeEpoch() {
+// CloseEpoch runs to the end of the current epoch and closes it: it
+// snapshots every cluster's accumulated counters, charges the epoch's
+// energy and resets the accumulators, consulting neither controller nor
+// observer. It returns the per-cluster statistics, indexed by cluster, and
+// true; the slice is the simulator's scratch, valid until the next
+// CloseEpoch. When every warp finishes first, or simulated time reaches
+// limitPs before every active cluster has reached the boundary, nothing is
+// closed and it returns false.
+//
+// Every CloseEpoch is answered by one OpenEpoch before the simulator runs
+// again. A Clone taken in between is exact: it continues from the same
+// boundary and owes its own OpenEpoch.
+func (s *Simulator) CloseEpoch(limitPs int64) ([]EpochStats, bool) {
+	if s.closed {
+		panic("gpusim: CloseEpoch on a closed epoch; OpenEpoch first")
+	}
+	for {
+		// Find the active cluster with the earliest next tick.
+		var next *cluster
+		for _, c := range s.clusters {
+			if c.done {
+				continue
+			}
+			if next == nil || c.nowPs < next.nowPs {
+				next = c
+			}
+		}
+		if next == nil {
+			return nil, false // all finished
+		}
+		end := s.epochEndPs()
+		if next.nowPs >= end {
+			if end > limitPs {
+				return nil, false
+			}
+			break
+		}
+		if next.nowPs >= limitPs {
+			return nil, false
+		}
+		next.step(s.mem, min(end, limitPs))
+		if next.done && next.lastFinishPs > s.lastFinishPs {
+			s.lastFinishPs = next.lastFinishPs
+		}
+	}
+
 	start := int64(s.epochIdx) * s.cfg.EpochPs
 	end := s.epochEndPs()
-
 	if s.snaps == nil {
 		s.snaps = make([]EpochStats, len(s.clusters))
 	}
-	snaps := s.snaps
 	for i, c := range s.clusters {
 		op := s.cfg.OPs.Point(c.epochLevel)
 		act := c.acc.activity()
@@ -163,7 +219,7 @@ func (s *Simulator) finalizeEpoch() {
 		s.totalEnergyPJ += energy
 		s.totalInstr += c.acc.instructions
 
-		snaps[i] = EpochStats{
+		s.snaps[i] = EpochStats{
 			Cluster:         i,
 			Epoch:           s.epochIdx,
 			StartPs:         start,
@@ -196,55 +252,59 @@ func (s *Simulator) finalizeEpoch() {
 		}
 		c.acc = epochAccum{}
 	}
+	s.closed = true
+	return s.snaps, true
+}
 
+// OpenEpoch opens the next epoch at the boundary CloseEpoch stopped on:
+// cluster i moves to levels[i], clamped to the table, paying the IVR
+// transition if that is a change; then the observer sees the closed epoch's
+// statistics. A finished cluster (WarpsActive == 0 in its statistics) takes
+// no level and its entry is ignored; nil levels leave every cluster where
+// it is.
+func (s *Simulator) OpenEpoch(levels []int) {
+	if !s.closed {
+		panic("gpusim: OpenEpoch without a CloseEpoch")
+	}
+	end := s.epochEndPs()
 	for i, c := range s.clusters {
-		if s.controller != nil && !c.done {
-			level := s.cfg.OPs.Clamp(s.controller.Decide(snaps[i]))
-			c.domain.SetLevel(level, end)
+		if levels != nil && !c.done {
+			c.domain.SetLevel(levels[i], end)
 		}
 		c.epochLevel = c.domain.Level()
 	}
 	if s.observer != nil {
-		for _, snap := range snaps {
+		for _, snap := range s.snaps {
 			s.observer(snap)
 		}
 	}
 	s.epochIdx++
+	s.closed = false
 }
 
 // RunUntil advances the simulation until simulated time reaches targetPs
-// or every warp completes. Epoch boundaries strictly before targetPs are
-// finalized.
+// or every warp completes. Every epoch boundary reached on the way is
+// closed, put to the controller — one Decide per active cluster, in
+// ascending cluster order — and opened at the levels it answers.
 func (s *Simulator) RunUntil(targetPs int64) {
 	for {
-		// Find the active cluster with the earliest next tick.
-		var next *cluster
-		for _, c := range s.clusters {
-			if c.done {
-				continue
-			}
-			if next == nil || c.nowPs < next.nowPs {
-				next = c
-			}
-		}
-		if next == nil {
-			return // all finished
-		}
-		end := s.epochEndPs()
-		if next.nowPs >= end {
-			if end > targetPs {
-				return
-			}
-			s.finalizeEpoch()
-			continue
-		}
-		if next.nowPs >= targetPs {
+		snaps, ok := s.CloseEpoch(targetPs)
+		if !ok {
 			return
 		}
-		next.step(s.mem, min(end, targetPs))
-		if next.done && next.lastFinishPs > s.lastFinishPs {
-			s.lastFinishPs = next.lastFinishPs
+		if s.controller == nil {
+			s.OpenEpoch(nil)
+			continue
 		}
+		if s.levels == nil {
+			s.levels = make([]int, len(s.clusters))
+		}
+		for i, c := range s.clusters {
+			if !c.done {
+				s.levels[i] = s.controller.Decide(snaps[i])
+			}
+		}
+		s.OpenEpoch(s.levels)
 	}
 }
 
@@ -306,6 +366,10 @@ func (s *Simulator) Clone() *Simulator {
 		totalEnergyPJ: s.totalEnergyPJ,
 		totalInstr:    s.totalInstr,
 		lastFinishPs:  s.lastFinishPs,
+		closed:        s.closed,
+	}
+	if s.closed {
+		cp.snaps = append([]EpochStats(nil), s.snaps...)
 	}
 	cp.clusters = make([]*cluster, len(s.clusters))
 	for i, c := range s.clusters {

@@ -2,7 +2,8 @@
 // a clairvoyant per-epoch policy that, at every epoch boundary, clones
 // the simulator and actually measures each operating point's effect on
 // the remaining execution before committing, and a static-best policy
-// that runs the whole program at every fixed level. Both are evaluation
+// that runs the whole program at every fixed level (StaticRuns) and picks
+// one under a loss budget (StaticPick). Both are evaluation
 // tools — they exploit the simulator's Clone support and are impossible
 // on real hardware — used to report how much headroom SSMDVFS leaves:
 // experiments.RunFig4 runs them as the mechanisms "static-best" and
@@ -25,39 +26,51 @@ func EDPObjective(res gpusim.Result) float64 { return res.EDP() }
 // EnergyObjective minimizes energy.
 func EnergyObjective(res gpusim.Result) float64 { return res.EnergyPJ }
 
-// StaticBest runs the kernel once per fixed operating level and returns
-// the per-level results plus the index of the best level whose
-// performance loss (vs the default level) stays within maxLoss.
-func StaticBest(cfg gpusim.Config, kernel gpusim.Kernel, maxLoss float64, obj Objective, maxPs int64) (results []gpusim.Result, best int, err error) {
-	if obj == nil {
-		obj = EDPObjective
-	}
-	levels := cfg.OPs.Len()
-	results = make([]gpusim.Result, levels)
-	for lvl := 0; lvl < levels; lvl++ {
+// StaticRuns runs the kernel to completion once per fixed operating level
+// and returns the results by level. The default level is not simulated:
+// forcing it at t = 0 changes nothing, so its run is base, the
+// default-level run the caller already has. The runs do not depend on a
+// loss budget; StaticPick chooses among them.
+func StaticRuns(cfg gpusim.Config, kernel gpusim.Kernel, base gpusim.Result, maxPs int64) ([]gpusim.Result, error) {
+	results := make([]gpusim.Result, cfg.OPs.Len())
+	for lvl := range results {
+		if lvl == cfg.OPs.Default() {
+			results[lvl] = base
+			continue
+		}
 		sim, err := gpusim.New(cfg, kernel)
 		if err != nil {
-			return nil, 0, err
+			return nil, err
 		}
 		sim.ForceLevel(lvl)
 		results[lvl] = sim.Run(maxPs)
 		if !results[lvl].Completed {
-			return nil, 0, fmt.Errorf("oracle: level %d did not complete within %d ps", lvl, maxPs)
+			return nil, fmt.Errorf("oracle: level %d did not complete within %d ps", lvl, maxPs)
 		}
 	}
-	baseT := results[cfg.OPs.Default()].ExecTimePs
-	best = cfg.OPs.Default()
+	return results, nil
+}
+
+// StaticPick returns the level of StaticRuns' results with the best
+// objective (nil = EDP) among those whose performance loss against the
+// default level stays within maxLoss.
+func StaticPick(results []gpusim.Result, defaultLevel int, maxLoss float64, obj Objective) int {
+	if obj == nil {
+		obj = EDPObjective
+	}
+	baseT := results[defaultLevel].ExecTimePs
+	best := defaultLevel
 	bestScore := obj(results[best])
-	for lvl := 0; lvl < levels; lvl++ {
-		loss := float64(results[lvl].ExecTimePs-baseT) / float64(baseT)
+	for lvl, res := range results {
+		loss := float64(res.ExecTimePs-baseT) / float64(baseT)
 		if loss > maxLoss {
 			continue
 		}
-		if s := obj(results[lvl]); s < bestScore {
+		if s := obj(res); s < bestScore {
 			best, bestScore = lvl, s
 		}
 	}
-	return results, best, nil
+	return best
 }
 
 // GreedyOptions configures the clairvoyant per-epoch search.

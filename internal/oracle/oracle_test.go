@@ -39,12 +39,42 @@ func cfg() gpusim.Config {
 	return c
 }
 
-func TestStaticBestMemoryBoundPicksLowLevel(t *testing.T) {
-	c := cfg()
-	results, best, err := StaticBest(c, memKernel(300), 0.10, EDPObjective, 1_000_000_000_000)
+// staticBest is the static-best search end to end: the default-level run,
+// the other levels' runs, and the pick under maxLoss.
+func staticBest(t *testing.T, c gpusim.Config, k gpusim.Kernel, maxLoss float64, obj Objective) ([]gpusim.Result, int) {
+	t.Helper()
+	const maxPs = 1_000_000_000_000
+	sim, err := gpusim.New(c, k)
 	if err != nil {
 		t.Fatal(err)
 	}
+	results, err := StaticRuns(c, k, sim.Run(maxPs), maxPs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return results, StaticPick(results, c.OPs.Default(), maxLoss, obj)
+}
+
+// TestStaticRunsDefaultLevelIsTheBaseline: the run StaticRuns does not
+// make, the default level forced at t = 0, is the run it is handed.
+func TestStaticRunsDefaultLevelIsTheBaseline(t *testing.T) {
+	c := cfg()
+	for _, k := range []gpusim.Kernel{memKernel(100), cpuKernel(500)} {
+		results, _ := staticBest(t, c, k, 0, nil)
+		forced, err := gpusim.New(c, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		forced.ForceLevel(c.OPs.Default())
+		if got := forced.Run(1_000_000_000_000); got != results[c.OPs.Default()] {
+			t.Fatalf("%s: default level forced at t=0 gives %+v, the baseline %+v", k.Name, got, results[c.OPs.Default()])
+		}
+	}
+}
+
+func TestStaticBestMemoryBoundPicksLowLevel(t *testing.T) {
+	c := cfg()
+	results, best := staticBest(t, c, memKernel(300), 0.10, EDPObjective)
 	if len(results) != c.OPs.Len() {
 		t.Fatalf("got %d results", len(results))
 	}
@@ -55,10 +85,7 @@ func TestStaticBestMemoryBoundPicksLowLevel(t *testing.T) {
 
 func TestStaticBestComputeBoundRespectsBudget(t *testing.T) {
 	c := cfg()
-	results, best, err := StaticBest(c, cpuKernel(2000), 0.05, EDPObjective, 1_000_000_000_000)
-	if err != nil {
-		t.Fatal(err)
-	}
+	results, best := staticBest(t, c, cpuKernel(2000), 0.05, EDPObjective)
 	baseT := results[c.OPs.Default()].ExecTimePs
 	loss := float64(results[best].ExecTimePs-baseT) / float64(baseT)
 	if loss > 0.05+1e-9 {
@@ -68,14 +95,8 @@ func TestStaticBestComputeBoundRespectsBudget(t *testing.T) {
 
 func TestStaticBestObjectives(t *testing.T) {
 	c := cfg()
-	_, bestEDP, err := StaticBest(c, memKernel(200), 0.20, EDPObjective, 1_000_000_000_000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, bestE, err := StaticBest(c, memKernel(200), 0.20, EnergyObjective, 1_000_000_000_000)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, bestEDP := staticBest(t, c, memKernel(200), 0.20, EDPObjective)
+	_, bestE := staticBest(t, c, memKernel(200), 0.20, EnergyObjective)
 	// Energy minimization never prefers a faster level than EDP
 	// minimization (speed only helps the delay term).
 	if bestE > bestEDP {
@@ -86,10 +107,7 @@ func TestStaticBestObjectives(t *testing.T) {
 func TestGreedyBeatsOrMatchesDefaultEDP(t *testing.T) {
 	c := cfg()
 	k := memKernel(250)
-	base, _, err := StaticBest(c, k, 0, EDPObjective, 1_000_000_000_000)
-	if err != nil {
-		t.Fatal(err)
-	}
+	base, _ := staticBest(t, c, k, 0, EDPObjective)
 	defRes := base[c.OPs.Default()]
 
 	res, err := Greedy(c, k, GreedyOptions{Preset: 0.10})
@@ -127,10 +145,7 @@ func TestGreedyBeatsOrMatchesDefaultEDP(t *testing.T) {
 func TestGreedyComputeBoundStaysWithinPreset(t *testing.T) {
 	c := cfg()
 	k := cpuKernel(10000)
-	perLevel, _, err := StaticBest(c, k, 0, EDPObjective, 1_000_000_000_000)
-	if err != nil {
-		t.Fatal(err)
-	}
+	perLevel, _ := staticBest(t, c, k, 0, EDPObjective)
 	def := perLevel[c.OPs.Default()]
 	const preset = 0.10
 	res, err := Greedy(c, k, GreedyOptions{Preset: preset})

@@ -1,12 +1,13 @@
 // Package runner is the deterministic parallel execution engine behind
-// the offline pipeline: datagen suites, preset sweeps, and the Fig. 4 /
-// Fig. 3 generators all shard their independent simulation units across
-// a bounded worker pool through Map. Shards are claimed in index order,
-// results land in a slice indexed by shard, and every shard derives its
-// RNG seed from the base seed and shard index alone — never from worker
-// identity or scheduling — so output is byte-identical to a serial run
-// at any worker count. The first shard error cancels the fleet through
-// the context and is returned wrapped with its shard identity.
+// the offline pipeline: datagen suites and the Fig. 3 generators shard
+// their independent units across a bounded worker pool through Map, and
+// the Fig. 4 grid, whose units fork as they run, through Tasks, the pool
+// Map is written on. Shards are claimed in index order, results land in a
+// slice indexed by shard, and every shard derives its RNG seed from the
+// base seed and shard index alone — never from worker identity or
+// scheduling — so output is byte-identical to a serial run at any worker
+// count. The first shard error cancels the fleet through the context and
+// is returned wrapped with its shard identity.
 package runner
 
 import (
@@ -15,18 +16,17 @@ import (
 	"runtime"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"ssmdvfs/internal/telemetry"
 )
 
-// Options configures one Map run.
+// Options configures one Map or Tasks run.
 type Options struct {
 	// Name labels the run in spans and metrics ("datagen", "fig4", ...).
 	Name string
-	// Workers bounds the pool; <= 0 uses runtime.GOMAXPROCS(0). The pool
-	// never exceeds the shard count.
+	// Workers bounds the pool; <= 0 uses runtime.GOMAXPROCS(0). Map never
+	// starts more workers than it has shards.
 	Workers int
 	// Seed is the base RNG seed mixed into every Shard.Seed.
 	Seed int64
@@ -84,12 +84,85 @@ func Map[T any](ctx context.Context, n int, opts Options, fn func(ctx context.Co
 	if n <= 0 {
 		return nil, nil
 	}
+	if opts.Workers <= 0 {
+		opts.Workers = runtime.GOMAXPROCS(0)
+	}
+	// No shard submits another, so workers beyond n would only idle.
+	opts.Workers = min(opts.Workers, n)
+	results := make([]T, n)
+	err := Tasks(ctx, n, opts, func(ctx context.Context, t *Task) (err error) {
+		results[t.Index], err = fn(ctx, Shard{Index: t.Index, Seed: shardSeed(opts.Seed, t.Index), Worker: t.Worker})
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	return results, nil
+}
+
+// Task is a running task's handle on the pool executing it.
+type Task struct {
+	// Index is the root task this one is, or descends from through Go.
+	Index int
+	// Worker is the executing worker's id in [0, workers): informational,
+	// like Shard.Worker.
+	Worker int
+
+	pool *pool
+	span *telemetry.Span
+}
+
+// Go submits fn as a further task of the same pool and returns at once. Any
+// idle worker may take it — the newest submission first, ahead of every
+// root not yet started, so a tree of tasks is walked depth first and what
+// its unstarted tasks hold stays small — and Tasks does not return before
+// it has run. A failure is reported under the submitting task's Index.
+func (t *Task) Go(fn func(ctx context.Context, t *Task) error) {
+	p := t.pool
+	p.mu.Lock()
+	p.stack = append(p.stack, queued{root: t.Index, fn: fn})
+	p.mu.Unlock()
+	p.cond.Signal()
+}
+
+// SetAttr attaches an attribute to the task's span, when there is a Tracer.
+func (t *Task) SetAttr(k, v string) { t.span.SetAttr(k, v) }
+
+// queued is a task waiting for a worker.
+type queued struct {
+	root int
+	fn   func(ctx context.Context, t *Task) error
+}
+
+// pool is the one worker pool: a stack of waiting tasks and a count of
+// running ones, which may still push.
+type pool struct {
+	mu      sync.Mutex
+	cond    *sync.Cond
+	stack   []queued
+	running int
+	done    int64   // tasks run
+	errs    []error // first failure per root index
+}
+
+// Tasks runs root once per index in [0, n) on a bounded worker pool, lowest
+// index first, together with every task those submit through Task.Go, and
+// returns when all of them have. Unlike Map it does not cap the workers at
+// n: submitted tasks can occupy the rest. Scheduling decides which worker
+// runs a task and when, and must decide nothing else: a task writes its
+// results where its own identity says, never where the order of execution
+// does.
+//
+// Cancellation, telemetry and spans are Map's — a task is a shard: the
+// first error stops workers from starting further tasks and is returned as
+// a *ShardError carrying the lowest failing root index.
+func Tasks(ctx context.Context, n int, opts Options, root func(ctx context.Context, t *Task) error) error {
+	if n <= 0 {
+		return nil
+	}
 	workers := opts.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
 	}
 	name := opts.Name
 	if name == "" {
@@ -105,10 +178,12 @@ func Map[T any](ctx context.Context, n int, opts Options, fn func(ctx context.Co
 		shardUs = opts.Telemetry.Histogram("runner_shard_us", "runner", name)
 	}
 
-	results := make([]T, n)
-	errs := make([]error, n)
-	var next, done atomic.Int64
-	var failed atomic.Bool
+	p := &pool{stack: make([]queued, n), errs: make([]error, n)}
+	p.cond = sync.NewCond(&p.mu)
+	for i := range p.stack {
+		// Root 0 on top: the stack pops from the end.
+		p.stack[i] = queued{root: n - 1 - i, fn: root}
+	}
 	start := time.Now()
 
 	var wg sync.WaitGroup
@@ -123,51 +198,83 @@ func Map[T any](ctx context.Context, n int, opts Options, fn func(ctx context.Co
 				}
 			}()
 			for {
-				i := int(next.Add(1)) - 1
-				if i >= n || ctx.Err() != nil {
+				q, ok := p.take(ctx)
+				if !ok {
 					return
 				}
-				sp := opts.Tracer.Start(name+":shard", "shard", strconv.Itoa(i))
+				sp := opts.Tracer.Start(name+":shard", "shard", strconv.Itoa(q.root))
 				sp.SetCat("runner")
 				sp.SetTID(worker + 1)
 				t0 := time.Now()
-				res, err := fn(ctx, Shard{Index: i, Seed: shardSeed(opts.Seed, i), Worker: worker})
+				err := q.fn(ctx, &Task{Index: q.root, Worker: worker, pool: p, span: sp})
 				busy += time.Since(t0)
 				if shardUs != nil {
 					shardUs.Observe(time.Since(t0).Microseconds())
 				}
 				sp.End()
-				done.Add(1)
 				if err != nil {
-					errs[i] = err
-					failed.Store(true)
 					cancel()
-					return
 				}
-				results[i] = res
+				p.finish(q.root, err)
 			}
 		}(w)
 	}
 	wg.Wait()
 
 	if opts.Telemetry != nil {
-		opts.Telemetry.Counter("runner_shards_total", "runner", name).Add(done.Load())
+		opts.Telemetry.Counter("runner_shards_total", "runner", name).Add(p.done)
 		opts.Telemetry.Histogram("runner_wall_us", "runner", name).Observe(time.Since(start).Microseconds())
 	}
-	if failed.Load() {
-		for i, err := range errs {
-			if err != nil {
-				if opts.Telemetry != nil {
-					opts.Telemetry.Counter("runner_shard_errors_total", "runner", name).Add(1)
-				}
-				return nil, &ShardError{Name: name, Index: i, Err: err}
+	for i, err := range p.errs {
+		if err != nil {
+			if opts.Telemetry != nil {
+				opts.Telemetry.Counter("runner_shard_errors_total", "runner", name).Add(1)
 			}
+			return &ShardError{Name: name, Index: i, Err: err}
 		}
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
+	return ctx.Err()
+}
+
+// take pops the newest waiting task, blocking while there is none but a
+// running task may still submit one. It reports false once the pool has
+// drained or ctx is cancelled.
+func (p *pool) take(ctx context.Context) (queued, bool) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for {
+		if ctx.Err() != nil {
+			return queued{}, false
+		}
+		if last := len(p.stack) - 1; last >= 0 {
+			q := p.stack[last]
+			p.stack[last] = queued{}
+			p.stack = p.stack[:last]
+			p.running++
+			return q, true
+		}
+		if p.running == 0 {
+			return queued{}, false
+		}
+		p.cond.Wait()
 	}
-	return results, nil
+}
+
+// finish retires a running task, keeping the first error of its root, and
+// wakes the waiting workers when there is something for them to see: the
+// pool drained, or a failure cancelled it.
+func (p *pool) finish(root int, err error) {
+	p.mu.Lock()
+	p.running--
+	p.done++
+	if err != nil && p.errs[root] == nil {
+		p.errs[root] = err
+	}
+	wake := err != nil || p.running == 0
+	p.mu.Unlock()
+	if wake {
+		p.cond.Broadcast()
+	}
 }
 
 // shardSeed mixes the base seed and shard index through a splitmix64

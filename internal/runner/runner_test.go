@@ -167,3 +167,150 @@ func TestMapTelemetryAndSpans(t *testing.T) {
 		t.Fatalf("spans cover %d distinct shards, want 10", len(shardSeen))
 	}
 }
+
+// tree submits a binary tree of tasks of the given depth under each of n
+// roots and returns, per root, how many tasks ran under its Index.
+func tree(t *testing.T, n, depth, workers int) []int64 {
+	t.Helper()
+	ran := make([]atomic.Int64, n)
+	var node func(depth int) func(context.Context, *Task) error
+	node = func(depth int) func(context.Context, *Task) error {
+		return func(_ context.Context, task *Task) error {
+			ran[task.Index].Add(1)
+			if depth > 0 {
+				task.Go(node(depth - 1))
+				task.Go(node(depth - 1))
+			}
+			return nil
+		}
+	}
+	if err := Tasks(context.Background(), n, Options{Workers: workers}, node(depth)); err != nil {
+		t.Fatalf("workers=%d: %v", workers, err)
+	}
+	out := make([]int64, n)
+	for i := range ran {
+		out[i] = ran[i].Load()
+	}
+	return out
+}
+
+func TestTasksRunEverySubmittedTask(t *testing.T) {
+	for _, workers := range []int{0, 1, 2, 7, 64} {
+		for i, n := range tree(t, 5, 6, workers) {
+			if n != 127 { // 2^7 - 1 nodes
+				t.Fatalf("workers=%d: %d tasks ran under root %d, want 127", workers, n, i)
+			}
+		}
+	}
+}
+
+// TestTasksNewestFirst: one worker walks the roots in index order and each
+// root's tree depth first — the newest submission ahead of older ones and
+// of every root not yet started.
+func TestTasksNewestFirst(t *testing.T) {
+	var order []string
+	visit := func(name string, children ...func(context.Context, *Task) error) func(context.Context, *Task) error {
+		return func(_ context.Context, task *Task) error {
+			order = append(order, fmt.Sprintf("%d%s", task.Index, name))
+			for _, c := range children {
+				task.Go(c)
+			}
+			return nil
+		}
+	}
+	root := visit("", visit("a", visit("a1"), visit("a2")), visit("b"))
+	if err := Tasks(context.Background(), 2, Options{Workers: 1}, root); err != nil {
+		t.Fatal(err)
+	}
+	want := "0 0b 0a 0a2 0a1 1 1b 1a 1a2 1a1"
+	if got := fmt.Sprint(order); got != "["+want+"]" {
+		t.Fatalf("one worker ran %v, want [%s]", order, want)
+	}
+}
+
+// TestTasksOneRootUsesIdleWorkers: a task submitted by the only root runs
+// on another worker while the root is still running. The root waits for
+// it, so the test hangs (and times out) rather than passes if only roots
+// ever get a worker.
+func TestTasksOneRootUsesIdleWorkers(t *testing.T) {
+	var rootWorker, childWorker int
+	err := Tasks(context.Background(), 1, Options{Workers: 2}, func(_ context.Context, task *Task) error {
+		rootWorker = task.Worker
+		started := make(chan int)
+		task.Go(func(_ context.Context, child *Task) error {
+			started <- child.Worker
+			return nil
+		})
+		childWorker = <-started
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rootWorker == childWorker {
+		t.Fatalf("root and the task it was waiting for both ran on worker %d", rootWorker)
+	}
+}
+
+func TestTasksErrorCarriesRootIdentityAndStopsThePool(t *testing.T) {
+	boom := errors.New("boom")
+	var ran atomic.Int64
+	err := Tasks(context.Background(), 100, Options{Name: "tree", Workers: 2},
+		func(_ context.Context, task *Task) error {
+			ran.Add(1)
+			if task.Index == 3 {
+				task.Go(func(context.Context, *Task) error { return fmt.Errorf("leaf: %w", boom) })
+			}
+			return nil
+		})
+	var se *ShardError
+	if !errors.As(err, &se) || se.Name != "tree" || se.Index != 3 || !errors.Is(err, boom) {
+		t.Fatalf("got %v, want a *ShardError for root 3 of tree wrapping boom", err)
+	}
+	if n := ran.Load(); n >= 100 {
+		t.Fatalf("all %d roots ran despite the failure under root 3", n)
+	}
+}
+
+func TestTasksTelemetryAndSpansCoverSubmittedTasks(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	var spansBuf bytes.Buffer
+	tracer := telemetry.NewTracer(&spansBuf)
+	err := Tasks(context.Background(), 2, Options{Name: "tr", Workers: 3, Telemetry: reg, Tracer: tracer},
+		func(_ context.Context, task *Task) error {
+			task.SetAttr("kind", "root")
+			task.Go(func(_ context.Context, child *Task) error {
+				child.SetAttr("kind", "leaf")
+				return nil
+			})
+			return nil
+		})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tracer.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	snap := reg.Snapshot()
+	if n := snap.Counters[telemetry.MetricID("runner_shards_total", "runner", "tr")]; n != 4 {
+		t.Fatalf("runner_shards_total = %d, want 4", n)
+	}
+	// Not capped at the two roots: the tasks they submit can use the third.
+	if w := snap.Gauges[telemetry.MetricID("runner_workers", "runner", "tr")]; w != 3 {
+		t.Fatalf("runner_workers = %g, want 3", w)
+	}
+	spans, err := telemetry.ReadSpans(&spansBuf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kinds := map[string]int{}
+	for _, sp := range spans {
+		if sp.Name != "tr:shard" || sp.TID < 1 || sp.TID > 3 {
+			t.Fatalf("unexpected span %+v", sp)
+		}
+		kinds[sp.Attrs["kind"]+sp.Attrs["shard"]]++
+	}
+	if len(spans) != 4 || kinds["root0"] != 1 || kinds["root1"] != 1 || kinds["leaf0"] != 1 || kinds["leaf1"] != 1 {
+		t.Fatalf("spans %v, want a root and a leaf under each of shards 0 and 1", kinds)
+	}
+}
