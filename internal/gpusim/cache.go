@@ -15,9 +15,6 @@ type cache struct {
 	// lru[set*ways+way] is a recency stamp; larger = more recent.
 	lru   []uint64
 	stamp uint64
-
-	hits   int64
-	misses int64
 }
 
 func log2i(v int) uint {
@@ -42,68 +39,36 @@ func newCache(cfg CacheConfig) *cache {
 	}
 }
 
-// lookup probes the cache for the line containing addr, updating LRU on a
-// hit. It does not allocate on a miss; callers decide allocation policy.
-func (c *cache) lookup(addr uint64) bool {
+// access looks up the line containing addr and reports whether it hit. A
+// hit makes the line most recent; a miss fills it, into the set's first
+// invalid way or else over its least recently used one — lookup and fill in
+// one scan of the set. Lines are never invalidated, so a set's valid ways
+// are a prefix of it: the first invalid way ends the scan as a miss.
+func (c *cache) access(addr uint64) bool {
 	line := addr >> c.lineShift
-	set := int(line & c.setMask)
-	base := set * c.ways
-	for w := 0; w < c.ways; w++ {
-		if c.valid[base+w] && c.tags[base+w] == line {
-			c.stamp++
-			c.lru[base+w] = c.stamp
-			c.hits++
-			return true
-		}
-	}
-	c.misses++
-	return false
-}
-
-// fill inserts the line containing addr, evicting the LRU way if needed.
-func (c *cache) fill(addr uint64) {
-	line := addr >> c.lineShift
-	set := int(line & c.setMask)
-	base := set * c.ways
-	victim := base
-	for w := 0; w < c.ways; w++ {
-		i := base + w
-		if !c.valid[i] {
-			victim = i
+	base := int(line&c.setMask) * c.ways
+	tags := c.tags[base : base+c.ways]
+	valid := c.valid[base : base+c.ways]
+	lru := c.lru[base : base+c.ways]
+	c.stamp++
+	victim := 0
+	for w, tag := range tags {
+		if !valid[w] {
+			victim = w
 			break
 		}
-		if c.lru[i] < c.lru[victim] {
-			victim = i
-		}
-	}
-	c.stamp++
-	c.tags[victim] = line
-	c.valid[victim] = true
-	c.lru[victim] = c.stamp
-}
-
-// contains probes without touching LRU or hit/miss counters (test helper).
-func (c *cache) contains(addr uint64) bool {
-	line := addr >> c.lineShift
-	set := int(line & c.setMask)
-	base := set * c.ways
-	for w := 0; w < c.ways; w++ {
-		if c.valid[base+w] && c.tags[base+w] == line {
+		if tag == line {
+			lru[w] = c.stamp
 			return true
 		}
+		if lru[w] < lru[victim] {
+			victim = w
+		}
 	}
+	tags[victim] = line
+	valid[victim] = true
+	lru[victim] = c.stamp
 	return false
-}
-
-// reset clears contents and statistics.
-func (c *cache) reset() {
-	for i := range c.valid {
-		c.valid[i] = false
-		c.lru[i] = 0
-	}
-	c.stamp = 0
-	c.hits = 0
-	c.misses = 0
 }
 
 // clone returns a deep copy (for simulator state snapshots).
@@ -117,8 +82,6 @@ func (c *cache) clone() *cache {
 		valid:     append([]bool(nil), c.valid...),
 		lru:       append([]uint64(nil), c.lru...),
 		stamp:     c.stamp,
-		hits:      c.hits,
-		misses:    c.misses,
 	}
 	return cp
 }

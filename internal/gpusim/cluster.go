@@ -82,9 +82,11 @@ func newCluster(id int, cfg *Config, kernel *isa.Kernel) *cluster {
 	c.warps = make([]warp, kernel.WarpsPerCluster)
 	c.sched = make([]warpSched, kernel.WarpsPerCluster)
 	for i := range c.warps {
+		prog := &kernel.Programs[i%len(kernel.Programs)]
 		c.warps[i] = warp{
-			prog: &kernel.Programs[i%len(kernel.Programs)],
-			id:   id*kernel.WarpsPerCluster + i,
+			body:       prog.Body,
+			iterations: prog.Iterations,
+			id:         id*kernel.WarpsPerCluster + i,
 		}
 	}
 	return c
@@ -145,17 +147,17 @@ func (c *cluster) tryIssue(w *warp, mem *memSystem, nowPs, period int64, aluLeft
 	}
 	ins := w.current()
 
-	// Scoreboard: RAW on sources, WAW on destination.
-	for _, r := range [...]isa.Reg{ins.SrcA, ins.SrcB, ins.Dst} {
-		if r == 0 {
-			continue
-		}
-		if ready := w.regReadyPs[r]; ready > nowPs {
-			if w.regFromLoad[r] {
-				return stallMemLoadR, ready
-			}
-			return stallComputeR, ready
-		}
+	// Scoreboard: RAW on sources, WAW on destination, in that order.
+	// Register 0 is never written (writeReg), so its ready time stays 0 and
+	// it never blocks.
+	if ready := w.regReadyPs[ins.SrcA&regMask]; ready > nowPs {
+		return w.regStall(ins.SrcA), ready
+	}
+	if ready := w.regReadyPs[ins.SrcB&regMask]; ready > nowPs {
+		return w.regStall(ins.SrcB), ready
+	}
+	if ready := w.regReadyPs[ins.Dst&regMask]; ready > nowPs {
+		return w.regStall(ins.Dst), ready
 	}
 
 	cfg := c.cfg
@@ -233,8 +235,8 @@ func (c *cluster) writeReg(w *warp, r isa.Reg, readyPs int64, fromLoad bool) {
 	if r == 0 {
 		return
 	}
-	w.regReadyPs[r] = readyPs
-	w.regFromLoad[r] = fromLoad
+	w.regReadyPs[r&regMask] = readyPs
+	w.regFromLoad[r&regMask] = fromLoad
 }
 
 // accessLoad walks the load's cache lines through L1 (and L2/DRAM on
@@ -244,7 +246,7 @@ func (c *cluster) accessLoad(w *warp, ins *isa.Instruction, mem *memSystem, nowP
 	hitLat := nowPs + int64(c.cfg.L1HitCycles)*period
 	done := hitLat
 	for _, addr := range c.lineBuf {
-		if c.l1.lookup(addr) {
+		if c.l1.access(addr) {
 			c.acc.l1ReadHits++
 			continue
 		}
@@ -259,7 +261,6 @@ func (c *cluster) accessLoad(w *warp, ins *isa.Instruction, mem *memSystem, nowP
 		if dram {
 			c.acc.dramLines++
 		}
-		c.l1.fill(addr)
 		if t > done {
 			done = t
 		}

@@ -41,7 +41,7 @@ func (m *memSystem) channel(addr uint64) int {
 // DRAM line transfer occurred.
 func (m *memSystem) readLine(addr uint64, nowPs int64) (donePs int64, l2Hit, dram bool) {
 	t := nowPs + m.l2LatencyPs
-	if m.l2.lookup(addr) {
+	if m.l2.access(addr) {
 		return t, true, false
 	}
 	ch := m.channel(addr)
@@ -51,7 +51,6 @@ func (m *memSystem) readLine(addr uint64, nowPs int64) (donePs int64, l2Hit, dra
 	}
 	m.chanFreePs[ch] = start + m.lineServicePs
 	m.dramReadLines++
-	m.l2.fill(addr)
 	return start + m.lineServicePs + m.dramLatencyPs, false, true
 }
 
@@ -62,7 +61,7 @@ func (m *memSystem) readLine(addr uint64, nowPs int64) (donePs int64, l2Hit, dra
 // the simulator has no consumers of store data.
 func (m *memSystem) writeLine(addr uint64, nowPs int64) (donePs int64, l2Hit, dram bool) {
 	t := nowPs + m.l2LatencyPs
-	if m.l2.lookup(addr) {
+	if m.l2.access(addr) {
 		return t, true, false
 	}
 	ch := m.channel(addr)
@@ -72,7 +71,6 @@ func (m *memSystem) writeLine(addr uint64, nowPs int64) (donePs int64, l2Hit, dr
 	}
 	m.chanFreePs[ch] = start + m.lineServicePs
 	m.dramWriteLines++
-	m.l2.fill(addr)
 	return start + m.lineServicePs, false, true
 }
 

@@ -58,11 +58,13 @@ type Simulator struct {
 	closed bool
 	// levels is RunUntil's scratch for the controller's answers.
 	levels []int
+	// clocks is CloseEpoch's scratch: every cluster's next tick.
+	clocks []int64
 }
 
 // isaKernelRef is what the simulator remembers of its kernel: the name.
-// Warps point into New's private copy of the programs, which nothing
-// mutates afterwards.
+// Each warp holds its program's iteration count and body slice; nothing
+// writes through a body.
 type isaKernelRef struct {
 	name string
 }
@@ -75,18 +77,14 @@ func New(cfg Config, kernel Kernel) (*Simulator, error) {
 	if err := kernel.Validate(); err != nil {
 		return nil, err
 	}
-	// Copy the kernel so callers cannot mutate shared program state.
-	k := kernel
-	k.Programs = append([]Program(nil), kernel.Programs...)
-
 	s := &Simulator{
 		cfg:    cfg,
-		kernel: isaKernelRef{name: k.Name},
+		kernel: isaKernelRef{name: kernel.Name},
 		mem:    newMemSystem(cfg),
 	}
 	s.clusters = make([]*cluster, cfg.Clusters)
 	for i := range s.clusters {
-		s.clusters[i] = newCluster(i, &s.cfg, &k)
+		s.clusters[i] = newCluster(i, &s.cfg, &kernel)
 	}
 	return s, nil
 }
@@ -176,38 +174,47 @@ func (s *Simulator) CloseEpoch(limitPs int64) ([]EpochStats, bool) {
 	if s.closed {
 		panic("gpusim: CloseEpoch on a closed epoch; OpenEpoch first")
 	}
+	// clocks[i] is cluster i's next tick, math.MaxInt64 once it is done:
+	// the earliest active cluster is found without touching the clusters.
+	if s.clocks == nil {
+		s.clocks = make([]int64, len(s.clusters))
+	}
+	clocks := s.clocks
+	for i, c := range s.clusters {
+		clocks[i] = clockOf(c)
+	}
+	end := s.epochEndPs()
+	stepTo := min(end, limitPs)
 	for {
-		// Find the active cluster with the earliest next tick.
-		var next *cluster
-		for _, c := range s.clusters {
-			if c.done {
-				continue
-			}
-			if next == nil || c.nowPs < next.nowPs {
-				next = c
+		// The active cluster with the earliest next tick; the lowest index
+		// on a tie.
+		next, now := 0, clocks[0]
+		for i, t := range clocks[1:] {
+			if t < now {
+				next, now = i+1, t
 			}
 		}
-		if next == nil {
+		if now == math.MaxInt64 {
 			return nil, false // all finished
 		}
-		end := s.epochEndPs()
-		if next.nowPs >= end {
+		if now >= end {
 			if end > limitPs {
 				return nil, false
 			}
 			break
 		}
-		if next.nowPs >= limitPs {
+		if now >= limitPs {
 			return nil, false
 		}
-		next.step(s.mem, min(end, limitPs))
-		if next.done && next.lastFinishPs > s.lastFinishPs {
-			s.lastFinishPs = next.lastFinishPs
+		c := s.clusters[next]
+		c.step(s.mem, stepTo)
+		clocks[next] = clockOf(c)
+		if c.done && c.lastFinishPs > s.lastFinishPs {
+			s.lastFinishPs = c.lastFinishPs
 		}
 	}
 
 	start := int64(s.epochIdx) * s.cfg.EpochPs
-	end := s.epochEndPs()
 	if s.snaps == nil {
 		s.snaps = make([]EpochStats, len(s.clusters))
 	}
@@ -254,6 +261,15 @@ func (s *Simulator) CloseEpoch(limitPs int64) ([]EpochStats, bool) {
 	}
 	s.closed = true
 	return s.snaps, true
+}
+
+// clockOf is a cluster's entry in CloseEpoch's clock array: its next tick,
+// or math.MaxInt64 once it is done, so it is never the earliest.
+func clockOf(c *cluster) int64 {
+	if c.done {
+		return math.MaxInt64
+	}
+	return c.nowPs
 }
 
 // OpenEpoch opens the next epoch at the boundary CloseEpoch stopped on:

@@ -5,8 +5,11 @@ import "ssmdvfs/internal/isa"
 // warp is the dynamic state of one executing warp: program position,
 // scoreboard, and pacing. All times are absolute picoseconds.
 type warp struct {
-	prog *isa.Program
-	id   int // warp index within the cluster (used for address generation)
+	// body and iterations are the warp's program: the loop body it runs
+	// and how many times.
+	body       []isa.Instruction
+	iterations int
+	id         int // warp index within the cluster (used for address generation)
 
 	pc       int
 	iter     int
@@ -24,18 +27,35 @@ type warp struct {
 	issued int64
 }
 
+// regMask maps a register to its scoreboard slot. isa.Validate bounds every
+// register below MaxRegs, so the mask changes no index; it only tells the
+// compiler the index is in range, which the hot path would otherwise check.
+const regMask = isa.MaxRegs - 1
+
+// MaxRegs must be a power of two for regMask to be a mask.
+const _ uint = -(isa.MaxRegs & regMask)
+
+// regStall is the stall reason for a scoreboard block on register r: memory
+// when its pending writer is a global load, compute otherwise.
+func (w *warp) regStall(r isa.Reg) stallReason {
+	if w.regFromLoad[r&regMask] {
+		return stallMemLoadR
+	}
+	return stallComputeR
+}
+
 func (w *warp) current() *isa.Instruction {
-	return &w.prog.Body[w.pc]
+	return &w.body[w.pc]
 }
 
 // advance moves to the next instruction, retiring the warp when the last
 // iteration of the body completes.
 func (w *warp) advance() {
 	w.pc++
-	if w.pc == len(w.prog.Body) {
+	if w.pc == len(w.body) {
 		w.pc = 0
 		w.iter++
-		if w.iter >= w.prog.Iterations {
+		if w.iter >= w.iterations {
 			w.finished = true
 		}
 	}

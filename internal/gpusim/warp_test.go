@@ -93,7 +93,7 @@ func TestWarpAdvanceRetires(t *testing.T) {
 		Body:       []isa.Instruction{{Op: isa.OpIAlu, Dst: 1}, {Op: isa.OpIAlu, Dst: 2}},
 		Iterations: 3,
 	}
-	w := warp{prog: &prog}
+	w := warp{body: prog.Body, iterations: prog.Iterations}
 	steps := 0
 	for !w.finished {
 		w.advance()
