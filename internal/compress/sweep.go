@@ -2,6 +2,7 @@ package compress
 
 import (
 	"fmt"
+	"sync"
 
 	"ssmdvfs/internal/core"
 	"ssmdvfs/internal/datagen"
@@ -135,27 +136,38 @@ func PruneModel(m *core.Model, ds *datagen.Dataset, opts PruneOptions) (*core.Mo
 }
 
 // fineTune retrains both pruned heads with masks in force, using the
-// model's existing scalers.
+// model's existing scalers. The heads share no rows, seeds or optimizer,
+// so the Calibrator trains on a goroutine of its own while the
+// Decision-maker trains on this one; the Decision-maker's error is
+// returned first.
 func fineTune(m *core.Model, ds *datagen.Dataset, opts PruneOptions) error {
+	var cErr error
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		cRows, cTargets := ds.CalibratorRows(m.FeatureIdx)
+		y := make([]float64, len(cTargets))
+		for i, t := range cTargets {
+			y[i] = t / m.TargetScale
+		}
+		cSet := nn.RegressionSet{X: m.CalibScaler.TransformAll(cRows), Y: y}
+		_, cErr = nn.TrainRegressor(m.Calibrator, cSet, nn.TrainConfig{
+			Epochs: opts.FineTuneEpochs, BatchSize: opts.BatchSize,
+			Optimizer: nn.NewAdam(opts.LearningRate), Seed: opts.Seed + 1,
+		})
+	}()
 	dRows, dLabels := m.DecisionRowsFor(ds, opts.Seed+2)
 	dSet := nn.ClassificationSet{X: m.DecisionScaler.TransformAll(dRows), Labels: dLabels}
-	if _, err := nn.TrainClassifier(m.Decision, dSet, nn.TrainConfig{
+	_, dErr := nn.TrainClassifier(m.Decision, dSet, nn.TrainConfig{
 		Epochs: opts.FineTuneEpochs, BatchSize: opts.BatchSize,
 		Optimizer: nn.NewAdam(opts.LearningRate), Seed: opts.Seed,
-	}); err != nil {
-		return err
-	}
-	cRows, cTargets := ds.CalibratorRows(m.FeatureIdx)
-	y := make([]float64, len(cTargets))
-	for i, t := range cTargets {
-		y[i] = t / m.TargetScale
-	}
-	cSet := nn.RegressionSet{X: m.CalibScaler.TransformAll(cRows), Y: y}
-	_, err := nn.TrainRegressor(m.Calibrator, cSet, nn.TrainConfig{
-		Epochs: opts.FineTuneEpochs, BatchSize: opts.BatchSize,
-		Optimizer: nn.NewAdam(opts.LearningRate), Seed: opts.Seed + 1,
 	})
-	return err
+	wg.Wait()
+	if dErr != nil {
+		return dErr
+	}
+	return cErr
 }
 
 // PrunePoint prunes a trained model at one (x1, x2) grid point and

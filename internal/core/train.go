@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"sync"
 
 	"ssmdvfs/internal/counters"
 	"ssmdvfs/internal/datagen"
@@ -112,22 +113,46 @@ func Train(ds *datagen.Dataset, opts TrainOptions) (*Model, Report, error) {
 	rep.ValSamples = len(val.Samples)
 
 	m := &Model{
-		FeatureIdx: append([]int(nil), opts.FeatureIdx...),
-		Levels:     ds.Levels,
+		FeatureIdx:    append([]int(nil), opts.FeatureIdx...),
+		Levels:        ds.Levels,
+		PresetSamples: opts.PresetSamples,
 	}
 
-	m.PresetSamples = opts.PresetSamples
+	// The two heads are independent: disjoint rows, seeds and optimizers,
+	// and each writes only its own fields of m and rep. The Calibrator
+	// trains on a goroutine of its own while the Decision-maker trains on
+	// this one, and both are what they are when trained one after the other.
+	var cErr error
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		cErr = trainCalibrator(m, &rep, train, val, opts)
+	}()
+	dErr := trainDecision(m, &rep, ds, train, val, opts)
+	wg.Wait()
+	if dErr != nil {
+		return nil, rep, dErr
+	}
+	if cErr != nil {
+		return nil, rep, cErr
+	}
+	rep.FLOPs = m.FLOPs()
+	return m, rep, nil
+}
 
-	// Decision head. Preset-sampled rows need each feature window's
-	// complete per-level loss vector, so they are generated from the full
-	// dataset and split at row granularity; the paper-faithful rows split
-	// at sample granularity.
+// trainDecision fits the Decision-maker head of m and sets its validation
+// accuracy in rep.
+func trainDecision(m *Model, rep *Report, ds, train, val *datagen.Dataset, opts TrainOptions) error {
+	// Preset-sampled rows need each feature window's complete per-level
+	// loss vector, so they are generated from the full dataset and split at
+	// row granularity; the paper-faithful rows split at sample granularity.
 	var dTrainRows, dValRows [][]float64
 	var dTrainLabels, dValLabels []int
 	if opts.PresetSamples > 0 {
 		rows, labels := ds.DecisionRowsPresetSampled(m.FeatureIdx, opts.PresetSamples, opts.Seed+11)
 		if len(rows) == 0 {
-			return nil, rep, fmt.Errorf("core: no complete feature-window groups for preset sampling")
+			return fmt.Errorf("core: no complete feature-window groups for preset sampling")
 		}
 		perm := rand.New(rand.NewSource(opts.Seed + 12)).Perm(len(rows))
 		nTrain := int(float64(len(rows)) * (1 - opts.ValFraction))
@@ -145,16 +170,16 @@ func Train(ds *datagen.Dataset, opts TrainOptions) (*Model, Report, error) {
 		dValRows, dValLabels = val.DecisionRows(m.FeatureIdx)
 	}
 	if len(dTrainRows) == 0 || len(dValRows) == 0 {
-		return nil, rep, fmt.Errorf("core: dataset too small for a train/val split")
+		return fmt.Errorf("core: dataset too small for a train/val split")
 	}
 	var err error
 	if m.DecisionScaler, err = counters.FitScaler(dTrainRows); err != nil {
-		return nil, rep, err
+		return err
 	}
 	dSizes := append([]int{len(m.FeatureIdx) + 1}, opts.Arch.DecisionHidden...)
 	dSizes = append(dSizes, ds.Levels)
 	if m.Decision, err = nn.NewMLP(dSizes, rand.New(rand.NewSource(opts.Seed))); err != nil {
-		return nil, rep, err
+		return err
 	}
 	dTrainSet := nn.ClassificationSet{X: m.DecisionScaler.TransformAll(dTrainRows), Labels: dTrainLabels}
 	dValSet := nn.ClassificationSet{X: m.DecisionScaler.TransformAll(dValRows), Labels: dValLabels}
@@ -162,15 +187,20 @@ func Train(ds *datagen.Dataset, opts TrainOptions) (*Model, Report, error) {
 		Epochs: opts.Epochs, BatchSize: opts.BatchSize,
 		Optimizer: nn.NewAdam(opts.LearningRate), Seed: opts.Seed + 1,
 	}); err != nil {
-		return nil, rep, err
+		return err
 	}
 	rep.Accuracy = nn.EvalClassifier(m.Decision, dValSet)
+	return nil
+}
 
-	// Calibrator head.
+// trainCalibrator fits the Calibrator head of m and sets its validation
+// MAPE in rep.
+func trainCalibrator(m *Model, rep *Report, train, val *datagen.Dataset, opts TrainOptions) error {
 	cTrainRows, cTrainTargets := train.CalibratorRows(m.FeatureIdx)
 	cValRows, cValTargets := val.CalibratorRows(m.FeatureIdx)
+	var err error
 	if m.CalibScaler, err = counters.FitScaler(cTrainRows); err != nil {
-		return nil, rep, err
+		return err
 	}
 	m.TargetScale = meanAbs(cTrainTargets)
 	if m.TargetScale <= 0 {
@@ -179,20 +209,18 @@ func Train(ds *datagen.Dataset, opts TrainOptions) (*Model, Report, error) {
 	cSizes := append([]int{len(m.FeatureIdx) + 2}, opts.Arch.CalibratorHidden...)
 	cSizes = append(cSizes, 1)
 	if m.Calibrator, err = nn.NewMLP(cSizes, rand.New(rand.NewSource(opts.Seed+2))); err != nil {
-		return nil, rep, err
+		return err
 	}
 	cTrainSet := nn.RegressionSet{X: m.CalibScaler.TransformAll(cTrainRows), Y: scaleAll(cTrainTargets, 1/m.TargetScale)}
 	if _, err = nn.TrainRegressor(m.Calibrator, cTrainSet, nn.TrainConfig{
 		Epochs: opts.Epochs, BatchSize: opts.BatchSize,
 		Optimizer: nn.NewAdam(opts.LearningRate), Seed: opts.Seed + 3,
 	}); err != nil {
-		return nil, rep, err
+		return err
 	}
 	cValSet := nn.RegressionSet{X: m.CalibScaler.TransformAll(cValRows), Y: scaleAll(cValTargets, 1/m.TargetScale)}
 	rep.MAPE = nn.EvalRegressor(m.Calibrator, cValSet)
-
-	rep.FLOPs = m.FLOPs()
-	return m, rep, nil
+	return nil
 }
 
 // decisionRows picks the Decision head's row formulation.

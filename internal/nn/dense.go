@@ -67,21 +67,33 @@ func (d *Dense) ForwardInto(x, y []float64) {
 	}
 }
 
-// Backward accumulates gradients given the layer input x and the upstream
-// gradient dy, and returns dx. Call ZeroGrad before each minibatch.
-func (d *Dense) Backward(x, dy []float64) []float64 {
-	dx := make([]float64, d.In)
-	for o := 0; o < d.Out; o++ {
-		g := dy[o]
+// Backward accumulates the gradients of W and B given the layer input x
+// and the upstream gradient dy, and writes the gradient with respect to x
+// into dx (length In). A nil dx is not computed: the network input needs
+// none. Call ZeroGrad before each minibatch.
+func (d *Dense) Backward(x, dy, dx []float64) {
+	in := d.In
+	x = x[:in]
+	clear(dx)
+	for o, g := range dy[:d.Out] {
+		// A zero upstream gradient (the unit's ReLU was off) would add only
+		// signed zeros, and those leave every sum here as it is: each starts
+		// at +0, and a sum of finite terms that starts at +0 is never -0.
+		if g == 0 {
+			continue
+		}
 		d.GradB[o] += g
-		row := d.W[o*d.In : (o+1)*d.In]
-		grow := d.GradW[o*d.In : (o+1)*d.In]
+		grow := d.GradW[o*in:][:in]
 		for i, xi := range x {
 			grow[i] += g * xi
-			dx[i] += row[i] * g
+		}
+		if dx != nil {
+			dx := dx[:in]
+			for i, w := range d.W[o*in:][:in] {
+				dx[i] += w * g
+			}
 		}
 	}
-	return dx
 }
 
 // ZeroGrad clears accumulated gradients.

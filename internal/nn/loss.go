@@ -5,26 +5,30 @@ import (
 	"math"
 )
 
-// Softmax returns the softmax of logits in a fresh slice, computed
-// stably by subtracting the max logit.
+// Softmax returns the softmax of logits in a fresh slice.
 func Softmax(logits []float64) []float64 {
+	return softmaxInto(make([]float64, len(logits)), logits)
+}
+
+// softmaxInto writes the softmax of logits into dst and returns it,
+// computed stably by subtracting the max logit.
+func softmaxInto(dst, logits []float64) []float64 {
 	maxL := math.Inf(-1)
 	for _, l := range logits {
 		if l > maxL {
 			maxL = l
 		}
 	}
-	out := make([]float64, len(logits))
 	var sum float64
 	for i, l := range logits {
 		e := math.Exp(l - maxL)
-		out[i] = e
+		dst[i] = e
 		sum += e
 	}
-	for i := range out {
-		out[i] /= sum
+	for i := range dst {
+		dst[i] /= sum
 	}
-	return out
+	return dst
 }
 
 // Argmax returns the index of the largest element (ties: lowest index).
@@ -38,32 +42,33 @@ func Argmax(v []float64) int {
 	return best
 }
 
-// CrossEntropyLoss computes softmax-cross-entropy loss for one sample and
-// the gradient w.r.t. the logits.
-func CrossEntropyLoss(logits []float64, label int) (loss float64, dLogits []float64) {
+// CrossEntropyLoss returns the softmax-cross-entropy loss of one sample
+// and writes its gradient with respect to the logits into dLogits, which
+// has the logits' length.
+func CrossEntropyLoss(logits []float64, label int, dLogits []float64) float64 {
 	if label < 0 || label >= len(logits) {
 		panic(fmt.Sprintf("nn: label %d out of range for %d classes", label, len(logits)))
 	}
-	p := Softmax(logits)
-	loss = -math.Log(math.Max(p[label], 1e-15))
-	dLogits = p
-	dLogits[label] -= 1
-	return loss, dLogits
+	p := softmaxInto(dLogits, logits)
+	loss := -math.Log(math.Max(p[label], 1e-15))
+	p[label] -= 1
+	return loss
 }
 
-// MSELoss computes mean-squared-error loss for one sample and the
-// gradient w.r.t. the prediction.
-func MSELoss(pred, target []float64) (loss float64, dPred []float64) {
+// MSELoss returns the mean-squared-error loss of one sample and writes its
+// gradient with respect to the prediction into dPred, which has the
+// prediction's length.
+func MSELoss(pred, target, dPred []float64) float64 {
 	if len(pred) != len(target) {
 		panic(fmt.Sprintf("nn: MSE with |pred|=%d |target|=%d", len(pred), len(target)))
 	}
-	dPred = make([]float64, len(pred))
+	var loss float64
 	for i := range pred {
 		d := pred[i] - target[i]
 		loss += d * d
 		dPred[i] = 2 * d / float64(len(pred))
 	}
-	return loss / float64(len(pred)), dPred
+	return loss / float64(len(pred))
 }
 
 // Accuracy returns the fraction of samples whose argmax prediction

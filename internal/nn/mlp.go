@@ -110,42 +110,6 @@ func (m *MLP) ForwardScratch(x []float64, s *Scratch) []float64 {
 	return h
 }
 
-// forwardCache runs inference keeping every layer's input (post-ReLU
-// activation) for backprop. acts[i] is the input to layer i; the returned
-// slice is the network output.
-func (m *MLP) forwardCache(x []float64) (acts [][]float64, out []float64) {
-	acts = make([][]float64, len(m.Layers))
-	h := x
-	for i, l := range m.Layers {
-		acts[i] = h
-		h = l.Forward(h)
-		if i+1 < len(m.Layers) {
-			relu(h)
-		}
-	}
-	return acts, h
-}
-
-// backward backpropagates dOut (gradient of loss w.r.t. network output)
-// through the cached activations, accumulating layer gradients.
-func (m *MLP) backward(acts [][]float64, dOut []float64) {
-	g := dOut
-	for i := len(m.Layers) - 1; i >= 0; i-- {
-		// Gradient through the ReLU that followed layer i (none after the
-		// final layer). ReLU derivative is 1 where the activation passed
-		// through, i.e. where the *input to the next layer* is positive.
-		if i+1 < len(m.Layers) {
-			next := acts[i+1]
-			for j := range g {
-				if next[j] <= 0 {
-					g[j] = 0
-				}
-			}
-		}
-		g = m.Layers[i].Backward(acts[i], g)
-	}
-}
-
 // ZeroGrad clears all accumulated gradients.
 func (m *MLP) ZeroGrad() {
 	for _, l := range m.Layers {

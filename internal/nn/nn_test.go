@@ -96,14 +96,13 @@ func TestClassifierGradientCheck(t *testing.T) {
 	label := 2
 
 	m.ZeroGrad()
-	acts, out := m.forwardCache(x)
-	_, dOut := CrossEntropyLoss(out, label)
-	m.backward(acts, dOut)
+	s := newTrainScratch(m)
+	CrossEntropyLoss(s.forward(m, x), label, s.dOut)
+	s.backward(m, x)
 
 	const eps = 1e-6
 	lossAt := func() float64 {
-		l, _ := CrossEntropyLoss(m.Forward(x), label)
-		return l
+		return CrossEntropyLoss(m.Forward(x), label, make([]float64, m.OutputSize()))
 	}
 	for li, layer := range m.Layers {
 		for wi := 0; wi < len(layer.W); wi += 7 { // sample weights
@@ -145,14 +144,13 @@ func TestRegressorGradientCheck(t *testing.T) {
 	target := []float64{0.7}
 
 	m.ZeroGrad()
-	acts, out := m.forwardCache(x)
-	_, dOut := MSELoss(out, target)
-	m.backward(acts, dOut)
+	s := newTrainScratch(m)
+	MSELoss(s.forward(m, x), target, s.dOut)
+	s.backward(m, x)
 
 	const eps = 1e-6
 	lossAt := func() float64 {
-		l, _ := MSELoss(m.Forward(x), target)
-		return l
+		return MSELoss(m.Forward(x), target, make([]float64, len(target)))
 	}
 	for li, layer := range m.Layers {
 		for wi := range layer.W {
@@ -409,5 +407,39 @@ func TestOnEpochEarlyStop(t *testing.T) {
 	}
 	if calls != 3 {
 		t.Fatalf("OnEpoch called %d times, want 3 (early stop)", calls)
+	}
+}
+
+// TestTrainingStepAllocatesNothing: one epoch of TrainClassifier or
+// TrainRegressor allocates the same whatever the sample count — the
+// per-call set-up only, nothing per sample or per minibatch.
+func TestTrainingStepAllocatesNothing(t *testing.T) {
+	epochAllocs := func(n int) (classify, regress float64) {
+		cset := makeBlobs(n, 40)
+		rset := RegressionSet{X: cset.X, Y: make([]float64, n)}
+		for i := range rset.Y {
+			rset.Y[i] = cset.X[i][0] - cset.X[i][1]
+		}
+		cm, _ := NewMLP([]int{2, 8, 8, 3}, rand.New(rand.NewSource(41)))
+		rm, _ := NewMLP([]int{2, 8, 1}, rand.New(rand.NewSource(42)))
+		// One optimizer each, stepped before measuring: its moment buffers
+		// are allocated on the first step of a network's life.
+		copt, ropt := NewAdam(0.01), NewAdam(0.01)
+		cfg := func(opt Optimizer) TrainConfig { return TrainConfig{Epochs: 1, BatchSize: 8, Optimizer: opt, Seed: 43} }
+		if _, err := TrainClassifier(cm, cset, cfg(copt)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := TrainRegressor(rm, rset, cfg(ropt)); err != nil {
+			t.Fatal(err)
+		}
+		classify = testing.AllocsPerRun(5, func() { TrainClassifier(cm, cset, cfg(copt)) })
+		regress = testing.AllocsPerRun(5, func() { TrainRegressor(rm, rset, cfg(ropt)) })
+		return classify, regress
+	}
+	c1, r1 := epochAllocs(48)
+	c4, r4 := epochAllocs(4 * 48)
+	if c1 != c4 || r1 != r4 {
+		t.Fatalf("an epoch allocates %v/%v times over 48 samples and %v/%v over 192 (classifier/regressor): training allocates per sample or per minibatch",
+			c1, r1, c4, r4)
 	}
 }

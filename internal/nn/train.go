@@ -62,6 +62,68 @@ func (c TrainConfig) validate() error {
 	return nil
 }
 
+// trainScratch is one training call's working memory, so that a training
+// step allocates nothing: every layer's output, the loss gradient with
+// respect to every layer's input but the first, and the loss gradient with
+// respect to the network output.
+type trainScratch struct {
+	outs [][]float64 // outs[i] is layer i's output, after ReLU on hidden layers
+	dIn  [][]float64 // dIn[i] has layer i's input size; dIn[0] is nil
+	dOut []float64
+}
+
+func newTrainScratch(m *MLP) *trainScratch {
+	s := &trainScratch{
+		outs: make([][]float64, len(m.Layers)),
+		dIn:  make([][]float64, len(m.Layers)),
+		dOut: make([]float64, m.OutputSize()),
+	}
+	for i, l := range m.Layers {
+		s.outs[i] = make([]float64, l.Out)
+		if i > 0 {
+			s.dIn[i] = make([]float64, l.In)
+		}
+	}
+	return s
+}
+
+// forward runs x through m, keeping every layer's output for backward,
+// and returns the network output.
+func (s *trainScratch) forward(m *MLP, x []float64) []float64 {
+	h := x
+	for i, l := range m.Layers {
+		l.ForwardInto(h, s.outs[i])
+		if i+1 < len(m.Layers) {
+			relu(s.outs[i])
+		}
+		h = s.outs[i]
+	}
+	return h
+}
+
+// backward backpropagates s.dOut, the loss gradient of the output forward
+// last computed from x, accumulating every layer's gradients.
+func (s *trainScratch) backward(m *MLP, x []float64) {
+	g := s.dOut
+	for i := len(m.Layers) - 1; i >= 0; i-- {
+		// Gradient through the ReLU that followed layer i (none after the
+		// final layer): it passes where layer i's output is positive.
+		if i+1 < len(m.Layers) {
+			for j, a := range s.outs[i] {
+				if a <= 0 {
+					g[j] = 0
+				}
+			}
+		}
+		in := x
+		if i > 0 {
+			in = s.outs[i-1]
+		}
+		m.Layers[i].Backward(in, g, s.dIn[i])
+		g = s.dIn[i]
+	}
+}
+
 // TrainClassifier fits m on the dataset with softmax-cross-entropy and
 // returns the final epoch's mean loss.
 func TrainClassifier(m *MLP, set ClassificationSet, cfg TrainConfig) (float64, error) {
@@ -79,6 +141,7 @@ func TrainClassifier(m *MLP, set ClassificationSet, cfg TrainConfig) (float64, e
 	for i := range order {
 		order[i] = i
 	}
+	s := newTrainScratch(m)
 	var epochLoss float64
 	for e := 0; e < cfg.Epochs; e++ {
 		rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
@@ -87,10 +150,9 @@ func TrainClassifier(m *MLP, set ClassificationSet, cfg TrainConfig) (float64, e
 			end := min(start+cfg.BatchSize, len(order))
 			m.ZeroGrad()
 			for _, idx := range order[start:end] {
-				acts, out := m.forwardCache(set.X[idx])
-				loss, dOut := CrossEntropyLoss(out, set.Labels[idx])
-				epochLoss += loss
-				m.backward(acts, dOut)
+				x := set.X[idx]
+				epochLoss += CrossEntropyLoss(s.forward(m, x), set.Labels[idx], s.dOut)
+				s.backward(m, x)
 			}
 			cfg.Optimizer.Step(m, end-start)
 		}
@@ -122,6 +184,7 @@ func TrainRegressor(m *MLP, set RegressionSet, cfg TrainConfig) (float64, error)
 	for i := range order {
 		order[i] = i
 	}
+	s := newTrainScratch(m)
 	target := make([]float64, 1)
 	var epochLoss float64
 	for e := 0; e < cfg.Epochs; e++ {
@@ -131,11 +194,10 @@ func TrainRegressor(m *MLP, set RegressionSet, cfg TrainConfig) (float64, error)
 			end := min(start+cfg.BatchSize, len(order))
 			m.ZeroGrad()
 			for _, idx := range order[start:end] {
-				acts, out := m.forwardCache(set.X[idx])
+				x := set.X[idx]
 				target[0] = set.Y[idx]
-				loss, dOut := MSELoss(out, target)
-				epochLoss += loss
-				m.backward(acts, dOut)
+				epochLoss += MSELoss(s.forward(m, x), target, s.dOut)
+				s.backward(m, x)
 			}
 			cfg.Optimizer.Step(m, end-start)
 		}
