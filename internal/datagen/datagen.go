@@ -20,6 +20,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"sync/atomic"
 
 	"ssmdvfs/internal/atomicfile"
 	"ssmdvfs/internal/counters"
@@ -127,141 +128,189 @@ func (r *epochRecorder) observe(s gpusim.EpochStats) {
 	}
 }
 
-// generate runs the methodology over one kernel and appends samples to
-// the dataset. It is a pure shard function: its output depends only on
-// cfg and kernel, which is what lets RunSuite farm kernels out to a
-// worker pool and still merge a byte-identical corpus.
-func generate(cfg Config, kernel isa.Kernel, ds *Dataset, log *telemetry.Logger) error {
-	if err := cfg.validate(); err != nil {
-		return err
+// featureLevels returns the levels feature windows are collected at.
+func (c Config) featureLevels() []int {
+	if len(c.FeatureLevels) == 0 {
+		return allLevels(c.Sim.OPs.Len())
 	}
-	logf := log.Logf
-	epochPs := cfg.Sim.EpochPs
-	levels := cfg.Sim.OPs.Len()
-	defaultLevel := cfg.Sim.OPs.Default()
+	return c.FeatureLevels
+}
 
-	if ds.CounterNames == nil {
-		ds.CounterNames = counters.Names()
-		ds.Levels = levels
+// breakpoints returns the breakpoint times of a kernel whose reference run
+// completes at t0. A breakpoint at time b uses epoch [b, b+10µs) as the
+// feature window and epoch [b+10µs, b+20µs) as the scaling window, so the
+// last usable breakpoint leaves at least two epochs before completion.
+// Programs too short for the configured interval fall back to one
+// breakpoint per epoch so short-duration tasks still contribute data.
+func (c Config) breakpoints(t0 int64) []int64 {
+	epochPs := c.Sim.EpochPs
+	interval := c.BreakpointPs
+	if interval+2*epochPs >= t0 {
+		interval = epochPs
 	}
+	var bps []int64
+	for b := interval; b+2*epochPs < t0; b += interval {
+		if c.MaxBreakpoints > 0 && len(bps) >= c.MaxBreakpoints {
+			break
+		}
+		bps = append(bps, b)
+	}
+	return bps
+}
+
+// scalingWindow replays the scaling window of the breakpoint at b on a
+// clone of fsim, which stands at the end of the feature window: it forces
+// level, runs just past the window's end and returns the replay there,
+// with the window's per-cluster statistics.
+func scalingWindow(fsim *gpusim.Simulator, b, epochPs int64, level int) (*gpusim.Simulator, *epochRecorder) {
+	replay := fsim.Clone()
+	rec := newEpochRecorder(int(b/epochPs) + 1)
+	replay.SetObserver(rec.observe)
+	replay.ForceLevel(level)
+	replay.RunUntil(b + 2*epochPs + 1)
+	replay.SetObserver(nil)
+	return replay, rec
+}
+
+// generate runs the methodology over one kernel as the root task t of a
+// suite. It runs the reference and the master, keeps one snapshot of the
+// master per breakpoint, and submits one task per (breakpoint, feature
+// level) that clones the snapshot and labels that feature window; the task
+// writes its samples into the slot its identity names, slots[breakpoint ×
+// feature levels + feature level], so what generate produces does not
+// depend on which worker runs which task, or when. done is called once
+// the root has returned and every task it submitted has finished.
+func generate(t *runner.Task, cfg Config, kernel isa.Kernel, log *telemetry.Logger, done func()) ([][]Sample, error) {
+	var pending atomic.Int64 // this root, and every task it has submitted
+	pending.Store(1)
+	finish := func() {
+		if pending.Add(-1) == 0 {
+			done()
+		}
+	}
+	defer finish()
+	logf := log.Logf
+	featureLevels := cfg.featureLevels()
 
 	// Reference run: the whole program at the default operating point.
 	ref, err := gpusim.New(cfg.Sim, kernel)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	master := ref.Clone()
 	refRes := ref.Run(cfg.MaxRunPs)
 	if !refRes.Completed {
-		return fmt.Errorf("datagen: kernel %q did not complete within MaxRunPs at default OP", kernel.Name)
+		return nil, fmt.Errorf("datagen: kernel %q did not complete within MaxRunPs at default OP", kernel.Name)
 	}
 	t0 := refRes.ExecTimePs
 	logf("datagen: %s T0=%.1fus", kernel.Name, float64(t0)/1e6)
 
-	// Walk the master simulation breakpoint by breakpoint. A breakpoint at
-	// time b uses epoch [b, b+10µs) as the feature window and epoch
-	// [b+10µs, b+20µs) as the scaling window, so the last usable
-	// breakpoint leaves at least two epochs before completion. Programs
-	// too short for the configured interval fall back to one breakpoint
-	// per epoch so short-duration tasks still contribute data.
-	interval := cfg.BreakpointPs
-	if interval+2*epochPs >= t0 {
-		interval = epochPs
-	}
-	nBreaks := 0
-	for b := interval; b+2*epochPs < t0; b += interval {
-		if cfg.MaxBreakpoints > 0 && nBreaks >= cfg.MaxBreakpoints {
-			break
-		}
-		nBreaks++
-
-		// Advance the master (always at the default OP) to the breakpoint.
-		master.RunUntil(b)
-
-		featEpoch := int(b / epochPs)
-		scaleEpoch := featEpoch + 1
-		featureLevels := cfg.FeatureLevels
-		if len(featureLevels) == 0 {
-			featureLevels = allLevels(levels)
-		}
-
-		// Runtime feature windows execute at whatever OP the controller
-		// last chose, not only the default, so the corpus covers feature
-		// windows at every requested level (the paper collects only at
-		// the default; see DESIGN.md for why the closed-loop distribution
-		// needs the extension).
-		for _, featLevel := range featureLevels {
-			fsim := master.Clone()
-			fsim.ForceLevel(featLevel)
-			rec := newEpochRecorder(featEpoch)
-			fsim.SetObserver(rec.observe)
-			fsim.RunUntil(b + epochPs + 1)
-			fsim.SetObserver(nil)
-			if len(rec.stats) == 0 {
-				return fmt.Errorf("datagen: %s breakpoint %d: feature window epoch %d not observed",
-					kernel.Name, nBreaks, featEpoch)
-			}
-
-			// Replay the continuation once per operating point, recording
-			// completion time and scaling-window instruction counts.
-			execPs := make([]int64, levels)
-			screcs := make([]*epochRecorder, levels)
-			for level := 0; level < levels; level++ {
-				replay := fsim.Clone()
-				srec := newEpochRecorder(scaleEpoch)
-				replay.SetObserver(srec.observe)
-				replay.ForceLevel(level)
-				replay.RunUntil(b + 2*epochPs + 1)
-				replay.ForceLevel(defaultLevel)
-				replay.SetObserver(nil)
-				res := replay.Run(cfg.MaxRunPs)
-				if !res.Completed {
-					return fmt.Errorf("datagen: %s breakpoint %d level %d: replay did not complete",
-						kernel.Name, nBreaks, level)
-				}
-				execPs[level] = res.ExecTimePs
-				screcs[level] = srec
-			}
-
-			// The label is the *window-normalized* performance loss: the
-			// extra execution time caused by scaling one 10 µs window —
-			// measured over the whole remaining run, so delayed effects
-			// (stalled warps resuming epochs later) are included — divided
-			// by the window length, relative to the replay whose scaling
-			// window ran at the default OP. Normalizing by the window
-			// rather than by T0 makes the label compose: if every epoch's
-			// decision keeps its window-local loss under the preset,
-			// program-level loss stays under the preset too, which is
-			// exactly the contract the runtime controller needs.
-			refPs := execPs[defaultLevel]
-			for level := 0; level < levels; level++ {
-				perfLoss := float64(execPs[level]-refPs) / float64(epochPs)
-				for c := 0; c < cfg.Sim.Clusters; c += cfg.ClusterStride {
-					fs, ok := rec.stats[c]
-					if !ok {
-						continue
-					}
-					ss := screcs[level].stats[c]
-					ds.Samples = append(ds.Samples, Sample{
-						Kernel:       kernel.Name,
-						Breakpoint:   nBreaks,
-						Cluster:      c,
-						Level:        level,
-						Features:     counters.FromStats(fs),
-						PerfLoss:     perfLoss,
-						ScalingInstr: float64(ss.Instructions),
-					})
-				}
-				logf("datagen: %s bp=%d feat=%d level=%d loss=%+.3f%%",
-					kernel.Name, nBreaks, featLevel, level, perfLoss*100)
-			}
-		}
-	}
-	if nBreaks == 0 {
-		return fmt.Errorf("datagen: kernel %q too short for any breakpoint (T0=%d ps, interval=%d ps)",
+	bps := cfg.breakpoints(t0)
+	if len(bps) == 0 {
+		return nil, fmt.Errorf("datagen: kernel %q too short for any breakpoint (T0=%d ps, interval=%d ps)",
 			kernel.Name, t0, cfg.BreakpointPs)
 	}
-	return nil
+	slots := make([][]Sample, len(bps)*len(featureLevels))
+	pending.Add(int64(len(slots)))
+	for bi, b := range bps {
+		// Advance the master (always at the default OP) to the breakpoint.
+		master.RunUntil(b)
+		snap := master.Clone()
+		for fi, featLevel := range featureLevels {
+			slot := &slots[bi*len(featureLevels)+fi]
+			t.Go(func(context.Context, *runner.Task) (err error) {
+				defer finish()
+				*slot, err = labelWindow(cfg, kernel, snap, bi+1, b, featLevel, t0, logf)
+				return err
+			})
+		}
+	}
+	return slots, nil
+}
+
+// labelWindow collects the feature window of the breakpoint at b (the
+// bp-th of its kernel) at featLevel on a clone of snap, the master at b,
+// and labels it once per operating point: it replays the scaling window at
+// each level on a clone of what follows the feature window and the rest
+// of the program at the default, and returns one sample per recorded
+// cluster and level.
+func labelWindow(cfg Config, kernel isa.Kernel, snap *gpusim.Simulator, bp int, b int64, featLevel int, t0 int64, logf func(string, ...any)) ([]Sample, error) {
+	epochPs := cfg.Sim.EpochPs
+	levels := cfg.Sim.OPs.Len()
+	defaultLevel := cfg.Sim.OPs.Default()
+	featEpoch := int(b / epochPs)
+
+	// Runtime feature windows execute at whatever OP the controller last
+	// chose, not only the default, so the corpus covers feature windows at
+	// every requested level (the paper collects only at the default; see
+	// DESIGN.md for why the closed-loop distribution needs the extension).
+	fsim := snap.Clone()
+	fsim.ForceLevel(featLevel)
+	rec := newEpochRecorder(featEpoch)
+	fsim.SetObserver(rec.observe)
+	fsim.RunUntil(b + epochPs + 1)
+	fsim.SetObserver(nil)
+	if len(rec.stats) == 0 {
+		return nil, fmt.Errorf("datagen: %s breakpoint %d: feature window epoch %d not observed",
+			kernel.Name, bp, featEpoch)
+	}
+
+	// Replay the continuation once per operating point, recording
+	// completion time and scaling-window instruction counts. With both
+	// windows at the default every ForceLevel is a no-op, so that replay is
+	// the reference run: it completes at T0, and runs only as far as its
+	// scaling window.
+	execPs := make([]int64, levels)
+	screcs := make([]*epochRecorder, levels)
+	for level := 0; level < levels; level++ {
+		replay, srec := scalingWindow(fsim, b, epochPs, level)
+		screcs[level] = srec
+		if featLevel == defaultLevel && level == defaultLevel {
+			execPs[level] = t0
+			continue
+		}
+		replay.ForceLevel(defaultLevel)
+		res := replay.Run(cfg.MaxRunPs)
+		if !res.Completed {
+			return nil, fmt.Errorf("datagen: %s breakpoint %d level %d: replay did not complete",
+				kernel.Name, bp, level)
+		}
+		execPs[level] = res.ExecTimePs
+	}
+
+	// The label is the *window-normalized* performance loss: the extra
+	// execution time caused by scaling one 10 µs window — measured over the
+	// whole remaining run, so delayed effects (stalled warps resuming
+	// epochs later) are included — divided by the window length, relative
+	// to the replay whose scaling window ran at the default OP. Normalizing
+	// by the window rather than by T0 makes the label compose: if every
+	// epoch's decision keeps its window-local loss under the preset,
+	// program-level loss stays under the preset too, which is exactly the
+	// contract the runtime controller needs.
+	var samples []Sample
+	refPs := execPs[defaultLevel]
+	for level := 0; level < levels; level++ {
+		perfLoss := float64(execPs[level]-refPs) / float64(epochPs)
+		for c := 0; c < cfg.Sim.Clusters; c += cfg.ClusterStride {
+			fs, ok := rec.stats[c]
+			if !ok {
+				continue
+			}
+			ss := screcs[level].stats[c]
+			samples = append(samples, Sample{
+				Kernel:       kernel.Name,
+				Breakpoint:   bp,
+				Cluster:      c,
+				Level:        level,
+				Features:     counters.FromStats(fs),
+				PerfLoss:     perfLoss,
+				ScalingInstr: float64(ss.Instructions),
+			})
+		}
+		logf("datagen: %s bp=%d feat=%d level=%d loss=%+.3f%%",
+			kernel.Name, bp, featLevel, level, perfLoss*100)
+	}
+	return samples, nil
 }
 
 // SuiteOptions configures a corpus build over a kernel set, mirroring
@@ -269,30 +318,34 @@ func generate(cfg Config, kernel isa.Kernel, ds *Dataset, log *telemetry.Logger)
 type SuiteOptions struct {
 	// Config controls generation for every kernel.
 	Config Config
-	// Kernels contribute samples in order; each kernel is one shard of
-	// the parallel run.
+	// Kernels contribute samples in order; each kernel is a root task of
+	// the parallel run, and each of its (breakpoint, feature level) windows
+	// a task of its own.
 	Kernels []isa.Kernel
 	// Logger receives progress lines (nil = quiet). It is shared across
-	// shards, so lines from different kernels interleave under
-	// parallelism; the dataset itself does not.
+	// tasks, so lines from different kernels interleave under parallelism;
+	// the dataset itself does not.
 	Logger *telemetry.Logger
 	// Telemetry, when non-nil, receives the runner's shard/utilization
 	// metrics.
 	Telemetry *telemetry.Registry
-	// Tracer, when non-nil, records one span per kernel plus the
-	// runner's per-worker shard spans.
+	// Tracer, when non-nil, records one span per kernel, from its root's
+	// start to the end of its last task, plus the runner's per-worker
+	// shard span for every task.
 	Tracer *telemetry.Tracer
 	// Workers bounds the worker pool (<= 0 = GOMAXPROCS). The merged
 	// dataset is byte-identical at any worker count.
 	Workers int
 }
 
-// RunSuite generates the corpus for every kernel in opts, sharding
-// kernels across a bounded worker pool. Each shard generates into a
-// private dataset; the shards are merged in kernel order, so the result
-// serializes byte-identically to a serial run regardless of Workers.
-// The first failing kernel cancels the remaining shards and is reported
-// with its shard identity.
+// RunSuite generates the corpus for every kernel in opts on a bounded
+// worker pool. A kernel's root task runs its reference and master and
+// hands each (breakpoint, feature level) window to the pool as a task of
+// its own; every task writes its samples into its own slot, and the slots
+// are merged in kernel, breakpoint and feature-level order, so the result
+// serializes byte-identically to a serial run regardless of Workers. The
+// first failure cancels the tasks not yet started and is reported with the
+// failing kernel's index.
 func RunSuite(opts SuiteOptions) (*Dataset, error) {
 	if len(opts.Kernels) == 0 {
 		return nil, fmt.Errorf("datagen: suite has no kernels")
@@ -300,44 +353,29 @@ func RunSuite(opts SuiteOptions) (*Dataset, error) {
 	if err := opts.Config.validate(); err != nil {
 		return nil, err
 	}
-	parts, err := runner.Map(context.Background(), len(opts.Kernels), runner.Options{
+	slots := make([][][]Sample, len(opts.Kernels))
+	err := runner.Tasks(context.Background(), len(opts.Kernels), runner.Options{
 		Name:      "datagen",
 		Workers:   opts.Workers,
 		Telemetry: opts.Telemetry,
 		Tracer:    opts.Tracer,
-	}, func(_ context.Context, s runner.Shard) (*Dataset, error) {
-		kernel := opts.Kernels[s.Index]
+	}, func(_ context.Context, t *runner.Task) (err error) {
+		kernel := opts.Kernels[t.Index]
 		sp := opts.Tracer.Start("datagen:" + kernel.Name)
 		sp.SetCat("pipeline")
-		defer sp.End()
-		part := &Dataset{}
-		if err := generate(opts.Config, kernel, part, opts.Logger); err != nil {
-			return nil, err
-		}
-		return part, nil
+		slots[t.Index], err = generate(t, opts.Config, kernel, opts.Logger, sp.End)
+		return err
 	})
 	if err != nil {
 		return nil, err
 	}
-	return Merge(parts), nil
-}
-
-// Merge concatenates per-kernel datasets in order into one corpus. All
-// parts must share the counter layout (they do when produced by
-// generate); the first non-empty header wins.
-func Merge(parts []*Dataset) *Dataset {
-	out := &Dataset{}
-	for _, p := range parts {
-		if p == nil {
-			continue
+	ds := &Dataset{CounterNames: counters.Names(), Levels: opts.Config.Sim.OPs.Len()}
+	for _, kernel := range slots {
+		for _, samples := range kernel {
+			ds.Samples = append(ds.Samples, samples...)
 		}
-		if out.CounterNames == nil {
-			out.CounterNames = p.CounterNames
-			out.Levels = p.Levels
-		}
-		out.Samples = append(out.Samples, p.Samples...)
 	}
-	return out
+	return ds, nil
 }
 
 // Save writes the dataset as JSON.
