@@ -1,13 +1,13 @@
 // Package runner is the deterministic parallel execution engine behind
-// the offline pipeline: datagen suites and the Fig. 3 generators shard
-// their independent units across a bounded worker pool through Map, and
-// the Fig. 4 grid, whose units fork as they run, through Tasks, the pool
-// Map is written on. Shards are claimed in index order, results land in a
-// slice indexed by shard, and every shard derives its RNG seed from the
-// base seed and shard index alone — never from worker identity or
-// scheduling — so output is byte-identical to a serial run at any worker
-// count. The first shard error cancels the fleet through the context and
-// is returned wrapped with its shard identity.
+// the offline pipeline: the Fig. 3 generators shard their independent
+// units across a bounded worker pool through Map, and datagen suites and
+// the Fig. 4 grid, whose units submit further units as they run, through
+// Tasks, the pool Map is written on. Shards are claimed in index order,
+// results land in a slice indexed by shard, and every shard derives its
+// RNG seed from the base seed and shard index alone — never from worker
+// identity or scheduling — so output is byte-identical to a serial run at
+// any worker count. The first shard error cancels the fleet through the
+// context and is returned wrapped with its shard identity.
 package runner
 
 import (
