@@ -32,22 +32,33 @@ func (c toggleController) Decide(s EpochStats) int {
 	return ((s.Epoch/2)*5 + s.Cluster) % c.levels
 }
 
-// goldenStream drives every suite kernel under one scheduling policy
-// through the simulator's whole public stepping surface — controller-driven
-// level changes, an unaligned RunUntil, then Clone + ForceLevel + Run the
-// way datagen.generate replays a scaling window (cut off by Run's time
-// limit three epochs on, to bound the test), then Run to completion — and
-// hashes every field of every EpochStats plus both Results.
-func goldenStream(t *testing.T, sched SchedulerPolicy) string {
+// titanXStreamDigest is the SHA-256 of titanXStream, recorded from commit
+// 9cfc3f4, whose stepper still interleaved the clusters one step at a time.
+// Its kernels are the memory-heavy ones, so on 24 clusters over 8 DRAM
+// channels many L2 and DRAM accesses from different clusters fall on the
+// same picosecond: the digest pins the order they are performed in.
+const titanXStreamDigest = "366de5c6a3486638f635ee61d2cd7f834ea05c538bd5d7a01dda79739741a393"
+
+// titanXStreamKernels are the kernels titanXStream runs.
+var titanXStreamKernels = []string{
+	"parboil.stencil", "polybench.atax", "rodinia.cfd",
+	"rodinia.streamcluster", "parboil.spmv", "rodinia.bfs",
+}
+
+// goldenStream drives each kernel at the given scale, under cfg, through
+// the simulator's whole public stepping surface — controller-driven level
+// changes, an unaligned RunUntil, then Clone + ForceLevel + Run the way
+// datagen.generate replays a scaling window (cut off by Run's time limit
+// three epochs on, to bound the test), then Run to completion — and hashes
+// every field of every EpochStats plus both Results.
+func goldenStream(t *testing.T, cfg Config, specs []kernels.Spec, scale float64) string {
 	h := sha256.New()
-	for _, spec := range kernels.Suite() {
-		cfg := SmallConfig()
-		cfg.Scheduler = sched
-		sim, err := New(cfg, spec.Build(0.3))
+	for _, spec := range specs {
+		sim, err := New(cfg, spec.Build(scale))
 		if err != nil {
 			t.Fatal(err)
 		}
-		fmt.Fprintf(h, "%s %v\n", spec.Name, sched)
+		fmt.Fprintf(h, "%s %v\n", spec.Name, cfg.Scheduler)
 		// %+v prints floats in shortest round-trip form, so the text is
 		// exact, and it picks up any field added to EpochStats later.
 		observe := func(s EpochStats) { fmt.Fprintf(h, "%+v\n", s) }
@@ -68,10 +79,30 @@ func goldenStream(t *testing.T, sched SchedulerPolicy) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
+// TestGoldenStatsStream runs every suite kernel at scale 0.3 on SmallConfig
+// (4 clusters, 4 DRAM channels), once per scheduling policy.
 func TestGoldenStatsStream(t *testing.T) {
 	for _, sched := range []SchedulerPolicy{SchedLRR, SchedGTO} {
-		if got, want := goldenStream(t, sched), goldenStreamDigests[sched]; got != want {
+		cfg := SmallConfig()
+		cfg.Scheduler = sched
+		if got, want := goldenStream(t, cfg, kernels.Suite(), 0.3), goldenStreamDigests[sched]; got != want {
 			t.Errorf("%v statistics stream digest = %s, want %s: a simulated number changed", sched, got, want)
 		}
+	}
+}
+
+// TestGoldenStatsStreamTitanX runs the memory-heavy kernels at scale 0.3 on
+// TitanXConfig (24 clusters, 8 DRAM channels) under LRR.
+func TestGoldenStatsStreamTitanX(t *testing.T) {
+	var specs []kernels.Spec
+	for _, name := range titanXStreamKernels {
+		spec, err := kernels.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		specs = append(specs, spec)
+	}
+	if got := goldenStream(t, TitanXConfig(), specs, 0.3); got != titanXStreamDigest {
+		t.Errorf("TitanX statistics stream digest = %s, want %s: a simulated number changed", got, titanXStreamDigest)
 	}
 }
