@@ -23,9 +23,19 @@ func newTestClusterProgs(t *testing.T, cfg Config, progs []isa.Program, warps in
 	return newCluster(0, &cfg, &k), newMemSystem(cfg)
 }
 
+// step runs one cluster step against limitPs and then performs the traffic
+// it left pending, as CloseEpoch does for a cluster with no other in the
+// way: the cluster tests' one way to step.
+func step(c *cluster, mem *memSystem, limitPs int64) {
+	c.step(limitPs)
+	if len(c.pending) > 0 {
+		c.resolve(mem)
+	}
+}
+
 // cycle executes exactly one clock cycle: a limit one picosecond ahead
 // leaves step no room to fast-forward.
-func cycle(c *cluster, mem *memSystem) { c.step(mem, c.nowPs+1) }
+func cycle(c *cluster, mem *memSystem) { step(c, mem, c.nowPs+1) }
 
 // stepUntilIssued steps the cluster until n instructions have issued or
 // the cycle budget runs out, returning cycles spent.
@@ -274,22 +284,22 @@ func TestSkipStopsAtLimit(t *testing.T) {
 		{Op: isa.OpIAlu, Dst: 2, SrcA: 1},
 	}
 	c, mem := newTestCluster(t, cfg, body, 1, 1)
-	c.step(mem, noLimit)
+	step(c, mem, noLimit)
 	checkAcc(t, "SFU issued", c, wantAcc{nowPs: 858, cycles: 1, instructions: 1})
 
 	// A limit between ticks: the cycles at 858..4290 start before 5000, the
 	// clock stops on the first tick at or after it.
-	c.step(mem, 5000)
+	step(c, mem, 5000)
 	checkAcc(t, "skip to limit", c, wantAcc{nowPs: 6 * 858, cycles: 6, instructions: 1, stallCompute: 5})
 
 	// A limit exactly on a tick is not overshot.
-	c.step(mem, 8*858)
+	step(c, mem, 8*858)
 	checkAcc(t, "skip to aligned limit", c, wantAcc{nowPs: 8 * 858, cycles: 8, instructions: 1, stallCompute: 7})
 
 	// No limit in the way: stop where the result is ready, then issue.
-	c.step(mem, noLimit)
+	step(c, mem, noLimit)
 	checkAcc(t, "skip to wake", c, wantAcc{nowPs: 16 * 858, cycles: 16, instructions: 1, stallCompute: 15})
-	c.step(mem, noLimit)
+	step(c, mem, noLimit)
 	checkAcc(t, "dependent issued", c, wantAcc{nowPs: 17 * 858, cycles: 17, instructions: 2, stallCompute: 15})
 	if !c.done {
 		t.Fatal("cluster not done after its only warp retired")
@@ -349,10 +359,10 @@ func TestSkipStopsAtEarliestWakeAndChargesOwnReasons(t *testing.T) {
 	c, mem := newTestClusterProgs(t, cfg, progs, 3)
 
 	// t=0: warps 0 and 1 take the two issue slots (branch, load).
-	c.step(mem, noLimit)
+	step(c, mem, noLimit)
 	// t=858: warp 2 issues its SFU (ready at 858+16 cycles); 1 waits on the
 	// load, 0 on the refill.
-	c.step(mem, noLimit)
+	step(c, mem, noLimit)
 	checkAcc(t, "all three blocked from here", c, wantAcc{nowPs: 2 * 858, cycles: 2, instructions: 3,
 		stallMemLoad: 1, stallControl: 1})
 	if c.acc.readyNotIssued != 1 {
@@ -361,30 +371,30 @@ func TestSkipStopsAtEarliestWakeAndChargesOwnReasons(t *testing.T) {
 
 	// Wakes: control 8*858, compute 17*858, memory coldLoadDonePs. The skip
 	// ends at the earliest and charges 6 cycles to each warp's own reason.
-	c.step(mem, noLimit)
+	step(c, mem, noLimit)
 	checkAcc(t, "skip to control wake", c, wantAcc{nowPs: 8 * 858, cycles: 8, instructions: 3,
 		stallMemLoad: 7, stallCompute: 6, stallControl: 7})
 
 	// t=8*858: warp 0 issues and retires; the other two are charged once.
-	c.step(mem, noLimit)
+	step(c, mem, noLimit)
 	checkAcc(t, "post-branch op issued", c, wantAcc{nowPs: 9 * 858, cycles: 9, instructions: 4,
 		stallMemLoad: 8, stallCompute: 7, stallControl: 7})
 
 	// Next earliest wake is the SFU result at 17*858: 8 more idle cycles
 	// charged to memory and compute, none to the retired warp.
-	c.step(mem, noLimit)
+	step(c, mem, noLimit)
 	checkAcc(t, "skip to compute wake", c, wantAcc{nowPs: 17 * 858, cycles: 17, instructions: 4,
 		stallMemLoad: 16, stallCompute: 15, stallControl: 7})
-	c.step(mem, noLimit)
+	step(c, mem, noLimit)
 	checkAcc(t, "SFU consumer issued", c, wantAcc{nowPs: 18 * 858, cycles: 18, instructions: 5,
 		stallMemLoad: 17, stallCompute: 15, stallControl: 7})
 
 	// Only the load is left: skip to the first tick at or after its data.
-	c.step(mem, noLimit)
+	step(c, mem, noLimit)
 	loadTick := ticksBefore(coldLoadDonePs)
 	checkAcc(t, "skip to load data", c, wantAcc{nowPs: loadTick * 858, cycles: loadTick, instructions: 5,
 		stallMemLoad: loadTick - 1, stallCompute: 15, stallControl: 7})
-	c.step(mem, noLimit)
+	step(c, mem, noLimit)
 	if c.acc.instructions != 6 || !c.done {
 		t.Fatalf("load consumer not issued at the wake tick: %d instructions, done=%v", c.acc.instructions, c.done)
 	}
@@ -400,16 +410,16 @@ func TestReasonChangesFromSrcAToSrcB(t *testing.T) {
 		{Op: isa.OpFAlu, Dst: 3, SrcA: 2, SrcB: 1},
 	}
 	c, mem := newTestCluster(t, cfg, body, 1, 1)
-	c.step(mem, noLimit) // load at t=0
-	c.step(mem, noLimit) // SFU at t=858, ready at 17*858
-	c.step(mem, noLimit)
+	step(c, mem, noLimit) // load at t=0
+	step(c, mem, noLimit) // SFU at t=858, ready at 17*858
+	step(c, mem, noLimit)
 	checkAcc(t, "waited on SrcA", c, wantAcc{nowPs: 17 * 858, cycles: 17, instructions: 2, stallCompute: 15})
 
-	c.step(mem, noLimit)
+	step(c, mem, noLimit)
 	loadTick := ticksBefore(coldLoadDonePs)
 	checkAcc(t, "then on SrcB", c, wantAcc{nowPs: loadTick * 858, cycles: loadTick, instructions: 2,
 		stallMemLoad: loadTick - 17, stallCompute: 15})
-	c.step(mem, noLimit)
+	step(c, mem, noLimit)
 	if c.acc.instructions != 3 {
 		t.Fatalf("consumer did not issue once both sources were ready: %d instructions", c.acc.instructions)
 	}
@@ -433,10 +443,10 @@ func TestNoSkipOnStructuralStall(t *testing.T) {
 			cfg := SmallConfig()
 			tc.tweak(&cfg)
 			c, mem := newTestCluster(t, cfg, []isa.Instruction{tc.op}, 1, 2)
-			c.step(mem, noLimit) // warp 0 issues; warp 1 finds the one LSU taken
+			step(c, mem, noLimit) // warp 0 issues; warp 1 finds the one LSU taken
 			checkAcc(t, "first cycle", c, wantAcc{nowPs: 858, cycles: 1, instructions: 1, stallMemOther: 1})
 			for i := int64(1); i <= 50; i++ { // both queues stay full far longer
-				c.step(mem, noLimit)
+				step(c, mem, noLimit)
 				checkAcc(t, "queue still full", c, wantAcc{nowPs: (i + 1) * 858, cycles: i + 1,
 					instructions: 1, stallMemOther: i + 1})
 			}
@@ -447,9 +457,9 @@ func TestNoSkipOnStructuralStall(t *testing.T) {
 		// Losing the SFU to another warp must not be remembered: the loser
 		// issues the very next cycle.
 		c, mem := newTestCluster(t, SmallConfig(), []isa.Instruction{{Op: isa.OpSFU, Dst: 1}}, 1, 2)
-		c.step(mem, noLimit)
+		step(c, mem, noLimit)
 		checkAcc(t, "first cycle", c, wantAcc{nowPs: 858, cycles: 1, instructions: 1, stallCompute: 1})
-		c.step(mem, noLimit)
+		step(c, mem, noLimit)
 		checkAcc(t, "second cycle", c, wantAcc{nowPs: 2 * 858, cycles: 2, instructions: 2, stallCompute: 1})
 	})
 }
@@ -464,7 +474,7 @@ func TestStoreQueueDrainsWithoutSkip(t *testing.T) {
 	issueTick := ticksBefore(180_000 + 1_600)
 	steps := int64(0)
 	for c.acc.instructions < 2 {
-		c.step(mem, noLimit)
+		step(c, mem, noLimit)
 		steps++
 	}
 	checkAcc(t, "second store issued", c, wantAcc{nowPs: (issueTick + 1) * 858, cycles: issueTick + 1,
@@ -484,13 +494,13 @@ func TestIVRTransitionSkip(t *testing.T) {
 	const period0 = 1464
 
 	// A limit inside the transition: 69 cycles start before 100 ns.
-	c.step(mem, 100_000)
+	step(c, mem, 100_000)
 	if c.nowPs != 69*period0 || c.acc.cycles != 69 || c.acc.dvfsStall != 69 {
 		t.Fatalf("limited stall skip: now=%d cycles=%d dvfsStall=%d, want %d/69/69",
 			c.nowPs, c.acc.cycles, c.acc.dvfsStall, 69*period0)
 	}
 	// The rest of the transition: 342 cycles start before 500 ns in all.
-	c.step(mem, noLimit)
+	step(c, mem, noLimit)
 	if c.nowPs != 342*period0 || c.acc.cycles != 342 || c.acc.dvfsStall != 342 {
 		t.Fatalf("stall skip: now=%d cycles=%d dvfsStall=%d, want %d/342/342",
 			c.nowPs, c.acc.cycles, c.acc.dvfsStall, 342*period0)
@@ -498,7 +508,7 @@ func TestIVRTransitionSkip(t *testing.T) {
 	if c.acc.instructions != 0 {
 		t.Fatalf("%d instructions issued during the transition", c.acc.instructions)
 	}
-	c.step(mem, noLimit)
+	step(c, mem, noLimit)
 	if c.acc.instructions != 1 || c.acc.dvfsStall != 342 || c.acc.cycles != 343 {
 		t.Fatalf("first cycle after the transition: instructions=%d dvfsStall=%d cycles=%d, want 1/342/343",
 			c.acc.instructions, c.acc.dvfsStall, c.acc.cycles)
