@@ -255,11 +255,17 @@ func TestTasksOneRootUsesIdleWorkers(t *testing.T) {
 func TestTasksErrorCarriesRootIdentityAndStopsThePool(t *testing.T) {
 	boom := errors.New("boom")
 	var ran atomic.Int64
+	// A root after 3 holds its worker until the leaf's failure cancels the
+	// pool, so the other worker cannot run through the remaining roots
+	// before the leaf has run. The leaf is newest, so it runs next.
 	err := Tasks(context.Background(), 100, Options{Name: "tree", Workers: 2},
-		func(_ context.Context, task *Task) error {
+		func(ctx context.Context, task *Task) error {
 			ran.Add(1)
-			if task.Index == 3 {
+			switch {
+			case task.Index == 3:
 				task.Go(func(context.Context, *Task) error { return fmt.Errorf("leaf: %w", boom) })
+			case task.Index > 3:
+				<-ctx.Done()
 			}
 			return nil
 		})
