@@ -16,6 +16,9 @@ type memSystem struct {
 
 	// chanFreePs[i] is the earliest time channel i can accept a new line.
 	chanFreePs []int64
+	// chanMask is the channel count less one when the count is a power of
+	// two, so channel needs no division; -1 when it is not.
+	chanMask int
 
 	dramReadLines  int64
 	dramWriteLines int64
@@ -29,11 +32,25 @@ func newMemSystem(cfg Config) *memSystem {
 		lineServicePs: cfg.DRAMLineServicePs,
 		lineShift:     log2i(cfg.L2.LineBytes),
 		chanFreePs:    make([]int64, cfg.DRAMChannels),
+		chanMask:      chanMask(cfg.DRAMChannels),
 	}
 }
 
+func chanMask(channels int) int {
+	if channels&(channels-1) != 0 {
+		return -1
+	}
+	return channels - 1
+}
+
+// channel interleaves lines over the channels: line number modulo their
+// count.
 func (m *memSystem) channel(addr uint64) int {
-	return int((addr >> m.lineShift) % uint64(len(m.chanFreePs)))
+	line := addr >> m.lineShift
+	if m.chanMask >= 0 {
+		return int(line) & m.chanMask
+	}
+	return int(line % uint64(len(m.chanFreePs)))
 }
 
 // readLine services an L1 read miss for the line containing addr issued
@@ -82,6 +99,7 @@ func (m *memSystem) clone() *memSystem {
 		lineServicePs:  m.lineServicePs,
 		lineShift:      m.lineShift,
 		chanFreePs:     append([]int64(nil), m.chanFreePs...),
+		chanMask:       m.chanMask,
 		dramReadLines:  m.dramReadLines,
 		dramWriteLines: m.dramWriteLines,
 	}

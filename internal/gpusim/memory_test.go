@@ -62,6 +62,21 @@ func TestMemChannelsParallel(t *testing.T) {
 	}
 }
 
+// TestMemChannelIsLineModuloChannels: the mask taken for a power-of-two
+// channel count interleaves lines exactly as the division does for others.
+func TestMemChannelIsLineModuloChannels(t *testing.T) {
+	for _, n := range []int{1, 3, 4, 6, 8} {
+		cfg := testMemConfig()
+		cfg.DRAMChannels = n
+		m := newMemSystem(cfg)
+		for _, addr := range []uint64{0, 64, 5 * 64, 1<<40 + 7*64 + 13, 1<<63 | 3<<6} {
+			if got, want := m.channel(addr), int((addr>>6)%uint64(n)); got != want {
+				t.Fatalf("%d channels: line of %#x on channel %d, want %d", n, addr, got, want)
+			}
+		}
+	}
+}
+
 func TestMemWriteThrough(t *testing.T) {
 	m := newMemSystem(testMemConfig())
 	done, l2Hit, dram := m.writeLine(0x2000, 0)
