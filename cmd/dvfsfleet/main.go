@@ -1,7 +1,8 @@
 // Command dvfsfleet is the fleet router in front of a set of ssmdvfsd
-// replicas: it shards (gpu, cluster) decision keys across the replicas
-// on a deterministic consistent-hash ring, splits every frame once into
-// one part per owning replica and sends each part whole as a multi-row
+// replicas: it shards GPUs across the replicas on a deterministic
+// consistent-hash ring (every cluster of a GPU goes to the replica that
+// owns the GPU), splits every frame once into one part per owning
+// replica and sends each part whole as a multi-row
 // frame (a free dispatch slot takes everything queued for its
 // replica, up to -coalesce-rows; nothing lingers), sheds overload
 // into the analytical PCSTALL fallback under admission control, and
@@ -33,8 +34,8 @@
 //
 // Clients speak the same binary protocol as to a single daemon: one
 // frame, in which a row's (gpu, cluster) identity is optional. Rows that
-// carry one shard per row and learn which shard answered; rows that carry
-// none (-1/-1) shard under a synthetic key drawn once per frame.
+// carry one shard by their GPU and learn which shard answered; rows that
+// carry none (-1/-1) share a synthetic GPU drawn once per frame.
 //
 // Endpoints (all of them; the same two metric formats a daemon serves,
 // from the same handler):

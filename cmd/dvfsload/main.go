@@ -32,10 +32,12 @@
 // There is one frame, and a row's (gpu, cluster) identity in it is
 // optional. Without -fleet rows carry none (-1/-1): a daemon answers them
 // as they stand, a router shards each frame under a synthetic key. With
-// -fleet every frame carries one (gpu, cluster) key, so the whole frame
-// routes to one shard and its latency attributes to it, and the exit
-// summary adds a per-shard latency table (p50/p99/p999) plus shed and
-// reroute counts. -fleet chooses the keys and that report, nothing else.
+// -fleet every frame carries one (gpu, cluster) key: the GPU is the
+// connection's index and the cluster steps with the frame. The router's
+// ring places a GPU, so all of a connection's frames go to the shard that
+// owns its GPU and their latency attributes to it, and the exit summary
+// adds a per-shard latency table (p50/p99/p999) plus shed and reroute
+// counts. -fleet chooses the keys and that report, nothing else.
 //
 // Rows are built 47 counters wide; what goes on the wire is the columns
 // the peer's last response said it reads, which the exit report prints as
@@ -314,8 +316,9 @@ func run(addr string, conns, batch int, duration time.Duration, qps, preset floa
 					reqs[i] = serve.Request{Preset: preset, Features: feed(next), GPU: -1, Cluster: -1}
 					if fleetMode {
 						// One (gpu, cluster) key per frame: the whole batch
-						// routes to one shard, so the frame's latency cleanly
-						// attributes to the shard that answered it.
+						// routes to the shard that owns this connection's
+						// GPU, so the frame's latency cleanly attributes to
+						// the shard that answered it.
 						reqs[i].GPU = int32(c)
 						reqs[i].Cluster = int32(iter % 24)
 					}

@@ -221,13 +221,19 @@ func TestRouterClientsProject(t *testing.T) {
 // TestRouterSplitsOncePerOwner is the point of routing by part: a frame
 // through an idle router costs one dispatch per replica that owns any of
 // its rows — not one per row, and not a coalescer's guess in between.
+// Each frame carries four GPUs' six clusters, so frames span both
+// replicas.
 func TestRouterSplitsOncePerOwner(t *testing.T) {
 	rt, _ := startFleet(t, 2, Options{Seed: 3, QueueDeadline: time.Minute})
 	rng := rand.New(rand.NewSource(3))
-	const frames, frameRows = 50, 24
+	const frames, gpus, clusters = 50, 4, 6
+	const frameRows = gpus * clusters
 	var wantDispatches int64
 	for g := 0; g < frames; g++ {
-		rows := gpuFrame(rng, int32(g), frameRows)
+		var rows []serve.Request
+		for k := 0; k < gpus; k++ {
+			rows = append(rows, gpuFrame(rng, int32(g*gpus+k), clusters)...)
+		}
 		owners := map[int]bool{}
 		for _, r := range rows {
 			owner, _ := rt.Ring().Lookup(Key(3, r.GPU, r.Cluster))
@@ -243,6 +249,38 @@ func TestRouterSplitsOncePerOwner(t *testing.T) {
 	}
 	if wantDispatches <= frames {
 		t.Fatalf("frames never spanned both replicas (%d owners over %d frames): the test shows nothing", wantDispatches, frames)
+	}
+}
+
+// TestRouterGPUFrameIsOneDispatch is the point of keying the ring by GPU:
+// one GPU's 24-row epoch frame through an idle router is one dispatch of
+// all 24 rows to the replica that owns the GPU, however many replicas
+// the fleet has.
+func TestRouterGPUFrameIsOneDispatch(t *testing.T) {
+	const frames, frameRows = 20, 24
+	for _, replicas := range []int{2, 3, 8} {
+		rt, _ := startFleet(t, replicas, Options{Seed: 3, QueueDeadline: time.Minute})
+		rng := rand.New(rand.NewSource(int64(replicas)))
+		owners := map[int]bool{}
+		for g := 0; g < frames; g++ {
+			rows := gpuFrame(rng, int32(g), frameRows)
+			owner, _ := rt.Ring().Lookup(Key(3, int32(g), 0))
+			owners[owner] = true
+			before := rt.Telemetry().Snapshot().Histograms["fleet_batch_rows"]
+			for i, d := range rt.Decide(rows, nil) {
+				if d.Reason != provenance.ReasonModel || d.Shard != owner {
+					t.Fatalf("%d replicas, GPU %d cluster %d: %+v, want a model answer from shard %d", replicas, g, i, d, owner)
+				}
+			}
+			after := rt.Telemetry().Snapshot().Histograms["fleet_batch_rows"]
+			if n, sum := after.Count-before.Count, after.Sum-before.Sum; n != 1 || sum != frameRows {
+				t.Fatalf("%d replicas, GPU %d: a %d-row frame took %d dispatches carrying %d rows, want 1 carrying %d",
+					replicas, g, frameRows, n, sum, frameRows)
+			}
+		}
+		if len(owners) < 2 {
+			t.Fatalf("%d replicas: all %d GPUs on one shard, the test shows nothing", replicas, frames)
+		}
 	}
 }
 

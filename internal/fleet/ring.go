@@ -1,12 +1,14 @@
 // Package fleet is the multi-replica serving tier: a consistent-hash
-// ring shards (gpu, cluster) decision keys across N ssmdvfsd replicas, a
-// router splits each frame into one part per owning replica and sends
-// every part whole as a v3 keyed frame, and admission control sheds
-// overload into the analytical PCSTALL fallback instead of queuing past
-// the decision deadline. One daemon serves one GPU's 24 clusters; this
-// package is how thousands of GPUs get microsecond-scale decisions from a
-// bounded set of replicas — and the architecture the later scaling work
-// (batched inference, online learning rollout) inherits.
+// ring shards GPUs across N ssmdvfsd replicas (every (gpu, cluster)
+// decision key of a GPU goes to the replica that owns the GPU), a router
+// splits each frame into one part per owning replica — one part for one
+// GPU's epoch frame — and sends every part whole as a keyed frame, and
+// admission control sheds overload into the analytical PCSTALL fallback
+// instead of queuing past the decision deadline. One daemon serves one
+// GPU's 24 clusters; this package is how thousands of GPUs get
+// microsecond-scale decisions from a bounded set of replicas — and the
+// architecture the later scaling work (batched inference, online learning
+// rollout) inherits.
 package fleet
 
 import (
@@ -22,11 +24,15 @@ import (
 // cheap enough that ring rebuilds are sub-millisecond.
 const DefaultVNodes = 128
 
-// Key folds a (gpu, cluster) identity into the ring's 64-bit hash space.
-// The mix is seeded so two fleets with different seeds shard the same
-// keys differently.
-func Key(seed uint64, gpu, cluster int32) uint64 {
-	return faults.Mix64(seed ^ uint64(uint32(gpu))<<21 ^ uint64(uint32(cluster)))
+// Key places a (gpu, cluster) identity in the ring's 64-bit hash space.
+// Only the GPU is hashed: all of a GPU's clusters share one position, so
+// the epoch frame a GPU sends goes whole to one replica, and that replica
+// holds every feedback chain and ledger group of the GPU. The cluster is
+// ignored; it is a parameter so callers name the whole identity they
+// route. The mix is seeded so two fleets with different seeds shard the
+// same GPUs differently.
+func Key(seed uint64, gpu, _ int32) uint64 {
+	return faults.Mix64(seed ^ uint64(uint32(gpu))<<21)
 }
 
 // point is one virtual node on the ring.

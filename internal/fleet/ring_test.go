@@ -1,14 +1,20 @@
 package fleet
 
 import (
+	"fmt"
+	"slices"
+	"strings"
 	"testing"
+
+	"ssmdvfs/internal/faults"
 )
 
 func testKeys(n int, seed uint64) []uint64 {
 	keys := make([]uint64, n)
 	for i := range keys {
 		// (gpu, cluster) pairs the way a fleet sees them: many GPUs, 24
-		// clusters each.
+		// clusters each. Key places a GPU, so n keys are only ⌈n/24⌉ ring
+		// positions (834 for 20 000), each repeated once per cluster.
 		keys[i] = Key(seed, int32(i/24), int32(i%24))
 	}
 	return keys
@@ -168,4 +174,54 @@ func TestRingAllUnhealthy(t *testing.T) {
 	if _, ok := r.LookupName(12345); ok {
 		t.Fatal("LookupName succeeded with no healthy replicas")
 	}
+}
+
+// balance returns the rows on the busiest of r replicas over the mean
+// when gpus GPUs send 24 rows each and key places row (gpu, cluster).
+func balance(tb testing.TB, gpus, r int, seed uint64, key func(gpu, cluster int32) uint64) float64 {
+	reps := make([]string, r)
+	for i := range reps {
+		reps[i] = fmt.Sprintf("10.0.0.%d:9000", i+1)
+	}
+	ring, err := NewRing(RingOptions{Replicas: reps, Seed: seed, VNodes: 128})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	rows := make([]int, r)
+	for g := int32(0); g < int32(gpus); g++ {
+		for c := int32(0); c < 24; c++ {
+			owner, _ := ring.Lookup(key(g, c))
+			rows[owner]++
+		}
+	}
+	return float64(slices.Max(rows)) * float64(r) / float64(24*gpus)
+}
+
+// TestRingBalancesGPUs is what placing a GPU, not a cluster, costs in
+// balance: a replica's load comes in whole GPUs, so a fleet balances only
+// with several GPUs per replica. Under -v it prints the table
+// EXPERIMENTS.md quotes — max/mean rows per replica with Key's GPU
+// positions against one position per (gpu, cluster) pair, at seed 1 and
+// 128 vnodes — and it fails if any of seeds 1–8 puts more than 1.5× the
+// mean on a replica of a fleet with 128 GPUs or more per replica.
+func TestRingBalancesGPUs(t *testing.T) {
+	var table strings.Builder
+	fmt.Fprintf(&table, "%6s %3s %9s %9s\n", "GPUs", "R", "GPU key", "pair key")
+	for _, gpus := range []int{16, 64, 256, 1024} {
+		for _, r := range []int{2, 4, 8} {
+			for seed := uint64(1); seed <= 8; seed++ {
+				byGPU := balance(t, gpus, r, seed, func(g, c int32) uint64 { return Key(seed, g, c) })
+				if gpus/r >= 128 && byGPU > 1.5 {
+					t.Errorf("%d GPUs on %d replicas, seed %d: the busiest replica carries %.2f× the mean", gpus, r, seed, byGPU)
+				}
+				if seed == 1 {
+					byPair := balance(t, gpus, r, seed, func(g, c int32) uint64 {
+						return faults.Mix64(seed ^ uint64(uint32(g))<<21 ^ uint64(uint32(c)))
+					})
+					fmt.Fprintf(&table, "%6d %3d %9.2f %9.2f\n", gpus, r, byGPU, byPair)
+				}
+			}
+		}
+	}
+	t.Logf("max/mean rows per replica, seed 1, 128 vnodes:\n%s", table.String())
 }

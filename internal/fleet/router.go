@@ -187,10 +187,10 @@ type shard struct {
 // Router is the fleet serving tier: it owns the consistent-hash ring,
 // one queue and MaxInFlight dispatch slots per replica, admission control,
 // and the front-end transport. Frames enter via Decide (in-process) or
-// ServeConn (wire), are split once by their rows' (gpu, cluster) keys
-// into one part per owning replica, travel as multi-row frames, and
-// always come back with a decision per row — model, rerouted, or
-// shed-to-fallback — never an error.
+// ServeConn (wire), are split once by their rows' GPUs into one part per
+// owning replica, travel as multi-row frames, and always come back with a
+// decision per row — model, rerouted, or shed-to-fallback — never an
+// error.
 type Router struct {
 	opts    Options
 	expect  infer.Kind // parsed Options.ExpectBackend; "" accepts any
@@ -282,7 +282,7 @@ func (rt *Router) NumShards() int { return len(rt.shards) }
 // row to decs, in row order. It blocks until all rows are answered; rows
 // the fleet cannot serve in time come back shed to the analytical
 // fallback (Reason == ReasonShed), never as an error. Rows without a
-// (gpu, cluster) identity get a synthetic one so they still shard.
+// (gpu, cluster) identity share a synthetic GPU so they still shard.
 func (rt *Router) Decide(rows []serve.Request, decs []serve.Decision) []serve.Decision {
 	decs, _ = rt.DecideTraced(rows, decs, telemetry.TraceContext{})
 	return decs
@@ -315,22 +315,28 @@ func (rt *Router) DecideTraced(rows []serve.Request, decs []serve.Decision, tc t
 	return decs, hops
 }
 
-// split buckets rows idx of f by the replica that owns each key (the last
-// bucket when none does) and submits one part per bucket — and one more
-// whenever a bucket reaches serve.MaxBatch rows, all a wire frame carries.
-// Callers hold stopMu.RLock and own buckets, which split leaves empty.
+// split buckets rows idx of f by the replica that owns each row's GPU (the
+// last bucket when none does) and submits one part per bucket — and one
+// more whenever a bucket reaches serve.MaxBatch rows, all a wire frame
+// carries. A run of rows on one GPU costs one ring lookup; unkeyed rows
+// all carry f.synth. Callers hold stopMu.RLock and own buckets, which
+// split leaves empty.
 func (rt *Router) split(f *frame, idx []int32, hops int, buckets []*part) {
+	lastGPU, owner := int32(-1), 0
 	for _, i := range idx {
-		gpu, cluster := f.rows[i].GPU, f.rows[i].Cluster
-		if gpu < 0 || cluster < 0 {
+		gpu := f.rows[i].GPU
+		if gpu < 0 || f.rows[i].Cluster < 0 {
 			if f.synth < 0 {
 				f.synth = int32(rt.synthSeq.Add(1) % (1 << 30))
 			}
-			gpu, cluster = f.synth, i
+			gpu = f.synth
 		}
-		owner, ok := rt.ring.Lookup(Key(rt.ring.Seed(), gpu, cluster))
-		if !ok {
-			owner = len(rt.shards)
+		if gpu != lastGPU {
+			var ok bool
+			if owner, ok = rt.ring.Lookup(Key(rt.ring.Seed(), gpu, 0)); !ok {
+				owner = len(rt.shards)
+			}
+			lastGPU = gpu
 		}
 		p := buckets[owner]
 		if p == nil {

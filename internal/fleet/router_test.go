@@ -312,9 +312,9 @@ func TestRouterExpectBackend(t *testing.T) {
 }
 
 // TestRouterChaosReplicaDeath is the chaos drill, at part granularity:
-// callers send whole 24-row GPU frames that span both replicas, one
-// replica dies mid-load, and every row must still come back with a
-// decision. The part bound for the survivor is none of the failure's
+// callers send 24-row frames of four GPUs' six clusters, which span both
+// replicas, one replica dies mid-load, and every row must still come back
+// with a decision. The part bound for the survivor is none of the failure's
 // business; the rows of the part that failed come back from the survivor
 // flagged Rerouted, or shed once MaxHops is spent — never errored, and
 // the reroute counter counts them in rows.
@@ -355,7 +355,7 @@ func TestRouterChaosReplicaDeath(t *testing.T) {
 				for c := range rows {
 					rows[c] = serve.Request{
 						Preset: 0.1, Features: featureRow(rng),
-						GPU: int32(w*perWorker + i), Cluster: int32(c),
+						GPU: int32(4*(w*perWorker+i) + c/6), Cluster: int32(c % 6),
 					}
 				}
 				decs, err := cl.DecideKeyed(rows)
@@ -578,9 +578,10 @@ func BenchmarkFleet_CoalescedThroughput(b *testing.B) { benchFleet(b, 1, 1, 64) 
 func BenchmarkFleet_SingleRowThroughput(b *testing.B) { benchFleet(b, 1, 1, 1) }
 
 // BenchmarkFleet_GPUFrame is the shape the paper serves: one GPU's 24
-// clusters asked for together, split over 2 replicas. An iteration is a
-// frame; rows/dispatch near 12 means each frame cost one dispatch per
-// owner, and allocs/op counts the replicas' side of the loopback too.
+// clusters asked for together, over 2 replicas. An iteration is a frame;
+// rows/dispatch of 24 means each frame went whole to the replica that
+// owns its GPU, and allocs/op counts the replicas' side of the loopback
+// too.
 func BenchmarkFleet_GPUFrame(b *testing.B) { benchFleet(b, 2, 24, 64) }
 
 // TestRouterModelLineage checks the fleet surfaces per-replica model

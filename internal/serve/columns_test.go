@@ -134,6 +134,14 @@ func otherColumns(t *testing.T, seed int64) *core.Model {
 // decides from the full rows — never a model fed the zeros of a column
 // the frame left out — no call fails, and a frame caught by a swap is
 // sent back and resent once.
+//
+// A swap can land after the server loaded the model for a frame and
+// before that frame's answer is in. The frame is answered by the old model
+// and the client keeps the old mask, so the next frame is the one sent
+// back. That next frame may not meet a second swap as well, or it is sent
+// back twice. So the swapper waits, after each swap, until a frame begun
+// after the swap returned has been answered: that frame met the new model
+// and left the client on its mask.
 func TestNeverComputesFromAbsentColumn(t *testing.T) {
 	models := [2]*core.Model{testModel(t, 51), otherColumns(t, 52)}
 	var refs [2]*Engine
@@ -154,18 +162,23 @@ func TestNeverComputesFromAbsentColumn(t *testing.T) {
 	defer cl.Close()
 
 	const swaps = 200
-	var frames atomic.Int64 // answered so far
+	var begun, frames atomic.Int64 // frames sent so far, and answered
 	swapped := make(chan error, 1)
+	quit := make(chan struct{}) // a failed test stops the swapper too
+	defer close(quit)
 	go func() {
 		for i := 1; i <= swaps; i++ {
-			// Let a frame through between swaps, so each one catches at
-			// most the frame in flight.
-			for seen := frames.Load(); frames.Load() == seen; {
-				runtime.Gosched()
-			}
 			if err := srv.Swap(models[i%2]); err != nil {
 				swapped <- err
 				return
+			}
+			// Frame number next is the first begun after the swap.
+			for next := begun.Load(); frames.Load() <= next; runtime.Gosched() {
+				select {
+				case <-quit:
+					return
+				default:
+				}
 			}
 		}
 		swapped <- nil
@@ -187,6 +200,7 @@ func TestNeverComputesFromAbsentColumn(t *testing.T) {
 		for i := range rows {
 			rows[i] = Request{Preset: 0.05 + 0.2*rng.Float64(), Features: featureRow(rng), GPU: 1, Cluster: int32(i % 24)}
 		}
+		begun.Add(1)
 		before := srv.Metrics().ColumnResends.Load()
 		got, err := cl.DecideKeyed(rows)
 		if err != nil {
