@@ -23,11 +23,12 @@
 // (queue/coalesce/network/inference) plus an example trace ID to chase
 // through the merged Chrome trace or /debug/decisions?trace=.
 //
-// With -trace the feature stream is a cycled replay of the trace file
-// (CSV or JSON from cmd/dvfstrace); without it, synthetic epochs are
-// drawn from the memory-boundedness family used across the project's
-// tests. -qps caps total decisions/second (0 = unlimited: measure peak
-// throughput).
+// With -trace the feature stream is a cycled replay of a cmd/dvfstrace
+// CSV: each row is the 47-counter vector the simulator's controller saw
+// for that epoch, so a -ledger replica prices it as the run did. Without
+// it, synthetic epochs are drawn from the memory-boundedness family used
+// across the project's tests. -qps caps total decisions/second
+// (0 = unlimited: measure peak throughput).
 //
 // There is one frame, and a row's (gpu, cluster) identity in it is
 // optional. Without -fleet rows carry none (-1/-1): a daemon answers them
@@ -79,7 +80,7 @@ func main() {
 		duration  = flag.Duration("duration", 10*time.Second, "load duration")
 		qps       = flag.Float64("qps", 0, "target total decisions/second (0 = unlimited)")
 		preset    = flag.Float64("preset", 0.10, "performance-loss preset sent with every row")
-		trace     = flag.String("trace", "", "replay this dvfstrace file (CSV or JSON) instead of synthetic epochs")
+		trace     = flag.String("trace", "", "replay this dvfstrace CSV instead of synthetic epochs")
 		fleetMode = flag.Bool("fleet", false, "give every frame one (gpu, cluster) key and report per-shard latency (for a dvfsfleet router)")
 		rows      = flag.Int("rows", 4096, "synthetic feature rows to generate (without -trace)")
 		seed      = flag.Int64("seed", 1, "synthetic feature seed")

@@ -1,8 +1,8 @@
 // Command dvfsstat turns telemetry dumps back into human-readable
-// analysis: operating-level residency tables, controller-vs-oracle
-// divergence summaries, stall breakdowns, and latency quantiles from a
-// metrics snapshot; phase tables and Chrome trace-event export from a
-// span capture; and per-epoch divergence between two trace files.
+// analysis: build attribution, latency quantiles, counters and gauges
+// from a metrics snapshot; phase tables and Chrome trace-event export
+// from a span capture; and per-epoch decision divergence between two
+// dvfstrace CSV files (a controller against an oracle, say).
 //
 // Usage:
 //
@@ -60,7 +60,7 @@ func main() {
 		metrics   = flag.String("metrics", "", "telemetry registry snapshot (JSON; a -telemetry dump, or /telemetry from a daemon or router)")
 		spans     = flag.String("spans", "", "span captures (JSONL; comma-separated files merge, one Chrome process each)")
 		chrome    = flag.String("chrome", "", "with -spans: write Chrome trace-event JSON here")
-		trace     = flag.String("trace", "", "per-epoch trace (CSV or JSON from dvfstrace)")
+		trace     = flag.String("trace", "", "per-epoch trace (CSV from dvfstrace -o)")
 		against   = flag.String("against", "", "with -trace: reference trace to diff decisions against")
 		decisions = flag.String("decisions", "", "flight-recorder dump (JSONL from /debug/decisions or -flightrec)")
 		promlint  = flag.String("promlint", "", "lint a Prometheus text exposition (from /metrics.prom); exits 1 on problems")
@@ -126,11 +126,11 @@ func run(w io.Writer, metricsPath, spansPath, chromePath, tracePath, againstPath
 		if againstPath == "" {
 			return fmt.Errorf("-trace requires -against (the reference run to diff)")
 		}
-		a, err := readTrace(tracePath)
+		a, err := epochtrace.ReadFile(tracePath)
 		if err != nil {
 			return err
 		}
-		b, err := readTrace(againstPath)
+		b, err := epochtrace.ReadFile(againstPath)
 		if err != nil {
 			return err
 		}
@@ -262,30 +262,6 @@ func crossCheckLedger(w io.Writer, refPath string, online, replay ledger.Snapsho
 	return nil
 }
 
-func readTrace(path string) (*epochtrace.Trace, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	if strings.HasSuffix(strings.ToLower(path), ".json") {
-		return epochtrace.ReadJSON(f)
-	}
-	return epochtrace.ReadCSV(f)
-}
-
-// byLabel collects counters with the given base name into label → value.
-func byLabel(counters map[string]int64, base, label string) map[string]int64 {
-	out := map[string]int64{}
-	for id, v := range counters {
-		name, labels := telemetry.ParseID(id)
-		if name == base {
-			out[labels[label]] = v
-		}
-	}
-	return out
-}
-
 func sortedLabelKeys(m map[string]int64) []string {
 	keys := make([]string, 0, len(m))
 	for k := range m {
@@ -303,8 +279,7 @@ func sortedLabelKeys(m map[string]int64) []string {
 }
 
 // summarizeMetrics prints the sections a registry snapshot supports:
-// build attribution, residency, stall breakdown, divergence, histograms,
-// and counters.
+// build attribution, histograms, counters and gauges.
 func summarizeMetrics(w io.Writer, snap telemetry.Snapshot) {
 	if len(snap.Build) > 0 {
 		fmt.Fprintln(w, "== build ==")
@@ -313,51 +288,6 @@ func summarizeMetrics(w io.Writer, snap telemetry.Snapshot) {
 		}
 		fmt.Fprintln(w)
 	}
-	residency := byLabel(snap.Counters, "sim_level_residency_ps", "level")
-	epochs := byLabel(snap.Counters, "sim_level_epochs_total", "level")
-	if len(residency) > 0 {
-		var totalPs int64
-		for _, v := range residency {
-			totalPs += v
-		}
-		fmt.Fprintln(w, "== operating-level residency ==")
-		fmt.Fprintf(w, "%-6s %14s %8s %10s\n", "level", "time_us", "share", "epochs")
-		for _, lvl := range sortedLabelKeys(residency) {
-			ps := residency[lvl]
-			share := 0.0
-			if totalPs > 0 {
-				share = float64(ps) / float64(totalPs) * 100
-			}
-			fmt.Fprintf(w, "%-6s %14.1f %7.1f%% %10d\n", lvl, float64(ps)/1e6, share, epochs[lvl])
-		}
-		fmt.Fprintln(w)
-	}
-
-	stalls := byLabel(snap.Counters, "sim_stall_cycles_total", "kind")
-	if len(stalls) > 0 {
-		var total int64
-		for _, v := range stalls {
-			total += v
-		}
-		fmt.Fprintln(w, "== stall-cycle breakdown ==")
-		fmt.Fprintf(w, "%-18s %14s %8s\n", "kind", "cycles", "share")
-		for _, kind := range sortedLabelKeys(stalls) {
-			share := 0.0
-			if total > 0 {
-				share = float64(stalls[kind]) / float64(total) * 100
-			}
-			fmt.Fprintf(w, "%-18s %14d %7.1f%%\n", kind, stalls[kind], share)
-		}
-		fmt.Fprintln(w)
-	}
-
-	agree := snap.Counters["sim_reference_agree_epochs_total"]
-	diverge := snap.Counters["sim_reference_diverge_epochs_total"]
-	if agree+diverge > 0 {
-		printDivergence(w, "controller vs reference (from registry)", agree, diverge,
-			float64(snap.Counters["sim_reference_diverge_levels_total"]))
-	}
-
 	if len(snap.Histograms) > 0 {
 		fmt.Fprintln(w, "== distributions ==")
 		fmt.Fprintf(w, "%-44s %10s %10s %10s %10s %10s\n", "histogram", "count", "mean", "p50", "p95", "p99")
@@ -375,12 +305,6 @@ func summarizeMetrics(w io.Writer, snap telemetry.Snapshot) {
 	if len(snap.Counters) > 0 {
 		fmt.Fprintln(w, "== counters ==")
 		for _, id := range sortedKeys(snap.Counters) {
-			name, _ := telemetry.ParseID(id)
-			switch name {
-			// Already rendered as tables above.
-			case "sim_level_residency_ps", "sim_level_epochs_total", "sim_stall_cycles_total":
-				continue
-			}
 			fmt.Fprintf(w, "%-52s %14d\n", id, snap.Counters[id])
 		}
 	}
@@ -451,7 +375,7 @@ func summarizeDivergence(w io.Writer, nameA, nameB string, a, b *epochtrace.Trac
 	type key struct{ epoch, cluster int }
 	ref := make(map[key]int, len(b.Records))
 	for _, r := range b.Records {
-		ref[key{r.Epoch, r.Cluster}] = r.Level
+		ref[key{r.Epoch, r.Cluster}] = r.Level()
 	}
 	var agree, diverge int64
 	var absDist float64
@@ -461,11 +385,11 @@ func summarizeDivergence(w io.Writer, nameA, nameB string, a, b *epochtrace.Trac
 		if !ok {
 			continue
 		}
-		if r.Level == refLevel {
+		if r.Level() == refLevel {
 			agree++
 		} else {
 			diverge++
-			d := r.Level - refLevel
+			d := r.Level() - refLevel
 			if d < 0 {
 				absDist -= float64(d)
 			} else {

@@ -14,20 +14,13 @@ import (
 	"ssmdvfs/internal/telemetry"
 )
 
-// writeFixtureMetrics builds a registry the way a simulator run would and
+// writeFixtureMetrics builds a registry the way a served run would and
 // dumps it to disk.
 func writeFixtureMetrics(t *testing.T, path string) {
 	t.Helper()
 	reg := telemetry.NewRegistry()
-	reg.Counter("sim_level_residency_ps", "level", "0").Add(30_000_000)
-	reg.Counter("sim_level_residency_ps", "level", "5").Add(70_000_000)
-	reg.Counter("sim_level_epochs_total", "level", "0").Add(3)
-	reg.Counter("sim_level_epochs_total", "level", "5").Add(7)
-	reg.Counter("sim_stall_cycles_total", "kind", "mem_load").Add(9000)
-	reg.Counter("sim_stall_cycles_total", "kind", "compute").Add(1000)
-	reg.Counter("sim_reference_agree_epochs_total").Add(8)
-	reg.Counter("sim_reference_diverge_epochs_total").Add(2)
-	reg.Counter("sim_reference_diverge_levels_total").Add(4)
+	reg.Counter("serve_decisions_total").Add(42)
+	reg.Gauge("serve_model_generation").Add(3)
 	h := reg.HistogramBuckets("serve_batch_latency_us", 20)
 	for _, v := range []int64{3, 5, 9, 17, 33} {
 		h.Observe(v)
@@ -53,14 +46,12 @@ func TestSummarizeMetricsDump(t *testing.T) {
 	}
 	got := out.String()
 	for _, want := range []string{
-		"operating-level residency",
-		"70.0%", // level 5 share
-		"stall-cycle breakdown",
-		"mem_load",
-		"decision divergence",
-		"80.0%",         // agreement
-		"mean |Δlevel|", // 4/2 = 2.00
+		"== distributions ==",
 		"serve_batch_latency_us",
+		"== counters ==",
+		"serve_decisions_total",
+		"== gauges ==",
+		"serve_model_generation",
 	} {
 		if !strings.Contains(got, want) {
 			t.Fatalf("output missing %q:\n%s", want, got)
@@ -113,7 +104,9 @@ func TestTraceDivergence(t *testing.T) {
 	mk := func(name string, levels []int) string {
 		tr := &epochtrace.Trace{}
 		for e, lvl := range levels {
-			tr.Records = append(tr.Records, epochtrace.Record{Epoch: e, Cluster: 0, Level: lvl})
+			row := make([]float64, counters.Num)
+			row[counters.IdxLevel] = float64(lvl)
+			tr.Records = append(tr.Records, epochtrace.Record{Epoch: e, Cluster: 0, Counters: row})
 		}
 		path := filepath.Join(dir, name)
 		f, err := os.Create(path)

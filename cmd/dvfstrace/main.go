@@ -1,13 +1,15 @@
 // Command dvfstrace runs a single kernel under one DVFS mechanism and
-// dumps the per-epoch, per-cluster trace (CSV or JSON), plus a terminal
-// summary: level histogram, cluster-0 level timeline, and IPC/power
-// sparklines. It is the microscope for inspecting what a controller
-// actually did.
+// dumps the per-epoch, per-cluster trace as CSV — one row per cluster
+// epoch, its 47 counters exactly as counters.FromStats computes them for
+// the controller — plus a terminal summary: level histogram, cluster-0
+// level timeline, IPC/power sparklines, and stall-cycle breakdown. It is
+// the microscope for inspecting what a controller actually did, and its
+// CSV replays into "dvfsload -trace" and "dvfsstat -trace".
 //
 // Usage:
 //
 //	dvfstrace -kernel rodinia.srad -mech ssmdvfs -preset 0.10 \
-//	          -cache ssmdvfs-cache [-quick] [-o trace.csv] [-json]
+//	          -cache ssmdvfs-cache [-quick] [-o trace.csv]
 //	          [-telemetry telem.json] [-v]
 //
 // Mechanisms are the controllers of experiments.NewController: baseline,
@@ -15,9 +17,10 @@
 // (fixed level N of the operating-point table). Any other name is
 // refused before anything is trained or simulated.
 //
-// With -telemetry a gpusim.TelemetryCollector rides along with the trace
-// observer and the per-level residency, stall breakdown, and IPC
-// histogram land in FILE — summarize with "dvfsstat -metrics FILE".
+// With -telemetry the series of the pipeline logger and, under
+// -flightrec, of the provenance monitor land in FILE — summarize with
+// "dvfsstat -metrics FILE". The simulator's epochs are in the trace,
+// not there.
 //
 // With -flightrec (ssmdvfs mechanisms only) every controller decision is
 // captured in a provenance flight recorder — raw counters, derived
@@ -36,6 +39,7 @@ import (
 	"ssmdvfs/internal/atomicfile"
 	"ssmdvfs/internal/buildinfo"
 	"ssmdvfs/internal/core"
+	"ssmdvfs/internal/counters"
 	"ssmdvfs/internal/epochtrace"
 	"ssmdvfs/internal/experiments"
 	"ssmdvfs/internal/gpusim"
@@ -53,9 +57,8 @@ func main() {
 		cache      = flag.String("cache", "ssmdvfs-cache", "artifact cache directory (for ssmdvfs mechanisms)")
 		quick      = flag.Bool("quick", true, "use the reduced GPU configuration")
 		out        = flag.String("o", "", "trace output path (default: stdout summary only)")
-		asJSON     = flag.Bool("json", false, "write JSON instead of CSV")
 		seed       = flag.Int64("seed", 1, "seed for stochastic mechanisms")
-		telemOut   = flag.String("telemetry", "", "write a telemetry snapshot (sim residency/stalls) here")
+		telemOut   = flag.String("telemetry", "", "write a telemetry snapshot (logger and monitor series) here")
 		flightrec  = flag.String("flightrec", "", "write a decision-provenance flight-recorder dump (JSONL) here (ssmdvfs mechanisms)")
 		verbose    = flag.Bool("v", false, "log pipeline progress to stderr")
 		version    = flag.Bool("version", false, "print build information and exit")
@@ -66,7 +69,7 @@ func main() {
 		return
 	}
 
-	if err := run(*kernelName, *mech, *preset, *cache, *quick, *out, *asJSON, *seed, *telemOut, *flightrec, *verbose); err != nil {
+	if err := run(*kernelName, *mech, *preset, *cache, *quick, *out, *seed, *telemOut, *flightrec, *verbose); err != nil {
 		fmt.Fprintln(os.Stderr, "dvfstrace:", err)
 		os.Exit(1)
 	}
@@ -76,7 +79,7 @@ func main() {
 // decisions, plenty for a quick-config run while keeping the ring flat.
 const flightrecCap = 1 << 16
 
-func run(kernelName, mech string, preset float64, cache string, quick bool, out string, asJSON bool, seed int64, telemOut, flightrec string, verbose bool) error {
+func run(kernelName, mech string, preset float64, cache string, quick bool, out string, seed int64, telemOut, flightrec string, verbose bool) error {
 	opts := experiments.DefaultPipelineOptions()
 	if quick {
 		opts = experiments.QuickPipelineOptions()
@@ -127,12 +130,7 @@ func run(kernelName, mech string, preset float64, cache string, quick bool, out 
 		return err
 	}
 	trace := &epochtrace.Trace{}
-	observe := gpusim.EpochObserver(trace.Observe)
-	if reg != nil {
-		col := gpusim.NewTelemetryCollector(reg, opts.Sim.OPs.Len())
-		observe = gpusim.ChainObservers(trace.Observe, col.Observe)
-	}
-	sim.SetObserver(observe)
+	sim.SetObserver(trace.Observe)
 	if ctrl != nil {
 		sim.SetController(ctrl)
 	}
@@ -142,11 +140,7 @@ func run(kernelName, mech string, preset float64, cache string, quick bool, out 
 	}
 
 	if out != "" {
-		write := trace.WriteCSV
-		if asJSON {
-			write = trace.WriteJSON
-		}
-		if err := atomicfile.Write(out, write); err != nil {
+		if err := atomicfile.Write(out, trace.WriteCSV); err != nil {
 			return err
 		}
 		fmt.Fprintf(os.Stderr, "wrote %d records to %s\n", len(trace.Records), out)
@@ -209,13 +203,34 @@ func summarize(w *os.File, kernel, mech string, cfg gpusim.Config, trace *epocht
 		ipc := make([]float64, len(c0))
 		power := make([]float64, len(c0))
 		for i, r := range c0 {
-			levels[i] = r.Level
-			ipc[i] = r.IPC
-			power[i] = r.PowerW
+			levels[i] = r.Level()
+			ipc[i] = r.Counters[counters.IdxIPC]
+			power[i] = r.Counters[counters.IdxPPC]
 		}
 		fmt.Fprintf(w, "\ncluster 0 levels: %s\n", viz.LevelTimeline(levels, 8))
 		fmt.Fprintf(w, "cluster 0 IPC:    %s\n", viz.Sparkline(ipc))
 		fmt.Fprintf(w, "cluster 0 power:  %s  (mean %.1f W)\n", viz.Sparkline(power), trace.MeanPowerW())
 	}
+
+	sums := make([]float64, len(stallColumns))
+	var total float64
+	for i, idx := range stallColumns {
+		sums[i] = trace.Sum(idx)
+		total += sums[i]
+	}
+	fmt.Fprintln(w, "\nstall cycles, all clusters:")
+	for i, idx := range stallColumns {
+		share := 0.0
+		if total > 0 {
+			share = sums[i] / total * 100
+		}
+		fmt.Fprintf(w, "  %-18s %14.0f %6.1f%%\n", counters.Def(idx).Name, sums[i], share)
+	}
 	return nil
+}
+
+// stallColumns are the trace's six stall-cycle counters.
+var stallColumns = []int{
+	counters.IdxMH, counters.IdxMHNL, counters.IdxStallCompute,
+	counters.IdxStallControl, counters.IdxReadyNotIssued, counters.IdxDVFSStall,
 }

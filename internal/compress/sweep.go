@@ -186,23 +186,3 @@ func PrunePoint(m *core.Model, ds *datagen.Dataset, x1, x2 float64, opts PruneOp
 		MAPE:     rep.MAPE,
 	}, nil
 }
-
-// PruningSweep evaluates a grid of (x1, x2) pruning parameters on a
-// trained model, returning Fig. 3's pruning series. Points are evaluated
-// with effective (sparse) FLOPs.
-func PruningSweep(m *core.Model, ds *datagen.Dataset, x1s, x2s []float64, opts PruneOptions) ([]Point, error) {
-	if len(x1s) == 0 || len(x2s) == 0 {
-		return nil, fmt.Errorf("compress: empty pruning grid")
-	}
-	var points []Point
-	for _, x1 := range x1s {
-		for _, x2 := range x2s {
-			p, err := PrunePoint(m, ds, x1, x2, opts)
-			if err != nil {
-				return nil, err
-			}
-			points = append(points, p)
-		}
-	}
-	return points, nil
-}

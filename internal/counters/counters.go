@@ -62,6 +62,12 @@ const (
 	IdxInstr        = 5  // instructions executed in the epoch
 	IdxStallCompute = 21 // compute-dependency stalls
 	IdxStallControl = 22 // control-dependency stalls
+
+	// The remaining stall kinds and the operating level, which trace
+	// readers take from a stored row.
+	IdxReadyNotIssued = 23 // ready warps the issue stage passed over
+	IdxDVFSStall      = 24 // cycles lost to voltage/frequency transitions
+	IdxLevel          = 46 // operating level the epoch ran at
 )
 
 var defs = [Num]Counter{
@@ -173,7 +179,7 @@ func FromStats(s gpusim.EpochStats) []float64 {
 	v[IdxMHNL] = float64(s.StallMemOther)
 	v[IdxL1CRM] = float64(s.L1ReadMisses)
 
-	v[5] = instr
+	v[IdxInstr] = instr
 	v[6] = float64(s.OpCounts[isa.OpIAlu])
 	v[7] = float64(s.OpCounts[isa.OpFAlu])
 	v[8] = float64(s.OpCounts[isa.OpSFU])
@@ -198,10 +204,10 @@ func FromStats(s gpusim.EpochStats) []float64 {
 	}
 	v[20] = cycles
 
-	v[21] = float64(s.StallCompute)
-	v[22] = float64(s.StallControl)
-	v[23] = float64(s.ReadyNotIssued)
-	v[24] = float64(s.DVFSStall)
+	v[IdxStallCompute] = float64(s.StallCompute)
+	v[IdxStallControl] = float64(s.StallControl)
+	v[IdxReadyNotIssued] = float64(s.ReadyNotIssued)
+	v[IdxDVFSStall] = float64(s.DVFSStall)
 	v[25] = float64(stallTotal)
 	if stallTotal > 0 {
 		v[26] = float64(s.StallMemLoad+s.StallMemOther) / float64(stallTotal)
@@ -232,7 +238,7 @@ func FromStats(s gpusim.EpochStats) []float64 {
 	}
 	v[44] = s.OP.FrequencyHz / 1e6
 	v[45] = s.OP.VoltageV
-	v[46] = float64(s.Level)
+	v[IdxLevel] = float64(s.Level)
 	return v
 }
 

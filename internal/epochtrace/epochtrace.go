@@ -1,69 +1,35 @@
-// Package epochtrace records per-epoch, per-cluster simulator snapshots
-// and exports them as CSV or JSON for offline analysis and plotting —
-// the raw material behind the paper's time-series style figures (per-
-// epoch operating levels, IPC, power, stall breakdowns).
+// Package epochtrace records the per-epoch, per-cluster counter rows of a
+// simulator run and writes and reads them as CSV. A row is exactly
+// counters.FromStats of the epoch — the 47-counter vector the controller,
+// the datagen corpus and the flight recorder see — so a trace replays
+// into a model, a daemon or a ledger as the run itself did, and carries
+// the raw material of the paper's time-series figures (per-epoch levels,
+// IPC, power, stall breakdowns).
 package epochtrace
 
 import (
 	"encoding/csv"
-	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
+	"os"
+	"slices"
 	"strconv"
 
+	"ssmdvfs/internal/counters"
 	"ssmdvfs/internal/gpusim"
 )
 
-// Record is one flattened epoch snapshot.
+// Record is one cluster's epoch: its identity and its counter row.
 type Record struct {
-	Epoch        int     `json:"epoch"`
-	Cluster      int     `json:"cluster"`
-	StartUs      float64 `json:"start_us"`
-	Level        int     `json:"level"`
-	FreqMHz      float64 `json:"freq_mhz"`
-	VoltageV     float64 `json:"voltage_v"`
-	Instructions int64   `json:"instructions"`
-	IPC          float64 `json:"ipc"`
-	ActiveFrac   float64 `json:"active_frac"`
-	StallMem     int64   `json:"stall_mem"`
-	StallMemOth  int64   `json:"stall_mem_other"`
-	StallCompute int64   `json:"stall_compute"`
-	L1MissRate   float64 `json:"l1_miss_rate"`
-	L1Misses     int64   `json:"l1_read_misses"`
-	DRAMLines    int64   `json:"dram_lines"`
-	PowerW       float64 `json:"power_w"`
-	EnergyPJ     float64 `json:"energy_pj"`
-	WarpsActive  int     `json:"warps_active"`
+	Epoch   int
+	Cluster int
+	// Counters is counters.FromStats of the epoch, in counters.Names()
+	// order.
+	Counters []float64
 }
 
-// FromStats flattens a simulator snapshot.
-func FromStats(s gpusim.EpochStats) Record {
-	activeFrac := 0.0
-	if s.Cycles > 0 {
-		activeFrac = float64(s.ActiveCycles) / float64(s.Cycles)
-	}
-	return Record{
-		Epoch:        s.Epoch,
-		Cluster:      s.Cluster,
-		StartUs:      float64(s.StartPs) / 1e6,
-		Level:        s.Level,
-		FreqMHz:      s.OP.FrequencyHz / 1e6,
-		VoltageV:     s.OP.VoltageV,
-		Instructions: s.Instructions,
-		IPC:          s.IPC(),
-		ActiveFrac:   activeFrac,
-		StallMem:     s.StallMemLoad,
-		StallMemOth:  s.StallMemOther,
-		StallCompute: s.StallCompute,
-		L1MissRate:   s.L1ReadMissRate(),
-		L1Misses:     s.L1ReadMisses,
-		DRAMLines:    s.DRAMLines,
-		PowerW:       s.PowerW(),
-		EnergyPJ:     s.EnergyPJ,
-		WarpsActive:  s.WarpsActive,
-	}
-}
+// Level is the operating level the epoch ran at.
+func (r Record) Level() int { return int(r.Counters[counters.IdxLevel]) }
 
 // Trace accumulates records; attach Observe to a simulator.
 type Trace struct {
@@ -72,19 +38,7 @@ type Trace struct {
 
 // Observe is a gpusim.EpochObserver that appends a record.
 func (t *Trace) Observe(s gpusim.EpochStats) {
-	t.Records = append(t.Records, FromStats(s))
-}
-
-// Sort orders records by (epoch, cluster); simulators emit them in order,
-// but merged traces may not be.
-func (t *Trace) Sort() {
-	sort.Slice(t.Records, func(i, j int) bool {
-		a, b := t.Records[i], t.Records[j]
-		if a.Epoch != b.Epoch {
-			return a.Epoch < b.Epoch
-		}
-		return a.Cluster < b.Cluster
-	})
+	t.Records = append(t.Records, Record{Epoch: s.Epoch, Cluster: s.Cluster, Counters: counters.FromStats(s)})
 }
 
 // Cluster returns the sub-trace of one cluster, in epoch order.
@@ -102,11 +56,20 @@ func (t *Trace) Cluster(c int) []Record {
 func (t *Trace) LevelHistogram(levels int) []int {
 	hist := make([]int, levels)
 	for _, r := range t.Records {
-		if r.Level >= 0 && r.Level < levels {
-			hist[r.Level]++
+		if l := r.Level(); l >= 0 && l < levels {
+			hist[l]++
 		}
 	}
 	return hist
+}
+
+// Sum totals counter idx over the trace.
+func (t *Trace) Sum(idx int) float64 {
+	var sum float64
+	for _, r := range t.Records {
+		sum += r.Counters[idx]
+	}
+	return sum
 }
 
 // MeanPowerW returns the average cluster power over the trace.
@@ -114,37 +77,24 @@ func (t *Trace) MeanPowerW() float64 {
 	if len(t.Records) == 0 {
 		return 0
 	}
-	var sum float64
-	for _, r := range t.Records {
-		sum += r.PowerW
-	}
-	return sum / float64(len(t.Records))
+	return t.Sum(counters.IdxPPC) / float64(len(t.Records))
 }
 
-var csvHeader = []string{
-	"epoch", "cluster", "start_us", "level", "freq_mhz", "voltage_v",
-	"instructions", "ipc", "active_frac", "stall_mem", "stall_mem_other",
-	"stall_compute", "l1_miss_rate", "l1_read_misses", "dram_lines",
-	"power_w", "energy_pj", "warps_active",
-}
+// header is the CSV header: the record identity, then the counter names.
+var header = append([]string{"epoch", "cluster"}, counters.Names()...)
 
-// WriteCSV writes the trace with a header row.
+// WriteCSV writes the trace with a header row. Counters are written with
+// the fewest digits that parse back to the same float64.
 func (t *Trace) WriteCSV(w io.Writer) error {
 	cw := csv.NewWriter(w)
-	if err := cw.Write(csvHeader); err != nil {
+	if err := cw.Write(header); err != nil {
 		return err
 	}
-	// Precision -1 uses the minimal digits that round-trip exactly.
-	f := func(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
-	d := func(v int64) string { return strconv.FormatInt(v, 10) }
+	row := make([]string, len(header))
 	for _, r := range t.Records {
-		row := []string{
-			strconv.Itoa(r.Epoch), strconv.Itoa(r.Cluster), f(r.StartUs),
-			strconv.Itoa(r.Level), f(r.FreqMHz), f(r.VoltageV),
-			d(r.Instructions), f(r.IPC), f(r.ActiveFrac),
-			d(r.StallMem), d(r.StallMemOth), d(r.StallCompute),
-			f(r.L1MissRate), d(r.L1Misses), d(r.DRAMLines),
-			f(r.PowerW), f(r.EnergyPJ), strconv.Itoa(r.WarpsActive),
+		row[0], row[1] = strconv.Itoa(r.Epoch), strconv.Itoa(r.Cluster)
+		for i, v := range r.Counters {
+			row[2+i] = strconv.FormatFloat(v, 'g', -1, 64)
 		}
 		if err := cw.Write(row); err != nil {
 			return err
@@ -154,91 +104,52 @@ func (t *Trace) WriteCSV(w io.Writer) error {
 	return cw.Error()
 }
 
-// ReadCSV parses a trace written by WriteCSV.
+// ReadCSV parses a trace written by WriteCSV. It refuses any header other
+// than WriteCSV's, so a row is always the counter vector of today's
+// counters.Names().
 func ReadCSV(r io.Reader) (*Trace, error) {
 	cr := csv.NewReader(r)
-	rows, err := cr.ReadAll()
+	head, err := cr.Read()
+	if err == io.EOF {
+		return nil, fmt.Errorf("epochtrace: empty CSV")
+	}
 	if err != nil {
 		return nil, fmt.Errorf("epochtrace: %w", err)
 	}
-	if len(rows) == 0 {
-		return nil, fmt.Errorf("epochtrace: empty CSV")
-	}
-	if len(rows[0]) != len(csvHeader) {
-		return nil, fmt.Errorf("epochtrace: header has %d columns, want %d", len(rows[0]), len(csvHeader))
+	if !slices.Equal(head, header) {
+		return nil, fmt.Errorf("epochtrace: header is not epoch,cluster and the %d counter names", counters.Num)
 	}
 	t := &Trace{}
-	for i, row := range rows[1:] {
-		rec, err := parseRow(row)
+	for {
+		row, err := cr.Read() // the reader holds every row to the header's width
+		if err == io.EOF {
+			return t, nil
+		}
 		if err != nil {
-			return nil, fmt.Errorf("epochtrace: row %d: %w", i+1, err)
+			return nil, fmt.Errorf("epochtrace: %w", err)
+		}
+		rec := Record{Counters: make([]float64, counters.Num)}
+		rec.Epoch, err = strconv.Atoi(row[0])
+		if err == nil {
+			rec.Cluster, err = strconv.Atoi(row[1])
+		}
+		for i := 0; err == nil && i < counters.Num; i++ {
+			rec.Counters[i], err = strconv.ParseFloat(row[2+i], 64)
+		}
+		if err != nil {
+			line, _ := cr.FieldPos(0)
+			return nil, fmt.Errorf("epochtrace: line %d: %w", line, err)
 		}
 		t.Records = append(t.Records, rec)
 	}
-	return t, nil
 }
 
-func parseRow(row []string) (Record, error) {
-	var r Record
-	if len(row) != len(csvHeader) {
-		return r, fmt.Errorf("have %d columns, want %d", len(row), len(csvHeader))
-	}
-	var err error
-	geti := func(s string) int {
-		if err != nil {
-			return 0
-		}
-		var v int
-		v, err = strconv.Atoi(s)
-		return v
-	}
-	getf := func(s string) float64 {
-		if err != nil {
-			return 0
-		}
-		var v float64
-		v, err = strconv.ParseFloat(s, 64)
-		return v
-	}
-	getd := func(s string) int64 {
-		if err != nil {
-			return 0
-		}
-		var v int64
-		v, err = strconv.ParseInt(s, 10, 64)
-		return v
-	}
-	r.Epoch = geti(row[0])
-	r.Cluster = geti(row[1])
-	r.StartUs = getf(row[2])
-	r.Level = geti(row[3])
-	r.FreqMHz = getf(row[4])
-	r.VoltageV = getf(row[5])
-	r.Instructions = getd(row[6])
-	r.IPC = getf(row[7])
-	r.ActiveFrac = getf(row[8])
-	r.StallMem = getd(row[9])
-	r.StallMemOth = getd(row[10])
-	r.StallCompute = getd(row[11])
-	r.L1MissRate = getf(row[12])
-	r.L1Misses = getd(row[13])
-	r.DRAMLines = getd(row[14])
-	r.PowerW = getf(row[15])
-	r.EnergyPJ = getf(row[16])
-	r.WarpsActive = geti(row[17])
-	return r, err
-}
-
-// WriteJSON writes the trace as a JSON array.
-func (t *Trace) WriteJSON(w io.Writer) error {
-	return json.NewEncoder(w).Encode(t.Records)
-}
-
-// ReadJSON parses a trace written by WriteJSON.
-func ReadJSON(r io.Reader) (*Trace, error) {
-	t := &Trace{}
-	if err := json.NewDecoder(r).Decode(&t.Records); err != nil {
+// ReadFile reads a trace file written by WriteCSV.
+func ReadFile(path string) (*Trace, error) {
+	f, err := os.Open(path)
+	if err != nil {
 		return nil, fmt.Errorf("epochtrace: %w", err)
 	}
-	return t, nil
+	defer f.Close()
+	return ReadCSV(f)
 }

@@ -2,89 +2,27 @@ package epochtrace
 
 import (
 	"fmt"
-	"os"
-	"strings"
 	"sync/atomic"
-
-	"ssmdvfs/internal/counters"
 )
 
-// Features reconstructs the 47-counter feature vector the SSMDVFS model
-// consumes from a flattened trace record. Every counter the record
-// carries is restored exactly — in particular the five Table I features
-// (IPC, PPC, MH, MH\L, L1CRM) — and cheap derived counters (cycles, stall
-// fractions, MPKI, energy per instruction) are recomputed; counters the
-// flattened record does not capture (instruction-mix ops, L2 statistics,
-// the dynamic/static power split) stay zero. That is sufficient for
-// replaying a trace against any model trained on the selected feature
-// subset, which is what the dvfsload generator does.
-func (r Record) Features() []float64 {
-	v := make([]float64, counters.Num)
-	instr := float64(r.Instructions)
-	stallTotal := r.StallMem + r.StallMemOth + r.StallCompute
-
-	v[counters.IdxIPC] = r.IPC
-	v[counters.IdxPPC] = r.PowerW
-	v[counters.IdxMH] = float64(r.StallMem)
-	v[counters.IdxMHNL] = float64(r.StallMemOth)
-	v[counters.IdxL1CRM] = float64(r.L1Misses)
-
-	v[5] = instr
-	v[16] = r.ActiveFrac
-	if r.WarpsActive > 0 {
-		v[17] = instr / float64(r.WarpsActive)
-	}
-	v[18] = float64(r.WarpsActive)
-	var cycles float64
-	if r.IPC > 0 {
-		cycles = instr / r.IPC
-		v[19] = instr / (cycles * 2)
-	}
-	v[20] = cycles
-
-	v[21] = float64(r.StallCompute)
-	v[25] = float64(stallTotal)
-	if stallTotal > 0 {
-		v[26] = float64(r.StallMem+r.StallMemOth) / float64(stallTotal)
-		v[27] = float64(r.StallCompute) / float64(stallTotal)
-	}
-	if r.L1MissRate > 0 {
-		v[28] = float64(r.L1Misses) * (1 - r.L1MissRate) / r.L1MissRate
-	}
-	v[29] = r.L1MissRate
-	v[35] = float64(r.DRAMLines)
-	if instr > 0 {
-		v[36] = float64(r.DRAMLines) * 64 / instr
-		v[37] = float64(r.L1Misses) / instr * 1000
-	}
-
-	v[42] = r.EnergyPJ
-	if instr > 0 {
-		v[43] = r.EnergyPJ / instr
-	}
-	v[44] = r.FreqMHz
-	v[45] = r.VoltageV
-	v[46] = float64(r.Level)
-	return v
-}
-
-// FeatureStream replays a trace's feature vectors in a cycle, serving any
+// FeatureStream replays a trace's counter rows in a cycle, serving any
 // number of concurrent readers — the feed for load generators and serving
-// benchmarks. Rows are precomputed once; Next hands them out round-robin
-// with a single atomic increment.
+// benchmarks. Next hands the rows out round-robin with a single atomic
+// increment.
 type FeatureStream struct {
 	rows [][]float64
 	next atomic.Uint64
 }
 
-// NewFeatureStream precomputes the feature vectors of every record in t.
+// NewFeatureStream streams the counter rows of t as they are stored; it
+// shares them with t.
 func NewFeatureStream(t *Trace) (*FeatureStream, error) {
 	if t == nil || len(t.Records) == 0 {
 		return nil, fmt.Errorf("epochtrace: cannot stream an empty trace")
 	}
 	s := &FeatureStream{rows: make([][]float64, len(t.Records))}
 	for i, r := range t.Records {
-		s.rows[i] = r.Features()
+		s.rows[i] = r.Counters
 	}
 	return s, nil
 }
@@ -105,20 +43,10 @@ func (s *FeatureStream) Next() []float64 {
 	return s.rows[n%uint64(len(s.rows))]
 }
 
-// OpenFeatureStream reads a trace file written by WriteCSV or WriteJSON
-// (chosen by the .json extension) and returns its feature stream.
+// OpenFeatureStream reads a trace file written by WriteCSV and returns
+// its feature stream.
 func OpenFeatureStream(path string) (*FeatureStream, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("epochtrace: %w", err)
-	}
-	defer f.Close()
-	var t *Trace
-	if strings.HasSuffix(strings.ToLower(path), ".json") {
-		t, err = ReadJSON(f)
-	} else {
-		t, err = ReadCSV(f)
-	}
+	t, err := ReadFile(path)
 	if err != nil {
 		return nil, err
 	}

@@ -9,28 +9,6 @@ import (
 	"ssmdvfs/internal/counters"
 )
 
-func TestRecordFeaturesRestoresSelectedCounters(t *testing.T) {
-	s := sampleStats(3, 1, 4)
-	want := counters.FromStats(s)
-	got := FromStats(s).Features()
-	if len(got) != counters.Num {
-		t.Fatalf("feature vector has %d entries, want %d", len(got), counters.Num)
-	}
-	// The five Table I counters must round-trip exactly through the
-	// flattened record — they are what a replayed model consumes.
-	for _, idx := range counters.SelectedFive() {
-		if got[idx] != want[idx] {
-			t.Fatalf("counter %d (%s): %g != %g", idx, counters.Def(idx).Name, got[idx], want[idx])
-		}
-	}
-	// Spot-check derived and operating-state counters.
-	for _, idx := range []int{5, 16, 18, 29, 35, 42, 44, 45, 46} {
-		if got[idx] != want[idx] {
-			t.Fatalf("counter %d (%s): %g != %g", idx, counters.Def(idx).Name, got[idx], want[idx])
-		}
-	}
-}
-
 func TestFeatureStreamCyclesConcurrently(t *testing.T) {
 	trace := sampleTrace()
 	s, err := NewFeatureStream(trace)
@@ -80,41 +58,25 @@ func TestOpenFeatureStream(t *testing.T) {
 	trace := sampleTrace()
 	dir := t.TempDir()
 
-	csvPath := filepath.Join(dir, "trace.csv")
-	fc, err := os.Create(csvPath)
+	path := filepath.Join(dir, "trace.csv")
+	f, err := os.Create(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := trace.WriteCSV(fc); err != nil {
+	if err := trace.WriteCSV(f); err != nil {
 		t.Fatal(err)
 	}
-	fc.Close()
+	f.Close()
 
-	jsonPath := filepath.Join(dir, "trace.json")
-	fj, err := os.Create(jsonPath)
+	s, err := OpenFeatureStream(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := trace.WriteJSON(fj); err != nil {
-		t.Fatal(err)
+	if s.Len() != len(trace.Records) {
+		t.Fatalf("Len = %d, want %d", s.Len(), len(trace.Records))
 	}
-	fj.Close()
-
-	for _, path := range []string{csvPath, jsonPath} {
-		s, err := OpenFeatureStream(path)
-		if err != nil {
-			t.Fatalf("%s: %v", path, err)
-		}
-		if s.Len() != len(trace.Records) {
-			t.Fatalf("%s: Len = %d, want %d", path, s.Len(), len(trace.Records))
-		}
-		want := trace.Records[0].Features()
-		got := s.Row(0)
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("%s: row 0 counter %d: %g != %g", path, i, got[i], want[i])
-			}
-		}
+	if !sameBits(s.Row(3), trace.Records[3].Counters) {
+		t.Fatalf("row 3 = %v, want %v", s.Row(3), trace.Records[3].Counters)
 	}
 
 	if _, err := OpenFeatureStream(filepath.Join(dir, "missing.csv")); err == nil {

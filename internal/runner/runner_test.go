@@ -84,12 +84,16 @@ func TestMapErrorCarriesShardIdentity(t *testing.T) {
 
 func TestMapFirstErrorStopsFleet(t *testing.T) {
 	var ran atomic.Int64
+	// A shard after 0 holds its worker until shard 0's failure cancels
+	// the pool, so the other worker cannot run through the remaining
+	// shards before shard 0 has run.
 	_, err := Map(context.Background(), 1000, Options{Workers: 2},
 		func(ctx context.Context, s Shard) (int, error) {
 			ran.Add(1)
 			if s.Index == 0 {
 				return 0, errors.New("early failure")
 			}
+			<-ctx.Done()
 			return 0, nil
 		})
 	if err == nil {

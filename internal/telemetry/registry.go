@@ -1,10 +1,10 @@
 // Package telemetry is the project's shared observability layer: a
 // concurrency-safe metrics registry (counters, gauges, log-2 histograms
 // with quantile estimation), a lightweight span tracer with Chrome
-// trace-event export, and a levelled progress logger. The simulator, the
-// experiment pipeline, and the serving subsystem all record into it, and
-// cmd/dvfsstat turns its dumps back into residency tables, divergence
-// summaries, and latency quantiles.
+// trace-event export, and a levelled progress logger. The experiment
+// pipeline, the provenance monitor and the serving subsystem record into
+// it, and cmd/dvfsstat turns its dumps back into latency quantiles,
+// counter and gauge tables.
 //
 // Handles returned by the registry are stable pointers whose operations
 // are single atomic updates — safe for concurrent use and allocation-free
