@@ -2,6 +2,11 @@ package nn
 
 import "fmt"
 
+// vectorTile selects the AVX2 tile (denseTile) for ForwardBatch. It is
+// set once, from CPUID and XGETBV, before any caller can run; only tests
+// change it, to force the scalar reference, forwardBatchInto.
+var vectorTile = hasAVX2()
+
 // Batch is a row-major block of input or activation rows: row r occupies
 // Data[r*Cols : (r+1)*Cols]. Batches are plain buffers — they carry no
 // synchronization and belong to one goroutine at a time, like Scratch.
@@ -30,12 +35,12 @@ func (b *Batch) Row(r int) []float64 {
 	return b.Data[r*b.Cols : (r+1)*b.Cols : (r+1)*b.Cols]
 }
 
-// BatchScratch holds per-layer activation batches for ForwardBatch so
-// steady-state batched inference allocates nothing. Like Scratch, a
-// BatchScratch belongs to one goroutine at a time; the MLP stays
-// read-only and may be shared.
+// BatchScratch holds ForwardBatch's activations so steady-state batched
+// inference allocates nothing. Like Scratch, a BatchScratch belongs to
+// one goroutine at a time; the MLP stays read-only and may be shared.
 type BatchScratch struct {
-	bufs []Batch
+	bufs []Batch   // per-layer outputs; the vector tile uses the last
+	tile []float64 // the vector tile's two feature-major activations
 }
 
 // ForwardBatch runs inference over every row of x at once, returning the
@@ -50,6 +55,9 @@ func (m *MLP) ForwardBatch(x *Batch, s *BatchScratch) *Batch {
 	if len(s.bufs) < len(m.Layers) {
 		s.bufs = append(s.bufs, make([]Batch, len(m.Layers)-len(s.bufs))...)
 	}
+	if vectorTile {
+		return m.forwardTiles(x, s)
+	}
 	h := x
 	for i, l := range m.Layers {
 		y := &s.bufs[i]
@@ -58,6 +66,55 @@ func (m *MLP) ForwardBatch(x *Batch, s *BatchScratch) *Batch {
 		h = y
 	}
 	return h
+}
+
+// forwardTiles is ForwardBatch on the vector tile. Each 4-row tile of x
+// is transposed once into feature-major scratch, runs through every layer
+// there with denseTile, and is transposed once back into the output
+// batch. A short last tile is zero-padded, so every row takes the same
+// path; lanes never mix, so the padding cannot reach a real row.
+func (m *MLP) forwardTiles(x *Batch, s *BatchScratch) *Batch {
+	// denseTile reads and writes by these shapes unchecked, so a layer
+	// that does not take what the one before gives must stop here.
+	width := x.Cols
+	for i, l := range m.Layers {
+		if i > 0 && l.In != m.Layers[i-1].Out {
+			panic(fmt.Sprintf("nn: layer %d takes %d inputs, layer %d gives %d", i, l.In, i-1, m.Layers[i-1].Out))
+		}
+		width = max(width, l.Out)
+	}
+	if cap(s.tile) < 8*width {
+		s.tile = make([]float64, 8*width)
+	}
+	src, dst := s.tile[:4*width], s.tile[4*width:8*width]
+	in, out := x.Cols, m.OutputSize()
+	y := &s.bufs[len(m.Layers)-1]
+	y.Reset(x.Rows, out)
+	for r := 0; r < x.Rows; r += 4 {
+		n := min(4, x.Rows-r)
+		t := src[:4*in]
+		if n < 4 {
+			clear(t)
+		}
+		for k := 0; k < n; k++ {
+			for i, v := range x.Data[(r+k)*in : (r+k+1)*in] {
+				t[i*4+k] = v
+			}
+		}
+		h, next := src, dst
+		for i, l := range m.Layers {
+			w, b := l.W[:l.In*l.Out], l.B[:l.Out]
+			denseTile(&w[0], &b[0], &h[0], &next[0], l.In, l.Out, i+1 < len(m.Layers))
+			h, next = next, h
+		}
+		for k := 0; k < n; k++ {
+			row := y.Data[(r+k)*out : (r+k+1)*out]
+			for o := range row {
+				row[o] = h[o*4+k]
+			}
+		}
+	}
+	return y
 }
 
 // forwardBatchInto computes y = X·Wᵀ + b over every row of x, applying

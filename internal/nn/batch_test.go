@@ -2,6 +2,7 @@ package nn
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sync"
 	"testing"
@@ -14,10 +15,35 @@ func fillRows(b *Batch, rows, cols int, rng *rand.Rand) {
 	}
 }
 
-// TestForwardBatchMatchesScratch pins the tiled batch kernel to the
-// row-at-a-time path, bit for bit, across row counts that exercise the
-// 4-row tile body, the remainder loop, and both together — plus scratch
-// reuse across networks of different shapes (buffer resize).
+// batchKernels lists the ForwardBatch kernels this CPU can run, as
+// vectorTile settings: the scalar reference, then the vector tile where
+// the CPU has AVX2.
+func batchKernels() []bool {
+	if hasAVX2() {
+		return []bool{false, true}
+	}
+	return []bool{false}
+}
+
+func kernelName(vector bool) string {
+	if vector {
+		return "vector"
+	}
+	return "scalar"
+}
+
+// useKernel points ForwardBatch at the vector tile or the scalar
+// reference until the test ends.
+func useKernel(t testing.TB, vector bool) {
+	prev := vectorTile
+	vectorTile = vector
+	t.Cleanup(func() { vectorTile = prev })
+}
+
+// TestForwardBatchMatchesScratch pins both batch kernels to the
+// row-at-a-time path, bit for bit, across row counts that exercise full
+// 4-row tiles, a short last tile, and both together — plus scratch reuse
+// across networks of different shapes (buffer resize).
 func TestForwardBatchMatchesScratch(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	small, err := NewMLP([]int{6, 12, 6}, rng)
@@ -31,23 +57,54 @@ func TestForwardBatchMatchesScratch(t *testing.T) {
 	var x Batch
 	var bs BatchScratch
 	var s Scratch
-	for _, rows := range []int{1, 2, 3, 4, 5, 7, 8, 16, 33, 64} {
-		for _, m := range []*MLP{small, big, small} {
-			fillRows(&x, rows, m.InputSize(), rng)
-			y := m.ForwardBatch(&x, &bs)
-			if y.Rows != rows || y.Cols != m.OutputSize() {
-				t.Fatalf("rows=%d: got %dx%d output, want %dx%d", rows, y.Rows, y.Cols, rows, m.OutputSize())
-			}
-			for r := 0; r < rows; r++ {
-				want := m.ForwardScratch(x.Row(r), &s)
-				got := y.Row(r)
-				for k := range want {
-					if got[k] != want[k] {
-						t.Fatalf("rows=%d row %d out %d: batch %g != scratch %g", rows, r, k, got[k], want[k])
+	for _, vector := range batchKernels() {
+		useKernel(t, vector)
+		for _, rows := range []int{1, 2, 3, 4, 5, 7, 8, 16, 33, 64} {
+			for _, m := range []*MLP{small, big, small} {
+				fillRows(&x, rows, m.InputSize(), rng)
+				y := m.ForwardBatch(&x, &bs)
+				if y.Rows != rows || y.Cols != m.OutputSize() {
+					t.Fatalf("%s rows=%d: got %dx%d output, want %dx%d",
+						kernelName(vector), rows, y.Rows, y.Cols, rows, m.OutputSize())
+				}
+				for r := 0; r < rows; r++ {
+					want := m.ForwardScratch(x.Row(r), &s)
+					got := y.Row(r)
+					for k := range want {
+						if got[k] != want[k] {
+							t.Fatalf("%s rows=%d row %d out %d: batch %g != scratch %g",
+								kernelName(vector), rows, r, k, got[k], want[k])
+						}
 					}
 				}
 			}
 		}
+	}
+}
+
+// TestForwardBatchRejectsMismatchedLayers: a layer that does not take
+// what the one before gives panics under both kernels instead of
+// reading past the activations.
+func TestForwardBatchRejectsMismatchedLayers(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	m, err := NewMLP([]int{6, 12, 6}, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.Layers[1] = NewDense(24, 6, rng)
+	var x Batch
+	x.Reset(4, 6)
+	var bs BatchScratch
+	for _, vector := range batchKernels() {
+		useKernel(t, vector)
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: ForwardBatch ran a 6→12 layer into a 24-input one", kernelName(vector))
+				}
+			}()
+			m.ForwardBatch(&x, &bs)
+		}()
 	}
 }
 
@@ -71,15 +128,15 @@ func TestForwardBatchSteadyStateAllocs(t *testing.T) {
 // TestConcurrentForwardBatchMatchesRowAtATime hammers one read-only MLP
 // from 16 goroutines, each alternating between ForwardBatch and the
 // row-at-a-time ForwardScratch over the same rows, asserting bit-identical
-// outputs to the serial pass. With -race this verifies the batched kernel
-// shares no mutable state across callers.
+// outputs to the serial pass, once per batch kernel. With -race this
+// verifies the batched kernels share no mutable state across callers.
 func TestConcurrentForwardBatchMatchesRowAtATime(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	m, err := NewMLP([]int{6, 20, 20, 6}, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
-	const rows = 61 // odd on purpose: tiles plus a remainder
+	const rows = 61 // odd on purpose: full tiles plus a short one
 	var x Batch
 	fillRows(&x, rows, 6, rng)
 	want := make([][]float64, rows)
@@ -88,40 +145,119 @@ func TestConcurrentForwardBatchMatchesRowAtATime(t *testing.T) {
 	}
 
 	const goroutines = 16
-	var wg sync.WaitGroup
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			var bs BatchScratch
-			var s Scratch
-			for rep := 0; rep < 8; rep++ {
-				if (g+rep)%2 == 0 {
-					y := m.ForwardBatch(&x, &bs)
-					for r := 0; r < rows; r++ {
-						got := y.Row(r)
-						for k := range got {
-							if got[k] != want[r][k] {
-								t.Errorf("goroutine %d batch row %d out %d: %g != %g", g, r, k, got[k], want[r][k])
-								return
+	for _, vector := range batchKernels() {
+		useKernel(t, vector)
+		kernel := kernelName(vector)
+		var wg sync.WaitGroup
+		for g := 0; g < goroutines; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				var bs BatchScratch
+				var s Scratch
+				for rep := 0; rep < 8; rep++ {
+					if (g+rep)%2 == 0 {
+						y := m.ForwardBatch(&x, &bs)
+						for r := 0; r < rows; r++ {
+							got := y.Row(r)
+							for k := range got {
+								if got[k] != want[r][k] {
+									t.Errorf("%s goroutine %d batch row %d out %d: %g != %g", kernel, g, r, k, got[k], want[r][k])
+									return
+								}
 							}
 						}
-					}
-				} else {
-					for r := 0; r < rows; r++ {
-						got := m.ForwardScratch(x.Row(r), &s)
-						for k := range got {
-							if got[k] != want[r][k] {
-								t.Errorf("goroutine %d row %d out %d: %g != %g", g, r, k, got[k], want[r][k])
-								return
+					} else {
+						for r := 0; r < rows; r++ {
+							got := m.ForwardScratch(x.Row(r), &s)
+							for k := range got {
+								if got[k] != want[r][k] {
+									t.Errorf("%s goroutine %d row %d out %d: %g != %g", kernel, g, r, k, got[k], want[r][k])
+									return
+								}
 							}
 						}
 					}
 				}
-			}
-		}(g)
+			}(g)
+		}
+		wg.Wait()
 	}
-	wg.Wait()
+}
+
+// FuzzForwardBatchParity pins both batch kernels to ForwardScratch, bit
+// for bit, on networks of 1–3 layers 1–24 wide and batches of 0–70 rows.
+// Weights and biases include exact and signed zeros; inputs include ±0,
+// subnormals and finite values large enough to overflow to ±Inf and on
+// to NaN, so -0 and NaN reach the ReLU.
+func FuzzForwardBatchParity(f *testing.F) {
+	f.Add(int64(1), uint8(64), uint8(2), uint8(5), uint8(11), uint8(11), uint8(5))
+	f.Add(int64(2), uint8(61), uint8(1), uint8(6), uint8(0), uint8(19), uint8(3))
+	f.Add(int64(3), uint8(3), uint8(3), uint8(23), uint8(1), uint8(2), uint8(0))
+	f.Add(int64(4), uint8(70), uint8(2), uint8(0), uint8(23), uint8(13), uint8(22))
+	f.Add(int64(121), uint8(62), uint8(1), uint8(0), uint8(3), uint8(22), uint8(0)) // a -0 through ReLU
+	f.Fuzz(func(t *testing.T, seed int64, rows, depth, w0, w1, w2, w3 uint8) {
+		sizes := []int{1 + int(w0)%24, 1 + int(w1)%24, 1 + int(w2)%24, 1 + int(w3)%24}[:2+int(depth)%3]
+		rng := rand.New(rand.NewSource(seed))
+		m, err := NewMLP(sizes, rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, l := range m.Layers {
+			for i := range l.W {
+				l.W[i] = fuzzParam(rng, l.W[i])
+			}
+			for i := range l.B {
+				l.B[i] = fuzzParam(rng, rng.NormFloat64())
+			}
+		}
+		var x Batch
+		x.Reset(int(rows)%71, sizes[0])
+		for i := range x.Data {
+			x.Data[i] = fuzzInput(rng)
+		}
+		var bs BatchScratch
+		var s Scratch
+		for _, vector := range batchKernels() {
+			useKernel(t, vector)
+			y := m.ForwardBatch(&x, &bs)
+			for r := 0; r < x.Rows; r++ {
+				want := m.ForwardScratch(x.Row(r), &s)
+				for k, v := range y.Row(r) {
+					if math.Float64bits(v) != math.Float64bits(want[k]) {
+						t.Fatalf("%s sizes %v rows %d: row %d out %d is %g (%#x), ForwardScratch %g (%#x)",
+							kernelName(vector), sizes, x.Rows, r, k, v, math.Float64bits(v), want[k], math.Float64bits(want[k]))
+					}
+				}
+			}
+		}
+	})
+}
+
+// fuzzParam returns v, or one time in four an exact or signed zero.
+func fuzzParam(rng *rand.Rand, v float64) float64 {
+	switch rng.Intn(8) {
+	case 0:
+		return 0
+	case 1:
+		return math.Copysign(0, -1)
+	}
+	return v
+}
+
+// fuzzInput draws an input: mostly normal values, often ±0, subnormals
+// and huge finite values.
+func fuzzInput(rng *rand.Rand) float64 {
+	sign := float64(1 - 2*rng.Intn(2))
+	switch rng.Intn(8) {
+	case 0:
+		return math.Copysign(0, sign)
+	case 1:
+		return sign * math.SmallestNonzeroFloat64 * float64(1+rng.Intn(1<<20))
+	case 2:
+		return sign * math.MaxFloat64 * rng.Float64()
+	}
+	return rng.NormFloat64()
 }
 
 // BenchmarkForwardBatch is the zero-alloc guard for the batched hot path:
