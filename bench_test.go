@@ -32,7 +32,6 @@ import (
 	"ssmdvfs/internal/features"
 	"ssmdvfs/internal/gpusim"
 	"ssmdvfs/internal/kernels"
-	"ssmdvfs/internal/quant"
 )
 
 var (
@@ -516,10 +515,10 @@ func BenchmarkExtension_OracleHeadroom(b *testing.B) {
 // plus the INT16 hardware estimate.
 func BenchmarkExtension_Quantization(b *testing.B) {
 	p := pipeline(b)
-	var points []quant.Point
+	var points []experiments.QuantPoint
 	for i := 0; i < b.N; i++ {
 		var err error
-		points, err = quant.Sweep(p.Compressed, p.Dataset, []int{16, 8, 4})
+		points, err = experiments.QuantSweep(p.Compressed, p.Dataset, []int{16, 8, 4})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -527,18 +526,7 @@ func BenchmarkExtension_Quantization(b *testing.B) {
 	for _, pt := range points {
 		b.ReportMetric(pt.Accuracy*100, fmt.Sprintf("acc%%@%db", pt.Bits))
 	}
-	areaF, energyF, err := quant.HardwareScale(16)
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg := asic.DefaultConfig()
-	cfg.MACAreaUm2 *= areaF
-	cfg.MACEnergyPJ *= energyF
-	q16, err := quant.QuantizeModel(p.Compressed, 16)
-	if err != nil {
-		b.Fatal(err)
-	}
-	rep, err := asic.Estimate(q16, cfg)
+	rep, err := experiments.RunASICInt(p.Compressed, 16)
 	if err != nil {
 		b.Fatal(err)
 	}

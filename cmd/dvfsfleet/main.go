@@ -13,7 +13,7 @@
 //
 //	dvfsfleet -replicas host1:8091,host2:8091,host3:8091
 //	          [-tcp :8092] [-http :8093] [-vnodes 128] [-seed 1]
-//	          [-backend int8] [-coalesce-rows 64]
+//	          [-coalesce-rows 64]
 //	          [-inflight 2] [-queue 1024] [-queue-deadline 2ms]
 //	          [-max-hops 1] [-probe 250ms] [-spans fleet-spans.jsonl]
 //	          [-replica-http http://host1:8090,http://host2:8090,...]
@@ -26,11 +26,6 @@
 // replica ledgers), and serves the fleet view at /debug/ledger plus
 // ledger_fleet_*/alert_* series on /metrics.prom — what cmd/dvfstop
 // renders live.
-//
-// -backend pins the inference backend every replica must advertise in
-// hello negotiation (match the replicas' ssmdvfsd -backend flag); a
-// replica answering with different numerics is taken out of the ring
-// rather than mixed into the fleet. Empty accepts any replica.
 //
 // Clients speak the same binary protocol as to a single daemon: one
 // frame, in which a row's (gpu, cluster) identity is optional. Rows that
@@ -73,7 +68,6 @@ func main() {
 		httpAddr     = flag.String("http", ":8093", "metrics/health HTTP listen address (empty disables)")
 		vnodes       = flag.Int("vnodes", 0, "virtual nodes per replica on the ring (0 = default)")
 		seed         = flag.Uint64("seed", 1, "ring hash seed (same seed + replica set = same sharding)")
-		backend      = flag.String("backend", "", "inference backend replicas must advertise: float64 or int8 (empty = any)")
 		rows         = flag.Int("coalesce-rows", 0, "max rows a dispatch slot merges into one frame from what is already queued; it never waits for more (0 = default 64)")
 		inflight     = flag.Int("inflight", 0, "frames in flight per replica (0 = default 2)")
 		queueLen     = flag.Int("queue", 0, "per-replica admission queue length in rows (0 = default 1024)")
@@ -122,7 +116,6 @@ func main() {
 		Replicas:      splitAddrs(*replicas),
 		VNodes:        *vnodes,
 		Seed:          *seed,
-		ExpectBackend: *backend,
 		CoalesceRows:  *rows,
 		MaxInFlight:   *inflight,
 		QueueLen:      *queueLen,

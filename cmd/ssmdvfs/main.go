@@ -56,13 +56,11 @@ import (
 	"strconv"
 	"strings"
 
-	"ssmdvfs/internal/asic"
 	"ssmdvfs/internal/atomicfile"
 	"ssmdvfs/internal/buildinfo"
 	"ssmdvfs/internal/experiments"
 	"ssmdvfs/internal/features"
 	"ssmdvfs/internal/kernels"
-	"ssmdvfs/internal/quant"
 	"ssmdvfs/internal/telemetry"
 	"ssmdvfs/internal/viz"
 )
@@ -407,7 +405,7 @@ func runQuant(opts experiments.PipelineOptions) error {
 	if err != nil {
 		return err
 	}
-	points, err := quant.Sweep(p.Compressed, p.Dataset, []int{16, 12, 10, 8, 6, 4})
+	points, err := experiments.QuantSweep(p.Compressed, p.Dataset, []int{16, 12, 10, 8, 6, 4})
 	if err != nil {
 		return err
 	}
@@ -419,18 +417,7 @@ func runQuant(opts experiments.PipelineOptions) error {
 	}
 
 	// Hardware cost with an INT16 MAC array.
-	areaF, energyF, err := quant.HardwareScale(16)
-	if err != nil {
-		return err
-	}
-	cfg := asic.DefaultConfig()
-	cfg.MACAreaUm2 *= areaF
-	cfg.MACEnergyPJ *= energyF
-	q16, err := quant.QuantizeModel(p.Compressed, 16)
-	if err != nil {
-		return err
-	}
-	rep, err := asic.Estimate(q16, cfg)
+	rep, err := experiments.RunASICInt(p.Compressed, 16)
 	if err != nil {
 		return err
 	}

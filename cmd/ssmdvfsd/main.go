@@ -7,7 +7,7 @@
 // Usage:
 //
 //	ssmdvfsd -model ssmdvfs-cache/compressed.json [-http :8090] [-tcp :8091]
-//	         [-backend int8] [-workers N] [-budget 200us]
+//	         [-workers N] [-budget 200us]
 //	         [-flightrec 4096] [-ledger] [-ledger-window 1s]
 //	         [-spans ssmdvfsd-spans.jsonl]
 //	         [-faults 'serve.infer:panic:every=100'] [-faults-seed 1]
@@ -25,13 +25,6 @@
 // to the retained incumbent on regression. Every transition lands in
 // adapt_* telemetry and the /debug/adapt transition log. -adapt implies
 // -flightrec (default 4096 when unset).
-//
-// -backend selects the inference backend ("float64" or "int8",
-// overriding the model header's choice): int8 serves quantized weights
-// with int32 accumulation for batched throughput, and is parity-validated
-// against the float64 reference at load and on every hot-swap. The chosen
-// backend is advertised in hello negotiation, so a fleet router pinned
-// with -backend refuses mismatched replicas.
 //
 // The daemon degrades instead of failing: model panics, deadline misses
 // (-budget), and malformed feature rows are answered by the analytical
@@ -90,7 +83,6 @@ func main() {
 		modelPath = flag.String("model", "", "model file (plain or compressed artifact; required)")
 		httpAddr  = flag.String("http", ":8090", "HTTP listen address (empty disables)")
 		tcpAddr   = flag.String("tcp", ":8091", "binary-protocol listen address (empty disables)")
-		backend   = flag.String("backend", "", "inference backend: float64 or int8 (empty = model header, default float64)")
 		workers   = flag.Int("workers", 0, "max concurrent inference batches (0 = GOMAXPROCS)")
 		budget    = flag.Duration("budget", 0, "per-decision deadline; rows past it get the analytical fallback (0 = off)")
 		flightrec = flag.Int("flightrec", 0, "keep the last N decisions in a provenance flight recorder with online drift monitoring (0 = off)")
@@ -132,7 +124,7 @@ func main() {
 	if *ledgerOn {
 		ledgerWindow = *ledgerIvl
 	}
-	if err := run(*modelPath, *httpAddr, *tcpAddr, *spansPath, *backend, *workers, *budget, *flightrec, ledgerWindow, *faultSpec, *faultSeed, acfg, logf); err != nil {
+	if err := run(*modelPath, *httpAddr, *tcpAddr, *spansPath, *workers, *budget, *flightrec, ledgerWindow, *faultSpec, *faultSeed, acfg, logf); err != nil {
 		fmt.Fprintln(os.Stderr, "ssmdvfsd:", err)
 		os.Exit(1)
 	}
@@ -166,7 +158,7 @@ func buildMux(srv *serve.Server, ctrl *adapt.Controller) http.Handler {
 	return mux
 }
 
-func run(modelPath, httpAddr, tcpAddr, spansPath, backend string, workers int, budget time.Duration, flightrec int, ledgerWindow time.Duration, faultSpec string, faultSeed int64, acfg adaptConfig, logf func(string, ...any)) error {
+func run(modelPath, httpAddr, tcpAddr, spansPath string, workers int, budget time.Duration, flightrec int, ledgerWindow time.Duration, faultSpec string, faultSeed int64, acfg adaptConfig, logf func(string, ...any)) error {
 	if modelPath == "" {
 		return fmt.Errorf("-model is required")
 	}
@@ -190,7 +182,6 @@ func run(modelPath, httpAddr, tcpAddr, spansPath, backend string, workers int, b
 
 	srv, err := serve.NewServer(m, serve.Options{
 		ModelPath: modelPath,
-		Backend:   backend,
 		Workers:   workers,
 		Budget:    budget,
 		Faults:    inj,
@@ -199,7 +190,6 @@ func run(modelPath, httpAddr, tcpAddr, spansPath, backend string, workers int, b
 	if err != nil {
 		return err
 	}
-	logf("ssmdvfsd: serving with the %s inference backend", srv.BackendKind())
 	srv.Telemetry().SetBuild(buildinfo.Info())
 	var led *ledger.Ledger
 	if ledgerWindow > 0 {

@@ -57,6 +57,21 @@ func checkNodes(fromNm, toNm int) error {
 	return nil
 }
 
+// HardwareScale returns rough area and energy multipliers for a b-bit
+// integer MAC relative to the FP32 MAC Config is calibrated for:
+// multiplier area/energy grow roughly quadratically with operand width,
+// and an INT16 MAC is commonly ~5× smaller than FP32.
+func HardwareScale(bits int) (areaFactor, energyFactor float64, err error) {
+	if bits < 2 || bits > 32 {
+		return 0, 0, fmt.Errorf("asic: bits must be in [2,32], got %d", bits)
+	}
+	r := float64(bits) / 32.0
+	// FP32 carries exponent-alignment overhead an integer MAC avoids;
+	// fold that into a 0.65 integer discount at equal width.
+	factor := 0.65 * r * r
+	return factor, factor, nil
+}
+
 // Config describes the inference engine and its characterization.
 type Config struct {
 	// MACs is the number of parallel FP32 multiply-accumulate units. The

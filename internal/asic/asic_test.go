@@ -55,6 +55,22 @@ func TestScaleAreaQuadratic(t *testing.T) {
 	if s, _ := ScaleArea(28, 28); s != 1 {
 		t.Fatalf("same-node area scale = %g, want 1", s)
 	}
+	// An integer MAC is cheaper than FP32 and quadratic in its width.
+	t.Run("hardware_scale", func(t *testing.T) {
+		a16, e16, err := HardwareScale(16)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a16 >= 1 || e16 >= 1 {
+			t.Fatalf("INT16 not cheaper than FP32: area %g energy %g", a16, e16)
+		}
+		if a8, _, _ := HardwareScale(8); math.Abs(a8-a16/4) > 1e-12 {
+			t.Fatalf("INT8 area %g, want a quarter of INT16's %g", a8, a16)
+		}
+		if _, _, err := HardwareScale(0); err == nil {
+			t.Fatal("0-bit MAC accepted")
+		}
+	})
 }
 
 func TestScalePowerShrinksWhenShrinking(t *testing.T) {

@@ -47,11 +47,10 @@ type Model struct {
 	// (see TrainOptions.PresetSamples), so evaluation matches it.
 	PresetSamples int
 
-	// Backend declares the inference backend this model serves with
-	// ("float64" or "int8"; empty means float64). It rides in the saved
-	// artifact so a model trained and parity-validated for int8 keeps
-	// that property through hot swaps, and is overridable per daemon via
-	// the -backend flag.
+	// Backend is the inference backend this model serves with ("float64"
+	// or "int8"; empty means float64). It lives in memory only: the
+	// serving engine sets it from serve.Options.Backend, and Save does not
+	// write it.
 	Backend infer.Kind
 
 	// Lineage tracks where this model came from across online
@@ -219,9 +218,6 @@ func (m *Model) Validate() error {
 	if err := m.Calibrator.CheckFinite(); err != nil {
 		return fmt.Errorf("core: calibrator head: %w", err)
 	}
-	if _, err := infer.ParseKind(string(m.Backend)); err != nil {
-		return fmt.Errorf("core: %w", err)
-	}
 	return nil
 }
 
@@ -236,7 +232,6 @@ type serializedModel struct {
 	CalibScaler    *counters.Scaler `json:"calib_scaler"`
 	TargetScale    float64          `json:"target_scale"`
 	PresetSamples  int              `json:"preset_samples"`
-	Backend        string           `json:"backend,omitempty"`
 	Lineage        *Lineage         `json:"lineage,omitempty"`
 }
 
@@ -252,7 +247,6 @@ func (m *Model) Save(w io.Writer) error {
 	s := serializedModel{
 		Levels:         m.Levels,
 		PresetSamples:  m.PresetSamples,
-		Backend:        string(m.Backend),
 		Decision:       json.RawMessage(dBuf.Bytes()),
 		Calibrator:     json.RawMessage(cBuf.Bytes()),
 		DecisionScaler: m.DecisionScaler,
@@ -281,12 +275,9 @@ func Load(r io.Reader) (*Model, error) {
 	if s.DecisionScaler == nil || s.CalibScaler == nil {
 		return nil, fmt.Errorf("core: model is missing scalers")
 	}
-	if _, err := infer.ParseKind(s.Backend); err != nil {
-		return nil, fmt.Errorf("core: %w", err)
-	}
 	m := &Model{Levels: s.Levels, TargetScale: s.TargetScale,
 		DecisionScaler: s.DecisionScaler, CalibScaler: s.CalibScaler,
-		PresetSamples: s.PresetSamples, Backend: infer.Kind(s.Backend)}
+		PresetSamples: s.PresetSamples}
 	if s.Lineage != nil {
 		m.Lineage = *s.Lineage
 	}

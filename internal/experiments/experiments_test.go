@@ -2,12 +2,14 @@ package experiments
 
 import (
 	"bytes"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
 
+	"ssmdvfs/internal/core"
 	"ssmdvfs/internal/features"
 	"ssmdvfs/internal/kernels"
 	"ssmdvfs/internal/telemetry"
@@ -247,6 +249,22 @@ func TestASICOnPipeline(t *testing.T) {
 	}
 	if rep.AreaMM2 > 0.1 {
 		t.Fatalf("area %.4f mm² implausibly large", rep.AreaMM2)
+	}
+	// An INT16 engine running the 16-bit fake-quantized model is smaller,
+	// and 16 bits cost the model next to no accuracy.
+	rep16, err := RunASICInt(p.Compressed, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep16.AreaMM2 >= rep.AreaMM2 {
+		t.Fatalf("INT16 engine %.4f mm² not smaller than FP32's %.4f", rep16.AreaMM2, rep.AreaMM2)
+	}
+	pts, err := QuantSweep(p.Compressed, p.Dataset, []int{16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fp := core.Evaluate(p.Compressed, p.Dataset); math.Abs(pts[0].Accuracy-fp.Accuracy) > 0.01 {
+		t.Fatalf("16-bit accuracy %.4f, float64 %.4f", pts[0].Accuracy, fp.Accuracy)
 	}
 	if err := WriteASIC(os.Stderr, rep); err != nil {
 		t.Fatal(err)

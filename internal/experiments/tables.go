@@ -12,6 +12,7 @@ import (
 	"ssmdvfs/internal/counters"
 	"ssmdvfs/internal/datagen"
 	"ssmdvfs/internal/features"
+	"ssmdvfs/internal/infer"
 	"ssmdvfs/internal/runner"
 	"ssmdvfs/internal/telemetry"
 )
@@ -201,6 +202,59 @@ func (f *Fig3Result) WriteTable(w io.Writer) error {
 // compressed model.
 func RunASIC(m *core.Model) (asic.Report, error) {
 	return asic.Estimate(m, asic.DefaultConfig())
+}
+
+// quantizeModel returns a copy of m with both heads fake-quantized at bits
+// by infer.Quantize.
+func quantizeModel(m *core.Model, bits int) (*core.Model, error) {
+	q := m.Clone()
+	var err error
+	if q.Decision, err = infer.Quantize(m.Decision, bits); err != nil {
+		return nil, fmt.Errorf("experiments: decision head: %w", err)
+	}
+	if q.Calibrator, err = infer.Quantize(m.Calibrator, bits); err != nil {
+		return nil, fmt.Errorf("experiments: calibrator head: %w", err)
+	}
+	return q, nil
+}
+
+// QuantPoint is one bit width on the quantization curve.
+type QuantPoint struct {
+	Bits     int
+	Accuracy float64
+	MAPE     float64
+}
+
+// QuantSweep fake-quantizes m at each bit width and evaluates it on ds,
+// producing the accuracy/MAPE-vs-bits curve.
+func QuantSweep(m *core.Model, ds *datagen.Dataset, bitWidths []int) ([]QuantPoint, error) {
+	var out []QuantPoint
+	for _, bits := range bitWidths {
+		q, err := quantizeModel(m, bits)
+		if err != nil {
+			return nil, err
+		}
+		rep := core.Evaluate(q, ds)
+		out = append(out, QuantPoint{Bits: bits, Accuracy: rep.Accuracy, MAPE: rep.MAPE})
+	}
+	return out, nil
+}
+
+// RunASICInt estimates RunASIC's engine built from b-bit integer MACs
+// (asic.HardwareScale) and running m fake-quantized at b bits.
+func RunASICInt(m *core.Model, bits int) (asic.Report, error) {
+	areaF, energyF, err := asic.HardwareScale(bits)
+	if err != nil {
+		return asic.Report{}, err
+	}
+	q, err := quantizeModel(m, bits)
+	if err != nil {
+		return asic.Report{}, err
+	}
+	cfg := asic.DefaultConfig()
+	cfg.MACAreaUm2 *= areaF
+	cfg.MACEnergyPJ *= energyF
+	return asic.Estimate(q, cfg)
 }
 
 // WriteASIC renders the hardware estimate.

@@ -72,15 +72,22 @@ func v3Header() []byte {
 	return hdr
 }
 
-// TestV2FrameRefused: the router refuses protocols v2 and v3 exactly like
-// the daemon (serve.TestV2FrameRefused) — a typed version error, then EOF.
+// TestV2FrameRefused: the router refuses protocols v2, v3 and v4 exactly
+// like the daemon (serve.TestV2FrameRefused) — a typed version error,
+// then EOF.
 func TestV2FrameRefused(t *testing.T) {
 	rt, _ := startFleet(t, 1, Options{})
 	addr := listenRouter(t, rt)
+	v4, err := serve.AppendKeyedRequestFrame(nil, []serve.Request{{Preset: 0.1, Features: make([]float64, counters.Num)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	v4[4] = 4
 	expectRefusal(t, addr, framed(append(v2Header(), make([]byte, 4+48*8)...)), serve.ErrCodeVersion)
 	expectRefusal(t, addr, framed(append(v3Header(), make([]byte, 4+50*8)...)), serve.ErrCodeVersion)
+	expectRefusal(t, addr, framed(v4), serve.ErrCodeVersion)
 	expectRefusal(t, addr, framed(serve.AppendHelloFrame(nil, 2, 2)), serve.ErrCodeVersion)
-	expectRefusal(t, addr, framed(serve.AppendHelloFrame(nil, 2, 3)), serve.ErrCodeVersion)
+	expectRefusal(t, addr, framed(serve.AppendHelloFrame(nil, 2, 4)), serve.ErrCodeVersion)
 }
 
 // project re-packs a full-width keyed request frame under a narrower
@@ -161,7 +168,7 @@ func TestEndpointsAnswerAlike(t *testing.T) {
 	if errA != nil || errB != nil {
 		t.Fatalf("acks do not decode: %v / %v", errA, errB)
 	}
-	if helloSrv.Version != serve.Version || !helloSrv.Tracing || helloSrv.Router || helloSrv.Backend == "" {
+	if helloSrv.Version != serve.Version || !helloSrv.Tracing || helloSrv.Router || helloSrv.Shards != 0 {
 		t.Fatalf("daemon ack = %+v", helloSrv)
 	}
 	if helloRt.Version != serve.Version || !helloRt.Tracing || !helloRt.Router || helloRt.Shards != 1 {

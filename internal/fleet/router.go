@@ -5,7 +5,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"math/bits"
 	"net"
 	"net/http"
@@ -15,7 +14,6 @@ import (
 
 	"ssmdvfs/internal/baselines"
 	"ssmdvfs/internal/clockdomain"
-	"ssmdvfs/internal/infer"
 	"ssmdvfs/internal/ledger"
 	"ssmdvfs/internal/provenance"
 	"ssmdvfs/internal/serve"
@@ -52,14 +50,6 @@ type Options struct {
 	// MaxHops bounds how many times one row may be rerouted to another
 	// replica after dispatch failures before it sheds (default 1).
 	MaxHops int
-
-	// ExpectBackend, when non-empty, is the inference backend every
-	// replica must advertise in hello negotiation ("float64" or "int8").
-	// A replica answering with a different backend — or advertising none
-	// — is treated as failed and taken out of the ring, so a fleet pinned
-	// to int8 never silently mixes numerics across shards. Empty accepts
-	// any replica.
-	ExpectBackend string
 
 	// Table is the operating-point table shed rows fall back to; nil
 	// means the TitanX table used throughout the project.
@@ -193,7 +183,6 @@ type shard struct {
 // error.
 type Router struct {
 	opts    Options
-	expect  infer.Kind // parsed Options.ExpectBackend; "" accepts any
 	ring    *Ring
 	metrics *Metrics
 	shards  []*shard
@@ -220,14 +209,6 @@ type Router struct {
 // immediately.
 func NewRouter(opts Options) (*Router, error) {
 	opts = opts.withDefaults()
-	var expect infer.Kind
-	if opts.ExpectBackend != "" {
-		k, err := infer.ParseKind(opts.ExpectBackend)
-		if err != nil {
-			return nil, fmt.Errorf("fleet: %w", err)
-		}
-		expect = k
-	}
 	ring, err := NewRing(RingOptions{Replicas: opts.Replicas, VNodes: opts.VNodes, Seed: opts.Seed})
 	if err != nil {
 		return nil, err
@@ -235,7 +216,6 @@ func NewRouter(opts Options) (*Router, error) {
 	names := ring.Replicas()
 	rt := &Router{
 		opts:    opts,
-		expect:  expect,
 		ring:    ring,
 		metrics: newMetrics(telemetry.NewRegistry(), len(names)),
 		shards:  make([]*shard, len(names)),
@@ -541,18 +521,13 @@ func (rt *Router) dispatch(s *shard) {
 }
 
 // dialReplica connects one dispatch slot to its replica and negotiates
-// the protocol. When the router pins a backend, a replica advertising any
-// other is a dial failure: it leaves the ring rather than answer with the
-// wrong numerics.
+// the protocol.
 func (rt *Router) dialReplica(s *shard) (*serve.Client, error) {
 	cl, err := serve.DialContext(context.Background(), s.addr, rt.opts.Dial)
 	if err != nil {
 		return nil, err
 	}
 	hello, err := cl.Negotiate()
-	if err == nil {
-		err = rt.checkBackend(hello)
-	}
 	if err != nil {
 		cl.Close()
 		return nil, err
@@ -566,16 +541,6 @@ func (rt *Router) dialReplica(s *shard) (*serve.Client, error) {
 func (rt *Router) noteGeneration(s *shard, hello serve.Hello) {
 	s.gen.Store(int64(hello.Generation))
 	rt.metrics.shards[s.idx].Generation.Set(float64(hello.Generation))
-}
-
-// checkBackend verifies a replica's advertised backend against the
-// router's pin. A peer that advertises nothing fails a pinned check — it
-// might be serving anything.
-func (rt *Router) checkBackend(hello serve.Hello) error {
-	if rt.opts.ExpectBackend == "" || hello.Backend == rt.expect {
-		return nil
-	}
-	return fmt.Errorf("fleet: replica advertises backend %q, router requires %q", hello.Backend, rt.expect)
 }
 
 // replicaFailed marks a shard unhealthy and re-splits its in-flight parts
@@ -627,15 +592,14 @@ func (rt *Router) probe() {
 				continue
 			}
 			// Recovery and lineage refresh both re-negotiate instead of
-			// trusting a bare TCP accept: a replica that came back with the
-			// wrong backend (say, a bad restart flag) must stay out of the
-			// ring, and the hello is where the generation rides.
+			// trusting a bare TCP accept: a replica that cannot speak the
+			// protocol stays out of the ring, and the hello is where the
+			// generation rides.
 			hello, err := cl.Negotiate()
-			if err != nil || rt.checkBackend(hello) != nil {
-				cl.Close()
+			cl.Close()
+			if err != nil {
 				continue
 			}
-			cl.Close()
 			rt.noteGeneration(s, hello)
 			if !healthy && rt.ring.SetHealthy(s.idx, true) {
 				rt.metrics.Up.Add(1)

@@ -261,56 +261,6 @@ func TestRouterCoalesces(t *testing.T) {
 	}
 }
 
-// TestRouterExpectBackend pins the fleet-wide backend contract: a router
-// that requires int8 serves from int8 replicas, refuses a replica
-// advertising other numerics at negotiation (rows shed, shard down), and
-// the prober never restores a mismatched replica.
-func TestRouterExpectBackend(t *testing.T) {
-	if _, err := NewRouter(Options{Replicas: []string{"127.0.0.1:1"}, ExpectBackend: "fp7"}); err == nil {
-		t.Fatal("unknown ExpectBackend accepted")
-	}
-
-	rng := rand.New(rand.NewSource(30))
-	row := serve.Request{Preset: 0.1, Features: featureRow(rng), GPU: 1, Cluster: 1}
-
-	addr, _ := startReplica(t, 30, serve.Options{Backend: "int8"})
-	rt, err := NewRouter(Options{
-		Replicas: []string{addr}, ExpectBackend: "int8",
-		QueueDeadline: time.Second, ProbeInterval: time.Hour,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rt.Close()
-	if decs := rt.Decide([]serve.Request{row}, nil); decs[0].Reason != provenance.ReasonModel {
-		t.Fatalf("matching int8 fleet answered %v, want model", decs[0].Reason)
-	}
-
-	// Same router config against a float64 replica: the dial-time
-	// negotiation must refuse it, so the row sheds and the shard is down.
-	addr2, _ := startReplica(t, 31, serve.Options{})
-	rt2, err := NewRouter(Options{
-		Replicas: []string{addr2}, ExpectBackend: "int8",
-		QueueDeadline: time.Second, ProbeInterval: 2 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rt2.Close()
-	if decs := rt2.Decide([]serve.Request{row}, nil); decs[0].Reason != provenance.ReasonShed {
-		t.Fatalf("mismatched fleet answered %v, want shed", decs[0].Reason)
-	}
-	if rt2.Ring().Healthy() != 0 {
-		t.Fatalf("mismatched replica still healthy: %d", rt2.Ring().Healthy())
-	}
-	// Give the prober several cycles: a live TCP endpoint with the wrong
-	// backend must stay out of the ring.
-	time.Sleep(50 * time.Millisecond)
-	if rt2.Ring().Healthy() != 0 {
-		t.Fatal("prober restored a replica advertising the wrong backend")
-	}
-}
-
 // TestRouterChaosReplicaDeath is the chaos drill, at part granularity:
 // callers send 24-row frames of four GPUs' six clusters, which span both
 // replicas, one replica dies mid-load, and every row must still come back

@@ -3,11 +3,16 @@
 // fleet tier's coalesced dispatch, benches — goes through a Backend
 // instead of calling nn.MLP methods directly. Two backends exist: the
 // float64 reference path (nn.ForwardScratch / nn.ForwardBatch) and an
-// int8 path built by per-layer symmetric weight quantization with
-// dynamic per-row activation scales, int32 accumulators, and fused
+// int8 path built by per-output-channel symmetric weight quantization
+// with dynamic per-row activation scales, int32 accumulators, and fused
 // dequantize+ReLU. Backends are immutable once built and safe for any
 // number of concurrent callers; all mutable state lives in the
 // per-goroutine Scratch.
+//
+// The paper's engine is FP32 (Section V-D), and int8 is a numerics study
+// here, chosen in process through serve.Options.Backend. Its weight
+// quantizer is the package's only one: Quantize applies it at any width
+// to build the fake-quantized networks behind `ssmdvfs quant`.
 package infer
 
 import (
@@ -23,13 +28,13 @@ const (
 	// KindFloat64 is the reference backend: float64 weights and
 	// activations, bit-identical to nn.MLP.Forward.
 	KindFloat64 Kind = "float64"
-	// KindInt8 is the quantized backend: int8 weights (per-layer
+	// KindInt8 is the quantized backend: int8 weights (per-output-channel
 	// symmetric scales), int8 activations (per-row dynamic scales),
 	// int32 accumulation, float64 dequantize fused with ReLU.
 	KindInt8 Kind = "int8"
 )
 
-// ParseKind validates a backend name from a flag or model header. The
+// ParseKind validates a backend name, such as serve.Options.Backend. The
 // empty string means "unspecified" and resolves to the float64 default.
 func ParseKind(s string) (Kind, error) {
 	switch Kind(s) {
@@ -42,19 +47,14 @@ func ParseKind(s string) (Kind, error) {
 		Err: fmt.Errorf("unknown backend %q (want %q or %q)", s, KindFloat64, KindInt8)}
 }
 
-// Description reports what a backend serves, for logs, /healthz, and the
-// fleet tier's hello negotiation.
+// Description reports what a backend serves: its kind, shape and weight
+// width.
 type Description struct {
 	Kind       Kind
 	In, Out    int
 	Layers     int
 	Params     int
 	WeightBits int // 64 for float64, 8 for int8
-}
-
-func (d Description) String() string {
-	return fmt.Sprintf("%s(%d→%d, %d layers, %d params, w%d)",
-		d.Kind, d.In, d.Out, d.Layers, d.Params, d.WeightBits)
 }
 
 // Scratch holds every buffer a backend needs: per-layer activations for

@@ -112,6 +112,10 @@ func TestInt8RowMatchesBatch(t *testing.T) {
 // TestInt8TracksFloat64 bounds the quantized backend's drift from the
 // reference on synthetic standardized rows: the relative logit error
 // stays small and the argmax flip rate is well under the serving bound.
+// Its weight grid is Quantize's at 8 bits, exactly. Over widths, every
+// fake-quantized weight sits on its channel's grid, pruned weights stay
+// zero, the worst weight error shrinks as bits grow, and 16 bits is
+// near lossless.
 func TestInt8TracksFloat64(t *testing.T) {
 	m := testMLP(t, []int{6, 20, 20, 6}, 5)
 	b, err := New(m, KindInt8)
@@ -129,11 +133,96 @@ func TestInt8TracksFloat64(t *testing.T) {
 	if d := b.Describe(); d.WeightBits != 8 || d.Kind != KindInt8 {
 		t.Fatalf("Describe() = %+v", d)
 	}
+
+	q8, err := Quantize(m, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for li, ql := range b.(*int8Backend).layers {
+		for i, c := range ql.qw {
+			if want := float64(c) * ql.sw[i/ql.in]; q8.Layers[li].W[i] != want {
+				t.Fatalf("layer %d weight %d: Quantize %g, backend %g", li, i, q8.Layers[li].W[i], want)
+			}
+		}
+	}
+
+	pruned := m.Clone()
+	mask := make([]float64, len(pruned.Layers[0].W))
+	for i := range mask {
+		mask[i] = float64(i % 2)
+	}
+	if err := pruned.Layers[0].SetMask(mask); err != nil {
+		t.Fatal(err)
+	}
+	widths := []int{4, 8, 12, 16}
+	qs := make([]*nn.MLP, len(widths))
+	for wi, bits := range widths {
+		if qs[wi], err = Quantize(pruned, bits); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	t.Run("grid_property", func(t *testing.T) {
+		for wi, bits := range widths {
+			levels := float64(int64(1)<<(bits-1) - 1)
+			for li, l := range qs[wi].Layers {
+				src := pruned.Layers[li]
+				for o := 0; o < l.Out; o++ {
+					maxAbs := 0.0
+					for _, w := range src.W[o*l.In : (o+1)*l.In] {
+						maxAbs = max(maxAbs, math.Abs(w))
+					}
+					for i := o * l.In; i < (o+1)*l.In; i++ {
+						if steps := l.W[i] / (maxAbs / levels); math.Abs(steps-math.Round(steps)) > 1e-9 {
+							t.Fatalf("%d bits layer %d weight %d = %g is off its channel's grid", bits, li, i, l.W[i])
+						}
+					}
+				}
+			}
+		}
+	})
+
+	t.Run("mask_preserved", func(t *testing.T) {
+		for wi, bits := range widths {
+			for i, mv := range mask {
+				if w := qs[wi].Layers[0].W[i]; mv == 0 && w != 0 {
+					t.Fatalf("%d bits: pruned weight %d became %g", bits, i, w)
+				}
+			}
+		}
+	})
+
+	t.Run("error_shrinks_with_bits", func(t *testing.T) {
+		prev := math.Inf(1)
+		for wi, bits := range widths {
+			maxErr := 0.0
+			for li, l := range qs[wi].Layers {
+				for i, w := range l.W {
+					maxErr = max(maxErr, math.Abs(w-pruned.Layers[li].W[i]))
+				}
+			}
+			if maxErr > prev {
+				t.Fatalf("%d bits has larger weight error (%g) than fewer bits (%g)", bits, maxErr, prev)
+			}
+			prev = maxErr
+		}
+	})
+
+	t.Run("16bit_near_lossless", func(t *testing.T) {
+		x := []float64{0.1, -0.5, 0.9, 0.2, -0.3, 0.7}
+		want, got := pruned.Forward(x), qs[len(widths)-1].Forward(x)
+		for k := range want {
+			if math.Abs(got[k]-want[k]) > 1e-3*(1+math.Abs(want[k])) {
+				t.Fatalf("16-bit output %d diverges: %g vs %g", k, got[k], want[k])
+			}
+		}
+	})
 }
 
 // TestInt8RejectsDegenerateScales: a corrupt artifact (all-zero layer,
-// NaN weight) must fail backend construction with a structured *Error,
-// not serve all-zero or NaN logits.
+// NaN weight, Inf bias) must fail backend construction with a structured
+// *Error, not serve all-zero or NaN logits. Quantize fails the same way,
+// and on a width outside [2, 31].
 func TestInt8RejectsDegenerateScales(t *testing.T) {
 	zero := testMLP(t, []int{4, 8, 4}, 7)
 	for i := range zero.Layers[1].W {
@@ -151,6 +240,41 @@ func TestInt8RejectsDegenerateScales(t *testing.T) {
 	if !errors.As(err, &ie) || ie.Stage != "quantize" || ie.Layer != 0 {
 		t.Fatalf("NaN weight: got %v, want stage=quantize layer=0 *Error", err)
 	}
+
+	// nn.Load checks weights, not biases, so the quantizer must.
+	inf := testMLP(t, []int{4, 8, 4}, 8)
+	inf.Layers[1].B[0] = math.Inf(1)
+	_, err = New(inf, KindInt8)
+	if !errors.As(err, &ie) || ie.Stage != "quantize" || ie.Layer != 1 {
+		t.Fatalf("Inf bias: got %v, want stage=quantize layer=1 *Error", err)
+	}
+	t.Run("degenerate_scales", func(t *testing.T) {
+		var ie *Error
+		if _, err := Quantize(zero, 8); !errors.As(err, &ie) || ie.Stage != "quantize" || ie.Layer != 1 {
+			t.Fatalf("Quantize(all-zero layer): got %v, want stage=quantize layer=1 *Error", err)
+		}
+		if _, err := Quantize(nan, 8); !errors.As(err, &ie) || ie.Stage != "quantize" || ie.Layer != 0 {
+			t.Fatalf("Quantize(NaN weight): got %v, want stage=quantize layer=0 *Error", err)
+		}
+		if _, err := Quantize(inf, 8); !errors.As(err, &ie) || ie.Stage != "quantize" || ie.Layer != 1 {
+			t.Fatalf("Quantize(Inf bias): got %v, want stage=quantize layer=1 *Error", err)
+		}
+	})
+
+	t.Run("bit_range", func(t *testing.T) {
+		ok := testMLP(t, []int{4, 8, 4}, 9)
+		for _, bits := range []int{1, 32, 40} {
+			var ie *Error
+			if _, err := Quantize(ok, bits); !errors.As(err, &ie) || ie.Stage != "quantize" {
+				t.Fatalf("Quantize(%d bits): got %v, want stage=quantize *Error", bits, err)
+			}
+		}
+		for _, bits := range []int{2, 31} {
+			if _, err := Quantize(ok, bits); err != nil {
+				t.Fatalf("Quantize(%d bits): %v", bits, err)
+			}
+		}
+	})
 
 	if _, err := New(testMLP(t, []int{4, 8, 4}, 9), Kind("bf16")); err == nil {
 		t.Fatal("unknown kind accepted")

@@ -3,20 +3,20 @@ package infer
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"ssmdvfs/internal/nn"
 )
 
-// qlevels is the symmetric quantization range: int8 minus the asymmetric
-// -128, so +x and -x round to equal magnitudes and the accumulator bound
-// (127*127*in) stays far inside int32 for any realistic layer width.
+// qlevels is the int8 backend's symmetric range: int8 minus the
+// asymmetric -128, so +x and -x round to equal magnitudes and the
+// accumulator bound (127*127*in) stays far inside int32 for any realistic
+// layer width.
 const qlevels = 127
 
-// qlayer is one dense layer quantized for serving: weights as int8 with
-// one symmetric scale per output channel (a per-layer scale lets one
-// large weight anywhere coarsen every other channel's grid — on the
-// uncompressed model that alone pushes decision flips past 1%), biases
-// kept in float64 and applied at dequantize time.
+// qlayer is one dense layer quantized for serving: weights as int8 codes
+// from quantizeLayer at 8 bits, biases kept in float64 and applied at
+// dequantize time.
 type qlayer struct {
 	in, out int
 	qw      []int8    // row-major, qw[o*in+i] ≈ W[o*in+i] / sw[o]
@@ -44,10 +44,82 @@ type int8Backend struct {
 	params int
 }
 
-// newInt8Backend quantizes m layer by layer. Any layer whose weights are
-// all zero (scale would be zero → all-zero logits forever) or contain a
-// non-finite value (scale would be NaN/Inf → NaN logits) is rejected with
-// a structured *Error instead of being served silently.
+// quantizeLayer is the package's one weight quantizer: it rounds layer
+// li's weights onto a symmetric signed b-bit grid, |code| ≤ 2^(b-1)-1,
+// with one scale per output channel, codes[o*in+i] ≈ W[o*in+i] /
+// scales[o]. A per-layer scale would let one large weight anywhere
+// coarsen every other channel's grid; on the uncompressed model that
+// alone pushes int8 decision flips past 1%. A pruned (all-zero) channel
+// gets scale 0 and zero codes, so its output is exactly its bias. A
+// non-finite weight or bias (scale or output would be NaN/Inf) and a
+// layer whose weights are all zero (every logit would quantize to its
+// bias) fail with a quantize-stage *Error.
+func quantizeLayer(l *nn.Dense, li, bits int) (codes, scales []float64, err error) {
+	fail := func(format string, args ...any) ([]float64, []float64, error) {
+		return nil, nil, &Error{Kind: Kind(fmt.Sprintf("int%d", bits)), Stage: "quantize", Layer: li,
+			Err: fmt.Errorf(format, args...)}
+	}
+	for i, b := range l.B {
+		if math.IsNaN(b) || math.IsInf(b, 0) {
+			return fail("non-finite bias %v at index %d", b, i)
+		}
+	}
+	levels := float64(int64(1)<<(bits-1) - 1)
+	codes = make([]float64, len(l.W))
+	scales = make([]float64, l.Out)
+	layerMax := 0.0
+	for o := range scales {
+		wo := l.W[o*l.In : (o+1)*l.In]
+		maxAbs := 0.0
+		for i, w := range wo {
+			// NaN loses every > comparison, so it must be caught here
+			// explicitly or it would silently quantize to garbage.
+			if math.IsNaN(w) || math.IsInf(w, 0) {
+				return fail("non-finite weight %v at index %d", w, o*l.In+i)
+			}
+			maxAbs = max(maxAbs, math.Abs(w))
+		}
+		layerMax = max(layerMax, maxAbs)
+		if maxAbs == 0 {
+			continue
+		}
+		sw := maxAbs / levels
+		scales[o] = sw
+		for i, w := range wo {
+			codes[o*l.In+i] = max(-levels, min(levels, math.Round(w/sw)))
+		}
+	}
+	if layerMax == 0 {
+		return fail("all-zero weights: scale would be 0 and every logit would quantize to 0")
+	}
+	return codes, scales, nil
+}
+
+// Quantize returns a copy of m fake-quantized at the given width: every
+// weight is rounded by quantizeLayer and dequantized, and biases stay in
+// float64 as the int8 backend keeps them. Run through the float64 path,
+// the copy shows what the weight grid alone costs in accuracy; activation
+// quantization is the int8 backend's and is not modelled. bits must be in
+// [2, 31].
+func Quantize(m *nn.MLP, bits int) (*nn.MLP, error) {
+	if bits < 2 || bits > 31 {
+		return nil, &Error{Kind: Kind(fmt.Sprintf("int%d", bits)), Stage: "quantize", Layer: -1,
+			Err: fmt.Errorf("bits must be in [2,31], got %d", bits)}
+	}
+	q := m.Clone()
+	for li, l := range q.Layers {
+		codes, sw, err := quantizeLayer(l, li, bits)
+		if err != nil {
+			return nil, err
+		}
+		for i, c := range codes {
+			l.W[i] = c * sw[i/l.In]
+		}
+	}
+	return q, nil
+}
+
+// newInt8Backend quantizes m layer by layer at 8 bits.
 func newInt8Backend(m *nn.MLP) (Backend, error) {
 	bk := &int8Backend{
 		in:     m.InputSize(),
@@ -55,55 +127,15 @@ func newInt8Backend(m *nn.MLP) (Backend, error) {
 		params: m.Params(),
 	}
 	for li, l := range m.Layers {
-		ql := qlayer{
-			in:  l.In,
-			out: l.Out,
-			qw:  make([]int8, len(l.W)),
-			sw:  make([]float64, l.Out),
-			b:   make([]float64, len(l.B)),
+		codes, sw, err := quantizeLayer(l, li, 8)
+		if err != nil {
+			return nil, err
 		}
-		copy(ql.b, l.B)
-		layerMax := 0.0
-		for o := 0; o < l.Out; o++ {
-			wo := l.W[o*l.In : (o+1)*l.In]
-			maxAbs := 0.0
-			for i, w := range wo {
-				// NaN loses every > comparison, so it must be caught here
-				// explicitly or it would silently quantize to garbage.
-				if math.IsNaN(w) || math.IsInf(w, 0) {
-					return nil, &Error{Kind: KindInt8, Stage: "quantize", Layer: li,
-						Err: fmt.Errorf("non-finite weight %v at index %d", w, o*l.In+i)}
-				}
-				if a := math.Abs(w); a > maxAbs {
-					maxAbs = a
-				}
-			}
-			if maxAbs > layerMax {
-				layerMax = maxAbs
-			}
-			if maxAbs == 0 {
-				// A pruned (all-zero) channel: sw=0 and zero codes make its
-				// output exactly the bias, matching the float64 path.
-				continue
-			}
-			sw := maxAbs / qlevels
-			ql.sw[o] = sw
-			for i, w := range wo {
-				q := math.Round(w / sw)
-				switch {
-				case q > qlevels:
-					q = qlevels
-				case q < -qlevels:
-					q = -qlevels
-				}
-				ql.qw[o*l.In+i] = int8(q)
-			}
+		qw := make([]int8, len(codes))
+		for i, c := range codes {
+			qw[i] = int8(c)
 		}
-		if layerMax == 0 {
-			return nil, &Error{Kind: KindInt8, Stage: "quantize", Layer: li,
-				Err: fmt.Errorf("all-zero weights: scale would be 0 and every logit would quantize to 0")}
-		}
-		bk.layers = append(bk.layers, ql)
+		bk.layers = append(bk.layers, qlayer{in: l.In, out: l.Out, qw: qw, sw: sw, b: slices.Clone(l.B)})
 	}
 	return bk, nil
 }

@@ -57,13 +57,9 @@ func relu(v []float64) {
 // classification heads, raw values for regression heads). Forward only
 // reads the network's weights, so one MLP may serve any number of
 // concurrent Forward callers (training mutates weights and must not run
-// concurrently with inference).
-//
-// Deprecated: serving-path callers outside internal/nn and internal/infer
-// should go through an infer.Backend (infer.New), which routes to this
-// method for the float64 backend and to the quantized kernels for int8,
-// and adds ForwardBatch for multi-row work. Forward remains for training
-// loops and one-off offline evaluation.
+// concurrently with inference). It allocates per call: it is for training
+// loops, offline evaluation and the tests' reference outputs, while
+// serving goes through an infer.Backend (infer.New).
 func (m *MLP) Forward(x []float64) []float64 {
 	h := x
 	for i, l := range m.Layers {
@@ -85,12 +81,9 @@ type Scratch struct {
 
 // ForwardScratch is Forward using s's buffers for every intermediate and
 // final activation. The returned slice aliases s and is valid until the
-// next ForwardScratch call with the same Scratch.
-//
-// Deprecated: serving-path callers outside internal/nn and internal/infer
-// should go through an infer.Backend (infer.New), which keeps this
-// allocation-free path for the float64 backend and adds the batched and
-// int8 variants behind the same interface.
+// next ForwardScratch call with the same Scratch. It is the float64
+// backend's single-row kernel, the one a one-row frame runs, and the
+// reference ForwardBatch must match bit for bit.
 func (m *MLP) ForwardScratch(x []float64, s *Scratch) []float64 {
 	if len(s.bufs) < len(m.Layers) {
 		s.bufs = append(s.bufs, make([][]float64, len(m.Layers)-len(s.bufs))...)

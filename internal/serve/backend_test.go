@@ -3,7 +3,6 @@ package serve
 import (
 	"errors"
 	"math/rand"
-	"net"
 	"path/filepath"
 	"testing"
 
@@ -12,9 +11,9 @@ import (
 )
 
 // TestEngineBackendOption covers backend selection at construction: the
-// option overrides the model header, an unknown name is rejected before
-// the engine exists, and the served decisions land in the backend's
-// per-kind counters with multi-row frames reaching the batched kernel.
+// option picks the backend, an unknown name is rejected before the
+// engine exists, and the served decisions land in the backend's per-kind
+// counters with multi-row frames reaching the batched kernel.
 func TestEngineBackendOption(t *testing.T) {
 	if _, err := NewServer(testModel(t, 20), Options{Backend: "fp7"}); err == nil {
 		t.Fatal("unknown backend name accepted")
@@ -125,46 +124,5 @@ func TestSwapRejectsCorruptBackend(t *testing.T) {
 	}
 	if got := srv.Metrics().Reloads.Load(); got != 0 {
 		t.Fatalf("failed reload counted as success: reloads = %d", got)
-	}
-}
-
-// TestHelloAckAdvertisesBackend covers the negotiation advertisement: a
-// live exchange against an int8 server, the wire-level round trip, and
-// the one ack length — a shorter (once "legacy") body is refused.
-func TestHelloAckAdvertisesBackend(t *testing.T) {
-	srv, err := NewServer(testModel(t, 26), Options{Backend: "int8"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	client, server := net.Pipe()
-	go srv.ServeConn(server)
-	defer client.Close()
-
-	hello, err := NewClient(client).Negotiate()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hello.Backend != infer.KindInt8 {
-		t.Fatalf("negotiated backend = %q, want %q", hello.Backend, infer.KindInt8)
-	}
-
-	frame := AppendHelloAckFrame(nil, Hello{Version: Version, Backend: infer.KindFloat64})
-	got, err := DecodeHelloAckFrame(frame)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Backend != infer.KindFloat64 {
-		t.Fatalf("round-tripped backend = %q, want %q", got.Backend, infer.KindFloat64)
-	}
-
-	// The ack has one length. The 4- and 5-byte bodies (10- and 11-byte frames)
-	// older peers sent are truncated frames like any other.
-	for _, n := range []int{headerLen + 4, headerLen + 5, len(frame) - 1} {
-		if _, err := DecodeHelloAckFrame(frame[:n]); err == nil {
-			t.Fatalf("%d-byte hello-ack accepted", n)
-		}
-	}
-	if _, err := DecodeHelloAckFrame(append(frame, 0)); err == nil {
-		t.Fatal("padded hello-ack accepted")
 	}
 }

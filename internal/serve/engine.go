@@ -27,11 +27,10 @@ type Options struct {
 	// ModelPath, when set, is the file Reload re-reads on SIGHUP or
 	// POST /reload without an explicit path.
 	ModelPath string
-	// Backend, when non-empty, overrides the inference backend for every
-	// model this engine serves ("float64" or "int8"); empty defers to the
-	// model artifact's own backend field (which defaults to float64). The
-	// resolved backend is built and parity-validated before a model is
-	// swapped in, like every other reload check.
+	// Backend is the inference backend of every model this engine serves
+	// ("float64" or "int8"; empty means float64). It is the one place a
+	// backend is chosen. The backend is built and parity-validated before
+	// a model is swapped in, like every other reload check.
 	Backend string
 	// Workers bounds concurrent inference batches across all transports;
 	// 0 means GOMAXPROCS.
@@ -122,9 +121,11 @@ func NewEngine(m *core.Model, opts Options) (*Engine, error) {
 	if opts.Table == nil {
 		opts.Table = clockdomain.TitanX()
 	}
-	if _, err := infer.ParseKind(opts.Backend); err != nil {
+	kind, err := infer.ParseKind(opts.Backend)
+	if err != nil {
 		return nil, err
 	}
+	opts.Backend = string(kind)
 	e := &Engine{
 		opts:    opts,
 		metrics: newMetrics(telemetry.NewRegistry()),
@@ -143,23 +144,20 @@ func NewEngine(m *core.Model, opts Options) (*Engine, error) {
 	return e, nil
 }
 
-// applyBackend resolves the backend a model will serve with — the
-// engine's override when set, otherwise the model's own header — and
-// builds + parity-validates it. Called before a model is published, so
-// the decision path never discovers a bad backend mid-batch.
+// applyBackend sets the engine's backend on a model and builds +
+// parity-validates it. Called before a model is published, so the
+// decision path never discovers a bad backend mid-batch. A model swapped
+// in again may still be bound by in-flight batches, which read Backend:
+// it already carries the engine's kind, so it is not written.
 func (e *Engine) applyBackend(m *core.Model) error {
-	if e.opts.Backend != "" {
-		kind, err := infer.ParseKind(e.opts.Backend)
-		if err != nil {
-			return err
-		}
+	if kind := infer.Kind(e.opts.Backend); m.Backend != kind {
 		m.Backend = kind
 	}
 	return m.EnsureBackends()
 }
 
 // BackendKind returns the inference backend the current model serves
-// with, advertised in hello negotiation and /healthz.
+// with, reported on /healthz.
 func (e *Engine) BackendKind() infer.Kind { return e.Model().BackendKind() }
 
 // EnableProvenance installs a decision flight recorder of the given

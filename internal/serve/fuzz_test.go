@@ -14,7 +14,6 @@ import (
 	"ssmdvfs/internal/baselines"
 	"ssmdvfs/internal/counters"
 	"ssmdvfs/internal/faults"
-	"ssmdvfs/internal/infer"
 	"ssmdvfs/internal/provenance"
 	"ssmdvfs/internal/telemetry"
 )
@@ -57,7 +56,7 @@ func addWireSeeds(f *testing.F, stream bool) {
 		must(AppendResponse(nil, StatusColumns, projected, nil, false, 0, HopTimings{})),
 		must(AppendResponse(nil, StatusColumns, AllColumns, nil, true, tc.TraceID, HopTimings{})),
 		AppendHelloFrame(nil, Version, Version),
-		AppendHelloAckFrame(nil, Hello{Version: Version, Tracing: true, Backend: infer.KindInt8, Generation: 4}),
+		AppendHelloAckFrame(nil, Hello{Version: Version, Tracing: true, Generation: 4}),
 		AppendErrorFrame(nil, ErrCodeVersion, "no common version"),
 	} {
 		if stream {
@@ -168,7 +167,7 @@ func FuzzDecodeResponse(f *testing.F) {
 type stubEndpoint struct{ need uint64 }
 
 func (stubEndpoint) HelloAck() Hello {
-	return Hello{Router: true, Shards: 2, Backend: infer.KindFloat64, Generation: 7}
+	return Hello{Router: true, Shards: 2, Generation: 7}
 }
 
 func (ep stubEndpoint) DecideFrame(rows []Request, columns uint64, decs []Decision, tc telemetry.TraceContext, _ time.Time) ([]Decision, HopTimings, uint64) {

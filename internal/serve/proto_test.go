@@ -207,10 +207,12 @@ func TestServeConnNegotiatesThenServes(t *testing.T) {
 	}
 }
 
-// TestV2FrameRefused: protocols v2 and v3 are gone. A well-formed v2
-// request — version byte 2, message type 1 — and a well-formed v3 one —
-// today's frame less its column mask — are each refused with a typed
-// version error, and so is a hello that offers nothing newer.
+// TestV2FrameRefused: protocols v2, v3 and v4 are gone. A well-formed v2
+// request (version byte 2, message type 1), v3 request (today's frame
+// less its column mask) and v4 request (today's frame under version 4)
+// are each refused with a typed version error, and so is a hello that
+// offers nothing newer. The hello-ack has one length: v4's, which carried
+// a backend byte, does not decode.
 func TestV2FrameRefused(t *testing.T) {
 	srv, err := NewServer(testModel(t, 36), Options{})
 	if err != nil {
@@ -219,15 +221,18 @@ func TestV2FrameRefused(t *testing.T) {
 	addr := listenServer(t, srv)
 
 	rng := rand.New(rand.NewSource(36))
-	v4, err := AppendKeyedRequestFrame(nil, []Request{{Preset: 0.1, Features: featureRow(rng)}})
+	cur, err := AppendKeyedRequestFrame(nil, []Request{{Preset: 0.1, Features: featureRow(rng)}})
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The v4 request: today's frame under version byte 4.
+	v4 := append([]byte(nil), cur...)
+	v4[4] = 4
 	// The v3 request: version 3, and count and dimension run straight into
 	// the rows.
-	v3 := append([]byte(nil), v4[:headerLen+4]...)
+	v3 := append([]byte(nil), cur[:headerLen+4]...)
 	v3[4] = 3
-	v3 = append(v3, v4[headerLen+rowsHeadLen:]...)
+	v3 = append(v3, cur[headerLen+rowsHeadLen:]...)
 	// The v2 request: version 2 and type 1, then count, dimension, and one
 	// row of preset + features with no identity.
 	v2 := append([]byte(nil), v3[:headerLen+4]...)
@@ -235,10 +240,25 @@ func TestV2FrameRefused(t *testing.T) {
 	v2 = append(v2, v3[headerLen+4+reqRowFixed:]...)
 	expectRefusal(t, addr, framed(v2), ErrCodeVersion)
 	expectRefusal(t, addr, framed(v3), ErrCodeVersion)
+	expectRefusal(t, addr, framed(v4), ErrCodeVersion)
 	expectRefusal(t, addr, framed(AppendHelloFrame(nil, 2, 2)), ErrCodeVersion)
-	expectRefusal(t, addr, framed(AppendHelloFrame(nil, 2, 3)), ErrCodeVersion)
-	if got := srv.Metrics().Errors.Load(); got != 4 {
-		t.Fatalf("serve errors = %d, want 4", got)
+	expectRefusal(t, addr, framed(AppendHelloFrame(nil, 2, 4)), ErrCodeVersion)
+	if got := srv.Metrics().Errors.Load(); got != 5 {
+		t.Fatalf("serve errors = %d, want 5", got)
+	}
+
+	ack := AppendHelloAckFrame(nil, Hello{Version: Version, Generation: 3})
+	if got, err := DecodeHelloAckFrame(ack); err != nil || got.Generation != 3 {
+		t.Fatalf("hello-ack round trip = %+v, %v", got, err)
+	}
+	for _, n := range []int{headerLen + 4, headerLen + 5, len(ack) - 1} {
+		if _, err := DecodeHelloAckFrame(ack[:n]); err == nil {
+			t.Fatalf("%d-byte hello-ack accepted", n)
+		}
+	}
+	v4Ack := append(append([]byte(nil), ack[:10]...), 1) // v4's backend byte
+	if _, err := DecodeHelloAckFrame(append(v4Ack, ack[10:]...)); err == nil {
+		t.Fatal("v4 hello-ack with a backend byte accepted")
 	}
 }
 

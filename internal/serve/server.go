@@ -134,11 +134,10 @@ func (s *Server) ServeConn(conn net.Conn) {
 	}
 }
 
-// HelloAck describes this server in negotiation: a single-GPU daemon. The
-// backend advertisement lets a fleet router verify every replica serves
-// with the backend the operator expects before admitting it to the ring.
+// HelloAck describes this server in negotiation: a single-GPU daemon and
+// the generation of the model it serves.
 func (s *Server) HelloAck() Hello {
-	return Hello{Backend: s.BackendKind(), Generation: s.Generation()}
+	return Hello{Generation: s.Generation()}
 }
 
 // DecideFrame answers one request frame from the engine, or refuses it

@@ -66,15 +66,15 @@
 //
 // A client may open with MsgHello (uint8 lowest, uint8 highest version it
 // speaks); the peer answers MsgHelloAck (uint8 version, uint8 flags,
-// uint16 shard count, uint8 backend code, uint32 model generation) or
-// refuses. Every refusal — bad magic, wrong version, oversized or
-// malformed frame, unknown type — is a MsgError frame (uint16 code,
-// uint16 length, message) sent before the connection drops, so a
-// mismatched peer gets a typed error instead of a hung read.
+// uint16 shard count, uint32 model generation) or refuses. Every refusal
+// — bad magic, wrong version, oversized or malformed frame, unknown type
+// — is a MsgError frame (uint16 code, uint16 length, message) sent before
+// the connection drops, so a mismatched peer gets a typed error instead
+// of a hung read.
 //
-// Message types 1 and 2 (protocol v2's unkeyed request and response) and
-// version 3 (the same frames without the column masks) are retired and
-// not reused.
+// Message types 1 and 2 (protocol v2's unkeyed request and response),
+// version 3 (the same frames without the column masks) and version 4 (a
+// hello-ack with a backend byte) are retired and not reused.
 package serve
 
 import (
@@ -88,14 +88,13 @@ import (
 	"time"
 
 	"ssmdvfs/internal/counters"
-	"ssmdvfs/internal/infer"
 	"ssmdvfs/internal/provenance"
 	"ssmdvfs/internal/telemetry"
 )
 
 const (
 	Magic   = 0x53445646 // "SDVF"
-	Version = 4          // the one protocol version
+	Version = 5          // the one protocol version
 
 	// MsgDecideKeyed and MsgDecisionsKeyed are the request and response
 	// frames without a trace section.
@@ -104,7 +103,7 @@ const (
 
 	// MsgHello and MsgHelloAck negotiate on connect: the client offers the
 	// [min,max] versions it speaks, the server answers with Version plus
-	// its role (daemon or router), shard count, backend and generation.
+	// its role (daemon or router), shard count and model generation.
 	MsgHello    = 5
 	MsgHelloAck = 6
 
@@ -155,44 +154,14 @@ const (
 
 // Hello is the result of negotiation: the protocol version, whether the
 // peer is a router, whether it accepts traced frames, (for routers) its
-// shard count, the inference backend the peer serves with, and the
-// lineage generation of the model it is serving. Backend is empty when
-// the peer advertises none; Generation is 0 for an unversioned offline
-// artifact.
+// shard count, and the lineage generation of the model it is serving.
+// Generation is 0 for an unversioned offline artifact.
 type Hello struct {
 	Version    int
 	Router     bool
 	Tracing    bool
 	Shards     int
-	Backend    infer.Kind
 	Generation int
-}
-
-// Backend codes carried in the hello-ack. Zero means unspecified.
-const (
-	backendCodeNone    = 0
-	backendCodeFloat64 = 1
-	backendCodeInt8    = 2
-)
-
-func backendCode(k infer.Kind) byte {
-	switch k {
-	case infer.KindFloat64:
-		return backendCodeFloat64
-	case infer.KindInt8:
-		return backendCodeInt8
-	}
-	return backendCodeNone
-}
-
-func backendFromCode(c byte) infer.Kind {
-	switch c {
-	case backendCodeFloat64:
-		return infer.KindFloat64
-	case backendCodeInt8:
-		return infer.KindInt8
-	}
-	return ""
 }
 
 // HopTimings is the per-hop latency attribution a traced response
@@ -704,7 +673,7 @@ func DecodeHelloFrame(payload []byte) (minVer, maxVer byte, err error) {
 // AppendHelloAckFrame appends the server's negotiation answer.
 func AppendHelloAckFrame(dst []byte, h Hello) []byte {
 	off := len(dst)
-	dst = append(dst, make([]byte, headerLen+9)...)
+	dst = append(dst, make([]byte, headerLen+8)...)
 	b := dst[off:]
 	putHeader(b, MsgHelloAck)
 	b[6] = byte(h.Version)
@@ -715,8 +684,7 @@ func AppendHelloAckFrame(dst []byte, h Hello) []byte {
 		b[7] |= HelloFlagTracing
 	}
 	binary.BigEndian.PutUint16(b[8:], uint16(h.Shards))
-	b[10] = backendCode(h.Backend)
-	binary.BigEndian.PutUint32(b[11:], uint32(h.Generation))
+	binary.BigEndian.PutUint32(b[10:], uint32(h.Generation))
 	return dst
 }
 
@@ -726,16 +694,15 @@ func DecodeHelloAckFrame(payload []byte) (Hello, error) {
 	if err := checkType(payload, MsgHelloAck); err != nil {
 		return Hello{}, err
 	}
-	if len(payload) != headerLen+9 {
-		return Hello{}, fmt.Errorf("serve: hello-ack frame is %d bytes, want %d", len(payload), headerLen+9)
+	if len(payload) != headerLen+8 {
+		return Hello{}, fmt.Errorf("serve: hello-ack frame is %d bytes, want %d", len(payload), headerLen+8)
 	}
 	return Hello{
 		Version:    int(payload[6]),
 		Router:     payload[7]&HelloFlagRouter != 0,
 		Tracing:    payload[7]&HelloFlagTracing != 0,
 		Shards:     int(binary.BigEndian.Uint16(payload[8:])),
-		Backend:    backendFromCode(payload[10]),
-		Generation: int(binary.BigEndian.Uint32(payload[11:])),
+		Generation: int(binary.BigEndian.Uint32(payload[10:])),
 	}, nil
 }
 
@@ -829,7 +796,7 @@ func WriteFrame(w io.Writer, payload []byte) error {
 // business, and what the decision is, the Endpoint's.
 type Endpoint interface {
 	// HelloAck describes the endpoint for negotiation: role, shard count,
-	// backend, generation. Answer fills in Version and Tracing.
+	// generation. Answer fills in Version and Tracing.
 	HelloAck() Hello
 	// DecideFrame answers one decoded request frame, appending one
 	// Decision per row to decs. columns is the mask the rows came under
