@@ -2,6 +2,7 @@ package gpusim
 
 import (
 	"math"
+	"math/bits"
 
 	"ssmdvfs/internal/clockdomain"
 	"ssmdvfs/internal/isa"
@@ -15,13 +16,10 @@ type epochAccum struct {
 	cycles       int64
 	activeCycles int64
 
-	stallMemLoad  int64 // waiting for global-load data (MH)
-	stallMemOther int64 // LSU busy / MSHR full / store-queue full (MH\L)
-	stallCompute  int64 // waiting on ALU/SFU/shared results
-	stallControl  int64 // branch pipeline refill
-	// readyNotIssued counts every unretired warp visited after the cycle's
-	// issue width is spent — whether or not it could have issued — so it
-	// measures occupancy behind the arbiter, not eligibility.
+	stalls [numStallReasons]int64 // warp-cycles lost, by stall reason
+	// readyNotIssued counts every unretired warp the cycle's scan had not
+	// reached when the issue width was spent — whether or not it could have
+	// issued — so it measures occupancy behind the arbiter, not eligibility.
 	readyNotIssued int64
 	dvfsStall      int64 // cycles lost to IVR transitions
 
@@ -44,22 +42,39 @@ type cluster struct {
 
 	domain *clockdomain.Domain
 	warps  []warp
-	// sched is the scheduler's compact view of warps, indexed like warps.
-	sched []warpSched
-	l1    *cache
+	l1     *cache
 
 	nowPs int64
 	rrPtr int
 	// greedyWarp is the last successfully issuing warp (GTO policy).
 	greedyWarp int
 
+	// The scheduler's warp sets, bit i for warps[i]. live holds the
+	// unfinished warps. A warp refused by its own pacing or scoreboard
+	// sleeps until its wakePs: it is in sleeping[reason], and in the wheel
+	// bucket of its wake tick (the first tick at or after wakePs) when that
+	// is fewer than wheelTicks cycles ahead, in far otherwise. Only the
+	// other live warps, the awake ones, are probed.
+	live     uint64
+	sleeping [numStallReasons]uint64
+	// wheel[(wheelPos+d)%wheelTicks] holds the warps that wake d cycles
+	// from now; wheelOcc has bit b set when wheel[b] is not empty.
+	wheel    [wheelTicks]uint64
+	wheelOcc uint64
+	wheelPos int
+	far      uint64
+	// farWakePs is the earliest wakePs in far, math.MaxInt64 when empty.
+	farWakePs int64
+	// period is the clock period the sleepers are filed for, recip its
+	// reciprocal for ticksUntil.
+	period int64
+	recip  uint64
+
 	// Completion times of outstanding load misses / queued stores.
 	outstandingLoads  []int64
 	outstandingStores []int64
 
-	finishedWarps int
-	done          bool
-	lastFinishPs  int64
+	lastFinishPs int64
 
 	acc epochAccum
 	// epochLevel is the OP level in force for the current epoch (levels
@@ -105,8 +120,9 @@ func newCluster(id int, cfg *Config, kernel *isa.Kernel) *cluster {
 	}
 	c.newPendingBuffers()
 	c.epochLevel = c.domain.Level()
+	c.refile()
 	c.warps = make([]warp, kernel.WarpsPerCluster)
-	c.sched = make([]warpSched, kernel.WarpsPerCluster)
+	c.live = ^uint64(0) >> (maxClusterWarps - kernel.WarpsPerCluster)
 	for i := range c.warps {
 		prog := &kernel.Programs[i%len(kernel.Programs)]
 		c.warps[i] = warp{
@@ -141,24 +157,32 @@ func queueFull(q *[]int64, limit int, nowPs int64) bool {
 type stallReason uint8
 
 const (
-	stallNone stallReason = iota
-	stallMemLoadR
-	stallMemOtherR
-	stallComputeR
-	stallControlR
+	stallNone      stallReason = iota
+	stallMemLoadR              // waiting for global-load data (MH)
+	stallMemOtherR             // LSU busy / MSHR full / store-queue full (MH\L)
+	stallComputeR              // waiting on ALU/SFU/shared results
+	stallControlR              // branch pipeline refill
 	numStallReasons
 )
 
-// warpSched is what the issue loop needs to know about a warp without
-// touching the warp itself: whether it has retired and, when its last issue
-// attempt was blocked by its own pacing or scoreboard, until when and why.
-// A warp's ready times are written only by its own issue, so until wakePs
-// the warp would give the same stall reason every cycle and is not probed.
-type warpSched struct {
-	wakePs   int64 // the warp cannot issue before this time; probe once reached
-	reason   stallReason
-	finished bool
+const (
+	maxClusterWarps = 64 // a warp set is one machine word
+	// wheelTicks is the timing wheel's size in cycles, a bucket per bit of
+	// wheelOcc. A sleeper wheelTicks or more cycles from its wake tick (a
+	// memory wait) goes to far.
+	wheelTicks = 64
+)
+
+// setLevel moves the cluster to level at atPs, re-filing the sleepers on
+// the new period's lattice.
+func (c *cluster) setLevel(level int, atPs int64) {
+	if c.domain.SetLevel(level, atPs) {
+		c.refile()
+	}
 }
+
+// done reports whether every warp of the cluster has retired.
+func (c *cluster) done() bool { return c.live == 0 }
 
 // newPendingBuffers gives the cluster empty pending-traffic buffers sized
 // for a step of its widest loads and stores: one per LSU.
@@ -255,7 +279,6 @@ func (c *cluster) tryIssue(w *warp, nowPs, period int64, aluLeft, sfuLeft, lsuLe
 	w.issued++
 	w.advance()
 	if w.finished {
-		c.finishedWarps++
 		if nowPs > c.lastFinishPs {
 			c.lastFinishPs = nowPs
 		}
@@ -351,7 +374,7 @@ func (c *cluster) nextEventPs() int64 {
 	switch {
 	case len(c.pending) > 0:
 		return c.pendingPs
-	case c.done:
+	case c.done():
 		return math.MaxInt64
 	}
 	return c.nowPs
@@ -385,22 +408,18 @@ func fillPlaceholder(q []int64, t int64) {
 // the cluster clock. limitPs (> nowPs) is the earliest time at which the
 // caller has to look at the simulation again: the epoch end or the RunUntil
 // target. When the cycle provably repeats — the domain is mid-transition, or
-// nothing issued and every live warp is blocked on its own scoreboard or
-// pacing — step accounts for all the identical cycles up to the first one at
-// or after the earliest wake time or limitPs in one go. Skipped cycles touch
+// nothing issued and every live warp sleeps on its own scoreboard or pacing
+// — step accounts for all the identical cycles up to the first one at or
+// after the earliest wake time or limitPs in one go. Skipped cycles touch
 // no cache and make no memory traffic, so the result is what cycle-by-cycle
 // stepping gives. A step that issues global loads missing L1 or stores
 // leaves their traffic pending, and the cluster must not step again before
 // resolve has performed it.
 func (c *cluster) step(limitPs int64) {
-	nowPs := c.nowPs
-	period := c.domain.PeriodPs()
-
-	if c.domain.Stalled(nowPs) {
-		k := cyclesUntil(nowPs, min(c.domain.StallUntilPs(), limitPs), period)
-		c.acc.cycles += k
+	if c.domain.Stalled(c.nowPs) {
+		k := c.ticksUntil(min(c.domain.StallUntilPs(), limitPs))
 		c.acc.dvfsStall += k
-		c.nowPs += k * period
+		c.advance(k)
 		return
 	}
 
@@ -408,98 +427,171 @@ func (c *cluster) step(limitPs int64) {
 	sfuLeft := c.cfg.SFUUnits
 	lsuLeft := c.cfg.LSUUnits
 	issueLeft := c.cfg.IssueWidth
-	gto := c.cfg.Scheduler == SchedGTO
-	// The candidate order is fixed at the start of the cycle: an issue below
-	// moves c.greedyWarp, and an order read from it mid-scan would skip one
-	// warp and visit another twice.
-	greedy := c.greedyWarp
-
-	n := len(c.warps)
-	issuedAny := false
-	// stalls tallies this cycle's stall reasons; wakePs is the earliest
-	// time any blocked warp can issue, or 0 once a warp hit a structural
-	// stall and the next cycle may differ from this one.
-	var stalls [numStallReasons]int64
-	wakePs := int64(math.MaxInt64)
-	for i := 0; i < n; i++ {
-		// Candidate order is the scheduling policy: LRR rotates the start
-		// position; GTO tries the greedy warp first and then the oldest
-		// (lowest-index) warps.
-		var idx int
-		if gto {
+	// The scan order is the scheduling policy, two ascending runs of warp
+	// indices: the warps of first, then the rest. LRR starts at the rotating
+	// position; GTO tries the greedy warp first and then the oldest
+	// (lowest-index) warps. The order is fixed at the start of the cycle: an
+	// issue below moves c.greedyWarp, and an order read from it mid-scan
+	// would skip one warp and visit another twice.
+	first := ^uint64(0) << c.rrPtr
+	if c.cfg.Scheduler == SchedGTO {
+		first = 1 << c.greedyWarp
+	}
+	awake := c.live &^ c.asleep()
+	// visited is the warps the scan reached before the issue width was
+	// spent.
+	visited := ^uint64(0)
+	issuedAny, structural := false, false
+scan:
+	for _, span := range [2]uint64{first, ^first} {
+		for m := awake & span; m != 0; m &= m - 1 {
+			idx := bits.TrailingZeros64(m)
+			w := &c.warps[idx]
+			reason, wakePs := c.tryIssue(w, c.nowPs, c.period, &aluLeft, &sfuLeft, &lsuLeft)
 			switch {
-			case i == 0:
-				idx = greedy
-			case i <= greedy:
-				idx = i - 1
+			case reason == stallNone:
+				issuedAny = true
+				c.greedyWarp = idx
+				if w.finished {
+					c.live &^= 1 << idx
+				}
+				issueLeft--
+				if issueLeft == 0 {
+					visited = first&^span | span&(2<<idx-1)
+					// The warps not reached lost arbitration this cycle;
+					// count them so occupancy pressure is visible.
+					c.acc.readyNotIssued += int64(bits.OnesCount64(c.live &^ visited))
+					break scan
+				}
+			case wakePs == 0:
+				// A structural refusal (unit, MSHR or store-queue limit)
+				// depends on other warps and on queue drain: the warp stays
+				// awake, and the next cycle may differ from this one.
+				c.acc.stalls[reason]++
+				structural = true
 			default:
-				idx = i
-			}
-		} else {
-			idx = c.rrPtr + i
-			if idx >= n {
-				idx -= n
+				w.wakePs = wakePs
+				c.sleeping[reason] |= 1 << idx
+				c.file(idx, wakePs)
 			}
 		}
-		ws := &c.sched[idx]
-		if ws.finished {
-			continue
-		}
-		if issueLeft == 0 {
-			// Remaining warps lost arbitration this cycle; count them so
-			// occupancy pressure is visible.
-			if c.finishedWarps == 0 {
-				c.acc.readyNotIssued += int64(n - i)
-				break
-			}
-			c.acc.readyNotIssued++
-			continue
-		}
-		if nowPs < ws.wakePs {
-			stalls[ws.reason]++
-			wakePs = min(wakePs, ws.wakePs)
-			continue
-		}
-		w := &c.warps[idx]
-		reason, wake := c.tryIssue(w, nowPs, period, &aluLeft, &sfuLeft, &lsuLeft)
-		if reason == stallNone {
-			issueLeft--
-			issuedAny = true
-			c.greedyWarp = idx
-			ws.finished = w.finished
-			continue
-		}
-		stalls[reason]++
-		ws.wakePs, ws.reason = wake, reason
-		wakePs = min(wakePs, wake)
 	}
 
 	k := int64(1)
 	if issuedAny {
 		c.acc.activeCycles++
 		c.rrPtr++
-		if c.rrPtr == n {
+		if c.rrPtr == len(c.warps) {
 			c.rrPtr = 0
 		}
-	} else if wakePs > nowPs {
-		k = cyclesUntil(nowPs, min(wakePs, limitPs), period)
+	} else if !structural {
+		// Skip to the first tick at or after limitPs or the earliest wake:
+		// the far set's, or the first occupied bucket's.
+		k = c.ticksUntil(min(limitPs, c.farWakePs))
+		if c.wheelOcc != 0 {
+			ahead := bits.RotateLeft64(c.wheelOcc, -(c.wheelPos + 1))
+			k = min(k, int64(bits.TrailingZeros64(ahead))+1)
+		}
 	}
-	c.acc.cycles += k
-	c.acc.stallMemLoad += k * stalls[stallMemLoadR]
-	c.acc.stallMemOther += k * stalls[stallMemOtherR]
-	c.acc.stallCompute += k * stalls[stallComputeR]
-	c.acc.stallControl += k * stalls[stallControlR]
-	if c.finishedWarps == n {
-		c.done = true
+	// Every sleeper the scan reached is charged its own reason, once for
+	// each of the k cycles: none of them wakes before the last.
+	if slept := c.asleep() & visited; slept != 0 {
+		for r := stallMemLoadR; r < numStallReasons; r++ {
+			c.acc.stalls[r] += k * int64(bits.OnesCount64(c.sleeping[r]&slept))
+		}
 	}
-	c.nowPs += k * period
+	c.advance(k)
 }
 
-// cyclesUntil returns how many cycles of the given period, the first at
-// fromPs, start before untilPs (> fromPs): the cycle count that brings the
-// clock to its first tick at or after untilPs.
-func cyclesUntil(fromPs, untilPs, period int64) int64 {
-	return (untilPs - fromPs + period - 1) / period
+// asleep returns the sleeping warps.
+func (c *cluster) asleep() uint64 {
+	s := &c.sleeping
+	return s[stallMemLoadR] | s[stallMemOtherR] | s[stallComputeR] | s[stallControlR]
+}
+
+// wake moves the warps of m out of the sleeping sets.
+func (c *cluster) wake(m uint64) {
+	for r := range c.sleeping {
+		c.sleeping[r] &^= m
+	}
+}
+
+// file places sleeping warp idx by its wakePs on the current clock lattice:
+// awake once the time has come, in the wheel bucket of its wake tick when
+// that is fewer than wheelTicks cycles ahead, in far otherwise.
+func (c *cluster) file(idx int, wakePs int64) {
+	switch d := wakePs - c.nowPs; {
+	case d <= 0:
+		c.wake(1 << idx)
+	case d > (wheelTicks-1)*c.period:
+		c.far |= 1 << idx
+		c.farWakePs = min(c.farWakePs, wakePs)
+	default:
+		b := (c.wheelPos + int(c.ticksUntil(wakePs))) & (wheelTicks - 1)
+		c.wheel[b] |= 1 << idx
+		c.wheelOcc |= 1 << b
+	}
+}
+
+// fileAll files the warps of m again, each by its own wakePs.
+func (c *cluster) fileAll(m uint64) {
+	for ; m != 0; m &= m - 1 {
+		idx := bits.TrailingZeros64(m)
+		c.file(idx, c.warps[idx].wakePs)
+	}
+}
+
+// refile files every sleeper again on the lattice of the domain's current
+// period, which starts at nowPs.
+func (c *cluster) refile() {
+	c.period = c.domain.PeriodPs()
+	c.recip = math.MaxUint64 / uint64(c.period)
+	c.wheel = [wheelTicks]uint64{}
+	c.wheelOcc, c.far, c.farWakePs = 0, 0, math.MaxInt64
+	c.fileAll(c.asleep())
+}
+
+// advance moves the clock k cycles on and wakes the sleepers whose wake tick
+// it reaches.
+func (c *cluster) advance(k int64) {
+	c.acc.cycles += k
+	c.nowPs += k * c.period
+	if c.wheelOcc != 0 {
+		// Bit j of due is the bucket j+1 ticks after the old current one.
+		due := bits.RotateLeft64(c.wheelOcc, -(c.wheelPos + 1))
+		if k < wheelTicks {
+			due &= 1<<k - 1
+		}
+		c.wheelOcc &^= bits.RotateLeft64(due, c.wheelPos+1)
+		for ; due != 0; due &= due - 1 {
+			b := (c.wheelPos + 1 + bits.TrailingZeros64(due)) & (wheelTicks - 1)
+			c.wake(c.wheel[b])
+			c.wheel[b] = 0
+		}
+	}
+	c.wheelPos = (c.wheelPos + int(k)) & (wheelTicks - 1)
+	if c.farWakePs <= c.nowPs {
+		far := c.far
+		c.far, c.farWakePs = 0, math.MaxInt64
+		c.fileAll(far)
+	}
+}
+
+// ticksUntil returns how many cycles of the current period, the first at
+// nowPs, start before untilPs (> nowPs): the cycle count that brings the
+// clock to its first tick at or after untilPs. It divides by multiplying
+// with the period's reciprocal: for d < 2⁶⁴ the high word q of
+// d·⌊(2⁶⁴−1)/p⌋ is ⌊d/p⌋ or one less, so the remainder d−q·p is below 2p
+// and tells how much to add for the ceiling.
+func (c *cluster) ticksUntil(untilPs int64) int64 {
+	d, p := uint64(untilPs-c.nowPs), uint64(c.period)
+	q, _ := bits.Mul64(d, c.recip)
+	if r := d - q*p; r > p {
+		q += 2
+	} else if r > 0 {
+		q++
+	}
+	return int64(q)
 }
 
 // clone deep-copies the cluster for simulator snapshots.
@@ -507,7 +599,6 @@ func (c *cluster) clone(cfg *Config) *cluster {
 	cp := *c
 	cp.cfg = cfg
 	cp.warps = append([]warp(nil), c.warps...)
-	cp.sched = append([]warpSched(nil), c.sched...)
 	cp.l1 = c.l1.clone()
 	cp.outstandingLoads = append([]int64(nil), c.outstandingLoads...)
 	cp.outstandingStores = append([]int64(nil), c.outstandingStores...)

@@ -1,6 +1,9 @@
 package gpusim
 
 import (
+	"fmt"
+	"math"
+	"math/rand"
 	"testing"
 
 	"ssmdvfs/internal/isa"
@@ -64,7 +67,7 @@ func TestRAWHazardDelaysDependent(t *testing.T) {
 	if cycles < cfg.FAluLatency {
 		t.Fatalf("dependent issued after %d cycles, want >= %d", cycles, cfg.FAluLatency)
 	}
-	if c.acc.stallCompute == 0 {
+	if c.acc.stalls[stallComputeR] == 0 {
 		t.Fatal("RAW wait not attributed to compute stalls")
 	}
 }
@@ -112,7 +115,7 @@ func TestSFUStructuralLimit(t *testing.T) {
 	if c.acc.instructions != 1 {
 		t.Fatalf("SFU issued %d in one cycle, want 1 (structural limit)", c.acc.instructions)
 	}
-	if c.acc.stallCompute == 0 {
+	if c.acc.stalls[stallComputeR] == 0 {
 		t.Fatal("losing warp not counted as compute-stalled")
 	}
 	cycle(c, mem)
@@ -130,7 +133,7 @@ func TestLSUStructuralLimitIsMemOther(t *testing.T) {
 	if c.acc.instructions != 1 {
 		t.Fatalf("LSU issued %d in one cycle, want 1", c.acc.instructions)
 	}
-	if c.acc.stallMemOther == 0 {
+	if c.acc.stalls[stallMemOtherR] == 0 {
 		t.Fatal("LSU-busy stall not attributed to MH\\L")
 	}
 }
@@ -150,7 +153,7 @@ func TestMSHRLimitBlocksLoads(t *testing.T) {
 	if len(c.outstandingLoads) > 2 {
 		t.Fatalf("%d outstanding loads exceed %d MSHRs", len(c.outstandingLoads), cfg.MSHRs)
 	}
-	if c.acc.stallMemOther == 0 {
+	if c.acc.stalls[stallMemOtherR] == 0 {
 		t.Fatal("MSHR-full stall not attributed to MH\\L")
 	}
 }
@@ -181,7 +184,7 @@ func TestBranchPacing(t *testing.T) {
 		t.Fatalf("post-branch instruction issued after %d cycles, want >= %d (refill)",
 			cycles, cfg.BranchLatency)
 	}
-	if c.acc.stallControl == 0 {
+	if c.acc.stalls[stallControlR] == 0 {
 		t.Fatal("branch refill not attributed to control stalls")
 	}
 }
@@ -270,39 +273,57 @@ type wantAcc struct {
 func checkAcc(t *testing.T, when string, c *cluster, want wantAcc) {
 	t.Helper()
 	got := wantAcc{c.nowPs, c.acc.cycles, c.acc.instructions,
-		c.acc.stallMemLoad, c.acc.stallMemOther, c.acc.stallCompute, c.acc.stallControl}
+		c.acc.stalls[stallMemLoadR], c.acc.stalls[stallMemOtherR], c.acc.stalls[stallComputeR], c.acc.stalls[stallControlR]}
 	if got != want {
 		t.Fatalf("%s:\n got %+v\nwant %+v", when, got, want)
 	}
 }
 
+// TestSkipStopsAtLimit runs over SFU latencies on both sides of the
+// scheduler's near/far split: the consumer is refused one cycle after the
+// SFU issues, so it sleeps latency-1 cycles, on the timing wheel up to
+// wheelTicks-1 of them and in the far set beyond. The second iteration's
+// sleep is skipped in one step, which at latency 65 spans the whole wheel.
 func TestSkipStopsAtLimit(t *testing.T) {
-	cfg := SmallConfig()
-	// SFU result (16 cycles) feeds the next op: 15 idle cycles after issue.
-	body := []isa.Instruction{
-		{Op: isa.OpSFU, Dst: 1},
-		{Op: isa.OpIAlu, Dst: 2, SrcA: 1},
-	}
-	c, mem := newTestCluster(t, cfg, body, 1, 1)
-	step(c, mem, noLimit)
-	checkAcc(t, "SFU issued", c, wantAcc{nowPs: 858, cycles: 1, instructions: 1})
+	for _, lat := range []int64{16, wheelTicks - 1, wheelTicks, wheelTicks + 1} {
+		t.Run(fmt.Sprint("SFULatency=", lat), func(t *testing.T) {
+			cfg := SmallConfig()
+			cfg.SFULatency = int(lat)
+			// The SFU result feeds the next op: lat-1 idle cycles after issue.
+			body := []isa.Instruction{
+				{Op: isa.OpSFU, Dst: 1},
+				{Op: isa.OpIAlu, Dst: 2, SrcA: 1},
+			}
+			c, mem := newTestCluster(t, cfg, body, 2, 1)
+			step(c, mem, noLimit)
+			checkAcc(t, "SFU issued", c, wantAcc{nowPs: 858, cycles: 1, instructions: 1})
 
-	// A limit between ticks: the cycles at 858..4290 start before 5000, the
-	// clock stops on the first tick at or after it.
-	step(c, mem, 5000)
-	checkAcc(t, "skip to limit", c, wantAcc{nowPs: 6 * 858, cycles: 6, instructions: 1, stallCompute: 5})
+			// A limit between ticks: the cycles at 858..4290 start before
+			// 5000, the clock stops on the first tick at or after it.
+			step(c, mem, 5000)
+			checkAcc(t, "skip to limit", c, wantAcc{nowPs: 6 * 858, cycles: 6, instructions: 1, stallCompute: 5})
 
-	// A limit exactly on a tick is not overshot.
-	step(c, mem, 8*858)
-	checkAcc(t, "skip to aligned limit", c, wantAcc{nowPs: 8 * 858, cycles: 8, instructions: 1, stallCompute: 7})
+			// A limit exactly on a tick is not overshot.
+			step(c, mem, 8*858)
+			checkAcc(t, "skip to aligned limit", c, wantAcc{nowPs: 8 * 858, cycles: 8, instructions: 1, stallCompute: 7})
 
-	// No limit in the way: stop where the result is ready, then issue.
-	step(c, mem, noLimit)
-	checkAcc(t, "skip to wake", c, wantAcc{nowPs: 16 * 858, cycles: 16, instructions: 1, stallCompute: 15})
-	step(c, mem, noLimit)
-	checkAcc(t, "dependent issued", c, wantAcc{nowPs: 17 * 858, cycles: 17, instructions: 2, stallCompute: 15})
-	if !c.done {
-		t.Fatal("cluster not done after its only warp retired")
+			// No limit in the way: stop where the result is ready, then issue.
+			step(c, mem, noLimit)
+			checkAcc(t, "skip to wake", c, wantAcc{nowPs: lat * 858, cycles: lat, instructions: 1, stallCompute: lat - 1})
+			step(c, mem, noLimit)
+			checkAcc(t, "dependent issued", c, wantAcc{nowPs: (lat + 1) * 858, cycles: lat + 1, instructions: 2, stallCompute: lat - 1})
+
+			// Second iteration: the SFU issues at lat+1 and its consumer,
+			// refused at lat+2, sleeps to 2·lat+1 in a single step.
+			step(c, mem, noLimit)
+			step(c, mem, noLimit)
+			checkAcc(t, "one skip to wake", c, wantAcc{nowPs: (2*lat + 1) * 858, cycles: 2*lat + 1, instructions: 3, stallCompute: 2*lat - 2})
+			step(c, mem, noLimit)
+			checkAcc(t, "second dependent issued", c, wantAcc{nowPs: (2*lat + 2) * 858, cycles: 2*lat + 2, instructions: 4, stallCompute: 2*lat - 2})
+			if !c.done() {
+				t.Fatal("cluster not done after its only warp retired")
+			}
+		})
 	}
 }
 
@@ -395,8 +416,8 @@ func TestSkipStopsAtEarliestWakeAndChargesOwnReasons(t *testing.T) {
 	checkAcc(t, "skip to load data", c, wantAcc{nowPs: loadTick * 858, cycles: loadTick, instructions: 5,
 		stallMemLoad: loadTick - 1, stallCompute: 15, stallControl: 7})
 	step(c, mem, noLimit)
-	if c.acc.instructions != 6 || !c.done {
-		t.Fatalf("load consumer not issued at the wake tick: %d instructions, done=%v", c.acc.instructions, c.done)
+	if c.acc.instructions != 6 || !c.done() {
+		t.Fatalf("load consumer not issued at the wake tick: %d instructions, done=%v", c.acc.instructions, c.done())
 	}
 }
 
@@ -484,34 +505,94 @@ func TestStoreQueueDrainsWithoutSkip(t *testing.T) {
 	}
 }
 
+// TestIVRTransitionSkip changes the level while both warps sleep: warp 1 on
+// an SFU result, filed on the timing wheel, that arrives during the
+// transition; warp 0 on a cold load, in the far set, that arrives after it.
+// Both are re-filed on level 0's clock, and the load's consumer issues on
+// the first level-0 tick at or after the data.
 func TestIVRTransitionSkip(t *testing.T) {
 	cfg := SmallConfig()
-	body := []isa.Instruction{{Op: isa.OpFAlu, Dst: 1}}
-	c, mem := newTestCluster(t, cfg, body, 1, 1)
+	progs := []isa.Program{
+		{Iterations: 1, Body: []isa.Instruction{
+			{Op: isa.OpLoadGlobal, Dst: 1, Mem: coldLine},
+			{Op: isa.OpFAlu, Dst: 2, SrcA: 1},
+		}},
+		{Iterations: 1, Body: []isa.Instruction{
+			{Op: isa.OpSFU, Dst: 1},
+			{Op: isa.OpIAlu, Dst: 2, SrcA: 1},
+		}},
+	}
+	c, mem := newTestClusterProgs(t, cfg, progs, 2)
+	step(c, mem, noLimit) // t=0: the load and the SFU issue
+	cycle(c, mem)         // t=858: both consumers are refused and sleep
+	checkAcc(t, "both asleep", c, wantAcc{nowPs: 2 * 858, cycles: 2, instructions: 2, stallMemLoad: 1, stallCompute: 1})
+
 	// Default level to level 0 changes the voltage: a 500 ns stall, counted
-	// in level 0's 1464 ps cycles.
-	c.domain.SetLevel(0, 0)
-	const period0 = 1464
+	// in level 0's 1464 ps cycles from here.
+	const from, period0 = 2 * 858, 1464
+	c.setLevel(0, from)
 
 	// A limit inside the transition: 69 cycles start before 100 ns.
-	step(c, mem, 100_000)
-	if c.nowPs != 69*period0 || c.acc.cycles != 69 || c.acc.dvfsStall != 69 {
-		t.Fatalf("limited stall skip: now=%d cycles=%d dvfsStall=%d, want %d/69/69",
-			c.nowPs, c.acc.cycles, c.acc.dvfsStall, 69*period0)
+	step(c, mem, from+100_000)
+	if c.nowPs != from+69*period0 || c.acc.cycles != 2+69 || c.acc.dvfsStall != 69 {
+		t.Fatalf("limited stall skip: now=%d cycles=%d dvfsStall=%d, want %d/71/69",
+			c.nowPs, c.acc.cycles, c.acc.dvfsStall, from+69*period0)
 	}
 	// The rest of the transition: 342 cycles start before 500 ns in all.
 	step(c, mem, noLimit)
-	if c.nowPs != 342*period0 || c.acc.cycles != 342 || c.acc.dvfsStall != 342 {
-		t.Fatalf("stall skip: now=%d cycles=%d dvfsStall=%d, want %d/342/342",
-			c.nowPs, c.acc.cycles, c.acc.dvfsStall, 342*period0)
+	if c.nowPs != from+342*period0 || c.acc.cycles != 2+342 || c.acc.dvfsStall != 342 {
+		t.Fatalf("stall skip: now=%d cycles=%d dvfsStall=%d, want %d/344/342",
+			c.nowPs, c.acc.cycles, c.acc.dvfsStall, from+342*period0)
 	}
-	if c.acc.instructions != 0 {
-		t.Fatalf("%d instructions issued during the transition", c.acc.instructions)
+	if c.acc.instructions != 2 {
+		t.Fatalf("%d instructions issued during the transition", c.acc.instructions-2)
 	}
+	// First cycle after the transition: the SFU result arrived during it,
+	// so warp 1's consumer issues; warp 0 still waits on its load.
 	step(c, mem, noLimit)
-	if c.acc.instructions != 1 || c.acc.dvfsStall != 342 || c.acc.cycles != 343 {
-		t.Fatalf("first cycle after the transition: instructions=%d dvfsStall=%d cycles=%d, want 1/342/343",
-			c.acc.instructions, c.acc.dvfsStall, c.acc.cycles)
+	checkAcc(t, "first cycle after the transition", c, wantAcc{nowPs: from + 343*period0, cycles: 2 + 343,
+		instructions: 3, stallMemLoad: 2, stallCompute: 1})
+	if c.acc.dvfsStall != 342 {
+		t.Fatalf("dvfsStall = %d after the transition, want 342", c.acc.dvfsStall)
+	}
+	// Then a skip to the first level-0 tick at or after the load's data.
+	loadTick := int64(coldLoadDonePs-from+period0-1) / period0
+	step(c, mem, noLimit)
+	checkAcc(t, "skip to load data", c, wantAcc{nowPs: from + loadTick*period0, cycles: 2 + loadTick,
+		instructions: 3, stallMemLoad: 2 + loadTick - 343, stallCompute: 1})
+	step(c, mem, noLimit)
+	if c.acc.instructions != 4 || !c.done() {
+		t.Fatalf("load consumer not issued at the wake tick: %d instructions, done=%v", c.acc.instructions, c.done())
+	}
+}
+
+// TestTicksUntilIsTheCeiling: the reciprocal division in ticksUntil is the
+// exact ceiling at every period of both operating-point tables, from one
+// picosecond to the largest time there is, on and around multiples of the
+// period and at random.
+func TestTicksUntilIsTheCeiling(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for _, cfg := range []Config{SmallConfig(), TitanXConfig()} {
+		c, _ := newTestCluster(t, cfg, []isa.Instruction{{Op: isa.OpIAlu}}, 1, 1)
+		for lvl := 0; lvl < cfg.OPs.Len(); lvl++ {
+			c.setLevel(lvl, 0)
+			p := c.period
+			ds := []int64{1, 2, math.MaxInt64 - 1, math.MaxInt64}
+			for _, m := range []int64{1, wheelTicks - 1, wheelTicks, 1 << 20, 1 << 40, math.MaxInt64 / p} {
+				ds = append(ds, m*p-1, m*p, m*p+1)
+			}
+			for range 1000 {
+				ds = append(ds, 1+rng.Int63n(64*p), 1+rng.Int63())
+			}
+			for _, d := range ds {
+				if d <= 0 {
+					continue
+				}
+				if got, want := c.ticksUntil(d), (d-1)/p+1; got != want {
+					t.Fatalf("period %d: ticksUntil(%d) = %d, want %d", p, d, got, want)
+				}
+			}
+		}
 	}
 }
 
@@ -534,20 +615,20 @@ func TestGTOVisitsEveryWarpOncePerCycle(t *testing.T) {
 		for i := range c.warps {
 			before[i] = c.warps[i].issued
 		}
-		stalls := c.acc.stallCompute
+		stalls := c.acc.stalls[stallComputeR]
 		cycle(c, mem)
 		for i := range c.warps {
 			got := c.warps[i].issued - before[i]
 			if i == 2 {
 				// Issued or stall-counted, once.
-				got += c.acc.stallCompute - stalls
+				got += c.acc.stalls[stallComputeR] - stalls
 			}
 			if got != 1 {
 				t.Fatalf("cycle %d (greedy warp %d after it): warp %d visited %d times, want 1", cyc, c.greedyWarp, i, got)
 			}
 		}
 	}
-	if other := c.acc.stallMemLoad + c.acc.stallMemOther + c.acc.stallControl + c.acc.readyNotIssued; other != 0 {
+	if other := c.acc.stalls[stallMemLoadR] + c.acc.stalls[stallMemOtherR] + c.acc.stalls[stallControlR] + c.acc.readyNotIssued; other != 0 {
 		t.Fatalf("%d stalls of a kind no warp here can have", other)
 	}
 }

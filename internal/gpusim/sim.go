@@ -3,6 +3,7 @@ package gpusim
 import (
 	"fmt"
 	"math"
+	"math/bits"
 )
 
 // Controller decides the operating-point level each cluster runs in the
@@ -75,6 +76,10 @@ func New(cfg Config, kernel Kernel) (*Simulator, error) {
 	if err := kernel.Validate(); err != nil {
 		return nil, err
 	}
+	if kernel.WarpsPerCluster > maxClusterWarps {
+		return nil, fmt.Errorf("gpusim: kernel %q has %d warps per cluster, a cluster runs at most %d",
+			kernel.Name, kernel.WarpsPerCluster, maxClusterWarps)
+	}
 	s := &Simulator{
 		cfg:    cfg,
 		kernel: isaKernelRef{name: kernel.Name},
@@ -103,7 +108,7 @@ func (s *Simulator) NowPs() int64 {
 	minT := int64(math.MaxInt64)
 	active := false
 	for _, c := range s.clusters {
-		if c.done {
+		if c.done() {
 			continue
 		}
 		active = true
@@ -120,7 +125,7 @@ func (s *Simulator) NowPs() int64 {
 // Done reports whether every warp on every cluster has finished.
 func (s *Simulator) Done() bool {
 	for _, c := range s.clusters {
-		if !c.done {
+		if !c.done() {
 			return false
 		}
 	}
@@ -146,7 +151,7 @@ func (s *Simulator) ClusterLevel(i int) int { return s.clusters[i].domain.Level(
 func (s *Simulator) ForceLevel(level int) {
 	now := s.NowPs()
 	for _, c := range s.clusters {
-		c.domain.SetLevel(level, now)
+		c.setLevel(level, now)
 		c.epochLevel = c.domain.Level()
 	}
 }
@@ -210,7 +215,7 @@ func (s *Simulator) CloseEpoch(limitPs int64) ([]EpochStats, bool) {
 		// or its end, performing its traffic as it goes, until some traffic
 		// is not first in (time, cluster) order: another cluster may still
 		// make an access before it.
-		for !c.done && c.nowPs < stepTo {
+		for !c.done() && c.nowPs < stepTo {
 			c.step(stepTo)
 			if len(c.pending) == 0 {
 				continue
@@ -220,7 +225,7 @@ func (s *Simulator) CloseEpoch(limitPs int64) ([]EpochStats, bool) {
 			}
 			c.resolve(s.mem)
 		}
-		if c.done && c.lastFinishPs > s.lastFinishPs {
+		if c.done() && c.lastFinishPs > s.lastFinishPs {
 			s.lastFinishPs = c.lastFinishPs
 		}
 	}
@@ -248,10 +253,10 @@ func (s *Simulator) CloseEpoch(limitPs int64) ([]EpochStats, bool) {
 			Instructions:    c.acc.instructions,
 			Cycles:          c.acc.cycles,
 			ActiveCycles:    c.acc.activeCycles,
-			StallMemLoad:    c.acc.stallMemLoad,
-			StallMemOther:   c.acc.stallMemOther,
-			StallCompute:    c.acc.stallCompute,
-			StallControl:    c.acc.stallControl,
+			StallMemLoad:    c.acc.stalls[stallMemLoadR],
+			StallMemOther:   c.acc.stalls[stallMemOtherR],
+			StallCompute:    c.acc.stalls[stallComputeR],
+			StallControl:    c.acc.stalls[stallControlR],
 			ReadyNotIssued:  c.acc.readyNotIssued,
 			DVFSStall:       c.acc.dvfsStall,
 			L1ReadHits:      c.acc.l1ReadHits,
@@ -263,7 +268,7 @@ func (s *Simulator) CloseEpoch(limitPs int64) ([]EpochStats, bool) {
 			DRAMLines:       c.acc.dramLines,
 			SharedLoads:     c.acc.sharedLoads,
 			Branches:        c.acc.branches,
-			WarpsActive:     len(c.warps) - c.finishedWarps,
+			WarpsActive:     bits.OnesCount64(c.live),
 			DynPowerW:       dynW,
 			StaticPowerW:    statW,
 			EnergyPJ:        energy,
@@ -286,8 +291,8 @@ func (s *Simulator) OpenEpoch(levels []int) {
 	}
 	end := s.epochEndPs()
 	for i, c := range s.clusters {
-		if levels != nil && !c.done {
-			c.domain.SetLevel(levels[i], end)
+		if levels != nil && !c.done() {
+			c.setLevel(levels[i], end)
 		}
 		c.epochLevel = c.domain.Level()
 	}
@@ -318,7 +323,7 @@ func (s *Simulator) RunUntil(targetPs int64) {
 			s.levels = make([]int, len(s.clusters))
 		}
 		for i, c := range s.clusters {
-			if !c.done {
+			if !c.done() {
 				s.levels[i] = s.controller.Decide(snaps[i])
 			}
 		}

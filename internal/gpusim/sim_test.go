@@ -68,6 +68,16 @@ func TestNewValidates(t *testing.T) {
 	if _, err := New(tinyConfig(), bad); err == nil {
 		t.Fatal("invalid kernel accepted")
 	}
+	// A cluster's warps are one machine word of the scheduler's sets.
+	wide := computeTestKernel(10)
+	wide.WarpsPerCluster = maxClusterWarps + 1
+	if _, err := New(tinyConfig(), wide); err == nil {
+		t.Fatalf("%d warps per cluster accepted", wide.WarpsPerCluster)
+	}
+	wide.WarpsPerCluster = maxClusterWarps
+	if _, err := New(tinyConfig(), wide); err != nil {
+		t.Fatalf("%d warps per cluster refused: %v", wide.WarpsPerCluster, err)
+	}
 }
 
 func TestRunExecutesAllInstructions(t *testing.T) {

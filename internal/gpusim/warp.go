@@ -23,6 +23,9 @@ type warp struct {
 
 	// nextEligiblePs paces the warp after branches (pipeline refill).
 	nextEligiblePs int64
+	// wakePs is, while the warp sleeps in the scheduler, when the pacing or
+	// scoreboard block that refused it lifts: only its own issue moves it.
+	wakePs int64
 
 	issued int64
 }
