@@ -180,6 +180,7 @@ func TestFleetLedgerExposition(t *testing.T) {
 	if decs := rt.Decide(rows, nil); len(decs) != len(rows) {
 		t.Fatalf("%d decisions for %d rows", len(decs), len(rows))
 	}
+	srv.Close() // the replica's ledger sees a frame after its reply; Close waits for it
 	if !rt.ScrapeLedgers(time.Now()) {
 		t.Fatal("ledger plane not armed")
 	}

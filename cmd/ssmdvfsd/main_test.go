@@ -143,6 +143,7 @@ func TestBuildMuxLedgerAndContentTypes(t *testing.T) {
 	if _, err := serve.NewClient(client).DecideKeyed(rows); err != nil {
 		t.Fatal(err)
 	}
+	srv.Close() // the planes see a frame after its reply; Close waits for them
 
 	bodies := map[string][]byte{}
 	cases := []struct {

@@ -113,9 +113,20 @@ func TestFleetTracingEndToEnd(t *testing.T) {
 		}
 	}
 
-	// The replicas that answered stamped the trace ID into provenance.
+	// An unsampled context still routes — the plain keyed path.
+	decs, hops, err = cl.DecideKeyedTraced(rows, telemetry.TraceContext{})
+	if err != nil || len(decs) != len(rows) {
+		t.Fatalf("unsampled call: %v %+v", err, decs)
+	}
+	if hops != (serve.HopTimings{}) {
+		t.Fatalf("unsampled call returned hops %+v", hops)
+	}
+
+	// The replicas that answered stamped the trace ID into provenance. A
+	// replica observes a frame after its reply; Close waits for that.
 	stamped := 0
 	for _, srv := range srvs {
+		srv.Close()
 		for _, rec := range srv.FlightRecorder().Snapshot(nil) {
 			if rec.TraceID == tc.TraceID {
 				stamped++
@@ -124,15 +135,6 @@ func TestFleetTracingEndToEnd(t *testing.T) {
 	}
 	if stamped != len(rows) {
 		t.Fatalf("%d provenance records stamped, want %d", stamped, len(rows))
-	}
-
-	// An unsampled context still routes — the plain keyed path.
-	decs, hops, err = cl.DecideKeyedTraced(rows, telemetry.TraceContext{})
-	if err != nil || len(decs) != len(rows) {
-		t.Fatalf("unsampled call: %v %+v", err, decs)
-	}
-	if hops != (serve.HopTimings{}) {
-		t.Fatalf("unsampled call returned hops %+v", hops)
 	}
 }
 

@@ -92,7 +92,7 @@ type Monitor struct {
 	flipPos   int
 	flipN     int
 	flipSum   int
-	lastLevel map[int32]int32
+	lastLevel map[int64]int32 // by (GPU, cluster)
 
 	// Feature windows: a flat window × feature ring plus running sums.
 	nFeat     int
@@ -121,6 +121,10 @@ type Monitor struct {
 	logger *telemetry.Logger
 }
 
+// maxLevelKeys bounds the flip-rate state, one entry per (GPU, cluster)
+// seen, against a stream that cycles through unbounded identities.
+const maxLevelKeys = 1 << 16
+
 // NewMonitor builds a monitor exporting into reg. Training statistics
 // (per-feature mean/σ and names) start empty; install them with
 // SetTrainingStats before feature-drift gauges mean anything.
@@ -130,7 +134,7 @@ func NewMonitor(reg *telemetry.Registry, opts MonitorOptions) *Monitor {
 		opts:      opts,
 		errs:      make([]float64, opts.Window),
 		flips:     make([]int8, opts.Window),
-		lastLevel: make(map[int32]int32, 64),
+		lastLevel: make(map[int64]int32, 64),
 		gMAPE:     reg.Gauge("prov_pred_mape"),
 		gBias:     reg.Gauge("prov_pred_bias"),
 		gFlip:     reg.Gauge("prov_level_flip_rate"),
@@ -221,9 +225,13 @@ func (m *Monitor) foldLocked(rec *Record, reasons *[NumReasons]int64) {
 		reasons[rec.Reason]++
 	}
 
-	// Flip rate: did this decision change the cluster's level?
-	last, seen := m.lastLevel[rec.Cluster]
-	m.lastLevel[rec.Cluster] = rec.Level
+	// Flip rate: did this decision change its GPU's cluster's level?
+	key := int64(uint32(rec.GPU))<<32 | int64(uint32(rec.Cluster))
+	last, seen := m.lastLevel[key]
+	if !seen && len(m.lastLevel) >= maxLevelKeys {
+		clear(m.lastLevel) // identity churn past any real fleet: start over
+	}
+	m.lastLevel[key] = rec.Level
 	if seen {
 		var flip int8
 		if last != rec.Level {

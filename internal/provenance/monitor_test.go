@@ -64,6 +64,33 @@ func TestMonitorFlipRate(t *testing.T) {
 	if got, want := m.Stats().FlipRate, 2.0/5.0; math.Abs(got-want) > 1e-12 {
 		t.Fatalf("flip rate after new cluster = %g, want %g", got, want)
 	}
+
+	// Two GPUs interleaved on the same cluster index, each holding its own
+	// level: the last level is kept per (GPU, cluster), so nothing flips.
+	m = NewMonitor(telemetry.NewRegistry(), MonitorOptions{Window: 8})
+	for i := 0; i < 8; i++ {
+		rec := modelRecord(3, 2+2*(i%2), nil)
+		rec.GPU = int32(i % 2)
+		m.ObserveRecord(&rec)
+	}
+	if got := m.Stats().FlipRate; got != 0 {
+		t.Fatalf("flip rate over two steady GPUs on cluster 3 = %g, want 0", got)
+	}
+}
+
+// TestMonitorFlipStateBounded: a stream cycling through more (GPU,
+// cluster) identities than any fleet has starts the flip state over
+// instead of growing without bound.
+func TestMonitorFlipStateBounded(t *testing.T) {
+	m := NewMonitor(telemetry.NewRegistry(), MonitorOptions{Window: 8})
+	for i := 0; i <= maxLevelKeys; i++ {
+		rec := modelRecord(i%32, 1, nil)
+		rec.GPU = int32(i / 32)
+		m.ObserveRecord(&rec)
+	}
+	if n := len(m.lastLevel); n != 1 {
+		t.Fatalf("flip state holds %d identities after %d distinct ones, want 1", n, maxLevelKeys+1)
+	}
 }
 
 func TestMonitorDriftGaugesAndEvents(t *testing.T) {

@@ -100,8 +100,10 @@ type Record struct {
 	// Seq is the recorder-assigned monotonic sequence number (1-based);
 	// it doubles as the trace ID for one decision.
 	Seq uint64
-	// Cluster and Epoch locate the decision; serving-path records carry
-	// Cluster -1 and Epoch -1 (the wire protocol has no cluster notion).
+	// GPU, Cluster and Epoch locate the decision. Serving-path records
+	// carry the row's GPU and cluster (-1 for a row without identity) and
+	// Epoch -1; simulator records serve one GPU and leave GPU 0.
+	GPU     int32
 	Cluster int32
 	Epoch   int32
 	// Level is the operating level answered; Reason says by which path.
@@ -181,7 +183,10 @@ func (r *Record) SetLogits(row []float64) {
 // jsonRecord mirrors Record for the JSONL dump, with trimmed arrays and
 // the reason rendered as its stable string.
 type jsonRecord struct {
-	Seq       uint64  `json:"seq"`
+	Seq uint64 `json:"seq"`
+	// GPU is omitted for GPU 0, so single-GPU (simulator) dumps stay
+	// byte-identical.
+	GPU       int32   `json:"gpu,omitempty"`
 	Cluster   int32   `json:"cluster"`
 	Epoch     int32   `json:"epoch"`
 	Level     int32   `json:"level"`
@@ -264,6 +269,7 @@ func (f *floats) UnmarshalJSON(data []byte) error {
 func (r *Record) toJSON() jsonRecord {
 	j := jsonRecord{
 		Seq:       r.Seq,
+		GPU:       r.GPU,
 		Cluster:   r.Cluster,
 		Epoch:     r.Epoch,
 		Level:     r.Level,
@@ -294,6 +300,7 @@ func (j *jsonRecord) toRecord() (Record, error) {
 	}
 	r := Record{
 		Seq:       j.Seq,
+		GPU:       j.GPU,
 		Cluster:   j.Cluster,
 		Epoch:     j.Epoch,
 		Level:     j.Level,

@@ -14,6 +14,7 @@ import (
 
 func testRecord(i int) Record {
 	rec := Record{
+		GPU:       int32(i%3) - 1,
 		Cluster:   int32(i % 4),
 		Epoch:     int32(i),
 		Level:     int32(i % 6),

@@ -140,10 +140,12 @@ func TestChaosServingUnderFaults(t *testing.T) {
 	}
 
 	// Every row of every batch was answered despite the chaos. The server
-	// counts a batch after flushing its response, so the last client can
-	// be back here before the last batch is counted: wait for the counter.
+	// counts a batch after flushing its response and observes it after
+	// that, so the last client can be back here before the last batch is
+	// counted or recorded: wait for the counter and the recorder.
 	wantDecisions := int64(clients * batches * rowsPer)
-	for deadline := time.Now().Add(2 * time.Second); srv.Metrics().Decisions.Load() < wantDecisions && time.Now().Before(deadline); {
+	for deadline := time.Now().Add(2 * time.Second); (srv.Metrics().Decisions.Load() < wantDecisions ||
+		srv.FlightRecorder().Head() < uint64(wantDecisions)) && time.Now().Before(deadline); {
 		time.Sleep(time.Millisecond)
 	}
 	met := srv.Metrics()

@@ -314,6 +314,7 @@ func TestPlanesForceFullRows(t *testing.T) {
 		if got := srv.Metrics().RequestColumns.Value(); got != counters.Num {
 			t.Fatalf("%s: serve_request_columns = %v, want %d", name, got, counters.Num)
 		}
+		srv.Close() // the planes see a frame after its reply; Close waits for them
 		if rec := srv.FlightRecorder(); rec != nil {
 			recs := rec.Snapshot(nil)
 			if len(recs) != 3*len(rows) {

@@ -79,11 +79,12 @@ type Engine struct {
 	shadow atomic.Pointer[shadowHolder]
 
 	// Prediction feedback (EnablePredFeedback): last model-path PredInstr
-	// per (GPU, cluster) key, used to stamp the realized relative error of
-	// the *previous* epoch's prediction into the next record.
+	// per (GPU, cluster) key and the model that made it, used to stamp the
+	// realized relative error of the *previous* epoch's prediction into the
+	// next record.
 	fbOn bool
 	fbMu sync.Mutex
-	fb   map[int64]float64
+	fb   map[int64]fbEntry
 
 	// prov/mon, when EnableProvenance installed them, receive one record
 	// per decision; both are nil-safe and nil by default, keeping the hot
@@ -180,7 +181,8 @@ func (e *Engine) EnableProvenance(capacity int, opts provenance.MonitorOptions) 
 // serves — the hook shadow-mode candidate scoring hangs off. The
 // observer sees traffic only; its output never influences the served
 // decision. Implementations must be fast and non-blocking (hand off to a
-// channel or drop), since they run on the decision path.
+// channel or drop): they run once the answer is out, but before
+// DecideBatch returns or a connection reads its next frame.
 type ShadowObserver interface {
 	ObserveServed(row Request, d Decision)
 }
@@ -211,7 +213,16 @@ func (e *Engine) SetShadow(obs ShadowObserver) {
 // Must be called before the engine starts answering decisions.
 func (e *Engine) EnablePredFeedback() {
 	e.fbOn = true
-	e.fb = make(map[int64]float64, 256)
+	e.fb = make(map[int64]fbEntry, 256)
+}
+
+// fbEntry is one key's pending prediction and the served model that made
+// it. A prediction is realized only against a row its own model decided:
+// after a swap or rollback, the outgoing model's predictions — even those
+// of a batch observed after the swap — are never charged to another model.
+type fbEntry struct {
+	pred  float64
+	model *core.Model
 }
 
 // maxFeedbackKeys bounds the feedback map; a key churn beyond this (a
@@ -219,23 +230,24 @@ func (e *Engine) EnablePredFeedback() {
 // resets the map rather than growing without bound.
 const maxFeedbackKeys = 1 << 16
 
-// predFeedbackLocked resolves the previous prediction for a keyed row and
-// retires/installs the key's entry. It returns the previous model-path
-// prediction for this key and whether one existed. The caller holds fbMu.
-func (e *Engine) predFeedbackLocked(row Request, d Decision) (prev float64, ok bool) {
+// feedbackLocked resolves the previous prediction for a keyed row of a
+// batch bound to m and retires/installs the key's entry. It returns the
+// previous model-path prediction for this key and whether m made one. The
+// caller holds fbMu.
+func (e *Engine) feedbackLocked(m *core.Model, row Request, d Decision) (prev float64, ok bool) {
 	key := int64(uint32(row.GPU))<<32 | int64(uint32(row.Cluster))
-	prev, ok = e.fb[key]
+	ent, seen := e.fb[key]
 	if d.Reason == provenance.ReasonModel {
-		if !ok && len(e.fb) >= maxFeedbackKeys {
-			e.fb = make(map[int64]float64, 256)
+		if !seen && len(e.fb) >= maxFeedbackKeys {
+			e.fb = make(map[int64]fbEntry, 256)
 		}
-		e.fb[key] = d.PredInstr
-	} else if ok {
+		e.fb[key] = fbEntry{pred: d.PredInstr, model: m}
+	} else if seen {
 		// A degraded epoch breaks the prediction chain: the next epoch's
 		// counters follow a fallback decision, not a model prediction.
 		delete(e.fb, key)
 	}
-	return prev, ok
+	return ent.pred, seen && ent.model == m
 }
 
 // SetTracer installs a span tracer for the engine's decision hops
@@ -350,17 +362,9 @@ func (e *Engine) swapLocked(m *core.Model) error {
 	e.prev.Store(e.model.Load())
 	e.model.Store(m)
 	e.metrics.Reloads.Add(1)
-	if e.fbOn {
-		// A swap breaks every prediction chain: pending predictions were
-		// made by the outgoing model, and realizing them against epochs
-		// decided by (and attributed to) the incoming model would charge
-		// the new model with the old model's error — poisoning both the
-		// drift monitor's reset windows and any canary judgement keyed on
-		// the new generation.
-		e.fbMu.Lock()
-		e.fb = make(map[int64]float64, 256)
-		e.fbMu.Unlock()
-	}
+	// A swap breaks every prediction chain: each feedback entry names the
+	// model that predicted it, so the incoming model is never charged with
+	// the outgoing model's error (fbEntry).
 	if e.mon != nil {
 		// The drift reference follows the served model: the monitor's
 		// windows reset so the new model is not judged against the old
@@ -397,13 +401,6 @@ func (e *Engine) Rollback() (*core.Model, error) {
 	e.model.Store(p)
 	e.prev.Store(cur)
 	e.metrics.Rollbacks.Add(1)
-	if e.fbOn {
-		// Same chain break as swapLocked: the regressing model's pending
-		// predictions must not be charged to the restored incumbent.
-		e.fbMu.Lock()
-		e.fb = make(map[int64]float64, 256)
-		e.fbMu.Unlock()
-	}
 	if e.mon != nil {
 		names, mean, std := p.TrainingStats()
 		e.mon.SetTrainingStats(names, mean, std)
@@ -522,17 +519,32 @@ func (e *Engine) fallbackRow(row Request, reason provenance.Reason) Decision {
 	return Decision{Level: level, Reason: reason, PredInstr: pred, Shard: -1}
 }
 
-// obsScratch is what one batch needs to observe its decisions a run at a
-// time: a record per row of an inference chunk (nil when provenance is
-// off), a ledger batch, and the attribution every record of the batch
-// shares. It lives in recPool between batches.
+// obsScratch is what one batch needs to observe its decisions after they
+// are answered: a record per row of the batch (nil when provenance is
+// off), the runs the batch staged, a ledger batch, and the attribution
+// every record of the batch shares. It lives in recPool between batches.
 type obsScratch struct {
 	recs []provenance.Record
+	runs []obsRun
 	led  ledger.Batch
-	// gen is the lineage generation of the model the batch loaded, stamped
-	// into records and ledger groups.
+	// rows and decs are the batch's, bound once it is answered; they alias
+	// the caller's buffers until the runs are observed.
+	rows []Request
+	decs []Decision
+	// model is the model the batch loaded: the owner of the predictions
+	// its rows leave in the feedback map. gen is its lineage generation,
+	// stamped into records and ledger groups.
+	model   *core.Model
 	gen     uint32
 	traceID uint64
+}
+
+// obsRun is one staged run of a batch, rows [lo, hi): a chunk the model
+// answered, or one rejected or fallback row. latency is the time from the
+// start of the batch to the moment the run's decisions were final.
+type obsRun struct {
+	lo, hi  int
+	latency int64
 }
 
 // acquireScratch takes the observation scratch of a batch bound to m from
@@ -546,32 +558,64 @@ func (e *Engine) acquireScratch(m *core.Model, traceID uint64) *obsScratch {
 		sc.recs = make([]provenance.Record, inferChunk)
 	}
 	sc.traceID = traceID
+	sc.model = m
 	sc.gen = uint32(m.Lineage.Generation)
 	return sc
 }
 
-// stageAux copies what only the model path has for row k of the current
-// run — the derived features and logits, which alias inference scratch —
-// into the row's record; degraded rows stage nil. A nil scratch (nothing
+// stageAux copies what only the model path has for row k of the batch —
+// the derived features and logits, which alias inference scratch — into
+// the row's record; degraded rows stage nil. A nil scratch (nothing
 // armed) or one without records is a no-op.
 func (sc *obsScratch) stageAux(k int, derived, logits []float64) {
 	if sc == nil || sc.recs == nil {
 		return
 	}
+	if k >= len(sc.recs) {
+		// A longer batch than this scratch has held: grow, keeping what the
+		// batch's earlier runs staged.
+		sc.recs = append(sc.recs, make([]provenance.Record, k+1-len(sc.recs))...)
+	}
 	sc.recs[k].SetDerived(derived)
 	sc.recs[k].SetLogits(logits)
 }
 
-// observeRows hands one run of answered rows (at most inferChunk, their
-// aux already staged) to the armed planes, each entered once for the
-// whole run: the ledger commits one batch, the feedback map is locked
-// once, the latency clock is read once, the recorder claims the run's
-// sequence numbers with one add and the monitor folds it under one lock.
-// sc is nil when nothing is armed.
-func (e *Engine) observeRows(sc *obsScratch, rows []Request, decs []Decision, start time.Time) {
-	if sc == nil || len(rows) == 0 {
+// stageRun marks rows [lo, hi) of the batch, answered and their aux
+// staged, as one run for the planes. Their decisions are final, so the
+// run's latency is read now, once. A nil scratch is a no-op.
+func (sc *obsScratch) stageRun(lo, hi int, start time.Time) {
+	if sc == nil || lo == hi {
 		return
 	}
+	r := obsRun{lo: lo, hi: hi}
+	if sc.recs != nil {
+		r.latency = int64(time.Since(start))
+	}
+	sc.runs = append(sc.runs, r)
+}
+
+// observe hands every run a batch staged, in row order, to the armed
+// planes and returns the scratch to recPool. Each entry point calls it
+// once its answer is out: the in-process ones before they return, the
+// TCP connection once the reply is flushed. A nil scratch (nothing
+// armed) is a no-op.
+func (e *Engine) observe(sc *obsScratch) {
+	if sc == nil {
+		return
+	}
+	for _, r := range sc.runs {
+		e.observeRun(sc, r)
+	}
+	sc.runs, sc.rows, sc.decs, sc.model = sc.runs[:0], nil, nil, nil
+	e.recPool.Put(sc)
+}
+
+// observeRun hands one staged run (at most inferChunk rows) to the armed
+// planes, each entered once for the whole run: the ledger commits one
+// batch, the feedback map is locked once, the recorder claims the run's
+// sequence numbers with one add and the monitor folds it under one lock.
+func (e *Engine) observeRun(sc *obsScratch, r obsRun) {
+	rows, decs := sc.rows[r.lo:r.hi], sc.decs[r.lo:r.hi]
 	if l := e.led; l != nil {
 		for k, row := range rows {
 			l.Add(&sc.led, row.Cluster, sc.gen, decs[k].Level, row.Features, row.Preset)
@@ -581,12 +625,12 @@ func (e *Engine) observeRows(sc *obsScratch, rows []Request, decs []Decision, st
 	if sc.recs == nil {
 		return
 	}
-	recs := sc.recs[:len(rows)]
-	latency := int64(time.Since(start))
+	recs := sc.recs[r.lo:r.hi]
 	for k, row := range rows {
 		rec, d := &recs[k], decs[k]
-		// Rows carry the requesting cluster, or -1 for none. The serving
-		// transports carry no epoch identity.
+		// Rows carry the requesting GPU and cluster, or -1 for none. The
+		// serving transports carry no epoch identity.
+		rec.GPU = row.GPU
 		rec.Cluster = row.Cluster
 		rec.Epoch = -1
 		rec.Level = int32(d.Level)
@@ -595,7 +639,7 @@ func (e *Engine) observeRows(sc *obsScratch, rows []Request, decs []Decision, st
 		rec.EffPreset = row.Preset
 		rec.PredInstr = d.PredInstr
 		rec.PredErr, rec.HasPredErr = 0, false
-		rec.LatencyNs = latency
+		rec.LatencyNs = r.latency
 		rec.TraceID = sc.traceID
 		rec.ModelGen = sc.gen
 		rec.SetRaw(row.Features)
@@ -608,7 +652,7 @@ func (e *Engine) observeRows(sc *obsScratch, rows []Request, decs []Decision, st
 			}
 			// The instruction counter of the just-finished epoch is the
 			// realized value the previous epoch's prediction was about.
-			if prev, ok := e.predFeedbackLocked(row, decs[k]); ok && prev > 0 {
+			if prev, ok := e.feedbackLocked(sc.model, row, decs[k]); ok && prev > 0 {
 				recs[k].PredErr = (prev - row.Features[counters.IdxInstr]) / prev
 				recs[k].HasPredErr = true
 			}
@@ -631,6 +675,7 @@ func (e *Engine) observeRows(sc *obsScratch, rows []Request, decs []Decision, st
 
 // DecideBatch answers every row, appending one Decision per row to decs —
 // the exported entry point transports and in-process embedders share.
+// The armed planes have observed the batch when it returns.
 func (e *Engine) DecideBatch(rows []Request, decs []Decision) []Decision {
 	return e.decideBatch(rows, decs)
 }
@@ -638,7 +683,8 @@ func (e *Engine) DecideBatch(rows []Request, decs []Decision) []Decision {
 // decideBatch is the untraced entry point (zero trace context) for full
 // rows, which cover whatever the engine reads.
 func (e *Engine) decideBatch(rows []Request, decs []Decision) []Decision {
-	decs, _ = e.decideBatchTC(rows, AllColumns, decs, telemetry.TraceContext{})
+	decs, _, sc := e.decideBatchTC(rows, AllColumns, decs, telemetry.TraceContext{})
+	e.observe(sc)
 	return decs
 }
 
@@ -649,8 +695,10 @@ func (e *Engine) decideBatch(rows []Request, decs []Decision) []Decision {
 // unsampled (zero) context follows exactly the DecideBatch path.
 func (e *Engine) DecideBatchTraced(rows []Request, decs []Decision, tc telemetry.TraceContext) ([]Decision, uint32) {
 	start := time.Now()
-	decs, _ = e.decideBatchTC(rows, AllColumns, decs, tc)
-	return decs, DurUs32(time.Since(start))
+	decs, _, sc := e.decideBatchTC(rows, AllColumns, decs, tc)
+	us := DurUs32(time.Since(start))
+	e.observe(sc)
+	return decs, us
 }
 
 // decideBatchTC answers every row, appending one Decision per row to decs.
@@ -661,19 +709,23 @@ func (e *Engine) DecideBatchTraced(rows []Request, decs []Decision, tc telemetry
 // recovered panic, blown deadline budget, fallback-only health state)
 // degrade to the analytical fallback instead.
 //
+// The batch's observation is left pending: sc, nil when no plane is
+// armed, holds its staged runs, and the caller passes it to observe once
+// its answer is out.
+//
 // columns is the mask the rows arrived under and need the mask this batch
 // reads. The model is loaded once, here: need is computed from it, a
 // batch whose columns do not cover need is refused before anything is
 // decided, observed or counted, and modelRows binds that same model — so
 // a hot swap between the check and the inference cannot make a batch
 // compute from a column it was not sent.
-func (e *Engine) decideBatchTC(rows []Request, columns uint64, decs []Decision, tc telemetry.TraceContext) (out []Decision, need uint64) {
+func (e *Engine) decideBatchTC(rows []Request, columns uint64, decs []Decision, tc telemetry.TraceContext) (out []Decision, need uint64, sc *obsScratch) {
 	m := e.model.Load()
 	need = e.columnsFor(m)
 	e.metrics.observeColumns(need)
 	if need&^columns != 0 {
 		e.metrics.ColumnResends.Add(1)
-		return decs, need
+		return decs, need, nil
 	}
 
 	// Span (and provenance trace-ID stamping) only for sampled traces:
@@ -684,10 +736,8 @@ func (e *Engine) decideBatchTC(rows []Request, columns uint64, decs []Decision, 
 	e.sem <- struct{}{}
 	defer func() { <-e.sem }()
 
-	sc := e.acquireScratch(m, tc.TraceID)
-	if sc != nil {
-		defer e.recPool.Put(sc)
-	}
+	sc = e.acquireScratch(m, tc.TraceID)
+	base := len(decs)
 
 	start := time.Now()
 	done := 0
@@ -709,12 +759,15 @@ func (e *Engine) decideBatchTC(rows []Request, columns uint64, decs []Decision, 
 		fsp := e.tracer.StartSpan(sp.Context(), "engine.fallback")
 		for i := done; i < len(rows); i++ {
 			decs = append(decs, e.fallbackRow(rows[i], tailReason))
-			sc.stageAux(0, nil, nil)
-			e.observeRows(sc, rows[i:i+1], decs[len(decs)-1:], start)
+			sc.stageAux(i, nil, nil)
+			sc.stageRun(i, i+1, start)
 		}
 		fsp.End()
 	}
-	return decs, need
+	if sc != nil {
+		sc.rows, sc.decs = rows, decs[base:]
+	}
+	return decs, need, sc
 }
 
 // inferChunk caps how many rows one backend ForwardBatch call takes:
@@ -770,8 +823,8 @@ func (e *Engine) modelRows(m *core.Model, rows []Request, columns uint64, decs [
 			e.metrics.RejectedRows.Add(1)
 			out = append(out, e.fallbackRow(rows[i], provenance.ReasonRejected))
 			done = i + 1
-			sc.stageAux(0, nil, nil)
-			e.observeRows(sc, rows[i:done], out[len(out)-1:], start)
+			sc.stageAux(i, nil, nil)
+			sc.stageRun(i, done, start)
 			i++
 			continue
 		}
@@ -803,7 +856,7 @@ func (e *Engine) modelRows(m *core.Model, rows []Request, columns uint64, decs [
 			e.metrics.ObserveLevel(level)
 			out = append(out, Decision{Level: level, Reason: provenance.ReasonModel, PredInstr: pred, Shard: -1})
 			done = i + 1
-			sc.stageAux(0, inf.DecisionRow()[:nFeat], inf.Logits())
+			sc.stageAux(i, inf.DecisionRow()[:nFeat], inf.Logits())
 		} else if n > 1 {
 			inf.BeginBatch(n)
 			for k := 0; k < n; k++ {
@@ -816,11 +869,10 @@ func (e *Engine) modelRows(m *core.Model, rows []Request, columns uint64, decs [
 				e.metrics.ObserveLevel(level)
 				out = append(out, Decision{Level: level, Reason: provenance.ReasonModel, PredInstr: inf.BatchPredInstr(k), Shard: -1})
 				done = i + k + 1
-				sc.stageAux(k, inf.BatchDerived(k)[:nFeat], inf.BatchLogits(k))
+				sc.stageAux(i+k, inf.BatchDerived(k)[:nFeat], inf.BatchLogits(k))
 			}
 		}
-		// The run's decisions are the tail of out; observe them in one step.
-		e.observeRows(sc, rows[i:j], out[len(out)-n:], start)
+		sc.stageRun(i, j, start)
 		i = j
 		if stop != provenance.ReasonModel { // zero value: gather ran dry, no stop
 			if stop == provenance.ReasonDeadline {

@@ -21,6 +21,7 @@ import (
 // single-row entry points.
 func observeRowRef(e *Engine, rec *provenance.Record, row Request, d Decision, derived, logits []float64, start time.Time) {
 	e.led.Observe(row.Cluster, rec.ModelGen, d.Level, row.Features, row.Preset)
+	rec.GPU = row.GPU
 	rec.Cluster = row.Cluster
 	rec.Epoch = -1
 	rec.Level = int32(d.Level)

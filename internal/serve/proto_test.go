@@ -152,6 +152,7 @@ func TestRowsWithoutIdentityRoundTrip(t *testing.T) {
 			t.Fatalf("decision %d = %+v, want a model answer with no shard", i, d)
 		}
 	}
+	srv.Close() // the planes see a frame after its reply; Close waits for them
 	if recs := srv.FlightRecorder().Snapshot(nil); len(recs) != 2 || recs[0].Cluster != -1 || recs[1].Cluster != 3 {
 		t.Fatalf("flight recorder saw %+v, want clusters -1 and 3", recs)
 	}
@@ -286,6 +287,7 @@ func TestKeyedRowsCarryClusterIntoProvenance(t *testing.T) {
 	if _, err := cl.DecideKeyed([]Request{{Preset: 0.1, Features: featureRow(rng), GPU: 1, Cluster: 19}}); err != nil {
 		t.Fatal(err)
 	}
+	srv.Close() // the planes see a frame after its reply; Close waits for them
 	recs := srv.FlightRecorder().Snapshot(nil)
 	if len(recs) != 1 || recs[0].Cluster != 19 {
 		t.Fatalf("recorded %d records, cluster %d; want 1 record for cluster 19", len(recs), recs[0].Cluster)

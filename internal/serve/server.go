@@ -50,15 +50,33 @@ type Server struct {
 
 	bufPool sync.Pool // *connBuffers
 
-	conns sync.Map // net.Conn → struct{}, for Close
+	conns sync.Map // net.Conn → chan struct{} closed when ServeConn returns, for Close
 	ls    sync.Map // net.Listener → struct{}, for Close
 }
 
 // connBuffers is the pooled per-connection scratch: the frame bytes read
-// and what answering them needs.
+// and what answering them needs. It is the Endpoint its connection's
+// frames are answered by, so the frame's observation can wait, pending,
+// until the reply is on the wire.
 type connBuffers struct {
 	FrameScratch
-	frame []byte
+	frame   []byte
+	s       *Server
+	pending *obsScratch
+}
+
+func (b *connBuffers) HelloAck() Hello { return b.s.HelloAck() }
+
+func (b *connBuffers) DecideFrame(rows []Request, columns uint64, decs []Decision, tc telemetry.TraceContext, received time.Time) ([]Decision, HopTimings, uint64) {
+	decs, hops, need, sc := b.s.decideFrame(rows, columns, decs, tc, received)
+	b.pending = sc
+	return decs, hops, need
+}
+
+// observePending hands the last answered frame to the armed planes.
+func (b *connBuffers) observePending() {
+	b.s.observe(b.pending)
+	b.pending = nil
 }
 
 // NewServer builds a server around an initial model.
@@ -74,7 +92,7 @@ func NewServer(m *core.Model, opts Options) (*Server, error) {
 // layer — the constructor for embedders that built the Engine themselves.
 func NewServerEngine(e *Engine) *Server {
 	s := &Server{Engine: e}
-	s.bufPool.New = func() any { return &connBuffers{} }
+	s.bufPool.New = func() any { return &connBuffers{s: s} }
 	return s
 }
 
@@ -84,13 +102,19 @@ func NewServerEngine(e *Engine) *Server {
 // breaks the protocol — an oversized length prefix included — is answered
 // with a structured MsgError frame before the connection drops, so a
 // mismatched peer gets a typed refusal instead of a hung read.
+//
+// The armed planes observe a frame after its reply is flushed and before
+// the next frame is read, so the peer reads its answer while the planes
+// run; the latency histogram times decode to flush, without them.
 func (s *Server) ServeConn(conn net.Conn) {
 	s.metrics.Conns.Add(1)
-	s.conns.Store(conn, struct{}{})
+	done := make(chan struct{})
+	s.conns.Store(conn, done)
 	defer func() {
 		s.conns.Delete(conn)
 		s.metrics.Conns.Add(-1)
 		conn.Close()
+		close(done)
 	}()
 
 	br := bufio.NewReaderSize(conn, 64<<10)
@@ -121,15 +145,17 @@ func (s *Server) ServeConn(conn net.Conn) {
 		bufs.frame = frame[:cap(frame)]
 
 		start := time.Now()
-		reply, rows, tc, err := bufs.Answer(frame, s, start)
+		reply, rows, tc, err := bufs.Answer(frame, bufs, start)
 		if err != nil {
 			s.metrics.Errors.Add(1)
 		}
-		if werr := WriteFrame(bw, reply); werr != nil || err != nil {
-			return
-		}
-		if rows > 0 {
+		werr := WriteFrame(bw, reply)
+		if werr == nil && err == nil && rows > 0 {
 			s.metrics.ObserveBatchTraced(rows, time.Since(start), tc.TraceID)
+		}
+		bufs.observePending()
+		if werr != nil || err != nil {
+			return
 		}
 	}
 }
@@ -143,11 +169,18 @@ func (s *Server) HelloAck() Hello {
 // DecideFrame answers one request frame from the engine, or refuses it
 // unanswered when its columns do not cover what the engine reads. A frame
 // with a trace context gets the inference-hop attribution for its
-// response.
+// response. The armed planes have observed the frame when it returns.
 func (s *Server) DecideFrame(rows []Request, columns uint64, decs []Decision, tc telemetry.TraceContext, received time.Time) ([]Decision, HopTimings, uint64) {
+	decs, hops, need, sc := s.decideFrame(rows, columns, decs, tc, received)
+	s.observe(sc)
+	return decs, hops, need
+}
+
+// decideFrame is DecideFrame with the frame's observation left pending.
+func (s *Server) decideFrame(rows []Request, columns uint64, decs []Decision, tc telemetry.TraceContext, received time.Time) ([]Decision, HopTimings, uint64, *obsScratch) {
 	if !tc.Valid() {
-		decs, need := s.decideBatchTC(rows, columns, decs, telemetry.TraceContext{})
-		return decs, HopTimings{}, need
+		decs, need, sc := s.decideBatchTC(rows, columns, decs, telemetry.TraceContext{})
+		return decs, HopTimings{}, need, sc
 	}
 	if tc.Sampled() {
 		// Retrospective decode span: the frame's trace context is only
@@ -155,8 +188,8 @@ func (s *Server) DecideFrame(rows []Request, columns uint64, decs []Decision, tc
 		s.tracer.StartSpanAt(tc, "engine.decode", received).EndAt(time.Now())
 	}
 	start := time.Now()
-	decs, need := s.decideBatchTC(rows, columns, decs, tc)
-	return decs, HopTimings{InferUs: DurUs32(time.Since(start))}, need
+	decs, need, sc := s.decideBatchTC(rows, columns, decs, tc)
+	return decs, HopTimings{InferUs: DurUs32(time.Since(start))}, need, sc
 }
 
 // ServeTCP accepts binary-protocol connections on l, one goroutine per
@@ -176,14 +209,17 @@ func (s *Server) ServeTCP(l net.Listener) error {
 	}
 }
 
-// Close shuts down every listener and open binary connection.
+// Close shuts down every listener and open binary connection, and waits
+// for those connections to return: every frame they answered has been
+// observed by then.
 func (s *Server) Close() {
 	s.ls.Range(func(k, _ any) bool {
 		k.(net.Listener).Close()
 		return true
 	})
-	s.conns.Range(func(k, _ any) bool {
+	s.conns.Range(func(k, done any) bool {
 		k.(net.Conn).Close()
+		<-done.(chan struct{})
 		return true
 	})
 }

@@ -150,11 +150,6 @@ func TestTracedDecideEndToEnd(t *testing.T) {
 		}
 	}
 
-	recs := srv.FlightRecorder().Snapshot(nil)
-	if len(recs) != 1 || recs[0].TraceID != tc.TraceID {
-		t.Fatalf("flight recorder trace stamp: %+v", recs)
-	}
-
 	// An unsampled context must follow the plain keyed path.
 	decs, hops, err = cl.DecideKeyedTraced(rows, telemetry.TraceContext{})
 	if err != nil || len(decs) != 1 {
@@ -162,6 +157,12 @@ func TestTracedDecideEndToEnd(t *testing.T) {
 	}
 	if hops != (HopTimings{}) {
 		t.Fatalf("unsampled call returned hops %+v", hops)
+	}
+
+	srv.Close() // the planes see a frame after its reply; Close waits for them
+	recs := srv.FlightRecorder().Snapshot(nil)
+	if len(recs) != 2 || recs[0].TraceID != tc.TraceID || recs[1].TraceID != 0 {
+		t.Fatalf("flight recorder trace stamp: %+v", recs)
 	}
 }
 
