@@ -66,7 +66,6 @@ import (
 	"ssmdvfs/internal/epochtrace"
 	"ssmdvfs/internal/faults"
 	"ssmdvfs/internal/fleet"
-	"ssmdvfs/internal/ledger"
 	"ssmdvfs/internal/provenance"
 	"ssmdvfs/internal/serve"
 	"ssmdvfs/internal/telemetry"
@@ -166,32 +165,16 @@ func main() {
 
 // ledgerSummary closes the loop on what the load actually bought: it
 // fetches /debug/ledger from the target (a dvfsfleet router's merged
-// aggregate or a single ssmdvfsd replica's snapshot) and appends the
-// fleet-wide energy-saved and perf-loss lines to the exit report.
+// aggregate or a single ssmdvfsd replica's snapshot) and appends its
+// headline — energy saved, perf loss, alerts — to the exit report.
 func ledgerSummary(w io.Writer, url string) error {
 	url = strings.TrimRight(url, "/")
 	agg, isFleet, err := fleet.FetchLedger(url)
 	if err != nil {
 		return err
 	}
-	scope, snap := "replica", agg.Merged
-	if isFleet {
-		scope = "fleet"
-	}
-	var firing []string
-	for _, a := range agg.Alerts {
-		if a.Firing {
-			firing = append(firing, a.Rule.Name)
-		}
-	}
-	fmt.Fprintf(w, "\n%s efficiency ledger (%s):\n", scope, url)
-	fmt.Fprintf(w, "  energy saved  %12s  (%.1f%% of the MaxFreq bill over %d decisions)\n",
-		ledger.FormatEnergyPJ(float64(snap.SavedPJ())), snap.SavedRatio()*100, snap.Decisions)
-	fmt.Fprintf(w, "  perf loss     %11.3f%%  mean (budget %.3f%%, burn %.2fx)\n",
-		snap.MeanPerfLoss()*100, snap.MeanPreset()*100, snap.BudgetBurn())
-	if len(firing) > 0 {
-		fmt.Fprintf(w, "  alerts firing %s\n", strings.Join(firing, ", "))
-	}
+	fmt.Fprintln(w)
+	fleet.WriteLedgerHeadline(w, url, agg, isFleet)
 	return nil
 }
 

@@ -79,7 +79,7 @@ func TestLedgerSummary(t *testing.T) {
 		t.Fatal(err)
 	}
 	out = buf.String()
-	for _, want := range []string{"fleet efficiency ledger", "alerts firing burn"} {
+	for _, want := range []string{"fleet efficiency ledger", "alerts: 1/1 firing", "FIRING  burn"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("fleet summary missing %q:\n%s", want, out)
 		}

@@ -74,44 +74,9 @@ func run(w io.Writer, url string, interval time.Duration, once bool) error {
 // plus, when the source is a router (isFleet), the per-replica rows and
 // alert states.
 func render(w io.Writer, src string, v *fleet.LedgerAggregate, isFleet bool) {
-	scope := "replica"
-	if isFleet {
-		scope = "fleet"
-	}
-	fmt.Fprintf(w, "dvfstop — %s efficiency ledger — %s\n", scope, src)
-	if v.AtUnix > 0 {
-		fmt.Fprintf(w, "scraped %s\n", time.Unix(v.AtUnix, 0).UTC().Format(time.RFC3339))
-	}
+	fmt.Fprint(w, "dvfstop — ")
+	fleet.WriteLedgerHeadline(w, src, v, isFleet)
 	s := v.Merged
-	fmt.Fprintf(w, "\n  energy saved   %10s   (%.1f%% of the MaxFreq bill)\n",
-		ledger.FormatEnergyPJ(float64(s.SavedPJ())), s.SavedRatio()*100)
-	fmt.Fprintf(w, "  perf loss      %9.3f%%   mean (budget %.3f%%, burn %.2fx)\n",
-		s.MeanPerfLoss()*100, s.MeanPreset()*100, s.BudgetBurn())
-	fmt.Fprintf(w, "  decisions      %10d   (%d skipped)\n", s.Decisions, s.Skipped)
-
-	firing := 0
-	for _, a := range v.Alerts {
-		if a.Firing {
-			firing++
-		}
-	}
-	switch {
-	case len(v.Alerts) == 0 && isFleet:
-		fmt.Fprintf(w, "\n  alerts: none configured\n")
-	case isFleet:
-		fmt.Fprintf(w, "\n  alerts: %d/%d firing\n", firing, len(v.Alerts))
-		for _, a := range v.Alerts {
-			state := "   ok  "
-			if a.Firing {
-				state = " FIRING"
-			}
-			fmt.Fprintf(w, "  %s  %-8s value %8.2f  threshold %g", state, a.Rule.Name, a.Value, a.Rule.Threshold)
-			if a.Detail != "" {
-				fmt.Fprintf(w, "  (%s)", a.Detail)
-			}
-			fmt.Fprintln(w)
-		}
-	}
 
 	if levels := groupRows(s, "level="); len(levels) > 0 {
 		fmt.Fprintf(w, "\n  %-12s %10s %12s %10s\n", "level", "decisions", "saved", "loss")

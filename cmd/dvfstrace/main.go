@@ -119,7 +119,7 @@ func run(kernelName, mech string, preset float64, cache string, quick bool, out 
 		rec = provenance.NewRecorder(flightrecCap)
 		var mon *provenance.Monitor
 		if reg != nil {
-			mon = provenance.NewMonitor(reg, provenance.MonitorOptions{Logger: opts.Logger})
+			mon = provenance.NewMonitor(reg, provenance.MonitorOptions{})
 			mon.SetTrainingStats(ssm.Model().TrainingStats())
 		}
 		ssm.SetProvenance(rec, mon)

@@ -11,20 +11,21 @@
 //	         [-flightrec 4096] [-ledger] [-ledger-window 1s]
 //	         [-spans ssmdvfsd-spans.jsonl]
 //	         [-faults 'serve.infer:panic:every=100'] [-faults-seed 1]
-//	         [-adapt] [-adapt-interval 1s] [-adapt-min-rows 512]
-//	         [-adapt-shadow-rows 256] [-adapt-canary-rows 256]
-//	         [-adapt-margin 0.1] [-adapt-regress 1.5]
+//	         [-adapt] [-adapt-interval 1s] [-adapt-min-rows N]
+//	         [-adapt-shadow-rows N] [-adapt-canary-rows N]
+//	         [-adapt-margin F] [-adapt-regress F]
 //
-// -adapt closes the paper's self-calibration loop online: when the
-// flight recorder's drift gauges cross their thresholds, the daemon
-// harvests realized epochs into a training stream, re-fits the
+// -adapt closes the paper's self-calibration loop online: when a poll
+// finds the flight recorder's drift gauges past their thresholds, the
+// daemon harvests realized epochs into a training stream, re-fits the
 // Calibrator in place, shadow-scores the candidate on live traffic
 // (it never serves), promotes it through the validated hot-swap path
 // only if it beats the incumbent's rolling MAPE, canaries the
 // promotion against live realized error, and automatically rolls back
 // to the retained incumbent on regression. Every transition lands in
 // adapt_* telemetry and the /debug/adapt transition log. -adapt implies
-// -flightrec (default 4096 when unset).
+// -flightrec (default 4096 when unset); the other -adapt-* settings left
+// at 0 take the adapt package's defaults.
 //
 // The daemon degrades instead of failing: model panics, deadline misses
 // (-budget), and malformed feature rows are answered by the analytical
@@ -65,7 +66,6 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
-	"sync/atomic"
 	"syscall"
 	"time"
 
@@ -88,11 +88,11 @@ func main() {
 		flightrec = flag.Int("flightrec", 0, "keep the last N decisions in a provenance flight recorder with online drift monitoring (0 = off)")
 		adaptOn   = flag.Bool("adapt", false, "close the self-calibration loop: drift-triggered online re-fit with shadow scoring, canary rollout, and automatic rollback (implies -flightrec)")
 		adaptIvl  = flag.Duration("adapt-interval", time.Second, "how often the adaptation controller polls the flight recorder")
-		adaptMin  = flag.Int("adapt-min-rows", 512, "harvested training pairs required before a re-fit")
-		adaptShad = flag.Int("adapt-shadow-rows", 256, "realized shadow comparisons required to judge a candidate")
-		adaptCan  = flag.Int("adapt-canary-rows", 256, "live realized-error samples required to commit a promotion")
-		adaptMarg = flag.Float64("adapt-margin", 0.1, "relative shadow-MAPE improvement required to promote a candidate")
-		adaptRegr = flag.Float64("adapt-regress", 1.5, "canary rolls back when live MAPE exceeds promise times this factor")
+		adaptMin  = flag.Int("adapt-min-rows", 0, "harvested training pairs required before a re-fit (0 = library default)")
+		adaptShad = flag.Int("adapt-shadow-rows", 0, "realized shadow comparisons required to judge a candidate (0 = library default)")
+		adaptCan  = flag.Int("adapt-canary-rows", 0, "live realized-error samples required to commit a promotion (0 = library default)")
+		adaptMarg = flag.Float64("adapt-margin", 0, "relative shadow-MAPE improvement required to promote a candidate (0 = library default)")
+		adaptRegr = flag.Float64("adapt-regress", 0, "canary rolls back when live MAPE exceeds promise times this factor (0 = library default)")
 		ledgerOn  = flag.Bool("ledger", false, "account every decision's estimated energy delta and perf-loss versus the MaxFreq counterfactual (ledger_* series on /metrics.prom, snapshot at /debug/ledger)")
 		ledgerIvl = flag.Duration("ledger-window", time.Second, "efficiency-ledger time-series window width")
 		spansPath = flag.String("spans", "", "write spans for sampled traced requests to this JSONL file (dvfsstat -chrome input; empty = off)")
@@ -112,13 +112,16 @@ func main() {
 		logf = func(format string, args ...any) { fmt.Fprintf(os.Stderr, format+"\n", args...) }
 	}
 	acfg := adaptConfig{
-		Enabled:    *adaptOn,
-		Interval:   *adaptIvl,
-		MinRows:    *adaptMin,
-		ShadowRows: *adaptShad,
-		CanaryRows: *adaptCan,
-		Margin:     *adaptMarg,
-		Regress:    *adaptRegr,
+		Enabled:  *adaptOn,
+		Interval: *adaptIvl,
+		Options: adapt.Options{
+			MinRows:          *adaptMin,
+			ShadowMinSamples: *adaptShad,
+			CanaryMinSamples: *adaptCan,
+			Margin:           *adaptMarg,
+			RegressFactor:    *adaptRegr,
+			Logf:             logf,
+		},
 	}
 	ledgerWindow := time.Duration(0)
 	if *ledgerOn {
@@ -132,13 +135,9 @@ func main() {
 
 // adaptConfig carries the -adapt* flags into run.
 type adaptConfig struct {
-	Enabled    bool
-	Interval   time.Duration
-	MinRows    int
-	ShadowRows int
-	CanaryRows int
-	Margin     float64
-	Regress    float64
+	Enabled  bool
+	Interval time.Duration
+	Options  adapt.Options
 }
 
 // buildMux layers what only the daemon binary has — pprof and, with
@@ -215,21 +214,8 @@ func run(modelPath, httpAddr, tcpAddr, spansPath string, workers int, budget tim
 		flightrec = 4096
 		logf("ssmdvfsd: -adapt implies a flight recorder: arming -flightrec %d", flightrec)
 	}
-	// The drift monitor is wired before the controller exists, so the
-	// threshold callback dereferences a pointer filled in below.
-	var ctrlRef atomic.Pointer[adapt.Controller]
 	if flightrec > 0 {
-		mopts := provenance.MonitorOptions{
-			Logger: telemetry.NewLoggerFunc(logf, srv.Telemetry()),
-		}
-		if acfg.Enabled {
-			mopts.OnThreshold = func(ev provenance.ThresholdEvent) {
-				if c := ctrlRef.Load(); c != nil {
-					c.NoteThreshold(ev)
-				}
-			}
-		}
-		srv.EnableProvenance(flightrec, mopts)
+		srv.EnableProvenance(flightrec, provenance.MonitorOptions{})
 		logf("ssmdvfsd: flight recorder armed: last %d decisions at /debug/decisions, drift gauges on /telemetry", flightrec)
 	}
 	var ctrl *adapt.Controller
@@ -237,19 +223,11 @@ func run(modelPath, httpAddr, tcpAddr, spansPath string, workers int, budget tim
 	if acfg.Enabled {
 		// Live MAPE feeds both the drift trigger and the canary judge.
 		srv.EnablePredFeedback()
-		ctrl, err = adapt.NewController(srv.Engine, adapt.Options{
-			MinRows:          acfg.MinRows,
-			ShadowMinSamples: acfg.ShadowRows,
-			CanaryMinSamples: acfg.CanaryRows,
-			Margin:           acfg.Margin,
-			RegressFactor:    acfg.Regress,
-			Logf:             logf,
-		})
+		ctrl, err = adapt.NewController(srv.Engine, acfg.Options)
 		if err != nil {
 			srv.Close()
 			return err
 		}
-		ctrlRef.Store(ctrl)
 		var ctx context.Context
 		ctx, stopCtrl = context.WithCancel(context.Background())
 		defer stopCtrl()

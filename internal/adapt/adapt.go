@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"net/http"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"ssmdvfs/internal/core"
@@ -61,7 +60,7 @@ type Options struct {
 	// died down, the candidate is discarded rather than parked forever.
 	ShadowMaxSteps int
 	// Margin is the relative improvement the candidate's shadow MAPE must
-	// show over the incumbent's to be promoted (default 0.05 = 5%).
+	// show over the incumbent's to be promoted (default 0.1 = 10%).
 	Margin float64
 	// MinAgreeRate is the fraction of shadow decisions whose level must
 	// match the served level (default 0 = not gated): a calibrator re-fit
@@ -108,7 +107,7 @@ func (o Options) withDefaults() Options {
 		o.ShadowMaxSteps = 50
 	}
 	if o.Margin <= 0 {
-		o.Margin = 0.05
+		o.Margin = 0.1
 	}
 	if o.CanaryMinSamples <= 0 {
 		o.CanaryMinSamples = 256
@@ -141,11 +140,6 @@ type Controller struct {
 	opts Options
 
 	events *telemetry.EventLog
-
-	// edge-triggered drift hint from the monitor's OnThreshold callback;
-	// the level-triggered DriftState poll is the backbone, this just
-	// timestamps crossings into the transition log.
-	edge atomic.Bool
 
 	mu         sync.Mutex
 	state      State
@@ -209,19 +203,6 @@ func NewController(e *serve.Engine, opts Options) (*Controller, error) {
 	c.gState.Set(stateCode(StateMonitoring))
 	c.gServingGen.Set(float64(e.Generation()))
 	return c, nil
-}
-
-// NoteThreshold is the provenance.MonitorOptions.OnThreshold hook: wire
-// it in so drift crossings are timestamped into the transition log the
-// moment they happen instead of at the next poll.
-func (c *Controller) NoteThreshold(ev provenance.ThresholdEvent) {
-	if !ev.High {
-		return
-	}
-	c.edge.Store(true)
-	c.events.Append(telemetry.Event{Kind: "drift_signal", Reason: ev.Kind, Detail: map[string]any{
-		"feature": ev.Feature, "value": ev.Value, "threshold": ev.Threshold,
-	}})
 }
 
 // Events exposes the transition log (for /debug/adapt and artifacts).
@@ -290,9 +271,10 @@ func (c *Controller) Step() {
 }
 
 func (c *Controller) stepMonitoring() {
+	// Drift is polled: only a condition that holds at this step starts a
+	// refit; a crossing that cleared since the last step is not seen.
 	st := c.e.QualityMonitor().DriftState()
-	edge := c.edge.Swap(false)
-	if !st.Any() && !edge {
+	if !st.Any() {
 		return
 	}
 	if c.stream.Len() < c.opts.MinRows {

@@ -100,7 +100,6 @@ func adaptEngine(tb testing.TB, opts Options) (*serve.Engine, *Controller) {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	// The monitor's edge events feed the transition log.
 	return e, c
 }
 
@@ -352,17 +351,73 @@ func TestControllerRequiresProvenance(t *testing.T) {
 	}
 }
 
-// TestNoteThreshold pins the edge hook: a high crossing lands in the
-// transition log, a recovery does not.
-func TestNoteThreshold(t *testing.T) {
-	_, c := adaptEngine(t, testOpts())
-	c.NoteThreshold(provenance.ThresholdEvent{Kind: "mape", Value: 0.5, Threshold: 0.25, High: true})
-	c.NoteThreshold(provenance.ThresholdEvent{Kind: "mape", Value: 0.1, Threshold: 0.25, High: false})
-	evs := c.Events().Snapshot(nil)
-	if len(evs) != 1 || evs[0].Kind != "drift_signal" {
-		t.Fatalf("events = %+v", evs)
+// TestPollRefitsOnlyWhileDriftHolds pins what the controller sees: the
+// monitor's level at the step, nothing in between. A MAPE crossing that
+// rises and clears between two steps starts no refit; one that holds at
+// the step does.
+func TestPollRefitsOnlyWhileDriftHolds(t *testing.T) {
+	e, c := adaptEngine(t, testOpts())
+	rng := rand.New(rand.NewSource(84))
+	refits := e.Telemetry().Counter("adapt_refits_total")
+	mon := e.QualityMonitor()
+	// The incumbent predicts 1000 instructions: traffic realizing 1000 is
+	// on target, traffic realizing 3000 is 200 % off.
+	const onTarget, offTarget = 1000.0, 3000.0
+
+	serveBatches(e, rng, 10, onTarget) // a full MAPE window, a stream past MinRows
+	c.Step()
+	if st := mon.DriftState(); st.MAPEHigh || c.State() != StateMonitoring {
+		t.Fatalf("on-target traffic: state %s, drift %+v", c.State(), st)
 	}
-	if !c.edge.Load() {
-		t.Fatal("edge flag not set by a high crossing")
+
+	// Rise: two batches off target push the window over the threshold.
+	serveBatches(e, rng, 2, offTarget)
+	if st := mon.DriftState(); !st.MAPEHigh {
+		t.Fatalf("off-target burst did not cross the threshold: %+v", st)
+	}
+	// Clear: a window of on-target traffic before the next step.
+	serveBatches(e, rng, 9, onTarget)
+	if st := mon.DriftState(); st.MAPEHigh {
+		t.Fatalf("window did not recover: %+v", st)
+	}
+	c.Step()
+	if c.State() != StateMonitoring || refits.Load() != 0 {
+		t.Fatalf("a crossing that cleared before the step started a refit: state %s, refits %d",
+			c.State(), refits.Load())
+	}
+
+	// Hold: the crossing is still high when the controller polls.
+	serveBatches(e, rng, 2, offTarget)
+	c.Step()
+	if c.State() != StateShadow || refits.Load() != 1 {
+		t.Fatalf("a crossing held at the step: state %s, refits %d, want shadow after 1 refit",
+			c.State(), refits.Load())
+	}
+}
+
+// TestStreamPairsPerGPU: two GPUs interleaved on cluster 0 each pair
+// their own epochs; no input is labelled with the other GPU's
+// next-epoch instructions.
+func TestStreamPairsPerGPU(t *testing.T) {
+	rec := provenance.NewRecorder(64)
+	b := newStreamBuilder(32)
+	raw := make([]float64, counters.Num)
+	for i := 0; i < 16; i++ {
+		gpu := int32(i % 2)
+		r := provenance.Record{GPU: gpu, Cluster: 0, Reason: provenance.ReasonModel, Preset: 0.1, Level: 2}
+		raw[0] = float64(gpu) // the input names its GPU
+		raw[counters.IdxInstr] = float64(1000*(int(gpu)+1) + i)
+		r.SetRaw(raw)
+		rec.Record(&r)
+	}
+	b.Scan(rec, nil)
+	rows, targets := b.Build([]int{0})
+	if len(rows) != 14 {
+		t.Fatalf("built %d pairs, want 14 (7 per GPU)", len(rows))
+	}
+	for i, x := range rows {
+		if gpu := int(targets[i])/1000 - 1; gpu != int(x[0]) {
+			t.Fatalf("pair %d: inputs from GPU %g labelled with GPU %d's instructions (%g)", i, x[0], gpu, targets[i])
+		}
 	}
 }

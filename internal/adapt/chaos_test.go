@@ -20,7 +20,7 @@ import (
 
 // dumpAdaptArtifact writes the controller's transition log (the
 // /debug/adapt history) to $ADAPT_ARTIFACT_DIR so CI attaches the full
-// adaptation story — drift signals, refits, promotion, rollback — to the
+// adaptation story — refits, promotion, rollback — to the
 // run. A no-op when the variable is unset.
 func dumpAdaptArtifact(t *testing.T, c *Controller) {
 	dir := os.Getenv("ADAPT_ARTIFACT_DIR")
@@ -58,8 +58,8 @@ func dumpAdaptArtifact(t *testing.T, c *Controller) {
 //     only carry the incumbent's generation or, strictly between
 //     promotion and rollback (plus bounded in-flight skew), the
 //     promoted candidate's;
-//   - the transition log tells the full story in order: drift signal,
-//     shadow, canary, rollback.
+//   - the transition log tells the full story in order: shadow (whose
+//     detail reports the drift the poll saw), canary, rollback.
 //
 // Designed to run under -race on a single-CPU box: the main goroutine
 // never touches the controller mutex while traffic flows — it watches
@@ -74,18 +74,7 @@ func TestChaosAdaptationLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The controller does not exist yet when the monitor is wired, so the
-	// threshold hook resolves it through an atomic — the same shape the
-	// daemon uses.
-	var ctrlRef atomic.Pointer[Controller]
-	e.EnableProvenance(8192, provenance.MonitorOptions{
-		Window: 64,
-		OnThreshold: func(ev provenance.ThresholdEvent) {
-			if c := ctrlRef.Load(); c != nil {
-				c.NoteThreshold(ev)
-			}
-		},
-	})
+	e.EnableProvenance(8192, provenance.MonitorOptions{Window: 64})
 	e.EnablePredFeedback()
 	c, err := NewController(e, Options{
 		MinRows:          64,
@@ -103,7 +92,6 @@ func TestChaosAdaptationLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctrlRef.Store(c)
 	defer dumpAdaptArtifact(t, c)
 
 	reg := e.Telemetry()
@@ -223,12 +211,15 @@ func TestChaosAdaptationLifecycle(t *testing.T) {
 	evs := c.Events().Snapshot(nil)
 	var story []string
 	var promoteHead, rollbackHead uint64
+	var shadowDetail map[string]any
 	for _, ev := range evs {
 		switch ev.Kind {
-		case "drift_signal", string(StateShadow), string(StateCanary):
+		case string(StateShadow), string(StateCanary):
 			story = append(story, ev.Kind)
 			if ev.Kind == string(StateCanary) {
 				promoteHead, _ = ev.Detail["head"].(uint64)
+			} else if shadowDetail == nil {
+				shadowDetail = ev.Detail
 			}
 		case string(StateCooldown):
 			if ev.Detail["restored_generation"] != nil {
@@ -239,7 +230,7 @@ func TestChaosAdaptationLifecycle(t *testing.T) {
 			}
 		}
 	}
-	wantOrder := []string{"drift_signal", "shadow", "canary", "rollback"}
+	wantOrder := []string{"shadow", "canary", "rollback"}
 	pos := 0
 	for _, s := range story {
 		if pos < len(wantOrder) && s == wantOrder[pos] {
@@ -248,6 +239,12 @@ func TestChaosAdaptationLifecycle(t *testing.T) {
 	}
 	if pos != len(wantOrder) {
 		t.Fatalf("chaos: transition history %v missing ordered subsequence %v", story, wantOrder)
+	}
+	// The poll that started the refit saw the drift, and says which.
+	mapeHigh, _ := shadowDetail["drift_mape_high"].(bool)
+	drifting, _ := shadowDetail["drifting_features"].([]string)
+	if !mapeHigh && len(drifting) == 0 {
+		t.Fatalf("chaos: shadow transition reports no drift: %+v", shadowDetail)
 	}
 	if promoteHead == 0 || rollbackHead == 0 || rollbackHead <= promoteHead {
 		t.Fatalf("chaos: transition heads promote=%d rollback=%d", promoteHead, rollbackHead)

@@ -32,17 +32,21 @@ type pendingPred struct {
 	level  float64
 }
 
+// maxPendingKeys bounds the pending predictions, one per (GPU, cluster)
+// seen, against a stream that cycles through unbounded identities.
+const maxPendingKeys = 1 << 16
+
 // streamBuilder incrementally converts flight-recorder records into
 // training pairs. It tracks the recorder sequence it has consumed so
 // each Scan call only folds new records, and pairs consecutive
-// model-path records per (GPU-agnostic) cluster key exactly the way the
-// engine's prediction feedback does: the instruction counter of a key's
-// next record is the realized target for its previous record's inputs.
-// Rows accumulate into a bounded ring (newest win), so a long monitoring
-// phase cannot grow memory without bound.
+// model-path records per (GPU, cluster) key, the key the engine's
+// prediction feedback and the quality monitor use: the instruction
+// counter of a key's next record is the realized target for its
+// previous record's inputs. Rows accumulate into a bounded ring (newest
+// win), so a long monitoring phase cannot grow memory without bound.
 type streamBuilder struct {
 	lastSeq uint64
-	pending map[int32]*pendingPred
+	pending map[int64]*pendingPred
 	rows    []streamRow
 	pos     int
 	n       int
@@ -54,7 +58,7 @@ func newStreamBuilder(capRows int) *streamBuilder {
 		capRows = 4096
 	}
 	return &streamBuilder{
-		pending: make(map[int32]*pendingPred, 64),
+		pending: make(map[int64]*pendingPred, 64),
 		rows:    make([]streamRow, capRows),
 	}
 }
@@ -91,7 +95,7 @@ func (b *streamBuilder) fold(r *provenance.Record) {
 	if r.Cluster < 0 {
 		return // unkeyed rows carry no epoch continuity
 	}
-	key := r.Cluster
+	key := int64(uint32(r.GPU))<<32 | int64(uint32(r.Cluster))
 	if p, ok := b.pending[key]; ok {
 		if int(r.NumRaw) > counters.IdxInstr {
 			if target := r.Raw[counters.IdxInstr]; target > 0 {
@@ -114,6 +118,9 @@ func (b *streamBuilder) fold(r *provenance.Record) {
 	if r.Reason == provenance.ReasonModel && int(r.NumRaw) >= counters.Num {
 		p := b.pending[key]
 		if p == nil {
+			if len(b.pending) >= maxPendingKeys {
+				clear(b.pending) // identity churn past any real fleet: start over
+			}
 			p = &pendingPred{}
 			b.pending[key] = p
 		}
@@ -131,9 +138,7 @@ func (b *streamBuilder) Len() int { return b.n }
 // by the next cycle).
 func (b *streamBuilder) Reset() {
 	b.n, b.pos = 0, 0
-	for k := range b.pending {
-		delete(b.pending, k)
-	}
+	clear(b.pending)
 }
 
 // Build materializes the Calibrator training set for a model selecting

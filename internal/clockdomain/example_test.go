@@ -6,15 +6,6 @@ import (
 	"ssmdvfs/internal/clockdomain"
 )
 
-func ExampleTable_MinLevelForLoss() {
-	tbl := clockdomain.TitanX()
-	// The lowest operating point whose ideal compute-bound slowdown fits
-	// a 20% loss budget.
-	lvl := tbl.MinLevelForLoss(0.20)
-	fmt.Println(lvl, tbl.Point(lvl))
-	// Output: 3 (1.000V, 975MHz)
-}
-
 func ExampleDomain() {
 	d := clockdomain.NewDomain(clockdomain.TitanX(), clockdomain.DefaultIVR())
 	fmt.Println("start:", d.Point())

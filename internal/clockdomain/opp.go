@@ -84,13 +84,6 @@ func (t *Table) Point(i int) OperatingPoint { return t.points[i] }
 // Default returns the index of the default (fastest) operating point.
 func (t *Table) Default() int { return len(t.points) - 1 }
 
-// Points returns a copy of the table's points in ascending frequency order.
-func (t *Table) Points() []OperatingPoint {
-	out := make([]OperatingPoint, len(t.points))
-	copy(out, t.points)
-	return out
-}
-
 // Clamp returns i clamped into the valid level range [0, Len()-1].
 func (t *Table) Clamp(i int) int {
 	if i < 0 {
@@ -100,25 +93,4 @@ func (t *Table) Clamp(i int) int {
 		return len(t.points) - 1
 	}
 	return i
-}
-
-// RelativeSpeed returns the frequency of level i divided by the frequency
-// of the default level, i.e. the ideal compute-bound speed fraction.
-func (t *Table) RelativeSpeed(i int) float64 {
-	return t.points[t.Clamp(i)].FrequencyHz / t.points[t.Default()].FrequencyHz
-}
-
-// MinLevelForLoss returns the lowest level whose ideal compute-bound
-// slowdown (fDefault/f - 1) does not exceed maxLoss. This is the
-// upper bound any perf-loss-constrained policy could pick for a fully
-// compute-bound workload.
-func (t *Table) MinLevelForLoss(maxLoss float64) int {
-	fd := t.points[t.Default()].FrequencyHz
-	for i := 0; i < len(t.points); i++ {
-		slowdown := fd/t.points[i].FrequencyHz - 1
-		if slowdown <= maxLoss {
-			return i
-		}
-	}
-	return t.Default()
 }

@@ -1,10 +1,6 @@
 package clockdomain
 
-import (
-	"math/rand"
-	"testing"
-	"testing/quick"
-)
+import "testing"
 
 func TestNewTableSortsByFrequency(t *testing.T) {
 	tbl, err := NewTable([]OperatingPoint{
@@ -81,73 +77,5 @@ func TestClamp(t *testing.T) {
 		if got := tbl.Clamp(tc.in); got != tc.want {
 			t.Errorf("Clamp(%d) = %d, want %d", tc.in, got, tc.want)
 		}
-	}
-}
-
-func TestRelativeSpeedMonotone(t *testing.T) {
-	tbl := TitanX()
-	prev := 0.0
-	for i := 0; i < tbl.Len(); i++ {
-		s := tbl.RelativeSpeed(i)
-		if s <= prev {
-			t.Fatalf("RelativeSpeed(%d)=%g not increasing (prev %g)", i, s, prev)
-		}
-		prev = s
-	}
-	if got := tbl.RelativeSpeed(tbl.Default()); got != 1.0 {
-		t.Fatalf("RelativeSpeed(default) = %g, want 1.0", got)
-	}
-}
-
-func TestMinLevelForLoss(t *testing.T) {
-	tbl := TitanX()
-	// Zero budget → default level only.
-	if got := tbl.MinLevelForLoss(0); got != tbl.Default() {
-		t.Fatalf("MinLevelForLoss(0) = %d, want default %d", got, tbl.Default())
-	}
-	// Huge budget → slowest level.
-	if got := tbl.MinLevelForLoss(10); got != 0 {
-		t.Fatalf("MinLevelForLoss(10) = %d, want 0", got)
-	}
-	// The chosen level's ideal slowdown must respect the budget, and the
-	// next slower level must exceed it.
-	fd := tbl.Point(tbl.Default()).FrequencyHz
-	for _, budget := range []float64{0.05, 0.10, 0.20, 0.30, 0.50} {
-		lvl := tbl.MinLevelForLoss(budget)
-		slowdown := fd/tbl.Point(lvl).FrequencyHz - 1
-		if slowdown > budget {
-			t.Errorf("budget %.2f: level %d slowdown %.3f exceeds budget", budget, lvl, slowdown)
-		}
-		if lvl > 0 {
-			below := fd/tbl.Point(lvl-1).FrequencyHz - 1
-			if below <= budget {
-				t.Errorf("budget %.2f: level %d-1 slowdown %.3f also fits; not minimal", budget, lvl, below)
-			}
-		}
-	}
-}
-
-func TestMinLevelForLossProperty(t *testing.T) {
-	tbl := TitanX()
-	f := func(raw uint16) bool {
-		budget := float64(raw) / float64(1<<16) // [0,1)
-		lvl := tbl.MinLevelForLoss(budget)
-		if lvl < 0 || lvl >= tbl.Len() {
-			return false
-		}
-		fd := tbl.Point(tbl.Default()).FrequencyHz
-		return fd/tbl.Point(lvl).FrequencyHz-1 <= budget
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 500, Rand: rand.New(rand.NewSource(1))}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestPointsReturnsCopy(t *testing.T) {
-	tbl := TitanX()
-	pts := tbl.Points()
-	pts[0].FrequencyHz = 1
-	if tbl.Point(0).FrequencyHz == 1 {
-		t.Fatal("Points() exposed internal state")
 	}
 }

@@ -92,7 +92,7 @@ func TestControllerProvenanceRecords(t *testing.T) {
 	if got := snap.Counters[id]; got != 3 {
 		t.Fatalf("%s = %d, want 3", id, got)
 	}
-	if s := mon.Stats(); s.ErrSamples == 0 {
+	if s := mon.DriftState(); s.ErrSamples == 0 {
 		t.Fatal("monitor folded no prediction-error samples")
 	}
 }

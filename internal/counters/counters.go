@@ -310,17 +310,6 @@ func (s *Scaler) TransformAll(rows [][]float64) [][]float64 {
 	return out
 }
 
-// Subset returns a scaler restricted to the given column indices, for use
-// after feature selection.
-func (s *Scaler) Subset(idx []int) *Scaler {
-	sub := &Scaler{Mean: make([]float64, len(idx)), Std: make([]float64, len(idx))}
-	for i, j := range idx {
-		sub.Mean[i] = s.Mean[j]
-		sub.Std[i] = s.Std[j]
-	}
-	return sub
-}
-
 // Select extracts the given columns from row.
 func Select(row []float64, idx []int) []float64 {
 	out := make([]float64, len(idx))

@@ -182,7 +182,7 @@ func TestScalerErrors(t *testing.T) {
 	}
 }
 
-func TestSelectAndSubset(t *testing.T) {
+func TestSelect(t *testing.T) {
 	row := []float64{10, 11, 12, 13, 14}
 	got := Select(row, []int{4, 0, 2})
 	want := []float64{14, 10, 12}
@@ -190,11 +190,6 @@ func TestSelectAndSubset(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatalf("Select = %v, want %v", got, want)
 		}
-	}
-	s := &Scaler{Mean: []float64{0, 1, 2, 3, 4}, Std: []float64{1, 2, 3, 4, 5}}
-	sub := s.Subset([]int{4, 0})
-	if sub.Mean[0] != 4 || sub.Std[0] != 5 || sub.Mean[1] != 0 || sub.Std[1] != 1 {
-		t.Fatalf("Subset wrong: %+v", sub)
 	}
 }
 

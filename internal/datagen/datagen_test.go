@@ -236,19 +236,6 @@ func TestDecisionAndCalibratorRows(t *testing.T) {
 	}
 }
 
-func TestFilterKernels(t *testing.T) {
-	ds := &Dataset{CounterNames: []string{"a"}, Levels: 2}
-	ds.Samples = []Sample{
-		{Kernel: "x", Features: []float64{1}},
-		{Kernel: "y", Features: []float64{2}},
-		{Kernel: "x", Features: []float64{3}},
-	}
-	got := ds.FilterKernels(func(name string) bool { return name == "x" })
-	if len(got.Samples) != 2 {
-		t.Fatalf("filtered %d samples, want 2", len(got.Samples))
-	}
-}
-
 func TestDecisionRowsPresetSampled(t *testing.T) {
 	// One complete group with known, monotone losses per level.
 	ds := &Dataset{CounterNames: counters.Names(), Levels: 4}

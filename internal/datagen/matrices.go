@@ -173,15 +173,3 @@ func (d *Dataset) Split(trainFrac float64, seed int64) (train, val *Dataset) {
 	}
 	return train, val
 }
-
-// FilterKernels returns the subset of samples whose kernel name passes
-// keep.
-func (d *Dataset) FilterKernels(keep func(string) bool) *Dataset {
-	out := &Dataset{CounterNames: d.CounterNames, Levels: d.Levels}
-	for _, s := range d.Samples {
-		if keep(s.Kernel) {
-			out.Samples = append(out.Samples, s)
-		}
-	}
-	return out
-}

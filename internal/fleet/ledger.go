@@ -77,6 +77,52 @@ func FetchLedger(base string) (agg *LedgerAggregate, fleet bool, err error) {
 	return &LedgerAggregate{Merged: snap}, false, nil
 }
 
+// WriteLedgerHeadline writes the lines dvfstop heads its frame with and
+// dvfsload -ledger ends its report with: the scope and source, energy
+// saved against the MaxFreq bill, mean perf loss against its budget and
+// the burn, and on a router's aggregate every alert rule with the firing
+// ones marked.
+func WriteLedgerHeadline(w io.Writer, src string, agg *LedgerAggregate, isFleet bool) {
+	scope := "replica"
+	if isFleet {
+		scope = "fleet"
+	}
+	fmt.Fprintf(w, "%s efficiency ledger — %s\n", scope, src)
+	if agg.AtUnix > 0 {
+		fmt.Fprintf(w, "scraped %s\n", time.Unix(agg.AtUnix, 0).UTC().Format(time.RFC3339))
+	}
+	s := agg.Merged
+	fmt.Fprintf(w, "\n  energy saved   %10s   (%.1f%% of the MaxFreq bill over %d decisions, %d skipped)\n",
+		ledger.FormatEnergyPJ(float64(s.SavedPJ())), s.SavedRatio()*100, s.Decisions, s.Skipped)
+	fmt.Fprintf(w, "  perf loss      %9.3f%%   mean (budget %.3f%%, burn %.2fx)\n",
+		s.MeanPerfLoss()*100, s.MeanPreset()*100, s.BudgetBurn())
+	if !isFleet {
+		return
+	}
+	if len(agg.Alerts) == 0 {
+		fmt.Fprintf(w, "\n  alerts: none configured\n")
+		return
+	}
+	firing := 0
+	for _, a := range agg.Alerts {
+		if a.Firing {
+			firing++
+		}
+	}
+	fmt.Fprintf(w, "\n  alerts: %d/%d firing\n", firing, len(agg.Alerts))
+	for _, a := range agg.Alerts {
+		state := "   ok  "
+		if a.Firing {
+			state = " FIRING"
+		}
+		fmt.Fprintf(w, "  %s  %-8s value %8.2f  threshold %g", state, a.Rule.Name, a.Value, a.Rule.Threshold)
+		if a.Detail != "" {
+			fmt.Fprintf(w, "  (%s)", a.Detail)
+		}
+		fmt.Fprintln(w)
+	}
+}
+
 // replicaLedgerState is the scrape loop's memory of one replica: its
 // last good snapshot plus the watermark deciding staleness (when its
 // decision count last advanced).

@@ -48,10 +48,6 @@ func (o Op) String() string {
 // IsMemory reports whether the op traverses the global memory hierarchy.
 func (o Op) IsMemory() bool { return o == OpLoadGlobal || o == OpStoreGlobal }
 
-// IsLoad reports whether the op produces a value loaded from memory
-// (global or shared).
-func (o Op) IsLoad() bool { return o == OpLoadGlobal || o == OpLoadShared }
-
 // Reg identifies a warp-local register. Register 0 is the zero register:
 // writes to it are discarded and reads from it are always ready, so use it
 // for "no destination" / "no source".

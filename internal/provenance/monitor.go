@@ -15,33 +15,13 @@ type MonitorOptions struct {
 	// (default 256).
 	Window int
 	// MAPEThreshold is the rolling MAPE (as a fraction, e.g. 0.25) above
-	// which a threshold-crossing event is logged; 0 takes the default
-	// 0.25, negative disables the event.
+	// which DriftState reports MAPEHigh; 0 takes the default 0.25,
+	// negative disables it.
 	MAPEThreshold float64
 	// DriftZThreshold is the per-feature |z| (window mean shift in
-	// training-σ units) above which a drift event is logged; 0 takes the
-	// default 3, negative disables.
+	// training-σ units) above which DriftState lists the feature as
+	// drifting; 0 takes the default 3, negative disables.
 	DriftZThreshold float64
-	// Logger receives threshold-crossing events; nil is silent.
-	Logger *telemetry.Logger
-	// OnThreshold, when set, is called once per threshold crossing (in
-	// either direction) with the event that fired. It is invoked after the
-	// monitor's lock is released, so the callback may call back into the
-	// monitor (Stats, DriftState) without deadlocking; it must still be
-	// fast, since it runs on the decision path that observed the record.
-	OnThreshold func(ThresholdEvent)
-}
-
-// ThresholdEvent describes one threshold crossing: Kind is "mape" or
-// "drift", Feature names the drifting feature (drift events only), Value
-// is the statistic that crossed, and High says which direction (true =
-// crossed above the threshold, false = recovered below it).
-type ThresholdEvent struct {
-	Kind      string
-	Feature   string
-	Value     float64
-	Threshold float64
-	High      bool
 }
 
 func (o MonitorOptions) withDefaults() MonitorOptions {
@@ -68,11 +48,11 @@ func (o MonitorOptions) withDefaults() MonitorOptions {
 //	                                 training-σ units
 //	prov_feature_var_ratio{feature=F} window variance / training variance
 //	prov_decisions_total{reason=R}   decisions answered per reason
-//	prov_quality_events_total{kind=K} threshold crossings logged
 //
-// All methods are safe for concurrent use and allocation-free in steady
-// state (a short mutex guards the window rings); a nil *Monitor is a
-// valid no-op, so instrumented paths never nil-check.
+// DriftState is the one read of whether those statistics sit past their
+// thresholds. All methods are safe for concurrent use and allocation-free
+// in steady state (a short mutex guards the window rings); a nil *Monitor
+// is a valid no-op, so instrumented paths never nil-check.
 type Monitor struct {
 	opts MonitorOptions
 
@@ -108,17 +88,7 @@ type Monitor struct {
 	gMAPE, gBias, gFlip *telemetry.Gauge
 	gZ, gVar            []*telemetry.Gauge
 
-	evMAPE, evDrift *telemetry.Counter
-	mapeHigh        bool
-	driftHigh       []bool
-
-	// pending accumulates threshold events under the lock; they are
-	// drained and delivered to OnThreshold after unlock so the callback
-	// can safely re-enter the monitor.
-	pending []ThresholdEvent
-
-	reg    *telemetry.Registry
-	logger *telemetry.Logger
+	reg *telemetry.Registry
 }
 
 // maxLevelKeys bounds the flip-rate state, one entry per (GPU, cluster)
@@ -138,10 +108,7 @@ func NewMonitor(reg *telemetry.Registry, opts MonitorOptions) *Monitor {
 		gMAPE:     reg.Gauge("prov_pred_mape"),
 		gBias:     reg.Gauge("prov_pred_bias"),
 		gFlip:     reg.Gauge("prov_level_flip_rate"),
-		evMAPE:    reg.Counter("prov_quality_events_total", "kind", "mape"),
-		evDrift:   reg.Counter("prov_quality_events_total", "kind", "drift"),
 		reg:       reg,
-		logger:    opts.Logger,
 	}
 	for i := range m.reasons {
 		m.reasons[i] = reg.Counter("prov_decisions_total", "reason", Reason(i).String())
@@ -179,7 +146,6 @@ func (m *Monitor) SetTrainingStats(names []string, mean, std []float64) {
 	m.fPos, m.fN = 0, 0
 	m.gZ = m.gZ[:0]
 	m.gVar = m.gVar[:0]
-	m.driftHigh = make([]bool, n)
 	for i := 0; i < n; i++ {
 		m.gZ = append(m.gZ, m.reg.Gauge("prov_feature_mean_z", "feature", m.names[i]))
 		m.gVar = append(m.gVar, m.reg.Gauge("prov_feature_var_ratio", "feature", m.names[i]))
@@ -198,14 +164,13 @@ func (m *Monitor) ObserveRecord(rec *Record) {
 	var reasons [NumReasons]int64
 	m.mu.Lock()
 	m.foldLocked(rec, &reasons)
-	m.publishUnlock(&reasons)
+	m.publishLocked(&reasons)
+	m.mu.Unlock()
 }
 
 // ObserveRecords is ObserveRecord for a run of decisions under one lock
-// acquisition. Threshold crossings are still evaluated after every
-// record, so the event stream is the one record-at-a-time observation
-// produces; the gauges (last-value) and the per-reason counters are
-// published once, and OnThreshold runs after the whole run is folded.
+// acquisition: the gauges (last-value) and the per-reason counters are
+// published once, after the whole run is folded.
 func (m *Monitor) ObserveRecords(recs []Record) {
 	if m == nil || len(recs) == 0 {
 		return
@@ -215,11 +180,11 @@ func (m *Monitor) ObserveRecords(recs []Record) {
 	for i := range recs {
 		m.foldLocked(&recs[i], &reasons)
 	}
-	m.publishUnlock(&reasons)
+	m.publishLocked(&reasons)
+	m.mu.Unlock()
 }
 
-// foldLocked folds one record into the windows and evaluates the
-// thresholds its fold can have moved; the caller holds m.mu.
+// foldLocked folds one record into the windows; the caller holds m.mu.
 func (m *Monitor) foldLocked(rec *Record, reasons *[NumReasons]int64) {
 	if int(rec.Reason) < NumReasons {
 		reasons[rec.Reason]++
@@ -246,8 +211,7 @@ func (m *Monitor) foldLocked(rec *Record, reasons *[NumReasons]int64) {
 	}
 
 	// Feature drift: fold the derived (selected, unscaled) features.
-	featMoved := m.nFeat > 0 && int(rec.NumDerived) >= m.nFeat && rec.Reason == ReasonModel
-	if featMoved {
+	if m.nFeat > 0 && int(rec.NumDerived) >= m.nFeat && rec.Reason == ReasonModel {
 		base := m.fPos * m.nFeat
 		for j := 0; j < m.nFeat; j++ {
 			v := rec.Derived[j]
@@ -276,60 +240,6 @@ func (m *Monitor) foldLocked(rec *Record, reasons *[NumReasons]int64) {
 		}
 		m.sumAbs += math.Abs(e)
 		m.sumErr += e
-		m.checkMAPELocked()
-	}
-	if featMoved {
-		m.checkDriftLocked()
-	}
-}
-
-// checkMAPELocked and checkDriftLocked fire the crossing events. Each
-// reads one window only, so it runs when that window moved. Events fire
-// only on full windows, so a couple of noisy first samples cannot trip
-// them, and only on the crossing itself.
-func (m *Monitor) checkMAPELocked() {
-	th := m.opts.MAPEThreshold
-	if th <= 0 || m.errN != len(m.errs) {
-		return
-	}
-	mape := m.sumAbs / float64(m.errN)
-	high := mape > th
-	if high == m.mapeHigh {
-		return
-	}
-	m.mapeHigh = high
-	if high {
-		m.evMAPE.Add(1)
-		m.logger.Logf("provenance: rolling MAPE %.3f crossed threshold %.3f (window %d)", mape, th, m.errN)
-	} else {
-		m.logger.Logf("provenance: rolling MAPE %.3f back under threshold %.3f", mape, th)
-	}
-	if m.opts.OnThreshold != nil {
-		m.pending = append(m.pending, ThresholdEvent{Kind: "mape", Value: mape, Threshold: th, High: high})
-	}
-}
-
-func (m *Monitor) checkDriftLocked() {
-	th := m.opts.DriftZThreshold
-	if th <= 0 || m.fN != m.opts.Window {
-		return
-	}
-	for j := 0; j < m.nFeat; j++ {
-		z := m.meanZLocked(j)
-		high := math.Abs(z) > th
-		if high == m.driftHigh[j] {
-			continue
-		}
-		m.driftHigh[j] = high
-		if high {
-			m.evDrift.Add(1)
-			m.logger.Logf("provenance: feature %s drifted: window mean z=%.2f (threshold %.2f)", m.names[j], z, th)
-		} else {
-			m.logger.Logf("provenance: feature %s back in range (z=%.2f)", m.names[j], z)
-		}
-		if m.opts.OnThreshold != nil {
-			m.pending = append(m.pending, ThresholdEvent{Kind: "drift", Feature: m.names[j], Value: z, Threshold: th, High: high})
-		}
 	}
 }
 
@@ -343,11 +253,9 @@ func (m *Monitor) meanZLocked(j int) float64 {
 	return (m.fSum[j]/float64(m.fN) - m.trainMean[j]) / sd
 }
 
-// publishUnlock refreshes the gauges from the windows as they now stand,
-// adds the folded per-reason counts, releases m.mu (which the caller
-// holds) and then delivers the crossings the folds queued, so a callback
-// may re-enter the monitor.
-func (m *Monitor) publishUnlock(reasons *[NumReasons]int64) {
+// publishLocked refreshes the gauges from the windows as they now stand
+// and adds the folded per-reason counts; the caller holds m.mu.
+func (m *Monitor) publishLocked(reasons *[NumReasons]int64) {
 	flipRate := 0.0
 	if m.flipN > 0 {
 		flipRate = float64(m.flipSum) / float64(m.flipN)
@@ -378,37 +286,18 @@ func (m *Monitor) publishUnlock(reasons *[NumReasons]int64) {
 			m.reasons[r].Add(n)
 		}
 	}
-	var fire []ThresholdEvent
-	if len(m.pending) > 0 {
-		fire = append(fire, m.pending...)
-		m.pending = m.pending[:0]
-	}
-	m.mu.Unlock()
-	if cb := m.opts.OnThreshold; cb != nil {
-		for _, ev := range fire {
-			cb(ev)
-		}
-	}
-}
-
-// Stats is a point-in-time view of the monitor's rolling statistics,
-// for tests and end-of-run summaries.
-type Stats struct {
-	MAPE       float64
-	Bias       float64
-	ErrSamples int
-	FlipRate   float64
 }
 
 // DriftState is a level-triggered view of the monitor's threshold state:
-// unlike the crossing events (which fire once per edge and are easy to
-// miss for a poller that attaches late), it reports what is true *now*.
+// it reports what is true *now*, so a poller that attaches late still
+// sees a condition that holds.
 type DriftState struct {
 	// MAPEHigh is true while the rolling MAPE sits above its threshold
-	// (on a full window). MAPE is the current rolling value, ErrSamples
-	// how many samples back it.
+	// (on a full window). MAPE and Bias are the current rolling mean
+	// absolute and signed errors, ErrSamples how many samples back them.
 	MAPEHigh   bool
 	MAPE       float64
+	Bias       float64
 	ErrSamples int
 	// Drifting lists the features whose window-mean |z| currently exceeds
 	// the drift threshold, with their z values; WorstZ is the largest |z|
@@ -426,10 +315,10 @@ type DriftState struct {
 // Any reports whether any level-triggered condition is currently high.
 func (s DriftState) Any() bool { return s.MAPEHigh || len(s.Drifting) > 0 }
 
-// DriftState returns the current level-triggered threshold state. Unlike
-// the edge-triggered events, polling this cannot race a crossing: a
-// controller that checks between two crossings still sees the condition
-// while it holds. Nil-safe; allocates only when features are drifting.
+// DriftState returns the current level-triggered threshold state: what a
+// poll sees is the condition as it holds at the poll, so a crossing that
+// clears between two polls is never seen. Nil-safe; allocates only when
+// features are drifting.
 func (m *Monitor) DriftState() DriftState {
 	if m == nil {
 		return DriftState{}
@@ -439,6 +328,7 @@ func (m *Monitor) DriftState() DriftState {
 	st := DriftState{ErrSamples: m.errN, FeatureSamples: m.fN}
 	if m.errN > 0 {
 		st.MAPE = m.sumAbs / float64(m.errN)
+		st.Bias = m.sumErr / float64(m.errN)
 	}
 	if th := m.opts.MAPEThreshold; th > 0 && m.errN == len(m.errs) {
 		st.MAPEHigh = st.MAPE > th
@@ -463,22 +353,4 @@ func (m *Monitor) DriftState() DriftState {
 		}
 	}
 	return st
-}
-
-// Stats returns the current rolling statistics.
-func (m *Monitor) Stats() Stats {
-	if m == nil {
-		return Stats{}
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	s := Stats{ErrSamples: m.errN}
-	if m.errN > 0 {
-		s.MAPE = m.sumAbs / float64(m.errN)
-		s.Bias = m.sumErr / float64(m.errN)
-	}
-	if m.flipN > 0 {
-		s.FlipRate = float64(m.flipSum) / float64(m.flipN)
-	}
-	return s
 }

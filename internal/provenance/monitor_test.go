@@ -2,7 +2,7 @@ package provenance
 
 import (
 	"math"
-	"strings"
+	"reflect"
 	"testing"
 
 	"ssmdvfs/internal/telemetry"
@@ -22,7 +22,7 @@ func TestMonitorPredictionError(t *testing.T) {
 		rec := Record{Reason: ReasonModel, PredErr: e, HasPredErr: true}
 		m.ObserveRecord(&rec)
 	}
-	s := m.Stats()
+	s := m.DriftState()
 	if s.ErrSamples != 4 {
 		t.Fatalf("err samples = %d, want 4", s.ErrSamples)
 	}
@@ -37,7 +37,7 @@ func TestMonitorPredictionError(t *testing.T) {
 		rec := Record{Reason: ReasonModel, PredErr: 0.5, HasPredErr: true}
 		m.ObserveRecord(&rec)
 	}
-	s = m.Stats()
+	s = m.DriftState()
 	if math.Abs(s.MAPE-0.5) > 1e-12 || math.Abs(s.Bias-0.5) > 1e-12 {
 		t.Fatalf("rolled window MAPE/bias = %g/%g, want 0.5/0.5", s.MAPE, s.Bias)
 	}
@@ -54,14 +54,14 @@ func TestMonitorFlipRate(t *testing.T) {
 		rec := modelRecord(0, l, nil)
 		m.ObserveRecord(&rec)
 	}
-	if got, want := m.Stats().FlipRate, 2.0/5.0; math.Abs(got-want) > 1e-12 {
+	if got, want := m.DriftState().FlipRate, 2.0/5.0; math.Abs(got-want) > 1e-12 {
 		t.Fatalf("flip rate = %g, want %g", got, want)
 	}
 	// A second cluster has its own last-level state: its first decision
 	// is not a flip.
 	rec := modelRecord(1, 5, nil)
 	m.ObserveRecord(&rec)
-	if got, want := m.Stats().FlipRate, 2.0/5.0; math.Abs(got-want) > 1e-12 {
+	if got, want := m.DriftState().FlipRate, 2.0/5.0; math.Abs(got-want) > 1e-12 {
 		t.Fatalf("flip rate after new cluster = %g, want %g", got, want)
 	}
 
@@ -73,7 +73,7 @@ func TestMonitorFlipRate(t *testing.T) {
 		rec.GPU = int32(i % 2)
 		m.ObserveRecord(&rec)
 	}
-	if got := m.Stats().FlipRate; got != 0 {
+	if got := m.DriftState().FlipRate; got != 0 {
 		t.Fatalf("flip rate over two steady GPUs on cluster 3 = %g, want 0", got)
 	}
 }
@@ -93,13 +93,12 @@ func TestMonitorFlipStateBounded(t *testing.T) {
 	}
 }
 
+// TestMonitorDriftGaugesAndEvents: a feature shifted past the z
+// threshold moves its gauge, and DriftState lists it as drifting once
+// the window has filled with shifted rows.
 func TestMonitorDriftGaugesAndEvents(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	var logLines []string
-	logger := telemetry.NewLoggerFunc(func(format string, args ...any) {
-		logLines = append(logLines, format)
-	}, nil)
-	m := NewMonitor(reg, MonitorOptions{Window: 8, DriftZThreshold: 2, MAPEThreshold: -1, Logger: logger})
+	m := NewMonitor(reg, MonitorOptions{Window: 8, DriftZThreshold: 2, MAPEThreshold: -1})
 	m.SetTrainingStats([]string{"ipc", "ppc_total_w"}, []float64{2.0, 5.0}, []float64{0.5, 1.0})
 
 	// Feed on-distribution rows: z stays near 0.
@@ -112,12 +111,12 @@ func TestMonitorDriftGaugesAndEvents(t *testing.T) {
 	if z := snap.Gauges[id]; math.Abs(z) > 1e-9 {
 		t.Fatalf("on-distribution z = %g, want 0", z)
 	}
-	if n := len(logLines); n != 0 {
-		t.Fatalf("on-distribution traffic logged %d drift events", n)
+	if st := m.DriftState(); len(st.Drifting) != 0 {
+		t.Fatalf("on-distribution traffic drifts: %+v", st)
 	}
 
 	// Shift feature 0 by 4σ: z crosses the threshold once the window
-	// fills with shifted rows, and the crossing is logged exactly once.
+	// fills with shifted rows.
 	for i := 0; i < 8; i++ {
 		rec := modelRecord(0, 1, []float64{4.0, 5.0})
 		m.ObserveRecord(&rec)
@@ -126,44 +125,35 @@ func TestMonitorDriftGaugesAndEvents(t *testing.T) {
 	if z := snap.Gauges[id]; math.Abs(z-4.0) > 1e-9 {
 		t.Fatalf("shifted z = %g, want 4", z)
 	}
-	evID := telemetry.MetricID("prov_quality_events_total", "kind", "drift")
-	if n := snap.Counters[evID]; n != 1 {
-		t.Fatalf("drift events = %d, want 1", n)
-	}
-	found := false
-	for _, l := range logLines {
-		if strings.Contains(l, "drifted") {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("drift crossing was not logged: %q", logLines)
+	if st := m.DriftState(); len(st.Drifting) != 1 || st.Drifting[0] != "ipc" || st.MAPEHigh {
+		t.Fatalf("shifted drift state = %+v, want ipc drifting and MAPE disabled", st)
 	}
 }
 
-func TestMonitorMAPEThresholdEvent(t *testing.T) {
-	reg := telemetry.NewRegistry()
-	var lines int
-	logger := telemetry.NewLoggerFunc(func(string, ...any) { lines++ }, nil)
-	m := NewMonitor(reg, MonitorOptions{Window: 4, MAPEThreshold: 0.2, DriftZThreshold: -1, Logger: logger})
+// TestMonitorMAPEThresholdLevel: the rolling MAPE is high while a full
+// window sits above the threshold, and a negative threshold disables it.
+func TestMonitorMAPEThresholdLevel(t *testing.T) {
+	m := NewMonitor(telemetry.NewRegistry(), MonitorOptions{Window: 4, MAPEThreshold: 0.2, DriftZThreshold: -1})
+	off := NewMonitor(telemetry.NewRegistry(), MonitorOptions{Window: 4, MAPEThreshold: -1, DriftZThreshold: -1})
 	for i := 0; i < 4; i++ {
 		rec := Record{Reason: ReasonModel, PredErr: 0.5, HasPredErr: true}
 		m.ObserveRecord(&rec)
+		off.ObserveRecord(&rec)
+		if st := m.DriftState(); st.MAPEHigh != (i == 3) {
+			t.Fatalf("after %d samples MAPEHigh = %v, want it on the full window only", i+1, st.MAPEHigh)
+		}
 	}
-	evID := telemetry.MetricID("prov_quality_events_total", "kind", "mape")
-	if n := reg.Snapshot().Counters[evID]; n != 1 {
-		t.Fatalf("mape events = %d, want 1", n)
+	if st := off.DriftState(); st.MAPEHigh || math.Abs(st.MAPE-0.5) > 1e-12 {
+		t.Fatalf("disabled threshold state = %+v, want MAPE 0.5 and never high", st)
 	}
-	if lines != 1 {
-		t.Fatalf("logged %d lines, want 1 (the crossing only)", lines)
-	}
-	// Staying above the threshold must not re-fire the event.
-	for i := 0; i < 4; i++ {
-		rec := Record{Reason: ReasonModel, PredErr: 0.6, HasPredErr: true}
+	// Staying above the threshold keeps it high; low samples clear it once
+	// they pull the window mean under the threshold (the third: 0.1875).
+	for i, e := range []float64{0.6, 0.05, 0.05, 0.05, 0.05} {
+		rec := Record{Reason: ReasonModel, PredErr: e, HasPredErr: true}
 		m.ObserveRecord(&rec)
-	}
-	if n := reg.Snapshot().Counters[evID]; n != 1 {
-		t.Fatalf("mape events after staying high = %d, want 1", n)
+		if st := m.DriftState(); st.MAPEHigh != (i < 3) {
+			t.Fatalf("sample %d (%g): MAPEHigh = %v at MAPE %g", i, e, st.MAPEHigh, st.MAPE)
+		}
 	}
 }
 
@@ -188,8 +178,8 @@ func TestMonitorNilSafe(t *testing.T) {
 	rec := Record{Reason: ReasonModel, HasPredErr: true, PredErr: 0.1}
 	m.ObserveRecord(&rec) // must not panic
 	m.SetTrainingStats([]string{"x"}, []float64{0}, []float64{1})
-	if s := m.Stats(); s != (Stats{}) {
-		t.Fatalf("nil monitor stats = %+v, want zero", s)
+	if st := m.DriftState(); !reflect.DeepEqual(st, DriftState{}) {
+		t.Fatalf("nil monitor state = %+v, want zero", st)
 	}
 }
 
@@ -207,65 +197,6 @@ func TestMonitorObserveNoAllocsSteadyState(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("ObserveRecord allocates %.1f objects/op, want 0", allocs)
-	}
-}
-
-func TestMonitorOnThresholdCallback(t *testing.T) {
-	var events []ThresholdEvent
-	var m *Monitor
-	m = NewMonitor(telemetry.NewRegistry(), MonitorOptions{
-		Window: 4, MAPEThreshold: 0.2, DriftZThreshold: 2,
-		OnThreshold: func(ev ThresholdEvent) {
-			// Re-entering the monitor from the callback must not deadlock.
-			_ = m.DriftState()
-			events = append(events, ev)
-		},
-	})
-	m.SetTrainingStats([]string{"ipc"}, []float64{2.0}, []float64{0.5})
-
-	// Fill the error window above the MAPE threshold: one "mape" high
-	// event on the crossing, none while it stays high.
-	for i := 0; i < 8; i++ {
-		rec := modelRecord(0, 1, []float64{2.0})
-		rec.HasPredErr, rec.PredErr = true, 0.5
-		m.ObserveRecord(&rec)
-	}
-	if len(events) != 1 || events[0].Kind != "mape" || !events[0].High {
-		t.Fatalf("after high MAPE window: events = %+v", events)
-	}
-	if events[0].Value <= events[0].Threshold {
-		t.Fatalf("mape event value %g not above threshold %g", events[0].Value, events[0].Threshold)
-	}
-
-	// Drift feature 0 by 4σ: one "drift" high event once the feature
-	// window refills shifted.
-	for i := 0; i < 4; i++ {
-		rec := modelRecord(0, 1, []float64{4.0})
-		rec.HasPredErr, rec.PredErr = true, 0.5
-		m.ObserveRecord(&rec)
-	}
-	if len(events) != 2 {
-		t.Fatalf("after drift: events = %+v", events)
-	}
-	if ev := events[1]; ev.Kind != "drift" || ev.Feature != "ipc" || !ev.High {
-		t.Fatalf("drift event = %+v", ev)
-	}
-
-	// Recovery fires the matching low-direction events.
-	for i := 0; i < 4; i++ {
-		rec := modelRecord(0, 1, []float64{2.0})
-		rec.HasPredErr, rec.PredErr = true, 0.01
-		m.ObserveRecord(&rec)
-	}
-	var lows int
-	for _, ev := range events[2:] {
-		if ev.High {
-			t.Fatalf("unexpected high event during recovery: %+v", ev)
-		}
-		lows++
-	}
-	if lows != 2 {
-		t.Fatalf("recovery fired %d low events, want 2 (mape + drift): %+v", lows, events)
 	}
 }
 
@@ -288,7 +219,7 @@ func TestMonitorDriftStateLevelTriggered(t *testing.T) {
 	}
 
 	// A fourth row fills both windows: now the state is visible to a
-	// late-attaching poller, long after the edge events fired.
+	// poller, however late it attaches, for as long as the condition holds.
 	rec := modelRecord(0, 1, []float64{4.0, 5.0})
 	rec.HasPredErr, rec.PredErr = true, 0.5
 	m.ObserveRecord(&rec)

@@ -181,8 +181,8 @@ func TestPredFeedback(t *testing.T) {
 	}
 	// The monitor's rolling MAPE is fed from the same feedback.
 	wantMAPE := (math.Abs(want) + math.Abs(want3)) / 2
-	if s := e.QualityMonitor().Stats(); s.ErrSamples != 2 || math.Abs(s.MAPE-wantMAPE) > 1e-12 {
-		t.Fatalf("monitor stats = %+v, want 2 samples, MAPE %g", s, wantMAPE)
+	if s := e.QualityMonitor().DriftState(); s.ErrSamples != 2 || math.Abs(s.MAPE-wantMAPE) > 1e-12 {
+		t.Fatalf("monitor state = %+v, want 2 samples, MAPE %g", s, wantMAPE)
 	}
 }
 

@@ -72,16 +72,14 @@ func sansClock(recs []provenance.Record) []provenance.Record {
 // are what in-process DecideBatch leaves for the same rows.
 func TestPlanesSeeFrameBeforeNextReply(t *testing.T) {
 	frames := afterReplyFrames(4, 150) // three inference chunks, rejected runs between
-	var events []provenance.ThresholdEvent
-	srv := NewServerEngine(armedEngine(t, &events, &servedLog{}))
+	srv := NewServerEngine(armedEngine(t, &servedLog{}))
 	cl, err := Dial(listenServer(t, srv))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cl.Close()
 
-	var twinEvents []provenance.ThresholdEvent
-	twin := armedEngine(t, &twinEvents, &servedLog{})
+	twin := armedEngine(t, &servedLog{})
 	observed := 0
 	for f, rows := range frames {
 		got, err := cl.DecideKeyed(rows)
@@ -132,8 +130,8 @@ func TestPlanesSeeFrameBeforeNextReply(t *testing.T) {
 	if chained == 0 || got[30].GPU != 1 {
 		t.Fatalf("records carry %d prediction errors and row 30 GPU %d, want chains and row identities", chained, got[30].GPU)
 	}
-	if !reflect.DeepEqual(events, twinEvents) {
-		t.Fatalf("threshold events over TCP %+v, in process %+v", events, twinEvents)
+	if got, want := srv.QualityMonitor().DriftState(), twin.QualityMonitor().DriftState(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("drift state over TCP %+v, in process %+v", got, want)
 	}
 }
 
@@ -150,9 +148,8 @@ func (s *sleepyShadow) ObserveServed(Request, Decision) {
 // [0, 3), [3, 4) and [4, 8), seven rows for the shadow.
 func slowPlanesServer(t *testing.T) (*Server, *sleepyShadow, *Client, [][]Request) {
 	t.Helper()
-	var events []provenance.ThresholdEvent
 	shadow := &sleepyShadow{}
-	srv := NewServerEngine(armedEngine(t, &events, shadow))
+	srv := NewServerEngine(armedEngine(t, shadow))
 	cl, err := Dial(listenServer(t, srv))
 	if err != nil {
 		t.Fatal(err)
@@ -226,8 +223,7 @@ func TestCloseObservesAnsweredFrame(t *testing.T) {
 // observation runs after the swap to B leaves A's predictions in the
 // feedback map, and B's next frame is not charged with them.
 func TestFeedbackChainBelongsToItsModel(t *testing.T) {
-	var events []provenance.ThresholdEvent
-	e := armedEngine(t, &events, nil)
+	e := armedEngine(t, nil)
 	frames := afterReplyFrames(3, 24)
 	_, _, pending := e.decideBatchTC(frames[0], AllColumns, nil, telemetry.TraceContext{})
 	if err := e.Swap(testModel(t, 2)); err != nil {

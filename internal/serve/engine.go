@@ -3,7 +3,6 @@ package serve
 import (
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"math/bits"
 	"runtime"
@@ -890,14 +889,4 @@ func (e *Engine) provHeader() provenance.Header {
 	h := e.Model().ProvenanceHeader()
 	h.Capacity, h.Head = e.prov.Cap(), e.prov.Head()
 	return h
-}
-
-// DumpDecisions writes the flight recorder's current contents as a JSONL
-// dump (header + one record per line) — the format cmd/dvfsstat's
-// -decisions view reads. It returns false when provenance is disabled.
-func (e *Engine) DumpDecisions(w io.Writer) (bool, error) {
-	if e.prov == nil {
-		return false, nil
-	}
-	return true, provenance.WriteRecords(w, e.provHeader(), e.prov.Snapshot(nil))
 }

@@ -151,28 +151,30 @@ func (s *servedLog) ObserveServed(row Request, d Decision) {
 // obsOutcome is everything the planes show after the sequence.
 type obsOutcome struct {
 	ledgerJSON []byte
-	stats      provenance.Stats
 	drift      provenance.DriftState
-	events     []provenance.ThresholdEvent
-	eventRows  []int // row that fired each event; reference run only
+	levels     []driftLevel // DriftState after each change; reference run only
 	counters   map[string]int64
 	gauges     map[string]float64
 	records    []provenance.Record
 	served     servedLog
 }
 
-// armedEngine builds an engine with every observing plane on, a frozen
-// ledger clock and a threshold-event log.
-func armedEngine(t *testing.T, events *[]provenance.ThresholdEvent, shadow ShadowObserver) *Engine {
+// driftLevel is the reference run's DriftState as of one row, recorded
+// whenever its thresholds' levels changed.
+type driftLevel struct {
+	row             int
+	mapeHigh, drift bool
+}
+
+// armedEngine builds an engine with every observing plane on and a frozen
+// ledger clock.
+func armedEngine(t *testing.T, shadow ShadowObserver) *Engine {
 	t.Helper()
 	e, err := NewEngine(testModel(t, 1), Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.EnableProvenance(4096, provenance.MonitorOptions{
-		Window:      obsMonWindow,
-		OnThreshold: func(ev provenance.ThresholdEvent) { *events = append(*events, ev) },
-	})
+	e.EnableProvenance(4096, provenance.MonitorOptions{Window: obsMonWindow})
 	e.EnablePredFeedback()
 	e.SetLedger(ledger.New(ledger.Options{
 		Registry: e.Telemetry(),
@@ -189,7 +191,7 @@ func armedEngine(t *testing.T, events *[]provenance.ThresholdEvent, shadow Shado
 func runObsSequence(t *testing.T, seq []obsRow, chunk int) obsOutcome {
 	t.Helper()
 	var out obsOutcome
-	e := armedEngine(t, &out.events, &out.served)
+	e := armedEngine(t, &out.served)
 	start := time.Now()
 	rows := make([]Request, len(seq))
 	decs := make([]Decision, len(seq))
@@ -211,8 +213,10 @@ func runObsSequence(t *testing.T, seq []obsRow, chunk int) obsOutcome {
 			rec := provenance.Record{TraceID: traceID, ModelGen: uint32(e.Generation())}
 			for i := lo; i < hi; i++ {
 				observeRowRef(e, &rec, rows[i], decs[i], seq[i].derived, seq[i].logits, start)
-				for len(out.eventRows) < len(out.events) {
-					out.eventRows = append(out.eventRows, i)
+				st := e.QualityMonitor().DriftState()
+				lv := driftLevel{row: i, mapeHigh: st.MAPEHigh, drift: len(st.Drifting) > 0}
+				if n := len(out.levels); n == 0 || out.levels[n-1].mapeHigh != lv.mapeHigh || out.levels[n-1].drift != lv.drift {
+					out.levels = append(out.levels, lv)
 				}
 			}
 			continue
@@ -232,7 +236,6 @@ func runObsSequence(t *testing.T, seq []obsRow, chunk int) obsOutcome {
 		t.Fatal(err)
 	}
 	out.ledgerJSON = buf.Bytes()
-	out.stats = e.QualityMonitor().Stats()
 	out.drift = e.QualityMonitor().DriftState()
 	snap := e.Telemetry().Snapshot()
 	out.counters, out.gauges = snap.Counters, snap.Gauges
@@ -257,27 +260,23 @@ func TestObservePerChunkEqualsPerRow(t *testing.T) {
 	seq := obsSequence()
 	want := runObsSequence(t, seq, 0)
 
-	// The sequence must exercise what it claims to.
-	var mapeUp, mapeDown, driftUp, driftDown bool
-	for _, ev := range want.events {
-		switch {
-		case ev.Kind == "mape" && ev.High:
-			mapeUp = true
-		case ev.Kind == "mape":
-			mapeDown = true
-		case ev.Kind == "drift" && ev.High:
-			driftUp = true
-		case ev.Kind == "drift":
-			driftDown = true
+	// The sequence must exercise what it claims to: read row at a time,
+	// DriftState starts clear, shows both thresholds high after the
+	// crossing rows and clear again after recovery, and every change of
+	// level falls in the one 64-row chunk [960, 1024).
+	var mapeSeen, driftSeen bool
+	for i, lv := range want.levels {
+		mapeSeen = mapeSeen || lv.mapeHigh
+		driftSeen = driftSeen || lv.drift
+		if i > 0 && (lv.row < 960 || lv.row >= 1024) {
+			t.Fatalf("drift state changed at row %d, outside the one 64-row chunk [960, 1024): %+v", lv.row, want.levels)
 		}
 	}
-	if !mapeUp || !mapeDown || !driftUp || !driftDown {
-		t.Fatalf("sequence does not cross both thresholds both ways: %+v", want.events)
+	if last := want.levels[len(want.levels)-1]; !mapeSeen || !driftSeen || last.mapeHigh || last.drift || want.drift.Any() {
+		t.Fatalf("sequence does not cross both thresholds both ways: %+v, final %+v", want.levels, want.drift)
 	}
-	for _, row := range want.eventRows {
-		if row < 960 || row >= 1024 {
-			t.Fatalf("a crossing at row %d is outside the one 64-row chunk [960, 1024): %v", row, want.eventRows)
-		}
+	if first := want.levels[0]; first.mapeHigh || first.drift {
+		t.Fatalf("drift state high from the first row: %+v", want.levels)
 	}
 	snap, err := ledger.ReadSnapshot(bytes.NewReader(want.ledgerJSON))
 	if err != nil {
@@ -291,9 +290,9 @@ func TestObservePerChunkEqualsPerRow(t *testing.T) {
 			t.Fatalf("no decisions attributed to %s", g)
 		}
 	}
-	if len(want.records) != obsRows || len(want.served.preds) == 0 || want.stats.ErrSamples == 0 {
+	if len(want.records) != obsRows || len(want.served.preds) == 0 || want.drift.ErrSamples == 0 {
 		t.Fatalf("reference run is thin: %d records, %d shadowed, %d error samples",
-			len(want.records), len(want.served.preds), want.stats.ErrSamples)
+			len(want.records), len(want.served.preds), want.drift.ErrSamples)
 	}
 
 	for _, chunk := range []int{1, 7, 64} {
@@ -301,14 +300,8 @@ func TestObservePerChunkEqualsPerRow(t *testing.T) {
 		if !bytes.Equal(got.ledgerJSON, want.ledgerJSON) {
 			t.Errorf("chunk %d: ledger snapshot differs:\n got %s\nwant %s", chunk, got.ledgerJSON, want.ledgerJSON)
 		}
-		if got.stats != want.stats {
-			t.Errorf("chunk %d: monitor stats %+v, want %+v", chunk, got.stats, want.stats)
-		}
 		if !reflect.DeepEqual(got.drift, want.drift) {
 			t.Errorf("chunk %d: drift state %+v, want %+v", chunk, got.drift, want.drift)
-		}
-		if !reflect.DeepEqual(got.events, want.events) {
-			t.Errorf("chunk %d: threshold events\n got %+v\nwant %+v", chunk, got.events, want.events)
 		}
 		if !reflect.DeepEqual(got.counters, want.counters) {
 			t.Errorf("chunk %d: counters\n got %v\nwant %v", chunk, got.counters, want.counters)
@@ -358,8 +351,7 @@ func TestDecideBatchSameWithPlanesArmed(t *testing.T) {
 	}
 	want := plain.DecideBatch(rows, nil)
 	for _, frame := range []int{1, 7, 64, len(rows)} {
-		var events []provenance.ThresholdEvent
-		e := armedEngine(t, &events, &servedLog{})
+		e := armedEngine(t, &servedLog{})
 		var got []Decision
 		for i := 0; i < len(rows); i += frame {
 			got = e.DecideBatch(rows[i:min(i+frame, len(rows))], got)
