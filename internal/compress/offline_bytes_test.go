@@ -18,12 +18,16 @@ import (
 // offlineBuildDigests are the SHA-256 of what TestOfflineBuildBytes builds,
 // recorded before the simulator, training and datagen speedups that must
 // not move them: the corpus JSON, the trained model's JSON and the pruned
-// model's JSON. Any edit that changes one of them has changed a simulated
-// number, a label, a float operation of training or its order.
-var offlineBuildDigests = struct{ dataset, model, pruned string }{
+// model's JSON; initial, recorded before training moved to the vector
+// unit, is the paper's initial architecture (decision 4×20, calibrator
+// 3×20) trained on the same corpus. Any edit that changes one of them has
+// changed a simulated number, a label, a float operation of training or
+// its order.
+var offlineBuildDigests = struct{ dataset, model, pruned, initial string }{
 	dataset: "fa669728ecf8cdca5e85779d7959a6f755221fbd433307f9be4cfd828e09c3d6",
 	model:   "a9c3a045e61d3740eb714f6083e9557e5037b638f5df9b76207b9ee32d308b43",
 	pruned:  "2ae4f7f3dd835b3205942345d96b97593d620007343a7a493f1dfeedd4062575",
+	initial: "197bbc355c28f443ce1a7dee398050fcff25cf097494f5c20c02c6ea9bf54820",
 }
 
 func sha(t *testing.T, save func(*bytes.Buffer) error) string {
@@ -39,7 +43,9 @@ func sha(t *testing.T, save func(*bytes.Buffer) error) string {
 // TestOfflineBuildBytes pins the offline build byte for byte: a RunSuite
 // corpus over two training kernels at the quick settings (three
 // breakpoints in all), the compressed architecture trained on it with
-// core.Train, and that model through compress.PruneModel. The digests hold
+// core.Train, that model through compress.PruneModel, and the initial
+// architecture trained on it too (20 wide, so training's vector kernels
+// run full groups of four as well as a tail). The digests hold
 // for amd64, where Go does not fuse multiply-adds.
 func TestOfflineBuildBytes(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
@@ -71,11 +77,17 @@ func TestOfflineBuildBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	train.Arch = core.PaperInitial()
+	initial, _, err := core.Train(ds, train)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	got := []struct{ what, digest, want string }{
 		{"corpus", sha(t, func(b *bytes.Buffer) error { return ds.Save(b) }), offlineBuildDigests.dataset},
 		{"trained model", sha(t, func(b *bytes.Buffer) error { return m.Save(b) }), offlineBuildDigests.model},
 		{"pruned model", sha(t, func(b *bytes.Buffer) error { return pruned.Save(b) }), offlineBuildDigests.pruned},
+		{"initial model", sha(t, func(b *bytes.Buffer) error { return initial.Save(b) }), offlineBuildDigests.initial},
 	}
 	for _, g := range got {
 		if g.digest != g.want {
