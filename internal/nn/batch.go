@@ -2,9 +2,11 @@ package nn
 
 import "fmt"
 
-// vectorTile selects the AVX2 tile (denseTile) for ForwardBatch. It is
-// set once, from CPUID and XGETBV, before any caller can run; only tests
-// change it, to force the scalar reference, forwardBatchInto.
+// vectorTile selects the AVX2 tile (denseTile) for ForwardBatch and the
+// AVX2 training step (trainForward, trainBackward, adamStep). It is set
+// once, from CPUID and XGETBV, before any caller can run; only tests
+// change it, to force the scalar references, forwardBatchInto and the
+// scalar step.
 var vectorTile = hasAVX2()
 
 // Batch is a row-major block of input or activation rows: row r occupies

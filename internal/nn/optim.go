@@ -89,6 +89,14 @@ func (a *Adam) Step(m *MLP, batchSize int) {
 	scale := 1.0 / float64(batchSize)
 	bc1 := 1 - math.Pow(a.Beta1, float64(a.t))
 	bc2 := 1 - math.Pow(a.Beta2, float64(a.t))
+	if vectorTile {
+		c := adamCoef{scale, a.Beta1, 1 - a.Beta1, a.Beta2, 1 - a.Beta2, a.LR, bc1, bc2, a.Epsilon}
+		for li, l := range m.Layers {
+			c.update(l.W, l.GradW, a.mw[li], a.vw[li], l.Mask)
+			c.update(l.B, l.GradB, a.mb[li], a.vb[li], nil)
+		}
+		return
+	}
 	for li, l := range m.Layers {
 		mw, vw, mb, vb := a.mw[li], a.vw[li], a.mb[li], a.vb[li]
 		for i := range l.W {
@@ -104,5 +112,39 @@ func (a *Adam) Step(m *MLP, batchSize int) {
 			l.B[i] -= a.LR * (mb[i] / bc1) / (math.Sqrt(vb[i]/bc2) + a.Epsilon)
 		}
 		l.ApplyMask()
+	}
+}
+
+// adamCoef is one Adam step's coefficients, laid out as adamStep reads
+// them.
+type adamCoef struct {
+	scale, beta1, oneMinusBeta1, beta2, oneMinusBeta2, lr, bc1, bc2, eps float64
+}
+
+// update is Step's update of one parameter array and its gradient on the
+// vector kernel, with Dense.ApplyMask folded in for a non-nil mask. The
+// last len(w)%4 elements take the scalar code's operations, in its order.
+func (c *adamCoef) update(w, g, m, v, mask []float64) {
+	n := len(w)
+	g, m, v = g[:n], m[:n], v[:n]
+	if mask != nil {
+		mask = mask[:n]
+	}
+	k := n &^ 3
+	if k > 0 {
+		var mp *float64
+		if mask != nil {
+			mp = &mask[0]
+		}
+		adamStep(&w[0], &g[0], &m[0], &v[0], mp, k, c)
+	}
+	for i := k; i < n; i++ {
+		gi := g[i] * c.scale
+		m[i] = c.beta1*m[i] + c.oneMinusBeta1*gi
+		v[i] = c.beta2*v[i] + c.oneMinusBeta2*gi*gi
+		w[i] -= c.lr * (m[i] / c.bc1) / (math.Sqrt(v[i]/c.bc2) + c.eps)
+		if mask != nil && mask[i] == 0 {
+			w[i], g[i] = 0, 0
+		}
 	}
 }

@@ -11,6 +11,20 @@ package nn
 //go:noescape
 func denseTile(w, b, x, y *float64, in, out int, relu bool)
 
+// trainForward, trainBackward and adamStep are the training step's
+// kernels, in train_amd64.s: one layer's forward from its packed
+// transposed weights (trainScratch.pack), one layer's backward for one
+// sample, and Adam over one parameter array.
+//
+//go:noescape
+func trainForward(p, x, y *float64, in, lanes int, relu bool)
+
+//go:noescape
+func trainBackward(w, gw, gb, x, dy, dx *float64, live *int, in, out int)
+
+//go:noescape
+func adamStep(w, grad, m, v, mask *float64, n int, c *adamCoef)
+
 // cpuid and xgetbv are the bare instructions, in tile_amd64.s.
 func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 func xgetbv() (eax, edx uint32)
