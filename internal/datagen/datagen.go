@@ -384,7 +384,10 @@ func (d *Dataset) Save(w io.Writer) error {
 }
 
 // validate checks the decoded shape invariants Load and LoadFile rely
-// on.
+// on. Every consumer reads features by position (counters.Idx*, a model's
+// FeatureIdx), so the counter layout must be the program's own: a corpus
+// with its columns in another order would train on the wrong counters,
+// and a narrower one would run feature indices off its rows.
 func (d *Dataset) validate() error {
 	if len(d.CounterNames) == 0 {
 		return fmt.Errorf("datagen: dataset has no counter names")
@@ -397,13 +400,31 @@ func (d *Dataset) validate() error {
 			return fmt.Errorf("datagen: sample %d level %d out of range [0,%d)", i, s.Level, d.Levels)
 		}
 	}
+	want := counters.Names()
+	for i := 0; i < max(len(want), len(d.CounterNames)); i++ {
+		switch {
+		case i >= len(d.CounterNames):
+			return fmt.Errorf("datagen: dataset has %d counters, want %d: counter %d (%q) is missing", len(d.CounterNames), len(want), i, want[i])
+		case i >= len(want):
+			return fmt.Errorf("datagen: dataset has %d counters, want %d: counter %d (%q) is extra", len(d.CounterNames), len(want), i, d.CounterNames[i])
+		case d.CounterNames[i] != want[i]:
+			return fmt.Errorf("datagen: counter %d is %q, want %q", i, d.CounterNames[i], want[i])
+		}
+	}
 	return nil
 }
 
-// Load reads a dataset saved with Save and validates its shape.
+// Load reads a dataset saved with Save and validates its shape. It reads
+// r to the end and decodes with the corpus decoder (decode.go), which
+// accepts exactly what encoding/json accepts and decodes it bit for bit
+// alike.
 func Load(r io.Reader) (*Dataset, error) {
+	data, err := readInput(r)
+	if err != nil {
+		return nil, fmt.Errorf("datagen: decoding dataset: %w", err)
+	}
 	var d Dataset
-	if err := json.NewDecoder(r).Decode(&d); err != nil {
+	if err := decodeDataset(data, &d); err != nil {
 		return nil, fmt.Errorf("datagen: decoding dataset: %w", err)
 	}
 	if err := d.validate(); err != nil {

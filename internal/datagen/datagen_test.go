@@ -2,6 +2,8 @@ package datagen
 
 import (
 	"bytes"
+	"encoding/json"
+	"strings"
 	"sync"
 	"testing"
 
@@ -177,6 +179,24 @@ func TestLoadRejectsCorrupt(t *testing.T) {
 		`{"counter_names":["a"],"levels":6,"samples":[{"features":[1,2]}]}`,         // feature len mismatch
 		`{"counter_names":["a"],"levels":2,"samples":[{"level":5,"features":[1]}]}`, // level out of range
 	}
+	// A corpus whose counter layout is not the program's: two columns
+	// swapped, and one column dropped from the names and every row.
+	layout := func(names []string) string {
+		b, err := json.Marshal(&Dataset{CounterNames: names, Levels: 2,
+			Samples: []Sample{{Level: 1, Features: make([]float64, len(names))}}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+	if _, err := Load(strings.NewReader(layout(counters.Names()))); err != nil {
+		t.Fatalf("the program's own layout refused: %v", err)
+	}
+	swapped := counters.Names()
+	swapped[3], swapped[4] = swapped[4], swapped[3]
+	dropped := counters.Names()
+	dropped = append(dropped[:7], dropped[8:]...)
+	cases = append(cases, layout(swapped), layout(dropped))
 	for i, c := range cases {
 		if _, err := Load(bytes.NewReader([]byte(c))); err == nil {
 			t.Fatalf("corrupt dataset %d accepted", i)
