@@ -80,14 +80,7 @@ func (p *PCSTALL) Decide(stats gpusim.EpochStats) int {
 	}
 	p.memFrac[c] = s
 	p.seen[c] = true
-
-	fDefault := p.Table.Point(p.Table.Default()).FrequencyHz
-	for level := 0; level < p.Table.Len(); level++ {
-		if Slowdown(s, fDefault, p.Table.Point(level).FrequencyHz)-1 <= p.Preset {
-			return level
-		}
-	}
-	return p.Table.Default()
+	return slowestWithin(p.Table, s, p.Preset)
 }
 
 var _ gpusim.Controller = (*PCSTALL)(nil)

@@ -29,6 +29,19 @@ const FallbackColumns uint64 = 1<<counters.IdxMH | 1<<counters.IdxMHNL | 1<<coun
 // not move. Predicted loss is Slowdown − 1.
 func Slowdown(s, f0, f float64) float64 { return (1-s)*(f0/f) + s }
 
+// slowestWithin is PCSTALL's level search: the slowest level of t whose
+// predicted loss at memory-boundedness s, against the default level's
+// clock, stays within preset; the default level when none does.
+func slowestWithin(t *clockdomain.Table, s, preset float64) int {
+	fDefault := t.Point(t.Default()).FrequencyHz
+	for level := 0; level < t.Len(); level++ {
+		if Slowdown(s, fDefault, t.Point(level).FrequencyHz)-1 <= preset {
+			return level
+		}
+	}
+	return t.Default()
+}
+
 // RowSensitivity estimates the epoch's memory-boundedness from a feature
 // row, mirroring PCSTALL's counter-based sensitivity: memory-stall issue
 // opportunities over all issue opportunities. Non-finite or negative
@@ -63,13 +76,7 @@ func FallbackDecision(t *clockdomain.Table, features []float64, preset float64) 
 	level = t.Default()
 	if preset >= 0 && !math.IsInf(preset, 0) && preset == preset {
 		s := RowSensitivity(features)
-		fDefault := t.Point(t.Default()).FrequencyHz
-		for l := 0; l < t.Len(); l++ {
-			if Slowdown(s, fDefault, t.Point(l).FrequencyHz)-1 <= preset {
-				level = l
-				break
-			}
-		}
+		level = slowestWithin(t, s, preset)
 		predInstr = fallbackPredict(t, features, s, level)
 	}
 	return level, predInstr

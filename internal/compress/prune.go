@@ -154,13 +154,3 @@ func shrinkCols(l *nn.Dense, keep []int) *nn.Dense {
 	}
 	return out
 }
-
-// Prune applies the paper's two-stage pruning to a network: magnitude
-// pruning at x1 followed by neuron pruning at x2.
-func Prune(m *nn.MLP, x1, x2 float64) (*nn.MLP, error) {
-	cp := m.Clone()
-	if err := MagnitudePrune(cp, x1); err != nil {
-		return nil, err
-	}
-	return NeuronPrune(cp, x2)
-}

@@ -141,7 +141,11 @@ func TestNeuronPruneIdentityWhenDense(t *testing.T) {
 
 func TestPruneReducesEffectiveFLOPs(t *testing.T) {
 	m := newNet(t, []int{6, 12, 12, 6}, 8)
-	pruned, err := Prune(m, 0.6, 0.9)
+	cp := m.Clone()
+	if err := MagnitudePrune(cp, 0.6); err != nil {
+		t.Fatal(err)
+	}
+	pruned, err := NeuronPrune(cp, 0.9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +153,7 @@ func TestPruneReducesEffectiveFLOPs(t *testing.T) {
 		t.Fatalf("pruning did not reduce FLOPs: %d >= %d", pruned.EffectiveFLOPs(), m.FLOPs())
 	}
 	if pruned.InputSize() != 6 || pruned.OutputSize() != 6 {
-		t.Fatal("Prune changed I/O dims")
+		t.Fatal("pruning changed I/O dims")
 	}
 }
 
@@ -161,7 +165,11 @@ func TestPruneProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		pruned, err := Prune(m, x1, x2)
+		cp := m.Clone()
+		if err := MagnitudePrune(cp, x1); err != nil {
+			return false
+		}
+		pruned, err := NeuronPrune(cp, x2)
 		if err != nil {
 			return false
 		}

@@ -220,8 +220,7 @@ type Snapshot struct {
 	PerfLossPpmSum int64 `json:"perf_loss_ppm_sum"`
 	PresetPpmSum   int64 `json:"preset_ppm_sum"`
 
-	// Groups breaks totals down by "level=N", "cluster=N", and "gen=N"
-	// (and "kernel=NAME" in offline replays that know kernel identity).
+	// Groups breaks totals down by "level=N", "cluster=N", and "gen=N".
 	Groups map[string]Group `json:"groups,omitempty"`
 
 	SavedHist telemetry.HistogramSnapshot `json:"saved_hist"`
@@ -381,13 +380,12 @@ type Ledger struct {
 	lossRing   *telemetry.Ring
 	presetRing *telemetry.Ring
 
-	mu         sync.Mutex
-	lossPpm    int64
-	presetPpm  int64
-	levels     [maxLevels]Group
-	clusters   map[int32]*Group
-	gens       map[uint32]*Group
-	extraGroup map[string]*Group
+	mu        sync.Mutex
+	lossPpm   int64
+	presetPpm int64
+	levels    [maxLevels]Group
+	clusters  map[int32]*Group
+	gens      map[uint32]*Group
 }
 
 // New builds a ledger. The returned ledger is ready for concurrent
@@ -462,9 +460,6 @@ const batchRows = 64
 type Batch struct {
 	batchSums
 	rows [batchRows]batchRow // rows[:n] are live
-
-	// tag, when set, also accounts every row to that free-form group.
-	tag string
 }
 
 // batchSums is the part of a Batch that Commit zeroes.
@@ -556,13 +551,6 @@ func (l *Ledger) commitRows(b *Batch) {
 	l.mu.Lock()
 	l.lossPpm += b.lossPpm
 	l.presetPpm += b.presetPpm
-	var tagged *Group
-	if b.tag != "" {
-		if l.extraGroup == nil {
-			l.extraGroup = make(map[string]*Group)
-		}
-		tagged = tracked(l.extraGroup, b.tag)
-	}
 	for i := range b.rows[:b.n] {
 		r := &b.rows[i]
 		if r.level >= 0 && r.level < maxLevels {
@@ -575,9 +563,6 @@ func (l *Ledger) commitRows(b *Batch) {
 		}
 		if g := tracked(l.gens, r.gen); g != nil {
 			g.add(r)
-		}
-		if tagged != nil {
-			tagged.add(r)
 		}
 	}
 	lossSum, presetSum := l.lossPpm, l.presetPpm
@@ -611,18 +596,10 @@ func tracked[K comparable](m map[K]*Group, key K) *Group {
 // Observe accounts one served decision — Add and Commit of a one-row
 // batch. Nil-safe.
 func (l *Ledger) Observe(cluster int32, gen uint32, level int, features []float64, preset float64) {
-	l.ObserveTagged("", cluster, gen, level, features, preset)
-}
-
-// ObserveTagged is Observe for offline replays that also know a free-form
-// group identity (e.g. "kernel=backprop"), breaking the totals down by it
-// alongside the standard level/cluster/generation groups.
-func (l *Ledger) ObserveTagged(tag string, cluster int32, gen uint32, level int, features []float64, preset float64) {
 	if l == nil {
 		return
 	}
 	var b Batch
-	b.tag = tag
 	l.Add(&b, cluster, gen, level, features, preset)
 	l.Commit(&b)
 }
@@ -662,9 +639,6 @@ func (l *Ledger) Snapshot() Snapshot {
 	}
 	for gen, g := range l.gens {
 		s.Groups[fmt.Sprintf("gen=%d", gen)] = *g
-	}
-	for tag, g := range l.extraGroup {
-		s.Groups[tag] = *g
 	}
 	l.mu.Unlock()
 	if len(s.Groups) == 0 {

@@ -194,7 +194,6 @@ func TestLedgerObserveAndSnapshot(t *testing.T) {
 func TestNilLedgerIsNoOp(t *testing.T) {
 	var l *Ledger
 	l.Observe(0, 0, 0, computeRow(1e6), 0.1)
-	l.ObserveTagged("kernel=x", 0, 0, 0, computeRow(1e6), 0.1)
 	if s := l.Snapshot(); s.Decisions != 0 {
 		t.Fatalf("nil ledger snapshot = %+v", s)
 	}
@@ -316,16 +315,6 @@ func TestReplayMatchesOnline(t *testing.T) {
 		if online.Groups[k] != replay.Groups[k] {
 			t.Fatalf("group %s: online %+v, replay %+v", k, online.Groups[k], replay.Groups[k])
 		}
-	}
-}
-
-func TestObserveTaggedAddsGroup(t *testing.T) {
-	l := testLedger(0)
-	l.ObserveTagged("kernel=backprop", -1, 0, 1, memRow(1e6), 0.1)
-	s := l.Snapshot()
-	g, ok := s.Groups["kernel=backprop"]
-	if !ok || g.Decisions != 1 {
-		t.Fatalf("tagged group missing: %+v", s.Groups)
 	}
 }
 
@@ -493,24 +482,6 @@ func TestBatchCommitEqualsObserve(t *testing.T) {
 		}
 		if !bytes.Equal(gotSeries, wantSeries) {
 			t.Errorf("chunk %d: registry series differ from row-at-a-time", chunk)
-		}
-	}
-}
-
-// TestObserveTaggedPricesOnce: the tagged row is one decision everywhere
-// — totals, standard groups, histograms and the tag's own group agree.
-func TestObserveTaggedPricesOnce(t *testing.T) {
-	l := testLedger(0)
-	l.ObserveTagged("kernel=backprop", 3, 1, 1, memRow(1e6), 0.1)
-	l.ObserveTagged("kernel=backprop", 3, 1, 1, []float64{1}, 0.1) // skipped: no group
-	s := l.Snapshot()
-	want := s.Groups["level=1"]
-	if s.Decisions != 1 || s.Skipped != 1 || s.SavedHist.Count != 1 || want.Decisions != 1 {
-		t.Fatalf("tagged row was not accounted exactly once: %+v", s)
-	}
-	for _, k := range []string{"kernel=backprop", "cluster=3", "gen=1"} {
-		if s.Groups[k] != want {
-			t.Fatalf("group %s = %+v, want %+v", k, s.Groups[k], want)
 		}
 	}
 }

@@ -2,11 +2,11 @@ package nn
 
 import "fmt"
 
-// vectorTile selects the AVX2 tile (denseTile) for ForwardBatch and the
-// AVX2 training step (trainForward, trainBackward, adamStep). It is set
-// once, from CPUID and XGETBV, before any caller can run; only tests
-// change it, to force the scalar references, forwardBatchInto and the
-// scalar step.
+// vectorTile selects the AVX2 tile (denseTile) for ForwardBatch, and so
+// for the training step's forward pass, and the AVX2 backward and Adam
+// kernels (trainBackward, adamStep). It is set once, from CPUID and
+// XGETBV, before any caller can run; only tests change it, to force the
+// scalar references, forwardBatchInto and the scalar step.
 var vectorTile = hasAVX2()
 
 // Batch is a row-major block of input or activation rows: row r occupies
@@ -41,7 +41,7 @@ func (b *Batch) Row(r int) []float64 {
 // inference allocates nothing. Like Scratch, a BatchScratch belongs to
 // one goroutine at a time; the MLP stays read-only and may be shared.
 type BatchScratch struct {
-	bufs []Batch   // per-layer outputs; the vector tile uses the last
+	bufs []Batch   // per-layer outputs; the vector tile fills only the last unless it keeps them all
 	tile []float64 // the vector tile's two feature-major activations
 }
 
@@ -51,6 +51,14 @@ type BatchScratch struct {
 // BatchScratch. Row order is preserved: output row r corresponds to input
 // row r, and each row equals what ForwardScratch would produce for it.
 func (m *MLP) ForwardBatch(x *Batch, s *BatchScratch) *Batch {
+	return m.forwardBatch(x, s, false)
+}
+
+// forwardBatch is ForwardBatch that, with keep set, also leaves every
+// layer's output in s.bufs, hidden layers after their ReLU: the training
+// step's forward pass, which backward reads. The scalar tile keeps them
+// whether asked or not.
+func (m *MLP) forwardBatch(x *Batch, s *BatchScratch, keep bool) *Batch {
 	if x.Cols != m.Layers[0].In {
 		panic(fmt.Sprintf("nn: ForwardBatch with %d cols, model wants %d", x.Cols, m.Layers[0].In))
 	}
@@ -58,7 +66,7 @@ func (m *MLP) ForwardBatch(x *Batch, s *BatchScratch) *Batch {
 		s.bufs = append(s.bufs, make([]Batch, len(m.Layers)-len(s.bufs))...)
 	}
 	if vectorTile {
-		return m.forwardTiles(x, s)
+		return m.forwardTiles(x, s, keep)
 	}
 	h := x
 	for i, l := range m.Layers {
@@ -73,9 +81,11 @@ func (m *MLP) ForwardBatch(x *Batch, s *BatchScratch) *Batch {
 // forwardTiles is ForwardBatch on the vector tile. Each 4-row tile of x
 // is transposed once into feature-major scratch, runs through every layer
 // there with denseTile, and is transposed once back into the output
-// batch. A short last tile is zero-padded, so every row takes the same
-// path; lanes never mix, so the padding cannot reach a real row.
-func (m *MLP) forwardTiles(x *Batch, s *BatchScratch) *Batch {
+// batch, and with keep set each hidden layer's tile is transposed back
+// into that layer's batch too. A short last tile is zero-padded, so every
+// row takes the same path; lanes never mix, so the padding cannot reach a
+// real row.
+func (m *MLP) forwardTiles(x *Batch, s *BatchScratch, keep bool) *Batch {
 	// denseTile reads and writes by these shapes unchecked, so a layer
 	// that does not take what the one before gives must stop here.
 	width := x.Cols
@@ -89,9 +99,12 @@ func (m *MLP) forwardTiles(x *Batch, s *BatchScratch) *Batch {
 		s.tile = make([]float64, 8*width)
 	}
 	src, dst := s.tile[:4*width], s.tile[4*width:8*width]
-	in, out := x.Cols, m.OutputSize()
-	y := &s.bufs[len(m.Layers)-1]
-	y.Reset(x.Rows, out)
+	in, last := x.Cols, len(m.Layers)-1
+	for i, l := range m.Layers {
+		if keep || i == last {
+			s.bufs[i].Reset(x.Rows, l.Out)
+		}
+	}
 	for r := 0; r < x.Rows; r += 4 {
 		n := min(4, x.Rows-r)
 		t := src[:4*in]
@@ -106,17 +119,20 @@ func (m *MLP) forwardTiles(x *Batch, s *BatchScratch) *Batch {
 		h, next := src, dst
 		for i, l := range m.Layers {
 			w, b := l.W[:l.In*l.Out], l.B[:l.Out]
-			denseTile(&w[0], &b[0], &h[0], &next[0], l.In, l.Out, i+1 < len(m.Layers))
+			denseTile(&w[0], &b[0], &h[0], &next[0], l.In, l.Out, i < last)
 			h, next = next, h
-		}
-		for k := 0; k < n; k++ {
-			row := y.Data[(r+k)*out : (r+k+1)*out]
-			for o := range row {
-				row[o] = h[o*4+k]
+			if keep || i == last {
+				y := s.bufs[i].Data
+				for k := 0; k < n; k++ {
+					row := y[(r+k)*l.Out : (r+k+1)*l.Out]
+					for o := range row {
+						row[o] = h[o*4+k]
+					}
+				}
 			}
 		}
 	}
-	return y
+	return &s.bufs[last]
 }
 
 // forwardBatchInto computes y = X·Wᵀ + b over every row of x, applying

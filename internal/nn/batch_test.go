@@ -43,7 +43,8 @@ func useKernel(t testing.TB, vector bool) {
 // TestForwardBatchMatchesScratch pins both batch kernels to the
 // row-at-a-time path, bit for bit, across row counts that exercise full
 // 4-row tiles, a short last tile, and both together — plus scratch reuse
-// across networks of different shapes (buffer resize).
+// across networks of different shapes (buffer resize). With keep set,
+// every layer's kept output must match the row-at-a-time chain too.
 func TestForwardBatchMatchesScratch(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	small, err := NewMLP([]int{6, 12, 6}, rng)
@@ -59,25 +60,58 @@ func TestForwardBatchMatchesScratch(t *testing.T) {
 	var s Scratch
 	for _, vector := range batchKernels() {
 		useKernel(t, vector)
-		for _, rows := range []int{1, 2, 3, 4, 5, 7, 8, 16, 33, 64} {
-			for _, m := range []*MLP{small, big, small} {
-				fillRows(&x, rows, m.InputSize(), rng)
-				y := m.ForwardBatch(&x, &bs)
-				if y.Rows != rows || y.Cols != m.OutputSize() {
-					t.Fatalf("%s rows=%d: got %dx%d output, want %dx%d",
-						kernelName(vector), rows, y.Rows, y.Cols, rows, m.OutputSize())
-				}
-				for r := 0; r < rows; r++ {
-					want := m.ForwardScratch(x.Row(r), &s)
-					got := y.Row(r)
-					for k := range want {
-						if got[k] != want[k] {
-							t.Fatalf("%s rows=%d row %d out %d: batch %g != scratch %g",
-								kernelName(vector), rows, r, k, got[k], want[k])
+		for _, keep := range []bool{false, true} {
+			for _, rows := range []int{1, 2, 3, 4, 5, 7, 8, 16, 33, 64} {
+				for _, m := range []*MLP{small, big, small} {
+					fillRows(&x, rows, m.InputSize(), rng)
+					y := m.forwardBatch(&x, &bs, keep)
+					if y.Rows != rows || y.Cols != m.OutputSize() {
+						t.Fatalf("%s rows=%d: got %dx%d output, want %dx%d",
+							kernelName(vector), rows, y.Rows, y.Cols, rows, m.OutputSize())
+					}
+					for r := 0; r < rows; r++ {
+						want := m.ForwardScratch(x.Row(r), &s)
+						got := y.Row(r)
+						for k := range want {
+							if got[k] != want[k] {
+								t.Fatalf("%s rows=%d row %d out %d: batch %g != scratch %g",
+									kernelName(vector), rows, r, k, got[k], want[k])
+							}
 						}
+					}
+					if keep {
+						checkKept(t, kernelName(vector), m, &x, &bs)
 					}
 				}
 			}
+		}
+	}
+}
+
+// checkKept fails t unless bs holds, for every row of x, each layer's
+// output bit for bit as the row-at-a-time chain computes it: ForwardInto,
+// then relu on hidden layers.
+func checkKept(t *testing.T, kernel string, m *MLP, x *Batch, bs *BatchScratch) {
+	t.Helper()
+	for r := 0; r < x.Rows; r++ {
+		h := x.Row(r)
+		for i, l := range m.Layers {
+			want := make([]float64, l.Out)
+			l.ForwardInto(h, want)
+			if i+1 < len(m.Layers) {
+				relu(want)
+			}
+			kept := &bs.bufs[i]
+			if kept.Rows != x.Rows || kept.Cols != l.Out {
+				t.Fatalf("%s sizes %v: layer %d kept %dx%d, want %dx%d", kernel, m.Sizes(), i, kept.Rows, kept.Cols, x.Rows, l.Out)
+			}
+			for o, v := range kept.Row(r) {
+				if math.Float64bits(v) != math.Float64bits(want[o]) {
+					t.Fatalf("%s sizes %v rows %d: row %d layer %d out %d kept %g (%#x), chain %g (%#x)",
+						kernel, m.Sizes(), x.Rows, r, i, o, v, math.Float64bits(v), want[o], math.Float64bits(want[o]))
+				}
+			}
+			h = want
 		}
 	}
 }
@@ -189,14 +223,15 @@ func TestConcurrentForwardBatchMatchesRowAtATime(t *testing.T) {
 // for bit, on networks of 1–3 layers 1–24 wide and batches of 0–70 rows.
 // Weights and biases include exact and signed zeros; inputs include ±0,
 // subnormals and finite values large enough to overflow to ±Inf and on
-// to NaN, so -0 and NaN reach the ReLU.
+// to NaN, so -0 and NaN reach the ReLU. With keep set, every layer's kept
+// output is pinned to the row-at-a-time chain as well.
 func FuzzForwardBatchParity(f *testing.F) {
-	f.Add(int64(1), uint8(64), uint8(2), uint8(5), uint8(11), uint8(11), uint8(5))
-	f.Add(int64(2), uint8(61), uint8(1), uint8(6), uint8(0), uint8(19), uint8(3))
-	f.Add(int64(3), uint8(3), uint8(3), uint8(23), uint8(1), uint8(2), uint8(0))
-	f.Add(int64(4), uint8(70), uint8(2), uint8(0), uint8(23), uint8(13), uint8(22))
-	f.Add(int64(121), uint8(62), uint8(1), uint8(0), uint8(3), uint8(22), uint8(0)) // a -0 through ReLU
-	f.Fuzz(func(t *testing.T, seed int64, rows, depth, w0, w1, w2, w3 uint8) {
+	f.Add(int64(1), uint8(64), uint8(2), uint8(5), uint8(11), uint8(11), uint8(5), true)
+	f.Add(int64(2), uint8(61), uint8(1), uint8(6), uint8(0), uint8(19), uint8(3), false)
+	f.Add(int64(3), uint8(3), uint8(3), uint8(23), uint8(1), uint8(2), uint8(0), true)
+	f.Add(int64(4), uint8(70), uint8(2), uint8(0), uint8(23), uint8(13), uint8(22), false)
+	f.Add(int64(121), uint8(62), uint8(1), uint8(0), uint8(3), uint8(22), uint8(0), true) // a -0 through ReLU
+	f.Fuzz(func(t *testing.T, seed int64, rows, depth, w0, w1, w2, w3 uint8, keep bool) {
 		sizes := []int{1 + int(w0)%24, 1 + int(w1)%24, 1 + int(w2)%24, 1 + int(w3)%24}[:2+int(depth)%3]
 		rng := rand.New(rand.NewSource(seed))
 		m, err := NewMLP(sizes, rng)
@@ -216,11 +251,11 @@ func FuzzForwardBatchParity(f *testing.F) {
 		for i := range x.Data {
 			x.Data[i] = fuzzInput(rng)
 		}
-		var bs BatchScratch
 		var s Scratch
 		for _, vector := range batchKernels() {
 			useKernel(t, vector)
-			y := m.ForwardBatch(&x, &bs)
+			var bs BatchScratch // not the last kernel's, whose kept rows would hide missing ones
+			y := m.forwardBatch(&x, &bs, keep)
 			for r := 0; r < x.Rows; r++ {
 				want := m.ForwardScratch(x.Row(r), &s)
 				for k, v := range y.Row(r) {
@@ -229,6 +264,9 @@ func FuzzForwardBatchParity(f *testing.F) {
 							kernelName(vector), sizes, x.Rows, r, k, v, math.Float64bits(v), want[k], math.Float64bits(want[k]))
 					}
 				}
+			}
+			if keep {
+				checkKept(t, kernelName(vector), m, &x, &bs)
 			}
 		}
 	})

@@ -1,6 +1,6 @@
 // Package nn is a from-scratch, stdlib-only neural-network library
 // sufficient for the paper's models: fully connected ReLU MLPs trained
-// with minibatch SGD/Adam on softmax-cross-entropy (classification) and
+// with minibatch Adam on softmax-cross-entropy (classification) and
 // mean-squared-error (regression) losses, with weight masking to support
 // fine-grained pruning, FLOPs accounting, and JSON serialization.
 package nn

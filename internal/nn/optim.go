@@ -11,46 +11,6 @@ type Optimizer interface {
 	Step(m *MLP, batchSize int)
 }
 
-// SGD is stochastic gradient descent with classical momentum.
-type SGD struct {
-	LR       float64
-	Momentum float64
-
-	vw [][]float64
-	vb [][]float64
-}
-
-// NewSGD returns an SGD optimizer.
-func NewSGD(lr, momentum float64) *SGD { return &SGD{LR: lr, Momentum: momentum} }
-
-func (s *SGD) ensure(m *MLP) {
-	if s.vw != nil {
-		return
-	}
-	for _, l := range m.Layers {
-		s.vw = append(s.vw, make([]float64, len(l.W)))
-		s.vb = append(s.vb, make([]float64, len(l.B)))
-	}
-}
-
-// Step implements Optimizer.
-func (s *SGD) Step(m *MLP, batchSize int) {
-	s.ensure(m)
-	scale := 1.0 / float64(batchSize)
-	for li, l := range m.Layers {
-		vw, vb := s.vw[li], s.vb[li]
-		for i := range l.W {
-			vw[i] = s.Momentum*vw[i] - s.LR*l.GradW[i]*scale
-			l.W[i] += vw[i]
-		}
-		for i := range l.B {
-			vb[i] = s.Momentum*vb[i] - s.LR*l.GradB[i]*scale
-			l.B[i] += vb[i]
-		}
-		l.ApplyMask()
-	}
-}
-
 // Adam is the Adam optimizer (Kingma & Ba, 2015).
 type Adam struct {
 	LR      float64

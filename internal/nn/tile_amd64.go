@@ -5,20 +5,18 @@ package nn
 // output o of row r. Each lane repeats forwardBatchInto's arithmetic —
 // start from the bias, then a multiply and an add per input in ascending
 // order, no FMA — and ReLU keeps s unless s < 0, so every output is the
-// scalar kernel's bit for bit, -0 and NaN included. Implemented in
+// scalar kernel's bit for bit, -0 and NaN included. ForwardBatch runs it
+// for inference and for the training step's forward pass. Implemented in
 // tile_amd64.s.
 //
 //go:noescape
 func denseTile(w, b, x, y *float64, in, out int, relu bool)
 
-// trainForward, trainBackward and adamStep are the training step's
-// kernels, in train_amd64.s: one layer's forward from its packed
-// transposed weights (trainScratch.pack), one layer's backward for one
-// sample, and Adam over one parameter array.
+// trainBackward and adamStep are the training step's kernels, in
+// train_amd64.s: one layer's backward for one sample, and Adam over one
+// parameter array. The step's forward pass is ForwardBatch's, on
+// denseTile.
 //
-//go:noescape
-func trainForward(p, x, y *float64, in, lanes int, relu bool)
-
 //go:noescape
 func trainBackward(w, gw, gb, x, dy, dx *float64, live *int, in, out int)
 

@@ -10,10 +10,6 @@ func denseTile(w, b, x, y *float64, in, out int, relu bool) {
 	panic("nn: no vector tile on this architecture")
 }
 
-func trainForward(p, x, y *float64, in, lanes int, relu bool) {
-	panic("nn: no vector training step on this architecture")
-}
-
 func trainBackward(w, gw, gb, x, dy, dx *float64, live *int, in, out int) {
 	panic("nn: no vector training step on this architecture")
 }

@@ -63,149 +63,94 @@ func (c TrainConfig) validate() error {
 }
 
 // trainScratch is one training call's working memory, so that a training
-// step allocates nothing: every layer's output, the loss gradient with
-// respect to every layer's input but the first, and the loss gradient with
-// respect to the network output.
+// step allocates nothing: the minibatch's inputs and every layer's output
+// over it, the loss gradient with respect to every layer's input but the
+// first, and the loss gradient with respect to the network output.
 //
-// When vectorTile is set the step runs on the AVX2 kernels, and packed[i]
-// holds layer i's bias and then its weights transposed, input-major, each
-// row zero-padded to lanes(Out) outputs: trainForward reads it, so it is
-// packed when the scratch is made and again after every optimizer step,
-// the only place the weights change; outs[i] has that padded capacity.
-// packed is nil on the scalar step.
+// forward runs the whole minibatch through ForwardBatch's kernel, the
+// vector tile or the scalar one; backward then runs one sample at a time
+// on row k of what forward kept. The weights change only in the optimizer
+// step after the last backward, so the outputs forward kept are the ones
+// a sample-by-sample forward would compute. When vectorTile is set the
+// backward runs on trainBackward and live is its list of rows to run; on
+// the scalar step live is nil.
 type trainScratch struct {
-	outs   [][]float64 // outs[i] is layer i's output, after ReLU on hidden layers
-	dIn    [][]float64 // dIn[i] has layer i's input size; dIn[0] is nil on the scalar step
-	dOut   []float64
-	packed [][]float64
-	live   []int // trainBackward's list of rows to run
+	x    Batch        // the minibatch's inputs, row k for its k-th sample
+	fwd  BatchScratch // fwd.bufs[i] is layer i's output, after ReLU on hidden layers
+	dIn  [][]float64  // dIn[i] has layer i's input size; dIn[0] is nil on the scalar step
+	dOut []float64
+	live []int
 }
-
-// lanes rounds n up to whole 4-lane vectors.
-func lanes(n int) int { return (n + 3) &^ 3 }
 
 func newTrainScratch(m *MLP) *trainScratch {
 	s := &trainScratch{
-		outs: make([][]float64, len(m.Layers)),
 		dIn:  make([][]float64, len(m.Layers)),
 		dOut: make([]float64, m.OutputSize()),
 	}
 	for i, l := range m.Layers {
-		s.outs[i] = make([]float64, l.Out, lanes(l.Out))
 		if i > 0 {
 			s.dIn[i] = make([]float64, l.In)
 		}
 	}
 	if vectorTile {
-		// The kernels read and write by these shapes unchecked.
+		// trainBackward reads and writes by these shapes unchecked.
 		for i, l := range m.Layers {
 			if len(l.W) != l.In*l.Out || len(l.GradW) != len(l.W) || len(l.B) != l.Out || len(l.GradB) != l.Out {
 				panic(fmt.Sprintf("nn: layer %d is %dx%d with %d weights, %d biases", i, l.In, l.Out, len(l.W), len(l.B)))
-			}
-			if i > 0 && l.In != m.Layers[i-1].Out {
-				panic(fmt.Sprintf("nn: layer %d takes %d inputs, layer %d gives %d", i, l.In, i-1, m.Layers[i-1].Out))
-			}
-			s.packed = append(s.packed, make([]float64, (l.In+1)*lanes(l.Out)))
-			if i == 0 {
-				s.dIn[0] = make([]float64, l.In) // trainBackward's discarded dx
 			}
 			if l.Out > len(s.live) {
 				s.live = make([]int, l.Out)
 			}
 		}
-		s.pack(m)
+		s.dIn[0] = make([]float64, m.InputSize()) // trainBackward's discarded dx
 	}
 	return s
 }
 
-// pack refreshes packed from m's weights; on the scalar step it does
-// nothing. The padding lanes are never written, so they stay zero.
-func (s *trainScratch) pack(m *MLP) {
-	for li, p := range s.packed {
-		l := m.Layers[li]
-		stride := lanes(l.Out)
-		copy(p, l.B)
-		for o := 0; o < l.Out; o++ {
-			for i, w := range l.W[o*l.In : (o+1)*l.In] {
-				p[(i+1)*stride+o] = w
-			}
+// forward runs the minibatch, samples idx of xs, through m in one
+// ForwardBatch, keeping every layer's output for backward, and returns
+// the network's outputs: row k is sample idx[k]'s.
+func (s *trainScratch) forward(m *MLP, xs [][]float64, idx []int) *Batch {
+	in := m.InputSize()
+	s.x.Reset(len(idx), in)
+	for k, j := range idx {
+		if len(xs[j]) != in {
+			panic(fmt.Sprintf("nn: sample %d has %d inputs, model wants %d", j, len(xs[j]), in))
 		}
+		copy(s.x.Row(k), xs[j])
 	}
+	return m.forwardBatch(&s.x, &s.fwd, true)
 }
 
-// forward runs x through m, keeping every layer's output for backward,
-// and returns the network output.
-func (s *trainScratch) forward(m *MLP, x []float64) []float64 {
-	if s.packed != nil {
-		return s.forwardVector(m, x)
-	}
-	h := x
-	for i, l := range m.Layers {
-		l.ForwardInto(h, s.outs[i])
-		if i+1 < len(m.Layers) {
-			relu(s.outs[i])
-		}
-		h = s.outs[i]
-	}
-	return h
-}
-
-// forwardVector is forward on trainForward: each output starts from its
-// bias and adds W[o][i]·x[i] in ascending i, as ForwardInto does, four
-// outputs to a vector.
-func (s *trainScratch) forwardVector(m *MLP, x []float64) []float64 {
-	if l := m.Layers[0]; len(x) != l.In {
-		panic(fmt.Sprintf("nn: Dense %dx%d forward with |x|=%d |y|=%d", l.In, l.Out, len(x), l.Out))
-	}
-	h := x
-	for i, l := range m.Layers {
-		y := s.outs[i]
-		trainForward(&s.packed[i][0], &h[0], &y[:cap(y)][0], l.In, cap(y), i+1 < len(m.Layers))
-		h = y
-	}
-	return h
-}
-
-// backward backpropagates s.dOut, the loss gradient of the output forward
-// last computed from x, accumulating every layer's gradients.
-func (s *trainScratch) backward(m *MLP, x []float64) {
-	if s.packed != nil {
-		s.backwardVector(m, x)
-		return
-	}
+// backward backpropagates s.dOut, the loss gradient of output row k of
+// the last forward, accumulating every layer's gradients.
+func (s *trainScratch) backward(m *MLP, k int) {
 	g := s.dOut
 	for i := len(m.Layers) - 1; i >= 0; i-- {
+		l := m.Layers[i]
+		in := s.x.Row(k)
+		if i > 0 {
+			in = s.fwd.bufs[i-1].Row(k)
+		}
+		if s.live != nil {
+			// trainBackward vectorises Dense.Backward across each weight
+			// row and gates the input gradient by the ReLU that produced
+			// the layer's input, what the scalar step gates layer i-1's
+			// upstream gradient by, in the same call.
+			trainBackward(&l.W[0], &l.GradW[0], &l.GradB[0], &in[0], &g[0], &s.dIn[i][0], &s.live[0], l.In, l.Out)
+			g = s.dIn[i]
+			continue
+		}
 		// Gradient through the ReLU that followed layer i (none after the
 		// final layer): it passes where layer i's output is positive.
 		if i+1 < len(m.Layers) {
-			for j, a := range s.outs[i] {
+			for j, a := range s.fwd.bufs[i].Row(k) {
 				if a <= 0 {
 					g[j] = 0
 				}
 			}
 		}
-		in := x
-		if i > 0 {
-			in = s.outs[i-1]
-		}
-		m.Layers[i].Backward(in, g, s.dIn[i])
-		g = s.dIn[i]
-	}
-}
-
-// backwardVector is backward on trainBackward, which vectorises
-// Dense.Backward across each weight row and gates the input gradient by
-// the ReLU that produced the layer's input (outs[i-1], what the scalar
-// step gates layer i-1's upstream gradient by) in the same call.
-func (s *trainScratch) backwardVector(m *MLP, x []float64) {
-	g := s.dOut
-	for i := len(m.Layers) - 1; i >= 0; i-- {
-		l := m.Layers[i]
-		in := x
-		if i > 0 {
-			in = s.outs[i-1]
-		}
-		trainBackward(&l.W[0], &l.GradW[0], &l.GradB[0], &in[0], &g[0], &s.dIn[i][0], &s.live[0], l.In, l.Out)
+		l.Backward(in, g, s.dIn[i])
 		g = s.dIn[i]
 	}
 }
@@ -235,13 +180,13 @@ func TrainClassifier(m *MLP, set ClassificationSet, cfg TrainConfig) (float64, e
 		for start := 0; start < len(order); start += cfg.BatchSize {
 			end := min(start+cfg.BatchSize, len(order))
 			m.ZeroGrad()
-			for _, idx := range order[start:end] {
-				x := set.X[idx]
-				epochLoss += CrossEntropyLoss(s.forward(m, x), set.Labels[idx], s.dOut)
-				s.backward(m, x)
+			batch := order[start:end]
+			y := s.forward(m, set.X, batch)
+			for k, idx := range batch {
+				epochLoss += CrossEntropyLoss(y.Row(k), set.Labels[idx], s.dOut)
+				s.backward(m, k)
 			}
 			cfg.Optimizer.Step(m, end-start)
-			s.pack(m)
 		}
 		epochLoss /= float64(set.Len())
 		if cfg.OnEpoch != nil && !cfg.OnEpoch(e, epochLoss) {
@@ -280,14 +225,14 @@ func TrainRegressor(m *MLP, set RegressionSet, cfg TrainConfig) (float64, error)
 		for start := 0; start < len(order); start += cfg.BatchSize {
 			end := min(start+cfg.BatchSize, len(order))
 			m.ZeroGrad()
-			for _, idx := range order[start:end] {
-				x := set.X[idx]
+			batch := order[start:end]
+			y := s.forward(m, set.X, batch)
+			for k, idx := range batch {
 				target[0] = set.Y[idx]
-				epochLoss += MSELoss(s.forward(m, x), target, s.dOut)
-				s.backward(m, x)
+				epochLoss += MSELoss(y.Row(k), target, s.dOut)
+				s.backward(m, k)
 			}
 			cfg.Optimizer.Step(m, end-start)
-			s.pack(m)
 		}
 		epochLoss /= float64(set.Len())
 		if cfg.OnEpoch != nil && !cfg.OnEpoch(e, epochLoss) {

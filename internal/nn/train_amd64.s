@@ -6,257 +6,6 @@
 // first operand of each add, as the scalar loops have it. Scalar tails use
 // the VEX forms, so no kernel mixes legacy SSE with YMM state.
 
-// func trainForward(p, x, y *float64, in, lanes int, relu bool)
-//
-// y[0:lanes] = p[0:lanes] + Σ_i x[i]·p[(i+1)*lanes : (i+2)*lanes], the
-// sum taken in ascending i, then ReLU when relu is set. p is a layer's
-// bias row followed by its transposed weights (trainScratch.pack), lanes
-// a positive multiple of four. Outputs go in blocks of one to five
-// vectors, an accumulator each, so that every add chain a block runs is
-// one input long: sixteen outputs at a time while more than twenty are
-// left, then the last 4–20 in one block.
-//
-// Registers:
-//	SI  p cursor: the bias of the current outputs	R9   bytes per row (lanes*8)
-//	DI  &y[current]					BX   outputs left
-//	AX  weight cursor down the transposed rows	DX   x cursor
-//	CX  in						R11  inputs left
-//	R8  &x[0]		Y0-Y4  accumulators	Y5  x[i]	Y15  zero, for ReLU
-TEXT ·trainForward(SB), NOSPLIT, $0-41
-	MOVQ p+0(FP), SI
-	MOVQ x+8(FP), R8
-	MOVQ y+16(FP), DI
-	MOVQ in+24(FP), CX
-	MOVQ lanes+32(FP), BX
-	MOVQ BX, R9
-	SHLQ $3, R9
-	VXORPD Y15, Y15, Y15
-
-blocks:
-	CMPQ BX, $20
-	JA   block16
-	JEQ  block20
-	CMPQ BX, $12
-	JA   block16
-	JEQ  block12
-	CMPQ BX, $4
-	JA   block8
-	JEQ  block4
-	VZEROUPPER
-	RET
-
-block16:
-	VMOVUPD 0(SI), Y0
-	VMOVUPD 32(SI), Y1
-	VMOVUPD 64(SI), Y2
-	VMOVUPD 96(SI), Y3
-	LEAQ (SI)(R9*1), AX
-	MOVQ R8, DX
-	MOVQ CX, R11
-	TESTQ R11, R11
-	JZ   relu16
-
-step16:
-	VBROADCASTSD (DX), Y5
-	VMULPD 0(AX), Y5, Y6
-	VADDPD Y6, Y0, Y0
-	VMULPD 32(AX), Y5, Y7
-	VADDPD Y7, Y1, Y1
-	VMULPD 64(AX), Y5, Y6
-	VADDPD Y6, Y2, Y2
-	VMULPD 96(AX), Y5, Y7
-	VADDPD Y7, Y3, Y3
-	ADDQ R9, AX
-	ADDQ $8, DX
-	DECQ R11
-	JNZ  step16
-
-relu16:
-	// ReLU as s &^ (s < 0): an ordered compare is false for -0 and NaN,
-	// so both pass through exactly as the scalar `if x < 0 { x = 0 }`.
-	CMPB relu+40(FP), $0
-	JEQ  store16
-	VCMPPD $0x11, Y15, Y0, Y11
-	VANDNPD Y0, Y11, Y0
-	VCMPPD $0x11, Y15, Y1, Y11
-	VANDNPD Y1, Y11, Y1
-	VCMPPD $0x11, Y15, Y2, Y11
-	VANDNPD Y2, Y11, Y2
-	VCMPPD $0x11, Y15, Y3, Y11
-	VANDNPD Y3, Y11, Y3
-
-store16:
-	VMOVUPD Y0, 0(DI)
-	VMOVUPD Y1, 32(DI)
-	VMOVUPD Y2, 64(DI)
-	VMOVUPD Y3, 96(DI)
-	ADDQ $128, SI
-	ADDQ $128, DI
-	SUBQ $16, BX
-	JMP  blocks
-
-block20:
-	VMOVUPD 0(SI), Y0
-	VMOVUPD 32(SI), Y1
-	VMOVUPD 64(SI), Y2
-	VMOVUPD 96(SI), Y3
-	VMOVUPD 128(SI), Y4
-	LEAQ (SI)(R9*1), AX
-	MOVQ R8, DX
-	MOVQ CX, R11
-	TESTQ R11, R11
-	JZ   relu20
-
-step20:
-	VBROADCASTSD (DX), Y5
-	VMULPD 0(AX), Y5, Y6
-	VADDPD Y6, Y0, Y0
-	VMULPD 32(AX), Y5, Y7
-	VADDPD Y7, Y1, Y1
-	VMULPD 64(AX), Y5, Y6
-	VADDPD Y6, Y2, Y2
-	VMULPD 96(AX), Y5, Y7
-	VADDPD Y7, Y3, Y3
-	VMULPD 128(AX), Y5, Y6
-	VADDPD Y6, Y4, Y4
-	ADDQ R9, AX
-	ADDQ $8, DX
-	DECQ R11
-	JNZ  step20
-
-relu20:
-	CMPB relu+40(FP), $0
-	JEQ  store20
-	VCMPPD $0x11, Y15, Y0, Y11
-	VANDNPD Y0, Y11, Y0
-	VCMPPD $0x11, Y15, Y1, Y11
-	VANDNPD Y1, Y11, Y1
-	VCMPPD $0x11, Y15, Y2, Y11
-	VANDNPD Y2, Y11, Y2
-	VCMPPD $0x11, Y15, Y3, Y11
-	VANDNPD Y3, Y11, Y3
-	VCMPPD $0x11, Y15, Y4, Y11
-	VANDNPD Y4, Y11, Y4
-
-store20:
-	VMOVUPD Y0, 0(DI)
-	VMOVUPD Y1, 32(DI)
-	VMOVUPD Y2, 64(DI)
-	VMOVUPD Y3, 96(DI)
-	VMOVUPD Y4, 128(DI)
-	ADDQ $160, SI
-	ADDQ $160, DI
-	SUBQ $20, BX
-	JMP  blocks
-
-block12:
-	VMOVUPD 0(SI), Y0
-	VMOVUPD 32(SI), Y1
-	VMOVUPD 64(SI), Y2
-	LEAQ (SI)(R9*1), AX
-	MOVQ R8, DX
-	MOVQ CX, R11
-	TESTQ R11, R11
-	JZ   relu12
-
-step12:
-	VBROADCASTSD (DX), Y5
-	VMULPD 0(AX), Y5, Y6
-	VADDPD Y6, Y0, Y0
-	VMULPD 32(AX), Y5, Y7
-	VADDPD Y7, Y1, Y1
-	VMULPD 64(AX), Y5, Y6
-	VADDPD Y6, Y2, Y2
-	ADDQ R9, AX
-	ADDQ $8, DX
-	DECQ R11
-	JNZ  step12
-
-relu12:
-	CMPB relu+40(FP), $0
-	JEQ  store12
-	VCMPPD $0x11, Y15, Y0, Y11
-	VANDNPD Y0, Y11, Y0
-	VCMPPD $0x11, Y15, Y1, Y11
-	VANDNPD Y1, Y11, Y1
-	VCMPPD $0x11, Y15, Y2, Y11
-	VANDNPD Y2, Y11, Y2
-
-store12:
-	VMOVUPD Y0, 0(DI)
-	VMOVUPD Y1, 32(DI)
-	VMOVUPD Y2, 64(DI)
-	ADDQ $96, SI
-	ADDQ $96, DI
-	SUBQ $12, BX
-	JMP  blocks
-
-block8:
-	VMOVUPD 0(SI), Y0
-	VMOVUPD 32(SI), Y1
-	LEAQ (SI)(R9*1), AX
-	MOVQ R8, DX
-	MOVQ CX, R11
-	TESTQ R11, R11
-	JZ   relu8
-
-step8:
-	VBROADCASTSD (DX), Y5
-	VMULPD 0(AX), Y5, Y6
-	VADDPD Y6, Y0, Y0
-	VMULPD 32(AX), Y5, Y7
-	VADDPD Y7, Y1, Y1
-	ADDQ R9, AX
-	ADDQ $8, DX
-	DECQ R11
-	JNZ  step8
-
-relu8:
-	CMPB relu+40(FP), $0
-	JEQ  store8
-	VCMPPD $0x11, Y15, Y0, Y11
-	VANDNPD Y0, Y11, Y0
-	VCMPPD $0x11, Y15, Y1, Y11
-	VANDNPD Y1, Y11, Y1
-
-store8:
-	VMOVUPD Y0, 0(DI)
-	VMOVUPD Y1, 32(DI)
-	ADDQ $64, SI
-	ADDQ $64, DI
-	SUBQ $8, BX
-	JMP  blocks
-
-block4:
-	VMOVUPD 0(SI), Y0
-	LEAQ (SI)(R9*1), AX
-	MOVQ R8, DX
-	MOVQ CX, R11
-	TESTQ R11, R11
-	JZ   relu4
-
-step4:
-	VBROADCASTSD (DX), Y5
-	VMULPD 0(AX), Y5, Y6
-	VADDPD Y6, Y0, Y0
-	ADDQ R9, AX
-	ADDQ $8, DX
-	DECQ R11
-	JNZ  step4
-
-relu4:
-	CMPB relu+40(FP), $0
-	JEQ  store4
-	VCMPPD $0x11, Y15, Y0, Y11
-	VANDNPD Y0, Y11, Y0
-
-store4:
-	VMOVUPD Y0, 0(DI)
-	ADDQ $32, SI
-	ADDQ $32, DI
-	SUBQ $4, BX
-	JMP  blocks
-
 // func trainBackward(w, gw, gb, x, dy, dx *float64, live *int, in, out int)
 //
 // Dense.Backward for one sample, then the gradient through the ReLU that
