@@ -45,13 +45,21 @@ func stateCode(s State) float64 {
 	return 0
 }
 
+const (
+	// maxStreamRows bounds the retained training stream.
+	maxStreamRows = 4096
+	// absRegress floors the canary's rollback threshold so a near-zero
+	// promise does not make the canary hair-triggered.
+	absRegress = 0.10
+)
+
 // Options tunes the adaptation controller; zero values take defaults.
+// The training stream keeps the newest maxStreamRows pairs, and the
+// transition log holds telemetry.DefaultEventCapacity events.
 type Options struct {
 	// MinRows is how many harvested training pairs a re-fit needs
 	// (default 512).
 	MinRows int
-	// MaxRows bounds the retained training stream (default 4096).
-	MaxRows int
 	// ShadowMinSamples is how many realized shadow comparisons are needed
 	// before the candidate is judged (default 256).
 	ShadowMinSamples int
@@ -62,11 +70,6 @@ type Options struct {
 	// Margin is the relative improvement the candidate's shadow MAPE must
 	// show over the incumbent's to be promoted (default 0.1 = 10%).
 	Margin float64
-	// MinAgreeRate is the fraction of shadow decisions whose level must
-	// match the served level (default 0 = not gated): a calibrator re-fit
-	// shares the incumbent's decision head, so disagreement indicates the
-	// candidate diverged structurally.
-	MinAgreeRate float64
 	// CanaryMinSamples is how many live realized-error samples the canary
 	// needs before the promotion commits (default 256).
 	CanaryMinSamples int
@@ -74,21 +77,15 @@ type Options struct {
 	// bounds shadow (default 50); an expired canary commits (no evidence
 	// of regression).
 	CanaryMaxSteps int
-	// RegressFactor: the canary rolls back when its live MAPE exceeds
-	// promise*RegressFactor (default 1.5), where promise is the
-	// candidate's shadow MAPE at promotion.
+	// RegressFactor (default 1.5): the canary rolls back when its live
+	// MAPE exceeds max(promise*RegressFactor, absRegress), where promise
+	// is the candidate's shadow MAPE at promotion.
 	RegressFactor float64
-	// AbsRegress floors the rollback threshold (default 0.10) so a
-	// near-zero promise does not make the canary hair-triggered.
-	AbsRegress float64
 	// CooldownSteps paces the loop after any cycle outcome (default 4).
 	CooldownSteps int
 	// Refit tunes the Calibrator re-fit; Generation is managed by the
 	// controller and ignored here.
 	Refit core.RefitOptions
-	// Events bounds the transition log (default
-	// telemetry.DefaultEventCapacity).
-	Events int
 	// Logf receives progress messages; nil silences them.
 	Logf func(format string, args ...any)
 }
@@ -96,9 +93,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.MinRows <= 0 {
 		o.MinRows = 512
-	}
-	if o.MaxRows <= 0 {
-		o.MaxRows = 4096
 	}
 	if o.ShadowMinSamples <= 0 {
 		o.ShadowMinSamples = 256
@@ -117,9 +111,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.RegressFactor <= 0 {
 		o.RegressFactor = 1.5
-	}
-	if o.AbsRegress <= 0 {
-		o.AbsRegress = 0.10
 	}
 	if o.CooldownSteps <= 0 {
 		o.CooldownSteps = 4
@@ -179,9 +170,9 @@ func NewController(e *serve.Engine, opts Options) (*Controller, error) {
 	c := &Controller{
 		e:           e,
 		opts:        opts,
-		events:      telemetry.NewEventLog(opts.Events, reg),
+		events:      telemetry.NewEventLog(telemetry.DefaultEventCapacity, reg),
 		state:       StateMonitoring,
-		stream:      newStreamBuilder(opts.MaxRows),
+		stream:      newStreamBuilder(maxStreamRows),
 		maxGen:      e.Generation(),
 		gState:      reg.Gauge("adapt_state"),
 		gServingGen: reg.Gauge("adapt_serving_generation"),
@@ -324,15 +315,11 @@ func (c *Controller) stepShadow() {
 	}
 
 	// The minimum-sample gate is met: judge. The candidate must beat the
-	// incumbent's live MAPE by the configured margin, and (when gated)
-	// its decision head must still agree with what served.
+	// incumbent's live MAPE by the configured margin. How often its
+	// decision head agreed with what served is reported, not gated.
 	if res.Candidate >= res.Incumbent*(1-c.opts.Margin) {
 		c.rejectLocked(fmt.Sprintf("candidate MAPE %.4f did not beat incumbent %.4f by %.0f%%",
 			res.Candidate, res.Incumbent, c.opts.Margin*100), res)
-		return
-	}
-	if c.opts.MinAgreeRate > 0 && res.AgreeRate < c.opts.MinAgreeRate {
-		c.rejectLocked(fmt.Sprintf("decision agreement %.3f under %.3f", res.AgreeRate, c.opts.MinAgreeRate), res)
 		return
 	}
 
@@ -362,10 +349,7 @@ func (c *Controller) stepCanary() {
 		live = c.canarySum / float64(c.canaryN)
 	}
 	c.gCanaryMAPE.Set(live)
-	threshold := c.promise * c.opts.RegressFactor
-	if threshold < c.opts.AbsRegress {
-		threshold = c.opts.AbsRegress
-	}
+	threshold := max(c.promise*c.opts.RegressFactor, absRegress)
 
 	// Regression check first — a regressing canary must not be committed
 	// just because its sample count also crossed the minimum this step.

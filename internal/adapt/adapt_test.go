@@ -286,6 +286,41 @@ func TestControllerRollbackOnRegression(t *testing.T) {
 	}
 }
 
+// TestCanaryRollbackThreshold pins the canary's rollback threshold,
+// max(promise*RegressFactor, absRegress), at the defaults: a promise of
+// 0.01 puts promise*1.5 at 0.015, under the 0.10 floor, so a live MAPE of
+// 0.05 stays in canary and 0.12 rolls back.
+func TestCanaryRollbackThreshold(t *testing.T) {
+	for _, tc := range []struct {
+		live    float64
+		want    State
+		serving int // generation serving after the step
+	}{
+		{live: 0.05, want: StateCanary, serving: 1},
+		{live: 0.12, want: StateCooldown, serving: 0},
+	} {
+		e, c := adaptEngine(t, Options{})
+		cand := adaptModel(t, 71)
+		cand.Lineage = core.Lineage{Generation: 1, Source: core.SourceRefit}
+		if err := e.Swap(cand); err != nil {
+			t.Fatal(err)
+		}
+		c.mu.Lock()
+		c.state, c.candidate, c.promise = StateCanary, cand, 0.01
+		// 64 samples arm the regression check and stay under the default
+		// commit gate of 256, so only the threshold decides.
+		c.canaryN = 64
+		c.canarySum = tc.live * float64(c.canaryN)
+		c.stepCanary()
+		got := c.state
+		c.mu.Unlock()
+		if got != tc.want || e.Generation() != tc.serving {
+			t.Fatalf("live MAPE %.2f on promise 0.01: state %s serving gen %d, want %s serving gen %d",
+				tc.live, got, e.Generation(), tc.want, tc.serving)
+		}
+	}
+}
+
 // TestControllerRejectsByMargin pins the promotion gate: with an
 // unreachable margin the candidate is discarded after scoring and never
 // serves.

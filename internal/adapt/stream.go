@@ -54,9 +54,6 @@ type streamBuilder struct {
 }
 
 func newStreamBuilder(capRows int) *streamBuilder {
-	if capRows <= 0 {
-		capRows = 4096
-	}
 	return &streamBuilder{
 		pending: make(map[int64]*pendingPred, 64),
 		rows:    make([]streamRow, capRows),

@@ -76,11 +76,6 @@ func TestTrainErrors(t *testing.T) {
 	}
 	ds := syntheticDataset(10, 2)
 	bad := quickOpts()
-	bad.ValFraction = 1.5
-	if _, _, err := Train(ds, bad); err == nil {
-		t.Fatal("bad ValFraction accepted")
-	}
-	bad = quickOpts()
 	bad.Epochs = 0
 	if _, _, err := Train(ds, bad); err == nil {
 		t.Fatal("zero epochs accepted")

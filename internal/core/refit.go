@@ -14,9 +14,6 @@ const (
 	// SourceRefit marks a model produced by an online Calibrator re-fit
 	// from flight-recorder traffic.
 	SourceRefit = "refit"
-	// SourceRollback marks an incumbent snapshot restored after a
-	// promoted candidate regressed.
-	SourceRollback = "rollback"
 )
 
 // Lineage is a model's provenance across online adaptation: which

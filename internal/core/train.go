@@ -37,7 +37,11 @@ func PaperCompressed() Architecture {
 	}
 }
 
-// TrainOptions configures Train.
+// valFraction of the dataset is held out for the reported metrics.
+const valFraction = 0.2
+
+// TrainOptions configures Train. Train always holds out a fifth of the
+// dataset (valFraction) for the reported metrics.
 type TrainOptions struct {
 	// FeatureIdx selects the counters to use (defaults to Table I's five).
 	FeatureIdx []int
@@ -48,8 +52,6 @@ type TrainOptions struct {
 	BatchSize    int
 	LearningRate float64
 	Seed         int64
-	// ValFraction is held out for the reported metrics.
-	ValFraction float64
 	// PresetSamples > 0 trains the Decision head on preset-sampled rows
 	// (the min-level-satisfying-preset rule, PresetSamples rows per
 	// feature-window group); 0 uses the paper's actual-loss rows.
@@ -66,7 +68,6 @@ func DefaultTrainOptions() TrainOptions {
 		BatchSize:     32,
 		LearningRate:  0.003,
 		Seed:          42,
-		ValFraction:   0.2,
 		PresetSamples: 8,
 	}
 }
@@ -101,11 +102,8 @@ func Train(ds *datagen.Dataset, opts TrainOptions) (*Model, Report, error) {
 	if opts.Epochs <= 0 || opts.BatchSize <= 0 || opts.LearningRate <= 0 {
 		return nil, rep, fmt.Errorf("core: Epochs, BatchSize and LearningRate must be positive")
 	}
-	if opts.ValFraction <= 0 || opts.ValFraction >= 1 {
-		return nil, rep, fmt.Errorf("core: ValFraction must be in (0,1)")
-	}
 
-	train, val := ds.Split(1-opts.ValFraction, opts.Seed)
+	train, val := ds.Split(1-valFraction, opts.Seed)
 	if train.Samples == nil || val.Samples == nil {
 		return nil, rep, fmt.Errorf("core: dataset too small to split (%d samples)", len(ds.Samples))
 	}
@@ -155,7 +153,7 @@ func trainDecision(m *Model, rep *Report, ds, train, val *datagen.Dataset, opts 
 			return fmt.Errorf("core: no complete feature-window groups for preset sampling")
 		}
 		perm := rand.New(rand.NewSource(opts.Seed + 12)).Perm(len(rows))
-		nTrain := int(float64(len(rows)) * (1 - opts.ValFraction))
+		nTrain := int(float64(len(rows)) * (1 - valFraction))
 		for i, idx := range perm {
 			if i < nTrain {
 				dTrainRows = append(dTrainRows, rows[idx])

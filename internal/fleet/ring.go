@@ -180,17 +180,6 @@ func (r *Ring) Lookup(key uint64) (shard int, ok bool) {
 	return 0, false
 }
 
-// LookupName is Lookup returning the replica name.
-func (r *Ring) LookupName(key uint64) (string, bool) {
-	shard, ok := r.Lookup(key)
-	if !ok {
-		return "", false
-	}
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return r.names[shard], true
-}
-
 // Assignments maps every key to its shard index (-1 when no replica is
 // healthy) — the bulk form tests and rebalance audits use.
 func (r *Ring) Assignments(keys []uint64) []int {

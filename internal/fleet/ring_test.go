@@ -171,9 +171,6 @@ func TestRingAllUnhealthy(t *testing.T) {
 	if _, ok := r.Lookup(12345); ok {
 		t.Fatal("lookup succeeded with no healthy replicas")
 	}
-	if _, ok := r.LookupName(12345); ok {
-		t.Fatal("LookupName succeeded with no healthy replicas")
-	}
 }
 
 // balance returns the rows on the busiest of r replicas over the mean

@@ -20,7 +20,8 @@ import (
 	"ssmdvfs/internal/telemetry"
 )
 
-// Options configures a Router.
+// Options configures a Router. Shed rows always fall back to the
+// analytical decision over the TitanX operating-point table.
 type Options struct {
 	// Replicas are the binary-protocol addresses of the ssmdvfsd replicas
 	// behind this router. Required.
@@ -51,9 +52,6 @@ type Options struct {
 	// replica after dispatch failures before it sheds (default 1).
 	MaxHops int
 
-	// Table is the operating-point table shed rows fall back to; nil
-	// means the TitanX table used throughout the project.
-	Table *clockdomain.Table
 	// Dial configures the router→replica connections. Zero values get a
 	// 1 s connect timeout and no retries (the router's reroute path is
 	// its retry policy).
@@ -100,9 +98,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.MaxHops <= 0 {
 		o.MaxHops = 1
-	}
-	if o.Table == nil {
-		o.Table = clockdomain.TitanX()
 	}
 	if o.Dial.Timeout <= 0 {
 		o.Dial.Timeout = time.Second
@@ -183,6 +178,7 @@ type shard struct {
 // error.
 type Router struct {
 	opts    Options
+	table   *clockdomain.Table // TitanX: the operating points shed rows fall back to
 	ring    *Ring
 	metrics *Metrics
 	shards  []*shard
@@ -216,6 +212,7 @@ func NewRouter(opts Options) (*Router, error) {
 	names := ring.Replicas()
 	rt := &Router{
 		opts:    opts,
+		table:   clockdomain.TitanX(),
 		ring:    ring,
 		metrics: newMetrics(telemetry.NewRegistry(), len(names)),
 		shards:  make([]*shard, len(names)),
@@ -367,7 +364,7 @@ func (rt *Router) submit(owner int, p *part) {
 func (rt *Router) shed(p *part, cause string) {
 	f := p.f
 	for _, i := range p.idx {
-		level, pred := baselines.FallbackDecision(rt.opts.Table, f.rows[i].Features, f.rows[i].Preset)
+		level, pred := baselines.FallbackDecision(rt.table, f.rows[i].Features, f.rows[i].Preset)
 		f.out[i] = serve.Decision{
 			Level: level, Reason: provenance.ReasonShed, PredInstr: pred,
 			Shard: -1, Rerouted: p.hops > 0,

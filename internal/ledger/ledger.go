@@ -81,16 +81,11 @@ type Meter struct {
 	staticW []float64
 }
 
-// NewMeter builds a meter over an operating-point table (nil = TitanX)
-// and power calibration (nil = power.Default()).
-func NewMeter(table *clockdomain.Table, pm *power.Model) Meter {
-	if table == nil {
-		table = clockdomain.TitanX()
-	}
+// NewMeter builds a meter over the TitanX operating-point table and the
+// default power calibration (power.Default()).
+func NewMeter() Meter {
+	table := clockdomain.TitanX()
 	p := power.Default()
-	if pm != nil {
-		p = *pm
-	}
 	staticW := make([]float64, table.Len())
 	for level := range staticW {
 		staticW[level] = p.StaticPowerW(table.Point(level))
@@ -337,15 +332,11 @@ func Merge(snaps ...Snapshot) Snapshot {
 	return out
 }
 
-// Options configures a Ledger.
+// Options configures a Ledger. The meter is always NewMeter's, and each
+// time-series ring holds telemetry.DefaultRingWindows windows.
 type Options struct {
-	// Table and Power configure the meter (nil = TitanX / power.Default).
-	Table *clockdomain.Table
-	Power *power.Model
-	// Window is the time-series ring window width (default 1 s); Windows
-	// is the ring capacity (default telemetry.DefaultRingWindows).
-	Window  time.Duration
-	Windows int
+	// Window is the time-series ring window width (default 1 s).
+	Window time.Duration
 	// Registry hosts the ledger_* series (so a replica's /metrics.prom
 	// carries them); nil uses a private registry.
 	Registry *telemetry.Registry
@@ -362,7 +353,6 @@ type Options struct {
 type Ledger struct {
 	meter    Meter
 	windowNs int64
-	ringCap  int
 	now      func() time.Time
 
 	decisions *telemetry.Counter
@@ -394,9 +384,6 @@ func New(opts Options) *Ledger {
 	if opts.Window <= 0 {
 		opts.Window = time.Second
 	}
-	if opts.Windows <= 0 {
-		opts.Windows = telemetry.DefaultRingWindows
-	}
 	if opts.Registry == nil {
 		opts.Registry = telemetry.NewRegistry()
 	}
@@ -405,9 +392,8 @@ func New(opts Options) *Ledger {
 	}
 	reg := opts.Registry
 	return &Ledger{
-		meter:      NewMeter(opts.Table, opts.Power),
+		meter:      NewMeter(),
 		windowNs:   int64(opts.Window),
-		ringCap:    opts.Windows,
 		now:        opts.Now,
 		decisions:  reg.Counter("ledger_decisions_total"),
 		skipped:    reg.Counter("ledger_skipped_total"),
@@ -418,9 +404,9 @@ func New(opts Options) *Ledger {
 		savedRatio: reg.Gauge("ledger_energy_saved_ratio"),
 		lossMean:   reg.Gauge("ledger_perf_loss_mean_ppm"),
 		burn:       reg.Gauge("ledger_budget_burn"),
-		savedRing:  telemetry.NewRing(opts.Windows),
-		lossRing:   telemetry.NewRing(opts.Windows),
-		presetRing: telemetry.NewRing(opts.Windows),
+		savedRing:  telemetry.NewRing(telemetry.DefaultRingWindows),
+		lossRing:   telemetry.NewRing(telemetry.DefaultRingWindows),
+		presetRing: telemetry.NewRing(telemetry.DefaultRingWindows),
 		clusters:   make(map[int32]*Group),
 		gens:       make(map[uint32]*Group),
 	}
@@ -430,7 +416,7 @@ func New(opts Options) *Ledger {
 // share.
 func (l *Ledger) Meter() Meter {
 	if l == nil {
-		return NewMeter(nil, nil)
+		return NewMeter()
 	}
 	return l.meter
 }
@@ -614,7 +600,7 @@ func (l *Ledger) Snapshot() Snapshot {
 	}
 	s := Snapshot{
 		WindowNs:    l.windowNs,
-		RingCap:     l.ringCap,
+		RingCap:     telemetry.DefaultRingWindows,
 		Decisions:   l.decisions.Load(),
 		Skipped:     l.skipped.Load(),
 		EnergyMaxPJ: l.energyMax.Load(),
@@ -655,8 +641,7 @@ func (l *Ledger) Snapshot() Snapshot {
 // dumps whose ring capacity dropped the oldest decisions or that were
 // scraped mid-traffic.
 func (m Meter) ReplayRecords(recs []provenance.Record) Snapshot {
-	l := New(Options{Table: m.table, Power: &m.pow,
-		Now: func() time.Time { return time.Unix(0, 0) }})
+	l := New(Options{Now: func() time.Time { return time.Unix(0, 0) }})
 	var b Batch
 	for i := range recs {
 		r := &recs[i]

@@ -53,7 +53,7 @@ func memRow(cycles float64) []float64 {
 }
 
 func TestMeterAccountComputeBound(t *testing.T) {
-	m := NewMeter(nil, nil)
+	m := NewMeter()
 	table := m.Table()
 	def := table.Default()
 
@@ -84,7 +84,7 @@ func TestMeterAccountComputeBound(t *testing.T) {
 }
 
 func TestMeterAccountMemoryBoundSaves(t *testing.T) {
-	m := NewMeter(nil, nil)
+	m := NewMeter()
 	a := m.Account(memRow(1e6), 0)
 	if !a.OK {
 		t.Fatal("row not accounted")
@@ -100,7 +100,7 @@ func TestMeterAccountMemoryBoundSaves(t *testing.T) {
 }
 
 func TestMeterAccountRejectsShortRow(t *testing.T) {
-	m := NewMeter(nil, nil)
+	m := NewMeter()
 	if a := m.Account(make([]float64, 5), 0); a.OK {
 		t.Fatal("short row accounted")
 	}
@@ -110,7 +110,7 @@ func TestMeterAccountRejectsShortRow(t *testing.T) {
 }
 
 func TestMeterAccountGarbageRowDefaultsEpoch(t *testing.T) {
-	m := NewMeter(nil, nil)
+	m := NewMeter()
 	row := make([]float64, counters.Num)
 	for i := range row {
 		row[i] = math.NaN()
@@ -341,14 +341,6 @@ func TestLedgerPublishesRegistrySeries(t *testing.T) {
 	}
 }
 
-func TestTableWithCustomClockdomain(t *testing.T) {
-	tab := clockdomain.TitanX()
-	m := NewMeter(tab, nil)
-	if m.Table() != tab {
-		t.Fatal("meter did not keep the provided table")
-	}
-}
-
 func TestFormatEnergyPJ(t *testing.T) {
 	cases := map[float64]string{
 		5:      "5 pJ",
@@ -404,7 +396,7 @@ func TestMeterLevelTableBitIdentical(t *testing.T) {
 	if len(ds.Samples) == 0 {
 		t.Fatal("committed dataset is empty")
 	}
-	m := NewMeter(nil, nil)
+	m := NewMeter()
 	table, pm := clockdomain.TitanX(), power.Default()
 	for i, s := range ds.Samples {
 		for level := 0; level < table.Len(); level++ {

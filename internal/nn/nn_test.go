@@ -386,25 +386,6 @@ func TestLoadRejectsNonFiniteWeights(t *testing.T) {
 	}
 }
 
-func TestOnEpochEarlyStop(t *testing.T) {
-	m, _ := NewMLP([]int{2, 4, 3}, rand.New(rand.NewSource(30)))
-	set := makeBlobs(60, 31)
-	calls := 0
-	_, err := TrainClassifier(m, set, TrainConfig{
-		Epochs: 50, BatchSize: 8, Optimizer: NewAdam(0.01), Seed: 32,
-		OnEpoch: func(epoch int, loss float64) bool {
-			calls++
-			return epoch < 2 // stop after 3 callbacks
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if calls != 3 {
-		t.Fatalf("OnEpoch called %d times, want 3 (early stop)", calls)
-	}
-}
-
 // TestTrainingStepAllocatesNothing: one epoch of TrainClassifier or
 // TrainRegressor allocates the same whatever the sample count — the
 // per-call set-up only, nothing per sample or per minibatch.
@@ -420,7 +401,7 @@ func TestTrainingStepAllocatesNothing(t *testing.T) {
 		// One optimizer each, stepped before measuring: its moment buffers
 		// are allocated on the first step of a network's life.
 		copt, ropt := NewAdam(0.01), NewAdam(0.01)
-		cfg := func(opt Optimizer) TrainConfig { return TrainConfig{Epochs: 1, BatchSize: 8, Optimizer: opt, Seed: 43} }
+		cfg := func(opt *Adam) TrainConfig { return TrainConfig{Epochs: 1, BatchSize: 8, Optimizer: opt, Seed: 43} }
 		if _, err := TrainClassifier(cm, cset, cfg(copt)); err != nil {
 			t.Fatal(err)
 		}

@@ -2,16 +2,9 @@ package nn
 
 import "math"
 
-// Optimizer updates an MLP's parameters from its accumulated gradients.
-// Implementations hold per-parameter state keyed by layer order, so one
-// optimizer instance must be used with exactly one network.
-type Optimizer interface {
-	// Step applies one update using the gradients accumulated since the
-	// last ZeroGrad, scaled by 1/batchSize.
-	Step(m *MLP, batchSize int)
-}
-
-// Adam is the Adam optimizer (Kingma & Ba, 2015).
+// Adam is the Adam optimizer (Kingma & Ba, 2015), the one training
+// optimizer. It holds per-parameter state keyed by layer order, so one
+// instance must be used with exactly one network.
 type Adam struct {
 	LR      float64
 	Beta1   float64
@@ -42,7 +35,8 @@ func (a *Adam) ensure(m *MLP) {
 	}
 }
 
-// Step implements Optimizer.
+// Step applies one update using the gradients accumulated since the last
+// ZeroGrad, scaled by 1/batchSize.
 func (a *Adam) Step(m *MLP, batchSize int) {
 	a.ensure(m)
 	a.t++

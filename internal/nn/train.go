@@ -36,17 +36,14 @@ type RegressionSet struct {
 // Len returns the number of samples.
 func (s RegressionSet) Len() int { return len(s.X) }
 
-// TrainConfig controls a training run.
+// TrainConfig controls a training run: every one runs all Epochs, in
+// minibatches of BatchSize, and Adam steps once per minibatch.
 type TrainConfig struct {
 	Epochs    int
 	BatchSize int
-	Optimizer Optimizer
+	Optimizer *Adam
 	// Seed drives the shuffle order; training is fully deterministic.
 	Seed int64
-	// OnEpoch, if set, is called after each epoch with the epoch index and
-	// mean training loss (e.g. for logging or early stopping); returning
-	// false stops training.
-	OnEpoch func(epoch int, loss float64) bool
 }
 
 func (c TrainConfig) validate() error {
@@ -174,7 +171,7 @@ func TrainClassifier(m *MLP, set ClassificationSet, cfg TrainConfig) (float64, e
 	}
 	s := newTrainScratch(m)
 	var epochLoss float64
-	for e := 0; e < cfg.Epochs; e++ {
+	for range cfg.Epochs {
 		rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
 		epochLoss = 0
 		for start := 0; start < len(order); start += cfg.BatchSize {
@@ -189,9 +186,6 @@ func TrainClassifier(m *MLP, set ClassificationSet, cfg TrainConfig) (float64, e
 			cfg.Optimizer.Step(m, end-start)
 		}
 		epochLoss /= float64(set.Len())
-		if cfg.OnEpoch != nil && !cfg.OnEpoch(e, epochLoss) {
-			break
-		}
 	}
 	return epochLoss, nil
 }
@@ -219,7 +213,7 @@ func TrainRegressor(m *MLP, set RegressionSet, cfg TrainConfig) (float64, error)
 	s := newTrainScratch(m)
 	target := make([]float64, 1)
 	var epochLoss float64
-	for e := 0; e < cfg.Epochs; e++ {
+	for range cfg.Epochs {
 		rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
 		epochLoss = 0
 		for start := 0; start < len(order); start += cfg.BatchSize {
@@ -235,9 +229,6 @@ func TrainRegressor(m *MLP, set RegressionSet, cfg TrainConfig) (float64, error)
 			cfg.Optimizer.Step(m, end-start)
 		}
 		epochLoss /= float64(set.Len())
-		if cfg.OnEpoch != nil && !cfg.OnEpoch(e, epochLoss) {
-			break
-		}
 	}
 	return epochLoss, nil
 }

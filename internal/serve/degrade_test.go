@@ -127,17 +127,16 @@ func TestDegradeDeadlineBudget(t *testing.T) {
 }
 
 // TestHealthStateMachine drives the server through the full healthy →
-// degraded → fallback-only → healthy cycle with a fire-limited fault.
+// degraded → fallback-only → healthy cycle with a fire-limited fault, on
+// the fixed thresholds: 5 failures demote, a probe runs every 16th batch,
+// and 3 clean probes restore.
 func TestHealthStateMachine(t *testing.T) {
 	inj := faults.New(2)
-	// Exactly 3 failures, then clean forever.
-	if err := inj.Arm(FaultDecide, faults.Spec{Kind: faults.KindError, Every: 1, Limit: 3}); err != nil {
+	// Exactly failThreshold failures, then clean forever.
+	if err := inj.Arm(FaultDecide, faults.Spec{Kind: faults.KindError, Every: 1, Limit: failThreshold}); err != nil {
 		t.Fatal(err)
 	}
-	srv, err := NewServer(testModel(t, 24), Options{
-		Faults: inj,
-		Health: HealthOptions{FailThreshold: 3, RestoreProbes: 2, ProbeEvery: 2},
-	})
+	srv, err := NewServer(testModel(t, 24), Options{Faults: inj})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,10 +153,11 @@ func TestHealthStateMachine(t *testing.T) {
 	if got := srv.Health(); got != Degraded {
 		t.Fatalf("after 1 failure: %s, want degraded", got)
 	}
-	batch()
-	batch()
+	for i := 1; i < failThreshold; i++ {
+		batch()
+	}
 	if got := srv.Health(); got != FallbackOnly {
-		t.Fatalf("after 3 failures: %s, want fallback-only", got)
+		t.Fatalf("after %d failures: %s, want fallback-only", failThreshold, got)
 	}
 
 	// Fallback-only must report 503 while still serving decisions.
@@ -181,9 +181,9 @@ func TestHealthStateMachine(t *testing.T) {
 		t.Fatalf("decision in fallback-only = %+v", decs)
 	}
 
-	// The fault is exhausted; probe batches (every 2nd) must restore
-	// health after 2 clean probes within a handful of batches.
-	for i := 0; i < 8 && srv.Health() != Healthy; i++ {
+	// The fault is exhausted; probe batches (every probeEvery-th) must
+	// restore health after restoreProbes clean probes.
+	for i := 0; i < restoreProbes*probeEvery && srv.Health() != Healthy; i++ {
 		batch()
 	}
 	if got := srv.Health(); got != Healthy {

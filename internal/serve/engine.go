@@ -21,7 +21,10 @@ import (
 	"ssmdvfs/internal/telemetry"
 )
 
-// Options configures an Engine (and the Server wrapping it).
+// Options configures an Engine (and the Server wrapping it). The
+// analytical fallback always decides over the TitanX operating-point
+// table, and the degradation state machine's thresholds are fixed (see
+// HealthState).
 type Options struct {
 	// ModelPath, when set, is the file Reload re-reads on SIGHUP or
 	// POST /reload without an explicit path.
@@ -36,9 +39,6 @@ type Options struct {
 	Workers int
 	// Logf receives progress messages; nil silences them.
 	Logf func(format string, args ...any)
-	// Table is the operating-point table the analytical fallback decides
-	// over; nil means the TitanX table used throughout the project.
-	Table *clockdomain.Table
 	// Budget, when positive, bounds how long one batch may spend in the
 	// model before the remaining rows degrade to the analytical fallback
 	// (a deadline miss). Zero disables the budget.
@@ -46,8 +46,6 @@ type Options struct {
 	// Faults optionally injects deterministic faults at the Fault* sites.
 	// Nil (the default) keeps the hot path allocation-free and fault-free.
 	Faults *faults.Injector
-	// Health tunes the degradation state machine.
-	Health HealthOptions
 }
 
 // Engine is the transport-agnostic decision core: a hot-swappable model,
@@ -62,7 +60,7 @@ type Engine struct {
 	model   atomic.Pointer[core.Model]
 	metrics *Metrics
 	sem     chan struct{}
-	table   *clockdomain.Table
+	table   *clockdomain.Table // TitanX: the operating points the fallback decides over
 	health  *health
 	faults  *faults.Injector
 
@@ -118,9 +116,6 @@ func NewEngine(m *core.Model, opts Options) (*Engine, error) {
 	if opts.Logf == nil {
 		opts.Logf = func(string, ...any) {}
 	}
-	if opts.Table == nil {
-		opts.Table = clockdomain.TitanX()
-	}
 	kind, err := infer.ParseKind(opts.Backend)
 	if err != nil {
 		return nil, err
@@ -130,8 +125,8 @@ func NewEngine(m *core.Model, opts Options) (*Engine, error) {
 		opts:    opts,
 		metrics: newMetrics(telemetry.NewRegistry()),
 		sem:     make(chan struct{}, opts.Workers),
-		table:   opts.Table,
-		health:  newHealth(opts.Health),
+		table:   clockdomain.TitanX(),
+		health:  new(health),
 		faults:  opts.Faults,
 	}
 	if err := e.applyBackend(m); err != nil {

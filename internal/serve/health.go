@@ -7,11 +7,11 @@ import (
 // HealthState is the server's degradation level. The state machine moves
 // healthy → degraded on the first model failure (recovered panic,
 // deadline miss, or injected model error), degraded → fallback-only after
-// FailThreshold consecutive failures, and back to healthy after
-// RestoreProbes consecutive clean model batches. In fallback-only every
-// request is answered by the analytical PCSTALL fallback except a probe
-// batch every ProbeEvery batches, which tries the model so recovery can
-// be detected without exposing ordinary traffic to it.
+// 5 consecutive failures, and back to healthy after 3 consecutive clean
+// model batches. In fallback-only every request is answered by the
+// analytical PCSTALL fallback except a probe batch every 16th batch,
+// which tries the model so recovery can be detected without exposing
+// ordinary traffic to it.
 type HealthState int32
 
 const (
@@ -33,45 +33,25 @@ func (s HealthState) String() string {
 	}
 }
 
-// HealthOptions tunes the degradation state machine; zero values take the
-// defaults.
-type HealthOptions struct {
-	// FailThreshold is how many consecutive model failures demote the
-	// server to fallback-only (default 5).
-	FailThreshold int
-	// RestoreProbes is how many consecutive clean model batches restore
-	// the server to healthy (default 3).
-	RestoreProbes int
-	// ProbeEvery is how often, in batches, the model is probed while in
-	// fallback-only (default 16).
-	ProbeEvery int64
-}
-
-func (o HealthOptions) withDefaults() HealthOptions {
-	if o.FailThreshold <= 0 {
-		o.FailThreshold = 5
-	}
-	if o.RestoreProbes <= 0 {
-		o.RestoreProbes = 3
-	}
-	if o.ProbeEvery <= 0 {
-		o.ProbeEvery = 16
-	}
-	return o
-}
+// The degradation state machine's thresholds.
+const (
+	// failThreshold consecutive model failures demote the server to
+	// fallback-only.
+	failThreshold = 5
+	// restoreProbes consecutive clean model batches restore it to healthy.
+	restoreProbes = 3
+	// probeEvery is how often, in batches, the model is probed while in
+	// fallback-only.
+	probeEvery = 16
+)
 
 // health tracks the state machine with atomics only — it sits on the
 // per-batch hot path and must not lock or allocate.
 type health struct {
-	opts  HealthOptions
 	state atomic.Int32
 	fails atomic.Int64 // consecutive model failures
 	clean atomic.Int64 // consecutive clean model batches
 	ticks atomic.Int64 // batch counter scheduling fallback-only probes
-}
-
-func newHealth(opts HealthOptions) *health {
-	return &health{opts: opts.withDefaults()}
 }
 
 // State returns the current degradation level.
@@ -81,18 +61,18 @@ func (h *health) State() HealthState { return HealthState(h.state.Load()) }
 func (h *health) Failures() int64 { return h.fails.Load() }
 
 // useModel reports whether this batch should run the model: always,
-// except in fallback-only where only every ProbeEvery-th batch probes it.
+// except in fallback-only where only every probeEvery-th batch probes it.
 func (h *health) useModel() bool {
 	if HealthState(h.state.Load()) != FallbackOnly {
 		return true
 	}
-	return h.ticks.Add(1)%h.opts.ProbeEvery == 0
+	return h.ticks.Add(1)%probeEvery == 0
 }
 
 // recordFailure notes a model failure and demotes the state.
 func (h *health) recordFailure() {
 	h.clean.Store(0)
-	if f := h.fails.Add(1); f >= int64(h.opts.FailThreshold) {
+	if f := h.fails.Add(1); f >= failThreshold {
 		h.state.Store(int32(FallbackOnly))
 	} else {
 		h.state.Store(int32(Degraded))
@@ -104,7 +84,7 @@ func (h *health) recordFailure() {
 func (h *health) recordSuccess() {
 	h.fails.Store(0)
 	c := h.clean.Add(1)
-	if HealthState(h.state.Load()) != Healthy && c >= int64(h.opts.RestoreProbes) {
+	if HealthState(h.state.Load()) != Healthy && c >= restoreProbes {
 		h.state.Store(int32(Healthy))
 	}
 }

@@ -61,7 +61,3 @@ func (l *Logger) Logf(format string, args ...any) {
 	}
 	fmt.Fprintf(l.out, format+"\n", args...)
 }
-
-// Func adapts the logger to the func(string, ...any) signature used by
-// pre-telemetry option structs. Safe on a nil logger.
-func (l *Logger) Func() func(string, ...any) { return l.Logf }

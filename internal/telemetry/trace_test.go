@@ -120,9 +120,4 @@ func TestLoggerCountsAndQuiet(t *testing.T) {
 
 	var nilLogger *Logger
 	nilLogger.Logf("must not panic")
-	if f := nilLogger.Func(); f == nil {
-		t.Fatal("nil logger Func() returned nil")
-	} else {
-		f("still must not panic")
-	}
 }
