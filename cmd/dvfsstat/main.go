@@ -165,7 +165,7 @@ func run(w io.Writer, metricsPath, spansPath, chromePath, tracePath, againstPath
 		if err != nil {
 			return err
 		}
-		replay := ledger.NewMeter().ReplayRecords(recs)
+		replay := ledger.ReplayRecords(recs)
 		summarizeLedger(w, ledgerPath, replay)
 		if ledgerRefPath != "" {
 			online, err := ledger.ReadSnapshotFile(ledgerRefPath)

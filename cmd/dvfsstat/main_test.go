@@ -371,7 +371,7 @@ func TestLedgerCrossCheck(t *testing.T) {
 	dir := t.TempDir()
 	dumpPath := filepath.Join(dir, "dump.jsonl")
 	recs := writeFixtureLedgerDump(t, dumpPath)
-	replay := ledger.NewMeter().ReplayRecords(recs)
+	replay := ledger.ReplayRecords(recs)
 
 	writeSnap := func(name string, s ledger.Snapshot) string {
 		t.Helper()

@@ -80,6 +80,10 @@ type clusterCalib struct {
 	// and must not read as "running too slowly".
 	predWarps int
 	hasPred   bool
+	// level is the last level recorded for the cluster, valid once
+	// hasLevel is set: the previous level a provenance record carries.
+	hasLevel bool
+	level    int32
 }
 
 // NewController builds the SSMDVFS controller for a GPU with the given
@@ -246,6 +250,8 @@ func (c *Controller) record(stats gpusim.EpochStats, feats []float64, level int,
 	rec.Cluster = int32(stats.Cluster)
 	rec.Epoch = int32(stats.Epoch)
 	rec.Level = int32(level)
+	rec.PrevLevel, rec.HasPrevLevel = cs.level, cs.hasLevel
+	cs.level, cs.hasLevel = rec.Level, true
 	rec.Reason = reason
 	rec.Preset = c.preset
 	rec.EffPreset = cs.effPreset

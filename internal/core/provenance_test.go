@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"ssmdvfs/internal/faults"
+	"ssmdvfs/internal/gpusim"
+	"ssmdvfs/internal/kernels"
 	"ssmdvfs/internal/provenance"
 	"ssmdvfs/internal/telemetry"
 )
@@ -94,6 +96,58 @@ func TestControllerProvenanceRecords(t *testing.T) {
 	}
 	if s := mon.DriftState(); s.ErrSamples == 0 {
 		t.Fatal("monitor folded no prediction-error samples")
+	}
+}
+
+// TestControllerFlipRateOverKernel: over one simulated kernel, the
+// monitor's prov_level_flip_rate, counted from the previous level the
+// controller stamps per cluster, equals a recount from the recorder's
+// records, each cluster's level compared with the one before it.
+func TestControllerFlipRateOverKernel(t *testing.T) {
+	m := trainedModel(t, 63)
+	cfg := gpusim.SmallConfig()
+	ctrl, err := NewController(m, 0.10, cfg.Clusters, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const window = 1 << 14 // holds every transition, so the gauge is the whole kernel's rate
+	reg := telemetry.NewRegistry()
+	rec := provenance.NewRecorder(window)
+	ctrl.SetProvenance(rec, provenance.NewMonitor(reg, provenance.MonitorOptions{Window: window}))
+	spec, err := kernels.ByName("rodinia.srad")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim, err := gpusim.New(cfg, spec.Build(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim.SetController(ctrl)
+	if res := sim.Run(gpusim.DefaultMaxRunPs); !res.Completed {
+		t.Fatal("kernel incomplete")
+	}
+
+	recs := rec.Snapshot(nil)
+	if rec.Dropped() != 0 || len(recs) <= cfg.Clusters {
+		t.Fatalf("%d records (%d dropped): the recount needs all of them, and more than one a cluster", len(recs), rec.Dropped())
+	}
+	last := make(map[int32]int32)
+	var transitions, flips int
+	for _, r := range recs {
+		if prev, seen := last[r.Cluster]; seen {
+			transitions++
+			if prev != r.Level {
+				flips++
+			}
+		}
+		last[r.Cluster] = r.Level
+	}
+	if flips == 0 || flips == transitions {
+		t.Fatalf("%d flips in %d transitions: the kernel must both hold and change levels", flips, transitions)
+	}
+	want := float64(flips) / float64(transitions)
+	if got := reg.Snapshot().Gauges["prov_level_flip_rate"]; got != want {
+		t.Fatalf("prov_level_flip_rate = %g, recount from %d records = %d/%d = %g", got, len(recs), flips, transitions, want)
 	}
 }
 

@@ -1,7 +1,9 @@
 package fleet
 
 import (
+	"bufio"
 	"math/rand"
+	"net"
 	"strconv"
 	"sync"
 	"testing"
@@ -395,13 +397,74 @@ func TestRouterAdmissionCountsRows(t *testing.T) {
 	}
 }
 
+// gatedEndpoint is a replica's server that holds every request frame
+// until release is closed.
+type gatedEndpoint struct {
+	*serve.Server
+	release <-chan struct{}
+}
+
+func (g gatedEndpoint) DecideFrame(rows []serve.Request, columns uint64, decs []serve.Decision, tc telemetry.TraceContext, received time.Time) ([]serve.Decision, serve.HopTimings, uint64) {
+	<-g.release
+	return g.Server.DecideFrame(rows, columns, decs, tc, received)
+}
+
+// gatedReplica is startReplica(fleetModelSeed) answering through a
+// gatedEndpoint: hellos are answered at once, request frames once release
+// is closed.
+func gatedReplica(t *testing.T, release <-chan struct{}) string {
+	t.Helper()
+	srv, err := serve.NewServer(testModel(t, fleetModelSeed), serve.Options{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		l.Close()
+		srv.Close()
+	})
+	ep := gatedEndpoint{srv, release}
+	go func() {
+		for {
+			conn, err := l.Accept()
+			if err != nil {
+				return
+			}
+			go func() {
+				defer conn.Close()
+				br := bufio.NewReader(conn)
+				var fs serve.FrameScratch
+				var frame []byte
+				for {
+					var err error
+					if frame, err = serve.ReadFrame(br, frame); err != nil {
+						return
+					}
+					reply, _, _, err := fs.Answer(frame, ep, time.Now())
+					if serve.WriteFrame(conn, reply) != nil || err != nil {
+						return
+					}
+				}
+			}()
+		}
+	}()
+	return l.Addr().String()
+}
+
 // TestRouterCloseAnswersInFlightFrames: Close with multi-part frames
 // queued and on the wire returns every caller with every slot filled —
 // by the replica for the parts already sent, by the fallback (cause
-// shutdown) for the parts still queued.
+// shutdown) for the parts still queued. The replicas hold the parts on
+// the wire until Close has begun shedding, so some parts are always still
+// queued when it does.
 func TestRouterCloseAnswersInFlightFrames(t *testing.T) {
-	slowA, _ := slowReplica(t, 100*time.Millisecond)
-	slowB, _ := slowReplica(t, 100*time.Millisecond)
+	release := make(chan struct{})
+	var releaseOnce sync.Once
+	open := func() { releaseOnce.Do(func() { close(release) }) }
+	slowA, slowB := gatedReplica(t, release), gatedReplica(t, release)
 	rt, err := NewRouter(Options{
 		Replicas:      []string{slowA, slowB},
 		Seed:          3,
@@ -412,6 +475,7 @@ func TestRouterCloseAnswersInFlightFrames(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer rt.Close()
+	defer open() // a failed wait must not leave the slots held
 
 	const callers, frameRows = 6, 24
 	rng := rand.New(rand.NewSource(12))
@@ -428,7 +492,15 @@ func TestRouterCloseAnswersInFlightFrames(t *testing.T) {
 		}()
 	}
 	waitFor(t, "every frame to be admitted", func() bool { return rt.Metrics().Rows.Load() == callers*frameRows })
-	rt.Close()
+	// Close waits for the slots, which wait for the replicas.
+	closed := make(chan struct{})
+	go func() {
+		rt.Close()
+		close(closed)
+	}()
+	waitFor(t, "Close to shed the queued parts", func() bool { return rt.metrics.shed[ShedShutdown].Load() > 0 })
+	open()
+	<-closed
 
 	var shed int64
 	for c := 0; c < callers; c++ {

@@ -93,9 +93,6 @@ func NewMeter() Meter {
 	return Meter{table: table, pow: p, staticW: staticW}
 }
 
-// Table returns the operating-point table the meter accounts against.
-func (m Meter) Table() *clockdomain.Table { return m.table }
-
 // Attribution is one decision's estimated cost versus the MaxFreq
 // counterfactual. Energies are picojoules for the epoch; PerfLoss is the
 // fractional execution-time dilation the chosen level is predicted to
@@ -640,7 +637,7 @@ func (l *Ledger) Snapshot() Snapshot {
 // exactly; the documented ≤2 % tolerance in `dvfsstat -ledger` exists for
 // dumps whose ring capacity dropped the oldest decisions or that were
 // scraped mid-traffic.
-func (m Meter) ReplayRecords(recs []provenance.Record) Snapshot {
+func ReplayRecords(recs []provenance.Record) Snapshot {
 	l := New(Options{Now: func() time.Time { return time.Unix(0, 0) }})
 	var b Batch
 	for i := range recs {

@@ -54,7 +54,7 @@ func memRow(cycles float64) []float64 {
 
 func TestMeterAccountComputeBound(t *testing.T) {
 	m := NewMeter()
-	table := m.Table()
+	table := clockdomain.TitanX()
 	def := table.Default()
 
 	// At the default (fastest) level the counterfactual is the decision:
@@ -276,7 +276,7 @@ func TestSnapshotJSONRoundTrip(t *testing.T) {
 }
 
 // TestReplayMatchesOnline pins the tentpole invariant: replaying a
-// flight-recorder dump through Meter.ReplayRecords reproduces the online
+// flight-recorder dump through ReplayRecords reproduces the online
 // ledger's integer totals exactly — they are the same arithmetic.
 func TestReplayMatchesOnline(t *testing.T) {
 	l := testLedger(0)
@@ -297,7 +297,7 @@ func TestReplayMatchesOnline(t *testing.T) {
 		recs = append(recs, r)
 	}
 	online := l.Snapshot()
-	replay := l.Meter().ReplayRecords(recs)
+	replay := ReplayRecords(recs)
 
 	if online.Decisions != replay.Decisions {
 		t.Fatalf("decisions: online %d, replay %d", online.Decisions, replay.Decisions)

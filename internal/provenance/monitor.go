@@ -68,11 +68,10 @@ type Monitor struct {
 	sumErr float64
 
 	// Flip window (1 = decision changed the cluster's level).
-	flips     []int8
-	flipPos   int
-	flipN     int
-	flipSum   int
-	lastLevel map[int64]int32 // by (GPU, cluster)
+	flips   []int8
+	flipPos int
+	flipN   int
+	flipSum int
 
 	// Feature windows: a flat window × feature ring plus running sums.
 	nFeat     int
@@ -91,24 +90,19 @@ type Monitor struct {
 	reg *telemetry.Registry
 }
 
-// maxLevelKeys bounds the flip-rate state, one entry per (GPU, cluster)
-// seen, against a stream that cycles through unbounded identities.
-const maxLevelKeys = 1 << 16
-
 // NewMonitor builds a monitor exporting into reg. Training statistics
 // (per-feature mean/σ and names) start empty; install them with
 // SetTrainingStats before feature-drift gauges mean anything.
 func NewMonitor(reg *telemetry.Registry, opts MonitorOptions) *Monitor {
 	opts = opts.withDefaults()
 	m := &Monitor{
-		opts:      opts,
-		errs:      make([]float64, opts.Window),
-		flips:     make([]int8, opts.Window),
-		lastLevel: make(map[int64]int32, 64),
-		gMAPE:     reg.Gauge("prov_pred_mape"),
-		gBias:     reg.Gauge("prov_pred_bias"),
-		gFlip:     reg.Gauge("prov_level_flip_rate"),
-		reg:       reg,
+		opts:  opts,
+		errs:  make([]float64, opts.Window),
+		flips: make([]int8, opts.Window),
+		gMAPE: reg.Gauge("prov_pred_mape"),
+		gBias: reg.Gauge("prov_pred_bias"),
+		gFlip: reg.Gauge("prov_level_flip_rate"),
+		reg:   reg,
 	}
 	for i := range m.reasons {
 		m.reasons[i] = reg.Counter("prov_decisions_total", "reason", Reason(i).String())
@@ -153,10 +147,12 @@ func (m *Monitor) SetTrainingStats(names []string, mean, std []float64) {
 }
 
 // ObserveRecord folds one decision into every statistic it informs: the
-// per-reason counters always; the flip-rate and feature-drift windows
-// when the record carries a level and derived features; the
-// prediction-error window when the record carries the previous epoch's
-// realized error. Nil-safe and allocation-free in steady state.
+// per-reason counters always; the flip-rate window when the record
+// carries its identity's previous level (HasPrevLevel); the
+// feature-drift window when it carries derived features; the
+// prediction-error window when it carries the previous epoch's realized
+// error. The monitor keeps no per-identity state of its own. Nil-safe
+// and allocation-free.
 func (m *Monitor) ObserveRecord(rec *Record) {
 	if m == nil {
 		return
@@ -190,16 +186,11 @@ func (m *Monitor) foldLocked(rec *Record, reasons *[NumReasons]int64) {
 		reasons[rec.Reason]++
 	}
 
-	// Flip rate: did this decision change its GPU's cluster's level?
-	key := int64(uint32(rec.GPU))<<32 | int64(uint32(rec.Cluster))
-	last, seen := m.lastLevel[key]
-	if !seen && len(m.lastLevel) >= maxLevelKeys {
-		clear(m.lastLevel) // identity churn past any real fleet: start over
-	}
-	m.lastLevel[key] = rec.Level
-	if seen {
+	// Flip rate: did this decision change its GPU's cluster's level? The
+	// producer stamped the identity's previous level into the record.
+	if rec.HasPrevLevel {
 		var flip int8
-		if last != rec.Level {
+		if rec.PrevLevel != rec.Level {
 			flip = 1
 		}
 		m.flipSum += int(flip) - int(m.flips[m.flipPos])

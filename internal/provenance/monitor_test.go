@@ -47,49 +47,26 @@ func TestMonitorPredictionError(t *testing.T) {
 	}
 }
 
+// TestMonitorFlipRate: the monitor counts a flip from the previous level
+// the producer stamped into the record, and a record without one (an
+// identity's first decision) is no transition.
 func TestMonitorFlipRate(t *testing.T) {
 	m := NewMonitor(telemetry.NewRegistry(), MonitorOptions{Window: 8})
 	levels := []int{2, 2, 3, 3, 3, 1} // flips at 3 and 1 → 2 flips in 5 transitions
-	for _, l := range levels {
+	for i, l := range levels {
 		rec := modelRecord(0, l, nil)
+		if i > 0 {
+			rec.PrevLevel, rec.HasPrevLevel = int32(levels[i-1]), true
+		}
 		m.ObserveRecord(&rec)
 	}
 	if got, want := m.DriftState().FlipRate, 2.0/5.0; math.Abs(got-want) > 1e-12 {
 		t.Fatalf("flip rate = %g, want %g", got, want)
 	}
-	// A second cluster has its own last-level state: its first decision
-	// is not a flip.
 	rec := modelRecord(1, 5, nil)
 	m.ObserveRecord(&rec)
 	if got, want := m.DriftState().FlipRate, 2.0/5.0; math.Abs(got-want) > 1e-12 {
-		t.Fatalf("flip rate after new cluster = %g, want %g", got, want)
-	}
-
-	// Two GPUs interleaved on the same cluster index, each holding its own
-	// level: the last level is kept per (GPU, cluster), so nothing flips.
-	m = NewMonitor(telemetry.NewRegistry(), MonitorOptions{Window: 8})
-	for i := 0; i < 8; i++ {
-		rec := modelRecord(3, 2+2*(i%2), nil)
-		rec.GPU = int32(i % 2)
-		m.ObserveRecord(&rec)
-	}
-	if got := m.DriftState().FlipRate; got != 0 {
-		t.Fatalf("flip rate over two steady GPUs on cluster 3 = %g, want 0", got)
-	}
-}
-
-// TestMonitorFlipStateBounded: a stream cycling through more (GPU,
-// cluster) identities than any fleet has starts the flip state over
-// instead of growing without bound.
-func TestMonitorFlipStateBounded(t *testing.T) {
-	m := NewMonitor(telemetry.NewRegistry(), MonitorOptions{Window: 8})
-	for i := 0; i <= maxLevelKeys; i++ {
-		rec := modelRecord(i%32, 1, nil)
-		rec.GPU = int32(i / 32)
-		m.ObserveRecord(&rec)
-	}
-	if n := len(m.lastLevel); n != 1 {
-		t.Fatalf("flip state holds %d identities after %d distinct ones, want 1", n, maxLevelKeys+1)
+		t.Fatalf("flip rate after a record without a previous level = %g, want %g", got, want)
 	}
 }
 
@@ -184,14 +161,14 @@ func TestMonitorNilSafe(t *testing.T) {
 }
 
 // TestMonitorObserveNoAllocsSteadyState guards the hot-path contract:
-// once every cluster has been seen, folding a record allocates nothing.
+// folding a record allocates nothing.
 func TestMonitorObserveNoAllocsSteadyState(t *testing.T) {
 	m := NewMonitor(telemetry.NewRegistry(), MonitorOptions{Window: 64})
 	m.SetTrainingStats([]string{"a", "b"}, []float64{0, 0}, []float64{1, 1})
 	rec := modelRecord(0, 1, []float64{0.5, 0.5})
 	rec.HasPredErr = true
 	rec.PredErr = 0.05
-	m.ObserveRecord(&rec) // warm the cluster map
+	m.ObserveRecord(&rec)
 	allocs := testing.AllocsPerRun(500, func() {
 		m.ObserveRecord(&rec)
 	})

@@ -122,6 +122,12 @@ type Record struct {
 	// HasPredErr is set (the first epoch of a cluster has no prediction).
 	PredErr    float64
 	HasPredErr bool
+	// PrevLevel is the level last answered for the same (GPU, cluster)
+	// identity, valid only when HasPrevLevel is set (an identity's first
+	// decision has none): the producer keeps that state, and the monitor
+	// counts a flip from these fields alone. Neither is in the JSONL dump.
+	HasPrevLevel bool
+	PrevLevel    int32
 	// LatencyNs is how long the decision took end to end.
 	LatencyNs int64
 	// TraceID links the decision to its distributed trace (0 = the

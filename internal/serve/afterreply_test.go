@@ -24,12 +24,6 @@ func (e *Engine) observeRows(sc *obsScratch, rows []Request, decs []Decision, st
 	sc.runs = sc.runs[:0]
 }
 
-// predFeedbackLocked is feedbackLocked for a row the model serving now
-// decided: the one-row step observeRowRef takes.
-func (e *Engine) predFeedbackLocked(row Request, d Decision) (float64, bool) {
-	return e.feedbackLocked(e.Model(), row, d)
-}
-
 // afterReplyFrames builds frames of n rows, one identity each and the
 // same identities in every frame (so feedback chains form across frames),
 // with every 13th row carrying an infinite feature: a rejected run of one
@@ -68,7 +62,7 @@ func sansClock(recs []provenance.Record) []provenance.Record {
 // TestPlanesSeeFrameBeforeNextReply: over TCP with every plane armed, a
 // frame is observed after its reply and before its connection reads the
 // next frame, so once the reply to frame N+1 has arrived frame N's
-// records, ledger rows and feedback entries are in the planes — and they
+// records, ledger rows and identity entries are in the planes — and they
 // are what in-process DecideBatch leaves for the same rows.
 func TestPlanesSeeFrameBeforeNextReply(t *testing.T) {
 	frames := afterReplyFrames(4, 150) // three inference chunks, rejected runs between
@@ -100,15 +94,20 @@ func TestPlanesSeeFrameBeforeNextReply(t *testing.T) {
 		if n := srv.Ledger().Snapshot().Decisions; n < int64(observed) {
 			t.Fatalf("reply to frame %d arrived with %d ledger decisions, want at least %d", f, n, observed)
 		}
-		srv.fbMu.Lock()
+		srv.idMu.Lock()
 		for i, row := range prev {
 			key := int64(uint32(row.GPU))<<32 | int64(uint32(row.Cluster))
-			if ent, ok := srv.fb[key]; ok != (i%13 != 3) || ok && ent.model != srv.Model() {
-				srv.fbMu.Unlock()
-				t.Fatalf("reply to frame %d: feedback entry of frame %d row %d is %+v (present %v)", f, f-1, i, ent, ok)
+			var id identity
+			j, ok := srv.idIdx[key]
+			if ok {
+				id = srv.ids[j]
+			}
+			if pending := id.model != nil; !ok || pending != (i%13 != 3) || pending && id.model != srv.Model() {
+				srv.idMu.Unlock()
+				t.Fatalf("reply to frame %d: identity of frame %d row %d is %+v (present %v)", f, f-1, i, id, ok)
 			}
 		}
-		srv.fbMu.Unlock()
+		srv.idMu.Unlock()
 	}
 	cl.Close()
 	srv.Close()
@@ -221,7 +220,7 @@ func TestCloseObservesAnsweredFrame(t *testing.T) {
 
 // TestFeedbackChainBelongsToItsModel: a frame decided under model A whose
 // observation runs after the swap to B leaves A's predictions in the
-// feedback map, and B's next frame is not charged with them.
+// identity table, and B's next frame is not charged with them.
 func TestFeedbackChainBelongsToItsModel(t *testing.T) {
 	e := armedEngine(t, nil)
 	frames := afterReplyFrames(3, 24)
@@ -229,7 +228,7 @@ func TestFeedbackChainBelongsToItsModel(t *testing.T) {
 	if err := e.Swap(testModel(t, 2)); err != nil {
 		t.Fatal(err)
 	}
-	e.observe(pending) // A's frame reaches the feedback map under B
+	e.observe(pending) // A's frame reaches the identity table under B
 	e.DecideBatch(frames[1], nil)
 	recs := e.FlightRecorder().Snapshot(nil)
 	for i, rec := range recs {

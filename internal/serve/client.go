@@ -3,6 +3,7 @@ package serve
 import (
 	"bufio"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
@@ -65,7 +66,6 @@ func (o DialOptions) withDefaults() DialOptions {
 type Client struct {
 	conn net.Conn
 	br   *bufio.Reader
-	bw   *bufio.Writer
 
 	addr string
 	opts DialOptions
@@ -84,8 +84,11 @@ type Client struct {
 	// traced requests.
 	tracer *telemetry.Tracer
 
+	// frame is the last response read; out the last frame sent, its
+	// 4-byte length prefix and then the payload, encoded in place so the
+	// frame goes out with one Write and no copy.
 	frame []byte
-	req   []byte
+	out   []byte
 	decs  []Decision
 }
 
@@ -134,11 +137,23 @@ func (c *Client) bind(conn net.Conn) {
 	c.conn, c.dropped, c.columns = conn, false, AllColumns
 	if c.br == nil {
 		c.br = bufio.NewReaderSize(conn, 64<<10)
-		c.bw = bufio.NewWriterSize(conn, 64<<10)
 	} else {
 		c.br.Reset(conn)
-		c.bw.Reset(conn)
 	}
+}
+
+// headroom returns the client's frame buffer emptied down to the 4 bytes
+// its length prefix takes, ready for a payload to be appended.
+func (c *Client) headroom() []byte { return append(c.out[:0], 0, 0, 0, 0) }
+
+// send fills in the length prefix of frame, built after headroom, and
+// writes the whole frame with one Write; frame becomes the client's
+// frame buffer.
+func (c *Client) send(frame []byte) error {
+	c.out = frame
+	binary.BigEndian.PutUint32(frame, uint32(len(frame)-4))
+	_, err := c.conn.Write(frame)
+	return err
 }
 
 func (c *Client) dialOnce() error {
@@ -234,7 +249,7 @@ func (c *Client) DecideKeyedTraced(rows []Request, tc telemetry.TraceContext) ([
 // Version answers with a structured *ProtoError instead of dropping the
 // connection.
 func (c *Client) Negotiate() (Hello, error) {
-	if err := WriteFrame(c.bw, AppendHelloFrame(nil, Version, Version)); err != nil {
+	if err := c.send(AppendHelloFrame(c.headroom(), Version, Version)); err != nil {
 		return Hello{}, err
 	}
 	frame, err := ReadFrame(c.br, c.frame)
@@ -276,13 +291,12 @@ func (c *Client) exchange(rows []Request, tc *telemetry.TraceContext) ([]Decisio
 			err  error
 		)
 		for refusals := 0; ; refusals++ {
-			req, encErr := appendRequest(c.req[:0], rows, c.columns, tc)
+			req, encErr := appendRequest(c.headroom(), rows, c.columns, tc)
 			if encErr != nil {
 				// Encoding failures are caller bugs (bad batch shape), not
 				// transport faults — never retried.
 				return nil, HopTimings{}, encErr
 			}
-			c.req = req
 			if decs, hops, err = c.roundTrip(req, len(rows), tc); err != errColumns || refusals == 2 {
 				break
 			}
@@ -313,6 +327,8 @@ func (c *Client) exchange(rows []Request, tc *telemetry.TraceContext) ([]Decisio
 	return nil, HopTimings{}, lastErr
 }
 
+// roundTrip sends req, a request frame built after headroom, and reads
+// and decodes the response to its n rows.
 func (c *Client) roundTrip(req []byte, n int, tc *telemetry.TraceContext) ([]Decision, HopTimings, error) {
 	if err := c.opts.Faults.Inject(FaultClientIO); err != nil {
 		return nil, HopTimings{}, err
@@ -322,7 +338,7 @@ func (c *Client) roundTrip(req []byte, n int, tc *telemetry.TraceContext) ([]Dec
 		wantType, span = MsgDecisionsTraced, *tc
 	}
 	sendSp := c.tracer.StartSpan(span, "client.send")
-	err := WriteFrame(c.bw, req)
+	err := c.send(req)
 	sendSp.End()
 	if err != nil {
 		return nil, HopTimings{}, err

@@ -103,8 +103,8 @@ func TestProjectedEqualsFull(t *testing.T) {
 			if lo == 0 {
 				wantBytes = 25106
 			}
-			if len(frame) == 64 && len(cl.req) != wantBytes {
-				t.Fatalf("%s: request %d is %d bytes, want %d", backend, lo/64, len(cl.req), wantBytes)
+			if len(frame) == 64 && len(cl.out)-4 != wantBytes {
+				t.Fatalf("%s: request %d is %d bytes, want %d", backend, lo/64, len(cl.out)-4, wantBytes)
 			}
 			if cl.Columns() != wantMask {
 				t.Fatalf("%s: after request %d the client sends %#x, want %#x", backend, lo/64, cl.Columns(), wantMask)
@@ -307,8 +307,8 @@ func TestPlanesForceFullRows(t *testing.T) {
 			if _, err := cl.DecideKeyed(rows); err != nil {
 				t.Fatal(err)
 			}
-			if cl.Columns() != AllColumns || len(cl.req) != headerLen+rowsHeadLen+len(rows)*(reqRowFixed+8+8*counters.Num) {
-				t.Fatalf("%s round %d: client sends %#x in %d bytes", name, round, cl.Columns(), len(cl.req))
+			if cl.Columns() != AllColumns || len(cl.out)-4 != headerLen+rowsHeadLen+len(rows)*(reqRowFixed+8+8*counters.Num) {
+				t.Fatalf("%s round %d: client sends %#x in %d bytes", name, round, cl.Columns(), len(cl.out)-4)
 			}
 		}
 		if got := srv.Metrics().RequestColumns.Value(); got != counters.Num {
@@ -467,8 +467,8 @@ func TestClientRedialsAfterDrop(t *testing.T) {
 	if cl.Reconnects() != 1 {
 		t.Fatalf("reconnects = %d, want 1", cl.Reconnects())
 	}
-	if len(cl.req) != headerLen+rowsHeadLen+reqRowFixed+8+8*counters.Num {
-		t.Fatalf("first frame on the new connection is %d bytes: not full width", len(cl.req))
+	if len(cl.out)-4 != headerLen+rowsHeadLen+reqRowFixed+8+8*counters.Num {
+		t.Fatalf("first frame on the new connection is %d bytes: not full width", len(cl.out)-4)
 	}
 
 	// A wrapped connection has no address to dial: it keeps failing.

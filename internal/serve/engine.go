@@ -75,13 +75,16 @@ type Engine struct {
 	// makes install/remove atomic against in-flight batches.
 	shadow atomic.Pointer[shadowHolder]
 
-	// Prediction feedback (EnablePredFeedback): last model-path PredInstr
-	// per (GPU, cluster) key and the model that made it, used to stamp the
-	// realized relative error of the *previous* epoch's prediction into the
-	// next record.
-	fbOn bool
-	fbMu sync.Mutex
-	fb   map[int64]fbEntry
+	// The identity table: per (GPU, cluster) key, the last level answered
+	// and, with prediction feedback on (EnablePredFeedback), the pending
+	// model-path prediction and the model that made it. observeRun reads it
+	// once per row whenever provenance is armed, to stamp the previous level
+	// and the realized error of the previous epoch's prediction into the
+	// next record. idIdx maps a key to its entry in ids.
+	fbOn  bool
+	idMu  sync.Mutex
+	idIdx map[int64]int32
+	ids   []identity
 
 	// prov/mon, when EnableProvenance installed them, receive one record
 	// per decision; both are nil-safe and nil by default, keeping the hot
@@ -166,6 +169,7 @@ func (e *Engine) EnableProvenance(capacity int, opts provenance.MonitorOptions) 
 	}
 	e.prov = provenance.NewRecorder(capacity)
 	e.mon = provenance.NewMonitor(e.Telemetry(), opts)
+	e.idIdx = make(map[int64]int32, 256)
 	names, mean, std := e.Model().TrainingStats()
 	e.mon.SetTrainingStats(names, mean, std)
 	e.metrics.observeColumns(e.Columns())
@@ -203,45 +207,44 @@ func (e *Engine) SetShadow(obs ShadowObserver) {
 // (HasPredErr). This is what feeds the quality monitor's rolling MAPE
 // from live traffic alone — no offline labels — assuming each keyed
 // client streams consecutive epochs, which the fleet transport does.
-// Rows without identity (-1/-1 on the wire) are skipped.
+// Rows without identity (-1/-1 on the wire), and rows too short to carry
+// the instruction counter, neither realize nor install a prediction.
+// Feedback rides on provenance: without EnableProvenance it does nothing.
 // Must be called before the engine starts answering decisions.
-func (e *Engine) EnablePredFeedback() {
-	e.fbOn = true
-	e.fb = make(map[int64]fbEntry, 256)
+func (e *Engine) EnablePredFeedback() { e.fbOn = true }
+
+// identity is one (GPU, cluster) key's entry in the identity table. A
+// prediction is realized only against a row its own model decided: after
+// a swap or rollback, the outgoing model's predictions — even those of a
+// batch observed after the swap — are never charged to another model.
+type identity struct {
+	level int32       // the last level answered
+	pred  float64     // the pending prediction, when model is set
+	model *core.Model // the model that made pred; nil: no pending prediction
 }
 
-// fbEntry is one key's pending prediction and the served model that made
-// it. A prediction is realized only against a row its own model decided:
-// after a swap or rollback, the outgoing model's predictions — even those
-// of a batch observed after the swap — are never charged to another model.
-type fbEntry struct {
-	pred  float64
-	model *core.Model
-}
+// maxIdentities bounds the identity table; a new identity arriving when
+// it is full (a fleet cycling through more identities than any real GPU
+// population) starts the whole table over rather than growing it.
+const maxIdentities = 1 << 16
 
-// maxFeedbackKeys bounds the feedback map; a key churn beyond this (a
-// fleet cycling through more identities than any real GPU population)
-// resets the map rather than growing without bound.
-const maxFeedbackKeys = 1 << 16
-
-// feedbackLocked resolves the previous prediction for a keyed row of a
-// batch bound to m and retires/installs the key's entry. It returns the
-// previous model-path prediction for this key and whether m made one. The
-// caller holds fbMu.
-func (e *Engine) feedbackLocked(m *core.Model, row Request, d Decision) (prev float64, ok bool) {
+// identityLocked returns the table entry of a row's (GPU, cluster) key,
+// adding a zero one if the key is new, and whether it was already there.
+// Rows without identity (-1/-1) share one entry. The pointer is valid
+// until the next call. The caller holds idMu.
+func (e *Engine) identityLocked(row Request) (id *identity, seen bool) {
 	key := int64(uint32(row.GPU))<<32 | int64(uint32(row.Cluster))
-	ent, seen := e.fb[key]
-	if d.Reason == provenance.ReasonModel {
-		if !seen && len(e.fb) >= maxFeedbackKeys {
-			e.fb = make(map[int64]fbEntry, 256)
-		}
-		e.fb[key] = fbEntry{pred: d.PredInstr, model: m}
-	} else if seen {
-		// A degraded epoch breaks the prediction chain: the next epoch's
-		// counters follow a fallback decision, not a model prediction.
-		delete(e.fb, key)
+	if i, ok := e.idIdx[key]; ok {
+		return &e.ids[i], true
 	}
-	return ent.pred, seen && ent.model == m
+	if len(e.ids) >= maxIdentities {
+		clear(e.idIdx)
+		clear(e.ids) // drop the model references the old entries hold
+		e.ids = e.ids[:0]
+	}
+	e.idIdx[key] = int32(len(e.ids))
+	e.ids = append(e.ids, identity{})
+	return &e.ids[len(e.ids)-1], false
 }
 
 // SetTracer installs a span tracer for the engine's decision hops
@@ -356,9 +359,9 @@ func (e *Engine) swapLocked(m *core.Model) error {
 	e.prev.Store(e.model.Load())
 	e.model.Store(m)
 	e.metrics.Reloads.Add(1)
-	// A swap breaks every prediction chain: each feedback entry names the
-	// model that predicted it, so the incoming model is never charged with
-	// the outgoing model's error (fbEntry).
+	// A swap breaks every prediction chain: each identity's pending
+	// prediction names the model that made it, so the incoming model is
+	// never charged with the outgoing model's error (identity).
 	if e.mon != nil {
 		// The drift reference follows the served model: the monitor's
 		// windows reset so the new model is not judged against the old
@@ -485,7 +488,7 @@ func validRow(row Request, columns uint64) bool {
 }
 
 // observing reports whether a plane that stores or prices whole rows —
-// flight recorder and drift monitor, with the feedback map and shadow
+// flight recorder and drift monitor, with the identity table and shadow
 // observer that ride on them, or the ledger — is armed.
 func (e *Engine) observing() bool { return e.prov != nil || e.led != nil }
 
@@ -526,7 +529,7 @@ type obsScratch struct {
 	rows []Request
 	decs []Decision
 	// model is the model the batch loaded: the owner of the predictions
-	// its rows leave in the feedback map. gen is its lineage generation,
+	// its rows leave in the identity table. gen is its lineage generation,
 	// stamped into records and ledger groups.
 	model   *core.Model
 	gen     uint32
@@ -606,7 +609,7 @@ func (e *Engine) observe(sc *obsScratch) {
 
 // observeRun hands one staged run (at most inferChunk rows) to the armed
 // planes, each entered once for the whole run: the ledger commits one
-// batch, the feedback map is locked once, the recorder claims the run's
+// batch, the identity table is locked once, the recorder claims the run's
 // sequence numbers with one add and the monitor folds it under one lock.
 func (e *Engine) observeRun(sc *obsScratch, r obsRun) {
 	rows, decs := sc.rows[r.lo:r.hi], sc.decs[r.lo:r.hi]
@@ -638,21 +641,30 @@ func (e *Engine) observeRun(sc *obsScratch, r obsRun) {
 		rec.ModelGen = sc.gen
 		rec.SetRaw(row.Features)
 	}
-	if e.fbOn {
-		e.fbMu.Lock()
-		for k, row := range rows {
-			if row.Cluster < 0 || len(row.Features) <= counters.IdxInstr {
-				continue
-			}
-			// The instruction counter of the just-finished epoch is the
-			// realized value the previous epoch's prediction was about.
-			if prev, ok := e.feedbackLocked(sc.model, row, decs[k]); ok && prev > 0 {
-				recs[k].PredErr = (prev - row.Features[counters.IdxInstr]) / prev
-				recs[k].HasPredErr = true
-			}
+	e.idMu.Lock()
+	for k, row := range rows {
+		rec, d := &recs[k], decs[k]
+		id, seen := e.identityLocked(row)
+		rec.PrevLevel, rec.HasPrevLevel = id.level, seen
+		id.level = rec.Level
+		if !e.fbOn || row.Cluster < 0 || len(row.Features) <= counters.IdxInstr {
+			continue
 		}
-		e.fbMu.Unlock()
+		// The instruction counter of the just-finished epoch is the realized
+		// value the previous epoch's prediction was about.
+		if id.model == sc.model && id.pred > 0 {
+			rec.PredErr = (id.pred - row.Features[counters.IdxInstr]) / id.pred
+			rec.HasPredErr = true
+		}
+		if d.Reason == provenance.ReasonModel {
+			id.pred, id.model = d.PredInstr, sc.model
+		} else {
+			// A degraded epoch breaks the prediction chain: the next epoch's
+			// counters follow a fallback decision, not a model prediction.
+			id.model = nil
+		}
 	}
+	e.idMu.Unlock()
 	e.prov.RecordBatch(recs)
 	e.mon.ObserveRecords(recs)
 	if h := e.shadow.Load(); h != nil {

@@ -55,7 +55,7 @@ func TestLedgerOnlineAgreesWithReplay(t *testing.T) {
 	if len(recs) != 8*64 {
 		t.Fatalf("flight recorder holds %d records, want %d", len(recs), 8*64)
 	}
-	replay := led.Meter().ReplayRecords(recs)
+	replay := ledger.ReplayRecords(recs)
 
 	within := func(name string, online, replay int64) {
 		t.Helper()

@@ -14,12 +14,42 @@ import (
 	"ssmdvfs/internal/provenance"
 )
 
-// observeRowRef is the row-at-a-time observation the engine performed
-// before it observed per chunk, kept as the reference the equivalence
-// test compares against: one ledger Observe, one feedback lock, one clock
+// rowRef is the row-at-a-time observation the engine performed before it
+// observed per chunk and kept one identity table, kept as the reference
+// the equivalence test compares against: one ledger Observe, one clock
 // read, one Record and one ObserveRecord per row, through the planes'
-// single-row entry points.
-func observeRowRef(e *Engine, rec *provenance.Record, row Request, d Decision, derived, logits []float64, start time.Time) {
+// single-row entry points, with the two per-identity maps of that
+// engine — the feedback map and the monitor's last-level map — as
+// test-local state. The sequence's 24 identities stay far below either
+// map's bound, so the bounds are left out.
+type rowRef struct {
+	fb   map[int64]refPred // pending model-path predictions
+	last map[int64]int32   // last level answered
+}
+
+// refPred is one key's pending prediction and the model that made it.
+type refPred struct {
+	pred  float64
+	model *core.Model
+}
+
+func newRowRef() *rowRef {
+	return &rowRef{fb: make(map[int64]refPred), last: make(map[int64]int32)}
+}
+
+// feedback resolves the previous prediction for a keyed row decided by
+// the model serving now and retires or installs the key's entry.
+func (ref *rowRef) feedback(m *core.Model, key int64, d Decision) (prev float64, ok bool) {
+	ent, seen := ref.fb[key]
+	if d.Reason == provenance.ReasonModel {
+		ref.fb[key] = refPred{pred: d.PredInstr, model: m}
+	} else if seen {
+		delete(ref.fb, key)
+	}
+	return ent.pred, seen && ent.model == m
+}
+
+func (ref *rowRef) observe(e *Engine, rec *provenance.Record, row Request, d Decision, derived, logits []float64, start time.Time) {
 	e.led.Observe(row.Cluster, rec.ModelGen, d.Level, row.Features, row.Preset)
 	rec.GPU = row.GPU
 	rec.Cluster = row.Cluster
@@ -30,15 +60,16 @@ func observeRowRef(e *Engine, rec *provenance.Record, row Request, d Decision, d
 	rec.EffPreset = row.Preset
 	rec.PredInstr = d.PredInstr
 	rec.PredErr, rec.HasPredErr = 0, false
+	key := int64(uint32(row.GPU))<<32 | int64(uint32(row.Cluster))
 	if e.fbOn && row.Cluster >= 0 && len(row.Features) > counters.IdxInstr {
-		e.fbMu.Lock()
-		prev, ok := e.predFeedbackLocked(row, d)
-		e.fbMu.Unlock()
+		prev, ok := ref.feedback(e.Model(), key, d)
 		if ok && prev > 0 {
 			rec.PredErr = (prev - row.Features[counters.IdxInstr]) / prev
 			rec.HasPredErr = true
 		}
 	}
+	rec.PrevLevel, rec.HasPrevLevel = ref.last[key]
+	ref.last[key] = rec.Level
 	rec.LatencyNs = int64(time.Since(start))
 	rec.SetRaw(row.Features)
 	rec.SetDerived(derived)
@@ -185,14 +216,15 @@ func armedEngine(t *testing.T, shadow ShadowObserver) *Engine {
 }
 
 // runObsSequence feeds seq to a fresh armed engine: chunk 0 row at a time
-// through observeRowRef, otherwise through observeRows in runs of chunk
-// rows. Each generation is a real Swap, so the feedback map and the drift
+// through a rowRef, otherwise through observeRows in runs of chunk rows.
+// Each generation is a real Swap, so the prediction chains and the drift
 // reference reset where they would in service.
 func runObsSequence(t *testing.T, seq []obsRow, chunk int) obsOutcome {
 	t.Helper()
 	var out obsOutcome
 	e := armedEngine(t, &out.served)
 	start := time.Now()
+	ref := newRowRef()
 	rows := make([]Request, len(seq))
 	decs := make([]Decision, len(seq))
 	for i := range seq {
@@ -212,7 +244,7 @@ func runObsSequence(t *testing.T, seq []obsRow, chunk int) obsOutcome {
 		if chunk == 0 {
 			rec := provenance.Record{TraceID: traceID, ModelGen: uint32(e.Generation())}
 			for i := lo; i < hi; i++ {
-				observeRowRef(e, &rec, rows[i], decs[i], seq[i].derived, seq[i].logits, start)
+				ref.observe(e, &rec, rows[i], decs[i], seq[i].derived, seq[i].logits, start)
 				st := e.QualityMonitor().DriftState()
 				lv := driftLevel{row: i, mapeHigh: st.MAPEHigh, drift: len(st.Drifting) > 0}
 				if n := len(out.levels); n == 0 || out.levels[n-1].mapeHigh != lv.mapeHigh || out.levels[n-1].drift != lv.drift {
@@ -371,7 +403,7 @@ func TestDecideBatchSameWithPlanesArmed(t *testing.T) {
 // armedFrames builds an engine armed the way `ssmdvfsd -flightrec 16384
 // -ledger` with prediction feedback arms it, and 64 keyed 64-row frames
 // that cycle through 4096 (GPU, cluster) identities. Every frame is
-// served once before returning, so the feedback map, the ledger's groups
+// served once before returning, so the identity table, the ledger's groups
 // and the pools are in steady state.
 func armedFrames(tb testing.TB) (*Engine, [][]Request) {
 	tb.Helper()
