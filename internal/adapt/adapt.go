@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"sync"
 	"time"
@@ -135,7 +136,7 @@ type Controller struct {
 	mu         sync.Mutex
 	state      State
 	stream     *streamBuilder
-	scorer     *shadowScorer
+	shadow     *shadowScore // non-nil in shadow
 	candidate  *core.Model
 	incumbent  *core.Model // snapshot serving when the candidate promoted
 	promise    float64     // candidate's shadow MAPE at promotion
@@ -149,7 +150,6 @@ type Controller struct {
 	gState, gServingGen, gCandGen, gStreamRows *telemetry.Gauge
 	gShadowInc, gShadowCand, gCanaryMAPE       *telemetry.Gauge
 	cRefits, cPromotes, cRollbacks, cRejects   *telemetry.Counter
-	cDropped                                   *telemetry.Counter
 	transitions                                map[State]*telemetry.Counter
 }
 
@@ -185,7 +185,6 @@ func NewController(e *serve.Engine, opts Options) (*Controller, error) {
 		cPromotes:   reg.Counter("adapt_promotions_total"),
 		cRollbacks:  reg.Counter("adapt_rollbacks_total"),
 		cRejects:    reg.Counter("adapt_rejects_total"),
-		cDropped:    reg.Counter("adapt_shadow_dropped_total"),
 		transitions: make(map[State]*telemetry.Counter, 4),
 	}
 	for _, s := range []State{StateMonitoring, StateShadow, StateCanary, StateCooldown} {
@@ -230,18 +229,23 @@ func (c *Controller) Step() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 
-	// One recorder walk per step feeds both the training stream and, in
-	// canary, the live-error account for the candidate generation.
+	// One recorder walk per step feeds the training stream, in shadow the
+	// candidate's grading on the pairs it completes, and in canary the
+	// live-error account for the candidate generation.
 	candGen := 0
 	if c.state == StateCanary && c.candidate != nil {
 		candGen = c.candidate.Lineage.Generation
 	}
+	var grade func(*pendingPred, float64)
+	if c.shadow != nil {
+		grade = c.shadow.grade
+	}
 	c.stream.Scan(c.e.FlightRecorder(), func(r *provenance.Record) {
 		if candGen != 0 && r.ModelGen == uint32(candGen) && r.HasPredErr {
 			c.canaryN++
-			c.canarySum += abs(r.PredErr)
+			c.canarySum += math.Abs(r.PredErr)
 		}
-	})
+	}, grade)
 	c.gStreamRows.Set(float64(c.stream.Len()))
 	c.gServingGen.Set(float64(c.e.Generation()))
 	c.phaseSteps++
@@ -290,8 +294,7 @@ func (c *Controller) stepMonitoring() {
 	c.maxGen = gen
 	c.candidate = cand
 	c.gCandGen.Set(float64(gen))
-	c.scorer = newShadowScorer(cand)
-	c.e.SetShadow(c.scorer)
+	c.shadow = newShadowScore(cand)
 	c.transitionLocked(StateShadow, "drift detected, candidate refit", map[string]any{
 		"generation": gen, "rows": rep.Rows,
 		"train_mape_before": rep.MAPEBefore, "train_mape_after": rep.MAPEAfter,
@@ -301,12 +304,9 @@ func (c *Controller) stepMonitoring() {
 }
 
 func (c *Controller) stepShadow() {
-	res := c.scorer.Result()
+	res := c.shadow.Result()
 	c.gShadowInc.Set(res.Incumbent)
 	c.gShadowCand.Set(res.Candidate)
-	if res.Dropped > 0 {
-		c.cDropped.Add(int64(res.Dropped) - c.cDropped.Load())
-	}
 	if res.Samples < c.opts.ShadowMinSamples {
 		if c.phaseSteps > c.opts.ShadowMaxSteps {
 			c.rejectLocked("shadow evaluation starved", res)
@@ -333,7 +333,7 @@ func (c *Controller) stepShadow() {
 	c.incumbent = incumbent
 	c.promise = res.Candidate
 	c.canaryN, c.canarySum = 0, 0
-	c.detachScorerLocked()
+	c.shadow = nil
 	c.stream.Reset() // the stream taught this candidate; the canary judges on fresh traffic
 	c.cPromotes.Add(1)
 	c.transitionLocked(StateCanary, "candidate promoted", map[string]any{
@@ -403,7 +403,7 @@ func (c *Controller) rejectLocked(reason string, res ShadowResult) {
 	if c.candidate != nil {
 		gen = c.candidate.Lineage.Generation
 	}
-	c.detachScorerLocked()
+	c.shadow = nil
 	c.clearCandidateLocked()
 	c.stream.Reset()
 	c.cooldown = c.opts.CooldownSteps
@@ -411,14 +411,6 @@ func (c *Controller) rejectLocked(reason string, res ShadowResult) {
 		"generation": gen, "incumbent_mape": res.Incumbent, "candidate_mape": res.Candidate,
 		"samples": res.Samples,
 	})
-}
-
-func (c *Controller) detachScorerLocked() {
-	if c.scorer != nil {
-		c.e.SetShadow(nil)
-		c.scorer.Stop()
-		c.scorer = nil
-	}
 }
 
 func (c *Controller) clearCandidateLocked() {
@@ -436,9 +428,6 @@ func (c *Controller) Run(ctx context.Context, interval time.Duration) {
 	for {
 		select {
 		case <-ctx.Done():
-			c.mu.Lock()
-			c.detachScorerLocked()
-			c.mu.Unlock()
 			return
 		case <-t.C:
 			c.Step()
@@ -475,8 +464,8 @@ func (c *Controller) Status() Status {
 	if c.candidate != nil {
 		st.CandidateGen = c.candidate.Lineage.Generation
 	}
-	if c.scorer != nil {
-		res := c.scorer.Result()
+	if c.shadow != nil {
+		res := c.shadow.Result()
 		st.Shadow = &res
 	}
 	if c.state == StateCanary {

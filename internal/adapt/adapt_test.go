@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"math/rand"
 	"net/http/httptest"
+	"slices"
 	"testing"
 	"time"
 
@@ -136,7 +137,6 @@ func waitState(t *testing.T, e *serve.Engine, c *Controller, rng *rand.Rand, ins
 			t.Fatalf("controller stuck in %s (want %s): %+v", c.State(), want, c.Status())
 		}
 		serveBatches(e, rng, 4, instr)
-		time.Sleep(time.Millisecond) // let the shadow worker drain
 		c.Step()
 	}
 }
@@ -159,7 +159,7 @@ func TestStreamBuilderPairsEpochs(t *testing.T) {
 	mk(0, provenance.ReasonModel, 150)    // pairs with cluster 0's first epoch
 	mk(1, provenance.ReasonFallback, 250) // pairs, then breaks cluster 1's chain
 	mk(1, provenance.ReasonModel, 300)    // fresh start: no pending to pair with
-	if n := b.Scan(rec, nil); n != 5 {
+	if n := b.Scan(rec, nil, nil); n != 5 {
 		t.Fatalf("scanned %d records, want 5", n)
 	}
 	if b.Len() != 2 {
@@ -173,11 +173,11 @@ func TestStreamBuilderPairsEpochs(t *testing.T) {
 		t.Fatalf("targets = %v, want [150 250]", targets)
 	}
 	// Re-scanning sees nothing new; a later record resumes cluster 1.
-	if n := b.Scan(rec, nil); n != 0 {
+	if n := b.Scan(rec, nil, nil); n != 0 {
 		t.Fatalf("re-scan saw %d records, want 0", n)
 	}
 	mk(1, provenance.ReasonModel, 400)
-	b.Scan(rec, nil)
+	b.Scan(rec, nil, nil)
 	if b.Len() != 3 {
 		t.Fatalf("stream holds %d pairs after resume, want 3", b.Len())
 	}
@@ -445,7 +445,7 @@ func TestStreamPairsPerGPU(t *testing.T) {
 		r.SetRaw(raw)
 		rec.Record(&r)
 	}
-	b.Scan(rec, nil)
+	b.Scan(rec, nil, nil)
 	rows, targets := b.Build([]int{0})
 	if len(rows) != 14 {
 		t.Fatalf("built %d pairs, want 14 (7 per GPU)", len(rows))
@@ -454,5 +454,120 @@ func TestStreamPairsPerGPU(t *testing.T) {
 		if gpu := int(targets[i])/1000 - 1; gpu != int(x[0]) {
 			t.Fatalf("pair %d: inputs from GPU %g labelled with GPU %d's instructions (%g)", i, x[0], gpu, targets[i])
 		}
+	}
+}
+
+// streamRecord builds a keyed record whose raw row is its index and whose
+// instruction column is instr.
+func streamRecord(cluster int32, reason provenance.Reason, instr float64) provenance.Record {
+	r := provenance.Record{Cluster: cluster, Reason: reason, Preset: 0.1, Level: 2}
+	raw := make([]float64, counters.Num)
+	for i := range raw {
+		raw[i] = float64(i)
+	}
+	raw[counters.IdxInstr] = instr
+	r.SetRaw(raw)
+	return r
+}
+
+// TestStreamNeverPairsAcrossLostRecords: records the ring overwrote
+// between two scans break every pending chain, so a key's next record is
+// not taken as the realization of a decision epochs older.
+func TestStreamNeverPairsAcrossLostRecords(t *testing.T) {
+	rec := provenance.NewRecorder(8)
+	b := newStreamBuilder(32)
+	first := streamRecord(0, provenance.ReasonModel, 100)
+	rec.Record(&first)
+	b.Scan(rec, nil, nil)
+	for i := 0; i < 9; i++ {
+		r := streamRecord(-1, provenance.ReasonModel, 200) // unkeyed: pairs with nothing
+		rec.Record(&r)
+	}
+	next := streamRecord(0, provenance.ReasonModel, 300)
+	rec.Record(&next) // Seq 11: the ring of 8 holds 4..11, so 2 and 3 are lost
+	var pairs int
+	if n := b.Scan(rec, nil, func(*pendingPred, float64) { pairs++ }); n != 8 {
+		t.Fatalf("scanned %d records, want the 8 the ring holds", n)
+	}
+	if pairs != 0 || b.Len() != 0 {
+		t.Fatalf("paired %d (stream holds %d) across lost records, want 0", pairs, b.Len())
+	}
+}
+
+// TestStreamStopsAtHole: a snapshot that lacks a Seq (a write that has
+// not landed) is consumed up to the hole and no further; the next scan
+// resumes at the hole, so the record is not skipped.
+func TestStreamStopsAtHole(t *testing.T) {
+	recs := []provenance.Record{
+		streamRecord(0, provenance.ReasonModel, 100),
+		streamRecord(0, provenance.ReasonModel, 150),
+		streamRecord(0, provenance.ReasonModel, 200),
+		streamRecord(0, provenance.ReasonModel, 250),
+		streamRecord(0, provenance.ReasonModel, 300),
+	}
+	for i := range recs {
+		recs[i].Seq = uint64(i + 1)
+	}
+	b := newStreamBuilder(32)
+	var visited []uint64
+	visit := func(r *provenance.Record) { visited = append(visited, r.Seq) }
+	holed := append(append([]provenance.Record{}, recs[:2]...), recs[3:]...) // Seq 3 missing
+	if n := b.scanRecords(holed, 0, visit, nil); n != 2 {
+		t.Fatalf("consumed %d records past a hole at Seq 3, want 2", n)
+	}
+	if n := b.scanRecords(holed, 0, visit, nil); n != 0 {
+		t.Fatalf("re-scan with the hole still open consumed %d records, want 0", n)
+	}
+	if n := b.scanRecords(recs, 0, visit, nil); n != 3 {
+		t.Fatalf("consumed %d records once the hole filled, want 3", n)
+	}
+	if want := []uint64{1, 2, 3, 4, 5}; !slices.Equal(visited, want) {
+		t.Fatalf("visited Seq %v, want %v", visited, want)
+	}
+	if _, targets := b.Build([]int{0}); !slices.Equal(targets, []float64{150, 200, 250, 300}) {
+		t.Fatalf("targets = %v, want [150 200 250 300]", targets)
+	}
+}
+
+// TestShadowGradesStreamPairs pins shadow scoring on the training
+// stream's pairs: the incumbent's served prediction and a candidate that
+// predicts a constant 2000 instructions are graded against the realized
+// count; a pair with a non-positive prediction is skipped; a degraded
+// record grades its key's pair and then breaks the chain; unkeyed rows
+// are ignored; agreement counts the graded pairs whose candidate level
+// equals the served one.
+func TestShadowGradesStreamPairs(t *testing.T) {
+	cand := adaptModel(t, 72)
+	cal := cand.Calibrator.Layers[len(cand.Calibrator.Layers)-1]
+	cal.B[0] = 2.0 // zero hidden weights: every prediction is 2.0 × TargetScale
+	s := newShadowScore(cand)
+
+	// Every record carries the same selected features, so the candidate
+	// picks one level for all of them.
+	base := streamRecord(0, provenance.ReasonModel, 0)
+	candLevel := int32(core.NewInference(cand).DecideLevel(base.RawFeatures(), base.Preset))
+	rec := provenance.NewRecorder(64)
+	add := func(cluster int32, reason provenance.Reason, level int32, pred, instr float64) {
+		r := streamRecord(cluster, reason, instr)
+		r.Level, r.PredInstr = level, pred
+		rec.Record(&r)
+	}
+	other := (candLevel + 1) % int32(cand.Levels)
+	add(0, provenance.ReasonModel, candLevel, 1000, 900)     // served the candidate's level
+	add(-1, provenance.ReasonModel, candLevel, 1000, 5000)   // unkeyed: ignored
+	add(1, provenance.ReasonModel, other, 0, 900)            // no served prediction
+	add(0, provenance.ReasonModel, other, 1000, 1500)        // realizes 1500 for the first
+	add(1, provenance.ReasonModel, other, 1000, 800)         // skipped: incumbent predicted 0
+	add(0, provenance.ReasonFallback, candLevel, 1000, 3000) // realizes 3000, breaks the chain
+	add(0, provenance.ReasonModel, candLevel, 1000, 700)     // nothing pending to realize
+	add(-1, provenance.ReasonModel, candLevel, 1000, 100)    // unkeyed: ignored
+	newStreamBuilder(32).Scan(rec, nil, s.grade)
+
+	got := s.Result()
+	// Incumbent: |1000-1500|/1000 = 0.5 and |1000-3000|/1000 = 2.
+	// Candidate: |2000-1500|/2000 = 0.25 and |2000-3000|/2000 = 0.5.
+	want := ShadowResult{Samples: 2, Incumbent: 1.25, Candidate: 0.375, AgreeRate: 0.5}
+	if got != want {
+		t.Fatalf("shadow result = %+v, want %+v", got, want)
 	}
 }

@@ -1,171 +1,66 @@
 package adapt
 
 import (
-	"sync"
+	"math"
 
 	"ssmdvfs/internal/core"
-	"ssmdvfs/internal/counters"
-	"ssmdvfs/internal/serve"
 )
-
-// shadowItem is one served model-path decision handed from the decision
-// path to the scoring worker. Features ride by value so the hot path
-// never shares its scratch slice with the worker.
-type shadowItem struct {
-	raw    [counters.Num]float64
-	preset float64
-	level  int
-	pred   float64 // the incumbent's instruction prediction (what served)
-	key    int64
-}
-
-// shadowPair is a key's last scored decision, waiting for its next-epoch
-// realization.
-type shadowPair struct {
-	predInc  float64
-	predCand float64
-	level    int
-}
 
 // ShadowResult is a point-in-time view of shadow scoring: rolling MAPE
 // of the incumbent's and the candidate's instruction predictions against
-// realized traffic, how many realized samples back them, how often the
-// candidate's decision head agreed with the served level, and how many
-// observations the bounded queue dropped.
+// realized traffic, how many realized samples back them, and how often
+// the candidate's decision head agreed with the served level on those
+// samples.
 type ShadowResult struct {
 	Samples   int     `json:"samples"`
 	Incumbent float64 `json:"incumbent_mape"`
 	Candidate float64 `json:"candidate_mape"`
 	AgreeRate float64 `json:"agree_rate"`
-	Dropped   uint64  `json:"dropped,omitempty"`
 }
 
-// shadowScorer scores a candidate model on live traffic without ever
-// letting it serve: it implements serve.ShadowObserver, queues each
-// model-path decision onto a bounded channel (dropping, never blocking,
-// when scoring falls behind), and a worker goroutine runs the candidate
-// on the same inputs. When a key's next epoch arrives, the realized
-// instruction count grades both models' predictions — the incumbent's
-// prediction is the one that actually served, the candidate's was
-// computed for the same features and the same served level, so the two
-// MAPEs are directly comparable on identical traffic.
-type shadowScorer struct {
-	cand *core.Model
-	inf  *core.Inference
-
-	ch   chan shadowItem
-	quit chan struct{}
-	done chan struct{}
-
-	mu        sync.Mutex
-	pairs     map[int64]shadowPair
+// shadowScore scores a candidate model on live traffic without ever
+// letting it serve. It grades the pairs the training stream completes:
+// for each pending decision whose key's next epoch realized an
+// instruction count, the incumbent's prediction is the one that served,
+// and the candidate's is computed now for the same features and the same
+// served level, so the two MAPEs are directly comparable on identical
+// traffic. It runs inside the controller's step, under its lock.
+type shadowScore struct {
+	inf       *core.Inference
 	samples   int
 	sumAbsInc float64
 	sumAbsCan float64
 	agree     int
-	decided   int
-	dropped   uint64
 }
 
-const shadowQueue = 1024
-
-func newShadowScorer(cand *core.Model) *shadowScorer {
-	s := &shadowScorer{
-		cand:  cand,
-		inf:   core.NewInference(cand),
-		ch:    make(chan shadowItem, shadowQueue),
-		quit:  make(chan struct{}),
-		done:  make(chan struct{}),
-		pairs: make(map[int64]shadowPair, 64),
-	}
-	go s.run()
-	return s
+func newShadowScore(cand *core.Model) *shadowScore {
+	return &shadowScore{inf: core.NewInference(cand)}
 }
 
-// ObserveServed implements serve.ShadowObserver on the decision path:
-// copy, enqueue, never block.
-func (s *shadowScorer) ObserveServed(row serve.Request, d serve.Decision) {
-	if row.Cluster < 0 || len(row.Features) < counters.Num {
+// grade folds one realized pair; a pair where either prediction is not
+// positive carries no relative error and is skipped.
+func (s *shadowScore) grade(p *pendingPred, actual float64) {
+	level := int(p.level)
+	predCand := s.inf.PredictInstructions(p.raw[:], p.preset, level)
+	if p.pred <= 0 || predCand <= 0 {
 		return
 	}
-	it := shadowItem{
-		preset: row.Preset,
-		level:  d.Level,
-		pred:   d.PredInstr,
-		key:    int64(uint32(row.GPU))<<32 | int64(uint32(row.Cluster)),
-	}
-	copy(it.raw[:], row.Features[:counters.Num])
-	select {
-	case s.ch <- it:
-	default:
-		s.mu.Lock()
-		s.dropped++
-		s.mu.Unlock()
-	}
-}
-
-// Stop terminates the worker. The caller must have detached the scorer
-// from the engine first (serve.Engine.SetShadow(nil)); late in-flight
-// ObserveServed calls after Stop are still safe — the channel is never
-// closed, their items are simply no longer drained.
-func (s *shadowScorer) Stop() {
-	close(s.quit)
-	<-s.done
-}
-
-func (s *shadowScorer) run() {
-	defer close(s.done)
-	for {
-		select {
-		case it := <-s.ch:
-			s.score(&it)
-		case <-s.quit:
-			return
-		}
-	}
-}
-
-// score grades the key's previous decision against this epoch's realized
-// instruction count, then runs the candidate on this epoch's inputs and
-// parks the new pair.
-func (s *shadowScorer) score(it *shadowItem) {
-	// Candidate inference happens on the worker, off the decision path.
-	candLevel := s.inf.DecideLevel(it.raw[:], it.preset)
-	candPred := s.inf.PredictInstructions(it.raw[:], it.preset, it.level)
-	actual := it.raw[counters.IdxInstr]
-
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if p, ok := s.pairs[it.key]; ok && actual > 0 && p.predInc > 0 && p.predCand > 0 {
-		s.samples++
-		s.sumAbsInc += abs((p.predInc - actual) / p.predInc)
-		s.sumAbsCan += abs((p.predCand - actual) / p.predCand)
-	}
-	s.decided++
-	if candLevel == it.level {
+	s.samples++
+	s.sumAbsInc += math.Abs((p.pred - actual) / p.pred)
+	s.sumAbsCan += math.Abs((predCand - actual) / predCand)
+	if s.inf.DecideLevel(p.raw[:], p.preset) == level {
 		s.agree++
 	}
-	s.pairs[it.key] = shadowPair{predInc: it.pred, predCand: candPred, level: candLevel}
 }
 
 // Result returns the current scoring state.
-func (s *shadowScorer) Result() ShadowResult {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	r := ShadowResult{Samples: s.samples, Dropped: s.dropped}
+func (s *shadowScore) Result() ShadowResult {
+	r := ShadowResult{Samples: s.samples}
 	if s.samples > 0 {
-		r.Incumbent = s.sumAbsInc / float64(s.samples)
-		r.Candidate = s.sumAbsCan / float64(s.samples)
-	}
-	if s.decided > 0 {
-		r.AgreeRate = float64(s.agree) / float64(s.decided)
+		n := float64(s.samples)
+		r.Incumbent = s.sumAbsInc / n
+		r.Candidate = s.sumAbsCan / n
+		r.AgreeRate = float64(s.agree) / n
 	}
 	return r
-}
-
-func abs(v float64) float64 {
-	if v < 0 {
-		return -v
-	}
-	return v
 }

@@ -4,8 +4,9 @@
 // candidate in shadow mode on live traffic, promotes it through a canary
 // window, and automatically rolls back to the retained incumbent when
 // the promoted model regresses. The controller never blocks the decision
-// path: it polls the recorder, shadow scoring rides a bounded queue, and
-// every model change goes through the engine's validated hot-swap gate.
+// path: it polls the recorder, grades the shadow candidate on the pairs
+// that walk completes, and every model change goes through the engine's
+// validated hot-swap gate.
 package adapt
 
 import (
@@ -25,11 +26,13 @@ type streamRow struct {
 }
 
 // pendingPred is a model-path decision waiting for its next-epoch
-// realization.
+// realization: its inputs, the level that served and the instruction
+// prediction that served with it.
 type pendingPred struct {
 	raw    [counters.Num]float64
 	preset float64
 	level  float64
+	pred   float64
 }
 
 // maxPendingKeys bounds the pending predictions, one per (GPU, cluster)
@@ -61,34 +64,60 @@ func newStreamBuilder(capRows int) *streamBuilder {
 }
 
 // Scan folds every record the recorder gained since the previous call.
-// visit, when non-nil, is called for each new record (the controller's
-// canary accounting rides along so the ring is walked once per step).
-// Returns how many new records were seen.
-func (b *streamBuilder) Scan(rec *provenance.Recorder, visit func(*provenance.Record)) int {
+// visit, when non-nil, sees each new record (the canary's accounting, so
+// the ring is walked once per step); pair, when non-nil, each pair the
+// walk completes: a pending decision and the instruction count its key's
+// next record realized (shadow scoring). Returns how many records were
+// consumed.
+func (b *streamBuilder) Scan(rec *provenance.Recorder, visit func(*provenance.Record), pair func(*pendingPred, float64)) int {
 	if rec == nil {
 		return 0
 	}
+	// Head is read first: every record at or below floor was overwritten
+	// before the snapshot began.
+	var floor uint64
+	if h, n := rec.Head(), uint64(rec.Cap()); h > n {
+		floor = h - n
+	}
 	b.scratch = rec.Snapshot(b.scratch[:0])
+	return b.scanRecords(b.scratch, floor, visit, pair)
+}
+
+// scanRecords consumes recs, a snapshot oldest first, in Seq order from
+// the watermark, so no record is skipped and no pair spans a lost one.
+// Records up to floor are gone from the ring: if the watermark is below
+// it, every pending decision lost its next epoch, so all are dropped and
+// the walk resumes at floor+1. A Seq missing above that is a write that
+// has not landed yet: the walk stops there and the next call resumes.
+func (b *streamBuilder) scanRecords(recs []provenance.Record, floor uint64, visit func(*provenance.Record), pair func(*pendingPred, float64)) int {
+	if b.lastSeq < floor {
+		clear(b.pending)
+		b.lastSeq = floor
+	}
 	seen := 0
-	for i := range b.scratch {
-		r := &b.scratch[i]
+	for i := range recs {
+		r := &recs[i]
 		if r.Seq <= b.lastSeq {
 			continue
+		}
+		if r.Seq != b.lastSeq+1 {
+			break
 		}
 		b.lastSeq = r.Seq
 		seen++
 		if visit != nil {
 			visit(r)
 		}
-		b.fold(r)
+		b.fold(r, pair)
 	}
 	return seen
 }
 
 // fold pairs one record with the key's pending prediction, if any, and
 // leaves the record pending when it is a model decision with full
-// features.
-func (b *streamBuilder) fold(r *provenance.Record) {
+// features. A degraded record completes its key's pair and then breaks
+// the chain.
+func (b *streamBuilder) fold(r *provenance.Record, pair func(*pendingPred, float64)) {
 	if r.Cluster < 0 {
 		return // unkeyed rows carry no epoch continuity
 	}
@@ -104,6 +133,9 @@ func (b *streamBuilder) fold(r *provenance.Record) {
 				b.pos = (b.pos + 1) % len(b.rows)
 				if b.n < len(b.rows) {
 					b.n++
+				}
+				if pair != nil {
+					pair(p, target)
 				}
 			}
 		}
@@ -124,6 +156,7 @@ func (b *streamBuilder) fold(r *provenance.Record) {
 		copy(p.raw[:], r.Raw[:counters.Num])
 		p.preset = r.Preset
 		p.level = float64(r.Level)
+		p.pred = r.PredInstr
 	}
 }
 

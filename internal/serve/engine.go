@@ -176,11 +176,12 @@ func (e *Engine) EnableProvenance(capacity int, opts provenance.MonitorOptions) 
 }
 
 // ShadowObserver receives a copy of every model-path decision the engine
-// serves — the hook shadow-mode candidate scoring hangs off. The
-// observer sees traffic only; its output never influences the served
-// decision. Implementations must be fast and non-blocking (hand off to a
-// channel or drop): they run once the answer is out, but before
-// DecideBatch returns or a connection reads its next frame.
+// serves. Nothing in the repo installs one outside tests and bench/'s
+// plane ladder: adaptation grades its shadow candidate on the flight
+// recorder instead. The observer sees traffic only; its output never
+// influences the served decision. Implementations must be fast and
+// non-blocking: they run once the answer is out, but before DecideBatch
+// returns or a connection reads its next frame.
 type ShadowObserver interface {
 	ObserveServed(row Request, d Decision)
 }
@@ -189,9 +190,10 @@ type ShadowObserver interface {
 // pointer swap even though ShadowObserver is an interface value.
 type shadowHolder struct{ obs ShadowObserver }
 
-// SetShadow installs (or, with nil, removes) the shadow observer.
-// Observation rides the provenance path, so EnableProvenance must be on
-// for the observer to see traffic. Safe to call while serving.
+// SetShadow installs (or, with nil, removes) the shadow observer; its
+// only callers are tests and bench/. Observation rides the provenance
+// path, so EnableProvenance must be on for the observer to see traffic.
+// Safe to call while serving.
 func (e *Engine) SetShadow(obs ShadowObserver) {
 	if obs == nil {
 		e.shadow.Store(nil)
