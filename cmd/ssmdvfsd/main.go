@@ -71,6 +71,7 @@ import (
 
 	"ssmdvfs/internal/adapt"
 	"ssmdvfs/internal/buildinfo"
+	"ssmdvfs/internal/core"
 	"ssmdvfs/internal/faults"
 	"ssmdvfs/internal/ledger"
 	"ssmdvfs/internal/provenance"
@@ -164,7 +165,7 @@ func run(modelPath, httpAddr, tcpAddr, spansPath string, workers int, budget tim
 	if httpAddr == "" && tcpAddr == "" {
 		return fmt.Errorf("at least one of -http and -tcp is required")
 	}
-	m, err := serve.LoadModel(modelPath)
+	m, err := core.LoadFile(modelPath)
 	if err != nil {
 		return err
 	}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 )
 
 // WriteJSON encodes v as one JSON document and writes it to path
@@ -21,20 +20,17 @@ func WriteJSON(path string, v any) error {
 // ReadJSON reads path and decodes its JSON content into v, the inverse
 // of WriteJSON for types without bespoke validation.
 func ReadJSON(path string, v any) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return fmt.Errorf("atomicfile: %w", err)
-	}
-	defer f.Close()
-	if err := json.NewDecoder(f).Decode(v); err != nil {
-		return fmt.Errorf("atomicfile: decoding %s: %w", filepath.Base(path), err)
-	}
-	return nil
+	_, err := ReadWith(path, func(r io.Reader) (any, error) {
+		return nil, json.NewDecoder(r).Decode(v)
+	})
+	return err
 }
 
-// ReadWith opens path and hands its contents to load — the shared
-// open/close plumbing behind LoadFile wrappers whose formats carry
-// bespoke decode-time validation (nn.Load, core.Load, datagen.Load).
+// ReadWith opens path and hands its contents to load, naming the file in
+// any error load returns. It is the one file reader: core.LoadFile,
+// datagen.LoadFile, epochtrace.ReadFile and the Read*File functions of
+// telemetry and ledger are each ReadWith over their format's reader, so
+// a file is decoded and checked exactly as a stream of its bytes is.
 func ReadWith[T any](path string, load func(io.Reader) (T, error)) (T, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -42,5 +38,9 @@ func ReadWith[T any](path string, load func(io.Reader) (T, error)) (T, error) {
 		return zero, fmt.Errorf("atomicfile: %w", err)
 	}
 	defer f.Close()
-	return load(f)
+	v, err := load(f)
+	if err != nil {
+		return v, fmt.Errorf("atomicfile: %s: %w", path, err)
+	}
+	return v, nil
 }

@@ -99,10 +99,13 @@ func NewController(model *Model, preset float64, clusters int, calibrate bool) (
 	if clusters <= 0 {
 		return nil, fmt.Errorf("core: clusters must be positive, got %d", clusters)
 	}
-	// Build (and validate) the model's inference backends up front: a
-	// model whose declared backend cannot be built — or whose int8
-	// quantization fails parity — must be rejected here, not discovered
-	// as a panic in the decision loop.
+	// Validate the model and build its inference backends up front: a
+	// malformed model, or one whose declared backend cannot be built or
+	// whose int8 quantization fails parity, must be rejected here, not
+	// discovered as a panic in the decision loop.
+	if err := model.Validate(); err != nil {
+		return nil, err
+	}
 	if err := model.EnsureBackends(); err != nil {
 		return nil, err
 	}

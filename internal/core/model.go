@@ -155,9 +155,10 @@ func (m *Model) Clone() *Model {
 // Validate checks the model's structural and numerical sanity: head
 // shapes consistent with the feature set and level count, scalers of the
 // right length with finite statistics and positive spread, and every
-// weight finite. It is the gate a model must pass before being swapped
-// into a serving or control path — a corrupt or truncated artifact must
-// keep the previous model serving, not poison decisions with NaNs.
+// weight and bias finite. It is the one validator of the model format: Load ends
+// in it, and NewController and the serving engine's swap call it for
+// models built in memory. A corrupt or truncated artifact must keep the
+// previous model serving, not poison decisions with NaNs.
 func (m *Model) Validate() error {
 	if m.Decision == nil || m.Calibrator == nil {
 		return fmt.Errorf("core: model is missing a head")
@@ -224,7 +225,7 @@ func (m *Model) Validate() error {
 // serializedModel mirrors Model for JSON round-trips; the MLPs are
 // embedded via their own serialization.
 type serializedModel struct {
-	FeatureIdx     []float64        `json:"feature_idx"`
+	FeatureIdx     []int            `json:"feature_idx"`
 	Levels         int              `json:"levels"`
 	Decision       json.RawMessage  `json:"decision"`
 	Calibrator     json.RawMessage  `json:"calibrator"`
@@ -245,6 +246,7 @@ func (m *Model) Save(w io.Writer) error {
 		return err
 	}
 	s := serializedModel{
+		FeatureIdx:     m.FeatureIdx,
 		Levels:         m.Levels,
 		PresetSamples:  m.PresetSamples,
 		Decision:       json.RawMessage(dBuf.Bytes()),
@@ -257,51 +259,32 @@ func (m *Model) Save(w io.Writer) error {
 		lin := m.Lineage
 		s.Lineage = &lin
 	}
-	for _, i := range m.FeatureIdx {
-		s.FeatureIdx = append(s.FeatureIdx, float64(i))
-	}
 	return json.NewEncoder(w).Encode(s)
 }
 
-// Load reads a model saved with Save.
+// Load reads a model saved with Save and returns Validate's verdict on
+// it, so every model that enters from a file — the daemon's start and
+// hot reload, the experiments cache — passes the same gate.
 func Load(r io.Reader) (*Model, error) {
 	var s serializedModel
 	if err := json.NewDecoder(r).Decode(&s); err != nil {
 		return nil, fmt.Errorf("core: decoding model: %w", err)
 	}
-	if s.Levels <= 0 || s.TargetScale <= 0 {
-		return nil, fmt.Errorf("core: model has invalid levels/target scale")
-	}
-	if s.DecisionScaler == nil || s.CalibScaler == nil {
-		return nil, fmt.Errorf("core: model is missing scalers")
-	}
-	m := &Model{Levels: s.Levels, TargetScale: s.TargetScale,
+	m := &Model{FeatureIdx: s.FeatureIdx, Levels: s.Levels, TargetScale: s.TargetScale,
 		DecisionScaler: s.DecisionScaler, CalibScaler: s.CalibScaler,
 		PresetSamples: s.PresetSamples}
 	if s.Lineage != nil {
 		m.Lineage = *s.Lineage
 	}
-	for _, f := range s.FeatureIdx {
-		i := int(f)
-		if i < 0 || i >= counters.Num {
-			return nil, fmt.Errorf("core: feature index %d out of range", i)
-		}
-		m.FeatureIdx = append(m.FeatureIdx, i)
-	}
 	var err error
 	if m.Decision, err = nn.Load(bytes.NewReader(s.Decision)); err != nil {
-		return nil, err
+		return nil, fmt.Errorf("core: decision head: %w", err)
 	}
 	if m.Calibrator, err = nn.Load(bytes.NewReader(s.Calibrator)); err != nil {
+		return nil, fmt.Errorf("core: calibrator head: %w", err)
+	}
+	if err := m.Validate(); err != nil {
 		return nil, err
-	}
-	if m.Decision.InputSize() != len(m.FeatureIdx)+1 {
-		return nil, fmt.Errorf("core: decision head input %d does not match %d features",
-			m.Decision.InputSize(), len(m.FeatureIdx))
-	}
-	if m.Calibrator.InputSize() != len(m.FeatureIdx)+2 {
-		return nil, fmt.Errorf("core: calibrator head input %d does not match %d features",
-			m.Calibrator.InputSize(), len(m.FeatureIdx))
 	}
 	return m, nil
 }

@@ -11,10 +11,10 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
-	"os"
 	"slices"
 	"strconv"
 
+	"ssmdvfs/internal/atomicfile"
 	"ssmdvfs/internal/counters"
 	"ssmdvfs/internal/gpusim"
 )
@@ -146,10 +146,5 @@ func ReadCSV(r io.Reader) (*Trace, error) {
 
 // ReadFile reads a trace file written by WriteCSV.
 func ReadFile(path string) (*Trace, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("epochtrace: %w", err)
-	}
-	defer f.Close()
-	return ReadCSV(f)
+	return atomicfile.ReadWith(path, ReadCSV)
 }

@@ -7,7 +7,9 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -116,18 +118,6 @@ func (opts *PipelineOptions) observePhase(name string, start time.Time) {
 	}
 }
 
-// countCache records an artifact cache hit or miss.
-func (opts *PipelineOptions) countCache(artifact string, hit bool) {
-	if opts.Telemetry == nil {
-		return
-	}
-	name := "pipeline_cache_misses_total"
-	if hit {
-		name = "pipeline_cache_hits_total"
-	}
-	opts.Telemetry.Counter(name, "artifact", artifact).Add(1)
-}
-
 // RunPipeline executes (or loads from cache) the full build.
 func RunPipeline(opts PipelineOptions) (*Pipeline, error) {
 	log := opts.Logger
@@ -154,13 +144,15 @@ func RunPipeline(opts PipelineOptions) (*Pipeline, error) {
 	dsPath := cachePath(opts.CacheDir, "dataset.json")
 	dsStart := time.Now()
 	dsSpan := opts.phaseSpan("datagen", "kernels", strconv.Itoa(len(trainKernels)))
-	if ds, err := loadCachedDataset(dsPath); err == nil {
-		opts.countCache("dataset", true)
-		dsSpan.SetAttr("cached", "true")
+	ds, hit, err := loadCached(&opts, dsSpan, "dataset", dsPath, datagen.LoadFile)
+	if err != nil {
+		dsSpan.End()
+		return nil, err
+	}
+	if hit {
 		logf("experiments: loaded cached dataset (%d samples)", len(ds.Samples))
 		p.Dataset = ds
 	} else {
-		opts.countCache("dataset", false)
 		dgCfg := datagen.DefaultConfig(opts.Sim)
 		if opts.BreakpointPs > 0 {
 			dgCfg.BreakpointPs = opts.BreakpointPs
@@ -173,7 +165,7 @@ func RunPipeline(opts PipelineOptions) (*Pipeline, error) {
 		for i, spec := range trainKernels {
 			built[i] = spec.Build(opts.Scale)
 		}
-		ds, err := datagen.RunSuite(datagen.SuiteOptions{
+		ds, err = datagen.RunSuite(datagen.SuiteOptions{
 			Config:    dgCfg,
 			Kernels:   built,
 			Logger:    log,
@@ -205,15 +197,16 @@ func RunPipeline(opts PipelineOptions) (*Pipeline, error) {
 	modelPath := cachePath(opts.CacheDir, "model.json")
 	trainStart := time.Now()
 	trainSpan := opts.phaseSpan("train", "epochs", strconv.Itoa(opts.TrainOpts.Epochs))
-	var err error
-	if m, lerr := loadCachedModel(modelPath); lerr == nil {
-		opts.countCache("model", true)
-		trainSpan.SetAttr("cached", "true")
+	m, hit, err := loadCached(&opts, trainSpan, "model", modelPath, core.LoadFile)
+	if err != nil {
+		trainSpan.End()
+		return nil, err
+	}
+	if hit {
 		p.Model = m
 		p.Report = core.Evaluate(m, p.Dataset)
 		logf("experiments: loaded cached model (acc=%.2f%%)", p.Report.Accuracy*100)
 	} else {
-		opts.countCache("model", false)
 		if p.Model, p.Report, err = core.Train(p.Dataset, opts.TrainOpts); err != nil {
 			trainSpan.End()
 			return nil, err
@@ -235,15 +228,16 @@ func RunPipeline(opts PipelineOptions) (*Pipeline, error) {
 	compPath := cachePath(opts.CacheDir, "compressed.json")
 	compStart := time.Now()
 	compSpan := opts.phaseSpan("compress")
-	if m, lerr := loadCachedModel(compPath); lerr == nil {
-		opts.countCache("compressed", true)
-		compSpan.SetAttr("cached", "true")
+	if m, hit, err = loadCached(&opts, compSpan, "compressed", compPath, core.LoadFile); err != nil {
+		compSpan.End()
+		return nil, err
+	}
+	if hit {
 		p.Compressed = m
 		p.CompressedReport = core.Evaluate(m, p.Dataset)
 		p.CompressedReport.FLOPs = m.EffectiveFLOPs()
 		logf("experiments: loaded cached compressed model (acc=%.2f%%)", p.CompressedReport.Accuracy*100)
 	} else {
-		opts.countCache("compressed", false)
 		smallOpts := opts.TrainOpts
 		smallOpts.Arch = core.PaperCompressed()
 		smallSpan := opts.phaseSpan("compress:train-small")
@@ -281,16 +275,26 @@ func cachePath(dir, name string) string {
 	return filepath.Join(dir, name)
 }
 
-func loadCachedDataset(path string) (*datagen.Dataset, error) {
-	if path == "" {
-		return nil, os.ErrNotExist
+// loadCached reads one cache file with load, counts the hit or miss
+// (pipeline_cache_{hits,misses}_total) and marks a hit on sp. No cache
+// directory or no file is a miss; a file that exists and does not load
+// is an error, so a bad artifact stops the build instead of being
+// rebuilt over.
+func loadCached[T any](opts *PipelineOptions, sp *telemetry.Span, artifact, path string, load func(string) (T, error)) (v T, hit bool, err error) {
+	if path != "" {
+		v, err = load(path)
+		if err != nil && !errors.Is(err, fs.ErrNotExist) {
+			return v, false, fmt.Errorf("experiments: cache file does not load (delete it to rebuild it): %w", err)
+		}
+		hit = err == nil
 	}
-	return datagen.LoadFile(path)
-}
-
-func loadCachedModel(path string) (*core.Model, error) {
-	if path == "" {
-		return nil, os.ErrNotExist
+	name := "pipeline_cache_misses_total"
+	if hit {
+		name = "pipeline_cache_hits_total"
+		sp.SetAttr("cached", "true")
 	}
-	return core.LoadFile(path)
+	if opts.Telemetry != nil {
+		opts.Telemetry.Counter(name, "artifact", artifact).Add(1)
+	}
+	return v, hit, nil
 }

@@ -241,7 +241,8 @@ func TestInt8RejectsDegenerateScales(t *testing.T) {
 		t.Fatalf("NaN weight: got %v, want stage=quantize layer=0 *Error", err)
 	}
 
-	// nn.Load checks weights, not biases, so the quantizer must.
+	// The quantizer checks biases as well as weights: New takes
+	// in-memory MLPs, which no loader has validated.
 	inf := testMLP(t, []int{4, 8, 4}, 8)
 	inf.Layers[1].B[0] = math.Inf(1)
 	_, err = New(inf, KindInt8)

@@ -20,10 +20,10 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"os"
 	"sync"
 	"time"
 
+	"ssmdvfs/internal/atomicfile"
 	"ssmdvfs/internal/baselines"
 	"ssmdvfs/internal/clockdomain"
 	"ssmdvfs/internal/counters"
@@ -281,12 +281,7 @@ func ReadSnapshot(r io.Reader) (Snapshot, error) {
 
 // ReadSnapshotFile reads a WriteJSON payload from disk.
 func ReadSnapshotFile(path string) (Snapshot, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return Snapshot{}, err
-	}
-	defer f.Close()
-	return ReadSnapshot(f)
+	return atomicfile.ReadWith(path, ReadSnapshot)
 }
 
 // Merge folds any number of replica snapshots into the fleet view:

@@ -4,9 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
-
-	"ssmdvfs/internal/atomicfile"
 )
 
 // serialized mirrors MLP for JSON round-trips.
@@ -32,37 +29,16 @@ func (m *MLP) Save(w io.Writer) error {
 	return enc.Encode(s)
 }
 
-// Load reads a network saved with Save.
+// Load reads a network saved with Save and returns CheckFinite's
+// verdict on it: the one validator of the layer format.
 func Load(r io.Reader) (*MLP, error) {
 	var s serialized
 	if err := json.NewDecoder(r).Decode(&s); err != nil {
 		return nil, fmt.Errorf("nn: decoding model: %w", err)
 	}
-	if len(s.Layers) == 0 {
-		return nil, fmt.Errorf("nn: model has no layers")
-	}
 	m := &MLP{}
-	prevOut := -1
-	for i, sl := range s.Layers {
-		if sl.In <= 0 || sl.Out <= 0 {
-			return nil, fmt.Errorf("nn: layer %d has invalid shape %dx%d", i, sl.In, sl.Out)
-		}
-		if len(sl.W) != sl.In*sl.Out || len(sl.B) != sl.Out {
-			return nil, fmt.Errorf("nn: layer %d parameter sizes do not match shape", i)
-		}
-		if sl.Mask != nil && len(sl.Mask) != len(sl.W) {
-			return nil, fmt.Errorf("nn: layer %d mask size does not match weights", i)
-		}
-		if prevOut >= 0 && sl.In != prevOut {
-			return nil, fmt.Errorf("nn: layer %d input %d does not match previous output %d", i, sl.In, prevOut)
-		}
-		prevOut = sl.Out
-		for _, w := range sl.W {
-			if math.IsNaN(w) || math.IsInf(w, 0) {
-				return nil, fmt.Errorf("nn: layer %d contains non-finite weights", i)
-			}
-		}
-		d := &Dense{
+	for _, sl := range s.Layers {
+		m.Layers = append(m.Layers, &Dense{
 			In:    sl.In,
 			Out:   sl.Out,
 			W:     sl.W,
@@ -70,18 +46,10 @@ func Load(r io.Reader) (*MLP, error) {
 			Mask:  sl.Mask,
 			GradW: make([]float64, len(sl.W)),
 			GradB: make([]float64, len(sl.B)),
-		}
-		m.Layers = append(m.Layers, d)
+		})
+	}
+	if err := m.CheckFinite(); err != nil {
+		return nil, err
 	}
 	return m, nil
-}
-
-// SaveFile writes the network to path atomically (temp file + rename).
-func (m *MLP) SaveFile(path string) error {
-	return atomicfile.Write(path, m.Save)
-}
-
-// LoadFile reads a network from path.
-func LoadFile(path string) (*MLP, error) {
-	return atomicfile.ReadWith(path, Load)
 }

@@ -278,26 +278,10 @@ func (e *Engine) FlightRecorder() *provenance.Recorder { return e.prov }
 // provenance is not enabled.
 func (e *Engine) QualityMonitor() *provenance.Monitor { return e.mon }
 
-// LoadModel reads a model file — the loader behind both daemon startup
-// and hot reload, accepting the plain and compressed artifacts
-// interchangeably (they share one format). It validates the result
-// (shapes and finite weights), so a corrupt or truncated artifact is
-// rejected here instead of poisoning the serving path.
-func LoadModel(path string) (*core.Model, error) {
-	m, err := core.LoadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	if err := m.Validate(); err != nil {
-		return nil, fmt.Errorf("serve: model %s failed validation: %w", path, err)
-	}
-	return m, nil
-}
-
 // ReloadError is the structured error Reload returns when a new model
 // cannot be swapped in; Stage says how far the reload got ("config",
-// "load", "validate", "backend", "swap"). The previously served model
-// always stays active.
+// "load" — unreadable, or refused by core.Load's validation — "backend",
+// "swap"). The previously served model always stays active.
 type ReloadError struct {
 	Path  string
 	Stage string
@@ -426,7 +410,7 @@ func (e *Engine) Reload(path string) error {
 		e.metrics.Errors.Add(1)
 		return &ReloadError{Path: path, Stage: "load", Err: err}
 	}
-	m, err := LoadModel(path)
+	m, err := core.LoadFile(path)
 	if err != nil {
 		e.metrics.Errors.Add(1)
 		return &ReloadError{Path: path, Stage: "load", Err: err}

@@ -320,21 +320,3 @@ func TestServedDecisionsMatchDirectModel(t *testing.T) {
 		}
 	}
 }
-
-func TestLoadModel(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "m.json")
-	want := testModel(t, 7)
-	if err := want.SaveFile(path); err != nil {
-		t.Fatal(err)
-	}
-	got, err := LoadModel(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Params() != want.Params() {
-		t.Fatalf("loaded %d params, saved %d", got.Params(), want.Params())
-	}
-	if _, err := LoadModel(filepath.Join(t.TempDir(), "missing.json")); err == nil {
-		t.Fatal("missing file accepted")
-	}
-}

@@ -16,12 +16,13 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 	"sort"
 	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
+
+	"ssmdvfs/internal/atomicfile"
 )
 
 // Counter is a monotonically-increasing integer metric — the Prometheus
@@ -309,12 +310,7 @@ func ReadSnapshot(r io.Reader) (Snapshot, error) {
 
 // ReadSnapshotFile reads a WriteJSON dump from disk.
 func ReadSnapshotFile(path string) (Snapshot, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return Snapshot{}, err
-	}
-	defer f.Close()
-	return ReadSnapshot(f)
+	return atomicfile.ReadWith(path, ReadSnapshot)
 }
 
 // WriteProm writes the snapshot in the Prometheus text exposition format

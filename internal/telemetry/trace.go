@@ -5,11 +5,12 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"ssmdvfs/internal/atomicfile"
 )
 
 // SpanRecord is one completed span as serialized to JSONL: a named,
@@ -264,12 +265,7 @@ func ReadSpans(r io.Reader) ([]SpanRecord, error) {
 
 // ReadSpansFile reads a JSONL span capture from disk.
 func ReadSpansFile(path string) ([]SpanRecord, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return ReadSpans(f)
+	return atomicfile.ReadWith(path, ReadSpans)
 }
 
 // chromeEvent is one entry of the Chrome trace-event format ("X" =
