@@ -242,10 +242,11 @@ func BenchmarkASIC_Inference(b *testing.B) {
 	feats := make([]float64, counters.Num)
 	feats[counters.IdxIPC] = 1.2
 	feats[counters.IdxPPC] = 5
+	inf := core.NewInference(p.Compressed)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		level := p.Compressed.DecideLevel(feats, 0.10)
-		_ = p.Compressed.PredictInstructions(feats, 0.10, level)
+		level := inf.DecideLevel(feats, 0.10)
+		_ = inf.PredictInstructions(feats, 0.10, level)
 	}
 }
 
@@ -452,9 +453,10 @@ func BenchmarkModelInference(b *testing.B) {
 		"compressed": p.Compressed,
 	} {
 		b.Run(name, func(b *testing.B) {
+			inf := core.NewInference(m)
 			for i := 0; i < b.N; i++ {
-				level := m.DecideLevel(feats, 0.10)
-				_ = m.PredictInstructions(feats, 0.10, level)
+				level := inf.DecideLevel(feats, 0.10)
+				_ = inf.PredictInstructions(feats, 0.10, level)
 			}
 			b.ReportMetric(float64(m.EffectiveFLOPs()), "flops")
 		})

@@ -23,7 +23,7 @@
 // (queue/coalesce/network/inference) plus an example trace ID to chase
 // through the merged Chrome trace or /debug/decisions?trace=.
 //
-// With -trace the feature stream is a cycled replay of a cmd/dvfstrace
+// With -trace the feed is a cycled replay of a cmd/dvfstrace
 // CSV: each row is the 47-counter vector the simulator's controller saw
 // for that epoch, so a -ledger replica prices it as the run did. Without
 // it, synthetic epochs are drawn from the memory-boundedness family used
@@ -228,12 +228,16 @@ func run(addr string, conns, batch int, duration time.Duration, qps, preset floa
 	var feed func(i int) []float64
 	var source string
 	if tracePath != "" {
-		stream, err := epochtrace.OpenFeatureStream(tracePath)
+		trace, err := epochtrace.ReadFile(tracePath)
 		if err != nil {
 			return err
 		}
-		feed = stream.Row
-		source = fmt.Sprintf("trace %s (%d epochs)", tracePath, stream.Len())
+		recs := trace.Records
+		if len(recs) == 0 {
+			return fmt.Errorf("trace %s has no epochs", tracePath)
+		}
+		feed = func(i int) []float64 { return recs[i%len(recs)].Counters }
+		source = fmt.Sprintf("trace %s (%d epochs)", tracePath, len(recs))
 	} else {
 		synth := syntheticRows(rows, seed)
 		feed = func(i int) []float64 { return synth[i%len(synth)] }

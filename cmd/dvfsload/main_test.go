@@ -4,13 +4,17 @@ import (
 	"bytes"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
 	"ssmdvfs/internal/counters"
+	"ssmdvfs/internal/epochtrace"
 	"ssmdvfs/internal/fleet"
 	"ssmdvfs/internal/ledger"
+	"ssmdvfs/internal/serve"
 )
 
 func TestSyntheticRowsCoverDecisionSpace(t *testing.T) {
@@ -94,5 +98,22 @@ func TestLedgerSummaryDisabledEndpointErrors(t *testing.T) {
 	err := ledgerSummary(&bytes.Buffer{}, ts.URL)
 	if err == nil || !strings.Contains(err.Error(), "ledger disabled") {
 		t.Fatalf("err = %v, want ledger-disabled error", err)
+	}
+}
+
+// TestTraceWithNoEpochsRefused: a -trace file that parses but holds no
+// rows (a header-only CSV) stops the run before any connection is dialed.
+func TestTraceWithNoEpochsRefused(t *testing.T) {
+	var csv bytes.Buffer
+	if err := (&epochtrace.Trace{}).WriteCSV(&csv); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "empty.csv")
+	if err := os.WriteFile(path, csv.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	err := run("127.0.0.1:1", 1, 1, time.Second, 0, 0.1, path, 16, 1, false, serve.DialOptions{}, nil, nil)
+	if err == nil || !strings.Contains(err.Error(), "no epochs") {
+		t.Fatalf("err = %v, want a no-epochs refusal", err)
 	}
 }

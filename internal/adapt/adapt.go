@@ -195,9 +195,6 @@ func NewController(e *serve.Engine, opts Options) (*Controller, error) {
 	return c, nil
 }
 
-// Events exposes the transition log (for /debug/adapt and artifacts).
-func (c *Controller) Events() *telemetry.EventLog { return c.events }
-
 // State returns the current phase.
 func (c *Controller) State() State {
 	c.mu.Lock()

@@ -225,7 +225,7 @@ func TestControllerFullCycleCommit(t *testing.T) {
 
 	// The transition log tells the whole story in order.
 	var kinds []string
-	for _, ev := range c.Events().Snapshot(nil) {
+	for _, ev := range c.Status().Transitions {
 		if ev.Kind == string(StateShadow) || ev.Kind == string(StateCanary) ||
 			ev.Kind == string(StateCooldown) || ev.Kind == string(StateMonitoring) {
 			kinds = append(kinds, ev.Kind)
@@ -276,7 +276,7 @@ func TestControllerRollbackOnRegression(t *testing.T) {
 		t.Fatalf("rollbacks = %d, want 1", snap.Counters["adapt_rollbacks_total"])
 	}
 	var sawRollback bool
-	for _, ev := range c.Events().Snapshot(nil) {
+	for _, ev := range c.Status().Transitions {
 		if ev.Kind == string(StateCooldown) && ev.Detail["restored_generation"] != nil {
 			sawRollback = true
 		}

@@ -38,7 +38,9 @@ func dumpAdaptArtifact(t *testing.T, c *Controller) {
 		return
 	}
 	defer f.Close()
-	if err := c.Events().WriteJSON(f); err != nil {
+	enc := json.NewEncoder(f)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(c.Status().Transitions); err != nil {
 		t.Logf("adapt artifact: %v", err)
 		return
 	}
@@ -208,7 +210,7 @@ func TestChaosAdaptationLifecycle(t *testing.T) {
 
 	// The transition log tells the full story, in order, and carries the
 	// recorder heads bounding the canary's serving window.
-	evs := c.Events().Snapshot(nil)
+	evs := c.Status().Transitions
 	var story []string
 	var promoteHead, rollbackHead uint64
 	var shadowDetail map[string]any
@@ -285,17 +287,19 @@ func TestChaosAdaptationLifecycle(t *testing.T) {
 		t.Fatal("chaos: canary never actually served")
 	}
 
-	// The log round-trips as JSON (what the smoke script uploads).
-	var buf strings.Builder
-	if err := c.Events().WriteJSON(&buf); err != nil {
+	// The log round-trips as JSON in the status /debug/adapt serves.
+	buf, err := json.Marshal(c.Status())
+	if err != nil {
 		t.Fatal(err)
 	}
-	var decoded []map[string]any
-	if err := json.Unmarshal([]byte(buf.String()), &decoded); err != nil {
-		t.Fatalf("transition log not valid JSON: %v", err)
+	var decoded struct {
+		Transitions []map[string]any `json:"transitions"`
 	}
-	if len(decoded) != len(evs) {
-		t.Fatalf("transition log JSON has %d events, want %d", len(decoded), len(evs))
+	if err := json.Unmarshal(buf, &decoded); err != nil {
+		t.Fatalf("status not valid JSON: %v", err)
+	}
+	if len(decoded.Transitions) != len(evs) {
+		t.Fatalf("status JSON has %d transitions, want %d", len(decoded.Transitions), len(evs))
 	}
 	t.Logf("chaos: %d requests answered, %d served by the canary, story %v",
 		answered.Load(), gen1, story)

@@ -135,7 +135,7 @@ func TestFLEMMADecisionsInRange(t *testing.T) {
 			}
 		}
 	}
-	if f.Updates() == 0 {
+	if f.updates == 0 {
 		t.Fatal("no coarse-grained updates after 200 epochs")
 	}
 }

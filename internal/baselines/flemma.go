@@ -115,9 +115,6 @@ func NewFLEMMA(table *clockdomain.Table, preset float64, clusters int, seed int6
 // Name implements gpusim.Controller.
 func (f *FLEMMA) Name() string { return "flemma" }
 
-// Updates returns how many coarse-grained model updates have happened.
-func (f *FLEMMA) Updates() int { return f.updates }
-
 // state builds the normalized observation vector.
 func (f *FLEMMA) state(stats gpusim.EpochStats) []float64 {
 	instr := float64(stats.Instructions)

@@ -66,14 +66,8 @@ func (d *Domain) Point() OperatingPoint { return d.table.Point(d.level) }
 // PeriodPs returns the current clock period in picoseconds.
 func (d *Domain) PeriodPs() int64 { return d.periodPs }
 
-// Table returns the domain's operating-point table.
-func (d *Domain) Table() *Table { return d.table }
-
 // Transitions returns how many V/f changes the domain has performed.
 func (d *Domain) Transitions() int { return d.transitions }
-
-// StalledPs returns total picoseconds spent stalled in IVR transitions.
-func (d *Domain) StalledPs() int64 { return d.stalledPs }
 
 // SetLevel requests a transition to the given level at absolute time
 // nowPs. The level is clamped to the table range. If it differs from the

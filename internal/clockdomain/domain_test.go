@@ -60,8 +60,8 @@ func TestDomainSetLevel(t *testing.T) {
 	if d.Transitions() != 1 {
 		t.Fatalf("transitions = %d, want 1", d.Transitions())
 	}
-	if d.StalledPs() != DefaultIVR().VoltageSettlePs {
-		t.Fatalf("stalledPs = %d, want %d", d.StalledPs(), DefaultIVR().VoltageSettlePs)
+	if d.stalledPs != DefaultIVR().VoltageSettlePs {
+		t.Fatalf("stalledPs = %d, want %d", d.stalledPs, DefaultIVR().VoltageSettlePs)
 	}
 }
 
@@ -79,11 +79,11 @@ func TestDomainSetLevelClamps(t *testing.T) {
 
 func TestDomainPeriodTracksLevel(t *testing.T) {
 	d := NewDomain(TitanX(), DefaultIVR())
-	if d.PeriodPs() != d.Table().Point(5).PeriodPs() {
+	if d.PeriodPs() != d.table.Point(5).PeriodPs() {
 		t.Fatal("period does not match default point")
 	}
 	d.SetLevel(0, 0)
-	if d.PeriodPs() != d.Table().Point(0).PeriodPs() {
+	if d.PeriodPs() != d.table.Point(0).PeriodPs() {
 		t.Fatal("period does not match level 0 after transition")
 	}
 }

@@ -33,8 +33,8 @@ func TestDecideBatchMatchesRowAtATime(t *testing.T) {
 				inf.SetBatchRow(i, feats[i], presets[i])
 			}
 			inf.DecideBatch()
-			if inf.BatchLen() != n {
-				t.Fatalf("%s n=%d: BatchLen %d", kind, n, inf.BatchLen())
+			if inf.bRows != n {
+				t.Fatalf("%s n=%d: batch ran %d rows", kind, n, inf.bRows)
 			}
 			for i := 0; i < n; i++ {
 				wantLevel, wantPred := ref.Decide(feats[i], presets[i])

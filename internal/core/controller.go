@@ -136,9 +136,6 @@ func (c *Controller) Name() string {
 // Model returns the model the controller decides with.
 func (c *Controller) Model() *Model { return c.model }
 
-// Preset returns the user-set performance-loss preset.
-func (c *Controller) Preset() float64 { return c.preset }
-
 // Inferences returns how many combined model inferences the controller
 // has performed (one decision + one calibration per epoch per cluster).
 func (c *Controller) Inferences() int64 { return c.inferences }

@@ -92,8 +92,8 @@ func TestDecideLevelRespondsToPreset(t *testing.T) {
 	feats := make([]float64, counters.Num)
 	feats[counters.IdxIPC] = 2.0
 	feats[counters.IdxPPC] = 7
-	tight := m.DecideLevel(feats, 0.02)
-	loose := m.DecideLevel(feats, 0.60)
+	tight := NewInference(m).DecideLevel(feats, 0.02)
+	loose := NewInference(m).DecideLevel(feats, 0.60)
 	if tight < loose {
 		t.Fatalf("tight preset chose slower level than loose: %d < %d", tight, loose)
 	}
@@ -106,7 +106,7 @@ func TestDecideLevelRespondsToPreset(t *testing.T) {
 	mem[counters.IdxMH] = 60000
 	mem[counters.IdxMHNL] = 5000
 	mem[counters.IdxL1CRM] = 2000
-	if lvl := m.DecideLevel(mem, 0.10); lvl > 1 {
+	if lvl := NewInference(m).DecideLevel(mem, 0.10); lvl > 1 {
 		t.Fatalf("memory-bound at 10%% preset chose level %d, want near 0", lvl)
 	}
 }
@@ -121,7 +121,7 @@ func TestPredictInstructionsPositiveAndSane(t *testing.T) {
 	feats[counters.IdxIPC] = 1.0
 	feats[counters.IdxPPC] = 5
 	feats[counters.IdxMH] = 30000
-	got := m.PredictInstructions(feats, 0.1, 3)
+	got := NewInference(m).PredictInstructions(feats, 0.1, 3)
 	if got < 0 || math.IsNaN(got) {
 		t.Fatalf("prediction = %g", got)
 	}
@@ -147,11 +147,11 @@ func TestModelSaveLoadRoundTrip(t *testing.T) {
 	feats := make([]float64, counters.Num)
 	feats[counters.IdxIPC] = 1.2
 	feats[counters.IdxPPC] = 5.5
-	if a, b := m.DecideLevel(feats, 0.1), got.DecideLevel(feats, 0.1); a != b {
+	if a, b := NewInference(m).DecideLevel(feats, 0.1), NewInference(got).DecideLevel(feats, 0.1); a != b {
 		t.Fatalf("loaded model decides %d, original %d", b, a)
 	}
-	pa := m.PredictInstructions(feats, 0.1, 2)
-	pb := got.PredictInstructions(feats, 0.1, 2)
+	pa := NewInference(m).PredictInstructions(feats, 0.1, 2)
+	pb := NewInference(got).PredictInstructions(feats, 0.1, 2)
 	if math.Abs(pa-pb) > 1e-9 {
 		t.Fatalf("loaded model predicts %g, original %g", pb, pa)
 	}

@@ -46,9 +46,6 @@ func NewInference(m *Model) *Inference {
 	return inf
 }
 
-// Model returns the currently bound model.
-func (inf *Inference) Model() *Model { return inf.m }
-
 // Bind points the context at a (possibly different) model, resizing the
 // scratch buffers if the feature set changed. Buffers are retained across
 // rebinds, so hot-swapping models keeps the path allocation-free; binding
@@ -85,7 +82,11 @@ func (inf *Inference) Bind(m *Model) {
 // Backend returns the kind of backend the context currently infers with.
 func (inf *Inference) Backend() infer.Kind { return inf.dBk.Describe().Kind }
 
-// DecideLevel is Model.DecideLevel without allocations.
+// DecideLevel returns the operating-point level for the next epoch given
+// the full 47-counter vector of the just-finished epoch and the (possibly
+// calibrated) performance-loss preset. It routes through the model's
+// declared inference backend, so offline evaluation sees the same
+// numerics the serving tier does (int8 included), and allocates nothing.
 func (inf *Inference) DecideLevel(fullFeatures []float64, preset float64) int {
 	m := inf.m
 	n := len(m.FeatureIdx)
@@ -108,7 +109,11 @@ func (inf *Inference) Logits() []float64 { return inf.lastLogits }
 // Like Logits, it aliases scratch and must not be retained.
 func (inf *Inference) DecisionRow() []float64 { return inf.dRow }
 
-// PredictInstructions is Model.PredictInstructions without allocations.
+// PredictInstructions returns the Calibrator's estimate of the next
+// epoch's instruction count given the counters, the *originally set*
+// preset (per the paper, the Calibrator always sees the uncalibrated
+// preset), and the level the Decision-maker chose. Like DecideLevel it
+// routes through the model's declared backend and allocates nothing.
 func (inf *Inference) PredictInstructions(fullFeatures []float64, preset float64, level int) float64 {
 	m := inf.m
 	n := len(m.FeatureIdx)
@@ -213,9 +218,6 @@ func (inf *Inference) DecideBatch() {
 		inf.bPreds[i] = pred
 	}
 }
-
-// BatchLen returns how many rows the last DecideBatch ran.
-func (inf *Inference) BatchLen() int { return inf.bRows }
 
 // BatchLevel returns row i's chosen operating level.
 func (inf *Inference) BatchLevel(i int) int { return inf.bLevels[i] }

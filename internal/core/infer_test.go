@@ -33,8 +33,8 @@ func randomFeatures(rng *rand.Rand) []float64 {
 	return feats
 }
 
-// TestInferenceMatchesModel pins the allocation-free path to the plain
-// allocating one.
+// TestInferenceMatchesModel pins a reused inference context to a fresh
+// one per call.
 func TestInferenceMatchesModel(t *testing.T) {
 	m := trainedModel(t, 21)
 	inf := NewInference(m)
@@ -42,12 +42,12 @@ func TestInferenceMatchesModel(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		feats := randomFeatures(rng)
 		preset := rng.Float64() * 0.3
-		wantLevel := m.DecideLevel(feats, preset)
+		wantLevel := NewInference(m).DecideLevel(feats, preset)
 		gotLevel, gotPred := inf.Decide(feats, preset)
 		if gotLevel != wantLevel {
 			t.Fatalf("iter %d: Inference level %d, Model level %d", i, gotLevel, wantLevel)
 		}
-		wantPred := m.PredictInstructions(feats, preset, wantLevel)
+		wantPred := NewInference(m).PredictInstructions(feats, preset, wantLevel)
 		if gotPred != wantPred {
 			t.Fatalf("iter %d: Inference pred %g, Model pred %g", i, gotPred, wantPred)
 		}
@@ -67,8 +67,8 @@ func TestInferenceSteadyStateAllocs(t *testing.T) {
 }
 
 // TestConcurrentInferenceMatchesSerial hammers one *Model from 16
-// goroutines — through both the plain methods and pooled Inference
-// contexts — and asserts every output is identical to the serial path.
+// goroutines — through both a fresh Inference per call and one reused
+// context per goroutine — and asserts every output is identical to the serial path.
 // Run under -race this is the audit that the forward pass shares no
 // mutable state.
 func TestConcurrentInferenceMatchesSerial(t *testing.T) {
@@ -86,8 +86,8 @@ func TestConcurrentInferenceMatchesSerial(t *testing.T) {
 	wantLevel := make([]int, rows)
 	wantPred := make([]float64, rows)
 	for i := range feats {
-		wantLevel[i] = m.DecideLevel(feats[i], presets[i])
-		wantPred[i] = m.PredictInstructions(feats[i], presets[i], wantLevel[i])
+		wantLevel[i] = NewInference(m).DecideLevel(feats[i], presets[i])
+		wantPred[i] = NewInference(m).PredictInstructions(feats[i], presets[i], wantLevel[i])
 	}
 
 	const goroutines = 16
@@ -104,8 +104,8 @@ func TestConcurrentInferenceMatchesSerial(t *testing.T) {
 					if (g+rep)%2 == 0 {
 						level, pred = inf.Decide(feats[i], presets[i])
 					} else {
-						level = m.DecideLevel(feats[i], presets[i])
-						pred = m.PredictInstructions(feats[i], presets[i], level)
+						level = NewInference(m).DecideLevel(feats[i], presets[i])
+						pred = NewInference(m).PredictInstructions(feats[i], presets[i], level)
 					}
 					if level != wantLevel[i] || pred != wantPred[i] {
 						t.Errorf("goroutine %d row %d: (%d, %g) != serial (%d, %g)",

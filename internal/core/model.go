@@ -109,24 +109,6 @@ func (m *Model) ProvenanceHeader() provenance.Header {
 	}
 }
 
-// DecideLevel returns the operating-point level for the next epoch given
-// the full 47-counter vector of the just-finished epoch and the (possibly
-// calibrated) performance-loss preset. It routes through the model's
-// declared inference backend, so offline evaluation sees the same
-// numerics the serving tier does (int8 included).
-func (m *Model) DecideLevel(fullFeatures []float64, preset float64) int {
-	return NewInference(m).DecideLevel(fullFeatures, preset)
-}
-
-// PredictInstructions returns the Calibrator's estimate of the next
-// epoch's instruction count given the counters, the *originally set*
-// preset (per the paper, the Calibrator always sees the uncalibrated
-// preset), and the level the Decision-maker chose. Like DecideLevel it
-// routes through the model's declared inference backend.
-func (m *Model) PredictInstructions(fullFeatures []float64, preset float64, level int) float64 {
-	return NewInference(m).PredictInstructions(fullFeatures, preset, level)
-}
-
 // FLOPs returns the dense inference cost of one combined decision +
 // calibration step.
 func (m *Model) FLOPs() int { return m.Decision.FLOPs() + m.Calibrator.FLOPs() }

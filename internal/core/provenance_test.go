@@ -128,8 +128,8 @@ func TestControllerFlipRateOverKernel(t *testing.T) {
 	}
 
 	recs := rec.Snapshot(nil)
-	if rec.Dropped() != 0 || len(recs) <= cfg.Clusters {
-		t.Fatalf("%d records (%d dropped): the recount needs all of them, and more than one a cluster", len(recs), rec.Dropped())
+	if rec.Head() > uint64(rec.Cap()) || len(recs) <= cfg.Clusters {
+		t.Fatalf("%d records of %d written: the recount needs all of them, and more than one a cluster", len(recs), rec.Head())
 	}
 	last := make(map[int32]int32)
 	var transitions, flips int

@@ -23,7 +23,7 @@ func refitStream(m *Model, n int, factor float64, seed int64) (rows [][]float64,
 			row = append(row, feats[idx])
 		}
 		row = append(row, preset, float64(level))
-		pred := m.PredictInstructions(feats, preset, level)
+		pred := NewInference(m).PredictInstructions(feats, preset, level)
 		rows = append(rows, row)
 		targets = append(targets, pred*factor)
 	}
@@ -76,7 +76,7 @@ func TestRefitCalibratorAbsorbsDrift(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	for i := 0; i < 20; i++ {
 		feats := randomFeatures(rng)
-		if got, want := cand.DecideLevel(feats, 0.1), parent.DecideLevel(feats, 0.1); got != want {
+		if got, want := NewInference(cand).DecideLevel(feats, 0.1), NewInference(parent).DecideLevel(feats, 0.1); got != want {
 			t.Fatalf("decision level diverged after refit: %d vs %d", got, want)
 		}
 	}

@@ -165,9 +165,8 @@ func (c stepLevels) Decide(s gpusim.EpochStats) int {
 }
 
 // TestTraceRowIsFromStats pins the one epoch record: every epoch a
-// simulator observes, written by WriteCSV, read back by ReadCSV and
-// served by a FeatureStream, is counters.FromStats of that epoch bit for
-// bit — the op mix, L2, control stalls and power split included.
+// simulator observes, written by WriteCSV and read back by ReadCSV, is
+// counters.FromStats of that epoch bit for bit — the op mix, L2, control stalls and power split included.
 func TestTraceRowIsFromStats(t *testing.T) {
 	for _, name := range []string{"rodinia.b+tree", "parboil.sgemm", "rodinia.srad"} {
 		spec, err := kernels.ByName(name)
@@ -191,16 +190,12 @@ func TestTraceRowIsFromStats(t *testing.T) {
 		}
 
 		got := roundTrip(t, trace)
-		stream, err := NewFeatureStream(got)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if stream.Len() != len(want) {
-			t.Fatalf("%s: stream has %d rows, want %d", name, stream.Len(), len(want))
+		if len(got.Records) != len(want) {
+			t.Fatalf("%s: trace has %d records, want %d", name, len(got.Records), len(want))
 		}
 		var l2, branch bool
 		for i, s := range want {
-			row := stream.Next()
+			row := got.Records[i].Counters
 			if r := got.Records[i]; r.Epoch != s.Epoch || r.Cluster != s.Cluster {
 				t.Fatalf("%s: record %d is (%d, %d), want (%d, %d)", name, i, r.Epoch, r.Cluster, s.Epoch, s.Cluster)
 			}

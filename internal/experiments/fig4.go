@@ -669,12 +669,3 @@ func (r *Fig4Result) WriteSharing(w io.Writer) error {
 func (r *Fig4Result) SaveFile(path string) error {
 	return atomicfile.WriteJSON(path, r)
 }
-
-// LoadFig4File reads a result saved with SaveFile.
-func LoadFig4File(path string) (*Fig4Result, error) {
-	var r Fig4Result
-	if err := atomicfile.ReadJSON(path, &r); err != nil {
-		return nil, fmt.Errorf("experiments: fig4 result: %w", err)
-	}
-	return &r, nil
-}

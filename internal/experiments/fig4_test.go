@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"ssmdvfs/internal/atomicfile"
 	"ssmdvfs/internal/core"
 	"ssmdvfs/internal/kernels"
 )
@@ -183,14 +184,11 @@ func TestFig4SaveLoadRoundTrip(t *testing.T) {
 	if err := res.SaveFile(path); err != nil {
 		t.Fatal(err)
 	}
-	got, err := LoadFig4File(path)
-	if err != nil {
+	var got Fig4Result
+	if err := atomicfile.ReadJSON(path, &got); err != nil {
 		t.Fatal(err)
 	}
 	if len(got.Rows) != 1 || got.Rows[0].NormEDP != 0.85 || got.Summaries[0].Mechanism != MechSSMDVFS {
 		t.Fatalf("round trip corrupted: %+v", got)
-	}
-	if _, err := LoadFig4File(t.TempDir() + "/missing.json"); err == nil {
-		t.Fatal("missing file accepted")
 	}
 }

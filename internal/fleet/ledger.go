@@ -42,23 +42,37 @@ func ReadLedgerAggregate(r io.Reader) (*LedgerAggregate, error) {
 	return &a, nil
 }
 
-// FetchLedger GETs /debug/ledger under the base URL (no trailing slash)
-// and accepts either payload the two tiers serve there: a router's
-// LedgerAggregate (it has a "merged" key; fleet is true) or a bare replica
-// snapshot, which comes back as an aggregate holding only Merged — what
-// dvfstop renders and dvfsload -ledger summarises.
-func FetchLedger(base string) (agg *LedgerAggregate, fleet bool, err error) {
-	resp, err := http.Get(base + "/debug/ledger")
+// fetchLedgerTimeout bounds one FetchLedger call, connect to last byte.
+const fetchLedgerTimeout = 5 * time.Second
+
+// getLedger GETs url with c and returns the body, read up to 16 MiB. A
+// status other than 200 is an error naming url, the status and the body.
+func getLedger(c *http.Client, url string) ([]byte, error) {
+	resp, err := c.Get(url)
 	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
 	defer resp.Body.Close()
 	body, err := io.ReadAll(io.LimitReader(resp.Body, 16<<20))
 	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
 	if resp.StatusCode != http.StatusOK {
-		return nil, false, fmt.Errorf("GET %s/debug/ledger: %s: %s", base, resp.Status, strings.TrimSpace(string(body)))
+		return nil, fmt.Errorf("GET %s: %s: %s", url, resp.Status, strings.TrimSpace(string(body)))
+	}
+	return body, nil
+}
+
+// FetchLedger GETs /debug/ledger under the base URL (no trailing slash)
+// and accepts either payload the two tiers serve there: a router's
+// LedgerAggregate (it has a "merged" key; fleet is true) or a bare replica
+// snapshot, which comes back as an aggregate holding only Merged — what
+// dvfstop renders and dvfsload -ledger summarises. It gives up after
+// fetchLedgerTimeout.
+func FetchLedger(base string) (agg *LedgerAggregate, fleet bool, err error) {
+	body, err := getLedger(&http.Client{Timeout: fetchLedgerTimeout}, base+"/debug/ledger")
+	if err != nil {
+		return nil, false, err
 	}
 	var probe struct {
 		Merged *json.RawMessage `json:"merged"`
@@ -144,7 +158,6 @@ type ledgerPlane struct {
 	interval time.Duration
 	client   *http.Client
 	alerts   *ledger.Alerts
-	events   *telemetry.EventLog
 	states   []replicaLedgerState
 	agg      atomic.Pointer[LedgerAggregate]
 
@@ -165,7 +178,6 @@ func newLedgerPlane(rt *Router, opts Options) *ledgerPlane {
 		rt:       rt,
 		interval: opts.ScrapeInterval,
 		client:   &http.Client{Timeout: opts.ScrapeInterval},
-		events:   telemetry.NewEventLog(0, reg),
 		states:   make([]replicaLedgerState, len(opts.ReplicaHTTP)),
 
 		scrapes:      reg.Counter("ledger_scrapes_total"),
@@ -178,7 +190,7 @@ func newLedgerPlane(rt *Router, opts Options) *ledgerPlane {
 		burn:         reg.Gauge("ledger_fleet_budget_burn"),
 		firing:       reg.Gauge("ledger_alerts_firing"),
 	}
-	p.alerts = ledger.NewAlerts(opts.AlertRules, reg, p.events)
+	p.alerts = ledger.NewAlerts(opts.AlertRules, reg)
 	for i, u := range opts.ReplicaHTTP {
 		p.states[i].url = strings.TrimRight(u, "/")
 	}
@@ -268,16 +280,11 @@ func (p *ledgerPlane) scrapeOnce(now time.Time) {
 }
 
 func (p *ledgerPlane) fetch(url string) (ledger.Snapshot, error) {
-	resp, err := p.client.Get(url)
+	body, err := getLedger(p.client, url)
 	if err != nil {
 		return ledger.Snapshot{}, err
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<10))
-		return ledger.Snapshot{}, fmt.Errorf("GET %s: %s", url, resp.Status)
-	}
-	return ledger.ReadSnapshot(io.LimitReader(resp.Body, 16<<20))
+	return ledger.ReadSnapshot(bytes.NewReader(body))
 }
 
 // ScrapeLedgers runs one synchronous ledger scrape+merge+alert pass
@@ -300,15 +307,6 @@ func (rt *Router) LedgerAggregate() *LedgerAggregate {
 		return nil
 	}
 	return rt.plane.agg.Load()
-}
-
-// LedgerEvents returns the alert transition log, or nil when the ledger
-// plane is disabled.
-func (rt *Router) LedgerEvents() *telemetry.EventLog {
-	if rt.plane == nil {
-		return nil
-	}
-	return rt.plane.events
 }
 
 // handleLedger serves the merged fleet ledger at /debug/ledger. 404 when

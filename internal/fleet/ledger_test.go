@@ -162,10 +162,9 @@ func TestRouterLedgerStaleAlertFiresAndClears(t *testing.T) {
 		t.Fatalf("alert_firing{rule=stale} = %v, want 0", got)
 	}
 
-	// Both transitions are on the event log.
-	evs := rt.LedgerEvents().Snapshot(nil)
-	if len(evs) != 2 || evs[0].Kind != "alert_fire" || evs[1].Kind != "alert_clear" {
-		t.Fatalf("transition events = %+v", evs)
+	// Both transitions are counted.
+	if got := rt.Telemetry().Counter("alert_transitions_total", "rule", "stale").Load(); got != 2 {
+		t.Fatalf("alert_transitions_total{rule=stale} = %d, want 2", got)
 	}
 }
 
@@ -366,5 +365,31 @@ func TestFleetPromExpositionLintClean(t *testing.T) {
 		if !bytes.Contains(buf.Bytes(), []byte(name)) {
 			t.Fatalf("fleet exposition missing %s", name)
 		}
+	}
+}
+
+// TestFetchLedgerGivesUpOnSilentPeer: a peer that accepts the request and
+// never answers costs FetchLedger its timeout, not the caller's life.
+func TestFetchLedgerGivesUpOnSilentPeer(t *testing.T) {
+	t.Parallel()
+	release := make(chan struct{})
+	silent := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		<-release
+	}))
+	defer silent.Close()
+	defer close(release)
+
+	done := make(chan error, 1)
+	go func() {
+		_, _, err := FetchLedger(silent.URL)
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err == nil {
+			t.Fatal("FetchLedger returned no error from a peer that never answered")
+		}
+	case <-time.After(fetchLedgerTimeout + 5*time.Second):
+		t.Fatalf("FetchLedger still blocked %v after asking a silent peer", fetchLedgerTimeout+5*time.Second)
 	}
 }

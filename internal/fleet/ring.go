@@ -179,17 +179,3 @@ func (r *Ring) Lookup(key uint64) (shard int, ok bool) {
 	}
 	return 0, false
 }
-
-// Assignments maps every key to its shard index (-1 when no replica is
-// healthy) — the bulk form tests and rebalance audits use.
-func (r *Ring) Assignments(keys []uint64) []int {
-	out := make([]int, len(keys))
-	for i, k := range keys {
-		if shard, ok := r.Lookup(k); ok {
-			out[i] = shard
-		} else {
-			out[i] = -1
-		}
-	}
-	return out
-}

@@ -36,10 +36,11 @@ func TestRingDeterministicAssignments(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a1, a2 := r1.Assignments(keys), r2.Assignments(keys)
-	for i := range keys {
-		if a1[i] != a2[i] {
-			t.Fatalf("key %d: assignment %d vs %d despite same seed+set", i, a1[i], a2[i])
+	a1 := make([]int, len(keys))
+	for i, k := range keys {
+		a1[i], _ = r1.Lookup(k)
+		if s2, _ := r2.Lookup(k); a1[i] != s2 {
+			t.Fatalf("key %d: assignment %d vs %d despite same seed+set", i, a1[i], s2)
 		}
 	}
 
@@ -48,8 +49,8 @@ func TestRingDeterministicAssignments(t *testing.T) {
 		t.Fatal(err)
 	}
 	diff := 0
-	for i, s := range r3.Assignments(keys) {
-		if s != a1[i] {
+	for i, k := range keys {
+		if s, _ := r3.Lookup(k); s != a1[i] {
 			diff++
 		}
 	}
@@ -122,7 +123,10 @@ func TestRingHealthFlipMovesOnlyFlippedKeys(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := r.Assignments(keys)
+	before := make([]int, len(keys))
+	for i, k := range keys {
+		before[i], _ = r.Lookup(k)
+	}
 
 	const down = 2
 	if !r.SetHealthy(down, false) {
@@ -131,22 +135,22 @@ func TestRingHealthFlipMovesOnlyFlippedKeys(t *testing.T) {
 	if r.Healthy() != len(testReplicas)-1 {
 		t.Fatalf("healthy = %d", r.Healthy())
 	}
-	during := r.Assignments(keys)
-	for i := range keys {
+	for i, k := range keys {
+		during, _ := r.Lookup(k)
 		if before[i] == down {
-			if during[i] == down {
+			if during == down {
 				t.Fatalf("key %d still assigned to unhealthy replica", i)
 			}
-		} else if during[i] != before[i] {
-			t.Fatalf("key %d moved from healthy replica %d to %d", i, before[i], during[i])
+		} else if during != before[i] {
+			t.Fatalf("key %d moved from healthy replica %d to %d", i, before[i], during)
 		}
 	}
 
 	if !r.SetHealthy(down, true) {
 		t.Fatal("SetHealthy(true) reported no change")
 	}
-	for i, s := range r.Assignments(keys) {
-		if s != before[i] {
+	for i, k := range keys {
+		if s, _ := r.Lookup(k); s != before[i] {
 			t.Fatalf("key %d did not move home after recovery", i)
 		}
 	}

@@ -133,9 +133,6 @@ func TestCacheConfigValidate(t *testing.T) {
 	if err := good.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if got := good.Bytes(); got != 64*4*64 {
-		t.Fatalf("Bytes = %d", got)
-	}
 	bad := []CacheConfig{
 		{Sets: 0, Ways: 4, LineBytes: 64},
 		{Sets: 63, Ways: 4, LineBytes: 64}, // not a power of two

@@ -21,9 +21,6 @@ type CacheConfig struct {
 	LineBytes int
 }
 
-// Bytes returns the cache capacity in bytes.
-func (c CacheConfig) Bytes() int { return c.Sets * c.Ways * c.LineBytes }
-
 // Validate checks the geometry: sets must be a power of two so line
 // addresses index sets with a mask.
 func (c CacheConfig) Validate() error {

@@ -87,7 +87,7 @@ func TestEpochHalvesAlternate(t *testing.T) {
 		fn()
 	}
 	mustPanic("OpenEpoch before any CloseEpoch", func() { sim.OpenEpoch(nil) })
-	if _, ok := sim.CloseEpoch(sim.Config().EpochPs - 1); ok {
+	if _, ok := sim.CloseEpoch(sim.cfg.EpochPs - 1); ok {
 		t.Fatal("CloseEpoch closed an epoch that ends past its limit")
 	}
 	if _, ok := sim.CloseEpoch(testMaxPs); !ok {

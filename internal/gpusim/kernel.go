@@ -2,9 +2,6 @@ package gpusim
 
 import "ssmdvfs/internal/isa"
 
-// Kernel and Program re-export the isa workload types so simulator users
-// only import one package for the common path.
-type (
-	Kernel  = isa.Kernel
-	Program = isa.Program
-)
+// Kernel re-exports the isa workload type so simulator users only import
+// one package for the common path.
+type Kernel = isa.Kernel

@@ -99,9 +99,6 @@ func (s *Simulator) SetController(c Controller) { s.controller = c }
 // snapshot at each boundary (after the controller has been consulted).
 func (s *Simulator) SetObserver(o EpochObserver) { s.observer = o }
 
-// Config returns the simulator's configuration.
-func (s *Simulator) Config() Config { return s.cfg }
-
 // NowPs returns the simulation time: the earliest next tick over active
 // clusters, or the last finish time when all clusters are done.
 func (s *Simulator) NowPs() int64 {
@@ -141,9 +138,6 @@ func (s *Simulator) TotalInstructions() int64 {
 	}
 	return t
 }
-
-// ClusterLevel returns cluster i's current operating-point level.
-func (s *Simulator) ClusterLevel(i int) int { return s.clusters[i].domain.Level() }
 
 // ForceLevel pins every cluster to the given level immediately (used to
 // run whole programs at a fixed operating point, e.g. for data

@@ -213,7 +213,7 @@ func TestCloneIsolation(t *testing.T) {
 	cl.ForceLevel(0)
 	cl.RunUntil(40_000_000)
 	// The original must be unaffected by the clone's progress or level.
-	if sim.ClusterLevel(0) != cfg.OPs.Default() {
+	if sim.clusters[0].domain.Level() != cfg.OPs.Default() {
 		t.Fatal("clone ForceLevel leaked into original")
 	}
 	if sim.NowPs() > 21_000_000 {
@@ -266,7 +266,7 @@ func TestControllerLevelApplied(t *testing.T) {
 	sim.SetController(&fixedController{level: 0})
 	sim.RunUntil(2 * cfg.EpochPs)
 	for c := 0; c < cfg.Clusters; c++ {
-		if got := sim.ClusterLevel(c); got != 0 {
+		if got := sim.clusters[c].domain.Level(); got != 0 {
 			t.Fatalf("cluster %d level = %d after controller epochs, want 0", c, got)
 		}
 	}
@@ -374,8 +374,8 @@ func TestForceLevelTakesEffect(t *testing.T) {
 	}
 	sim.ForceLevel(2)
 	for c := 0; c < cfg.Clusters; c++ {
-		if sim.ClusterLevel(c) != 2 {
-			t.Fatalf("cluster %d level %d, want 2", c, sim.ClusterLevel(c))
+		if sim.clusters[c].domain.Level() != 2 {
+			t.Fatalf("cluster %d level %d, want 2", c, sim.clusters[c].domain.Level())
 		}
 	}
 }
@@ -506,7 +506,7 @@ func TestControllerLevelClamped(t *testing.T) {
 	sim.SetController(controllerFunc(func(s EpochStats) int { return 999 }))
 	sim.RunUntil(2 * cfg.EpochPs)
 	for c := 0; c < cfg.Clusters; c++ {
-		if got := sim.ClusterLevel(c); got != cfg.OPs.Default() {
+		if got := sim.clusters[c].domain.Level(); got != cfg.OPs.Default() {
 			t.Fatalf("cluster %d level %d, want clamped %d", c, got, cfg.OPs.Default())
 		}
 	}
@@ -516,7 +516,7 @@ func TestControllerLevelClamped(t *testing.T) {
 	}
 	sim2.SetController(controllerFunc(func(s EpochStats) int { return -50 }))
 	sim2.RunUntil(2 * cfg.EpochPs)
-	if got := sim2.ClusterLevel(0); got != 0 {
+	if got := sim2.clusters[0].domain.Level(); got != 0 {
 		t.Fatalf("negative level clamped to %d, want 0", got)
 	}
 }

@@ -320,7 +320,7 @@ func dnnLayerKernel(convOps, poolLoads, fcLoads, lines int) func(int, *rand.Rand
 				body = append(body, load(w, streamSpec(base+uint64(m)*0x100_0000, 32*mib, lines)))
 				body = computeChain(body, isa.OpFAlu, 2, 2, w, &ra)
 			}
-			// Softmax.
+			// The softmax layer: exponentials on the SFU, then the normalising sums.
 			body = computeChain(body, isa.OpSFU, convOps/8+4, 1, act, &ra)
 			body = computeChain(body, isa.OpFAlu, 8, 2, act, &ra)
 			body = append(body, store(act, streamSpec(base+0x4000_0000, 32*mib, lines)))

@@ -150,12 +150,11 @@ type AlertState struct {
 }
 
 // Alerts evaluates a rule set against merged ledger snapshots and
-// surfaces the results as alert_firing/alert_value gauges,
-// alert_transitions_total counters, and EventLog entries on every
-// firing↔clear transition.
+// surfaces the results as alert_firing/alert_value gauges and
+// alert_transitions_total counters, which count every firing↔clear
+// transition.
 type Alerts struct {
 	rules  []Rule
-	events *telemetry.EventLog
 	firing map[string]*telemetry.Gauge
 	value  map[string]*telemetry.Gauge
 	trans  map[string]*telemetry.Counter
@@ -163,13 +162,12 @@ type Alerts struct {
 }
 
 // NewAlerts builds an evaluator. reg hosts the alert_* series (nil uses
-// a private registry); events receives transition entries (nil-safe).
-func NewAlerts(rules []Rule, reg *telemetry.Registry, events *telemetry.EventLog) *Alerts {
+// a private registry).
+func NewAlerts(rules []Rule, reg *telemetry.Registry) *Alerts {
 	if reg == nil {
 		reg = telemetry.NewRegistry()
 	}
 	a := &Alerts{
-		events: events,
 		firing: make(map[string]*telemetry.Gauge),
 		value:  make(map[string]*telemetry.Gauge),
 		trans:  make(map[string]*telemetry.Counter),
@@ -199,7 +197,7 @@ func ringTail(pts []telemetry.RingPoint, n int) (count, sum int64) {
 }
 
 // Eval evaluates every rule against the merged fleet snapshot and the
-// per-replica scrape states, updating gauges/counters/events, and
+// per-replica scrape states, updating gauges and counters, and
 // returns the states in rule order. Not safe for concurrent use (the
 // scrape loop is the single caller).
 func (a *Alerts) Eval(now time.Time, merged Snapshot, reps []ReplicaLedger) []AlertState {
@@ -226,20 +224,6 @@ func (a *Alerts) Eval(now time.Time, merged Snapshot, reps []ReplicaLedger) []Al
 		if st.Firing != a.was[r.Name] {
 			a.was[r.Name] = st.Firing
 			a.trans[r.Name].Add(1)
-			kind := "alert_clear"
-			if st.Firing {
-				kind = "alert_fire"
-			}
-			a.events.Append(telemetry.Event{
-				Time:   now,
-				Kind:   kind,
-				Reason: st.Detail,
-				Detail: map[string]any{
-					"rule":      r.Name,
-					"value":     st.Value,
-					"threshold": r.Threshold,
-				},
-			})
 		}
 		out = append(out, st)
 	}

@@ -58,15 +58,14 @@ func ringOf(start int64, n int, count, sum int64) []telemetry.RingPoint {
 	return pts
 }
 
-func alertHarness(t *testing.T, spec string) (*Alerts, *telemetry.Registry, *telemetry.EventLog) {
+func alertHarness(t *testing.T, spec string) (*Alerts, *telemetry.Registry) {
 	t.Helper()
 	rules, err := ParseRules(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	reg := telemetry.NewRegistry()
-	events := telemetry.NewEventLog(16, reg)
-	return NewAlerts(rules, reg, events), reg, events
+	return NewAlerts(rules, reg), reg
 }
 
 func gaugeValue(reg *telemetry.Registry, name, rule string) float64 {
@@ -74,7 +73,7 @@ func gaugeValue(reg *telemetry.Registry, name, rule string) float64 {
 }
 
 func TestBurnAlertFiresAndClears(t *testing.T) {
-	a, reg, events := alertHarness(t, "burn>1.5@4/10")
+	a, reg := alertHarness(t, "burn>1.5@4/10")
 	now := time.Unix(5000, 0)
 
 	// Recent windows spend 3× the requested budget → fire.
@@ -92,10 +91,6 @@ func TestBurnAlertFiresAndClears(t *testing.T) {
 	if reg.Counter("alert_transitions_total", "rule", "burn").Load() != 1 {
 		t.Fatal("firing transition not counted")
 	}
-	evs := events.Snapshot(nil)
-	if len(evs) != 1 || evs[0].Kind != "alert_fire" {
-		t.Fatalf("events after fire = %+v", evs)
-	}
 
 	// Spending back under budget → clear.
 	cool := Snapshot{
@@ -112,10 +107,6 @@ func TestBurnAlertFiresAndClears(t *testing.T) {
 	if reg.Counter("alert_transitions_total", "rule", "burn").Load() != 2 {
 		t.Fatal("clear transition not counted")
 	}
-	evs = events.Snapshot(nil)
-	if len(evs) != 2 || evs[1].Kind != "alert_clear" {
-		t.Fatalf("events after clear = %+v", evs)
-	}
 
 	// Re-evaluating an unchanged state must not re-transition.
 	a.Eval(now.Add(2*time.Second), cool, nil)
@@ -125,7 +116,7 @@ func TestBurnAlertFiresAndClears(t *testing.T) {
 }
 
 func TestBurnAlertFallsBackToLifetimeTotals(t *testing.T) {
-	a, _, _ := alertHarness(t, "burn>1.5@4/10")
+	a, _ := alertHarness(t, "burn>1.5@4/10")
 	// No rings (e.g. merged snapshot with incomparable windows) but
 	// lifetime totals show 2× burn.
 	merged := Snapshot{Decisions: 100, PerfLossPpmSum: 200_000, PresetPpmSum: 100_000}
@@ -136,7 +127,7 @@ func TestBurnAlertFallsBackToLifetimeTotals(t *testing.T) {
 }
 
 func TestBurnAlertRespectsMinDecisions(t *testing.T) {
-	a, _, _ := alertHarness(t, "burn>1.5@4/1000")
+	a, _ := alertHarness(t, "burn>1.5@4/1000")
 	hot := Snapshot{
 		LossRing:   ringOf(0, 4, 5, 300_000),
 		PresetRing: ringOf(0, 4, 5, 100_000),
@@ -147,7 +138,7 @@ func TestBurnAlertRespectsMinDecisions(t *testing.T) {
 }
 
 func TestRegressAlertFiresAndClears(t *testing.T) {
-	a, reg, _ := alertHarness(t, "regress>0.5@4/10")
+	a, reg := alertHarness(t, "regress>0.5@4/10")
 	now := time.Unix(0, 0)
 
 	// Baseline windows saved 1000 pJ/decision; recent windows save 100.
@@ -175,7 +166,7 @@ func TestRegressAlertFiresAndClears(t *testing.T) {
 }
 
 func TestRegressAlertNeedsBaseline(t *testing.T) {
-	a, _, _ := alertHarness(t, "regress>0.5@8/10")
+	a, _ := alertHarness(t, "regress>0.5@8/10")
 	// Only 4 windows with an 8-window recent period: everything is
 	// "recent", there is no baseline to regress against.
 	s := Snapshot{SavedRing: ringOf(0, 4, 10, 100)}
@@ -185,7 +176,7 @@ func TestRegressAlertNeedsBaseline(t *testing.T) {
 }
 
 func TestStaleAlertFiresAndClears(t *testing.T) {
-	a, reg, events := alertHarness(t, "stale>10")
+	a, reg := alertHarness(t, "stale>10")
 	now := time.Unix(10_000, 0)
 
 	reps := []ReplicaLedger{
@@ -199,9 +190,8 @@ func TestStaleAlertFiresAndClears(t *testing.T) {
 	if gaugeValue(reg, "alert_value", "stale") != 60 {
 		t.Fatal("alert_value{rule=stale} not set")
 	}
-	evs := events.Snapshot(nil)
-	if len(evs) != 1 || evs[0].Kind != "alert_fire" {
-		t.Fatalf("events = %+v", evs)
+	if reg.Counter("alert_transitions_total", "rule", "stale").Load() != 1 {
+		t.Fatal("firing transition not counted")
 	}
 	if detail := states[0].Detail; detail == "" {
 		t.Fatal("stale alert has no detail")
@@ -226,7 +216,7 @@ func TestNilAlertsEval(t *testing.T) {
 }
 
 func TestAlertsExpositionLintClean(t *testing.T) {
-	a, reg, _ := alertHarness(t, "")
+	a, reg := alertHarness(t, "")
 	a.Eval(time.Unix(0, 0), Snapshot{Decisions: 100, PerfLossPpmSum: 400_000, PresetPpmSum: 100_000}, nil)
 	assertLintClean(t, reg)
 }

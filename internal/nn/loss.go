@@ -5,11 +5,6 @@ import (
 	"math"
 )
 
-// Softmax returns the softmax of logits in a fresh slice.
-func Softmax(logits []float64) []float64 {
-	return softmaxInto(make([]float64, len(logits)), logits)
-}
-
 // softmaxInto writes the softmax of logits into dst and returns it,
 // computed stably by subtracting the max logit.
 func softmaxInto(dst, logits []float64) []float64 {

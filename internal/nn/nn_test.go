@@ -44,7 +44,7 @@ func TestNewMLPErrors(t *testing.T) {
 func TestSoftmaxProperties(t *testing.T) {
 	f := func(a, b, c float64) bool {
 		logits := []float64{clamp(a), clamp(b), clamp(c)}
-		p := Softmax(logits)
+		p := softmaxInto(make([]float64, len(logits)), logits)
 		var sum float64
 		for _, x := range p {
 			if x < 0 || x > 1 || math.IsNaN(x) {
@@ -67,7 +67,7 @@ func clamp(x float64) float64 {
 }
 
 func TestSoftmaxStability(t *testing.T) {
-	p := Softmax([]float64{1000, 1001, 999})
+	p := softmaxInto(make([]float64, 3), []float64{1000, 1001, 999})
 	for _, x := range p {
 		if math.IsNaN(x) {
 			t.Fatal("softmax overflowed on large logits")

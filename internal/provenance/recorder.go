@@ -57,15 +57,6 @@ func (r *Recorder) Head() uint64 {
 	return r.head.Load()
 }
 
-// Dropped returns how many records have been overwritten.
-func (r *Recorder) Dropped() uint64 {
-	h := r.Head()
-	if c := uint64(r.Cap()); h > c {
-		return h - c
-	}
-	return 0
-}
-
 // Record captures one decision. It assigns rec.Seq (1-based, monotonic
 // across the recorder's lifetime), then publishes a copy of *rec into
 // the ring. Safe for any number of concurrent callers; a nil recorder is

@@ -267,9 +267,6 @@ func (e *Engine) SetLedger(l *ledger.Ledger) {
 // Ledger returns the efficiency ledger, or nil when none is installed.
 func (e *Engine) Ledger() *ledger.Ledger { return e.led }
 
-// Tracer returns the engine's span tracer, or nil.
-func (e *Engine) Tracer() *telemetry.Tracer { return e.tracer }
-
 // FlightRecorder returns the decision flight recorder, or nil when
 // provenance is not enabled.
 func (e *Engine) FlightRecorder() *provenance.Recorder { return e.prov }

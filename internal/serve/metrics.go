@@ -27,8 +27,9 @@ const inferRowBuckets = 12
 // Metrics aggregates serving counters, hosted on a telemetry.Registry so
 // the same numbers are visible through the exported handles, the
 // registry's /metrics.prom and /telemetry expositions, and cmd/dvfsstat.
-// Every update is a single atomic on a pre-resolved handle — the hot path
-// does not allocate or lock.
+// Every counter, gauge and histogram update is a single atomic on a
+// pre-resolved handle, and the hot path does not allocate. It takes one
+// lock per batch: the latency SLO's, in ObserveBatchTraced.
 type Metrics struct {
 	Decisions *telemetry.Counter // rows served
 	Batches   *telemetry.Counter // frames served

@@ -309,9 +309,10 @@ func TestServedDecisionsMatchDirectModel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	inf := core.NewInference(m)
 	for i, row := range rows {
-		wantLevel := m.DecideLevel(row.Features, row.Preset)
-		wantPred := m.PredictInstructions(row.Features, row.Preset, wantLevel)
+		wantLevel := inf.DecideLevel(row.Features, row.Preset)
+		wantPred := inf.PredictInstructions(row.Features, row.Preset, wantLevel)
 		if decs[i].Level != wantLevel {
 			t.Fatalf("row %d: served level %d, direct %d", i, decs[i].Level, wantLevel)
 		}

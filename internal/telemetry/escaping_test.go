@@ -114,7 +114,7 @@ func TestWritePromDeterministic(t *testing.T) {
 func TestEmptyHistogramNoNaN(t *testing.T) {
 	h := NewHistogram(8)
 	for _, q := range []float64{0, 0.5, 0.99, 1} {
-		if got := h.Quantile(q); got != 0 {
+		if got := Quantile(h.Buckets(), q); got != 0 {
 			t.Fatalf("empty histogram q=%g → %g, want 0", q, got)
 		}
 	}
@@ -151,15 +151,15 @@ func TestQuantileEdgeSemantics(t *testing.T) {
 	h := NewHistogram(8)
 	h.Observe(2)
 	h.Observe(100)
-	lo := h.Quantile(0)
-	hi := h.Quantile(1)
-	if got := h.Quantile(math.NaN()); got != lo {
+	lo := Quantile(h.Buckets(), 0)
+	hi := Quantile(h.Buckets(), 1)
+	if got := Quantile(h.Buckets(), math.NaN()); got != lo {
 		t.Fatalf("q=NaN → %g, want %g (reads as 0)", got, lo)
 	}
-	if got := h.Quantile(-3); got != lo {
+	if got := Quantile(h.Buckets(), -3); got != lo {
 		t.Fatalf("q=-3 → %g, want %g", got, lo)
 	}
-	if got := h.Quantile(7); got != hi {
+	if got := Quantile(h.Buckets(), 7); got != hi {
 		t.Fatalf("q=7 → %g, want %g", got, hi)
 	}
 	if math.IsNaN(lo) || math.IsNaN(hi) {

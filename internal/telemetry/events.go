@@ -1,8 +1,6 @@
 package telemetry
 
 import (
-	"encoding/json"
-	"io"
 	"sync"
 	"time"
 )
@@ -29,7 +27,6 @@ type EventLog struct {
 	ring    []Event
 	pos     int
 	n       int
-	total   uint64
 	counter *Counter
 }
 
@@ -38,7 +35,7 @@ const DefaultEventCapacity = 256
 
 // NewEventLog returns a log retaining the last n events (n <= 0 takes
 // DefaultEventCapacity). When reg is non-nil, every append increments
-// events_total{kind=...} in it.
+// its unlabelled events_total counter.
 func NewEventLog(n int, reg *Registry) *EventLog {
 	if n <= 0 {
 		n = DefaultEventCapacity
@@ -67,19 +64,7 @@ func (l *EventLog) Append(ev Event) {
 	if l.n < len(l.ring) {
 		l.n++
 	}
-	l.total++
 	l.mu.Unlock()
-}
-
-// Total returns how many events have ever been appended; the ring holds
-// the most recent min(Total, capacity) of them.
-func (l *EventLog) Total() uint64 {
-	if l == nil {
-		return 0
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.total
 }
 
 // Snapshot appends a copy of the retained events to dst, oldest first,
@@ -98,16 +83,4 @@ func (l *EventLog) Snapshot(dst []Event) []Event {
 		dst = append(dst, l.ring[(start+i)%len(l.ring)])
 	}
 	return dst
-}
-
-// WriteJSON writes the retained events as one JSON array, oldest first —
-// the payload debug handlers and CI artifacts serve.
-func (l *EventLog) WriteJSON(w io.Writer) error {
-	evs := l.Snapshot(nil)
-	if evs == nil {
-		evs = []Event{}
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(evs)
 }

@@ -1,8 +1,6 @@
 package telemetry
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"sync"
 	"testing"
@@ -10,12 +8,13 @@ import (
 )
 
 func TestEventLogRetainsOrderAndWraps(t *testing.T) {
-	l := NewEventLog(4, nil)
+	reg := NewRegistry()
+	l := NewEventLog(4, reg)
 	for i := 0; i < 6; i++ {
 		l.Append(Event{Kind: fmt.Sprintf("k%d", i), Time: time.Unix(int64(i), 0)})
 	}
-	if l.Total() != 6 {
-		t.Fatalf("total = %d, want 6", l.Total())
+	if n := reg.Snapshot().Counters["events_total"]; n != 6 {
+		t.Fatalf("events_total = %d, want 6", n)
 	}
 	evs := l.Snapshot(nil)
 	if len(evs) != 4 {
@@ -42,39 +41,15 @@ func TestEventLogStampsTimeAndCounts(t *testing.T) {
 	}
 }
 
-func TestEventLogWriteJSON(t *testing.T) {
-	l := NewEventLog(8, nil)
-	var buf bytes.Buffer
-	if err := l.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var empty []Event
-	if err := json.Unmarshal(buf.Bytes(), &empty); err != nil || len(empty) != 0 {
-		t.Fatalf("empty log JSON = %q (err %v)", buf.String(), err)
-	}
-
-	l.Append(Event{Kind: "rollback", Reason: "live MAPE regressed", Detail: map[string]any{"gen": float64(3)}})
-	buf.Reset()
-	if err := l.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var got []Event
-	if err := json.Unmarshal(buf.Bytes(), &got); err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 1 || got[0].Kind != "rollback" || got[0].Detail["gen"] != float64(3) {
-		t.Fatalf("round-trip = %+v", got)
-	}
-}
-
 func TestEventLogConcurrentAndNil(t *testing.T) {
 	var nilLog *EventLog
 	nilLog.Append(Event{Kind: "x"})
-	if nilLog.Total() != 0 || nilLog.Snapshot(nil) != nil {
+	if nilLog.Snapshot(nil) != nil {
 		t.Fatal("nil log not a no-op")
 	}
 
-	l := NewEventLog(64, nil)
+	reg := NewRegistry()
+	l := NewEventLog(64, reg)
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
@@ -87,7 +62,7 @@ func TestEventLogConcurrentAndNil(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	if l.Total() != 800 {
-		t.Fatalf("total = %d, want 800", l.Total())
+	if n := reg.Snapshot().Counters["events_total"]; n != 800 {
+		t.Fatalf("events_total = %d, want 800", n)
 	}
 }

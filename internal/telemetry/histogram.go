@@ -108,12 +108,6 @@ func (h *Histogram) Exemplars() []*Exemplar {
 	return out
 }
 
-// Count returns the number of observations.
-func (h *Histogram) Count() int64 { return h.count.Load() }
-
-// Sum returns the sum of all observed values.
-func (h *Histogram) Sum() int64 { return h.sum.Load() }
-
 // Buckets copies the current bucket counts.
 func (h *Histogram) Buckets() []int64 {
 	out := make([]int64, len(h.buckets))
@@ -121,11 +115,6 @@ func (h *Histogram) Buckets() []int64 {
 		out[i] = h.buckets[i].Load()
 	}
 	return out
-}
-
-// Quantile estimates the q-quantile (0..1) of the observed distribution.
-func (h *Histogram) Quantile(q float64) float64 {
-	return Quantile(h.Buckets(), q)
 }
 
 // Snapshot captures the histogram with precomputed common quantiles.

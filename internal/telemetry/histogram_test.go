@@ -11,7 +11,7 @@ import (
 func TestQuantileEmptyHistogram(t *testing.T) {
 	h := NewHistogram(20)
 	for _, q := range []float64{0, 0.5, 0.99, 1} {
-		if got := h.Quantile(q); got != 0 {
+		if got := Quantile(h.Buckets(), q); got != 0 {
 			t.Fatalf("empty histogram q=%g → %g, want 0", q, got)
 		}
 	}
@@ -21,7 +21,7 @@ func TestQuantileSingleObservation(t *testing.T) {
 	h := NewHistogram(20)
 	h.Observe(100) // bucket [64, 128)
 	for _, q := range []float64{0.01, 0.5, 0.99} {
-		got := h.Quantile(q)
+		got := Quantile(h.Buckets(), q)
 		if got < 64 || got > 128 {
 			t.Fatalf("q=%g → %g, want within the observation's bucket [64,128)", q, got)
 		}
@@ -35,7 +35,7 @@ func TestQuantileAllInOverflowBucket(t *testing.T) {
 	}
 	lo, hi := BucketBounds(7)
 	for _, q := range []float64{0.5, 0.99} {
-		if got := h.Quantile(q); got < lo || got > hi {
+		if got := Quantile(h.Buckets(), q); got < lo || got > hi {
 			t.Fatalf("overflow-only q=%g → %g, want saturation inside [%g,%g]", q, got, lo, hi)
 		}
 	}
@@ -48,7 +48,7 @@ func TestQuantileZeroAndNegativeLandInFirstBucket(t *testing.T) {
 	if got := h.Buckets()[0]; got != 2 {
 		t.Fatalf("bucket 0 = %d, want 2", got)
 	}
-	if got := h.Quantile(0.5); got < 0 || got >= 1 {
+	if got := Quantile(h.Buckets(), 0.5); got < 0 || got >= 1 {
 		t.Fatalf("q=0.5 → %g, want within [0,1)", got)
 	}
 }
@@ -70,7 +70,7 @@ func TestQuantileTracksExactQuantiles(t *testing.T) {
 	sort.Float64s(sample)
 	for _, q := range []float64{0.50, 0.95, 0.99} {
 		exact := sample[int(q*float64(n-1))]
-		est := h.Quantile(q)
+		est := Quantile(h.Buckets(), q)
 		if est < exact/2 || est > exact*2 {
 			t.Fatalf("q=%g: estimate %.1f vs exact %.1f (outside 2× band)", q, est, exact)
 		}

@@ -136,7 +136,7 @@ func TestRegistryConcurrentUse(t *testing.T) {
 	if got := r.Gauge("g").Value(); got != 8000 {
 		t.Fatalf("gauge = %g, want 8000", got)
 	}
-	if got := r.Histogram("h", "worker", "0").Count(); got != 8000 {
+	if got := r.Histogram("h", "worker", "0").Snapshot().Count; got != 8000 {
 		t.Fatalf("histogram count = %d, want 8000", got)
 	}
 }

@@ -22,7 +22,7 @@ type RingPoint struct {
 // the last minute") where a plain counter only answers "ever". Slot
 // reuse is by window index modulo capacity: observing window w evicts
 // the stale window that previously occupied w's slot, so the ring always
-// holds at most Cap of the most recently observed windows and never
+// holds at most n (NewRing) of the most recently observed windows and never
 // allocates after construction. Observations into windows older than
 // what their slot currently holds are dropped (late data cannot resurrect
 // an evicted window). Safe for concurrent use.
@@ -48,16 +48,9 @@ func NewRing(n int) *Ring {
 	return r
 }
 
-// Cap returns the ring's window capacity.
-func (r *Ring) Cap() int { return len(r.slots) }
-
-// Observe adds v to window index w (w must be >= 0; negative windows are
-// dropped). A w newer than its slot's occupant resets the slot; a w older
-// is dropped.
-func (r *Ring) Observe(w, v int64) { r.ObserveN(w, 1, v) }
-
-// ObserveN adds n observations summing to sum to window index w under one
-// lock acquisition, with Observe's window rules.
+// ObserveN adds n observations summing to sum to window index w (w must
+// be >= 0; negative windows are dropped) under one lock acquisition. A w
+// newer than its slot's occupant resets the slot; a w older is dropped.
 func (r *Ring) ObserveN(w, n, sum int64) {
 	if w < 0 {
 		return

@@ -11,12 +11,12 @@ import (
 
 func TestRingObserveAndSnapshot(t *testing.T) {
 	r := NewRing(4)
-	if r.Cap() != 4 {
-		t.Fatalf("Cap() = %d, want 4", r.Cap())
+	if len(r.slots) != 4 {
+		t.Fatalf("capacity = %d, want 4", len(r.slots))
 	}
-	r.Observe(2, 10)
-	r.Observe(2, 5)
-	r.Observe(3, 7)
+	r.ObserveN(2, 1, 10)
+	r.ObserveN(2, 1, 5)
+	r.ObserveN(3, 1, 7)
 	got := r.Snapshot(nil)
 	want := []RingPoint{{Index: 2, Count: 2, Sum: 15}, {Index: 3, Count: 1, Sum: 7}}
 	if len(got) != len(want) {
@@ -31,9 +31,9 @@ func TestRingObserveAndSnapshot(t *testing.T) {
 
 func TestRingEvictsStaleWindowOnWrap(t *testing.T) {
 	r := NewRing(4)
-	r.Observe(1, 100)
+	r.ObserveN(1, 1, 100)
 	// Window 5 shares slot 1 with window 1 and is newer: it evicts it.
-	r.Observe(5, 3)
+	r.ObserveN(5, 1, 3)
 	for _, p := range r.Snapshot(nil) {
 		if p.Index == 1 {
 			t.Fatalf("window 1 survived eviction: %+v", p)
@@ -44,7 +44,7 @@ func TestRingEvictsStaleWindowOnWrap(t *testing.T) {
 	}
 	// A late observation into the evicted window must be dropped, not
 	// resurrect it or corrupt window 5.
-	r.Observe(1, 999)
+	r.ObserveN(1, 1, 999)
 	got := r.Snapshot(nil)
 	if len(got) != 1 || got[0] != (RingPoint{Index: 5, Count: 1, Sum: 3}) {
 		t.Fatalf("after late write: %+v", got)
@@ -53,7 +53,7 @@ func TestRingEvictsStaleWindowOnWrap(t *testing.T) {
 
 func TestRingDropsNegativeWindows(t *testing.T) {
 	r := NewRing(4)
-	r.Observe(-1, 5)
+	r.ObserveN(-1, 1, 5)
 	if got := r.Snapshot(nil); len(got) != 0 {
 		t.Fatalf("negative window recorded: %+v", got)
 	}
@@ -62,7 +62,7 @@ func TestRingDropsNegativeWindows(t *testing.T) {
 func TestRingHoldsNewestCapWindows(t *testing.T) {
 	r := NewRing(4)
 	for w := int64(0); w < 10; w++ {
-		r.Observe(w, 1)
+		r.ObserveN(w, 1, 1)
 	}
 	got := r.Snapshot(nil)
 	if len(got) != 4 {
@@ -84,7 +84,7 @@ func TestRingConcurrentObserve(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
-				r.Observe(int64(i%8), 1)
+				r.ObserveN(int64(i%8), 1, 1)
 			}
 		}()
 	}
@@ -123,7 +123,7 @@ func populateRing(seed int64) *Ring {
 	r := NewRing(16)
 	rng := rand.New(rand.NewSource(seed))
 	for i := 0; i < 500; i++ {
-		r.Observe(int64(rng.Intn(32)), int64(rng.Intn(1000)))
+		r.ObserveN(int64(rng.Intn(32)), 1, int64(rng.Intn(1000)))
 	}
 	return r
 }
@@ -206,19 +206,20 @@ func TestMergeHistogramSnapshotsPermutationIdentical(t *testing.T) {
 	}
 }
 
-// TestRingObserveNEqualsObserveLoop: one ObserveN is n Observes, under
-// the same window rules (reset on a newer window, drop an older one).
+// TestRingObserveNEqualsObserveLoop: one ObserveN of n observations is n
+// single-observation ObserveN calls, under the same window rules (reset
+// on a newer window, drop an older one).
 func TestRingObserveNEqualsObserveLoop(t *testing.T) {
 	a, b := NewRing(4), NewRing(4)
 	for _, step := range []struct{ w, n, each int64 }{
 		{3, 5, 10}, {3, 2, -4}, {7, 3, 1}, {3, 9, 100}, {-1, 2, 5}, {8, 1, 6},
 	} {
 		for i := int64(0); i < step.n; i++ {
-			a.Observe(step.w, step.each)
+			a.ObserveN(step.w, 1, step.each)
 		}
 		b.ObserveN(step.w, step.n, step.n*step.each)
 	}
 	if got, want := b.Snapshot(nil), a.Snapshot(nil); !reflect.DeepEqual(got, want) {
-		t.Fatalf("ObserveN ring %+v, Observe ring %+v", got, want)
+		t.Fatalf("batched ring %+v, one-at-a-time ring %+v", got, want)
 	}
 }

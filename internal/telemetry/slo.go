@@ -86,8 +86,13 @@ func (s *SLO) ObserveN(good, bad int64) {
 	now := s.now()
 	if s.curStart.IsZero() {
 		s.curStart = now
-	} else if now.Sub(s.curStart) >= s.half {
+	} else if age := now.Sub(s.curStart); age >= s.half {
 		s.prevGood, s.prevBad = s.curGood, s.curBad
+		if age >= 2*s.half {
+			// The current half ended over a half-window ago, so
+			// nothing it counted is inside the lookback any more.
+			s.prevGood, s.prevBad = 0, 0
+		}
 		s.curGood, s.curBad = 0, 0
 		s.curStart = now
 	}

@@ -95,17 +95,6 @@ func (t *Tracer) Start(name string, attrs ...string) *Span {
 	return t.startAt(name, t.clock(), TraceContext{}, attrs)
 }
 
-// StartAt opens a span whose start time is supplied by the caller — the
-// retrospective form used by pipelines that only learn an interval's
-// boundaries after the fact (a router attributing queue wait once the
-// row is dispatched). Close it with EndAt.
-func (t *Tracer) StartAt(name string, start time.Time, attrs ...string) *Span {
-	if t == nil {
-		return nil
-	}
-	return t.startAt(name, start, TraceContext{}, attrs)
-}
-
 // StartSpan opens a span belonging to a distributed trace: the span
 // carries tc's trace ID, its parent is tc's span ID, and its own span
 // ID (see Context) is minted from the tracer's seed. Returns nil — a
@@ -238,16 +227,6 @@ func (t *Tracer) Flush() error {
 	return t.err
 }
 
-// Err returns the first write error, if any.
-func (t *Tracer) Err() error {
-	if t == nil {
-		return nil
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.err
-}
-
 // ReadSpans parses a JSONL span stream written by a Tracer.
 func ReadSpans(r io.Reader) ([]SpanRecord, error) {
 	var out []SpanRecord
@@ -347,47 +326,4 @@ func WriteChromeTraceMulti(w io.Writer, groups [][]SpanRecord, names []string) e
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", " ")
 	return enc.Encode(ct)
-}
-
-// ReadChromeTrace parses a Chrome trace-event file back into spans
-// (complete "X" events only), inverting WriteChromeTrace: trace-linkage
-// IDs stashed in Args move back into their SpanRecord fields.
-func ReadChromeTrace(r io.Reader) ([]SpanRecord, error) {
-	var ct chromeTrace
-	if err := json.NewDecoder(r).Decode(&ct); err != nil {
-		return nil, fmt.Errorf("telemetry: chrome trace: %w", err)
-	}
-	var out []SpanRecord
-	for _, ev := range ct.TraceEvents {
-		if ev.Ph != "X" {
-			continue
-		}
-		rec := SpanRecord{
-			Name:    ev.Name,
-			Cat:     ev.Cat,
-			TID:     ev.TID,
-			StartUs: ev.TsUs,
-			DurUs:   ev.Dur,
-			Attrs:   ev.Args,
-		}
-		if id, ok := ev.Args["trace_id"]; ok {
-			rec.TraceID = id
-			rec.SpanID = ev.Args["span_id"]
-			rec.ParentID = ev.Args["parent_id"]
-			attrs := make(map[string]string, len(ev.Args))
-			for k, v := range ev.Args {
-				switch k {
-				case "trace_id", "span_id", "parent_id":
-				default:
-					attrs[k] = v
-				}
-			}
-			if len(attrs) == 0 {
-				attrs = nil
-			}
-			rec.Attrs = attrs
-		}
-		out = append(out, rec)
-	}
-	return out, nil
 }

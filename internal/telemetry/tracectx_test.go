@@ -3,6 +3,7 @@ package telemetry
 import (
 	"bytes"
 	"fmt"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -133,7 +134,8 @@ func TestStartAtEndAtRetrospective(t *testing.T) {
 	base := time.Unix(0, 0)
 	tr.SetClock(func() time.Time { return base })
 
-	sp := tr.StartAt("router.queue", base.Add(10*time.Microsecond))
+	tc := TraceContext{TraceID: 7, SpanID: 1, Flags: FlagSampled}
+	sp := tr.StartSpanAt(tc, "router.queue", base.Add(10*time.Microsecond))
 	sp.EndAt(base.Add(35 * time.Microsecond))
 	tr.Flush()
 
@@ -161,19 +163,19 @@ func TestChromeTraceMultiAssignsDistinctPIDs(t *testing.T) {
 			t.Fatalf("merged chrome trace missing %s:\n%s", want, out)
 		}
 	}
-	// Round trip: X events come back with trace IDs restored to fields.
-	back, err := ReadChromeTrace(strings.NewReader(out))
-	if err != nil {
-		t.Fatal(err)
+	// The two X events carry their group's pid; the router span's trace
+	// linkage rides in its args.
+	var xs []chromeTestEvent
+	for _, ev := range decodeChrome(t, strings.NewReader(out)) {
+		if ev.Ph == "X" {
+			xs = append(xs, ev)
+		}
 	}
-	if len(back) != 2 {
-		t.Fatalf("round trip returned %d spans, want 2", len(back))
+	if len(xs) != 2 || xs[0].PID != 1 || xs[1].PID != 2 {
+		t.Fatalf("X events = %+v, want one in pid 1 and one in pid 2", xs)
 	}
-	if back[0].TraceID != "00000000000000aa" || back[0].SpanID != "00000000000000bb" {
-		t.Fatalf("trace linkage lost in round trip: %+v", back[0])
-	}
-	if len(back[0].Attrs) != 0 {
-		t.Fatalf("linkage IDs leaked into attrs: %v", back[0].Attrs)
+	if want := map[string]string{"trace_id": "00000000000000aa", "span_id": "00000000000000bb"}; !reflect.DeepEqual(xs[0].Args, want) {
+		t.Fatalf("router span args = %v, want %v", xs[0].Args, want)
 	}
 }
 
@@ -346,6 +348,26 @@ func TestSLOBurnRate(t *testing.T) {
 	nilSLO.ObserveN(1, 1)
 	if s := NewSLO(nil, "x", 0.1, time.Minute); s != nil {
 		t.Fatal("nil registry should yield nil SLO")
+	}
+}
+
+// TestSLOIdleWindowForgetsOldBurst: after an idle stretch longer than the
+// window, the first observation reads only itself, not the burst that
+// came before the idle time.
+func TestSLOIdleWindowForgetsOldBurst(t *testing.T) {
+	reg := NewRegistry()
+	slo := NewSLO(reg, "latency", 0.01, time.Minute)
+	now := time.Unix(0, 0)
+	slo.SetClock(func() time.Time { return now })
+
+	slo.ObserveN(0, 100)
+	now = now.Add(time.Hour)
+	slo.ObserveN(1, 0)
+	if ratio := reg.Gauge("slo_bad_ratio", "slo", "latency").Value(); ratio != 0 {
+		t.Fatalf("bad ratio after an idle hour = %g, want 0", ratio)
+	}
+	if burn := reg.Gauge("slo_burn_rate", "slo", "latency").Value(); burn != 0 {
+		t.Fatalf("burn rate after an idle hour = %g, want 0", burn)
 	}
 }
 

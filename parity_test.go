@@ -60,20 +60,21 @@ func TestInt8ParityOnOracleDataset(t *testing.T) {
 				t.Fatalf("int8 backend rejected the trained model: %v", err)
 			}
 
+			fInf, iInf := core.NewInference(f64), core.NewInference(i8)
 			rows, flips := 0, 0
 			var maxRelErr float64
 			for _, s := range ds.Samples {
 				for _, preset := range presets {
-					lf := f64.DecideLevel(s.Features, preset)
-					li := i8.DecideLevel(s.Features, preset)
+					lf := fInf.DecideLevel(s.Features, preset)
+					li := iInf.DecideLevel(s.Features, preset)
 					rows++
 					if lf != li {
 						flips++
 					}
 					// Compare calibrator outputs at the same level so the
 					// prediction delta isolates quantization error.
-					pf := f64.PredictInstructions(s.Features, preset, lf)
-					pi := i8.PredictInstructions(s.Features, preset, lf)
+					pf := fInf.PredictInstructions(s.Features, preset, lf)
+					pi := iInf.PredictInstructions(s.Features, preset, lf)
 					if denom := pf; denom > 1 {
 						if rel := abs(pi-pf) / denom; rel > maxRelErr {
 							maxRelErr = rel
