@@ -56,7 +56,7 @@ const (
 
 // Options tunes the adaptation controller; zero values take defaults.
 // The training stream keeps the newest maxStreamRows pairs, and the
-// transition log holds telemetry.DefaultEventCapacity events.
+// transition log holds telemetry.EventCapacity events.
 type Options struct {
 	// MinRows is how many harvested training pairs a re-fit needs
 	// (default 512).
@@ -170,7 +170,7 @@ func NewController(e *serve.Engine, opts Options) (*Controller, error) {
 	c := &Controller{
 		e:           e,
 		opts:        opts,
-		events:      telemetry.NewEventLog(telemetry.DefaultEventCapacity, reg),
+		events:      telemetry.NewEventLog(reg),
 		state:       StateMonitoring,
 		stream:      newStreamBuilder(maxStreamRows),
 		maxGen:      e.Generation(),

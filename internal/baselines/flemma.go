@@ -56,7 +56,6 @@ type FLEMMA struct {
 	// Experience buffer for the coarse update.
 	buf        []flemmaExp
 	epochsSeen int
-	updates    int
 }
 
 type flemmaPrev struct {
@@ -258,7 +257,6 @@ func (f *FLEMMA) update() {
 	}
 	f.buf = f.buf[:0]
 	f.Epsilon *= f.EpsilonDecay
-	f.updates++
 }
 
 var _ gpusim.Controller = (*FLEMMA)(nil)

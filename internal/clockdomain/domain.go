@@ -48,7 +48,6 @@ type Domain struct {
 	stallUntilPs int64
 
 	transitions int
-	stalledPs   int64
 }
 
 // NewDomain creates a clock domain running at the table's default level.
@@ -84,7 +83,6 @@ func (d *Domain) SetLevel(level int, nowPs int64) bool {
 	d.level = level
 	d.periodPs = to.PeriodPs()
 	d.transitions++
-	d.stalledPs += stall
 	if until := nowPs + stall; until > d.stallUntilPs {
 		d.stallUntilPs = until
 	}

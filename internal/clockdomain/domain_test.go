@@ -60,9 +60,6 @@ func TestDomainSetLevel(t *testing.T) {
 	if d.Transitions() != 1 {
 		t.Fatalf("transitions = %d, want 1", d.Transitions())
 	}
-	if d.stalledPs != DefaultIVR().VoltageSettlePs {
-		t.Fatalf("stalledPs = %d, want %d", d.stalledPs, DefaultIVR().VoltageSettlePs)
-	}
 }
 
 func TestDomainSetLevelClamps(t *testing.T) {

@@ -276,7 +276,6 @@ func (c *cluster) tryIssue(w *warp, nowPs, period int64, aluLeft, sfuLeft, lsuLe
 
 	c.acc.opCounts[ins.Op]++
 	c.acc.instructions++
-	w.issued++
 	w.advance()
 	if w.finished {
 		if nowPs > c.lastFinishPs {

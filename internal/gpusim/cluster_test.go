@@ -610,15 +610,17 @@ func TestGTOVisitsEveryWarpOncePerCycle(t *testing.T) {
 	chain := isa.Program{Body: []isa.Instruction{{Op: isa.OpFAlu, Dst: 1, SrcA: 1}}, Iterations: 64}
 	c, mem := newTestClusterProgs(t, cfg, []isa.Program{ready, ready, chain, ready}, 4)
 
+	// A warp's issue count is its position in its program.
+	issued := func(w *warp) int64 { return int64(w.iter*len(w.body) + w.pc) }
 	for cyc := 1; cyc <= ready.Iterations; cyc++ {
 		var before [4]int64
 		for i := range c.warps {
-			before[i] = c.warps[i].issued
+			before[i] = issued(&c.warps[i])
 		}
 		stalls := c.acc.stalls[stallComputeR]
 		cycle(c, mem)
 		for i := range c.warps {
-			got := c.warps[i].issued - before[i]
+			got := issued(&c.warps[i]) - before[i]
 			if i == 2 {
 				// Issued or stall-counted, once.
 				got += c.acc.stalls[stallComputeR] - stalls

@@ -26,8 +26,6 @@ type warp struct {
 	// wakePs is, while the warp sleeps in the scheduler, when the pacing or
 	// scoreboard block that refused it lifts: only its own issue moves it.
 	wakePs int64
-
-	issued int64
 }
 
 // regMask maps a register to its scoreboard slot. isa.Validate bounds every

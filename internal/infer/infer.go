@@ -4,10 +4,10 @@
 // instead of calling nn.MLP methods directly. Two backends exist: the
 // float64 reference path (nn.ForwardScratch / nn.ForwardBatch) and an
 // int8 path built by per-output-channel symmetric weight quantization
-// with dynamic per-row activation scales, int32 accumulators, and fused
-// dequantize+ReLU. Backends are immutable once built and safe for any
-// number of concurrent callers; all mutable state lives in the
-// per-goroutine Scratch.
+// with dynamic per-row activation scales, exact integer accumulation on
+// nn's float64 batch kernel, and fused dequantize+ReLU. Backends are
+// immutable once built and safe for any number of concurrent callers;
+// all mutable state lives in the per-goroutine Scratch.
 //
 // The paper's engine is FP32 (Section V-D), and int8 is a numerics study
 // here, chosen in process through serve.Options.Backend. Its weight
@@ -30,7 +30,8 @@ const (
 	KindFloat64 Kind = "float64"
 	// KindInt8 is the quantized backend: int8 weights (per-output-channel
 	// symmetric scales), int8 activations (per-row dynamic scales),
-	// int32 accumulation, float64 dequantize fused with ReLU.
+	// exact integer accumulation on the float64 batch kernel, float64
+	// dequantize fused with ReLU.
 	KindInt8 Kind = "int8"
 )
 

@@ -139,8 +139,8 @@ func TestInt8TracksFloat64(t *testing.T) {
 		t.Fatal(err)
 	}
 	for li, ql := range b.(*int8Backend).layers {
-		for i, c := range ql.qw {
-			if want := float64(c) * ql.sw[i/ql.in]; q8.Layers[li].W[i] != want {
+		for i, c := range ql.mac.Layers[0].W {
+			if want := c * ql.sw[i/ql.mac.InputSize()]; q8.Layers[li].W[i] != want {
 				t.Fatalf("layer %d weight %d: Quantize %g, backend %g", li, i, q8.Layers[li].W[i], want)
 			}
 		}

@@ -9,39 +9,41 @@ import (
 )
 
 // qlevels is the int8 backend's symmetric range: int8 minus the
-// asymmetric -128, so +x and -x round to equal magnitudes and the
-// accumulator bound (127*127*in) stays far inside int32 for any realistic
-// layer width.
+// asymmetric -128, so +x and -x round to equal magnitudes.
 const qlevels = 127
 
 // qlayer is one dense layer quantized for serving: weights as int8 codes
 // from quantizeLayer at 8 bits, biases kept in float64 and applied at
-// dequantize time.
+// dequantize time. The codes are the weights of mac, a one-layer MLP
+// with a zero bias, so nn's batch kernel does the multiply-accumulate.
+// Every code and activation code is an integer in [-128, 127], so every
+// product and partial sum is an integer far below 2^53: the kernel's
+// float64 sum is the exact integer accumulator, and +0 (never -0) where
+// that is 0, since it starts from the +0 bias. An FMA cannot round an
+// exact product either.
 type qlayer struct {
-	in, out int
-	qw      []int8    // row-major, qw[o*in+i] ≈ W[o*in+i] / sw[o]
-	sw      []float64 // per output channel; 0 for an all-zero (pruned) channel
-	b       []float64
+	mac *nn.MLP
+	sw  []float64 // per output channel; 0 for an all-zero (pruned) channel
+	b   []float64
 }
 
-// int8Scratch holds the quantized-path buffers: per-layer float64
-// activation batches plus the current layer's quantized rows and per-row
-// scales. hmax carries each row's max activation from one layer's
-// fused-ReLU epilogue to the next layer's quantization pass, so hidden
-// layers never rescan their input for the dynamic scale.
+// int8Scratch holds the quantized path's buffers: the current layer's
+// activation codes and per-row scales, and the kernel's scratch, whose
+// output each layer dequantizes in place. hmax carries each row's max
+// activation from one layer's fused-ReLU epilogue to the next layer's
+// quantization pass, so hidden layers never rescan their input for the
+// dynamic scale.
 type int8Scratch struct {
-	acts []nn.Batch
 	one  nn.Batch // 1-row staging for the single-row Forward
-	qx   []int8
+	q    nn.Batch
+	mac  nn.BatchScratch
 	sx   []float64
 	hmax []float64
 }
 
 type int8Backend struct {
 	layers []qlayer
-	in     int
-	out    int
-	params int
+	desc   Description
 }
 
 // quantizeLayer is the package's one weight quantizer: it rounds layer
@@ -121,92 +123,63 @@ func Quantize(m *nn.MLP, bits int) (*nn.MLP, error) {
 
 // newInt8Backend quantizes m layer by layer at 8 bits.
 func newInt8Backend(m *nn.MLP) (Backend, error) {
-	bk := &int8Backend{
-		in:     m.InputSize(),
-		out:    m.OutputSize(),
-		params: m.Params(),
-	}
+	bk := &int8Backend{desc: Description{Kind: KindInt8, In: m.InputSize(), Out: m.OutputSize(),
+		Layers: len(m.Layers), Params: m.Params(), WeightBits: 8}}
 	for li, l := range m.Layers {
 		codes, sw, err := quantizeLayer(l, li, 8)
 		if err != nil {
 			return nil, err
 		}
-		qw := make([]int8, len(codes))
-		for i, c := range codes {
-			qw[i] = int8(c)
-		}
-		bk.layers = append(bk.layers, qlayer{in: l.In, out: l.Out, qw: qw, sw: sw, b: slices.Clone(l.B)})
+		mac := &nn.MLP{Layers: []*nn.Dense{{In: l.In, Out: l.Out, W: codes, B: make([]float64, l.Out)}}}
+		bk.layers = append(bk.layers, qlayer{mac: mac, sw: sw, b: slices.Clone(l.B)})
 	}
 	return bk, nil
 }
 
-func (b *int8Backend) Describe() Description {
-	return Description{
-		Kind:       KindInt8,
-		In:         b.in,
-		Out:        b.out,
-		Layers:     len(b.layers),
-		Params:     b.params,
-		WeightBits: 8,
-	}
-}
+func (b *int8Backend) Describe() Description { return b.desc }
 
 // Forward runs the single row through the batch kernel via a 1-row
 // staging batch: one kernel, one set of numerics, so the row and batch
 // paths cannot drift apart.
 func (b *int8Backend) Forward(x []float64, s *Scratch) []float64 {
-	if len(x) != b.in {
-		panic(fmt.Sprintf("infer: int8 Forward with |x|=%d, model wants %d", len(x), b.in))
+	if len(x) != b.desc.In {
+		panic(fmt.Sprintf("infer: int8 Forward with |x|=%d, model wants %d", len(x), b.desc.In))
 	}
-	s.i8.one.Reset(1, b.in)
+	s.i8.one.Reset(1, len(x))
 	copy(s.i8.one.Data, x)
 	return b.ForwardBatch(&s.i8.one, s).Row(0)
 }
 
 func (b *int8Backend) ForwardBatch(x *nn.Batch, s *Scratch) *nn.Batch {
-	if x.Cols != b.in {
-		panic(fmt.Sprintf("infer: int8 ForwardBatch with %d cols, model wants %d", x.Cols, b.in))
-	}
-	sc := &s.i8
-	if len(sc.acts) < len(b.layers) {
-		sc.acts = append(sc.acts, make([]nn.Batch, len(b.layers)-len(sc.acts))...)
+	if x.Cols != b.desc.In {
+		panic(fmt.Sprintf("infer: int8 ForwardBatch with %d cols, model wants %d", x.Cols, b.desc.In))
 	}
 	h := x
 	for li := range b.layers {
-		l := &b.layers[li]
-		y := &sc.acts[li]
-		y.Reset(h.Rows, l.out)
 		// Hidden layers (everything but the last) fuse ReLU and record
 		// each row's output max, so the next layer's quantization pass
 		// reads its dynamic scale from hmax instead of rescanning.
-		l.forwardBatch(h, y, sc, li+1 < len(b.layers), li > 0)
-		h = y
+		h = b.layers[li].forwardBatch(h, &s.i8, li+1 < len(b.layers), li > 0)
 	}
 	return h
 }
 
 // forwardBatch quantizes every activation row with its own dynamic scale
-// (sx = max|x| / 127), accumulates int8×int8 products in int32, and
-// dequantizes with the fused per-(channel,row) factor sw[o]·sx[r] plus
-// the float64 bias — applying ReLU in the same pass when fuseReLU is
-// set. The row loop is tiled four at a time like the float64 kernel so
-// each quantized weight row is loaded once per tile. haveMax means
-// sc.hmax already holds each row's max |x| (filled by the previous
-// layer's fused-ReLU epilogue), skipping the scan; when fuseReLU is set
+// (sx = max|x| / 127), multiplies the codes on nn's batch kernel, and
+// dequantizes the exact integer accumulators with the fused
+// per-(channel,row) factor sw[o]·sx[r] plus the float64 bias, applying
+// ReLU in the same pass when fuseReLU is set. haveMax means sc.hmax
+// already holds each row's max |x| (filled by the previous layer's
+// fused-ReLU epilogue), skipping the scan. When fuseReLU is set
 // the epilogue refills sc.hmax with this layer's output maxes for the
-// next one.
-func (l *qlayer) forwardBatch(x, y *nn.Batch, sc *int8Scratch, fuseReLU, haveMax bool) {
-	in, out, rows := l.in, l.out, x.Rows
-	if n := rows * in; cap(sc.qx) < n {
-		sc.qx = make([]int8, n)
-	}
-	if cap(sc.sx) < rows {
-		sc.sx = make([]float64, rows)
-		sc.hmax = make([]float64, rows)
-	}
-	qx := sc.qx[:rows*in]
-	sx := sc.sx[:rows]
-	hmax := sc.hmax[:rows]
+// next one. The result aliases sc.mac: x is read in full before the kernel
+// writes there, so the next layer may pass it back in.
+func (l *qlayer) forwardBatch(x *nn.Batch, sc *int8Scratch, fuseReLU, haveMax bool) *nn.Batch {
+	in, out, rows := x.Cols, len(l.sw), x.Rows
+	sc.q.Reset(rows, in)
+	// Growing keeps hmax's rows: every layer of a batch has the same rows.
+	sc.sx, sc.hmax = slices.Grow(sc.sx[:0], rows)[:rows], slices.Grow(sc.hmax[:0], rows)[:rows]
+	sx, hmax := sc.sx, sc.hmax
 
 	// Pass 1: per-row dynamic activation quantization. No clamp is
 	// needed on the quantized codes: |v| ≤ maxAbs makes |v·inv| at most
@@ -214,7 +187,7 @@ func (l *qlayer) forwardBatch(x, y *nn.Batch, sc *int8Scratch, fuseReLU, haveMax
 	// round-half-away would reach ±128.
 	for r := 0; r < rows; r++ {
 		xr := x.Data[r*in : (r+1)*in : (r+1)*in]
-		qr := qx[r*in : (r+1)*in : (r+1)*in]
+		qr := sc.q.Data[r*in : (r+1)*in : (r+1)*in]
 		maxAbs := 0.0
 		if haveMax {
 			maxAbs = hmax[r]
@@ -231,9 +204,7 @@ func (l *qlayer) forwardBatch(x, y *nn.Batch, sc *int8Scratch, fuseReLU, haveMax
 		// bias, which matches the float64 path on a zero row.
 		if !(maxAbs > 0) || math.IsInf(maxAbs, 0) {
 			sx[r] = 0
-			for i := range qr {
-				qr[i] = 0
-			}
+			clear(qr)
 			continue
 		}
 		sx[r] = maxAbs / qlevels
@@ -242,89 +213,24 @@ func (l *qlayer) forwardBatch(x, y *nn.Batch, sc *int8Scratch, fuseReLU, haveMax
 			// Truncation after ±0.5 is round-half-away-from-zero — the
 			// same rounding math.Round implements, minus its pure-Go
 			// bit-twiddling cost on the hot path.
-			qr[i] = int8(int32(v*inv + math.Copysign(0.5, v)))
+			qr[i] = float64(int8(int32(v*inv + math.Copysign(0.5, v))))
 		}
 	}
 
-	// Pass 2: tiled int32 matmul with fused dequantize(+ReLU) and, for
-	// hidden layers, fused next-layer row-max tracking (post-ReLU
-	// outputs are nonnegative, so the running max is already max |y|).
-	// The [:in] reslices pin every operand's length to the loop bound so
-	// the compiler drops the per-element bounds checks in the MAC loop.
-	w := l.qw[:out*in]
+	// Pass 2: the integer multiply-accumulate.
+	y := l.mac.ForwardBatch(&sc.q, &sc.mac)
+
+	// Pass 3: dequantize(+ReLU) in place and, for hidden layers, track
+	// the next layer's row max (post-ReLU outputs are nonnegative, so the
+	// running max is already max |y|).
 	sws := l.sw[:out]
 	bias := l.b[:out]
-	r := 0
-	for ; r+4 <= rows; r += 4 {
-		q0 := qx[(r+0)*in : (r+1)*in : (r+1)*in][:in]
-		q1 := qx[(r+1)*in : (r+2)*in : (r+2)*in][:in]
-		q2 := qx[(r+2)*in : (r+3)*in : (r+3)*in][:in]
-		q3 := qx[(r+3)*in : (r+4)*in : (r+4)*in][:in]
-		y0 := y.Data[(r+0)*out : (r+1)*out : (r+1)*out]
-		y1 := y.Data[(r+1)*out : (r+2)*out : (r+2)*out]
-		y2 := y.Data[(r+2)*out : (r+3)*out : (r+3)*out]
-		y3 := y.Data[(r+3)*out : (r+4)*out : (r+4)*out]
-		s0, s1, s2, s3 := sx[r+0], sx[r+1], sx[r+2], sx[r+3]
-		var m0, m1, m2, m3 float64
-		for o := 0; o < out; o++ {
-			wo := w[o*in : o*in+in : o*in+in][:in]
-			var a0, a1, a2, a3 int32
-			for i := 0; i < in; i++ {
-				wv := int32(wo[i])
-				a0 += wv * int32(q0[i])
-				a1 += wv * int32(q1[i])
-				a2 += wv * int32(q2[i])
-				a3 += wv * int32(q3[i])
-			}
-			swo, b := sws[o], bias[o]
-			v0 := float64(a0)*(swo*s0) + b
-			v1 := float64(a1)*(swo*s1) + b
-			v2 := float64(a2)*(swo*s2) + b
-			v3 := float64(a3)*(swo*s3) + b
-			if fuseReLU {
-				if v0 < 0 {
-					v0 = 0
-				}
-				if v1 < 0 {
-					v1 = 0
-				}
-				if v2 < 0 {
-					v2 = 0
-				}
-				if v3 < 0 {
-					v3 = 0
-				}
-				if v0 > m0 {
-					m0 = v0
-				}
-				if v1 > m1 {
-					m1 = v1
-				}
-				if v2 > m2 {
-					m2 = v2
-				}
-				if v3 > m3 {
-					m3 = v3
-				}
-			}
-			y0[o], y1[o], y2[o], y3[o] = v0, v1, v2, v3
-		}
-		if fuseReLU {
-			hmax[r+0], hmax[r+1], hmax[r+2], hmax[r+3] = m0, m1, m2, m3
-		}
-	}
-	for ; r < rows; r++ {
-		qr := qx[r*in : (r+1)*in : (r+1)*in][:in]
-		yr := y.Data[r*out : (r+1)*out : (r+1)*out]
+	for r := 0; r < rows; r++ {
+		yr := y.Data[r*out : (r+1)*out : (r+1)*out][:out]
 		sr := sx[r]
 		var mr float64
-		for o := 0; o < out; o++ {
-			wo := w[o*in : o*in+in : o*in+in][:in]
-			var acc int32
-			for i := 0; i < in; i++ {
-				acc += int32(wo[i]) * int32(qr[i])
-			}
-			v := float64(acc)*(sws[o]*sr) + bias[o]
+		for o, acc := range yr {
+			v := acc*(sws[o]*sr) + bias[o]
 			if fuseReLU {
 				if v < 0 {
 					v = 0
@@ -339,4 +245,5 @@ func (l *qlayer) forwardBatch(x, y *nn.Batch, sc *int8Scratch, fuseReLU, haveMax
 			hmax[r] = mr
 		}
 	}
+	return y
 }

@@ -30,17 +30,14 @@ type EventLog struct {
 	counter *Counter
 }
 
-// DefaultEventCapacity is the ring size used when a caller passes n <= 0.
-const DefaultEventCapacity = 256
+// EventCapacity is how many events an EventLog retains.
+const EventCapacity = 256
 
-// NewEventLog returns a log retaining the last n events (n <= 0 takes
-// DefaultEventCapacity). When reg is non-nil, every append increments
-// its unlabelled events_total counter.
-func NewEventLog(n int, reg *Registry) *EventLog {
-	if n <= 0 {
-		n = DefaultEventCapacity
-	}
-	l := &EventLog{ring: make([]Event, n)}
+// NewEventLog returns a log retaining the last EventCapacity
+// events. When reg is non-nil, every append increments its unlabelled
+// events_total counter.
+func NewEventLog(reg *Registry) *EventLog {
+	l := &EventLog{ring: make([]Event, EventCapacity)}
 	if reg != nil {
 		l.counter = reg.Counter("events_total")
 	}

@@ -9,19 +9,21 @@ import (
 
 func TestEventLogRetainsOrderAndWraps(t *testing.T) {
 	reg := NewRegistry()
-	l := NewEventLog(4, reg)
-	for i := 0; i < 6; i++ {
+	l := NewEventLog(reg)
+	const over = 2
+	const n = EventCapacity + over
+	for i := 0; i < n; i++ {
 		l.Append(Event{Kind: fmt.Sprintf("k%d", i), Time: time.Unix(int64(i), 0)})
 	}
-	if n := reg.Snapshot().Counters["events_total"]; n != 6 {
-		t.Fatalf("events_total = %d, want 6", n)
+	if got := reg.Snapshot().Counters["events_total"]; got != n {
+		t.Fatalf("events_total = %d, want %d", got, n)
 	}
 	evs := l.Snapshot(nil)
-	if len(evs) != 4 {
-		t.Fatalf("retained %d events, want 4", len(evs))
+	if len(evs) != EventCapacity {
+		t.Fatalf("retained %d events, want %d", len(evs), EventCapacity)
 	}
 	for i, ev := range evs {
-		if want := fmt.Sprintf("k%d", i+2); ev.Kind != want {
+		if want := fmt.Sprintf("k%d", i+over); ev.Kind != want {
 			t.Fatalf("event %d kind = %s, want %s (oldest-first after wrap)", i, ev.Kind, want)
 		}
 	}
@@ -29,7 +31,7 @@ func TestEventLogRetainsOrderAndWraps(t *testing.T) {
 
 func TestEventLogStampsTimeAndCounts(t *testing.T) {
 	reg := NewRegistry()
-	l := NewEventLog(0, reg)
+	l := NewEventLog(reg)
 	before := time.Now()
 	l.Append(Event{Kind: "promote", Reason: "beat incumbent", Detail: map[string]any{"gen": 2}})
 	evs := l.Snapshot(nil)
@@ -49,7 +51,7 @@ func TestEventLogConcurrentAndNil(t *testing.T) {
 	}
 
 	reg := NewRegistry()
-	l := NewEventLog(64, reg)
+	l := NewEventLog(reg)
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
