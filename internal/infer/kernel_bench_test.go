@@ -8,9 +8,14 @@ import (
 	"ssmdvfs/internal/nn"
 )
 
+// benchBatches is how many different input batches a kernel benchmark
+// cycles through, so the branch predictor cannot learn one input.
+const benchBatches = 32
+
 // BenchmarkForwardBatchKernel isolates the two backends' batch kernels
 // on the deployed decision-head shape (6→12→12→6) so kernel-only
-// regressions are visible without engine overhead on top.
+// regressions are visible without engine overhead on top. It cycles
+// through benchBatches random batches.
 func BenchmarkForwardBatchKernel(b *testing.B) {
 	m, err := nn.NewMLP([]int{6, 12, 12, 6}, rand.New(rand.NewSource(7)))
 	if err != nil {
@@ -23,18 +28,20 @@ func BenchmarkForwardBatchKernel(b *testing.B) {
 		}
 		for _, rows := range []int{1, 8, 64} {
 			b.Run(fmt.Sprintf("backend=%s/rows=%d", kind, rows), func(b *testing.B) {
-				var x nn.Batch
-				x.Reset(rows, 6)
+				xs := make([]nn.Batch, benchBatches)
 				rng := rand.New(rand.NewSource(11))
-				for i := range x.Data {
-					x.Data[i] = rng.NormFloat64()
+				for k := range xs {
+					xs[k].Reset(rows, 6)
+					for i := range xs[k].Data {
+						xs[k].Data[i] = rng.NormFloat64()
+					}
 				}
 				var s Scratch
-				bk.ForwardBatch(&x, &s)
+				bk.ForwardBatch(&xs[0], &s)
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					bk.ForwardBatch(&x, &s)
+					bk.ForwardBatch(&xs[i%len(xs)], &s)
 				}
 			})
 		}

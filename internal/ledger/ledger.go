@@ -10,9 +10,10 @@
 // can answer "is the fleet saving energy right now, and at what
 // performance cost" without offline replay.
 //
-// The same Meter that accounts decisions online replays a provenance
-// flight-recorder dump offline (ReplayRecords) — the fig4-style exact
-// cross-check behind `dvfsstat -ledger`.
+// The ledger prices decisions from their provenance records: the serving
+// engine hands it the records it also hands the flight recorder, and
+// ReplayRecords prices a flight-recorder dump offline through the same
+// ObserveRecords — the exact cross-check behind `dvfsstat -ledger`.
 package ledger
 
 import (
@@ -178,13 +179,6 @@ type Group struct {
 	PerfLossPpmSum int64 `json:"perf_loss_ppm_sum"`
 }
 
-func (g *Group) add(r *batchRow) {
-	g.Decisions++
-	g.EnergyMaxPJ += r.energyMaxPJ
-	g.EnergyPJ += r.energyPJ
-	g.PerfLossPpmSum += r.lossPpm
-}
-
 func (g Group) merge(o Group) Group {
 	g.Decisions += o.Decisions
 	g.EnergyMaxPJ += o.EnergyMaxPJ
@@ -270,11 +264,18 @@ func (s Snapshot) WriteJSON(w io.Writer) error {
 	return enc.Encode(s)
 }
 
-// ReadSnapshot parses a WriteJSON payload.
+// ReadSnapshot parses a WriteJSON payload. It is the one validator of
+// the format: it refuses a histogram with more buckets than the ledger
+// writes (telemetry.DefaultHistBuckets), since past bucket 1024 a
+// bucket's bounds are infinite and Merge would recompute quantiles that
+// WriteJSON cannot write.
 func ReadSnapshot(r io.Reader) (Snapshot, error) {
 	var s Snapshot
 	if err := json.NewDecoder(r).Decode(&s); err != nil {
 		return s, fmt.Errorf("ledger: %w", err)
+	}
+	if n := max(len(s.SavedHist.Buckets), len(s.LossHist.Buckets)); n > telemetry.DefaultHistBuckets {
+		return Snapshot{}, fmt.Errorf("ledger: a histogram has %d buckets, at most %d", n, telemetry.DefaultHistBuckets)
 	}
 	return s, nil
 }
@@ -336,12 +337,12 @@ type Options struct {
 	Now func() time.Time
 }
 
-// Ledger is the online accountant. Rows are priced into a caller-owned
-// Batch with no shared state touched, and Commit folds the batch in:
-// one clock read, one lock per ring, one ledger lock and one gauge
-// refresh however many rows it holds. Observe is the one-row batch. A
-// nil *Ledger is a valid no-op, which is how the serving engine keeps the
-// disabled path zero-cost.
+// Ledger is the online accountant. ObserveRecords prices up to 64
+// records at a time into a batch on its own stack, touching no shared
+// state, then folds the batch in: one clock read, one lock per ring, one
+// ledger lock and one gauge refresh however many rows it holds. Observe
+// prices one row the same way. A nil *Ledger is a valid no-op, which is
+// how the serving engine keeps the disabled path zero-cost.
 type Ledger struct {
 	meter    Meter
 	windowNs int64
@@ -428,119 +429,89 @@ func ppm(v float64) int64 {
 // simply not tracked), keeping the hot path allocation-bounded.
 const maxTrackedKeys = 1 << 10
 
-// batchRows is how many priced rows a Batch holds before Add commits it:
-// one inference chunk of the serving engine.
+// batchRows is how many priced rows one commit folds in: one inference
+// chunk of the serving engine.
 const batchRows = 64
 
-// Batch is a run of priced rows waiting for one Commit. The zero value is
-// an empty batch; a Batch belongs to one goroutine at a time and is empty
-// again after Commit, so a caller can keep one as scratch.
-type Batch struct {
-	batchSums
-	rows [batchRows]batchRow // rows[:n] are live
-}
-
-// batchSums is the part of a Batch that Commit zeroes.
-type batchSums struct {
-	n       int
+// batch is up to batchRows priced decisions waiting for one commit. It
+// lives on the stack of the call that prices them.
+type batch struct {
+	sum     Group // of rows[:sum.Decisions]
 	skipped int64
 
-	energyMaxPJ, energyPJ       int64
-	lossPpm, presetPpm, savedPJ int64
-	savedHistSum                int64
-	savedBins, lossBins         [telemetry.DefaultHistBuckets]int64
+	presetPpm, savedPJ, savedHistSum int64
+	savedBins, lossBins              [telemetry.DefaultHistBuckets]int64
+
+	rows [batchRows]batchRow
 }
 
-// batchRow is one priced row's contribution to the breakdown groups.
+// batchRow is one priced decision: its breakdown keys and its group of one.
 type batchRow struct {
-	cluster               int32
-	gen                   uint32
-	level                 int
-	energyMaxPJ, energyPJ int64
-	lossPpm               int64
+	cluster int32
+	gen     uint32
+	level   int
+	g       Group
 }
 
-// Add prices one served decision into b: the finished epoch's counter
-// row, the level decided for the next epoch, the requesting cluster (-1
-// for unkeyed rows), the serving model generation, and the row's preset.
-// Unaccountable rows count as skipped. Nothing is visible in the ledger
-// until Commit; a full batch commits itself. Nil-safe.
-func (l *Ledger) Add(b *Batch, cluster int32, gen uint32, level int, features []float64, preset float64) {
-	if l == nil {
-		return
-	}
-	a := l.meter.Account(features, level)
+// price adds the decision that rec records to b, which has room for it.
+// Unaccountable rows count as skipped.
+func (l *Ledger) price(b *batch, rec *provenance.Record) {
+	level := int(rec.Level)
+	a := l.meter.Account(rec.RawFeatures(), level)
 	if !a.OK {
 		b.skipped++
 		return
 	}
-	r := &b.rows[b.n]
-	b.n++
-	*r = batchRow{
-		cluster: cluster, gen: gen, level: level,
-		energyMaxPJ: int64(a.EnergyMaxPJ), energyPJ: int64(a.EnergyPJ), lossPpm: ppm(a.PerfLoss),
-	}
+	g := Group{Decisions: 1, EnergyMaxPJ: int64(a.EnergyMaxPJ), EnergyPJ: int64(a.EnergyPJ), PerfLossPpmSum: ppm(a.PerfLoss)}
+	b.rows[b.sum.Decisions] = batchRow{cluster: rec.Cluster, gen: rec.ModelGen, level: level, g: g}
+	b.sum = b.sum.merge(g)
+	b.presetPpm += ppm(rec.Preset)
 	savedPJ := int64(a.SavedPJ())
-	b.energyMaxPJ += r.energyMaxPJ
-	b.energyPJ += r.energyPJ
-	b.lossPpm += r.lossPpm
-	b.presetPpm += ppm(preset)
 	b.savedPJ += savedPJ
 	if savedPJ < 0 {
 		savedPJ = 0 // the histogram bins savings; a net loss reads as none
 	}
 	b.savedHistSum += savedPJ
 	b.savedBins[telemetry.BucketIndex(savedPJ, len(b.savedBins))]++
-	b.lossBins[telemetry.BucketIndex(r.lossPpm, len(b.lossBins))]++
-	if b.n == len(b.rows) {
-		l.Commit(b)
-	}
+	b.lossBins[telemetry.BucketIndex(g.PerfLossPpmSum, len(b.lossBins))]++
 }
 
-// Commit folds b into the ledger and empties it. All of b's rows land in
-// the ring window the clock reads now. Nil-safe.
-func (l *Ledger) Commit(b *Batch) {
-	if l == nil {
-		return
-	}
+// commit folds b into the ledger. All of b's rows land in the ring window
+// the clock reads now.
+func (l *Ledger) commit(b *batch) {
 	if b.skipped > 0 {
 		l.skipped.Add(b.skipped)
 	}
-	if b.n > 0 {
-		l.commitRows(b)
+	n := b.sum.Decisions
+	if n == 0 {
+		return
 	}
-	b.batchSums = batchSums{}
-}
-
-// commitRows folds b's priced rows (at least one) into the ledger.
-func (l *Ledger) commitRows(b *Batch) {
-	n := int64(b.n)
 	l.decisions.Add(n)
-	l.energyMax.Add(b.energyMaxPJ)
-	l.energy.Add(b.energyPJ)
+	l.energyMax.Add(b.sum.EnergyMaxPJ)
+	l.energy.Add(b.sum.EnergyPJ)
 	l.savedHist.ObserveBinned(b.savedBins[:], b.savedHistSum)
-	l.lossHist.ObserveBinned(b.lossBins[:], b.lossPpm)
+	l.lossHist.ObserveBinned(b.lossBins[:], b.sum.PerfLossPpmSum)
 
 	w := l.now().UnixNano() / l.windowNs
 	l.savedRing.ObserveN(w, n, b.savedPJ)
-	l.lossRing.ObserveN(w, n, b.lossPpm)
+	l.lossRing.ObserveN(w, n, b.sum.PerfLossPpmSum)
 	l.presetRing.ObserveN(w, n, b.presetPpm)
 
 	l.mu.Lock()
-	l.lossPpm += b.lossPpm
+	l.lossPpm += b.sum.PerfLossPpmSum
 	l.presetPpm += b.presetPpm
-	for i := range b.rows[:b.n] {
+	for i := range b.rows[:n] {
 		r := &b.rows[i]
 		if r.level >= 0 && r.level < maxLevels {
-			l.levels[r.level].add(r)
+			l.levels[r.level] = l.levels[r.level].merge(r.g)
 		}
 		if r.cluster >= 0 {
 			if g := tracked(l.clusters, r.cluster); g != nil {
-				g.add(r)
+				*g = g.merge(r.g)
 			}
 		}
 		if g := tracked(l.gens, r.gen); g != nil {
-			g.add(r)
+			*g = g.merge(r.g)
 		}
 	}
 	lossSum, presetSum := l.lossPpm, l.presetPpm
@@ -571,15 +542,34 @@ func tracked[K comparable](m map[K]*Group, key K) *Group {
 	return g
 }
 
-// Observe accounts one served decision — Add and Commit of a one-row
-// batch. Nil-safe.
-func (l *Ledger) Observe(cluster int32, gen uint32, level int, features []float64, preset float64) {
+// ObserveRecords accounts a run of served decisions from their
+// flight-recorder records — each one's finished epoch's counter row, the
+// level decided for the next epoch, the requesting cluster (-1 for
+// unkeyed rows), the serving model generation and the preset —
+// committing once per batchRows records. It is the one way decisions are
+// priced: the serving engine hands it each observed chunk, ReplayRecords
+// a whole dump, and Observe one row. Nil-safe.
+func (l *Ledger) ObserveRecords(recs []provenance.Record) {
 	if l == nil {
 		return
 	}
-	var b Batch
-	l.Add(&b, cluster, gen, level, features, preset)
-	l.Commit(&b)
+	for len(recs) > 0 {
+		var b batch
+		n := min(len(recs), batchRows)
+		for i := range recs[:n] {
+			l.price(&b, &recs[i])
+		}
+		l.commit(&b)
+		recs = recs[n:]
+	}
+}
+
+// Observe accounts one served decision from its row, through the record
+// the row makes. Nil-safe.
+func (l *Ledger) Observe(cluster int32, gen uint32, level int, features []float64, preset float64) {
+	recs := [1]provenance.Record{{Cluster: cluster, ModelGen: gen, Level: int32(level), Preset: preset}}
+	recs[0].SetRaw(features)
+	l.ObserveRecords(recs[:])
 }
 
 // Snapshot captures the ledger. Totals and groups are read under the
@@ -625,21 +615,16 @@ func (l *Ledger) Snapshot() Snapshot {
 	return s
 }
 
-// ReplayRecords replays a provenance flight-recorder dump through the
-// exact per-decision accounting — the offline cross-check for the online
-// ledger. Records account with the same Meter arithmetic, so a dump that
-// covers every served decision reproduces the online integer totals
-// exactly; the documented ≤2 % tolerance in `dvfsstat -ledger` exists for
-// dumps whose ring capacity dropped the oldest decisions or that were
-// scraped mid-traffic.
+// ReplayRecords prices a provenance flight-recorder dump through the
+// ObserveRecords the online ledger prices with — the offline cross-check
+// for the online ledger. A dump that covers every served decision
+// reproduces the online totals, groups and histograms exactly; the ≤2 %
+// tolerance in `dvfsstat -ledger` exists for dumps whose ring capacity
+// dropped the oldest decisions or that were scraped mid-traffic. Its
+// rings hold one window, the epoch's.
 func ReplayRecords(recs []provenance.Record) Snapshot {
 	l := New(Options{Now: func() time.Time { return time.Unix(0, 0) }})
-	var b Batch
-	for i := range recs {
-		r := &recs[i]
-		l.Add(&b, r.Cluster, r.ModelGen, int(r.Level), r.RawFeatures(), r.Preset)
-	}
-	l.Commit(&b)
+	l.ObserveRecords(recs)
 	return l.Snapshot()
 }
 

@@ -410,10 +410,11 @@ func TestMeterLevelTableBitIdentical(t *testing.T) {
 	}
 }
 
-// TestBatchCommitEqualsObserve: rows priced into batches and committed a
-// run at a time leave the ledger — snapshot bytes and registry series —
-// exactly as Observe row by row does, whatever the run length (200 makes
-// Add commit full batches on its own).
+// TestBatchCommitEqualsObserve: rows priced from their records by
+// ObserveRecords, which commits a batch per 64 of them, leave the ledger —
+// snapshot bytes and registry series — exactly as Observe row by row
+// does, whatever the run length (200 makes one call commit full batches
+// and a partial one).
 func TestBatchCommitEqualsObserve(t *testing.T) {
 	type row struct {
 		cluster  int32
@@ -435,21 +436,23 @@ func TestBatchCommitEqualsObserve(t *testing.T) {
 		}
 		rows[i] = r
 	}
+	recs := make([]provenance.Record, len(rows))
+	for i, r := range rows {
+		rec := &recs[i]
+		rec.Cluster, rec.ModelGen, rec.Level, rec.Preset = r.cluster, r.gen, int32(r.level), r.preset
+		rec.SetRaw(r.features)
+	}
 	render := func(chunk int) (snapshot, series []byte) {
 		reg := telemetry.NewRegistry()
 		l := New(Options{Registry: reg, Now: func() time.Time { return time.Unix(5000, 0) }})
-		var b Batch
-		for i, r := range rows {
-			if chunk == 0 {
+		if chunk == 0 {
+			for _, r := range rows {
 				l.Observe(r.cluster, r.gen, r.level, r.features, r.preset)
-				continue
-			}
-			l.Add(&b, r.cluster, r.gen, r.level, r.features, r.preset)
-			if (i+1)%chunk == 0 {
-				l.Commit(&b)
 			}
 		}
-		l.Commit(&b)
+		for lo := 0; chunk > 0 && lo < len(recs); lo += chunk {
+			l.ObserveRecords(recs[lo:min(lo+chunk, len(recs))])
+		}
 		var sb, rb bytes.Buffer
 		if err := l.Snapshot().WriteJSON(&sb); err != nil {
 			t.Fatal(err)

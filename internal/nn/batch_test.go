@@ -308,17 +308,22 @@ func BenchmarkForwardBatch(b *testing.B) {
 	}
 	for _, rows := range []int{1, 8, 64} {
 		b.Run(fmt.Sprintf("rows=%d", rows), func(b *testing.B) {
-			var x Batch
-			fillRows(&x, rows, 6, rand.New(rand.NewSource(5)))
+			// 32 random batches in turn, so the branch predictor cannot
+			// learn one input.
+			xs := make([]Batch, 32)
+			rng := rand.New(rand.NewSource(5))
+			for k := range xs {
+				fillRows(&xs[k], rows, 6, rng)
+			}
 			var s BatchScratch
-			m.ForwardBatch(&x, &s)
-			if allocs := testing.AllocsPerRun(100, func() { m.ForwardBatch(&x, &s) }); allocs > 0 {
+			m.ForwardBatch(&xs[0], &s)
+			if allocs := testing.AllocsPerRun(100, func() { m.ForwardBatch(&xs[0], &s) }); allocs > 0 {
 				b.Fatalf("steady-state ForwardBatch allocates %.1f objects/op, want 0", allocs)
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				m.ForwardBatch(&x, &s)
+				m.ForwardBatch(&xs[i%len(xs)], &s)
 			}
 			b.ReportMetric(float64(rows)*float64(b.N)/b.Elapsed().Seconds(), "rows/s")
 		})

@@ -12,16 +12,13 @@ import (
 	"ssmdvfs/internal/telemetry"
 )
 
-// observeRows stages rows as one run on sc and observes it at once,
-// through the observeRun a served batch ends in: the chunk step
-// TestObservePerChunkEqualsPerRow drives.
+// observeRows stages rows as one run on sc and observes the batch at once,
+// through the observe a served batch ends in, which returns sc to the
+// pool: the chunk step TestObservePerChunkEqualsPerRow drives.
 func (e *Engine) observeRows(sc *obsScratch, rows []Request, decs []Decision, start time.Time) {
 	sc.rows, sc.decs = rows, decs
-	sc.stageRun(0, len(rows), start)
-	for _, r := range sc.runs {
-		e.observeRun(sc, r)
-	}
-	sc.runs = sc.runs[:0]
+	sc.stageRun(len(rows), start)
+	e.observe(sc)
 }
 
 // afterReplyFrames builds frames of n rows, one identity each and the

@@ -71,14 +71,15 @@ type Engine struct {
 	prev atomic.Pointer[core.Model]
 
 	// shadow, when SetShadow installed one, receives every model-path
-	// decision (provenance must be enabled). The single-pointer holder
-	// makes install/remove atomic against in-flight batches.
+	// decision (a plane that observes decisions must be armed). The
+	// single-pointer holder makes install/remove atomic against in-flight
+	// batches.
 	shadow atomic.Pointer[shadowHolder]
 
 	// The identity table: per (GPU, cluster) key, the last level answered
 	// and, with prediction feedback on (EnablePredFeedback), the pending
 	// model-path prediction and the model that made it. observeRun reads it
-	// once per row whenever provenance is armed, to stamp the previous level
+	// once per row whenever a plane is armed, to stamp the previous level
 	// and the realized error of the previous epoch's prediction into the
 	// next record. idIdx maps a key to its entry in ids.
 	fbOn  bool
@@ -131,6 +132,7 @@ func NewEngine(m *core.Model, opts Options) (*Engine, error) {
 		table:   clockdomain.TitanX(),
 		health:  new(health),
 		faults:  opts.Faults,
+		idIdx:   make(map[int64]int32, 256),
 	}
 	if err := e.applyBackend(m); err != nil {
 		return nil, err
@@ -169,7 +171,6 @@ func (e *Engine) EnableProvenance(capacity int, opts provenance.MonitorOptions) 
 	}
 	e.prov = provenance.NewRecorder(capacity)
 	e.mon = provenance.NewMonitor(e.Telemetry(), opts)
-	e.idIdx = make(map[int64]int32, 256)
 	names, mean, std := e.Model().TrainingStats()
 	e.mon.SetTrainingStats(names, mean, std)
 	e.metrics.observeColumns(e.Columns())
@@ -191,8 +192,9 @@ type ShadowObserver interface {
 type shadowHolder struct{ obs ShadowObserver }
 
 // SetShadow installs (or, with nil, removes) the shadow observer; its
-// only callers are tests and bench/. Observation rides the provenance
-// path, so EnableProvenance must be on for the observer to see traffic.
+// only callers are tests and bench/. Observation rides the planes'
+// path, so EnableProvenance or SetLedger must be on for the observer to
+// see traffic.
 // Safe to call while serving.
 func (e *Engine) SetShadow(obs ShadowObserver) {
 	if obs == nil {
@@ -500,112 +502,92 @@ func (e *Engine) fallbackRow(row Request, reason provenance.Reason) Decision {
 }
 
 // obsScratch is what one batch needs to observe its decisions after they
-// are answered: a record per row of the batch (nil when provenance is
-// off), the runs the batch staged, a ledger batch, and the attribution
-// every record of the batch shares. It lives in recPool between batches.
+// are answered: a record per row of the batch — its aux and latency
+// staged as the row is answered, the rest filled when it is observed —
+// and what every record of the batch shares. It lives in recPool between
+// batches.
 type obsScratch struct {
 	recs []provenance.Record
-	runs []obsRun
-	led  ledger.Batch
+	// Rows [0, n) of the batch are staged: their latency is stamped, and
+	// only they are observed.
+	n int
 	// rows and decs are the batch's, bound once it is answered; they alias
-	// the caller's buffers until the runs are observed.
+	// the caller's buffers until the batch is observed.
 	rows []Request
 	decs []Decision
 	// model is the model the batch loaded: the owner of the predictions
-	// its rows leave in the identity table. gen is its lineage generation,
-	// stamped into records and ledger groups.
+	// its rows leave in the identity table, and the generation its records
+	// carry.
 	model   *core.Model
-	gen     uint32
 	traceID uint64
 }
 
-// obsRun is one staged run of a batch, rows [lo, hi): a chunk the model
-// answered, or one rejected or fallback row. latency is the time from the
-// start of the batch to the moment the run's decisions were final.
-type obsRun struct {
-	lo, hi  int
-	latency int64
-}
-
-// acquireScratch takes the observation scratch of a batch bound to m from
-// recPool, or returns nil when no plane that observes decisions is armed.
-func (e *Engine) acquireScratch(m *core.Model, traceID uint64) *obsScratch {
+// acquireScratch takes the observation scratch of a batch of n rows bound
+// to m from recPool, or returns nil when no plane that observes decisions
+// is armed.
+func (e *Engine) acquireScratch(m *core.Model, n int, traceID uint64) *obsScratch {
 	if !e.observing() {
 		return nil
 	}
 	sc := e.recPool.Get().(*obsScratch)
-	if e.prov != nil && sc.recs == nil {
-		sc.recs = make([]provenance.Record, inferChunk)
+	if len(sc.recs) < n {
+		sc.recs = make([]provenance.Record, n)
 	}
-	sc.traceID = traceID
-	sc.model = m
-	sc.gen = uint32(m.Lineage.Generation)
+	sc.traceID, sc.model = traceID, m
 	return sc
 }
 
 // stageAux copies what only the model path has for row k of the batch —
 // the derived features and logits, which alias inference scratch — into
-// the row's record; degraded rows stage nil. A nil scratch (nothing
-// armed) or one without records is a no-op.
+// the row's record; degraded rows stage nil. A nil scratch is a no-op.
 func (sc *obsScratch) stageAux(k int, derived, logits []float64) {
-	if sc == nil || sc.recs == nil {
+	if sc == nil {
 		return
-	}
-	if k >= len(sc.recs) {
-		// A longer batch than this scratch has held: grow, keeping what the
-		// batch's earlier runs staged.
-		sc.recs = append(sc.recs, make([]provenance.Record, k+1-len(sc.recs))...)
 	}
 	sc.recs[k].SetDerived(derived)
 	sc.recs[k].SetLogits(logits)
 }
 
-// stageRun marks rows [lo, hi) of the batch, answered and their aux
-// staged, as one run for the planes. Their decisions are final, so the
-// run's latency is read now, once. A nil scratch is a no-op.
-func (sc *obsScratch) stageRun(lo, hi int, start time.Time) {
-	if sc == nil || lo == hi {
+// stageRun stages the rows of the batch answered since the last stage, up
+// to row hi, whose aux is staged. Their decisions are final, so the
+// latency is read now, once, and stamped into their records. Rows a
+// recovered panic left answered and unstaged are staged with the fallback
+// row after them, at its latency. A nil scratch is a no-op.
+func (sc *obsScratch) stageRun(hi int, start time.Time) {
+	if sc == nil || hi == sc.n {
 		return
 	}
-	r := obsRun{lo: lo, hi: hi}
-	if sc.recs != nil {
-		r.latency = int64(time.Since(start))
+	latency := int64(time.Since(start))
+	for k := sc.n; k < hi; k++ {
+		sc.recs[k].LatencyNs = latency
 	}
-	sc.runs = append(sc.runs, r)
+	sc.n = hi
 }
 
-// observe hands every run a batch staged, in row order, to the armed
-// planes and returns the scratch to recPool. Each entry point calls it
-// once its answer is out: the in-process ones before they return, the
-// TCP connection once the reply is flushed. A nil scratch (nothing
-// armed) is a no-op.
+// observe hands the staged rows of a batch, in row order and at most
+// inferChunk at a time, to the armed planes and returns the scratch to
+// recPool. Each entry point calls it once its answer is out: the
+// in-process ones before they return, the TCP connection once the reply
+// is flushed. A nil scratch (nothing armed) is a no-op.
 func (e *Engine) observe(sc *obsScratch) {
 	if sc == nil {
 		return
 	}
-	for _, r := range sc.runs {
-		e.observeRun(sc, r)
+	for lo := 0; lo < sc.n; lo += inferChunk {
+		e.observeRun(sc, lo, min(lo+inferChunk, sc.n))
 	}
-	sc.runs, sc.rows, sc.decs, sc.model = sc.runs[:0], nil, nil, nil
+	*sc = obsScratch{recs: sc.recs}
 	e.recPool.Put(sc)
 }
 
-// observeRun hands one staged run (at most inferChunk rows) to the armed
-// planes, each entered once for the whole run: the ledger commits one
-// batch, the identity table is locked once, the recorder claims the run's
-// sequence numbers with one add and the monitor folds it under one lock.
-func (e *Engine) observeRun(sc *obsScratch, r obsRun) {
-	rows, decs := sc.rows[r.lo:r.hi], sc.decs[r.lo:r.hi]
-	if l := e.led; l != nil {
-		for k, row := range rows {
-			l.Add(&sc.led, row.Cluster, sc.gen, decs[k].Level, row.Features, row.Preset)
-		}
-		l.Commit(&sc.led)
-	}
-	if sc.recs == nil {
-		return
-	}
-	recs := sc.recs[r.lo:r.hi]
+// observeRun fills the records of staged rows [lo, hi) of the batch and
+// hands them to the armed planes, each entered once for the whole run: the
+// identity table is locked once, the recorder claims the run's sequence
+// numbers with one add, and the monitor and the ledger each fold it in
+// once.
+func (e *Engine) observeRun(sc *obsScratch, lo, hi int) {
+	rows, decs, recs := sc.rows[lo:hi], sc.decs[lo:hi], sc.recs[lo:hi]
+	gen := uint32(sc.model.Lineage.Generation)
 	for k, row := range rows {
 		rec, d := &recs[k], decs[k]
 		// Rows carry the requesting GPU and cluster, or -1 for none. The
@@ -619,9 +601,8 @@ func (e *Engine) observeRun(sc *obsScratch, r obsRun) {
 		rec.EffPreset = row.Preset
 		rec.PredInstr = d.PredInstr
 		rec.PredErr, rec.HasPredErr = 0, false
-		rec.LatencyNs = r.latency
 		rec.TraceID = sc.traceID
-		rec.ModelGen = sc.gen
+		rec.ModelGen = gen
 		rec.SetRaw(row.Features)
 	}
 	e.idMu.Lock()
@@ -650,6 +631,7 @@ func (e *Engine) observeRun(sc *obsScratch, r obsRun) {
 	e.idMu.Unlock()
 	e.prov.RecordBatch(recs)
 	e.mon.ObserveRecords(recs)
+	e.led.ObserveRecords(recs)
 	if h := e.shadow.Load(); h != nil {
 		for k, d := range decs {
 			// Shadow scoring sees model-path traffic only: degraded rows carry
@@ -699,8 +681,8 @@ func (e *Engine) DecideBatchTraced(rows []Request, decs []Decision, tc telemetry
 // degrade to the analytical fallback instead.
 //
 // The batch's observation is left pending: sc, nil when no plane is
-// armed, holds its staged runs, and the caller passes it to observe once
-// its answer is out.
+// armed, holds its staged records, and the caller passes it to observe
+// once its answer is out.
 //
 // columns is the mask the rows arrived under and need the mask this batch
 // reads. The model is loaded once, here: need is computed from it, a
@@ -725,7 +707,7 @@ func (e *Engine) decideBatchTC(rows []Request, columns uint64, decs []Decision, 
 	e.sem <- struct{}{}
 	defer func() { <-e.sem }()
 
-	sc = e.acquireScratch(m, tc.TraceID)
+	sc = e.acquireScratch(m, len(rows), tc.TraceID)
 	base := len(decs)
 
 	start := time.Now()
@@ -749,7 +731,7 @@ func (e *Engine) decideBatchTC(rows []Request, columns uint64, decs []Decision, 
 		for i := done; i < len(rows); i++ {
 			decs = append(decs, e.fallbackRow(rows[i], tailReason))
 			sc.stageAux(i, nil, nil)
-			sc.stageRun(i, i+1, start)
+			sc.stageRun(i+1, start)
 		}
 		fsp.End()
 	}
@@ -813,7 +795,7 @@ func (e *Engine) modelRows(m *core.Model, rows []Request, columns uint64, decs [
 			out = append(out, e.fallbackRow(rows[i], provenance.ReasonRejected))
 			done = i + 1
 			sc.stageAux(i, nil, nil)
-			sc.stageRun(i, done, start)
+			sc.stageRun(done, start)
 			i++
 			continue
 		}
@@ -861,7 +843,7 @@ func (e *Engine) modelRows(m *core.Model, rows []Request, columns uint64, decs [
 				sc.stageAux(i+k, inf.BatchDerived(k)[:nFeat], inf.BatchLogits(k))
 			}
 		}
-		sc.stageRun(i, j, start)
+		sc.stageRun(j, start)
 		i = j
 		if stop != provenance.ReasonModel { // zero value: gather ran dry, no stop
 			if stop == provenance.ReasonDeadline {

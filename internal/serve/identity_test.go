@@ -24,12 +24,10 @@ func identityEngine(t *testing.T) *Engine {
 }
 
 // observeDecided observes at most inferChunk rows answered with decs as
-// one run, through the observeRun a served batch ends in, so a test
+// one run, through the observe a served batch ends in, so a test
 // chooses the levels and reasons the identity table sees.
 func observeDecided(e *Engine, rows []Request, decs []Decision) {
-	sc := e.acquireScratch(e.Model(), 0)
-	e.observeRows(sc, rows, decs, time.Now())
-	e.recPool.Put(sc)
+	e.observeRows(e.acquireScratch(e.Model(), len(rows), 0), rows, decs, time.Now())
 }
 
 // TestIdentityTableFlipRate: the engine stamps each identity's previous

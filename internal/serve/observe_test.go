@@ -255,12 +255,11 @@ func runObsSequence(t *testing.T, seq []obsRow, chunk int) obsOutcome {
 		}
 		for i := lo; i < hi; i += chunk {
 			n := min(chunk, hi-i)
-			sc := e.acquireScratch(e.Model(), traceID)
+			sc := e.acquireScratch(e.Model(), n, traceID)
 			for k := 0; k < n; k++ {
 				sc.stageAux(k, seq[i+k].derived, seq[i+k].logits)
 			}
 			e.observeRows(sc, rows[i:i+n], decs[i:i+n], start)
-			e.recPool.Put(sc)
 		}
 	}
 	var buf bytes.Buffer
@@ -400,20 +399,80 @@ func TestDecideBatchSameWithPlanesArmed(t *testing.T) {
 	}
 }
 
-// armedFrames builds an engine armed the way `ssmdvfsd -flightrec 16384
-// -ledger` with prediction feedback arms it, and 64 keyed 64-row frames
+// TestObserveWalksStagedRows: rows a recovered panic left answered and
+// unstaged are staged by the fallback row after them, with its latency
+// and not one a previous batch left in their records, and rows answered
+// but never staged reach no plane.
+func TestObserveWalksStagedRows(t *testing.T) {
+	var served servedLog
+	e := armedEngine(t, &served)
+	rng := rand.New(rand.NewSource(16))
+	rows := make([]Request, 10)
+	decs := make([]Decision, len(rows))
+	for i := range rows {
+		rows[i] = Request{Preset: 0.1, Features: featureRow(rng), GPU: 0, Cluster: int32(i)}
+		decs[i] = Decision{Level: 1, Reason: provenance.ReasonModel, PredInstr: 1000, Shard: -1}
+	}
+	sc := e.acquireScratch(e.Model(), len(rows), 0)
+	for k := range rows {
+		sc.recs[k].LatencyNs = 42 // what a previous batch left
+		sc.stageAux(k, nil, nil)
+	}
+	now := time.Now()
+	sc.stageRun(3, now.Add(-2*time.Hour))
+	// Rows 3, 4 and 5 were answered by a run that panicked before staging;
+	// row 6 is the fallback row after it. Rows 7, 8 and 9 are never staged.
+	sc.stageRun(7, now.Add(-time.Hour))
+	sc.rows, sc.decs = rows, decs
+	e.observe(sc)
+
+	want := []int32{0, 1, 2, 3, 4, 5, 6}
+	var got []int32
+	for _, r := range e.FlightRecorder().Snapshot(nil) {
+		got = append(got, r.Cluster)
+		if lat := time.Duration(r.LatencyNs); (r.Cluster < 3) != (lat >= 2*time.Hour) || lat < time.Hour {
+			t.Fatalf("record of cluster %d carries latency %v, not its stage's", r.Cluster, lat)
+		}
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("recorder holds clusters %v, want %v", got, want)
+	}
+	if !reflect.DeepEqual(served.clusters, want) {
+		t.Fatalf("shadow observer saw clusters %v, want %v", served.clusters, want)
+	}
+	if n := e.Ledger().Snapshot().Decisions; n != int64(len(want)) {
+		t.Fatalf("ledger saw %d decisions, want %d", n, len(want))
+	}
+}
+
+// armAll arms an engine the way `ssmdvfsd -flightrec 16384 -ledger`
+// with prediction feedback arms it.
+func armAll(e *Engine) {
+	armRecorder(e)
+	armLedger(e)
+}
+
+// armRecorder arms the flight recorder, the drift monitor and prediction
+// feedback.
+func armRecorder(e *Engine) {
+	e.EnableProvenance(16384, provenance.MonitorOptions{})
+	e.EnablePredFeedback()
+}
+
+// armLedger arms the efficiency ledger on the engine's registry.
+func armLedger(e *Engine) { e.SetLedger(ledger.New(ledger.Options{Registry: e.Telemetry()})) }
+
+// armedFrames builds an engine armed by arm, and 64 keyed 64-row frames
 // that cycle through 4096 (GPU, cluster) identities. Every frame is
 // served once before returning, so the identity table, the ledger's groups
 // and the pools are in steady state.
-func armedFrames(tb testing.TB) (*Engine, [][]Request) {
+func armedFrames(tb testing.TB, arm func(*Engine)) (*Engine, [][]Request) {
 	tb.Helper()
 	e, err := NewEngine(testModel(tb, 14), Options{Workers: 1})
 	if err != nil {
 		tb.Fatal(err)
 	}
-	e.EnableProvenance(16384, provenance.MonitorOptions{})
-	e.EnablePredFeedback()
-	e.SetLedger(ledger.New(ledger.Options{Registry: e.Telemetry()}))
+	arm(e)
 	rng := rand.New(rand.NewSource(14))
 	frames := make([][]Request, 64)
 	decs := make([]Decision, 0, 64)
@@ -429,24 +488,40 @@ func armedFrames(tb testing.TB) (*Engine, [][]Request) {
 }
 
 // TestPlanesArmedZeroAlloc is the armed-path twin of the disabled-path
-// guards: with the flight recorder, drift monitor, feedback map and
-// ledger all on, a served frame still allocates nothing.
+// guards: with the ledger alone, the flight recorder (with drift monitor
+// and feedback) alone, or every plane on, a served frame still allocates
+// nothing, and each armed plane counts every decision.
 func TestPlanesArmedZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("alloc counts are meaningless under -race (sync.Pool bypasses its caches)")
 	}
-	e, frames := armedFrames(t)
-	decs := make([]Decision, 0, 64)
-	i := 0
-	allocs := testing.AllocsPerRun(256, func() {
-		decs = e.DecideBatch(frames[i%len(frames)], decs[:0])
-		i++
-	})
-	if allocs != 0 {
-		t.Fatalf("DecideBatch allocates %.2f objects per 64-row frame with the planes armed, want 0", allocs)
-	}
-	if got := e.Ledger().Snapshot().Decisions; got != int64(64*(64+i)) {
-		t.Fatalf("ledger saw %d decisions, want %d", got, 64*(64+i))
+	for _, tc := range []struct {
+		name string
+		arm  func(*Engine)
+	}{{"ledger", armLedger}, {"flightrec", armRecorder}, {"all", armAll}} {
+		t.Run(tc.name, func(t *testing.T) {
+			e, frames := armedFrames(t, tc.arm)
+			decs := make([]Decision, 0, 64)
+			i := 0
+			allocs := testing.AllocsPerRun(256, func() {
+				decs = e.DecideBatch(frames[i%len(frames)], decs[:0])
+				i++
+			})
+			if allocs != 0 {
+				t.Fatalf("DecideBatch allocates %.2f objects per 64-row frame, want 0", allocs)
+			}
+			want := int64(64 * (64 + i))
+			if e.Ledger() != nil {
+				if got := e.Ledger().Snapshot().Decisions; got != want {
+					t.Fatalf("ledger saw %d decisions, want %d", got, want)
+				}
+			}
+			if e.FlightRecorder() != nil {
+				if got := int64(e.FlightRecorder().Head()); got != want {
+					t.Fatalf("recorder took %d records, want %d", got, want)
+				}
+			}
+		})
 	}
 }
 
@@ -455,7 +530,7 @@ func TestPlanesArmedZeroAlloc(t *testing.T) {
 // frames over 4096 identities. CI runs it with -benchmem and fails on a
 // non-zero allocs/op.
 func BenchmarkDecide_PlanesArmed(b *testing.B) {
-	e, frames := armedFrames(b)
+	e, frames := armedFrames(b, armAll)
 	decs := make([]Decision, 0, 64)
 	b.ReportAllocs()
 	b.ResetTimer()
