@@ -228,9 +228,14 @@ func summarizeLedger(w io.Writer, path string, s ledger.Snapshot) {
 // offline replay, field by field. A dump that covers every served
 // decision reproduces the integer totals exactly; the 2% tolerance
 // exists for dumps whose flight-recorder ring dropped the oldest
-// decisions or that were scraped mid-traffic.
+// decisions or that were scraped mid-traffic. A replay that priced no
+// decision is refused: 0 = 0 on every field would pass while checking
+// nothing.
 func crossCheckLedger(w io.Writer, refPath string, online, replay ledger.Snapshot) error {
 	const tolerance = 0.02
+	if replay.Decisions == 0 {
+		return fmt.Errorf("replay priced no decisions: nothing to cross-check against %s", refPath)
+	}
 	fields := []struct {
 		name           string
 		online, replay int64

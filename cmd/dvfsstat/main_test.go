@@ -418,6 +418,35 @@ func TestLedgerCrossCheck(t *testing.T) {
 	}
 }
 
+// TestLedgerCrossCheckRefusesEmptyReplay: a dump that prices no decision
+// agrees with an empty online snapshot on every field, so the
+// cross-check must refuse it rather than pass having checked nothing.
+func TestLedgerCrossCheckRefusesEmptyReplay(t *testing.T) {
+	dir := t.TempDir()
+	dumpPath := filepath.Join(dir, "empty.jsonl")
+	f, err := os.Create(dumpPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := provenance.WriteRecords(f, provenance.Header{Levels: 6}, nil); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	snapPath := filepath.Join(dir, "online.json")
+	if f, err = os.Create(snapPath); err != nil {
+		t.Fatal(err)
+	}
+	if err := ledger.ReplayRecords(nil).WriteJSON(f); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	var out bytes.Buffer
+	err = run(&out, "", "", "", "", "", "", "", dumpPath, snapPath)
+	if err == nil || !strings.Contains(err.Error(), "no decisions") {
+		t.Fatalf("0-decision replay cross-check = %v, want a refusal:\n%s", err, out.String())
+	}
+}
+
 func TestLedgerAgainstRequiresLedger(t *testing.T) {
 	if err := run(&bytes.Buffer{}, "", "", "", "", "", "", "", "", "x.json"); err == nil {
 		t.Fatal("-ledger-against without -ledger accepted")

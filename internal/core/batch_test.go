@@ -10,7 +10,7 @@ import (
 )
 
 // TestDecideBatchMatchesRowAtATime pins the batched decision path to
-// per-row Decide, bit for bit, for both backend kinds and across batch
+// per-row Decide (a one-row batch), bit for bit, for both backend kinds and across batch
 // sizes that hit the tile body and the remainder loop.
 func TestDecideBatchMatchesRowAtATime(t *testing.T) {
 	base := trainedModel(t, 31)
@@ -42,14 +42,14 @@ func TestDecideBatchMatchesRowAtATime(t *testing.T) {
 					t.Fatalf("%s n=%d row %d: batch (%d, %g) != row (%d, %g)",
 						kind, n, i, inf.BatchLevel(i), inf.BatchPredInstr(i), wantLevel, wantPred)
 				}
-				wantLogits := ref.Logits()
+				wantLogits := ref.BatchLogits(0)
 				gotLogits := inf.BatchLogits(i)
 				for k := range wantLogits {
 					if gotLogits[k] != wantLogits[k] {
 						t.Fatalf("%s n=%d row %d logit %d: %g != %g", kind, n, i, k, gotLogits[k], wantLogits[k])
 					}
 				}
-				wantRow := ref.DecisionRow()
+				wantRow := ref.BatchDerived(0)
 				gotRow := inf.BatchDerived(i)
 				for k := range wantRow {
 					if gotRow[k] != wantRow[k] {

@@ -260,8 +260,8 @@ func (c *Controller) record(stats gpusim.EpochStats, feats []float64, level int,
 	if modelOK {
 		rec.PredInstr = cs.predicted
 		n := len(c.model.FeatureIdx)
-		rec.SetDerived(c.inf.DecisionRow()[:n])
-		rec.SetLogits(c.inf.Logits())
+		rec.SetDerived(c.inf.BatchDerived(0)[:n])
+		rec.SetLogits(c.inf.BatchLogits(0))
 	} else {
 		rec.PredInstr = 0
 		rec.SetDerived(nil)

@@ -12,20 +12,19 @@ import (
 // feature-selection, scaling, and backend scratch buffers so that
 // steady-state decisions allocate nothing — the serving hot path. All
 // inference routes through the model's infer.Backend pair (float64 or
-// int8), never nn.MLP directly. The underlying Model and its backends
-// are only read, so any number of Inference contexts may share one Model
-// concurrently; the Inference itself belongs to a single goroutine at a
-// time (pool one per worker, e.g. with sync.Pool).
+// int8), never nn.MLP directly, and every entry point runs the batch
+// kernel: a single decision is a one-row batch in row 0 of the batch
+// buffers. The underlying Model and its backends are only read, so any
+// number of Inference contexts may share one Model concurrently; the
+// Inference itself belongs to a single goroutine at a time (pool one per
+// worker, e.g. with sync.Pool).
 type Inference struct {
 	m   *Model
 	dBk infer.Backend // decision head
 	cBk infer.Backend // calibrator head
 
-	dRow, cRow []float64 // raw [features..., preset(, level)] rows
-	dStd, cStd []float64 // standardized copies
-	dScratch   infer.Scratch
-	cScratch   infer.Scratch
-	lastLogits []float64 // decision-head output of the last DecideLevel
+	dScratch infer.Scratch
+	cScratch infer.Scratch
 
 	// Batch state (BeginBatch/SetBatchRow/DecideBatch). dIn and cIn are
 	// standardized backend inputs; raws keeps each row's raw derived
@@ -46,11 +45,11 @@ func NewInference(m *Model) *Inference {
 	return inf
 }
 
-// Bind points the context at a (possibly different) model, resizing the
-// scratch buffers if the feature set changed. Buffers are retained across
-// rebinds, so hot-swapping models keeps the path allocation-free; binding
-// the already-bound model is a pointer compare and nothing else, which is
-// what the serving engine does once per batch.
+// Bind points the context at a (possibly different) model. Buffers are
+// retained across rebinds and reshaped by the next batch, so hot-swapping
+// models keeps the path allocation-free; binding the already-bound model
+// is a pointer compare and nothing else, which is what the serving engine
+// does once per batch.
 //
 // Bind panics if the model's declared backend cannot be built — serving
 // paths validate with Model.EnsureBackends before publishing a model, so
@@ -66,17 +65,6 @@ func (inf *Inference) Bind(m *Model) {
 	}
 	inf.m = m
 	inf.dBk, inf.cBk = bk.decision, bk.calibrator
-	nd, nc := m.NumFeatures()+1, m.NumFeatures()+2
-	if cap(inf.dRow) < nd {
-		inf.dRow = make([]float64, nd)
-		inf.dStd = make([]float64, nd)
-	}
-	if cap(inf.cRow) < nc {
-		inf.cRow = make([]float64, nc)
-		inf.cStd = make([]float64, nc)
-	}
-	inf.dRow, inf.dStd = inf.dRow[:nd], inf.dStd[:nd]
-	inf.cRow, inf.cStd = inf.cRow[:nc], inf.cStd[:nc]
 }
 
 // Backend returns the kind of backend the context currently infers with.
@@ -84,70 +72,56 @@ func (inf *Inference) Backend() infer.Kind { return inf.dBk.Describe().Kind }
 
 // DecideLevel returns the operating-point level for the next epoch given
 // the full 47-counter vector of the just-finished epoch and the (possibly
-// calibrated) performance-loss preset. It routes through the model's
-// declared inference backend, so offline evaluation sees the same
+// calibrated) performance-loss preset. It stages the row as a one-row
+// batch and runs the decision head's pass of DecideBatch, through the
+// model's declared inference backend, so offline evaluation sees the same
 // numerics the serving tier does (int8 included), and allocates nothing.
+// BatchDerived(0) and BatchLogits(0) then hold the row and its logits.
 func (inf *Inference) DecideLevel(fullFeatures []float64, preset float64) int {
-	m := inf.m
-	n := len(m.FeatureIdx)
-	counters.SelectInto(fullFeatures, m.FeatureIdx, inf.dRow)
-	inf.dRow[n] = preset
-	m.DecisionScaler.TransformInto(inf.dRow, inf.dStd)
-	logits := inf.dBk.Forward(inf.dStd, &inf.dScratch)
-	inf.lastLogits = logits
-	return nn.Argmax(logits)
+	inf.BeginBatch(1)
+	inf.SetBatchRow(0, fullFeatures, preset)
+	inf.decideLevels()
+	return inf.bLevels[0]
 }
-
-// Logits returns the Decision head's raw output from the most recent
-// DecideLevel/Decide call (one score per level), for provenance capture.
-// The slice aliases the inference scratch: read it before the next call
-// and do not retain it.
-func (inf *Inference) Logits() []float64 { return inf.lastLogits }
-
-// DecisionRow returns the raw (unscaled) input row of the most recent
-// DecideLevel/Decide call: the selected features followed by the preset.
-// Like Logits, it aliases scratch and must not be retained.
-func (inf *Inference) DecisionRow() []float64 { return inf.dRow }
 
 // PredictInstructions returns the Calibrator's estimate of the next
 // epoch's instruction count given the counters, the *originally set*
 // preset (per the paper, the Calibrator always sees the uncalibrated
-// preset), and the level the Decision-maker chose. Like DecideLevel it
-// routes through the model's declared backend and allocates nothing.
+// preset), and the level the Decision-maker chose. It runs the
+// calibrator's pass of DecideBatch on a one-row batch and allocates
+// nothing. It stages only the calibrator's input, so the decision row and
+// logits of a preceding DecideLevel stay readable.
 func (inf *Inference) PredictInstructions(fullFeatures []float64, preset float64, level int) float64 {
 	m := inf.m
-	n := len(m.FeatureIdx)
-	counters.SelectInto(fullFeatures, m.FeatureIdx, inf.cRow)
-	inf.cRow[n] = preset
-	inf.cRow[n+1] = float64(level)
-	m.CalibScaler.TransformInto(inf.cRow, inf.cStd)
-	out := inf.cBk.Forward(inf.cStd, &inf.cScratch)
-	pred := out[0] * m.TargetScale
-	if pred < 0 {
-		return 0
-	}
-	return pred
+	nf := len(m.FeatureIdx)
+	inf.cIn.Reset(1, nf+2)
+	row := inf.cIn.Row(0)
+	counters.SelectInto(fullFeatures, m.FeatureIdx, row)
+	row[nf] = preset
+	row[nf+1] = float64(level)
+	m.CalibScaler.TransformInto(row, row)
+	return inf.instructions(inf.cBk.ForwardBatch(&inf.cIn, &inf.cScratch).Row(0))
 }
 
 // Decide runs one combined serving step: pick the next epoch's operating
 // level and predict its instruction count (the pair the ASIC engine
-// produces per 10 µs epoch).
+// produces per 10 µs epoch). It is DecideBatch on a one-row batch.
 func (inf *Inference) Decide(fullFeatures []float64, preset float64) (level int, predInstr float64) {
-	level = inf.DecideLevel(fullFeatures, preset)
-	return level, inf.PredictInstructions(fullFeatures, preset, level)
+	inf.BeginBatch(1)
+	inf.SetBatchRow(0, fullFeatures, preset)
+	inf.DecideBatch()
+	return inf.bLevels[0], inf.bPreds[0]
 }
 
 // BeginBatch prepares the context for a decision batch of up to n rows.
 // Fill rows with SetBatchRow, run them with DecideBatch, then read the
 // per-row results through the Batch* accessors. Steady-state batches
 // allocate nothing once the buffers have grown to the engine's chunk
-// size. Row i of every accessor corresponds to SetBatchRow's i, and each
-// row's results are identical to what Decide would return for it.
+// size. Row i of every accessor corresponds to SetBatchRow's i.
 func (inf *Inference) BeginBatch(n int) {
 	m := inf.m
 	nf := m.NumFeatures()
 	inf.dIn.Reset(n, nf+1)
-	inf.cIn.Reset(n, nf+2)
 	inf.raws.Reset(n, nf+1)
 	if cap(inf.bLevels) < n {
 		inf.bLevels = make([]int, n)
@@ -177,46 +151,51 @@ func (inf *Inference) SetBatchRow(i int, fullFeatures []float64, preset float64)
 // DecideBatch runs the staged rows through both heads: one batched
 // decision inference (argmax per row), then one batched calibration
 // inference with each row's chosen level appended — each row under the
-// preset it was staged with, matching what per-row Decide calls would
-// produce.
+// preset it was staged with.
 func (inf *Inference) DecideBatch() {
 	m := inf.m
+	inf.decideLevels()
 	n := inf.bRows
 	nf := len(m.FeatureIdx)
-	if n != inf.dIn.Rows {
-		// Partial batches run with exactly the staged rows.
-		inf.dIn.Rows = n
-		inf.dIn.Data = inf.dIn.Data[:n*(nf+1)]
-		inf.cIn.Rows = n
-		inf.cIn.Data = inf.cIn.Data[:n*(nf+2)]
-		inf.raws.Rows = n
-		inf.raws.Data = inf.raws.Data[:n*(nf+1)]
-		inf.bLevels = inf.bLevels[:n]
-		inf.bPreds = inf.bPreds[:n]
+	// Stage the calibrator batch: same raw features + preset, plus the
+	// level just chosen, standardized by the calibrator's scaler.
+	inf.cIn.Reset(n, nf+2)
+	for i := 0; i < n; i++ {
+		row := inf.cIn.Row(i)
+		copy(row, inf.raws.Row(i))
+		row[nf+1] = float64(inf.bLevels[i])
+		m.CalibScaler.TransformInto(row, row)
 	}
+	preds := inf.cBk.ForwardBatch(&inf.cIn, &inf.cScratch)
+	for i := 0; i < n; i++ {
+		inf.bPreds[i] = inf.instructions(preds.Row(i))
+	}
+}
+
+// decideLevels runs the decision head over the staged rows (exactly the
+// staged rows of a partial batch) and takes each row's argmax.
+func (inf *Inference) decideLevels() {
+	n := inf.bRows
+	nd := inf.dIn.Cols
+	inf.dIn.Rows, inf.dIn.Data = n, inf.dIn.Data[:n*nd]
+	inf.raws.Rows, inf.raws.Data = n, inf.raws.Data[:n*nd]
+	inf.bLevels = inf.bLevels[:n]
+	inf.bPreds = inf.bPreds[:n]
 	logits := inf.dBk.ForwardBatch(&inf.dIn, &inf.dScratch)
 	inf.bLogits = logits
 	for i := 0; i < n; i++ {
 		inf.bLevels[i] = nn.Argmax(logits.Row(i))
 	}
-	// Stage the calibrator batch: same raw features + preset, plus the
-	// level just chosen, standardized by the calibrator's scaler.
-	for i := 0; i < n; i++ {
-		raw := inf.raws.Row(i)
-		inf.cRow = inf.cRow[:nf+2]
-		copy(inf.cRow, raw[:nf])
-		inf.cRow[nf] = raw[nf]
-		inf.cRow[nf+1] = float64(inf.bLevels[i])
-		m.CalibScaler.TransformInto(inf.cRow, inf.cIn.Row(i))
+}
+
+// instructions turns a calibrator output row into an instruction count:
+// the scaled prediction, floored at 0.
+func (inf *Inference) instructions(out []float64) float64 {
+	pred := out[0] * inf.m.TargetScale
+	if pred < 0 {
+		return 0
 	}
-	preds := inf.cBk.ForwardBatch(&inf.cIn, &inf.cScratch)
-	for i := 0; i < n; i++ {
-		pred := preds.Row(i)[0] * m.TargetScale
-		if pred < 0 {
-			pred = 0
-		}
-		inf.bPreds[i] = pred
-	}
+	return pred
 }
 
 // BatchLevel returns row i's chosen operating level.
@@ -225,10 +204,12 @@ func (inf *Inference) BatchLevel(i int) int { return inf.bLevels[i] }
 // BatchPredInstr returns row i's predicted next-epoch instruction count.
 func (inf *Inference) BatchPredInstr(i int) float64 { return inf.bPreds[i] }
 
-// BatchLogits returns row i's decision logits. Like Logits, the slice
-// aliases scratch: read before the next inference, do not retain.
+// BatchLogits returns row i's decision logits, row 0 after DecideLevel
+// or Decide. The slice aliases scratch: read it before the next
+// inference and do not retain it.
 func (inf *Inference) BatchLogits(i int) []float64 { return inf.bLogits.Row(i) }
 
 // BatchDerived returns row i's raw derived row (selected features then
-// preset), aliasing scratch like DecisionRow.
+// preset), row 0 after DecideLevel or Decide. Like BatchLogits, it
+// aliases scratch and must not be retained.
 func (inf *Inference) BatchDerived(i int) []float64 { return inf.raws.Row(i) }

@@ -6,7 +6,9 @@ import (
 	"testing"
 	_ "unsafe" // go:linkname
 
+	"ssmdvfs/internal/counters"
 	"ssmdvfs/internal/datagen"
+	"ssmdvfs/internal/nn"
 )
 
 // vectorTile is internal/nn's batch-kernel selection, reached here so the
@@ -19,7 +21,8 @@ var vectorTile bool
 // TestDecideBatchMatchesDecideOnDataset runs every row of the committed
 // bench corpus at three presets through DecideBatch, in 64-row chunks and
 // again as 1-, 2- and 3-row batches, under each batch kernel the CPU
-// runs, and pins level, PredInstr and logits to Decide bit for bit. Both
+// runs, and pins level, PredInstr and logits bit for bit to Decide, and
+// Decide to the heads' allocating nn.MLP.Forward (forwardDecide). Both
 // committed models run: model.json's 20-wide layers, 6 levels and single
 // calibrator output are widths and output counts that are not multiples
 // of the vector tile's 4.
@@ -51,7 +54,17 @@ func TestDecideBatchMatchesDecideOnDataset(t *testing.T) {
 			logits := make([][]float64, rows)
 			for i, s := range ds.Samples {
 				levels[i], preds[i] = ref.Decide(s.Features, preset)
-				logits[i] = append([]float64(nil), ref.Logits()...)
+				logits[i] = append([]float64(nil), ref.BatchLogits(0)...)
+				wantLevel, wantPred, wantLogits := forwardDecide(m, s.Features, preset)
+				if levels[i] != wantLevel || math.Float64bits(preds[i]) != math.Float64bits(wantPred) {
+					t.Fatalf("%s preset %.2f row %d: Decide (%d, %g) != Forward (%d, %g)",
+						name, preset, i, levels[i], preds[i], wantLevel, wantPred)
+				}
+				for k, v := range logits[i] {
+					if math.Float64bits(v) != math.Float64bits(wantLogits[k]) {
+						t.Fatalf("%s preset %.2f row %d logit %d: Decide %g != Forward %g", name, preset, i, k, v, wantLogits[k])
+					}
+				}
 			}
 			for _, vector := range kernels {
 				vectorTile = vector
@@ -82,4 +95,18 @@ func TestDecideBatchMatchesDecideOnDataset(t *testing.T) {
 			}
 		}
 	}
+}
+
+// forwardDecide is Decide on the float64 heads' allocating nn.MLP.Forward,
+// the reference the batch kernel must match bit for bit.
+func forwardDecide(m *Model, full []float64, preset float64) (level int, pred float64, logits []float64) {
+	row := append(counters.Select(full, m.FeatureIdx), preset)
+	logits = m.Decision.Forward(m.DecisionScaler.Transform(row))
+	level = nn.Argmax(logits)
+	out := m.Calibrator.Forward(m.CalibScaler.Transform(append(row, float64(level))))
+	pred = out[0] * m.TargetScale
+	if pred < 0 {
+		pred = 0
+	}
+	return level, pred, logits
 }

@@ -2,8 +2,10 @@ package core
 
 import (
 	"math"
+	"slices"
 	"testing"
 
+	"ssmdvfs/internal/counters"
 	"ssmdvfs/internal/faults"
 	"ssmdvfs/internal/gpusim"
 	"ssmdvfs/internal/kernels"
@@ -36,7 +38,13 @@ func TestControllerProvenanceRecords(t *testing.T) {
 
 	const epochs = 12
 	for epoch := 0; epoch < epochs; epoch++ {
-		s := statsWith(0, 20000, epoch%2 == 0)
+		// From epoch 5 on the kernel slows down, so calibration tightens
+		// the effective preset below the set one.
+		instr := int64(20000)
+		if epoch >= 5 {
+			instr = 10
+		}
+		s := statsWith(0, instr, epoch%2 == 0)
 		s.Epoch = epoch
 		ctrl.Decide(s)
 	}
@@ -45,7 +53,7 @@ func TestControllerProvenanceRecords(t *testing.T) {
 	if len(recs) != epochs {
 		t.Fatalf("recorded %d decisions, want %d", len(recs), epochs)
 	}
-	var modelN, fallbackN int
+	var modelN, fallbackN, calibrated int
 	n := m.NumFeatures()
 	for i, r := range recs {
 		if r.Epoch != int32(i) || r.Cluster != 0 {
@@ -67,6 +75,20 @@ func TestControllerProvenanceRecords(t *testing.T) {
 			if !(r.PredInstr > 0) {
 				t.Fatalf("record %d: model decision with PredInstr %g", i, r.PredInstr)
 			}
+			// The record carries the decision head's row and logits, not
+			// the calibrator's: the selected raw counters, and the logits
+			// of that row at the epoch's effective preset.
+			derived := counters.Select(r.RawFeatures(), m.FeatureIdx)
+			if got := r.Derived[:r.NumDerived]; !slices.Equal(got, derived) {
+				t.Fatalf("record %d: derived %v, selected raw features %v", i, got, derived)
+			}
+			want := m.Decision.Forward(m.DecisionScaler.Transform(append(derived, r.EffPreset)))
+			if got := r.Logits[:r.NumLogits]; !slices.Equal(got, want) {
+				t.Fatalf("record %d: logits %v, decision head at effective preset %g gives %v", i, got, r.EffPreset, want)
+			}
+			if r.EffPreset != r.Preset {
+				calibrated++
+			}
 		case provenance.ReasonFallback:
 			fallbackN++
 			if r.NumDerived != 0 || r.NumLogits != 0 {
@@ -78,6 +100,9 @@ func TestControllerProvenanceRecords(t *testing.T) {
 	}
 	if fallbackN != 3 || modelN != epochs-3 {
 		t.Fatalf("model/fallback = %d/%d, want %d/3", modelN, fallbackN, epochs-3)
+	}
+	if calibrated == 0 {
+		t.Fatal("no model epoch ran at a calibrated preset: the logits check cannot tell the two heads' presets apart")
 	}
 
 	// Epoch 1 follows a clean model epoch, so its record must carry the

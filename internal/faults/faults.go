@@ -118,7 +118,7 @@ func (inj *Injector) Arm(name string, sp Spec) error {
 	if sp.Kind < KindError || sp.Kind > KindCorrupt {
 		return fmt.Errorf("faults: site %s has invalid kind %d", name, sp.Kind)
 	}
-	if sp.Rate < 0 || sp.Rate > 1 {
+	if !(sp.Rate >= 0 && sp.Rate <= 1) { // NaN fails both and is refused
 		return fmt.Errorf("faults: site %s rate %g outside [0,1]", name, sp.Rate)
 	}
 	if sp.Every < 0 || sp.Limit < 0 || sp.Latency < 0 {

@@ -2,6 +2,8 @@ package faults
 
 import (
 	"errors"
+	"math"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -179,6 +181,7 @@ func TestArmValidation(t *testing.T) {
 	bad := []Spec{
 		{Kind: 0},
 		{Kind: KindError, Rate: 1.5},
+		{Kind: KindError, Rate: math.NaN()},
 		{Kind: KindError, Every: -1},
 		{Kind: KindLatency}, // no latency value
 	}
@@ -219,4 +222,36 @@ func TestParse(t *testing.T) {
 			t.Fatalf("spec %q accepted", bad)
 		}
 	}
+	// A NaN rate fails both of Arm's range comparisons; a site armed with
+	// it would never fire. The refusal names the clause.
+	for _, bad := range []string{"serve.infer:error:rate=NaN", "a:error:rate=+Inf", "a:error:rate=-Inf"} {
+		if _, err := Parse("ok:error;"+bad, 1); err == nil || !strings.Contains(err.Error(), bad) {
+			t.Fatalf("spec %q: err = %v, want a refusal naming the clause", bad, err)
+		}
+	}
+}
+
+// FuzzFaultsParse: whatever spec Parse accepts arms only sites whose
+// rate is in [0, 1] and whose every, limit and latency are non-negative.
+func FuzzFaultsParse(f *testing.F) {
+	for _, seed := range []string{
+		"a:panic:every=97; b:latency:latency=2ms:rate=0.05 ;c:corrupt",
+		"serve.infer:error:rate=NaN",
+		"serve.decide:latency:latency=1ms:every=300:limit=4",
+		"a:error:rate=1e-300;b:error:rate=1",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		inj, err := Parse(spec, 1)
+		if err != nil || inj == nil {
+			return
+		}
+		for name, st := range *inj.sites.Load() {
+			sp := st.spec
+			if !(sp.Rate >= 0 && sp.Rate <= 1) || sp.Every < 0 || sp.Limit < 0 || sp.Latency < 0 {
+				t.Fatalf("spec %q armed site %q with %+v", spec, name, sp)
+			}
+		}
+	})
 }

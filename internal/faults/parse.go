@@ -71,7 +71,7 @@ func Parse(spec string, seed int64) (*Injector, error) {
 			}
 		}
 		if err := inj.Arm(fields[0], sp); err != nil {
-			return nil, err
+			return nil, fmt.Errorf("faults: entry %q: %w", entry, err)
 		}
 	}
 	return inj, nil

@@ -2,12 +2,13 @@
 // turns feature rows into logits — core.Inference, serve.Engine, the
 // fleet tier's coalesced dispatch, benches — goes through a Backend
 // instead of calling nn.MLP methods directly. Two backends exist: the
-// float64 reference path (nn.ForwardScratch / nn.ForwardBatch) and an
-// int8 path built by per-output-channel symmetric weight quantization
-// with dynamic per-row activation scales, exact integer accumulation on
-// nn's float64 batch kernel, and fused dequantize+ReLU. Backends are
-// immutable once built and safe for any number of concurrent callers;
-// all mutable state lives in the per-goroutine Scratch.
+// float64 reference path (nn.MLP.ForwardBatch) and an int8 path built by
+// per-output-channel symmetric weight quantization with dynamic per-row
+// activation scales, exact integer accumulation on nn's float64 batch
+// kernel, and fused dequantize+ReLU. Both run a single row as a one-row
+// batch on that kernel. Backends are immutable once built and safe for
+// any number of concurrent callers; all mutable state lives in the
+// per-goroutine Scratch.
 //
 // The paper's engine is FP32 (Section V-D), and int8 is a numerics study
 // here, chosen in process through serve.Options.Backend. Its weight
@@ -58,21 +59,30 @@ type Description struct {
 	WeightBits int // 64 for float64, 8 for int8
 }
 
-// Scratch holds every buffer a backend needs: per-layer activations for
-// the row and batch paths plus the int8 backend's quantized rows and
-// scales. One Scratch serves either backend kind, so a hot-swap between
-// kinds reuses the same pooled scratches. A Scratch belongs to one
-// goroutine at a time; backends themselves are read-only and shared.
+// Scratch holds every buffer a backend needs: the one-row staging batch
+// Forward runs, per-layer activations, and the int8 backend's quantized
+// rows and scales. One Scratch serves either backend kind, so a hot-swap
+// between kinds reuses the same pooled scratches. A Scratch belongs to
+// one goroutine at a time; backends themselves are read-only and shared.
 type Scratch struct {
-	row   nn.Scratch
+	one   nn.Batch // 1-row staging for Forward
 	batch nn.BatchScratch
 	i8    int8Scratch
+}
+
+// forwardRow is every backend's Forward: x staged as a one-row batch
+// through b's ForwardBatch. One kernel, one set of numerics, so the row
+// and batch paths cannot drift apart.
+func forwardRow(b Backend, x []float64, s *Scratch) []float64 {
+	s.one.Reset(1, len(x))
+	copy(s.one.Data, x)
+	return b.ForwardBatch(&s.one, s).Row(0)
 }
 
 // Backend runs inference for one network. Forward and ForwardBatch
 // return slices/batches aliasing s, valid until the next call with the
 // same Scratch. Output row r of ForwardBatch always corresponds to input
-// row r, and equals what Forward would produce for that row.
+// row r, and Forward is ForwardBatch on a one-row batch.
 type Backend interface {
 	Forward(x []float64, s *Scratch) []float64
 	ForwardBatch(x *nn.Batch, s *Scratch) *nn.Batch
@@ -115,14 +125,14 @@ func New(m *nn.MLP, kind Kind) (Backend, error) {
 	return nil, err
 }
 
-// float64Backend is the reference path: thin routing onto the nn
-// scratch/batch kernels, bit-identical to nn.MLP.Forward.
+// float64Backend is the reference path: thin routing onto nn's batch
+// kernel, bit-identical to nn.MLP.Forward.
 type float64Backend struct {
 	m *nn.MLP
 }
 
 func (b *float64Backend) Forward(x []float64, s *Scratch) []float64 {
-	return b.m.ForwardScratch(x, &s.row)
+	return forwardRow(b, x, s)
 }
 
 func (b *float64Backend) ForwardBatch(x *nn.Batch, s *Scratch) *nn.Batch {

@@ -34,7 +34,6 @@ type qlayer struct {
 // quantization pass, so hidden layers never rescan their input for the
 // dynamic scale.
 type int8Scratch struct {
-	one  nn.Batch // 1-row staging for the single-row Forward
 	q    nn.Batch
 	mac  nn.BatchScratch
 	sx   []float64
@@ -138,16 +137,8 @@ func newInt8Backend(m *nn.MLP) (Backend, error) {
 
 func (b *int8Backend) Describe() Description { return b.desc }
 
-// Forward runs the single row through the batch kernel via a 1-row
-// staging batch: one kernel, one set of numerics, so the row and batch
-// paths cannot drift apart.
 func (b *int8Backend) Forward(x []float64, s *Scratch) []float64 {
-	if len(x) != b.desc.In {
-		panic(fmt.Sprintf("infer: int8 Forward with |x|=%d, model wants %d", len(x), b.desc.In))
-	}
-	s.i8.one.Reset(1, len(x))
-	copy(s.i8.one.Data, x)
-	return b.ForwardBatch(&s.i8.one, s).Row(0)
+	return forwardRow(b, x, s)
 }
 
 func (b *int8Backend) ForwardBatch(x *nn.Batch, s *Scratch) *nn.Batch {

@@ -2,6 +2,7 @@ package ledger
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"time"
@@ -120,6 +121,11 @@ func ParseRules(spec string) ([]Rule, error) {
 		thresh, err := strconv.ParseFloat(strings.TrimSpace(rest), 64)
 		if err != nil {
 			return nil, fmt.Errorf("ledger: rule %q: bad threshold: %w", clause, err)
+		}
+		// A NaN threshold makes the rule's state unencodable as JSON, and
+		// ±Inf keeps a rule always silent or always firing.
+		if math.IsNaN(thresh) || math.IsInf(thresh, 0) {
+			return nil, fmt.Errorf("ledger: rule %q: threshold %v is not finite", clause, thresh)
 		}
 		r.Threshold = thresh
 		rules = append(rules, r.withDefaults())

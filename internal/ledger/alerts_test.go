@@ -2,6 +2,7 @@ package ledger
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 	"time"
 
@@ -44,6 +45,14 @@ func TestParseRules(t *testing.T) {
 	for _, bad := range []string{"burn", "frobnicate>1", "burn>x", "burn>1@x", "burn>1@4/x"} {
 		if _, err := ParseRules(bad); err == nil {
 			t.Fatalf("spec %q parsed without error", bad)
+		}
+	}
+	// A NaN threshold leaves an AlertState json cannot encode; ±Inf a
+	// rule that can never fire or always does. The refusal names the
+	// clause.
+	for _, bad := range []string{"burn>NaN", "regress>+Inf", "stale>-Inf@4"} {
+		if _, err := ParseRules("burn>1.5;" + bad); err == nil || !strings.Contains(err.Error(), bad) {
+			t.Fatalf("spec %q: err = %v, want a refusal naming the clause", bad, err)
 		}
 	}
 }

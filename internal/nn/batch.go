@@ -11,7 +11,7 @@ var vectorTile = hasAVX2()
 
 // Batch is a row-major block of input or activation rows: row r occupies
 // Data[r*Cols : (r+1)*Cols]. Batches are plain buffers — they carry no
-// synchronization and belong to one goroutine at a time, like Scratch.
+// synchronization and belong to one goroutine at a time.
 type Batch struct {
 	Rows, Cols int
 	Data       []float64
@@ -37,9 +37,10 @@ func (b *Batch) Row(r int) []float64 {
 	return b.Data[r*b.Cols : (r+1)*b.Cols : (r+1)*b.Cols]
 }
 
-// BatchScratch holds ForwardBatch's activations so steady-state batched
-// inference allocates nothing. Like Scratch, a BatchScratch belongs to
-// one goroutine at a time; the MLP stays read-only and may be shared.
+// BatchScratch holds ForwardBatch's activations so steady-state
+// inference allocates nothing. A BatchScratch belongs to one goroutine
+// at a time (pool one per worker); the MLP stays read-only and may be
+// shared.
 type BatchScratch struct {
 	bufs []Batch   // per-layer outputs; the vector tile fills only the last unless it keeps them all
 	tile []float64 // the vector tile's two feature-major activations
@@ -49,7 +50,9 @@ type BatchScratch struct {
 // final linear outputs as a Rows×OutputSize batch. The returned batch
 // aliases s and is valid until the next ForwardBatch call with the same
 // BatchScratch. Row order is preserved: output row r corresponds to input
-// row r, and each row equals what ForwardScratch would produce for it.
+// row r, and each row equals what Forward would produce for it, bit for
+// bit. It is the one inference kernel: a single row runs as a one-row
+// batch.
 func (m *MLP) ForwardBatch(x *Batch, s *BatchScratch) *Batch {
 	return m.forwardBatch(x, s, false)
 }

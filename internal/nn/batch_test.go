@@ -40,12 +40,12 @@ func useKernel(t testing.TB, vector bool) {
 	t.Cleanup(func() { vectorTile = prev })
 }
 
-// TestForwardBatchMatchesScratch pins both batch kernels to the
-// row-at-a-time path, bit for bit, across row counts that exercise full
+// TestForwardBatchMatchesForward pins both batch kernels to the
+// allocating Forward, bit for bit, across row counts that exercise full
 // 4-row tiles, a short last tile, and both together — plus scratch reuse
 // across networks of different shapes (buffer resize). With keep set,
 // every layer's kept output must match the row-at-a-time chain too.
-func TestForwardBatchMatchesScratch(t *testing.T) {
+func TestForwardBatchMatchesForward(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	small, err := NewMLP([]int{6, 12, 6}, rng)
 	if err != nil {
@@ -57,7 +57,6 @@ func TestForwardBatchMatchesScratch(t *testing.T) {
 	}
 	var x Batch
 	var bs BatchScratch
-	var s Scratch
 	for _, vector := range batchKernels() {
 		useKernel(t, vector)
 		for _, keep := range []bool{false, true} {
@@ -70,11 +69,11 @@ func TestForwardBatchMatchesScratch(t *testing.T) {
 							kernelName(vector), rows, y.Rows, y.Cols, rows, m.OutputSize())
 					}
 					for r := 0; r < rows; r++ {
-						want := m.ForwardScratch(x.Row(r), &s)
+						want := m.Forward(x.Row(r))
 						got := y.Row(r)
 						for k := range want {
 							if got[k] != want[k] {
-								t.Fatalf("%s rows=%d row %d out %d: batch %g != scratch %g",
+								t.Fatalf("%s rows=%d row %d out %d: batch %g != Forward %g",
 									kernelName(vector), rows, r, k, got[k], want[k])
 							}
 						}
@@ -160,8 +159,8 @@ func TestForwardBatchSteadyStateAllocs(t *testing.T) {
 }
 
 // TestConcurrentForwardBatchMatchesRowAtATime hammers one read-only MLP
-// from 16 goroutines, each alternating between ForwardBatch and the
-// row-at-a-time ForwardScratch over the same rows, asserting bit-identical
+// from 16 goroutines, each alternating between one ForwardBatch over all
+// rows and one one-row ForwardBatch per row, asserting bit-identical
 // outputs to the serial pass, once per batch kernel. With -race this
 // verifies the batched kernels share no mutable state across callers.
 func TestConcurrentForwardBatchMatchesRowAtATime(t *testing.T) {
@@ -188,7 +187,7 @@ func TestConcurrentForwardBatchMatchesRowAtATime(t *testing.T) {
 			go func(g int) {
 				defer wg.Done()
 				var bs BatchScratch
-				var s Scratch
+				var one Batch
 				for rep := 0; rep < 8; rep++ {
 					if (g+rep)%2 == 0 {
 						y := m.ForwardBatch(&x, &bs)
@@ -203,7 +202,9 @@ func TestConcurrentForwardBatchMatchesRowAtATime(t *testing.T) {
 						}
 					} else {
 						for r := 0; r < rows; r++ {
-							got := m.ForwardScratch(x.Row(r), &s)
+							one.Reset(1, x.Cols)
+							copy(one.Data, x.Row(r))
+							got := m.ForwardBatch(&one, &bs).Row(0)
 							for k := range got {
 								if got[k] != want[r][k] {
 									t.Errorf("%s goroutine %d row %d out %d: %g != %g", kernel, g, r, k, got[k], want[r][k])
@@ -219,7 +220,7 @@ func TestConcurrentForwardBatchMatchesRowAtATime(t *testing.T) {
 	}
 }
 
-// FuzzForwardBatchParity pins both batch kernels to ForwardScratch, bit
+// FuzzForwardBatchParity pins both batch kernels to Forward, bit
 // for bit, on networks of 1–3 layers 1–24 wide and batches of 0–70 rows.
 // Weights and biases include exact and signed zeros; inputs include ±0,
 // subnormals and finite values large enough to overflow to ±Inf and on
@@ -251,16 +252,15 @@ func FuzzForwardBatchParity(f *testing.F) {
 		for i := range x.Data {
 			x.Data[i] = fuzzInput(rng)
 		}
-		var s Scratch
 		for _, vector := range batchKernels() {
 			useKernel(t, vector)
 			var bs BatchScratch // not the last kernel's, whose kept rows would hide missing ones
 			y := m.forwardBatch(&x, &bs, keep)
 			for r := 0; r < x.Rows; r++ {
-				want := m.ForwardScratch(x.Row(r), &s)
+				want := m.Forward(x.Row(r))
 				for k, v := range y.Row(r) {
 					if math.Float64bits(v) != math.Float64bits(want[k]) {
-						t.Fatalf("%s sizes %v rows %d: row %d out %d is %g (%#x), ForwardScratch %g (%#x)",
+						t.Fatalf("%s sizes %v rows %d: row %d out %d is %g (%#x), Forward %g (%#x)",
 							kernelName(vector), sizes, x.Rows, r, k, v, math.Float64bits(v), want[k], math.Float64bits(want[k]))
 					}
 				}

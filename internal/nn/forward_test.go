@@ -6,58 +6,11 @@ import (
 	"testing"
 )
 
-// TestForwardScratchMatchesForward pins the scratch-buffer path to the
-// allocating one, across reuse and a network swap (buffer resize).
-func TestForwardScratchMatchesForward(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	small, err := NewMLP([]int{6, 12, 6}, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	big, err := NewMLP([]int{6, 20, 20, 4}, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var s Scratch
-	for i := 0; i < 50; i++ {
-		x := make([]float64, 6)
-		for j := range x {
-			x[j] = rng.NormFloat64()
-		}
-		for _, m := range []*MLP{small, big, small} {
-			want := m.Forward(x)
-			got := m.ForwardScratch(x, &s)
-			if len(got) != len(want) {
-				t.Fatalf("iter %d: length %d vs %d", i, len(got), len(want))
-			}
-			for k := range want {
-				if got[k] != want[k] {
-					t.Fatalf("iter %d output %d: %g != %g", i, k, got[k], want[k])
-				}
-			}
-		}
-	}
-}
-
-func TestForwardScratchSteadyStateAllocs(t *testing.T) {
-	m, err := NewMLP([]int{6, 20, 20, 6}, rand.New(rand.NewSource(2)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	x := make([]float64, 6)
-	var s Scratch
-	allocs := testing.AllocsPerRun(200, func() {
-		m.ForwardScratch(x, &s)
-	})
-	if allocs > 0 {
-		t.Fatalf("ForwardScratch allocates %.1f objects/op, want 0", allocs)
-	}
-}
-
 // TestConcurrentForwardMatchesSerial hammers one read-only MLP from 16
-// goroutines, each with its own Scratch, asserting bit-identical outputs
-// to the serial pass. Run with -race this verifies inference shares no
-// mutable state across callers.
+// goroutines, each alternating the allocating Forward with one-row
+// ForwardBatch calls on its own BatchScratch, asserting bit-identical
+// outputs to the serial pass. Run with -race this verifies inference
+// shares no mutable state across callers.
 func TestConcurrentForwardMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	m, err := NewMLP([]int{6, 20, 20, 6}, rng)
@@ -81,12 +34,15 @@ func TestConcurrentForwardMatchesSerial(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			var s Scratch
+			var one Batch
+			var s BatchScratch
 			for rep := 0; rep < 8; rep++ {
 				for i := range xs {
 					var got []float64
 					if (g+rep)%2 == 0 {
-						got = m.ForwardScratch(xs[i], &s)
+						one.Reset(1, len(xs[i]))
+						copy(one.Data, xs[i])
+						got = m.ForwardBatch(&one, &s).Row(0)
 					} else {
 						got = m.Forward(xs[i])
 					}

@@ -57,9 +57,10 @@ func relu(v []float64) {
 // classification heads, raw values for regression heads). Forward only
 // reads the network's weights, so one MLP may serve any number of
 // concurrent Forward callers (training mutates weights and must not run
-// concurrently with inference). It allocates per call: it is for training
-// loops, offline evaluation and the tests' reference outputs, while
-// serving goes through an infer.Backend (infer.New).
+// concurrently with inference). It allocates per call: it serves offline
+// evaluation and is the reference ForwardBatch must match bit for bit,
+// while serving goes through an infer.Backend (infer.New) onto
+// ForwardBatch.
 func (m *MLP) Forward(x []float64) []float64 {
 	h := x
 	for i, l := range m.Layers {
@@ -67,38 +68,6 @@ func (m *MLP) Forward(x []float64) []float64 {
 		if i+1 < len(m.Layers) {
 			relu(h)
 		}
-	}
-	return h
-}
-
-// Scratch holds reusable per-layer activation buffers for ForwardScratch
-// so steady-state inference allocates nothing. A Scratch belongs to one
-// goroutine at a time (pool one per worker); the MLP itself stays
-// read-only and may be shared.
-type Scratch struct {
-	bufs [][]float64
-}
-
-// ForwardScratch is Forward using s's buffers for every intermediate and
-// final activation. The returned slice aliases s and is valid until the
-// next ForwardScratch call with the same Scratch. It is the float64
-// backend's single-row kernel, the one a one-row frame runs, and the
-// reference ForwardBatch must match bit for bit.
-func (m *MLP) ForwardScratch(x []float64, s *Scratch) []float64 {
-	if len(s.bufs) < len(m.Layers) {
-		s.bufs = append(s.bufs, make([][]float64, len(m.Layers)-len(s.bufs))...)
-	}
-	h := x
-	for i, l := range m.Layers {
-		if cap(s.bufs[i]) < l.Out {
-			s.bufs[i] = make([]float64, l.Out)
-		}
-		y := s.bufs[i][:l.Out]
-		l.ForwardInto(h, y)
-		if i+1 < len(m.Layers) {
-			relu(y)
-		}
-		h = y
 	}
 	return h
 }

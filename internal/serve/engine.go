@@ -756,12 +756,12 @@ const inferChunk = 64
 //
 // Valid rows are gathered into runs and answered by one batched backend
 // inference per run — this is where a coalesced multi-row fleet frame
-// actually amortizes matmul cost instead of unrolling row by row. The
-// per-row semantics are unchanged: the budget is checked and FaultInfer
-// injected once per row before its inference (a fault or deadline at row
-// j still answers the gathered rows before j through the model), invalid
-// rows degrade individually, and a lone valid row takes the single-row
-// kernel.
+// actually amortizes matmul cost instead of unrolling row by row. A run
+// of one row is a one-row batch on the same kernel. The per-row
+// semantics are unchanged: the budget is checked and FaultInfer injected
+// once per row before its inference (a fault or deadline at row j still
+// answers the gathered rows before j through the model), and invalid
+// rows degrade individually.
 func (e *Engine) modelRows(m *core.Model, rows []Request, columns uint64, decs []Decision, start time.Time, sc *obsScratch) (out []Decision, done int, failReason provenance.Reason, failed bool) {
 	out = decs
 	failReason = provenance.ReasonFallback
@@ -820,15 +820,7 @@ func (e *Engine) modelRows(m *core.Model, rows []Request, columns uint64, decs [
 			}
 			j++
 		}
-		n := j - i
-		if n == 1 {
-			level, pred := inf.Decide(rows[i].Features, rows[i].Preset)
-			e.metrics.ObserveInfer(kind, 1)
-			e.metrics.ObserveLevel(level)
-			out = append(out, Decision{Level: level, Reason: provenance.ReasonModel, PredInstr: pred, Shard: -1})
-			done = i + 1
-			sc.stageAux(i, inf.DecisionRow()[:nFeat], inf.Logits())
-		} else if n > 1 {
+		if n := j - i; n > 0 {
 			inf.BeginBatch(n)
 			for k := 0; k < n; k++ {
 				inf.SetBatchRow(k, rows[i+k].Features, rows[i+k].Preset)
