@@ -196,31 +196,7 @@ func summarizeLedger(w io.Writer, path string, s ledger.Snapshot) {
 	fmt.Fprintf(w, "perf loss mean    %11.3f%%  (budget %.3f%%, burn %.2fx)\n",
 		s.MeanPerfLoss()*100, s.MeanPreset()*100, s.BudgetBurn())
 
-	for _, family := range []string{"level", "cluster"} {
-		rows := map[string]ledger.Group{}
-		for k, g := range s.Groups {
-			if strings.HasPrefix(k, family+"=") {
-				rows[strings.TrimPrefix(k, family+"=")] = g
-			}
-		}
-		if len(rows) == 0 {
-			continue
-		}
-		counts := make(map[string]int64, len(rows))
-		for k, g := range rows {
-			counts[k] = g.Decisions
-		}
-		fmt.Fprintf(w, "\n%-10s %10s %12s %10s\n", family, "decisions", "saved", "loss")
-		for _, k := range sortedLabelKeys(counts) {
-			g := rows[k]
-			loss := 0.0
-			if g.Decisions > 0 {
-				loss = float64(g.PerfLossPpmSum) / 1e6 / float64(g.Decisions) * 100
-			}
-			fmt.Fprintf(w, "%-10s %10d %12s %9.3f%%\n", k, g.Decisions,
-				ledger.FormatEnergyPJ(float64(g.EnergyMaxPJ-g.EnergyPJ)), loss)
-		}
-	}
+	s.WriteBreakdown(w)
 	fmt.Fprintln(w)
 }
 
@@ -453,42 +429,18 @@ func summarizeDecisions(w io.Writer, path string, hdr provenance.Header, recs []
 		return
 	}
 
-	var reasons [provenance.NumReasons]int64
+	// The reason table, the prediction error and the drift table are the
+	// drift monitor's, replayed over the dump; levels and latency no plane
+	// folds.
+	win, reasons := provenance.Replay(telemetry.NewRegistry(), hdr, recs)
 	levels := map[string]int64{}
 	var latSum, latMax int64
-	var errSum, errAbsSum float64
-	var errN int64
-	nFeat := len(hdr.Features)
-	if len(hdr.TrainMean) < nFeat {
-		nFeat = len(hdr.TrainMean)
-	}
-	if len(hdr.TrainStd) < nFeat {
-		nFeat = len(hdr.TrainStd)
-	}
-	fSum := make([]float64, nFeat)
-	fSumSq := make([]float64, nFeat)
-	var fN int64
 	for i := range recs {
 		r := &recs[i]
-		if int(r.Reason) < provenance.NumReasons {
-			reasons[r.Reason]++
-		}
 		levels[strconv.Itoa(int(r.Level))]++
 		latSum += r.LatencyNs
 		if r.LatencyNs > latMax {
 			latMax = r.LatencyNs
-		}
-		if r.HasPredErr {
-			errSum += r.PredErr
-			errAbsSum += math.Abs(r.PredErr)
-			errN++
-		}
-		if r.Reason == provenance.ReasonModel && int(r.NumDerived) >= nFeat {
-			for j := 0; j < nFeat; j++ {
-				fSum[j] += r.Derived[j]
-				fSumSq[j] += r.Derived[j] * r.Derived[j]
-			}
-			fN++
 		}
 	}
 	total := float64(len(recs))
@@ -510,27 +462,17 @@ func summarizeDecisions(w io.Writer, path string, hdr provenance.Header, recs []
 
 	fmt.Fprintf(w, "\ndecision latency  mean %.1fus  max %.1fus\n",
 		float64(latSum)/total/1e3, float64(latMax)/1e3)
-	if errN > 0 {
+	if win.ErrSamples > 0 {
 		fmt.Fprintf(w, "prediction error  MAPE %.3f  bias %+.3f  (%d samples)\n",
-			errAbsSum/float64(errN), errSum/float64(errN), errN)
+			win.MAPE, win.Bias, win.ErrSamples)
 	}
 
-	if nFeat > 0 && fN > 0 {
-		fmt.Fprintf(w, "\n== feature drift vs training (%d model decisions) ==\n", fN)
+	if win.Features > 0 && win.FeatureSamples > 0 {
+		fmt.Fprintf(w, "\n== feature drift vs training (%d model decisions) ==\n", win.FeatureSamples)
 		fmt.Fprintf(w, "%-18s %12s %12s %8s %10s\n", "feature", "train_mean", "dump_mean", "mean_z", "var_ratio")
-		for j := 0; j < nFeat; j++ {
-			mean := fSum[j] / float64(fN)
-			z, vr := 0.0, 0.0
-			if sd := hdr.TrainStd[j]; sd > 0 {
-				z = (mean - hdr.TrainMean[j]) / sd
-				variance := fSumSq[j]/float64(fN) - mean*mean
-				if variance < 0 {
-					variance = 0
-				}
-				vr = variance / (sd * sd)
-			}
+		for j := 0; j < win.Features; j++ {
 			fmt.Fprintf(w, "%-18s %12.4g %12.4g %8.2f %10.3f\n",
-				hdr.Features[j], hdr.TrainMean[j], mean, z, vr)
+				hdr.Features[j], hdr.TrainMean[j], win.Mean[j], win.Z[j], win.VarRatio[j])
 		}
 	}
 	fmt.Fprintln(w)

@@ -17,7 +17,7 @@ import (
 
 // writeFixtureMetrics builds a registry the way a served run would and
 // dumps it to disk.
-func writeFixtureMetrics(t *testing.T, path string) {
+func writeFixtureMetrics(t testing.TB, path string) {
 	t.Helper()
 	reg := telemetry.NewRegistry()
 	reg.Counter("serve_decisions_total").Add(42)

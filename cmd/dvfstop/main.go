@@ -21,7 +21,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sort"
 	"strings"
 	"time"
 
@@ -76,22 +75,7 @@ func run(w io.Writer, url string, interval time.Duration, once bool) error {
 func render(w io.Writer, src string, v *fleet.LedgerAggregate, isFleet bool) {
 	fmt.Fprint(w, "dvfstop — ")
 	fleet.WriteLedgerHeadline(w, src, v, isFleet)
-	s := v.Merged
-
-	if levels := groupRows(s, "level="); len(levels) > 0 {
-		fmt.Fprintf(w, "\n  %-12s %10s %12s %10s\n", "level", "decisions", "saved", "loss")
-		for _, g := range levels {
-			fmt.Fprintf(w, "  %-12s %10d %12s %9.3f%%\n", g.key, g.g.Decisions,
-				ledger.FormatEnergyPJ(float64(g.g.EnergyMaxPJ-g.g.EnergyPJ)), meanLossPct(g.g))
-		}
-	}
-	if shards := groupRows(s, "cluster="); len(shards) > 0 {
-		fmt.Fprintf(w, "\n  %-12s %10s %12s %10s\n", "cluster", "decisions", "saved", "loss")
-		for _, g := range shards {
-			fmt.Fprintf(w, "  %-12s %10d %12s %9.3f%%\n", g.key, g.g.Decisions,
-				ledger.FormatEnergyPJ(float64(g.g.EnergyMaxPJ-g.g.EnergyPJ)), meanLossPct(g.g))
-		}
-	}
+	v.Merged.WriteBreakdown(w)
 
 	if len(v.Replicas) > 0 {
 		fmt.Fprintf(w, "\n  %-28s %10s %12s  %s\n", "replica", "decisions", "saved", "status")
@@ -104,36 +88,4 @@ func render(w io.Writer, src string, v *fleet.LedgerAggregate, isFleet bool) {
 				ledger.FormatEnergyPJ(float64(r.Snapshot.SavedPJ())), status)
 		}
 	}
-}
-
-type groupRow struct {
-	key string
-	g   ledger.Group
-}
-
-// groupRows selects one breakdown family out of the snapshot's flat
-// group map, sorted by key for a stable frame.
-func groupRows(s ledger.Snapshot, prefix string) []groupRow {
-	var out []groupRow
-	for k, g := range s.Groups {
-		if strings.HasPrefix(k, prefix) {
-			out = append(out, groupRow{key: k, g: g})
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		// Numeric-aware: "level=2" before "level=10".
-		a, b := out[i].key, out[j].key
-		if len(a) != len(b) {
-			return len(a) < len(b)
-		}
-		return a < b
-	})
-	return out
-}
-
-func meanLossPct(g ledger.Group) float64 {
-	if g.Decisions <= 0 {
-		return 0
-	}
-	return float64(g.PerfLossPpmSum) / 1e6 / float64(g.Decisions) * 100
 }

@@ -11,9 +11,7 @@
 //	         [-flightrec 4096] [-ledger] [-ledger-window 1s]
 //	         [-spans ssmdvfsd-spans.jsonl]
 //	         [-faults 'serve.infer:panic:every=100'] [-faults-seed 1]
-//	         [-adapt] [-adapt-interval 1s] [-adapt-min-rows N]
-//	         [-adapt-shadow-rows N] [-adapt-canary-rows N]
-//	         [-adapt-margin F] [-adapt-regress F]
+//	         [-adapt] [-adapt-interval 1s]
 //
 // -adapt closes the paper's self-calibration loop online: when a poll
 // finds the flight recorder's drift gauges past their thresholds, the
@@ -24,8 +22,8 @@
 // promotion against live realized error, and automatically rolls back
 // to the retained incumbent on regression. Every transition lands in
 // adapt_* telemetry and the /debug/adapt transition log. -adapt implies
-// -flightrec (default 4096 when unset); the other -adapt-* settings left
-// at 0 take the adapt package's defaults.
+// -flightrec (default 4096 when unset); its thresholds are the adapt
+// package's defaults.
 //
 // The daemon degrades instead of failing: model panics, deadline misses
 // (-budget), and malformed feature rows are answered by the analytical
@@ -89,11 +87,6 @@ func main() {
 		flightrec = flag.Int("flightrec", 0, "keep the last N decisions in a provenance flight recorder with online drift monitoring (0 = off)")
 		adaptOn   = flag.Bool("adapt", false, "close the self-calibration loop: drift-triggered online re-fit with shadow scoring, canary rollout, and automatic rollback (implies -flightrec)")
 		adaptIvl  = flag.Duration("adapt-interval", time.Second, "how often the adaptation controller polls the flight recorder")
-		adaptMin  = flag.Int("adapt-min-rows", 0, "harvested training pairs required before a re-fit (0 = library default)")
-		adaptShad = flag.Int("adapt-shadow-rows", 0, "realized shadow comparisons required to judge a candidate (0 = library default)")
-		adaptCan  = flag.Int("adapt-canary-rows", 0, "live realized-error samples required to commit a promotion (0 = library default)")
-		adaptMarg = flag.Float64("adapt-margin", 0, "relative shadow-MAPE improvement required to promote a candidate (0 = library default)")
-		adaptRegr = flag.Float64("adapt-regress", 0, "canary rolls back when live MAPE exceeds promise times this factor (0 = library default)")
 		ledgerOn  = flag.Bool("ledger", false, "account every decision's estimated energy delta and perf-loss versus the MaxFreq counterfactual (ledger_* series on /metrics.prom, snapshot at /debug/ledger)")
 		ledgerIvl = flag.Duration("ledger-window", time.Second, "efficiency-ledger time-series window width")
 		spansPath = flag.String("spans", "", "write spans for sampled traced requests to this JSONL file (dvfsstat -chrome input; empty = off)")
@@ -115,14 +108,7 @@ func main() {
 	acfg := adaptConfig{
 		Enabled:  *adaptOn,
 		Interval: *adaptIvl,
-		Options: adapt.Options{
-			MinRows:          *adaptMin,
-			ShadowMinSamples: *adaptShad,
-			CanaryMinSamples: *adaptCan,
-			Margin:           *adaptMarg,
-			RegressFactor:    *adaptRegr,
-			Logf:             logf,
-		},
+		Options:  adapt.Options{Logf: logf},
 	}
 	ledgerWindow := time.Duration(0)
 	if *ledgerOn {

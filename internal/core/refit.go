@@ -66,7 +66,10 @@ func (o RefitOptions) withDefaults() RefitOptions {
 }
 
 // RefitReport summarizes one re-fit: stream MAPE (%) of the parent and
-// the candidate on the training rows, and the final training loss.
+// the candidate on the training rows, and the final training loss. The
+// MAPEs are Table II's |pred − actual|/actual in percent, not the live
+// (pred − actual)/pred fraction that prov_pred_mape and adapt's
+// drift_mape carry (DESIGN.md, "Two relative errors").
 type RefitReport struct {
 	Rows       int
 	MAPEBefore float64

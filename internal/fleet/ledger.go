@@ -33,11 +33,21 @@ func (a *LedgerAggregate) WriteJSON(w io.Writer) error {
 	return enc.Encode(a)
 }
 
-// ReadLedgerAggregate parses a WriteJSON payload.
+// ReadLedgerAggregate parses a WriteJSON payload. Every snapshot in it,
+// the merged one and each replica's, must pass ledger's Validate, as a
+// snapshot read alone must.
 func ReadLedgerAggregate(r io.Reader) (*LedgerAggregate, error) {
 	var a LedgerAggregate
 	if err := json.NewDecoder(r).Decode(&a); err != nil {
 		return nil, fmt.Errorf("fleet: ledger aggregate: %w", err)
+	}
+	if err := a.Merged.Validate(); err != nil {
+		return nil, fmt.Errorf("fleet: ledger aggregate: merged: %w", err)
+	}
+	for _, rep := range a.Replicas {
+		if err := rep.Snapshot.Validate(); err != nil {
+			return nil, fmt.Errorf("fleet: ledger aggregate: replica %q: %w", rep.Addr, err)
+		}
 	}
 	return &a, nil
 }

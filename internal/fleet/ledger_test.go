@@ -393,3 +393,30 @@ func TestFetchLedgerGivesUpOnSilentPeer(t *testing.T) {
 		t.Fatalf("FetchLedger still blocked %v after asking a silent peer", fetchLedgerTimeout+5*time.Second)
 	}
 }
+
+// TestReadLedgerAggregateValidatesSnapshots: a snapshot ledger.ReadSnapshot
+// refuses (a histogram wider than the ledger writes) is refused inside an
+// aggregate too, as the merged snapshot and as a replica's.
+func TestReadLedgerAggregateValidatesSnapshots(t *testing.T) {
+	var wide ledger.Snapshot
+	wide.SavedHist.Buckets = make([]int64, telemetry.DefaultHistBuckets+1)
+	var one bytes.Buffer
+	if err := wide.WriteJSON(&one); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ledger.ReadSnapshot(&one); err == nil {
+		t.Fatal("ledger.ReadSnapshot accepted a histogram wider than the ledger writes")
+	}
+	for name, a := range map[string]LedgerAggregate{
+		"merged":  {Merged: wide},
+		"replica": {Replicas: []ledger.ReplicaLedger{{Addr: "r0", Snapshot: wide}}},
+	} {
+		var buf bytes.Buffer
+		if err := a.WriteJSON(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ReadLedgerAggregate(&buf); err == nil {
+			t.Errorf("%s: ReadLedgerAggregate accepted a snapshot ledger.ReadSnapshot refuses", name)
+		}
+	}
+}

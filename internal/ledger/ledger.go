@@ -21,6 +21,9 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"sort"
+	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -179,6 +182,15 @@ type Group struct {
 	PerfLossPpmSum int64 `json:"perf_loss_ppm_sum"`
 }
 
+// MeanPerfLoss is the group's mean predicted performance loss, as a
+// fraction.
+func (g Group) MeanPerfLoss() float64 {
+	if g.Decisions <= 0 {
+		return 0
+	}
+	return float64(g.PerfLossPpmSum) / 1e6 / float64(g.Decisions)
+}
+
 func (g Group) merge(o Group) Group {
 	g.Decisions += o.Decisions
 	g.EnergyMaxPJ += o.EnergyMaxPJ
@@ -233,10 +245,43 @@ func (s Snapshot) SavedRatio() float64 {
 
 // MeanPerfLoss is the mean predicted performance loss, as a fraction.
 func (s Snapshot) MeanPerfLoss() float64 {
-	if s.Decisions <= 0 {
-		return 0
+	return Group{Decisions: s.Decisions, PerfLossPpmSum: s.PerfLossPpmSum}.MeanPerfLoss()
+}
+
+// WriteBreakdown writes the per-level and per-cluster tables of the
+// snapshot, one row per group in numeric key order: its decisions, the
+// energy it saved against MaxFreq and its mean perf loss. A family with
+// no group writes nothing. It is the table dvfstop and `dvfsstat -ledger`
+// print.
+func (s Snapshot) WriteBreakdown(w io.Writer) {
+	for _, family := range [...]string{"level", "cluster"} {
+		var keys []string
+		for k := range s.Groups {
+			if strings.HasPrefix(k, family+"=") {
+				keys = append(keys, k)
+			}
+		}
+		if len(keys) == 0 {
+			continue
+		}
+		// By id ("level=2" before "level=10"; a key whose id is not a
+		// number sorts as 0), then by key: a total order, so a frame is
+		// stable.
+		sort.Slice(keys, func(i, j int) bool {
+			a, _ := strconv.Atoi(keys[i][len(family)+1:])
+			b, _ := strconv.Atoi(keys[j][len(family)+1:])
+			if a != b {
+				return a < b
+			}
+			return keys[i] < keys[j]
+		})
+		fmt.Fprintf(w, "\n  %-12s %10s %12s %10s\n", family, "decisions", "saved", "loss")
+		for _, k := range keys {
+			g := s.Groups[k]
+			fmt.Fprintf(w, "  %-12s %10d %12s %9.3f%%\n", k, g.Decisions,
+				FormatEnergyPJ(float64(g.EnergyMaxPJ-g.EnergyPJ)), g.MeanPerfLoss()*100)
+		}
 	}
-	return float64(s.PerfLossPpmSum) / 1e6 / float64(s.Decisions)
 }
 
 // MeanPreset is the mean requested loss budget, as a fraction.
@@ -264,18 +309,27 @@ func (s Snapshot) WriteJSON(w io.Writer) error {
 	return enc.Encode(s)
 }
 
-// ReadSnapshot parses a WriteJSON payload. It is the one validator of
-// the format: it refuses a histogram with more buckets than the ledger
-// writes (telemetry.DefaultHistBuckets), since past bucket 1024 a
-// bucket's bounds are infinite and Merge would recompute quantiles that
-// WriteJSON cannot write.
+// Validate is the one check of a decoded snapshot, wherever it was read
+// from: it refuses a histogram with more buckets than the ledger writes
+// (telemetry.DefaultHistBuckets), since past bucket 1024 a bucket's
+// bounds are infinite and Merge would recompute quantiles that WriteJSON
+// cannot write.
+func (s Snapshot) Validate() error {
+	if n := max(len(s.SavedHist.Buckets), len(s.LossHist.Buckets)); n > telemetry.DefaultHistBuckets {
+		return fmt.Errorf("ledger: a histogram has %d buckets, at most %d", n, telemetry.DefaultHistBuckets)
+	}
+	return nil
+}
+
+// ReadSnapshot parses a WriteJSON payload, refusing what Validate
+// refuses.
 func ReadSnapshot(r io.Reader) (Snapshot, error) {
 	var s Snapshot
 	if err := json.NewDecoder(r).Decode(&s); err != nil {
 		return s, fmt.Errorf("ledger: %w", err)
 	}
-	if n := max(len(s.SavedHist.Buckets), len(s.LossHist.Buckets)); n > telemetry.DefaultHistBuckets {
-		return Snapshot{}, fmt.Errorf("ledger: a histogram has %d buckets, at most %d", n, telemetry.DefaultHistBuckets)
+	if err := s.Validate(); err != nil {
+		return Snapshot{}, err
 	}
 	return s, nil
 }

@@ -33,6 +33,7 @@ func seedDump(tb testing.TB) []byte {
 		}
 		if i > 0 {
 			rec.PredErr, rec.HasPredErr = 0.03, true
+			rec.PrevLevel, rec.HasPrevLevel = int32(i-1), true
 		}
 		raw := make([]float64, counters.Num)
 		for j := range raw {
@@ -64,6 +65,7 @@ func FuzzReadRecords(f *testing.F) {
 			return
 		}
 		ledger.ReplayRecords(recs)
+		provenance.Replay(telemetry.NewRegistry(), hdr, recs)
 		mon := provenance.NewMonitor(telemetry.NewRegistry(), provenance.MonitorOptions{Window: 4})
 		mon.SetTrainingStats(hdr.Features, hdr.TrainMean, hdr.TrainStd)
 		mon.ObserveRecords(recs)

@@ -14,7 +14,9 @@ type MonitorOptions struct {
 	// prediction-error, flip-rate, and feature-drift statistics
 	// (default 256).
 	Window int
-	// MAPEThreshold is the rolling MAPE (as a fraction, e.g. 0.25) above
+	// MAPEThreshold is the rolling MAPE of the live error
+	// (pred − actual)/pred (as a fraction, e.g. 0.25; not Table II's
+	// |pred − actual|/actual in percent, DESIGN.md) above
 	// which DriftState reports MAPEHigh; 0 takes the default 0.25,
 	// negative disables it.
 	MAPEThreshold float64
@@ -40,7 +42,8 @@ func (o MonitorOptions) withDefaults() MonitorOptions {
 // Monitor folds decision records into rolling-window model-quality
 // statistics and exports them as gauges on a telemetry registry:
 //
-//	prov_pred_mape                   rolling MAPE of PredErr samples
+//	prov_pred_mape                   rolling MAPE of PredErr samples, the
+//	                                 live error (pred − actual)/pred
 //	prov_pred_bias                   rolling signed mean of PredErr
 //	prov_level_flip_rate             fraction of decisions that changed a
 //	                                 cluster's level vs its previous one
@@ -180,6 +183,23 @@ func (m *Monitor) ObserveRecords(recs []Record) {
 	m.mu.Unlock()
 }
 
+// Replay folds a flight-recorder dump into a new monitor on reg the way
+// the online monitor folded the same records, and returns its window
+// statistics and per-reason counts. The training statistics are the dump
+// header's and the window spans the whole dump, so nothing is evicted and
+// every running sum is the same additions in the same order: on a dump
+// that covers the served traffic, the replay's prov_* series equal the
+// online monitor's. It is what `dvfsstat -decisions` prints.
+func Replay(reg *telemetry.Registry, hdr Header, recs []Record) (w Window, reasons [NumReasons]int64) {
+	m := NewMonitor(reg, MonitorOptions{Window: len(recs)})
+	m.SetTrainingStats(hdr.Features, hdr.TrainMean, hdr.TrainStd)
+	m.ObserveRecords(recs)
+	for r, c := range m.reasons {
+		reasons[r] = c.Load()
+	}
+	return m.windowLocked(), reasons
+}
+
 // foldLocked folds one record into the windows; the caller holds m.mu.
 func (m *Monitor) foldLocked(rec *Record, reasons *[NumReasons]int64) {
 	if int(rec.Reason) < NumReasons {
@@ -234,42 +254,62 @@ func (m *Monitor) foldLocked(rec *Record, reasons *[NumReasons]int64) {
 	}
 }
 
-// meanZLocked is feature j's window-mean shift in training-σ units (0
-// for a feature with no training spread). Needs fN > 0.
-func (m *Monitor) meanZLocked(j int) float64 {
-	sd := m.trainStd[j]
-	if !(sd > 0) {
-		return 0
+// Window is the rolling-window statistics as they stand, computed once
+// by windowLocked for the gauges, DriftState and Replay. MAPE and Bias
+// are the mean absolute and signed PredErr over ErrSamples, FlipRate the
+// share of FlipSamples decisions that changed their identity's level
+// (each 0 without samples). Over FeatureSamples model decisions, feature
+// j < Features has window mean Mean[j], its shift Z[j] from the training
+// mean in training-σ units and VarRatio[j], the window over the training
+// variance (Z and VarRatio are 0 for a feature with no training spread).
+type Window struct {
+	ErrSamples, FlipSamples, FeatureSamples, Features int
+	MAPE, Bias, FlipRate                              float64
+	Mean, Z, VarRatio                                 [MaxAux]float64
+}
+
+// windowLocked computes the window statistics from the running sums; the
+// caller holds m.mu.
+func (m *Monitor) windowLocked() Window {
+	w := Window{ErrSamples: m.errN, FlipSamples: m.flipN, FeatureSamples: m.fN, Features: m.nFeat}
+	if m.errN > 0 {
+		w.MAPE = m.sumAbs / float64(m.errN)
+		w.Bias = m.sumErr / float64(m.errN)
 	}
-	return (m.fSum[j]/float64(m.fN) - m.trainMean[j]) / sd
+	if m.flipN > 0 {
+		w.FlipRate = float64(m.flipSum) / float64(m.flipN)
+	}
+	if m.fN > 0 {
+		n := float64(m.fN)
+		for j := 0; j < m.nFeat; j++ {
+			mean := m.fSum[j] / n
+			w.Mean[j] = mean
+			if sd := m.trainStd[j]; sd > 0 {
+				w.Z[j] = (mean - m.trainMean[j]) / sd
+				variance := m.fSumSq[j]/n - mean*mean
+				if variance < 0 {
+					variance = 0
+				}
+				w.VarRatio[j] = variance / (sd * sd)
+			}
+		}
+	}
+	return w
 }
 
 // publishLocked refreshes the gauges from the windows as they now stand
 // and adds the folded per-reason counts; the caller holds m.mu.
 func (m *Monitor) publishLocked(reasons *[NumReasons]int64) {
-	flipRate := 0.0
-	if m.flipN > 0 {
-		flipRate = float64(m.flipSum) / float64(m.flipN)
+	w := m.windowLocked()
+	m.gFlip.Set(w.FlipRate)
+	if w.ErrSamples > 0 {
+		m.gMAPE.Set(w.MAPE)
+		m.gBias.Set(w.Bias)
 	}
-	m.gFlip.Set(flipRate)
-	if m.errN > 0 {
-		m.gMAPE.Set(m.sumAbs / float64(m.errN))
-		m.gBias.Set(m.sumErr / float64(m.errN))
-	}
-	if m.fN > 0 {
-		n := float64(m.fN)
-		for j := 0; j < m.nFeat; j++ {
-			vr := 0.0
-			if sd := m.trainStd[j]; sd > 0 {
-				mean := m.fSum[j] / n
-				variance := m.fSumSq[j]/n - mean*mean
-				if variance < 0 {
-					variance = 0
-				}
-				vr = variance / (sd * sd)
-			}
-			m.gZ[j].Set(m.meanZLocked(j))
-			m.gVar[j].Set(vr)
+	if w.FeatureSamples > 0 {
+		for j := 0; j < w.Features; j++ {
+			m.gZ[j].Set(w.Z[j])
+			m.gVar[j].Set(w.VarRatio[j])
 		}
 	}
 	for r, n := range reasons {
@@ -316,30 +356,22 @@ func (m *Monitor) DriftState() DriftState {
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	st := DriftState{ErrSamples: m.errN, FeatureSamples: m.fN}
-	if m.errN > 0 {
-		st.MAPE = m.sumAbs / float64(m.errN)
-		st.Bias = m.sumErr / float64(m.errN)
-	}
-	if th := m.opts.MAPEThreshold; th > 0 && m.errN == len(m.errs) {
+	w := m.windowLocked()
+	st := DriftState{MAPE: w.MAPE, Bias: w.Bias, ErrSamples: w.ErrSamples,
+		FeatureSamples: w.FeatureSamples, FlipRate: w.FlipRate}
+	if th := m.opts.MAPEThreshold; th > 0 && w.ErrSamples == m.opts.Window {
 		st.MAPEHigh = st.MAPE > th
 	}
-	if m.flipN > 0 {
-		st.FlipRate = float64(m.flipSum) / float64(m.flipN)
-	}
-	if m.nFeat > 0 && m.fN == m.opts.Window {
+	if w.Features > 0 && w.FeatureSamples == m.opts.Window {
 		th := m.opts.DriftZThreshold
-		for j := 0; j < m.nFeat; j++ {
-			if m.trainStd[j] > 0 {
-				z := m.meanZLocked(j)
-				if math.Abs(z) > math.Abs(st.WorstZ) {
-					st.WorstZ = z
-					st.WorstFeature = m.names[j]
-				}
-				if th > 0 && math.Abs(z) > th {
-					st.Drifting = append(st.Drifting, m.names[j])
-					st.DriftZ = append(st.DriftZ, z)
-				}
+		for j, z := range w.Z[:w.Features] {
+			if math.Abs(z) > math.Abs(st.WorstZ) {
+				st.WorstZ = z
+				st.WorstFeature = m.names[j]
+			}
+			if th > 0 && math.Abs(z) > th {
+				st.Drifting = append(st.Drifting, m.names[j])
+				st.DriftZ = append(st.DriftZ, z)
 			}
 		}
 	}

@@ -125,7 +125,8 @@ type Record struct {
 	// PrevLevel is the level last answered for the same (GPU, cluster)
 	// identity, valid only when HasPrevLevel is set (an identity's first
 	// decision has none): the producer keeps that state, and the monitor
-	// counts a flip from these fields alone. Neither is in the JSONL dump.
+	// counts a flip from these fields alone. The dump carries them as
+	// prev_level, so a replay counts the same flips.
 	HasPrevLevel bool
 	PrevLevel    int32
 	// LatencyNs is how long the decision took end to end.
@@ -192,18 +193,19 @@ type jsonRecord struct {
 	Seq uint64 `json:"seq"`
 	// GPU is omitted for GPU 0, so single-GPU (simulator) dumps stay
 	// byte-identical.
-	GPU       int32   `json:"gpu,omitempty"`
-	Cluster   int32   `json:"cluster"`
-	Epoch     int32   `json:"epoch"`
-	Level     int32   `json:"level"`
-	Reason    string  `json:"reason"`
-	Preset    float64 `json:"preset"`
-	EffPreset float64 `json:"eff_preset"`
-	PredInstr float64 `json:"pred_instr"`
+	GPU       int32  `json:"gpu,omitempty"`
+	Cluster   int32  `json:"cluster"`
+	Epoch     int32  `json:"epoch"`
+	Level     int32  `json:"level"`
+	PrevLevel *int32 `json:"prev_level,omitempty"` // nil on an identity's first decision
+	Reason    string `json:"reason"`
+	Preset    float  `json:"preset"`
+	EffPreset float  `json:"eff_preset"`
+	PredInstr float  `json:"pred_instr"`
 	// PredErr is a pointer so records without a previous prediction omit
 	// the field instead of emitting a meaningless zero.
-	PredErr   *float64 `json:"pred_err,omitempty"`
-	LatencyNs int64    `json:"latency_ns"`
+	PredErr   *float `json:"pred_err,omitempty"`
+	LatencyNs int64  `json:"latency_ns"`
 	// TraceID is the distributed-trace ID in fixed-width hex, omitted
 	// for unsampled decisions (so pre-tracing dumps stay byte-identical).
 	TraceID string `json:"trace_id,omitempty"`
@@ -228,14 +230,9 @@ func (f floats) MarshalJSON() ([]byte, error) {
 		if i > 0 {
 			b.WriteByte(',')
 		}
-		switch {
-		case math.IsNaN(v):
-			b.WriteString(`"NaN"`)
-		case math.IsInf(v, 1):
-			b.WriteString(`"+Inf"`)
-		case math.IsInf(v, -1):
-			b.WriteString(`"-Inf"`)
-		default:
+		if s, ok := nonFinite(v); ok {
+			b.WriteString(s)
+		} else {
 			b.Write(strconv.AppendFloat(nil, v, 'g', -1, 64))
 		}
 	}
@@ -244,32 +241,63 @@ func (f floats) MarshalJSON() ([]byte, error) {
 }
 
 func (f *floats) UnmarshalJSON(data []byte) error {
-	var raw []json.RawMessage
+	var raw []float
 	if err := json.Unmarshal(data, &raw); err != nil {
 		return err
 	}
-	out := make([]float64, len(raw))
-	for i, r := range raw {
-		var s string
-		if err := json.Unmarshal(r, &s); err == nil {
-			switch s {
-			case "NaN":
-				out[i] = math.NaN()
-			case "+Inf":
-				out[i] = math.Inf(1)
-			case "-Inf":
-				out[i] = math.Inf(-1)
-			default:
-				return fmt.Errorf("provenance: bad float string %q", s)
-			}
-			continue
-		}
-		if err := json.Unmarshal(r, &out[i]); err != nil {
-			return err
-		}
+	*f = make([]float64, len(raw))
+	for i, v := range raw {
+		(*f)[i] = float64(v)
 	}
-	*f = out
 	return nil
+}
+
+// float is one scalar of a record the same way: a rejected row's preset
+// may be NaN, and so the realized error of a prediction against it.
+// Finite values write as encoding/json writes a float64.
+type float float64
+
+func (f float) MarshalJSON() ([]byte, error) {
+	if s, ok := nonFinite(float64(f)); ok {
+		return []byte(s), nil
+	}
+	return json.Marshal(float64(f))
+}
+
+func (f *float) UnmarshalJSON(data []byte) error {
+	var s string
+	if json.Unmarshal(data, &s) != nil || s == "" && string(data) == "null" {
+		return json.Unmarshal(data, (*float64)(f))
+	}
+	v, err := parseNonFinite(s)
+	*f = float(v)
+	return err
+}
+
+// parseNonFinite reads the string a non-finite value writes as.
+func parseNonFinite(s string) (float64, error) {
+	switch s {
+	case "NaN":
+		return math.NaN(), nil
+	case "+Inf":
+		return math.Inf(1), nil
+	case "-Inf":
+		return math.Inf(-1), nil
+	}
+	return 0, fmt.Errorf("provenance: bad float string %q", s)
+}
+
+// nonFinite is the quoted JSON string a non-finite v writes as.
+func nonFinite(v float64) (string, bool) {
+	switch {
+	case math.IsNaN(v):
+		return `"NaN"`, true
+	case math.IsInf(v, 1):
+		return `"+Inf"`, true
+	case math.IsInf(v, -1):
+		return `"-Inf"`, true
+	}
+	return "", false
 }
 
 func (r *Record) toJSON() jsonRecord {
@@ -280,17 +308,21 @@ func (r *Record) toJSON() jsonRecord {
 		Epoch:     r.Epoch,
 		Level:     r.Level,
 		Reason:    r.Reason.String(),
-		Preset:    r.Preset,
-		EffPreset: r.EffPreset,
-		PredInstr: r.PredInstr,
+		Preset:    float(r.Preset),
+		EffPreset: float(r.EffPreset),
+		PredInstr: float(r.PredInstr),
 		LatencyNs: r.LatencyNs,
 		ModelGen:  r.ModelGen,
 		Raw:       floats(r.Raw[:r.NumRaw]),
 		Derived:   floats(r.Derived[:r.NumDerived]),
 		Logits:    floats(r.Logits[:r.NumLogits]),
 	}
+	if r.HasPrevLevel {
+		l := r.PrevLevel
+		j.PrevLevel = &l
+	}
 	if r.HasPredErr {
-		e := r.PredErr
+		e := float(r.PredErr)
 		j.PredErr = &e
 	}
 	if r.TraceID != 0 {
@@ -311,14 +343,18 @@ func (j *jsonRecord) toRecord() (Record, error) {
 		Epoch:     j.Epoch,
 		Level:     j.Level,
 		Reason:    reason,
-		Preset:    j.Preset,
-		EffPreset: j.EffPreset,
-		PredInstr: j.PredInstr,
+		Preset:    float64(j.Preset),
+		EffPreset: float64(j.EffPreset),
+		PredInstr: float64(j.PredInstr),
 		LatencyNs: j.LatencyNs,
 		ModelGen:  j.ModelGen,
 	}
+	if j.PrevLevel != nil {
+		r.PrevLevel = *j.PrevLevel
+		r.HasPrevLevel = true
+	}
 	if j.PredErr != nil {
-		r.PredErr = *j.PredErr
+		r.PredErr = float64(*j.PredErr)
 		r.HasPredErr = true
 	}
 	if j.TraceID != "" {

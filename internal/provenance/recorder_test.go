@@ -29,6 +29,9 @@ func testRecord(i int) Record {
 		rec.PredErr = 0.01 * float64(i%7)
 		rec.HasPredErr = true
 	}
+	if i%3 != 0 { // an identity's first decision has no previous level
+		rec.PrevLevel, rec.HasPrevLevel = int32((i+4)%6), true
+	}
 	raw := make([]float64, counters.Num)
 	for j := range raw {
 		raw[j] = float64(i*100 + j)

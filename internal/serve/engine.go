@@ -615,9 +615,12 @@ func (e *Engine) observeRun(sc *obsScratch, lo, hi int) {
 			continue
 		}
 		// The instruction counter of the just-finished epoch is the realized
-		// value the previous epoch's prediction was about.
-		if id.model == sc.model && id.pred > 0 {
-			rec.PredErr = (id.pred - row.Features[counters.IdxInstr]) / id.pred
+		// value the previous epoch's prediction was about. A rejected row's
+		// counter may be non-finite: it realizes nothing, since one NaN
+		// would hold the monitor's error sums at NaN for good.
+		actual := row.Features[counters.IdxInstr]
+		if id.model == sc.model && id.pred > 0 && finiteInRange(actual, maxFeature) {
+			rec.PredErr = (id.pred - actual) / id.pred
 			rec.HasPredErr = true
 		}
 		if d.Reason == provenance.ReasonModel {

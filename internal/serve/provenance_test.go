@@ -9,6 +9,8 @@ import (
 	"strings"
 	"testing"
 
+	"ssmdvfs/internal/counters"
+	"ssmdvfs/internal/faults"
 	"ssmdvfs/internal/provenance"
 	"ssmdvfs/internal/telemetry"
 )
@@ -204,5 +206,100 @@ func TestDecideBatchNoAllocsWithProvenance(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("decideBatch allocates %.1f objects/op with provenance enabled, want 0", allocs)
+	}
+}
+
+// TestDriftMonitorOnlineAgreesWithReplay: keyed traffic served with the
+// drift monitor and prediction feedback armed, including rejected rows
+// (a non-finite feature) and fallback rows (an injected inference error
+// every 97 rows), leaves a /debug/decisions dump whose replay through
+// provenance.Replay — what `dvfsstat -decisions` prints — publishes every
+// prov_* gauge and counter equal to the engine's. The window holds the
+// whole trace, so neither monitor evicts.
+func TestDriftMonitorOnlineAgreesWithReplay(t *testing.T) {
+	const window = 1024
+	inj, err := faults.Parse("serve.infer:error:every=97", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := NewServer(testModel(t, 1), Options{Workers: 1, Faults: inj})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.EnableProvenance(window, provenance.MonitorOptions{Window: window})
+	srv.EnablePredFeedback()
+
+	rng := rand.New(rand.NewSource(42))
+	rows := make([]Request, 64)
+	var decs []Decision
+	reasons := make(map[provenance.Reason]int)
+	for batch := 0; batch < 8; batch++ {
+		for i := range rows {
+			// Eight GPUs of eight clusters, each identity once a batch, so
+			// every identity after the first batch has a previous level and
+			// a pending prediction.
+			rows[i] = Request{Preset: 0.1, Features: featureRow(rng), GPU: int32(i % 8), Cluster: int32(i / 8)}
+			// Rejected rows: a NaN feature, a NaN instruction count that
+			// follows a model decision (a prediction it cannot realize) and
+			// a NaN preset, which the dump must still carry.
+			switch (i + batch) % 13 {
+			case 4:
+				rows[i].Features[3] = math.NaN()
+			case 7:
+				rows[i].Features[counters.IdxInstr] = math.NaN()
+			case 11:
+				rows[i].Preset = math.NaN()
+			}
+		}
+		decs = srv.DecideBatch(rows, decs[:0])
+		for _, d := range decs {
+			reasons[d.Reason]++
+		}
+	}
+	if reasons[provenance.ReasonModel] == 0 || reasons[provenance.ReasonRejected] == 0 || reasons[provenance.ReasonFallback] == 0 {
+		t.Fatalf("trace lacks model, rejected or fallback rows: %v", reasons)
+	}
+
+	w := httptest.NewRecorder()
+	srv.Handler().ServeHTTP(w, httptest.NewRequest("GET", "/debug/decisions", nil))
+	if w.Code != 200 {
+		t.Fatalf("/debug/decisions = %d: %s", w.Code, w.Body.String())
+	}
+	hdr, recs, err := provenance.ReadRecords(bytes.NewReader(w.Body.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != 8*len(rows) {
+		t.Fatalf("dump holds %d records, want %d", len(recs), 8*len(rows))
+	}
+	replay := telemetry.NewRegistry()
+	provenance.Replay(replay, hdr, recs)
+
+	prov := func(snap telemetry.Snapshot) map[string]float64 {
+		out := make(map[string]float64)
+		for id, v := range snap.Gauges {
+			if strings.HasPrefix(id, "prov_") {
+				out[id] = v
+			}
+		}
+		for id, v := range snap.Counters {
+			if strings.HasPrefix(id, "prov_") {
+				out[id] = float64(v)
+			}
+		}
+		return out
+	}
+	online, offline := prov(srv.Telemetry().Snapshot()), prov(replay.Snapshot())
+	if len(online) != len(offline) {
+		t.Fatalf("online publishes %d prov_* series, the replay %d:\n%v\n%v", len(online), len(offline), online, offline)
+	}
+	for id, v := range online {
+		if got, ok := offline[id]; !ok || got != v {
+			t.Errorf("%s: online %v, replay %v (present %v)", id, v, got, ok)
+		}
+	}
+	st := srv.QualityMonitor().DriftState()
+	if st.ErrSamples == 0 || math.IsNaN(st.MAPE) || st.FlipRate == 0 || st.FeatureSamples == 0 {
+		t.Fatalf("trace exercises too little of the monitor: %+v", st)
 	}
 }
