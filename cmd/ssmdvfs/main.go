@@ -175,11 +175,6 @@ func run(cmd, cache string, quick bool, scale float64, presetsCSV string, worker
 	if scale > 0 {
 		opts.Scale = scale
 	}
-	if cache != "" {
-		if err := os.MkdirAll(cache, 0o755); err != nil {
-			return err
-		}
-	}
 	opts.CacheDir = cache
 	opts.Workers = workers
 	opts.Logger = obs.logger
@@ -190,45 +185,41 @@ func run(cmd, cache string, quick bool, scale float64, presetsCSV string, worker
 	if err != nil {
 		return err
 	}
+	c := &cli{opts: opts, presets: presets, quick: quick}
 
-	switch cmd {
-	case "pipeline":
-		_, err := experiments.RunPipeline(opts)
-		return err
-	case "fig4":
-		return runFig4(opts, presets)
-	case "table1":
-		return runTable1(opts)
-	case "table2":
-		return runTable2(opts)
-	case "fig3":
-		return runFig3(opts, quick)
-	case "asic":
-		return runASIC(opts)
-	case "sweep":
-		return runSweep(opts)
-	case "headroom":
-		return runHeadroom(opts)
-	case "quant":
-		return runQuant(opts)
-	case "all":
-		if err := runTable1(opts); err != nil {
-			return err
-		}
-		if err := runTable2(opts); err != nil {
-			return err
-		}
-		if err := runFig3(opts, quick); err != nil {
-			return err
-		}
-		if err := runFig4(opts, presets); err != nil {
-			return err
-		}
-		return runASIC(opts)
-	default:
+	steps, ok := map[string][]func(*experiments.Pipeline) error{
+		"pipeline": nil,
+		"fig4":     {c.fig4},
+		"table1":   {c.table1},
+		"table2":   {c.table2},
+		"fig3":     {c.fig3},
+		"asic":     {c.asic},
+		"sweep":    {c.sweep},
+		"headroom": {c.headroom},
+		"quant":    {c.quant},
+		"all":      {c.table1, c.table2, c.fig3, c.fig4, c.asic},
+	}[cmd]
+	if !ok {
 		usage()
 		return fmt.Errorf("unknown command %q", cmd)
 	}
+	p, err := experiments.RunPipeline(opts)
+	if err != nil {
+		return err
+	}
+	for _, step := range steps {
+		if err := step(p); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// cli carries what the subcommands read besides the built pipeline.
+type cli struct {
+	opts    experiments.PipelineOptions
+	presets []float64
+	quick   bool
 }
 
 func parsePresets(csv string) ([]float64, error) {
@@ -250,26 +241,22 @@ func parsePresets(csv string) ([]float64, error) {
 	return out, nil
 }
 
-// runGrid builds (or loads) the models and runs the one closed-loop
-// harness; fig4, sweep and headroom differ only in the three lists.
-func runGrid(opts experiments.PipelineOptions, ks []kernels.Spec, presets []float64, mechs []experiments.Mechanism) (*experiments.Fig4Result, error) {
-	p, err := experiments.RunPipeline(opts)
-	if err != nil {
-		return nil, err
-	}
+// grid runs the one closed-loop harness on the built models; fig4,
+// sweep and headroom differ only in the three lists.
+func (c *cli) grid(p *experiments.Pipeline, ks []kernels.Spec, presets []float64, mechs []experiments.Mechanism) (*experiments.Fig4Result, error) {
 	res, err := experiments.RunFig4(experiments.Fig4Options{
-		Sim:        opts.Sim,
+		Sim:        c.opts.Sim,
 		Kernels:    ks,
-		Scale:      opts.Scale,
+		Scale:      c.opts.Scale,
 		Presets:    presets,
 		Model:      p.Model,
 		Compressed: p.Compressed,
 		Mechanisms: mechs,
 		Seed:       1,
-		Logger:     opts.Logger,
-		Workers:    opts.Workers,
-		Telemetry:  opts.Telemetry,
-		Tracer:     opts.Tracer,
+		Logger:     c.opts.Logger,
+		Workers:    c.opts.Workers,
+		Telemetry:  c.opts.Telemetry,
+		Tracer:     c.opts.Tracer,
 	})
 	if err != nil {
 		return nil, err
@@ -277,12 +264,12 @@ func runGrid(opts experiments.PipelineOptions, ks []kernels.Spec, presets []floa
 	return res, res.WriteSharing(os.Stdout)
 }
 
-func runFig4(opts experiments.PipelineOptions, presets []float64) error {
+func (c *cli) fig4(p *experiments.Pipeline) error {
 	evalKernels := kernels.Evaluation()
 	// Paper: the evaluation mix keeps >50% unseen; add a few training
 	// kernels so seen programs are represented too.
 	evalKernels = append(evalKernels, kernels.Training()[:4]...)
-	res, err := runGrid(opts, evalKernels, presets, nil)
+	res, err := c.grid(p, evalKernels, c.presets, nil)
 	if err != nil {
 		return err
 	}
@@ -290,12 +277,12 @@ func runFig4(opts experiments.PipelineOptions, presets []float64) error {
 	if err := res.WriteTable(os.Stdout); err != nil {
 		return err
 	}
-	if opts.CacheDir != "" {
-		if err := res.SaveFile(filepath.Join(opts.CacheDir, "fig4.json")); err != nil {
+	if c.opts.CacheDir != "" {
+		if err := res.SaveFile(filepath.Join(c.opts.CacheDir, "fig4.json")); err != nil {
 			return err
 		}
 	}
-	for _, preset := range presets {
+	for _, preset := range c.presets {
 		var bars []viz.Bar
 		for _, s := range res.Summaries {
 			if s.Preset == preset {
@@ -320,11 +307,7 @@ func runFig4(opts experiments.PipelineOptions, presets []float64) error {
 	return nil
 }
 
-func runTable1(opts experiments.PipelineOptions) error {
-	p, err := experiments.RunPipeline(opts)
-	if err != nil {
-		return err
-	}
+func (c *cli) table1(p *experiments.Pipeline) error {
 	res, err := experiments.RunTableI(p.Dataset, features.DefaultConfig())
 	if err != nil {
 		return err
@@ -333,27 +316,19 @@ func runTable1(opts experiments.PipelineOptions) error {
 	return res.WriteTable(os.Stdout)
 }
 
-func runTable2(opts experiments.PipelineOptions) error {
-	p, err := experiments.RunPipeline(opts)
-	if err != nil {
-		return err
-	}
+func (c *cli) table2(p *experiments.Pipeline) error {
 	fmt.Println("== Table II: final model information ==")
 	return experiments.RunTableII(p).WriteTable(os.Stdout)
 }
 
-func runFig3(opts experiments.PipelineOptions, quick bool) error {
-	p, err := experiments.RunPipeline(opts)
-	if err != nil {
-		return err
-	}
+func (c *cli) fig3(p *experiments.Pipeline) error {
 	fig3 := experiments.DefaultFig3Options()
-	fig3.TrainOpts = opts.TrainOpts
-	fig3.PruneOpts = opts.PruneOpts
-	fig3.Workers = opts.Workers
-	fig3.Telemetry = opts.Telemetry
-	fig3.Tracer = opts.Tracer
-	if quick {
+	fig3.TrainOpts = c.opts.TrainOpts
+	fig3.PruneOpts = c.opts.PruneOpts
+	fig3.Workers = c.opts.Workers
+	fig3.Telemetry = c.opts.Telemetry
+	fig3.Tracer = c.opts.Tracer
+	if c.quick {
 		fig3.Archs = fig3.Archs[:8]
 		fig3.X1s = []float64{0.4, 0.6, 0.8}
 		fig3.X2s = []float64{0.7, 0.9}
@@ -366,8 +341,8 @@ func runFig3(opts experiments.PipelineOptions, quick bool) error {
 	return res.WriteTable(os.Stdout)
 }
 
-func runSweep(opts experiments.PipelineOptions) error {
-	res, err := runGrid(opts, kernels.Evaluation(),
+func (c *cli) sweep(p *experiments.Pipeline) error {
+	res, err := c.grid(p, kernels.Evaluation(),
 		[]float64{0.02, 0.05, 0.10, 0.15, 0.20, 0.30, 0.50},
 		[]experiments.Mechanism{experiments.MechSSMDVFSComp})
 	if err != nil {
@@ -377,8 +352,8 @@ func runSweep(opts experiments.PipelineOptions) error {
 	return res.WriteSummaries(os.Stdout)
 }
 
-func runHeadroom(opts experiments.PipelineOptions) error {
-	res, err := runGrid(opts, kernels.Evaluation()[:6], []float64{0.10},
+func (c *cli) headroom(p *experiments.Pipeline) error {
+	res, err := c.grid(p, kernels.Evaluation()[:6], []float64{0.10},
 		[]experiments.Mechanism{experiments.MechSSMDVFS, experiments.MechStaticBest, experiments.MechOracleGreedy})
 	if err != nil {
 		return err
@@ -387,11 +362,7 @@ func runHeadroom(opts experiments.PipelineOptions) error {
 	return res.WriteTable(os.Stdout)
 }
 
-func runASIC(opts experiments.PipelineOptions) error {
-	p, err := experiments.RunPipeline(opts)
-	if err != nil {
-		return err
-	}
+func (c *cli) asic(p *experiments.Pipeline) error {
 	rep, err := experiments.RunASIC(p.Compressed)
 	if err != nil {
 		return err
@@ -400,11 +371,7 @@ func runASIC(opts experiments.PipelineOptions) error {
 	return experiments.WriteASIC(os.Stdout, rep)
 }
 
-func runQuant(opts experiments.PipelineOptions) error {
-	p, err := experiments.RunPipeline(opts)
-	if err != nil {
-		return err
-	}
+func (c *cli) quant(p *experiments.Pipeline) error {
 	points, err := experiments.QuantSweep(p.Compressed, p.Dataset, []int{16, 12, 10, 8, 6, 4})
 	if err != nil {
 		return err

@@ -144,6 +144,33 @@ func buildMux(srv *serve.Server, ctrl *adapt.Controller) http.Handler {
 	return mux
 }
 
+// armPlanes arms the observation planes the flags ask for and returns
+// the ledger (nil when -ledger is 0). The flight recorder (-flightrec,
+// which -adapt implies) always comes with prediction feedback, so its
+// drift monitor sees the realized error of keyed predictions
+// (prov_pred_mape): the signal of the drift gauges, and under -adapt of
+// the drift trigger and the canary judge.
+func armPlanes(srv *serve.Server, flightrec int, ledgerWindow time.Duration, adaptOn bool, logf func(string, ...any)) *ledger.Ledger {
+	var led *ledger.Ledger
+	if ledgerWindow > 0 {
+		led = ledger.New(ledger.Options{Registry: srv.Telemetry(), Window: ledgerWindow})
+		srv.SetLedger(led)
+		logf("ssmdvfsd: efficiency ledger armed: energy/perf-loss accounting at /debug/ledger (%s windows)", ledgerWindow)
+	}
+	if adaptOn && flightrec <= 0 {
+		// The flight recorder is the adaptation loop's training stream and
+		// drift sensor; -adapt without -flightrec arms a default-sized one.
+		flightrec = 4096
+		logf("ssmdvfsd: -adapt implies a flight recorder: arming -flightrec %d", flightrec)
+	}
+	if flightrec > 0 {
+		srv.EnableProvenance(flightrec, provenance.MonitorOptions{})
+		srv.EnablePredFeedback()
+		logf("ssmdvfsd: flight recorder armed: last %d decisions at /debug/decisions, drift gauges on /telemetry", flightrec)
+	}
+	return led
+}
+
 func run(modelPath, httpAddr, tcpAddr, spansPath string, workers int, budget time.Duration, flightrec int, ledgerWindow time.Duration, faultSpec string, faultSeed int64, acfg adaptConfig, logf func(string, ...any)) error {
 	if modelPath == "" {
 		return fmt.Errorf("-model is required")
@@ -177,12 +204,7 @@ func run(modelPath, httpAddr, tcpAddr, spansPath string, workers int, budget tim
 		return err
 	}
 	srv.Telemetry().SetBuild(buildinfo.Info())
-	var led *ledger.Ledger
-	if ledgerWindow > 0 {
-		led = ledger.New(ledger.Options{Registry: srv.Telemetry(), Window: ledgerWindow})
-		srv.SetLedger(led)
-		logf("ssmdvfsd: efficiency ledger armed: energy/perf-loss accounting at /debug/ledger (%s windows)", ledgerWindow)
-	}
+	led := armPlanes(srv, flightrec, ledgerWindow, acfg.Enabled, logf)
 	var tracer *telemetry.Tracer
 	if spansPath != "" {
 		sf, err := os.Create(spansPath)
@@ -195,21 +217,9 @@ func run(modelPath, httpAddr, tcpAddr, spansPath string, workers int, budget tim
 		srv.SetTracer(tracer)
 		logf("ssmdvfsd: tracing armed: sampled request spans to %s", spansPath)
 	}
-	if acfg.Enabled && flightrec <= 0 {
-		// The flight recorder is the adaptation loop's training stream and
-		// drift sensor; -adapt without -flightrec arms a default-sized one.
-		flightrec = 4096
-		logf("ssmdvfsd: -adapt implies a flight recorder: arming -flightrec %d", flightrec)
-	}
-	if flightrec > 0 {
-		srv.EnableProvenance(flightrec, provenance.MonitorOptions{})
-		logf("ssmdvfsd: flight recorder armed: last %d decisions at /debug/decisions, drift gauges on /telemetry", flightrec)
-	}
 	var ctrl *adapt.Controller
 	var stopCtrl context.CancelFunc
 	if acfg.Enabled {
-		// Live MAPE feeds both the drift trigger and the canary judge.
-		srv.EnablePredFeedback()
 		ctrl, err = adapt.NewController(srv.Engine, acfg.Options)
 		if err != nil {
 			srv.Close()

@@ -210,3 +210,37 @@ func TestBuildMuxLedgerAndContentTypes(t *testing.T) {
 		t.Fatalf("/metrics.prom fails promlint: %v", errs)
 	}
 }
+
+// TestFlightrecArmsPredFeedback: -flightrec alone (no -adapt) realizes
+// the prediction error of a keyed client's previous epoch, so the drift
+// monitor's MAPE (prov_pred_mape) is fed.
+func TestFlightrecArmsPredFeedback(t *testing.T) {
+	srv, err := serve.NewServer(testModel(t), serve.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	if led := armPlanes(srv, 64, 0, false, t.Logf); led != nil {
+		t.Fatal("ledger armed without -ledger")
+	}
+	rng := rand.New(rand.NewSource(2))
+	keyed := func() serve.Request {
+		f := make([]float64, counters.Num)
+		for i := range f {
+			f[i] = 1 + 100*rng.Float64()
+		}
+		return serve.Request{Preset: 0.1, Features: f, GPU: 0, Cluster: 1}
+	}
+	d1 := srv.DecideBatch([]serve.Request{keyed()}, nil)[0]
+	if d1.Reason != provenance.ReasonModel || d1.PredInstr == 0 {
+		t.Fatalf("epoch 1 = %+v, want a model prediction", d1)
+	}
+	r2 := keyed()
+	r2.Features[counters.IdxInstr] = d1.PredInstr * 1.25
+	srv.DecideBatch([]serve.Request{r2}, nil)
+
+	st := srv.QualityMonitor().DriftState()
+	if st.ErrSamples != 1 || st.MAPE == 0 {
+		t.Fatalf("drift state %+v, want one realized prediction error", st)
+	}
+}

@@ -57,17 +57,11 @@ func NewPCSTALL(table *clockdomain.Table, preset float64, clusters int) (*PCSTAL
 // Name implements gpusim.Controller.
 func (p *PCSTALL) Name() string { return "pcstall" }
 
-// sensitivity estimates the epoch's memory-boundedness: the fraction of
-// issue opportunities lost to memory rather than to frequency-scalable
-// compute.
+// sensitivity is memBound of a simulator epoch's counters, the same
+// counters counters.FromStats copies into a feature row.
 func sensitivity(stats gpusim.EpochStats) float64 {
-	mem := float64(stats.StallMemLoad + stats.StallMemOther)
-	comp := float64(stats.StallCompute+stats.StallControl) + float64(stats.Instructions)
-	total := mem + comp
-	if total <= 0 {
-		return 0
-	}
-	return mem / total
+	return memBound(float64(stats.StallMemLoad), float64(stats.StallMemOther),
+		float64(stats.StallCompute), float64(stats.StallControl), float64(stats.Instructions))
 }
 
 // Decide implements gpusim.Controller: predict the loss at every level

@@ -43,21 +43,28 @@ func slowestWithin(t *clockdomain.Table, s, preset float64) int {
 }
 
 // RowSensitivity estimates the epoch's memory-boundedness from a feature
-// row, mirroring PCSTALL's counter-based sensitivity: memory-stall issue
-// opportunities over all issue opportunities. Non-finite or negative
-// inputs yield 0 (fully compute-bound — the conservative end, which
-// biases the fallback toward faster operating points).
+// row: memBound of the row's stall and instruction counters.
 func RowSensitivity(features []float64) float64 {
 	if len(features) < counters.Num {
 		return 0
 	}
-	mem := features[counters.IdxMH] + features[counters.IdxMHNL]
-	comp := features[counters.IdxStallCompute] + features[counters.IdxStallControl] + features[counters.IdxInstr]
+	return memBound(features[counters.IdxMH], features[counters.IdxMHNL],
+		features[counters.IdxStallCompute], features[counters.IdxStallControl], features[counters.IdxInstr])
+}
+
+// memBound is PCSTALL's counter-based memory-boundedness: memory-stall
+// issue opportunities (load and other memory hazards) over all issue
+// opportunities (those plus compute and control stalls and issued
+// instructions). Non-finite or negative inputs yield 0 (fully
+// compute-bound — the conservative end, which biases the fallback toward
+// faster operating points).
+func memBound(memLoad, memOther, compute, control, instr float64) float64 {
+	mem := memLoad + memOther
+	comp := compute + control + instr
 	if mem < 0 || comp < 0 {
 		return 0
 	}
-	total := mem + comp
-	s := mem / total
+	s := mem / (mem + comp)
 	// A single comparison rejects NaN (from NaN inputs or 0/0) and keeps
 	// the estimate in range; +Inf/+Inf also lands here.
 	if !(s > 0 && s <= 1) {

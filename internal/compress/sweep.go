@@ -148,6 +148,10 @@ func fineTune(m *core.Model, ds *datagen.Dataset, opts PruneOptions) error {
 		defer wg.Done()
 		cRows, cTargets := ds.CalibratorRows(m.FeatureIdx)
 		y := make([]float64, len(cTargets))
+		// t / TargetScale, where training, Evaluate and RefitCalibrator
+		// use t * (1/TargetScale); the two round apart on some targets.
+		// Folding them together moves compressed.json, so it waits for a
+		// deliberate model move (ROADMAP item 4(a)).
 		for i, t := range cTargets {
 			y[i] = t / m.TargetScale
 		}

@@ -89,6 +89,10 @@ func TestPipelineCaching(t *testing.T) {
 	if !strings.Contains(joined, "cached") {
 		t.Fatalf("cache not used; logs: %s", joined)
 	}
+	// A warm cache reports what the cold build did (Table II's columns).
+	if p2.Report != p.Report || p2.CompressedReport != p.CompressedReport {
+		t.Fatalf("warm reports %+v / %+v, cold %+v / %+v", p2.Report, p2.CompressedReport, p.Report, p.CompressedReport)
+	}
 }
 
 func TestFig4EndToEnd(t *testing.T) {

@@ -96,8 +96,10 @@ func QuickPipelineOptions() PipelineOptions {
 // Pipeline holds the build artifacts.
 type Pipeline struct {
 	Dataset *datagen.Dataset
-	// Model is the uncompressed (paper-initial architecture) model with
-	// its validation report; Compressed is the deployed pruned model.
+	// Model is the uncompressed (paper-initial architecture) model and
+	// Compressed the deployed pruned model. Each report is the model's
+	// evaluation on the whole corpus (training and validation samples), so
+	// a cold and a warm cache report the same numbers.
 	Model            *core.Model
 	Report           core.Report
 	Compressed       *core.Model
@@ -111,17 +113,9 @@ func (opts *PipelineOptions) phaseSpan(name string, attrs ...string) *telemetry.
 	return sp
 }
 
-// observePhase records a finished phase's wall-clock duration.
-func (opts *PipelineOptions) observePhase(name string, start time.Time) {
-	if opts.Telemetry != nil {
-		opts.Telemetry.Histogram("pipeline_phase_ms", "phase", name).Observe(time.Since(start).Milliseconds())
-	}
-}
-
 // RunPipeline executes (or loads from cache) the full build.
 func RunPipeline(opts PipelineOptions) (*Pipeline, error) {
-	log := opts.Logger
-	logf := log.Logf
+	logf := opts.Logger.Logf
 	if opts.Scale <= 0 {
 		return nil, fmt.Errorf("experiments: Scale must be positive")
 	}
@@ -139,162 +133,135 @@ func RunPipeline(opts PipelineOptions) (*Pipeline, error) {
 	}
 
 	p := &Pipeline{}
-
-	// Dataset.
-	dsPath := cachePath(opts.CacheDir, "dataset.json")
-	dsStart := time.Now()
-	dsSpan := opts.phaseSpan("datagen", "kernels", strconv.Itoa(len(trainKernels)))
-	ds, hit, err := loadCached(&opts, dsSpan, "dataset", dsPath, datagen.LoadFile)
+	var dsHit, modelHit, compHit bool
+	var err error
+	p.Dataset, dsHit, err = stage(&opts, "datagen", "dataset", datagen.LoadFile, func() (*datagen.Dataset, error) {
+		return generateDataset(&opts, trainKernels)
+	}, "kernels", strconv.Itoa(len(trainKernels)))
 	if err != nil {
-		dsSpan.End()
 		return nil, err
 	}
-	if hit {
-		logf("experiments: loaded cached dataset (%d samples)", len(ds.Samples))
-		p.Dataset = ds
-	} else {
-		dgCfg := datagen.DefaultConfig(opts.Sim)
-		if opts.BreakpointPs > 0 {
-			dgCfg.BreakpointPs = opts.BreakpointPs
-		}
-		dgCfg.MaxBreakpoints = opts.MaxBreakpoints
-		if opts.ClusterStride > 0 {
-			dgCfg.ClusterStride = opts.ClusterStride
-		}
-		built := make([]isa.Kernel, len(trainKernels))
-		for i, spec := range trainKernels {
-			built[i] = spec.Build(opts.Scale)
-		}
-		ds, err = datagen.RunSuite(datagen.SuiteOptions{
-			Config:    dgCfg,
-			Kernels:   built,
-			Logger:    log,
-			Telemetry: opts.Telemetry,
-			Tracer:    opts.Tracer,
-			Workers:   opts.Workers,
-		})
-		if err != nil {
-			dsSpan.End()
-			return nil, err
-		}
-		p.Dataset = ds
-		if opts.Telemetry != nil {
-			opts.Telemetry.Counter("pipeline_samples_total").Add(int64(len(ds.Samples)))
-		}
-		logf("experiments: generated dataset with %d samples", len(ds.Samples))
-		if dsPath != "" {
-			if err := ds.SaveFile(dsPath); err != nil {
-				dsSpan.End()
-				return nil, err
-			}
-		}
+	if dsHit {
+		logf("experiments: loaded cached dataset (%d samples)", len(p.Dataset.Samples))
 	}
-	dsSpan.SetAttr("samples", strconv.Itoa(len(p.Dataset.Samples)))
-	dsSpan.End()
-	opts.observePhase("datagen", dsStart)
 
-	// Uncompressed model.
-	modelPath := cachePath(opts.CacheDir, "model.json")
-	trainStart := time.Now()
-	trainSpan := opts.phaseSpan("train", "epochs", strconv.Itoa(opts.TrainOpts.Epochs))
-	m, hit, err := loadCached(&opts, trainSpan, "model", modelPath, core.LoadFile)
+	p.Model, modelHit, err = stage(&opts, "train", "model", core.LoadFile, func() (*core.Model, error) {
+		m, _, err := core.Train(p.Dataset, opts.TrainOpts)
+		return m, err
+	}, "epochs", strconv.Itoa(opts.TrainOpts.Epochs))
 	if err != nil {
-		trainSpan.End()
 		return nil, err
 	}
-	if hit {
-		p.Model = m
-		p.Report = core.Evaluate(m, p.Dataset)
-		logf("experiments: loaded cached model (acc=%.2f%%)", p.Report.Accuracy*100)
-	} else {
-		if p.Model, p.Report, err = core.Train(p.Dataset, opts.TrainOpts); err != nil {
-			trainSpan.End()
-			return nil, err
-		}
-		logf("experiments: trained model acc=%.2f%% mape=%.2f%% flops=%d",
-			p.Report.Accuracy*100, p.Report.MAPE, p.Report.FLOPs)
-		if modelPath != "" {
-			if err := p.Model.SaveFile(modelPath); err != nil {
-				trainSpan.End()
-				return nil, err
-			}
-		}
-	}
-	trainSpan.End()
-	opts.observePhase("train", trainStart)
 
 	// Compressed model: retrain at the compressed architecture, then
 	// prune, as in Section IV.
-	compPath := cachePath(opts.CacheDir, "compressed.json")
-	compStart := time.Now()
-	compSpan := opts.phaseSpan("compress")
-	if m, hit, err = loadCached(&opts, compSpan, "compressed", compPath, core.LoadFile); err != nil {
-		compSpan.End()
-		return nil, err
-	}
-	if hit {
-		p.Compressed = m
-		p.CompressedReport = core.Evaluate(m, p.Dataset)
-		p.CompressedReport.FLOPs = m.EffectiveFLOPs()
-		logf("experiments: loaded cached compressed model (acc=%.2f%%)", p.CompressedReport.Accuracy*100)
-	} else {
+	p.Compressed, compHit, err = stage(&opts, "compress", "compressed", core.LoadFile, func() (*core.Model, error) {
 		smallOpts := opts.TrainOpts
 		smallOpts.Arch = core.PaperCompressed()
-		smallSpan := opts.phaseSpan("compress:train-small")
-		smallModel, _, err := core.Train(p.Dataset, smallOpts)
-		smallSpan.End()
+		sp := opts.phaseSpan("compress:train-small")
+		small, _, err := core.Train(p.Dataset, smallOpts)
+		sp.End()
 		if err != nil {
-			compSpan.End()
 			return nil, err
 		}
-		pruneSpan := opts.phaseSpan("compress:prune")
-		p.Compressed, p.CompressedReport, err = compress.PruneModel(smallModel, p.Dataset, opts.PruneOpts)
-		pruneSpan.End()
-		if err != nil {
-			compSpan.End()
-			return nil, err
-		}
-		logf("experiments: compressed model acc=%.2f%% mape=%.2f%% effective flops=%d",
-			p.CompressedReport.Accuracy*100, p.CompressedReport.MAPE, p.Compressed.EffectiveFLOPs())
-		if compPath != "" {
-			if err := p.Compressed.SaveFile(compPath); err != nil {
-				compSpan.End()
-				return nil, err
-			}
-		}
+		sp = opts.phaseSpan("compress:prune")
+		m, _, err := compress.PruneModel(small, p.Dataset, opts.PruneOpts)
+		sp.End()
+		return m, err
+	})
+	if err != nil {
+		return nil, err
 	}
-	compSpan.End()
-	opts.observePhase("compress", compStart)
+
+	p.Report = core.Evaluate(p.Model, p.Dataset)
+	p.CompressedReport = core.Evaluate(p.Compressed, p.Dataset)
+	p.CompressedReport.FLOPs = p.Compressed.EffectiveFLOPs()
+	if modelHit {
+		logf("experiments: loaded cached model (acc=%.2f%%)", p.Report.Accuracy*100)
+	} else {
+		logf("experiments: trained model acc=%.2f%% mape=%.2f%% flops=%d",
+			p.Report.Accuracy*100, p.Report.MAPE, p.Report.FLOPs)
+	}
+	if compHit {
+		logf("experiments: loaded cached compressed model (acc=%.2f%%)", p.CompressedReport.Accuracy*100)
+	} else {
+		logf("experiments: compressed model acc=%.2f%% mape=%.2f%% effective flops=%d",
+			p.CompressedReport.Accuracy*100, p.CompressedReport.MAPE, p.CompressedReport.FLOPs)
+	}
 	return p, nil
 }
 
-func cachePath(dir, name string) string {
-	if dir == "" {
-		return ""
-	}
-	return filepath.Join(dir, name)
-}
-
-// loadCached reads one cache file with load, counts the hit or miss
-// (pipeline_cache_{hits,misses}_total) and marks a hit on sp. No cache
+// stage runs one pipeline phase under its span. It loads the phase's
+// artifact from <CacheDir>/<artifact>.json when the file is there
+// (pipeline_cache_hits_total, cached=true on the span) and otherwise
+// builds it and saves it there (pipeline_cache_misses_total). No cache
 // directory or no file is a miss; a file that exists and does not load
 // is an error, so a bad artifact stops the build instead of being
-// rebuilt over.
-func loadCached[T any](opts *PipelineOptions, sp *telemetry.Span, artifact, path string, load func(string) (T, error)) (v T, hit bool, err error) {
-	if path != "" {
+// rebuilt over. A phase that succeeds records its pipeline_phase_ms.
+func stage[T interface{ SaveFile(string) error }](opts *PipelineOptions, phase, artifact string,
+	load func(string) (T, error), build func() (T, error), attrs ...string) (v T, hit bool, err error) {
+	start := time.Now()
+	sp := opts.phaseSpan(phase, attrs...)
+	defer sp.End()
+	path := ""
+	if opts.CacheDir != "" {
+		path = filepath.Join(opts.CacheDir, artifact+".json")
 		v, err = load(path)
 		if err != nil && !errors.Is(err, fs.ErrNotExist) {
 			return v, false, fmt.Errorf("experiments: cache file does not load (delete it to rebuild it): %w", err)
 		}
 		hit = err == nil
 	}
-	name := "pipeline_cache_misses_total"
+	counter := "pipeline_cache_misses_total"
 	if hit {
-		name = "pipeline_cache_hits_total"
+		counter = "pipeline_cache_hits_total"
 		sp.SetAttr("cached", "true")
 	}
 	if opts.Telemetry != nil {
-		opts.Telemetry.Counter(name, "artifact", artifact).Add(1)
+		opts.Telemetry.Counter(counter, "artifact", artifact).Add(1)
+	}
+	if !hit {
+		if v, err = build(); err == nil && path != "" {
+			err = v.SaveFile(path)
+		}
+		if err != nil {
+			return v, false, err
+		}
+	}
+	if opts.Telemetry != nil {
+		opts.Telemetry.Histogram("pipeline_phase_ms", "phase", phase).Observe(time.Since(start).Milliseconds())
 	}
 	return v, hit, nil
+}
+
+// generateDataset runs datagen over the training kernels.
+func generateDataset(opts *PipelineOptions, trainKernels []kernels.Spec) (*datagen.Dataset, error) {
+	dgCfg := datagen.DefaultConfig(opts.Sim)
+	if opts.BreakpointPs > 0 {
+		dgCfg.BreakpointPs = opts.BreakpointPs
+	}
+	dgCfg.MaxBreakpoints = opts.MaxBreakpoints
+	if opts.ClusterStride > 0 {
+		dgCfg.ClusterStride = opts.ClusterStride
+	}
+	built := make([]isa.Kernel, len(trainKernels))
+	for i, spec := range trainKernels {
+		built[i] = spec.Build(opts.Scale)
+	}
+	ds, err := datagen.RunSuite(datagen.SuiteOptions{
+		Config:    dgCfg,
+		Kernels:   built,
+		Logger:    opts.Logger,
+		Telemetry: opts.Telemetry,
+		Tracer:    opts.Tracer,
+		Workers:   opts.Workers,
+	})
+	if err != nil {
+		return nil, err
+	}
+	if opts.Telemetry != nil {
+		opts.Telemetry.Counter("pipeline_samples_total").Add(int64(len(ds.Samples)))
+	}
+	opts.Logger.Logf("experiments: generated dataset with %d samples", len(ds.Samples))
+	return ds, nil
 }

@@ -194,13 +194,6 @@ func (p *InjectedPanic) String() string {
 	return fmt.Sprintf("faults: injected panic at %s (fire %d)", p.Site, p.N)
 }
 
-// IsInjectedPanic reports whether a recover() value came from a fired
-// panic site.
-func IsInjectedPanic(v any) bool {
-	_, ok := v.(*InjectedPanic)
-	return ok
-}
-
 // Inject evaluates the named site. Error sites return a non-nil error,
 // panic sites panic with an *InjectedPanic, latency sites sleep for the
 // armed latency; corrupt sites (and unarmed or non-firing sites) return
@@ -245,17 +238,6 @@ func (inj *Injector) Fired(name string) int64 {
 	}
 	if st := inj.lookup(name); st != nil {
 		return st.fired.Load()
-	}
-	return 0
-}
-
-// Calls returns how many times the named site has been evaluated. Nil-safe.
-func (inj *Injector) Calls(name string) int64 {
-	if inj == nil {
-		return 0
-	}
-	if st := inj.lookup(name); st != nil {
-		return st.calls.Load()
 	}
 	return 0
 }

@@ -23,9 +23,6 @@ type Objective func(res gpusim.Result) float64
 // EDPObjective minimizes the energy-delay product.
 func EDPObjective(res gpusim.Result) float64 { return res.EDP() }
 
-// EnergyObjective minimizes energy.
-func EnergyObjective(res gpusim.Result) float64 { return res.EnergyPJ }
-
 // StaticRuns runs the kernel to completion once per fixed operating level
 // and returns the results by level. The default level is not simulated:
 // forcing it at t = 0 changes nothing, so its run is base, the

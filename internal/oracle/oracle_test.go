@@ -96,7 +96,7 @@ func TestStaticBestComputeBoundRespectsBudget(t *testing.T) {
 func TestStaticBestObjectives(t *testing.T) {
 	c := cfg()
 	_, bestEDP := staticBest(t, c, memKernel(200), 0.20, EDPObjective)
-	_, bestE := staticBest(t, c, memKernel(200), 0.20, EnergyObjective)
+	_, bestE := staticBest(t, c, memKernel(200), 0.20, func(res gpusim.Result) float64 { return res.EnergyPJ })
 	// Energy minimization never prefers a faster level than EDP
 	// minimization (speed only helps the delay term).
 	if bestE > bestEDP {

@@ -42,7 +42,7 @@ func TestRollbackNeverReadsDisk(t *testing.T) {
 	if e.Generation() != 2 {
 		t.Fatalf("generation after reload = %d, want 2", e.Generation())
 	}
-	if p := e.PrevModel(); p != m1 {
+	if p := e.prev.Load(); p != m1 {
 		t.Fatal("pre-swap model not retained")
 	}
 

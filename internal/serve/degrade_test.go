@@ -66,7 +66,7 @@ func TestDegradeInvalidRowsBinary(t *testing.T) {
 		t.Fatalf("fallback level = %d, want %d", decs[1].Level, wantLevel)
 	}
 	// A clean validation pass is not a model failure: health stays intact.
-	if got := srv.Health(); got != Healthy {
+	if got := srv.health.State(); got != Healthy {
 		t.Fatalf("health = %s after rejected rows, want healthy", got)
 	}
 }
@@ -97,7 +97,7 @@ func TestDegradePanicRecovery(t *testing.T) {
 	if got := srv.Metrics().Fallbacks.Load(); got == 0 {
 		t.Fatal("rows after the panic were not degraded to the fallback")
 	}
-	if got := srv.Health(); got == Healthy {
+	if got := srv.health.State(); got == Healthy {
 		t.Fatal("health still healthy after a model panic")
 	}
 }
@@ -150,13 +150,13 @@ func TestHealthStateMachine(t *testing.T) {
 	}
 
 	batch()
-	if got := srv.Health(); got != Degraded {
+	if got := srv.health.State(); got != Degraded {
 		t.Fatalf("after 1 failure: %s, want degraded", got)
 	}
 	for i := 1; i < failThreshold; i++ {
 		batch()
 	}
-	if got := srv.Health(); got != FallbackOnly {
+	if got := srv.health.State(); got != FallbackOnly {
 		t.Fatalf("after %d failures: %s, want fallback-only", failThreshold, got)
 	}
 
@@ -183,10 +183,10 @@ func TestHealthStateMachine(t *testing.T) {
 
 	// The fault is exhausted; probe batches (every probeEvery-th) must
 	// restore health after restoreProbes clean probes.
-	for i := 0; i < restoreProbes*probeEvery && srv.Health() != Healthy; i++ {
+	for i := 0; i < restoreProbes*probeEvery && srv.health.State() != Healthy; i++ {
 		batch()
 	}
-	if got := srv.Health(); got != Healthy {
+	if got := srv.health.State(); got != Healthy {
 		t.Fatalf("server did not recover: %s", got)
 	}
 	rec = httptest.NewRecorder()

@@ -306,9 +306,6 @@ func (e *Engine) Metrics() *Metrics { return e.metrics }
 // Prometheus exposition and for daemons that add their own series.
 func (e *Engine) Telemetry() *telemetry.Registry { return e.metrics.Registry() }
 
-// Health returns the engine's current degradation state.
-func (e *Engine) Health() HealthState { return e.health.State() }
-
 // Swap atomically replaces the served model after validating it. A model
 // that fails validation is rejected and the current model keeps serving.
 // In-flight batches finish on the model they started with; new batches
@@ -356,10 +353,6 @@ func (e *Engine) swapLocked(m *core.Model) error {
 	}
 	return nil
 }
-
-// PrevModel returns the retained pre-swap snapshot Rollback would
-// restore, or nil when no swap has happened yet.
-func (e *Engine) PrevModel() *core.Model { return e.prev.Load() }
 
 // Generation returns the lineage generation of the currently served
 // model (0 for an unversioned offline artifact) — what hello
