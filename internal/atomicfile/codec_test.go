@@ -1,10 +1,12 @@
 package atomicfile
 
 import (
+	"encoding/json"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -13,14 +15,22 @@ type payload struct {
 	Values []float64 `json:"values"`
 }
 
+// readPayload reads a WriteJSON file back, the way the Fig. 4 result is
+// read: ReadWith over a JSON decoder.
+func readPayload(path string) (payload, error) {
+	return ReadWith(path, func(r io.Reader) (got payload, err error) {
+		return got, json.NewDecoder(r).Decode(&got)
+	})
+}
+
 func TestWriteReadJSONRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "p.json")
 	want := payload{Name: "x", Values: []float64{1, 2.5, -3}}
 	if err := WriteJSON(path, want); err != nil {
 		t.Fatal(err)
 	}
-	var got payload
-	if err := ReadJSON(path, &got); err != nil {
+	got, err := readPayload(path)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if got.Name != want.Name || len(got.Values) != 3 || got.Values[1] != 2.5 {
@@ -46,16 +56,15 @@ func TestWriteJSONMatchesPlainEncoder(t *testing.T) {
 
 func TestReadJSONErrors(t *testing.T) {
 	dir := t.TempDir()
-	var v payload
-	if err := ReadJSON(filepath.Join(dir, "missing.json"), &v); err == nil {
+	if _, err := readPayload(filepath.Join(dir, "missing.json")); err == nil {
 		t.Fatal("missing file accepted")
 	}
 	bad := filepath.Join(dir, "bad.json")
 	if err := os.WriteFile(bad, []byte("{nope"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := ReadJSON(bad, &v); err == nil {
-		t.Fatal("corrupt JSON accepted")
+	if _, err := readPayload(bad); err == nil || !strings.Contains(err.Error(), bad) {
+		t.Fatalf("corrupt JSON: err = %v, want an error naming %s", err, bad)
 	}
 }
 
@@ -72,11 +81,11 @@ func TestReadWith(t *testing.T) {
 	if err != nil || got != "hello" {
 		t.Fatalf("ReadWith = (%q, %v)", got, err)
 	}
-	// Validation errors from the load func must flow through.
+	// Errors from the load func must flow through, naming the file.
 	if _, err := ReadWith(path, func(io.Reader) (string, error) {
 		return "", fmt.Errorf("shape mismatch")
-	}); err == nil {
-		t.Fatal("load error swallowed")
+	}); err == nil || !strings.Contains(err.Error(), path) || !strings.Contains(err.Error(), "shape mismatch") {
+		t.Fatalf("load error = %v, want shape mismatch naming %s", err, path)
 	}
 	if _, err := ReadWith(filepath.Join(dir, "missing"), func(io.Reader) (string, error) {
 		return "", nil

@@ -72,18 +72,16 @@ func DefaultTrainOptions() TrainOptions {
 	}
 }
 
-// Report carries the trained model's validation metrics, matching the
-// quantities in the paper's Table II.
+// Report carries a model's metrics, the quantities in the paper's Table
+// II. Train reports Accuracy and MAPE on its validation split; Evaluate
+// reports them on the whole dataset it is given.
 type Report struct {
-	// Accuracy is Decision-maker validation classification accuracy.
+	// Accuracy is the Decision-maker's classification accuracy.
 	Accuracy float64
-	// MAPE is Calibrator validation mean absolute percentage error (%).
+	// MAPE is the Calibrator's mean absolute percentage error (%).
 	MAPE float64
 	// FLOPs is the combined dense inference cost.
 	FLOPs int
-	// TrainSamples / ValSamples are the split sizes.
-	TrainSamples int
-	ValSamples   int
 }
 
 // Train fits the combined model on the dataset and returns it with its
@@ -107,8 +105,6 @@ func Train(ds *datagen.Dataset, opts TrainOptions) (*Model, Report, error) {
 	if train.Samples == nil || val.Samples == nil {
 		return nil, rep, fmt.Errorf("core: dataset too small to split (%d samples)", len(ds.Samples))
 	}
-	rep.TrainSamples = len(train.Samples)
-	rep.ValSamples = len(val.Samples)
 
 	m := &Model{
 		FeatureIdx:    append([]int(nil), opts.FeatureIdx...),
@@ -241,7 +237,7 @@ func (m *Model) DecisionRowsFor(ds *datagen.Dataset, seed int64) ([][]float64, [
 // after compression or pruning), using the same Decision-row formulation
 // the model was trained with.
 func Evaluate(m *Model, ds *datagen.Dataset) Report {
-	rep := Report{FLOPs: m.FLOPs(), ValSamples: len(ds.Samples)}
+	rep := Report{FLOPs: m.FLOPs()}
 	dRows, dLabels := decisionRows(ds, m.FeatureIdx, m.PresetSamples, 12345)
 	rep.Accuracy = nn.EvalClassifier(m.Decision, nn.ClassificationSet{
 		X: m.DecisionScaler.TransformAll(dRows), Labels: dLabels,

@@ -378,7 +378,8 @@ func RunSuite(opts SuiteOptions) (*Dataset, error) {
 	return ds, nil
 }
 
-// Save writes the dataset as JSON.
+// Save writes the dataset as compact JSON and a newline, the one form
+// Load reads.
 func (d *Dataset) Save(w io.Writer) error {
 	return json.NewEncoder(w).Encode(d)
 }
@@ -415,9 +416,9 @@ func (d *Dataset) validate() error {
 }
 
 // Load reads a dataset saved with Save and validates its shape. It reads
-// r to the end and decodes with the corpus decoder (decode.go), which
-// accepts exactly what encoding/json accepts and decodes it bit for bit
-// alike.
+// r to the end and decodes it with the corpus decoder (decode.go), which
+// accepts only the form Save writes and refuses any other input with the
+// offset where it departs from that form.
 func Load(r io.Reader) (*Dataset, error) {
 	data, err := readInput(r)
 	if err != nil {
@@ -433,9 +434,10 @@ func Load(r io.Reader) (*Dataset, error) {
 	return &d, nil
 }
 
-// SaveFile writes the dataset to path atomically (temp file + rename).
+// SaveFile writes the dataset to path with Save, atomically (temp file +
+// rename).
 func (d *Dataset) SaveFile(path string) error {
-	return atomicfile.WriteJSON(path, d)
+	return atomicfile.Write(path, d.Save)
 }
 
 // LoadFile reads a dataset from path.

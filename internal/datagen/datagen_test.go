@@ -189,7 +189,8 @@ func TestLoadRejectsCorrupt(t *testing.T) {
 		}
 		return string(b)
 	}
-	if _, err := Load(strings.NewReader(layout(counters.Names()))); err != nil {
+	ok := layout(counters.Names())
+	if _, err := Load(strings.NewReader(ok)); err != nil {
 		t.Fatalf("the program's own layout refused: %v", err)
 	}
 	swapped := counters.Names()
@@ -200,6 +201,33 @@ func TestLoadRejectsCorrupt(t *testing.T) {
 	for i, c := range cases {
 		if _, err := Load(bytes.NewReader([]byte(c))); err == nil {
 			t.Fatalf("corrupt dataset %d accepted", i)
+		}
+	}
+
+	// Valid JSON of a valid dataset, in a form Save does not write: each
+	// is refused at the offset where it departs from that form.
+	var indented bytes.Buffer
+	if err := json.Indent(&indented, []byte(ok), "", "  "); err != nil {
+		t.Fatal(err)
+	}
+	form := []struct{ name, in string }{
+		{"keys reordered", strings.Replace(ok, `"breakpoint":0,"cluster":0,`, `"cluster":0,"breakpoint":0,`, 1)},
+		{"case-folded key", strings.Replace(ok, `"levels":`, `"Levels":`, 1)},
+		{"repeated key", strings.Replace(ok, `"level":1,`, `"level":1,"level":1,`, 1)},
+		{"unknown key", strings.Replace(ok, `"kernel":`, `"note":"x","kernel":`, 1)},
+		{"null sample field", strings.Replace(ok, `"perf_loss":0,`, `"perf_loss":null,`, 1)},
+		{"indented", indented.String()},
+		{"trailing bytes", ok + "\n{}"},
+	}
+	for _, f := range form {
+		name, c := f.name, f.in
+		var ref Dataset
+		if err := json.NewDecoder(strings.NewReader(c)).Decode(&ref); err != nil || ref.validate() != nil || c == ok {
+			t.Fatalf("%s: not a rewrite of the valid corpus that encoding/json reads (%v)", name, err)
+		}
+		_, err := Load(strings.NewReader(c))
+		if err == nil || !strings.Contains(err.Error(), "offset ") {
+			t.Fatalf("%s: Load error %v, want a refusal at an offset", name, err)
 		}
 	}
 }

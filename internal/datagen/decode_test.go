@@ -112,7 +112,9 @@ func TestLoadCommittedCorpora(t *testing.T) {
 	}
 }
 
-// decodeSeeds are FuzzDatasetDecode's seed inputs.
+// decodeSeeds are FuzzDatasetDecode's seed inputs. Most are slices of
+// the committed corpus, so they carry the program's counter names and
+// reach the fuzz target's second property.
 func decodeSeeds(tb testing.TB) [][]byte {
 	raw, err := os.ReadFile(committedCorpora[0])
 	if err != nil {
@@ -122,84 +124,119 @@ func decodeSeeds(tb testing.TB) [][]byte {
 	if err := json.Unmarshal(raw, &full); err != nil {
 		tb.Fatal(err)
 	}
-	full.Samples = full.Samples[:3]
-	slice, err := json.Marshal(&full)
+	save := func(d *Dataset) string {
+		var buf bytes.Buffer
+		if err := d.Save(&buf); err != nil {
+			tb.Fatal(err)
+		}
+		return buf.String()
+	}
+	names, err := json.Marshal(full.CounterNames)
 	if err != nil {
 		tb.Fatal(err)
 	}
+	// corpus is a corpus with the program's counters around levels and
+	// samples as written.
+	corpus := func(levels, samples string) string {
+		return `{"counter_names":` + string(names) + `,"levels":` + levels + `,"samples":` + samples + "}\n"
+	}
+	// row is a sample with its features written out as feats, 47 values.
+	row := func(feats string) string {
+		return `{"kernel":"k","breakpoint":1,"cluster":0,"level":2,"features":[` + feats + `],"perf_loss":0.25,"scaling_instr":100}`
+	}
+	zeros := strings.Repeat("0,", len(full.CounterNames)-1) // all but the last feature
+	slice := save(&Dataset{CounterNames: full.CounterNames, Levels: full.Levels, Samples: full.Samples[:3]})
+	one := save(&Dataset{CounterNames: full.CounterNames, Levels: full.Levels, Samples: full.Samples[:1]})
+	escaped := full.Samples[0]
+	escaped.Kernel = `a<b>&"q" é`
+	edges := full.Samples[1]
+	edges.Features = append([]float64(nil), edges.Features...)
+	for i, v := range []float64{math.Copysign(0, -1), 1e-300, math.MaxFloat64, -math.MaxFloat64,
+		math.SmallestNonzeroFloat64, 1e21, 1e-7, 123456789012345, 1234567890123456} {
+		edges.Features[i] = v
+	}
+	edges.PerfLoss, edges.ScalingInstr = math.Copysign(0, -1), 1e20
 	var indented bytes.Buffer
-	if err := json.Indent(&indented, slice, "", "\t"); err != nil {
+	if err := json.Indent(&indented, []byte(one), "", "\t"); err != nil {
 		tb.Fatal(err)
 	}
-	const base = `{"counter_names":["a","b"],"levels":3,"samples":[{"kernel":"k","breakpoint":1,"cluster":0,"level":2,"features":[1.5,-2],"perf_loss":0.25,"scaling_instr":100}]}`
+	const small = `{"counter_names":["a","b"],"levels":3,"samples":[{"kernel":"k","breakpoint":1,"cluster":0,"level":2,"features":[1.5,-2],"perf_loss":0.25,"scaling_instr":100}]}`
 	seeds := []string{
-		string(slice),
+		// Save's own form: corpus slices, no samples, an empty list, a
+		// kernel name that needs escapes and edge-case floats.
+		slice,
+		one,
+		corpus("6", "null"),
+		corpus("6", "[]"),
+		corpus("-3", "[]"),
+		save(&Dataset{CounterNames: full.CounterNames, Levels: 6, Samples: []Sample{escaped}}),
+		save(&Dataset{CounterNames: full.CounterNames, Levels: 6, Samples: []Sample{edges}}),
+		small,
+		small + " \t\r\n",
+		`{"counter_names":[],"levels":0,"samples":[{"kernel":"","breakpoint":0,"cluster":0,"level":0,"features":[],"perf_loss":0,"scaling_instr":0}]}`,
+		// Hand-written rows: numbers at the edges of the grammar, of the
+		// integer fast path and of the float range; escapes, surrogates
+		// and invalid UTF-8.
+		corpus("6", "["+row(zeros+"-0")+"]"),
+		corpus("6", "["+row(zeros+"-0.0")+"]"),
+		corpus("6", "["+row(zeros+"1e-300")+"]"),
+		corpus("6", "["+row(zeros+"1.7976931348623157e308")+"]"),
+		corpus("6", "["+row(zeros+"4.9e-324")+"]"),
+		corpus("6", "["+row(zeros+"1E2")+"]"),
+		corpus("6", "["+row(zeros+"0.1e+2")+"]"),
+		corpus("6", "["+row(zeros+"98765432109876543210")+"]"),
+		corpus("6", "["+row(zeros+"83030920993190389")+"]"), // digit by digit, 17 digits round twice
+		corpus("6", "["+row(zeros+"-999999999999999")+"]"),
+		corpus("6", `[{"kernel":"ké\/\n","breakpoint":9223372036854775807,"cluster":-9223372036854775808,"level":0,"features":[`+zeros+`1],"perf_loss":1,"scaling_instr":1}]`),
+		"{\"counter_names\":[\"\xff\xfe\"],\"levels\":1,\"samples\":[{\"kernel\":\"\xe2\x82\",\"breakpoint\":0,\"cluster\":0,\"level\":0,\"features\":[1],\"perf_loss\":0,\"scaling_instr\":0}]}",
+		`{"counter_names":["\ud800","\"q\""],"levels":1,"samples":null}`,
+		// Forms encoding/json reads and the corpus decoder refuses: Save
+		// of what encoding/json decodes must still load.
 		indented.String(),
-		base,
-		// Keys reordered, upper-cased and repeated.
-		`{"samples":[{"scaling_instr":7,"features":[3],"Level":1,"KERNEL":"x"}],"Levels":2,"COUNTER_NAMES":["a"]}`,
-		`{"counter_names":["a","b","c"],"counter_names":["d"],"counter_names":[null,null,null],"levels":2,"levels":null}`,
-		`{"samples":[{"features":[1,2,3]},{"level":1}],"samples":[{"features":[4]}],"samples":[{"features":[null,null,null,null]}]}`,
-		`{"samples":[{"features":[1,2],"features":[],"features":[null]}]}`,
-		`{"ſamples":[{"Kernel":"k","kernel":"K","perf_LOSS":1}],"levelſ":3}`,
-		// Unknown keys holding nested values.
-		`{"meta":{"a":[1,{"b":[true,false,null,"sé"]}],"c":-1.5e-3},"levels":1,"samples":[{"extra":[[[]]],"level":0,"x":{}}]}`,
-		// null in every position.
+		" " + one,
+		strings.Replace(one, `"levels":`, `"Levels":`, 1),
+		strings.Replace(one, `"breakpoint":1,"cluster":0,`, `"cluster":0,"breakpoint":1,`, 1),
+		strings.Replace(one, `"level":0,`, `"level":0,"level":1,`, 1),
+		strings.Replace(one, `"kernel":`, `"note":[{"x":null}],"kernel":`, 1),
+		strings.Replace(one, `"perf_loss":`, `"perf_loss":null,"perf_loss":`, 1),
+		strings.Replace(one, `"scaling_instr":13660`, `"scaling_instr":null`, 1),
+		strings.Replace(one, `"samples":`, `"samples":null,"samples":`, 1),
+		strings.Replace(corpus("6", "[]"), "]}", `],"extra":1}`, 1),
+		strings.TrimSuffix(one, "\n") + `garbage`,
+		strings.TrimSuffix(one, "\n") + ` {"levels":9}`,
+		`{"counter_names":` + string(names) + `}`,
 		`null`,
-		`null trailing`,
-		`{"counter_names":null,"levels":null,"samples":null}`,
-		`{"counter_names":[null],"samples":[null,{"kernel":null,"breakpoint":null,"cluster":null,"level":null,"features":null,"perf_loss":null,"scaling_instr":null}]}`,
-		`{"samples":[{"features":[null,1,null]}]}`,
-		`{"counter_names":["a"],"counter_names":null,"samples":[{"features":[1],"features":null}],"samples":[{}]}`,
-		`{"samples":[{"level":1}],"samples":null}`,
-		// Escaped and non-ASCII strings.
-		`{"counter_names":["a\n","é","\ud800","\"q\"","\/"],"samples":[{"kernel":"ker\tnel"},{"kernel":"ké"}]}`,
-		"{\"counter_names\":[\"\xff\xfe\"],\"samples\":[{\"kernel\":\"\xe2\x82\"}]}",
-		"{\"counter_names\":[\"a\x01\"]}",
-		`{"counter_names":["\x"]}`,
-		`{"levels":4}`,
-		// Numbers at the edges of the grammar and of each field's type.
-		`{"samples":[{"perf_loss":-0,"scaling_instr":-0.0,"features":[-0,0,-0.0]}]}`,
-		`{"samples":[{"features":[1e400]}]}`,
-		`{"samples":[{"features":[123456789012345,1234567890123456,98765432109876543210,-999999999999999]}]}`,
-		`{"samples":[{"features":[1e-400,4.9e-324,1.7976931348623157e308,0.1E+2]}]}`,
-		`{"samples":[{"features":[01]}]}`,
-		`{"samples":[{"features":[+1]}]}`,
-		`{"samples":[{"features":[.5]}]}`,
-		`{"samples":[{"features":[1.]}]}`,
-		`{"samples":[{"features":[0x10]}]}`,
-		`{"samples":[{"features":[NaN,Infinity]}]}`,
-		`{"samples":[{"level":1.0}]}`,
-		`{"samples":[{"level":1e2}]}`,
-		`{"samples":[{"level":-0,"cluster":9223372036854775807,"breakpoint":-9223372036854775808}]}`,
-		`{"samples":[{"level":9223372036854775808}]}`,
-		// Wrong types, and broken syntax.
-		`{"levels":"3"}`,
-		`{"samples":{}}`,
-		`{"samples":[{"features":[true]}]}`,
-		`{"samples":[{"kernel":5}]}`,
-		`{"levels":3,}`,
-		`{"samples":[1,]}`,
-		`{"levels" 3}`,
-		`{"x":1e}`,
-		`{"x":-}`,
-		`{"x":"\q"}`,
-		`{"x":"\u12zz"}`,
-		`{"x":[tru]}`,
-		`{"x":{"a" 1}}`,
-		`{"levels":3`,
-		`[]`,
-		`"dataset"`,
-		`7`,
-		// Trailing bytes after the object, and empty input.
-		base + ` {"levels":9}`,
-		base + `garbage`,
-		"  \n\t" + base,
+		// Numbers the JSON grammar or a field's type refuses.
+		corpus("6", "["+row(zeros+"1e400")+"]"),
+		corpus("6", "["+row(zeros+"01")+"]"),
+		corpus("6", "["+row(zeros+"+1")+"]"),
+		corpus("6", "["+row(zeros+".5")+"]"),
+		corpus("6", "["+row(zeros+"1.")+"]"),
+		corpus("6", "["+row(zeros+"1e")+"]"),
+		corpus("6", "["+row(zeros+"-")+"]"),
+		corpus("6", "["+row(zeros+"0x10")+"]"),
+		corpus("6", "["+row(zeros+"NaN")+"]"),
+		corpus("6", "["+row(zeros+"true")+"]"),
+		strings.Replace(one, `"level":0,`, `"level":1.0,`, 1),
+		strings.Replace(one, `"level":0,`, `"level":1e2,`, 1),
+		strings.Replace(one, `"level":0,`, `"level":9223372036854775808,`, 1),
+		strings.Replace(one, `"kernel":"parboil.cutcp"`, `"kernel":5`, 1),
+		// Broken syntax.
+		strings.Replace(one, `"kernel":"parboil.cutcp"`, "\"kernel\":\"a\x01\"", 1),
+		strings.Replace(one, `"kernel":"parboil.cutcp"`, `"kernel":"\x"`, 1),
+		strings.Replace(one, `"kernel":"parboil.cutcp"`, `"kernel":"\u12zz"`, 1),
+		strings.Replace(one, `,"levels"`, `,,"levels"`, 1),
+		strings.Replace(one, `],"perf_loss"`, `,],"perf_loss"`, 1),
+		strings.Replace(one, `}]}`, `},]}`, 1),
+		// Truncated: at the end, in a key, in a string, in a number and
+		// before a list's first element.
+		one[:len(one)-2],
+		one[:5],
+		one[:len(`{"counter_names":["ip`)],
+		one[:len(`{"counter_names":`)+len(names)+len(`,"levels":`)],
+		one[:len(`{"counter_names":`)+len(names)+len(`,"levels":6,"samples":[`)],
 		``,
-		"  \n",
-		strings.Repeat("[", 10001) + strings.Repeat("]", 10001),
-		`{"x":` + strings.Repeat("[", 9999) + strings.Repeat("]", 9999) + `}`,
-		`{"x":` + strings.Repeat("[", 10000) + strings.Repeat("]", 10000) + `}`,
+		`[]`,
 	}
 	out := make([][]byte, len(seeds))
 	for i, s := range seeds {
@@ -208,23 +245,36 @@ func decodeSeeds(tb testing.TB) [][]byte {
 	return out
 }
 
-// FuzzDatasetDecode decodes each input with the corpus decoder and with
-// encoding/json: both must fail, or both succeed with datasets equal bit
-// for bit.
+// FuzzDatasetDecode holds the corpus decoder to encoding/json both ways.
+// Whatever the decoder accepts, encoding/json decodes to the same dataset
+// bit for bit. Whatever encoding/json decodes to a dataset validate
+// accepts, Save writes in a form Load reads back to that dataset.
 func FuzzDatasetDecode(f *testing.F) {
 	for _, seed := range decodeSeeds(f) {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, b []byte) {
-		got, err := decodeOwn(b)
 		want, refErr := decodeRef(b)
-		if (err == nil) != (refErr == nil) {
-			t.Fatalf("decoder error %v, encoding/json error %v", err, refErr)
+		if got, err := decodeOwn(b); err == nil {
+			if refErr != nil {
+				t.Fatalf("decoder accepted an input encoding/json refuses: %v", refErr)
+			}
+			if diff := datasetDiff(got, want); diff != "" {
+				t.Fatal(diff)
+			}
 		}
-		if err != nil {
+		if refErr != nil || want.validate() != nil {
 			return
 		}
-		if diff := datasetDiff(got, want); diff != "" {
+		var buf bytes.Buffer
+		if err := want.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		back, err := Load(&buf)
+		if err != nil {
+			t.Fatalf("Load refused what Save wrote: %v", err)
+		}
+		if diff := datasetDiff(back, want); diff != "" {
 			t.Fatal(diff)
 		}
 	})

@@ -2,7 +2,9 @@ package experiments
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
+	"io"
 	"strings"
 	"testing"
 
@@ -184,8 +186,10 @@ func TestFig4SaveLoadRoundTrip(t *testing.T) {
 	if err := res.SaveFile(path); err != nil {
 		t.Fatal(err)
 	}
-	var got Fig4Result
-	if err := atomicfile.ReadJSON(path, &got); err != nil {
+	got, err := atomicfile.ReadWith(path, func(r io.Reader) (got Fig4Result, err error) {
+		return got, json.NewDecoder(r).Decode(&got)
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
 	if len(got.Rows) != 1 || got.Rows[0].NormEDP != 0.85 || got.Summaries[0].Mechanism != MechSSMDVFS {

@@ -20,7 +20,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"os"
 	"strconv"
 
 	"ssmdvfs/internal/atomicfile"
@@ -449,14 +448,15 @@ func ReadRecords(r io.Reader) (Header, []Record, error) {
 	return hdr, recs, sc.Err()
 }
 
-// ReadFile reads a dump from disk.
+// ReadFile reads a dump from disk with ReadRecords, naming the file in
+// any error.
 func ReadFile(path string) (Header, []Record, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return Header{}, nil, err
-	}
-	defer f.Close()
-	return ReadRecords(f)
+	var hdr Header
+	recs, err := atomicfile.ReadWith(path, func(r io.Reader) (recs []Record, err error) {
+		hdr, recs, err = ReadRecords(r)
+		return recs, err
+	})
+	return hdr, recs, err
 }
 
 // WriteFile atomically writes a recorder's current contents (plus the

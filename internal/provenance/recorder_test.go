@@ -4,7 +4,10 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"os"
+	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"unsafe"
@@ -395,6 +398,37 @@ func TestDumpRoundTrip(t *testing.T) {
 	}
 	if !bytes.Equal(buf.Bytes(), buf2.Bytes()) {
 		t.Fatal("WriteRecords is not byte-deterministic")
+	}
+}
+
+// TestReadFileNamesThePath reads a dump back from disk, and a dump whose
+// third record is bad: the error names the file and the record.
+func TestReadFileNamesThePath(t *testing.T) {
+	r := NewRecorder(8)
+	for i := 0; i < 4; i++ {
+		rec := testRecord(i)
+		r.Record(&rec)
+	}
+	path := filepath.Join(t.TempDir(), "decisions.jsonl")
+	if err := WriteFile(path, Header{Levels: 6}, r); err != nil {
+		t.Fatal(err)
+	}
+	hdr, recs, err := ReadFile(path)
+	if err != nil || hdr.Levels != 6 || len(recs) != 4 {
+		t.Fatalf("ReadFile = (%+v, %d records, %v), want 6 levels and 4 records", hdr, len(recs), err)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.SplitAfter(string(raw), "\n")
+	lines[3] = "{\"level\":\"six\"}\n"
+	if err := os.WriteFile(path, []byte(strings.Join(lines, "")), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, _, err = ReadFile(path)
+	if err == nil || !strings.Contains(err.Error(), path) || !strings.Contains(err.Error(), "record 3") {
+		t.Fatalf("ReadFile of a bad record: %v, want an error naming %s and record 3", err, path)
 	}
 }
 
